@@ -1,6 +1,8 @@
 package ptrace
 
 import (
+	"math"
+	"reflect"
 	"testing"
 
 	"photon/internal/core"
@@ -81,7 +83,8 @@ func deliverR(cycle int64, id uint64, deliveredAt int64) Record {
 // FuzzAssemble fuzzes the decode→assemble pipeline: arbitrary bytes must
 // either fail to decode, fail to assemble with an error, or produce
 // spans that pass Validate. Panics (and invariant-violating spans) are
-// the failure mode being hunted.
+// the failure mode being hunted. Every decodable input also goes through
+// the streaming assembler, differentially against the batch one.
 func FuzzAssemble(f *testing.F) {
 	for _, seed := range corpusSeeds() {
 		f.Add(EncodeRecords(seed))
@@ -92,6 +95,7 @@ func FuzzAssemble(f *testing.F) {
 			return
 		}
 		tr, err := Assemble(records)
+		fuzzStream(t, records, tr, err)
 		if err != nil {
 			return
 		}
@@ -105,6 +109,77 @@ func FuzzAssemble(f *testing.F) {
 			t.Fatalf("re-encoded stream differs from input")
 		}
 	})
+}
+
+// fuzzStream pushes the records through two streams and holds them to the
+// batch outcome (tr, batchErr). With retirement disabled the stream is
+// the batch assembler record for record: same verdict, same meta count,
+// DeepEqual spans — except a packet a recovery event reached after its
+// delivery, which the stream has already flushed clean (see Stream). With
+// an 8-cycle window the stream may reject what the batch accepts (an ACK
+// after its tombstone retired) but still flushes each packet at most once.
+func fuzzStream(t *testing.T, records []Record, tr *TraceResult, batchErr error) {
+	run := func(retireAfter int64) (map[uint64]*PacketSpan, int, error) {
+		spans := make(map[uint64]*PacketSpan)
+		var calls, metas int
+		st := NewStream(StreamConfig{
+			RetireAfter: retireAfter,
+			OnSpan: func(sp *PacketSpan) error {
+				calls++
+				// A batch-valid stream injects each ID once, so a second
+				// flush of an ID is the stream's own doing.
+				if spans[sp.ID] != nil && batchErr == nil {
+					t.Fatalf("RetireAfter %d: packet %d flushed twice", retireAfter, sp.ID)
+				}
+				spans[sp.ID] = sp
+				return nil
+			},
+			OnMeta: func(Record) error { metas++; return nil },
+		})
+		for _, r := range records {
+			if st.Push(r) != nil {
+				break
+			}
+		}
+		err := st.Close()
+		if st.Flushed() != int64(calls) {
+			t.Fatalf("RetireAfter %d: Flushed() = %d, OnSpan ran %d times", retireAfter, st.Flushed(), calls)
+		}
+		return spans, metas, err
+	}
+
+	run(8)
+
+	// MaxInt64 disables retirement on every stream but one that itself
+	// spans MaxInt64 cycles.
+	if n := len(records); n > 0 && records[n-1].Cycle == math.MaxInt64 {
+		return
+	}
+	spans, metas, err := run(math.MaxInt64)
+	if (err == nil) != (batchErr == nil) {
+		t.Fatalf("stream verdict %v, batch verdict %v", err, batchErr)
+	}
+	if err != nil {
+		return
+	}
+	if len(spans) != len(tr.Spans) || metas != len(tr.Tokens)+len(tr.Faults) {
+		t.Fatalf("stream: %d spans, %d meta records; batch: %d spans, %d meta records",
+			len(spans), metas, len(tr.Spans), len(tr.Tokens)+len(tr.Faults))
+	}
+	for _, want := range tr.Spans {
+		got := spans[want.ID]
+		if reflect.DeepEqual(got, want) {
+			continue
+		}
+		lateRecovery := got != nil && want.Faulted && !got.Faulted &&
+			got.Delivered >= 0 && got.Delivered == want.Delivered && got.Injected == want.Injected
+		if !lateRecovery {
+			t.Fatalf("packet %d diverged:\n stream %+v\n batch  %+v", want.ID, got, want)
+		}
+		if err := got.Validate(); err != nil {
+			t.Fatalf("span flushed before a late recovery event violates invariants: %v", err)
+		}
+	}
 }
 
 func equalBytes(a, b []byte) bool {

@@ -190,6 +190,11 @@ const (
 	stCirc            // reinjected, circulating for another loop
 	stBuffered        // accepted into the home input buffer
 	stDone            // delivered
+	// stAbsorbing is reached only in a Stream: the span was handed to the
+	// consumer at delivery and a recovery event touched the packet
+	// afterwards. The cursor swallows the rest of the packet's events
+	// without writing to the span.
+	stAbsorbing
 )
 
 func stateName(st int) string {
@@ -212,14 +217,24 @@ func stateName(st int) string {
 		return "buffered"
 	case stDone:
 		return "delivered"
+	case stAbsorbing:
+		return "absorbing"
 	default:
 		return "state?"
 	}
 }
 
-// pktAsm is the per-packet assembly cursor.
+// inlinePhases is the phase capacity a cursor carries inline: the common
+// chain pipeline→queue→token-wait→flight→eject. Longer chains (NACK
+// retries, circulation loops) spill to the heap through append.
+const inlinePhases = 5
+
+// pktAsm is the per-packet assembly cursor. The span and the first
+// inlinePhases phases live inside it, so a packet costs one allocation;
+// whoever retains the span retains the cursor.
 type pktAsm struct {
-	span       *PacketSpan
+	span       PacketSpan
+	inline     [inlinePhases]Phase
 	state      int
 	mark       int64 // cycle anchoring the currently open phase
 	last       int64 // cycle of the packet's previous event
@@ -272,14 +287,10 @@ func Assemble(records []Record) (*TraceResult, error) {
 			if a != nil {
 				return nil, fmt.Errorf("ptrace: record %d: packet %d injected twice", i, r.ID)
 			}
-			s := &PacketSpan{
-				ID: r.ID, Src: int(r.Src), Dst: int(r.Dst),
-				Measured: r.Measured,
-				Injected: r.Cycle, Delivered: -1,
-			}
-			tr.Spans = append(tr.Spans, s)
-			tr.byID[r.ID] = s
-			cursors[r.ID] = &pktAsm{span: s, state: stInjected, mark: r.Cycle, last: r.Cycle, setasideAt: -1}
+			a = newCursor(r)
+			tr.Spans = append(tr.Spans, &a.span)
+			tr.byID[r.ID] = &a.span
+			cursors[r.ID] = a
 			continue
 		}
 		if a == nil {
@@ -302,9 +313,27 @@ func Assemble(records []Record) (*TraceResult, error) {
 	return tr, nil
 }
 
+// newCursor opens the cursor of the packet an EvInject record announces.
+func newCursor(r Record) *pktAsm {
+	return &pktAsm{
+		span: PacketSpan{
+			ID: r.ID, Src: int(r.Src), Dst: int(r.Dst),
+			Measured: r.Measured,
+			Injected: r.Cycle, Delivered: -1,
+		},
+		state: stInjected, mark: r.Cycle, last: r.Cycle, setasideAt: -1,
+	}
+}
+
 // phase closes the open interval [mark, to) as kind and re-anchors at to.
+// Phases stays nil until the first phase closes, as it is for a span
+// that never left the pipeline.
 func (a *pktAsm) phase(kind PhaseKind, to int64) {
-	a.span.Phases = append(a.span.Phases, Phase{Kind: kind, From: a.mark, To: to})
+	s := &a.span
+	if s.Phases == nil {
+		s.Phases = a.inline[:0]
+	}
+	s.Phases = append(s.Phases, Phase{Kind: kind, From: a.mark, To: to})
 	a.mark = to
 }
 
@@ -316,7 +345,7 @@ func (a *pktAsm) badState(t core.EventType) error {
 // apply advances the packet's state machine by one event (strict,
 // fault-free grammar).
 func (a *pktAsm) apply(r Record) error {
-	s := a.span
+	s := &a.span
 	switch r.Type {
 	case core.EvEnqueue:
 		if a.state != stInjected {
@@ -440,7 +469,7 @@ func (a *pktAsm) apply(r Record) error {
 // copies, duplicate arrivals, destroyed flits) is deliberately out of
 // scope for exact attribution.
 func (a *pktAsm) applyFaulted(r Record) {
-	s := a.span
+	s := &a.span
 	switch r.Type {
 	case core.EvLaunch:
 		s.Launches++

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"photon/internal/core"
+	"photon/internal/sim"
 )
 
 // Stream is the windowed counterpart of Tap + Assemble: a core.Tracer
@@ -19,6 +20,18 @@ import (
 // drive the same per-packet state machine — so a stream fed a Tap's
 // records flushes exactly the spans Assemble would have built. The check
 // battery pins that equivalence.
+//
+// One case differs, because the stream cannot take a span back. A
+// recovery event (timeout, duplicate discard, packet fault) that reaches
+// a packet after its delivery — the lost-ACK path: accept, deliver, then
+// the sender's timer fires — makes Assemble, which sees the whole stream
+// before anyone sees a span, mark the packet Faulted and drop its phases.
+// The stream has already handed that span out as clean; it leaves the
+// span as flushed, swallows the packet's remaining events, and holds the
+// cursor until Close (as it holds every faulted cursor) without flushing
+// it again. After hand-off the stream writes one field only: Setaside, an
+// annotation outside the phase sum, whose closing event (the sender
+// freeing the slot when the ACK returns) trails delivery.
 type Stream struct {
 	cfg StreamConfig
 
@@ -26,8 +39,11 @@ type Stream struct {
 	seen    int64 // records accepted
 	last    int64 // last accepted cycle (chronology check)
 
+	// tombs queues flushed cursors for retirement. Entries are pushed
+	// under the current cycle, so at never decreases from head to tail.
+	tombs *sim.Queue[tombstone]
+
 	flushed int64 // spans handed to OnSpan
-	retired int64 // tombstones swept
 	maxLive int   // peak resident cursor count
 
 	err    error
@@ -45,21 +61,23 @@ type StreamConfig struct {
 	OnSpan func(*PacketSpan) error
 	OnMeta func(Record) error
 
-	// RetireAfter is how many cycles a delivered packet's cursor lingers
-	// as a tombstone so post-delivery ACKs still find it, before the
-	// sweep reclaims it. Zero means the default (1024) — an order of
-	// magnitude beyond a loop trip on the default 64-node ring, yet
-	// small enough that tombstones retire long before a run ends.
+	// RetireAfter is how many cycles after its last event a delivered
+	// packet's cursor lingers as a tombstone, so post-delivery ACKs still
+	// find it. Zero means the default (1024) — an order of magnitude
+	// beyond a loop trip on the default 64-node ring, yet small enough
+	// that tombstones retire long before a run ends.
 	RetireAfter int64
-	// SweepEvery is how many records pass between tombstone sweeps.
-	// Zero means the default (512).
-	SweepEvery int
 }
 
-const (
-	defaultRetireAfter = 1024
-	defaultSweepEvery  = 512
-)
+const defaultRetireAfter = 1024
+
+// tombstone queues a flushed cursor for retirement; at is the cursor's
+// last-event cycle when it was queued. An entry whose cursor has moved on
+// since (a.last > at) is stale: a later entry carries the cursor.
+type tombstone struct {
+	a  *pktAsm
+	at int64
+}
 
 // NewStream returns a streaming assembler ready to attach with
 // core.Network.SetTracer or to feed via Push.
@@ -67,10 +85,7 @@ func NewStream(cfg StreamConfig) *Stream {
 	if cfg.RetireAfter <= 0 {
 		cfg.RetireAfter = defaultRetireAfter
 	}
-	if cfg.SweepEvery <= 0 {
-		cfg.SweepEvery = defaultSweepEvery
-	}
-	return &Stream{cfg: cfg, cursors: make(map[uint64]*pktAsm)}
+	return &Stream{cfg: cfg, cursors: make(map[uint64]*pktAsm), tombs: sim.NewQueue[tombstone](0)}
 }
 
 // Err returns the first error the stream hit (malformed input or a
@@ -127,8 +142,17 @@ func (s *Stream) push(r Record) error {
 	}
 	s.last = r.Cycle
 	s.seen++
-	if s.seen%int64(s.cfg.SweepEvery) == 0 {
-		s.sweep()
+	// Retire every tombstone whose last event is RetireAfter cycles old.
+	// The queue is in last-event order, so only its head can be due.
+	for {
+		t, ok := s.tombs.Peek()
+		if !ok || r.Cycle-t.at < s.cfg.RetireAfter {
+			break
+		}
+		s.tombs.PopFront()
+		if t.a.state == stDone && t.a.last == t.at {
+			delete(s.cursors, t.a.span.ID)
+		}
 	}
 
 	if r.Meta {
@@ -154,12 +178,7 @@ func (s *Stream) push(r Record) error {
 		if a != nil {
 			return fmt.Errorf("ptrace: record %d: packet %d injected twice", s.seen-1, r.ID)
 		}
-		span := &PacketSpan{
-			ID: r.ID, Src: int(r.Src), Dst: int(r.Dst),
-			Measured: r.Measured,
-			Injected: r.Cycle, Delivered: -1,
-		}
-		s.cursors[r.ID] = &pktAsm{span: span, state: stInjected, mark: r.Cycle, last: r.Cycle, setasideAt: -1}
+		s.cursors[r.ID] = newCursor(r)
 		if n := len(s.cursors); n > s.maxLive {
 			s.maxLive = n
 		}
@@ -172,36 +191,41 @@ func (s *Stream) push(r Record) error {
 		return fmt.Errorf("ptrace: record %d: packet %d time runs backwards (%d after %d)",
 			s.seen-1, r.ID, r.Cycle, a.last)
 	}
+	touched := r.Cycle > a.last
 	a.last = r.Cycle
 
-	if a.span.Faulted {
+	switch {
+	case a.span.Faulted:
 		// Faulted spans keep exact counters but are held until Close:
 		// the recovery grammar can touch them at any point.
 		a.applyFaulted(r)
 		return nil
+	case a.state == stAbsorbing:
+		return nil
+	case a.state == stDone:
+		// A tombstone: the span is with the consumer.
+		switch r.Type {
+		case core.EvFault, core.EvTimeout, core.EvDupDrop:
+			a.state = stAbsorbing
+			return nil
+		}
+		if touched {
+			// Re-queue under the later cycle; the entry already queued
+			// goes stale and is skipped when it reaches the head.
+			s.tombs.PushBack(tombstone{a, r.Cycle})
+		}
 	}
-	wasDone := a.state == stDone
 	if err := a.apply(r); err != nil {
 		return fmt.Errorf("ptrace: record %d: %w", s.seen-1, err)
 	}
 	// Delivery completes a non-faulted span: flush it now. The cursor
 	// stays behind as a tombstone so the packet's post-delivery ACK is
-	// still legal; the sweep reclaims it RetireAfter cycles later.
-	if !wasDone && a.state == stDone && !a.span.Faulted {
-		return s.flush(a.span)
+	// still legal, and retires RetireAfter cycles after its last event.
+	if r.Type == core.EvDeliver {
+		s.tombs.PushBack(tombstone{a, r.Cycle})
+		return s.flush(&a.span)
 	}
 	return nil
-}
-
-// sweep reclaims tombstones: delivered, already-flushed cursors whose
-// last event is RetireAfter cycles in the past.
-func (s *Stream) sweep() {
-	for id, a := range s.cursors {
-		if a.state == stDone && !a.span.Faulted && s.last-a.last >= s.cfg.RetireAfter {
-			delete(s.cursors, id)
-			s.retired++
-		}
-	}
 }
 
 func (s *Stream) flush(span *PacketSpan) error {
@@ -226,24 +250,24 @@ func (s *Stream) Close() error {
 	s.closed = true
 	var rest []*pktAsm
 	for _, a := range s.cursors {
-		if a.state == stDone && !a.span.Faulted {
+		if !a.span.Faulted && (a.state == stDone || a.state == stAbsorbing) {
 			continue // flushed at delivery; cursor was only a tombstone
 		}
 		rest = append(rest, a)
 	}
 	sort.Slice(rest, func(i, j int) bool {
-		si, sj := rest[i].span, rest[j].span
+		si, sj := &rest[i].span, &rest[j].span
 		if si.Injected != sj.Injected {
 			return si.Injected < sj.Injected
 		}
 		return si.ID < sj.ID
 	})
 	for _, a := range rest {
-		if err := s.flush(a.span); err != nil {
+		if err := s.flush(&a.span); err != nil {
 			s.err = err
 			return err
 		}
 	}
-	s.cursors = nil
+	s.cursors, s.tombs = nil, nil
 	return nil
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"photon/internal/core"
+	"photon/internal/fault"
 	"photon/internal/sim"
 	"photon/internal/traffic"
 )
@@ -17,9 +18,14 @@ var streamWindow = sim.Window{Warmup: 300, Measure: 1200, Drain: 1000}
 // returns the run result plus the raw record stream.
 func tapRun(t *testing.T, s core.Scheme, load float64) (core.Result, []Record) {
 	t.Helper()
+	return tapRunWindow(t, s, load, streamWindow)
+}
+
+func tapRunWindow(t *testing.T, s core.Scheme, load float64, window sim.Window) (core.Result, []Record) {
+	t.Helper()
 	cfg := core.DefaultConfig(s)
 	cfg.Seed = 1
-	net, err := core.NewNetwork(cfg, streamWindow)
+	net, err := core.NewNetwork(cfg, window)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,11 +81,11 @@ func TestStreamMatchesBatch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Aggressive retirement exercises the tombstone sweep; 256
+			// Aggressive retirement exercises the tombstone queue; 256
 			// cycles still dwarfs a loop trip, so trailing ACKs are safe.
 			spans, meta, st := streamAll(t, records, StreamConfig{
-				RetireAfter: 256, SweepEvery: 64,
-				OnSpan: func(sp *PacketSpan) error { return sp.Validate() },
+				RetireAfter: 256,
+				OnSpan:      func(sp *PacketSpan) error { return sp.Validate() },
 			})
 
 			if len(spans) != len(batch.Spans) {
@@ -263,5 +269,295 @@ func TestStreamCallbackErrorLatches(t *testing.T) {
 	}
 	if got.Error() != boom.Error() {
 		t.Fatalf("callback error lost: %v", got)
+	}
+}
+
+// TestStreamFlushesOncePastRecovery pins the lost-ACK path: a recovery
+// event reaching a packet after its delivery must neither flush the span
+// again nor touch the span the consumer already holds. Batch Assemble,
+// which sees the whole stream first, marks the same packet Faulted.
+func TestStreamFlushesOncePastRecovery(t *testing.T) {
+	for _, late := range []core.EventType{core.EvTimeout, core.EvDupDrop, core.EvFault} {
+		t.Run(late.String(), func(t *testing.T) {
+			records := []Record{
+				pktR(10, core.EvInject, 1),
+				pktR(12, core.EvEnqueue, 1),
+				pktR(15, core.EvHeadReady, 1),
+				pktR(20, core.EvLaunch, 1),
+				pktR(28, core.EvAccept, 1),
+				deliverR(30, 1, 31),
+				pktR(48, late, 1),
+				// The recovery grammar carries on: the timeout's copy
+				// launches, is discarded at the home, and is ACKed again.
+				pktR(50, core.EvLaunch, 1),
+				pktR(58, core.EvDupDrop, 1),
+				pktR(66, core.EvAck, 1),
+			}
+			var held *PacketSpan
+			var atFlush PacketSpan
+			spans, _, st := streamAll(t, records, StreamConfig{OnSpan: func(sp *PacketSpan) error {
+				held, atFlush = sp, *sp
+				atFlush.Phases = append([]Phase(nil), sp.Phases...)
+				return nil
+			}})
+			if len(spans) != 1 || st.Flushed() != 1 {
+				t.Fatalf("OnSpan fired %d times, Flushed() = %d; want exactly one flush", len(spans), st.Flushed())
+			}
+			if !reflect.DeepEqual(*held, atFlush) {
+				t.Fatalf("span written after hand-off:\n now      %+v\n at flush %+v", *held, atFlush)
+			}
+			if held.Faulted || len(held.Phases) != 5 || held.Validate() != nil {
+				t.Fatalf("flushed span lost its clean chain: %+v", held)
+			}
+			if batch := mustAssemble(t, records); !batch.Span(1).Faulted {
+				t.Fatal("batch Assemble no longer marks the packet Faulted; the Stream comment describes a difference that is gone")
+			}
+		})
+	}
+}
+
+// tee forwards every event to both tracers.
+type tee struct{ a, b core.Tracer }
+
+func (t tee) Observe(e core.Event) { t.a.Observe(e); t.b.Observe(e) }
+
+// TestStreamChaosFlushesOnce arms the stream on a live ACK-loss run with
+// recovery on — every lost ACK of an accepted packet ends in a sender
+// timeout after the delivery — and checks no packet is flushed twice.
+func TestStreamChaosFlushesOnce(t *testing.T) {
+	cfg := core.DefaultConfig(core.GHSSetaside)
+	cfg.Seed = 1
+	cfg.Fault = fault.Config{Enabled: true, Warmup: streamWindow.Warmup}
+	cfg.Fault = cfg.Fault.SetClass(fault.PulseLoss, fault.ClassConfig{Rate: 0.02, Burst: 2})
+	cfg.Recovery.Enabled = true
+	net, err := core.NewNetwork(cfg, streamWindow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj, err := traffic.NewInjector(traffic.UniformRandom{}, 0.04, cfg.Nodes, cfg.CoresPerNode, 0x5EED)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flushes := make(map[uint64]int)
+	cleanFlushes := make(map[uint64]bool)
+	st := NewStream(StreamConfig{OnSpan: func(sp *PacketSpan) error {
+		flushes[sp.ID]++
+		cleanFlushes[sp.ID] = !sp.Faulted && sp.Delivered >= 0
+		return sp.Validate()
+	}})
+	tap := NewTap()
+	net.SetTracer(tee{tap, st})
+	inj.Run(net)
+	net.Drain(60_000)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	for id, n := range flushes {
+		if n != 1 {
+			t.Fatalf("packet %d flushed %d times", id, n)
+		}
+	}
+	if int64(len(flushes)) != st.Flushed() {
+		t.Fatalf("Flushed() = %d, %d distinct packets flushed", st.Flushed(), len(flushes))
+	}
+	// The case under test must have occurred: packets the stream flushed
+	// clean that the batch assembler, seeing their later recovery events,
+	// marks Faulted.
+	batch, err := tap.Assemble()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(batch.Spans) != len(flushes) {
+		t.Fatalf("stream flushed %d packets, batch assembled %d", len(flushes), len(batch.Spans))
+	}
+	var late int
+	for _, sp := range batch.Spans {
+		if sp.Faulted && cleanFlushes[sp.ID] {
+			late++
+		}
+	}
+	if late == 0 {
+		t.Fatal("no recovery event reached a delivered packet; test is vacuous")
+	}
+	if want := oracleMaxLive(tap.Records, defaultRetireAfter); st.MaxLive() != want {
+		t.Fatalf("MaxLive %d, oracle %d", st.MaxLive(), want)
+	}
+	t.Logf("%d packets, %d with recovery events after their flush", len(flushes), late)
+}
+
+// oracleMaxLive replays a recorded stream the slow way and returns the
+// peak number of packets a stream has to keep: every injected packet
+// except those delivered, untouched by recovery, and silent for
+// retireAfter cycles. It rescans the whole live set at every new cycle,
+// sharing nothing with the stream's queue.
+func oracleMaxLive(records []Record, retireAfter int64) int {
+	type pk struct {
+		last                 int64
+		delivered, recovered bool
+	}
+	byID := make(map[uint64]*pk)
+	var live []*pk
+	peak, now := 0, int64(-1)
+	for _, r := range records {
+		if r.Meta {
+			continue
+		}
+		if r.Cycle != now {
+			now = r.Cycle
+			kept := live[:0]
+			for _, p := range live {
+				if p.delivered && !p.recovered && now-p.last >= retireAfter {
+					continue
+				}
+				kept = append(kept, p)
+			}
+			live = kept
+		}
+		p := byID[r.ID]
+		switch r.Type {
+		case core.EvInject:
+			p = &pk{}
+			byID[r.ID] = p
+			live = append(live, p)
+			peak = max(peak, len(live))
+		case core.EvDeliver:
+			p.delivered = true
+		case core.EvFault, core.EvTimeout, core.EvDupDrop:
+			p.recovered = true
+		}
+		p.last = r.Cycle
+	}
+	return peak
+}
+
+// TestStreamMaxLiveExact pins that retirement is exact, not sampled: the
+// stream's residency high-water mark equals the oracle's, below and past
+// saturation, at every retirement window.
+func TestStreamMaxLiveExact(t *testing.T) {
+	window := sim.Window{Warmup: 100, Measure: 500, Drain: 400}
+	for _, s := range core.Schemes() {
+		for _, load := range []float64{0.04, 0.25} {
+			_, records := tapRunWindow(t, s, load, window)
+			for _, retireAfter := range []int64{64, 256, 1024} {
+				_, _, st := streamAll(t, records, StreamConfig{RetireAfter: retireAfter})
+				if want := oracleMaxLive(records, retireAfter); st.MaxLive() != want {
+					t.Errorf("%s load %.2f RetireAfter %d: MaxLive %d, oracle %d", s, load, retireAfter, st.MaxLive(), want)
+				}
+			}
+		}
+	}
+}
+
+// chain pushes the records of packet id's life after injection — the
+// common 5-phase chain plus its trailing ACK — starting at cycle.
+func chain(tb testing.TB, st *Stream, id uint64, cycle int64) {
+	for _, r := range [...]Record{
+		pktR(cycle+2, core.EvEnqueue, id),
+		pktR(cycle+3, core.EvHeadReady, id),
+		pktR(cycle+5, core.EvLaunch, id),
+		pktR(cycle+9, core.EvAccept, id),
+		deliverR(cycle+10, id, cycle+11),
+		pktR(cycle+14, core.EvAck, id),
+	} {
+		if err := st.Push(r); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// TestStreamPushAllocs guards the cursor layout: a packet on the common
+// 5-phase chain costs one allocation (cursor, span and phases together),
+// made by its inject record; every other record allocates nothing.
+func TestStreamPushAllocs(t *testing.T) {
+	st := NewStream(StreamConfig{OnSpan: func(sp *PacketSpan) error { return sp.Validate() }})
+	var id uint64
+	var cycle int64
+	packet := func() {
+		id++
+		cycle += 16 // past the previous chain: the stream stays chronological
+		if err := st.Push(pktR(cycle, core.EvInject, id)); err != nil {
+			t.Fatal(err)
+		}
+		chain(t, st, id, cycle)
+	}
+	// Warm up past the retirement window so the cursor map and the
+	// tombstone queue have reached their steady size.
+	for cycle < 4*defaultRetireAfter {
+		packet()
+	}
+	if avg := testing.AllocsPerRun(500, packet); avg > 1 {
+		t.Errorf("a 5-phase packet allocates %.2f times; want at most 1", avg)
+	}
+
+	// Inject a batch, then time only the records that follow injection.
+	// AllocsPerRun calls its function once to warm up, then runs times.
+	cycle += 16
+	next := id
+	for i := 0; i < 501; i++ {
+		id++
+		if err := st.Push(pktR(cycle, core.EvInject, id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if avg := testing.AllocsPerRun(500, func() {
+		next++
+		cycle += 16
+		chain(t, st, next, cycle)
+	}); avg != 0 {
+		t.Errorf("the records after a packet's injection allocate %.2f times per packet; want 0", avg)
+	}
+	if st.Err() != nil {
+		t.Fatal(st.Err())
+	}
+}
+
+// BenchmarkStreamPush times a steady inject→deliver→ACK record mix with
+// a standing population of undelivered packets resident, as past
+// saturation. The per-record cost must not depend on that population.
+func BenchmarkStreamPush(b *testing.B) {
+	for _, resident := range []int{1_000, 40_000} {
+		b.Run(fmt.Sprintf("resident=%dk", resident/1000), func(b *testing.B) {
+			st := NewStream(StreamConfig{OnSpan: func(sp *PacketSpan) error { return sp.Validate() }})
+			for id := 0; id < resident; id++ {
+				if err := st.Push(pktR(0, core.EvInject, uint64(id))); err != nil {
+					b.Fatal(err)
+				}
+			}
+			// A packet is born every 2 cycles and lives 16, so each step
+			// pushes one record of each kind, for seven different packets.
+			const perStep = 7
+			base := uint64(resident) + 8
+			step := func(k int64) {
+				id, c := base+uint64(k), 2*k
+				for _, r := range [perStep]Record{
+					pktR(c, core.EvInject, id),
+					pktR(c, core.EvEnqueue, id-1),
+					pktR(c, core.EvHeadReady, id-2),
+					pktR(c, core.EvLaunch, id-3),
+					pktR(c, core.EvAccept, id-5),
+					deliverR(c, id-6, c+1),
+					pktR(c, core.EvAck, id-8),
+				} {
+					// The first packets' early records predate the run.
+					if r.ID >= base {
+						if err := st.Push(r); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+			}
+			// Fill the retirement window before timing.
+			warm := int64(defaultRetireAfter)
+			for k := int64(0); k < warm; k++ {
+				step(k)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for k := int64(0); k < int64(b.N); k++ {
+				step(warm + k)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(perStep*b.N), "ns/record")
+		})
 	}
 }

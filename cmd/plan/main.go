@@ -28,7 +28,6 @@ import (
 
 	"photon/internal/core"
 	"photon/internal/exp"
-	"photon/internal/farm"
 	"photon/internal/stats"
 	"photon/internal/traffic"
 	"photon/internal/twin"
@@ -63,9 +62,9 @@ type planConfig struct {
 
 // Answer is one scheme's capacity answer (the -json document row).
 type Answer struct {
-	Scheme string `json:"scheme"`
-	Family string `json:"family"`
-	Metric string `json:"metric"` // "mean" or "p99"
+	Scheme string  `json:"scheme"`
+	Family string  `json:"family"`
+	Metric string  `json:"metric"` // "mean" or "p99"
 	Budget float64 `json:"budget"`
 	// Rate is the highest sustainable offered load (packets/cycle/core)
 	// within the budget.
@@ -240,9 +239,9 @@ func metricOf(p twin.Prediction, p99 bool) float64 {
 
 // refine probes the divergence regime with short supervised simulations:
 // candidate rates from the envelope edge to 10% past the twin's
-// saturation estimate, in parallel under farm.Do, keeping the highest
-// rate that sustains its offered load (throughput within 3%) and meets
-// the budget on the *measured* metric.
+// saturation estimate, in parallel under exp.RunPoints, keeping the
+// highest rate that sustains its offered load (throughput within 3%) and
+// meets the budget on the *measured* metric.
 func refine(s core.Scheme, m *twin.Model, cfg planConfig) (rate, latency float64, ok bool, err error) {
 	opts := exp.DefaultOptions()
 	if cfg.quick {
@@ -253,43 +252,30 @@ func refine(s core.Scheme, m *twin.Model, cfg planConfig) (rate, latency float64
 	lo := twin.DivergenceUtilization * m.SaturationRate()
 	hi := 1.1 * m.SaturationRate()
 	const probes = 8
-	rates := make([]float64, probes)
-	for i := range rates {
-		rates[i] = lo + (hi-lo)*float64(i+1)/probes
+	points := make([]exp.Point, probes)
+	for i := range points {
+		points[i] = exp.Point{Scheme: s, Pattern: traffic.UniformRandom{}, Rate: lo + (hi-lo)*float64(i+1)/probes}
 	}
-	type probe struct {
-		res core.Result
-		err error
+	results, err := exp.RunPoints(points, opts)
+	if err != nil {
+		return 0, 0, false, fmt.Errorf("refining %s: %w", s, err)
 	}
-	results := make([]probe, probes)
-	errs := farm.Do(probes, opts.Parallel, func(i int) error {
-		res, err := exp.SafeRunPoint(exp.Point{Scheme: s, Pattern: traffic.UniformRandom{}, Rate: rates[i]}, opts)
-		results[i] = probe{res: res, err: err}
-		return err
-	})
-	for i, e := range errs {
-		if e != nil {
-			return 0, 0, false, fmt.Errorf("refining %s at %.4f: %w", s, rates[i], e)
+	metric := func(r core.Result) float64 {
+		if cfg.p99 {
+			return float64(r.P99Latency)
 		}
+		return r.AvgLatency
 	}
 	best := -1
-	for i, p := range results {
-		met := p.res.AvgLatency
-		if cfg.p99 {
-			met = float64(p.res.P99Latency)
-		}
-		if p.res.Throughput >= 0.97*rates[i] && met <= cfg.budget {
+	for i, r := range results {
+		if r.Throughput >= 0.97*points[i].Rate && metric(r) <= cfg.budget {
 			best = i
 		}
 	}
 	if best < 0 {
 		return 0, 0, false, nil
 	}
-	met := results[best].res.AvgLatency
-	if cfg.p99 {
-		met = float64(results[best].res.P99Latency)
-	}
-	return rates[best], met, true, nil
+	return points[best].Rate, metric(results[best]), true, nil
 }
 
 // sortAnswers orders answers by sustainable rate, highest first — the

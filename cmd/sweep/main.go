@@ -48,11 +48,11 @@ import (
 
 func main() {
 	var (
-		fig     = flag.String("fig", "", "figure to regenerate: 2b, 8, 9, 11, 11f")
-		pattern = flag.String("pattern", "UR", "pattern for figures 8/9 and -workload: UR, BC, TOR")
-		claims  = flag.Bool("claims", false, "measure the headline throughput/drop-rate claims on all three patterns")
-		fair    = flag.Bool("fairness", false, "run the §III-D fairness study (service share by ring position)")
-		brk     = flag.Float64("breakdown", 0, "exact per-phase latency attribution at this UR load (legacy averages and the analytical twin's prediction print as cross-checks)")
+		fig      = flag.String("fig", "", "figure to regenerate: 2b, 8, 9, 11, 11f")
+		pattern  = flag.String("pattern", "UR", "pattern for figures 8/9 and -workload: UR, BC, TOR")
+		claims   = flag.Bool("claims", false, "measure the headline throughput/drop-rate claims on all three patterns")
+		fair     = flag.Bool("fairness", false, "run the §III-D fairness study (service share by ring position)")
+		brk      = flag.Float64("breakdown", 0, "exact per-phase latency attribution at this UR load (the analytical twin's prediction prints alongside as a cross-check)")
 		quick    = flag.Bool("quick", false, "reduced load grid and shorter windows")
 		csv      = flag.Bool("csv", false, "emit CSV instead of aligned text")
 		plot     = flag.Bool("plot", false, "also render an ASCII chart (latency clipped at 100 cycles, like the paper's axes)")
@@ -137,20 +137,12 @@ func main() {
 		}
 		emit(t)
 	case *brk > 0:
-		// Exact per-packet attribution from the protocol event tap; the
-		// legacy whole-run-average decomposition prints after it as a
-		// cross-check (its flight+eject column mixes populations — see
-		// exp.ExactBreakdown).
+		// Exact per-packet attribution from the protocol event tap.
 		_, t, err := exp.ExactBreakdown(*brk, opts)
 		if err != nil {
 			fatal(err)
 		}
 		emit(t)
-		_, lt, err := exp.LatencyBreakdown(*brk, opts)
-		if err != nil {
-			fatal(err)
-		}
-		emit(lt)
 	case *fair:
 		// The fairness study targets the non-blocking handshake variants
 		// (setaside and circulation) — the schemes whose senders keep

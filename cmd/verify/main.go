@@ -42,14 +42,20 @@
 //	verify -trace -trace-scheme ghs -trace-load 0.2 # another point
 //	verify -trace -trace-format chrome -trace-out trace.json   # chrome://tracing / Perfetto
 //	verify -trace -trace-format flame -trace-out folded.txt    # flame-graph folded stacks
+//
+// One mode per run: -chaos, -workloads, -twin, -bench and -trace are
+// mutually exclusive, and -gate/-baseline/-tolerance or a -trace-* flag
+// without its mode is a usage error (exit status 2).
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"photon/internal/check"
 	"photon/internal/core"
@@ -60,262 +66,210 @@ import (
 	"photon/internal/traffic"
 )
 
-// jsonPoint is one per-point verdict in the -json summary. Name carries
-// the point's sub-identity: "pattern@rate" for the standard battery,
-// "class@rate" for the chaos battery.
-type jsonPoint struct {
-	Scheme string `json:"scheme"`
-	Name   string `json:"name"`
-	Digest string `json:"digest"`
-	Status string `json:"status"` // "pass" or the first failure detail
-}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-type jsonCheck struct {
-	Name   string `json:"name"`
-	Status string `json:"status"`
-}
-
-type jsonReport struct {
-	Battery string      `json:"battery"` // "standard" or "chaos"
-	Seed    uint64      `json:"seed"`
-	Pass    bool        `json:"pass"`
-	Points  []jsonPoint `json:"points"`
-	Cross   []jsonCheck `json:"cross"`
-}
-
-func status(pass bool, detail string) string {
-	if pass {
-		return "pass"
-	}
-	if detail == "" {
-		detail = "fail"
-	}
-	return detail
-}
-
-func main() {
-	var (
-		quick     = flag.Bool("quick", false, "reduced load grid and shorter windows (the CI battery)")
-		seed      = flag.Uint64("seed", 1, "base seed for the traffic tapes")
-		csv       = flag.Bool("csv", false, "emit the per-point table as CSV")
-		chaos     = flag.Bool("chaos", false, "run the fault-injection battery instead of the standard one")
-		workloads = flag.Bool("workloads", false, "run the workload differential battery instead of the standard one")
-		twinDiff  = flag.Bool("twin", false, "run the analytical-twin-vs-exact-spans differential battery instead of the standard one")
-		bench     = flag.Bool("bench", false, "measure cycles/sec per scheme instead of running checks")
-		gate      = flag.Bool("gate", false, "with -bench: fail if any scheme regressed beyond -tolerance vs -baseline")
-		baseline  = flag.String("baseline", "BENCH_core.json", "with -bench -gate: committed baseline report to compare against")
-		tolerance = flag.Float64("tolerance", 0.25, "with -bench -gate: allowed fractional ns/cycle regression per scheme")
-		jsonOut   = flag.Bool("json", false, "emit a machine-readable pass/fail summary")
-
-		trace        = flag.Bool("trace", false, "trace one point with the event tap and export per-packet spans")
-		traceScheme  = flag.String("trace-scheme", "dhs-setaside", "scheme to trace")
-		tracePattern = flag.String("trace-pattern", "UR", "traffic pattern to trace: UR, BC, TOR")
-		traceLoad    = flag.Float64("trace-load", 0.13, "offered load for the traced point")
-		traceFormat  = flag.String("trace-format", "table", "export format: table, chrome, flame")
-		traceOut     = flag.String("trace-out", "", "output path (default stdout)")
-		traceStream  = flag.Bool("trace-stream", false, "with -trace: use the windowed streaming assembler (bounded memory; table format only)")
-	)
-	flag.Parse()
-
-	if *trace {
-		if err := runTrace(*traceScheme, *tracePattern, *traceLoad, *traceFormat, *traceOut, *seed, *quick, *traceStream); err != nil {
-			fmt.Fprintln(os.Stderr, "verify:", err)
-			os.Exit(1)
+// battery runs the battery a mode flag names ("" is the standard one).
+// It is a variable so tests can substitute an outcome.
+var battery = func(mode string, seed uint64, quick bool) (check.Outcome, error) {
+	switch mode {
+	case "twin":
+		b := check.QuickTwinBattery(seed)
+		if !quick {
+			b = check.FullTwinBattery(seed)
 		}
-		return
-	}
-
-	if *bench {
-		cfg := check.DefaultBench(*seed)
-		if *quick {
-			cfg.Warmup /= 2
-			cfg.Cycles /= 2
-			cfg.Blocks = 3
-		}
-		rep, err := check.RunBench(cfg)
-		if err == nil {
-			if *jsonOut {
-				err = rep.WriteJSON(os.Stdout)
-			} else {
-				err = rep.WriteText(os.Stdout)
-			}
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "verify:", err)
-			os.Exit(1)
-		}
-		if *gate {
-			data, err := os.ReadFile(*baseline)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "verify: reading bench baseline:", err)
-				os.Exit(1)
-			}
-			var base check.BenchReport
-			if err := json.Unmarshal(data, &base); err != nil {
-				fmt.Fprintln(os.Stderr, "verify: parsing bench baseline:", err)
-				os.Exit(1)
-			}
-			if violations := rep.Gate(&base, *tolerance); len(violations) > 0 {
-				fmt.Fprintf(os.Stderr, "verify: bench regression gate FAILED (%d violation(s)):\n", len(violations))
-				for _, v := range violations {
-					fmt.Fprintln(os.Stderr, "  -", v)
-				}
-				os.Exit(1)
-			}
-			fmt.Printf("\nbench gate PASS: every scheme within %.0f%% of %s\n", *tolerance*100, *baseline)
-		}
-		return
-	}
-
-	var (
-		jr    jsonReport
-		table interface {
-			WriteCSV(w io.Writer) error
-			WriteText(w io.Writer) error
-		}
-		cross []check.Check
-		pass  bool
-		fails []string
-	)
-	jr.Seed = *seed
-
-	if *twinDiff {
-		b := check.QuickTwinBattery(*seed)
-		if !*quick {
-			b = check.FullTwinBattery(*seed)
-		}
-		rep, err := check.RunTwin(b)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "verify:", err)
-			os.Exit(1)
-		}
-		jr.Battery = "twin"
-		for _, p := range rep.Points {
-			jr.Points = append(jr.Points, jsonPoint{
-				Scheme: p.Scheme.String(),
-				Name:   fmt.Sprintf("U=%.2f@%.4f", p.Utilization, p.Rate),
-				Digest: fmt.Sprintf("%016x", p.Obs.Result.Digest),
-				Status: status(p.Pass(), p.Detail),
-			})
-		}
-		table, cross, pass, fails = rep.Table(), rep.Cross, rep.Pass(), rep.Failures()
-	} else if *workloads {
-		b := check.QuickWorkloadBattery(*seed)
-		if !*quick {
+		return check.RunTwin(b)
+	case "workloads":
+		b := check.QuickWorkloadBattery(seed)
+		if !quick {
 			// The full variant runs the standard short window with a deeper
 			// post-run drain.
 			b.Window = sim.ShortWindow()
 			b.DrainLimit = 60_000
 		}
-		rep, err := check.RunWorkloads(b)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "verify:", err)
-			os.Exit(1)
-		}
-		jr.Battery = "workloads"
-		for _, p := range rep.Points {
-			jr.Points = append(jr.Points, jsonPoint{
-				Scheme: p.Scheme.String(),
-				Name:   p.Workload,
-				Digest: fmt.Sprintf("%016x", p.Digest),
-				Status: status(p.Pass(), p.Detail),
-			})
-		}
-		table, cross, pass, fails = rep.Table(), rep.Cross, rep.Pass(), rep.Failures()
-	} else if *chaos {
-		b := check.QuickChaos(*seed)
-		if !*quick {
+		return check.RunWorkloads(b)
+	case "chaos":
+		b := check.QuickChaos(seed)
+		if !quick {
 			// The full variant widens the rate grid and the window.
 			b.Rates = []float64{0.001, 0.01, 0.05, 0.10}
 			b.Window.Measure *= 4
 		}
-		rep, err := check.RunChaos(b)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "verify:", err)
-			os.Exit(1)
+		return check.RunChaos(b)
+	default:
+		b := check.FullBattery(seed)
+		if quick {
+			b = check.QuickBattery(seed)
 		}
-		jr.Battery = "chaos"
-		for _, p := range rep.Points {
-			jr.Points = append(jr.Points, jsonPoint{
-				Scheme: p.Scheme.String(),
-				Name:   fmt.Sprintf("%s@%.3f", p.Class, p.Rate),
-				Digest: fmt.Sprintf("%016x", p.Digest),
-				Status: status(p.Pass(), p.Detail),
-			})
+		return check.Run(b)
+	}
+}
+
+// run is main without the process: it parses args, runs the selected
+// mode and returns the exit status (0 pass, 1 failure, 2 usage).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("verify", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		quick     = fs.Bool("quick", false, "reduced load grid and shorter windows (the CI battery)")
+		seed      = fs.Uint64("seed", 1, "base seed for the traffic tapes")
+		csv       = fs.Bool("csv", false, "emit the per-point table as CSV")
+		chaos     = fs.Bool("chaos", false, "run the fault-injection battery instead of the standard one")
+		workloads = fs.Bool("workloads", false, "run the workload differential battery instead of the standard one")
+		twinDiff  = fs.Bool("twin", false, "run the analytical-twin-vs-exact-spans differential battery instead of the standard one")
+		bench     = fs.Bool("bench", false, "measure cycles/sec per scheme instead of running checks")
+		gate      = fs.Bool("gate", false, "with -bench: fail if any scheme regressed beyond -tolerance vs -baseline")
+		baseline  = fs.String("baseline", "BENCH_core.json", "with -bench -gate: committed baseline report to compare against")
+		tolerance = fs.Float64("tolerance", 0.25, "with -bench -gate: allowed fractional ns/cycle regression per scheme")
+		jsonOut   = fs.Bool("json", false, "emit a machine-readable pass/fail summary")
+
+		trace        = fs.Bool("trace", false, "trace one point with the event tap and export per-packet spans")
+		traceScheme  = fs.String("trace-scheme", "dhs-setaside", "scheme to trace")
+		tracePattern = fs.String("trace-pattern", "UR", "traffic pattern to trace: UR, BC, TOR")
+		traceLoad    = fs.Float64("trace-load", 0.13, "offered load for the traced point")
+		traceFormat  = fs.String("trace-format", "table", "export format: table, chrome, flame")
+		traceOut     = fs.String("trace-out", "", "output path (default stdout)")
+		traceStream  = fs.Bool("trace-stream", false, "with -trace: use the windowed streaming assembler (bounded memory; table format only)")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
-		table, cross, pass, fails = rep.Table(), rep.Cross, rep.Pass(), rep.Failures()
-	} else {
-		b := check.FullBattery(*seed)
-		if *quick {
-			b = check.QuickBattery(*seed)
-		}
-		rep, err := check.Run(b)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "verify:", err)
-			os.Exit(1)
-		}
-		jr.Battery = "standard"
-		for _, p := range rep.Points {
-			jr.Points = append(jr.Points, jsonPoint{
-				Scheme: p.Scheme.String(),
-				Name:   fmt.Sprintf("%s@%.3f", p.Pattern, p.Rate),
-				Digest: fmt.Sprintf("%016x", p.Digest),
-				Status: status(p.Pass(), p.Detail),
-			})
-		}
-		table, cross, pass, fails = rep.Table(), rep.Cross, rep.Pass(), rep.Failures()
+		return 2
+	}
+	fail := func(status int, err error) int {
+		fmt.Fprintln(stderr, "verify:", err)
+		return status
 	}
 
-	if *jsonOut {
-		jr.Pass = pass
-		for _, c := range cross {
-			jr.Cross = append(jr.Cross, jsonCheck{Name: c.Name, Status: status(c.Pass, c.Detail)})
+	// The mode flags are mutually exclusive, and a flag that only
+	// qualifies one mode is an error without it.
+	mode := ""
+	for _, m := range []struct {
+		name string
+		on   bool
+	}{{"trace", *trace}, {"bench", *bench}, {"twin", *twinDiff}, {"workloads", *workloads}, {"chaos", *chaos}} {
+		if !m.on {
+			continue
 		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(jr); err != nil {
-			fmt.Fprintln(os.Stderr, "verify:", err)
-			os.Exit(1)
+		if mode != "" {
+			return fail(2, fmt.Errorf("-%s and -%s are mutually exclusive", mode, m.name))
 		}
-		if !pass {
-			os.Exit(1)
+		mode = m.name
+	}
+	needs := map[string]string{"gate": "bench", "baseline": "gate", "tolerance": "gate"}
+	on := map[string]bool{"trace": *trace, "bench": *bench, "gate": *gate}
+	var orphan error
+	fs.Visit(func(f *flag.Flag) {
+		need := needs[f.Name]
+		if strings.HasPrefix(f.Name, "trace-") {
+			need = "trace"
 		}
-		return
+		if need != "" && !on[need] && orphan == nil {
+			orphan = fmt.Errorf("-%s needs -%s", f.Name, need)
+		}
+	})
+	if orphan != nil {
+		return fail(2, orphan)
 	}
 
+	pass := true
 	var err error
-	if *csv {
-		err = table.WriteCSV(os.Stdout)
-	} else {
-		err = table.WriteText(os.Stdout)
+	switch mode {
+	case "trace":
+		err = runTrace(stdout, *traceScheme, *tracePattern, *traceLoad, *traceFormat, *traceOut, *seed, *quick, *traceStream)
+	case "bench":
+		err = runBench(stdout, *seed, *quick, *jsonOut, *gate, *baseline, *tolerance)
+	default:
+		pass, err = runBattery(stdout, mode, *seed, *quick, *csv, *jsonOut)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "verify:", err)
-		os.Exit(1)
+		return fail(1, err)
 	}
-	fmt.Println()
-
-	for _, c := range cross {
-		mark := "ok  "
-		if !c.Pass {
-			mark = "FAIL"
-		}
-		fmt.Printf("%s  %s", mark, c.Name)
-		if c.Detail != "" {
-			fmt.Printf("  (%s)", c.Detail)
-		}
-		fmt.Println()
-	}
-	fmt.Println()
-
 	if !pass {
-		fmt.Printf("FAIL: %d violation(s)\n", len(fails))
-		for _, f := range fails {
-			fmt.Println("  -", f)
-		}
-		os.Exit(1)
+		return 1
 	}
-	fmt.Printf("PASS: %d points, %d cross checks\n", len(jr.Points), len(cross))
+	return 0
+}
+
+// runBattery runs the battery the mode names and prints its outcome: the
+// check.Summary document with jsonOut, otherwise the per-point table (as
+// CSV with csv), one line per cross check, and the PASS/FAIL footer.
+func runBattery(w io.Writer, mode string, seed uint64, quick, csv, jsonOut bool) (pass bool, err error) {
+	out, err := battery(mode, seed, quick)
+	if err != nil {
+		return false, err
+	}
+	sum := out.Summary(seed)
+	if jsonOut {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return sum.Pass, enc.Encode(sum)
+	}
+	t := out.Table()
+	if csv {
+		err = t.WriteCSV(w)
+	} else {
+		err = t.WriteText(w)
+	}
+	if err != nil {
+		return false, err
+	}
+	fmt.Fprintln(w)
+	for _, c := range sum.Cross {
+		if c.Status == "pass" {
+			fmt.Fprintf(w, "ok    %s\n", c.Name)
+		} else {
+			fmt.Fprintf(w, "FAIL  %s  (%s)\n", c.Name, c.Status)
+		}
+	}
+	fmt.Fprintln(w)
+	if sum.Pass {
+		_, err = fmt.Fprintf(w, "PASS: %d points, %d cross checks\n", len(sum.Points), len(sum.Cross))
+		return true, err
+	}
+	fails := out.Failures()
+	fmt.Fprintf(w, "FAIL: %d violation(s)\n", len(fails))
+	for _, f := range fails {
+		fmt.Fprintln(w, "  -", f)
+	}
+	return false, nil
+}
+
+// runBench measures cycles/sec per scheme and, with gate set, compares
+// the measurement against the committed baseline report.
+func runBench(stdout io.Writer, seed uint64, quick, jsonOut, gate bool, baseline string, tolerance float64) error {
+	cfg := check.DefaultBench(seed)
+	if quick {
+		cfg.Warmup /= 2
+		cfg.Cycles /= 2
+		cfg.Blocks = 3
+	}
+	rep, err := check.RunBench(cfg)
+	if err != nil {
+		return err
+	}
+	if jsonOut {
+		err = rep.WriteJSON(stdout)
+	} else {
+		err = rep.WriteText(stdout)
+	}
+	if err != nil || !gate {
+		return err
+	}
+	data, err := os.ReadFile(baseline)
+	if err != nil {
+		return fmt.Errorf("reading bench baseline: %w", err)
+	}
+	var base check.BenchReport
+	if err := json.Unmarshal(data, &base); err != nil {
+		return fmt.Errorf("parsing bench baseline: %w", err)
+	}
+	if violations := rep.Gate(&base, tolerance); len(violations) > 0 {
+		return fmt.Errorf("bench regression gate FAILED (%d violation(s)):\n  - %s",
+			len(violations), strings.Join(violations, "\n  - "))
+	}
+	_, err = fmt.Fprintf(stdout, "\nbench gate PASS: every scheme within %.0f%% of %s\n", tolerance*100, baseline)
+	return err
 }
 
 // runTrace runs one point with the event tap armed and exports the
@@ -323,7 +277,7 @@ func main() {
 // windowed streaming assembler instead: spans are attributed and dropped
 // as they deliver, so the trace's footprint is bounded by the live
 // packet population — the mode for long runs the batch tap cannot hold.
-func runTrace(schemeName, patternName string, load float64, format, outPath string, seed uint64, quick, stream bool) error {
+func runTrace(stdout io.Writer, schemeName, patternName string, load float64, format, outPath string, seed uint64, quick, stream bool) (err error) {
 	scheme, err := core.ParseScheme(schemeName)
 	if err != nil {
 		return err
@@ -337,6 +291,12 @@ func runTrace(schemeName, patternName string, load float64, format, outPath stri
 	if pattern == nil {
 		return fmt.Errorf("unknown pattern %q (UR, BC, TOR)", patternName)
 	}
+	switch {
+	case format != "table" && format != "chrome" && format != "flame":
+		return fmt.Errorf("unknown trace format %q (table, chrome, flame)", format)
+	case stream && format != "table":
+		return fmt.Errorf("-trace-stream drops spans after attribution; format %q needs the batch tap (drop -trace-stream)", format)
+	}
 	opts := exp.DefaultOptions()
 	if quick {
 		opts = exp.QuickOptions()
@@ -344,50 +304,44 @@ func runTrace(schemeName, patternName string, load float64, format, outPath stri
 	opts.Seed = seed
 	point := exp.Point{Scheme: scheme, Pattern: pattern, Rate: load}
 
+	var (
+		res     core.Result
+		attr    ptrace.Attribution
+		tr      *ptrace.TraceResult
+		summary string
+	)
 	if stream {
-		if format != "table" {
-			return fmt.Errorf("-trace-stream drops spans after attribution; format %q needs the batch tap (drop -trace-stream)", format)
-		}
-		res, attr, st, err := exp.RunStreamedPoint(point, opts)
-		if err != nil {
+		var st *ptrace.Stream
+		if res, attr, st, err = exp.RunStreamedPoint(point, opts); err != nil {
 			return err
 		}
-		out := io.Writer(os.Stdout)
-		if outPath != "" {
-			f, err := os.Create(outPath)
-			if err != nil {
-				return err
+		summary = fmt.Sprintf("streamed %d spans, peak %d live (%.1f%% of flushed)  digest %016x (stream is digest-inert)",
+			st.Flushed(), st.MaxLive(), 100*float64(st.MaxLive())/float64(st.Flushed()), res.Digest)
+	} else {
+		if res, tr, err = exp.RunTracedPoint(point, opts); err != nil {
+			return err
+		}
+		for _, s := range tr.Spans {
+			if err := s.Validate(); err != nil {
+				return fmt.Errorf("span invariant violated: %w", err)
 			}
-			defer f.Close()
-			out = f
 		}
-		if err := writeAttributionTable(out, scheme, patternName, load, attr); err != nil {
-			return err
-		}
-		_, err = fmt.Fprintf(out,
-			"\nstreamed %d spans, peak %d live (%.1f%% of flushed)  digest %016x (stream is digest-inert)\nexact mean %.4f == measured AvgLatency %.4f\n",
-			st.Flushed(), st.MaxLive(), 100*float64(st.MaxLive())/float64(st.Flushed()),
-			res.Digest, attr.AvgTotal(), res.AvgLatency)
-		return err
+		attr = ptrace.Aggregate(tr, true)
+		summary = fmt.Sprintf("spans %d  launches %d  drops %d  circulations %d  digest %016x (tap is digest-inert)",
+			len(tr.Spans), attr.Launches, attr.Drops, attr.Circulations, res.Digest)
 	}
 
-	res, tr, err := exp.RunTracedPoint(point, opts)
-	if err != nil {
-		return err
-	}
-	for _, s := range tr.Spans {
-		if err := s.Validate(); err != nil {
-			return fmt.Errorf("span invariant violated: %w", err)
-		}
-	}
-
-	out := io.Writer(os.Stdout)
+	out := stdout
 	if outPath != "" {
-		f, err := os.Create(outPath)
-		if err != nil {
-			return err
+		f, cerr := os.Create(outPath)
+		if cerr != nil {
+			return cerr
 		}
-		defer f.Close()
+		defer func() {
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}()
 		out = f
 	}
 	switch format {
@@ -395,18 +349,12 @@ func runTrace(schemeName, patternName string, load float64, format, outPath stri
 		return ptrace.WriteChromeTrace(out, tr)
 	case "flame":
 		return ptrace.WriteFlame(out, tr, fmt.Sprintf("%s-%s@%.2f", scheme, patternName, load))
-	case "table":
-		attr := ptrace.Aggregate(tr, true)
-		if err := writeAttributionTable(out, scheme, patternName, load, attr); err != nil {
-			return err
-		}
-		_, err = fmt.Fprintf(out,
-			"\nspans %d  launches %d  drops %d  circulations %d  digest %016x (tap is digest-inert)\nexact mean %.4f == measured AvgLatency %.4f\n",
-			len(tr.Spans), attr.Launches, attr.Drops, attr.Circulations, res.Digest, attr.AvgTotal(), res.AvgLatency)
-		return err
-	default:
-		return fmt.Errorf("unknown trace format %q (table, chrome, flame)", format)
 	}
+	if err := writeAttributionTable(out, scheme, patternName, load, attr); err != nil {
+		return err
+	}
+	_, err = fmt.Fprintf(out, "\n%s\nexact mean %.4f == measured AvgLatency %.4f\n", summary, attr.AvgTotal(), res.AvgLatency)
+	return err
 }
 
 // writeAttributionTable renders the per-phase exact attribution table

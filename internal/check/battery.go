@@ -3,7 +3,6 @@ package check
 import (
 	"fmt"
 	"reflect"
-	"runtime"
 
 	"photon/internal/core"
 	"photon/internal/exp"
@@ -32,8 +31,6 @@ type Battery struct {
 	// audit. Past saturation the backlog never reaches zero; the audit's
 	// identities hold regardless.
 	DrainLimit int64
-	// Parallel bounds concurrent point verifications (0 = GOMAXPROCS).
-	Parallel int
 }
 
 // QuickBattery is the CI-sized battery: all schemes, the paper's three
@@ -75,18 +72,181 @@ func FullBattery(seed uint64) Battery {
 	}
 }
 
-func (b Battery) workers() int {
-	if b.Parallel > 0 {
-		return b.Parallel
-	}
-	return runtime.GOMAXPROCS(0)
+// Check is one cross-cutting verification outcome (differential pairs,
+// serial-vs-parallel sweeps).
+type Check struct {
+	Name   string
+	Pass   bool
+	Detail string
 }
 
-// PointReport is the verification verdict for one (scheme, pattern, rate).
-type PointReport struct {
-	Scheme  core.Scheme
-	Pattern string
-	Rate    float64
+// point is what a battery's typed per-point verdict provides to Report.
+type point interface {
+	// Pass reports whether every per-point check succeeded.
+	Pass() bool
+	// id names the point: its scheme, its sub-identity within the battery
+	// ("pattern@rate", "class@rate", the workload name, ...) and its run
+	// digest.
+	id() (scheme core.Scheme, name string, digest uint64)
+	// failure describes the first failed check of a failing point.
+	failure() string
+	// row is the point's line of the battery table, matching the
+	// layout's headers.
+	row() []any
+}
+
+// layout is a battery's fixed presentation: its name in the -json
+// summary, and its table's title and headers.
+type layout struct {
+	battery, title string
+	headers        []string
+}
+
+// Report is the outcome of one battery run: the typed per-point verdicts
+// in grid order plus the cross checks. Every battery returns one.
+type Report[P point] struct {
+	Points []P
+	Cross  []Check
+
+	layout layout
+}
+
+// Outcome is what a command needs from any battery's report, whatever
+// its point type.
+type Outcome interface {
+	Failures() []string
+	Table() *stats.Table
+	Summary(seed uint64) Summary
+}
+
+// Pass reports whether the whole battery is green.
+func (r *Report[P]) Pass() bool { return len(r.Failures()) == 0 }
+
+// Failures returns every failing point and cross check, flattened into
+// printable lines.
+func (r *Report[P]) Failures() []string {
+	var out []string
+	for _, p := range r.Points {
+		if !p.Pass() {
+			scheme, name, _ := p.id()
+			out = append(out, fmt.Sprintf("%s %s: %s", scheme, name, p.failure()))
+		}
+	}
+	for _, c := range r.Cross {
+		if !c.Pass {
+			out = append(out, fmt.Sprintf("%s: %s", c.Name, c.Detail))
+		}
+	}
+	return out
+}
+
+// Table renders the per-point verdicts for cmd/verify.
+func (r *Report[P]) Table() *stats.Table {
+	t := stats.NewTable(r.layout.title, r.layout.headers...)
+	for _, p := range r.Points {
+		t.AddRow(p.row()...)
+	}
+	return t
+}
+
+// Verdict is one line of a Summary: a point (scheme, sub-identity and
+// digest) or a cross check (name only).
+type Verdict struct {
+	Scheme string `json:"scheme,omitempty"`
+	Name   string `json:"name"`
+	Digest string `json:"digest,omitempty"`
+	Status string `json:"status"` // "pass" or the first failure detail
+}
+
+// Summary is the machine-readable pass/fail document of one battery run
+// (`verify -json`).
+type Summary struct {
+	Battery string    `json:"battery"`
+	Seed    uint64    `json:"seed"`
+	Pass    bool      `json:"pass"`
+	Points  []Verdict `json:"points"`
+	Cross   []Verdict `json:"cross"`
+}
+
+// Summary condenses the report; seed is the battery's base seed.
+func (r *Report[P]) Summary(seed uint64) Summary {
+	s := Summary{Battery: r.layout.battery, Seed: seed, Pass: r.Pass()}
+	for _, p := range r.Points {
+		scheme, name, digest := p.id()
+		s.Points = append(s.Points, Verdict{
+			Scheme: scheme.String(), Name: name,
+			Digest: fmt.Sprintf("%016x", digest), Status: status(p.Pass(), p.failure()),
+		})
+	}
+	for _, c := range r.Cross {
+		s.Cross = append(s.Cross, Verdict{Name: c.Name, Status: status(c.Pass, c.Detail)})
+	}
+	return s
+}
+
+func status(pass bool, detail string) string {
+	if pass {
+		return "pass"
+	}
+	if detail == "" {
+		detail = "fail"
+	}
+	return detail
+}
+
+func mark(ok bool) string {
+	if ok {
+		return "ok"
+	}
+	return "FAIL"
+}
+
+// fanOut verifies one point per job on the shared pool (workers <= 0
+// means GOMAXPROCS; a panicking job reports itself instead of crashing
+// the battery) and returns the verdicts in job order, or the
+// lowest-index error under that job's name.
+func fanOut[J, P any](jobs []J, workers int, name func(J) string, verify func(J) (P, error)) ([]P, error) {
+	points := make([]P, len(jobs))
+	errs := exp.Do(len(jobs), workers, func(i int) (err error) {
+		points[i], err = verify(jobs[i])
+		return err
+	})
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("check: %s: %w", name(jobs[i]), err)
+		}
+	}
+	return points, nil
+}
+
+// replay runs the tape through a fresh network of the given configuration.
+func replay(cfg core.Config, w sim.Window, tape *traffic.Tape) (core.Result, *core.Network, error) {
+	net, err := core.NewNetwork(cfg, w)
+	if err != nil {
+		return core.Result{}, nil, err
+	}
+	res, err := tape.Run(net)
+	return res, net, err
+}
+
+// settle audits the network as the window left it, drains it for at most
+// limit cycles and audits again: sub-saturation runs reach zero backlog,
+// past-saturation runs stay backlogged, and the conservation identities
+// must hold either way. It returns the final accounting, the drain's
+// error and the first audit failure.
+func settle(net *core.Network, limit int64) (acct core.Accounting, drainErr, auditErr error) {
+	auditErr = AuditNetwork(net)
+	_, drainErr = net.Drain(limit)
+	if err := AuditNetwork(net); err != nil && auditErr == nil {
+		auditErr = err
+	}
+	return net.Accounting(), drainErr, auditErr
+}
+
+// TapeVerdict is the per-point verdict the tape-replay batteries share
+// (Battery and WorkloadBattery embed it in their point reports).
+type TapeVerdict struct {
+	Scheme core.Scheme
 
 	// Digest is the run fingerprint (identical across the repeat runs when
 	// Deterministic).
@@ -105,7 +265,7 @@ type PointReport struct {
 	Deterministic bool
 	// TapeFaithful: a live-injector run matched the tape replay's digest.
 	TapeFaithful bool
-	// Conservation holds the auditor's verdict ("" = pass).
+	// Conservation holds the auditor's first failure ("" = pass).
 	Conservation string
 
 	// Detail carries the first failure description for the report table.
@@ -113,78 +273,101 @@ type PointReport struct {
 }
 
 // Pass reports whether every per-point check succeeded.
-func (p PointReport) Pass() bool {
-	return p.Deterministic && p.TapeFaithful && p.Conservation == ""
+func (v TapeVerdict) Pass() bool {
+	return v.Deterministic && v.TapeFaithful && v.Conservation == ""
 }
 
-// Check is one cross-cutting verification outcome (differential pairs,
-// serial-vs-parallel sweeps).
-type Check struct {
-	Name   string
-	Pass   bool
-	Detail string
+func (v TapeVerdict) failure() string      { return v.Detail }
+func (v TapeVerdict) verdict() TapeVerdict { return v }
+
+// replayTwice replays the tape through two fresh networks, records the
+// determinism verdict and returns the second network, not yet drained.
+func (v *TapeVerdict) replayTwice(cfg core.Config, w sim.Window, tape *traffic.Tape) (*core.Network, error) {
+	res1, _, err := replay(cfg, w, tape)
+	if err != nil {
+		return nil, err
+	}
+	res2, net, err := replay(cfg, w, tape)
+	if err != nil {
+		return nil, err
+	}
+	v.Digest, v.Events = res2.Digest, res2.DigestEvents
+	v.Deterministic = reflect.DeepEqual(res1, res2)
+	if !v.Deterministic {
+		v.Detail = fmt.Sprintf("repeat runs diverged: digest %016x vs %016x", res1.Digest, res2.Digest)
+	}
+	return net, nil
 }
 
-// Report is the outcome of a full battery run.
-type Report struct {
-	Points []PointReport
-	Cross  []Check
+// live records whether a live-injector run reproduced the replays'
+// digest: the tape must be a faithful recording.
+func (v *TapeVerdict) live(digest uint64) {
+	v.TapeFaithful = digest == v.Digest
+	if !v.TapeFaithful && v.Detail == "" {
+		v.Detail = fmt.Sprintf("live injector digest %016x != tape digest %016x", digest, v.Digest)
+	}
 }
 
-// Pass reports whether the whole battery is green.
-func (r *Report) Pass() bool {
-	for _, p := range r.Points {
-		if !p.Pass() {
-			return false
-		}
+// settle runs the final conservation audits on net (see settle) and
+// records its accounting.
+func (v *TapeVerdict) settle(net *core.Network, limit int64) {
+	acct, _, auditErr := settle(net, limit)
+	if auditErr != nil && v.Conservation == "" {
+		v.Conservation = auditErr.Error()
 	}
-	for _, c := range r.Cross {
-		if !c.Pass {
-			return false
-		}
+	if v.Conservation != "" && v.Detail == "" {
+		v.Detail = v.Conservation
 	}
-	return true
+	v.Injected, v.Delivered, v.Backlog = acct.Injected, acct.Delivered, acct.Backlog
 }
 
-// Failures returns every failing point and cross check, flattened into
-// printable lines.
-func (r *Report) Failures() []string {
-	var out []string
-	for _, p := range r.Points {
-		if !p.Pass() {
-			out = append(out, fmt.Sprintf("%s %s %.3f: %s", p.Scheme, p.Pattern, p.Rate, p.Detail))
+// differential is the cross-scheme check over one shared tape: every
+// scheme must inject exactly the tape's entries, and fully drained
+// schemes must deliver exactly the same packet count.
+func differential[P interface{ verdict() TapeVerdict }](name string, tape *traffic.Tape, group []P) Check {
+	c := Check{Name: name, Pass: true}
+	want := int64(len(tape.Entries))
+	for _, p := range group {
+		if v := p.verdict(); v.Injected != want {
+			c.Pass = false
+			c.Detail = fmt.Sprintf("%s injected %d, tape holds %d entries", v.Scheme, v.Injected, want)
 		}
 	}
-	for _, c := range r.Cross {
-		if !c.Pass {
-			out = append(out, fmt.Sprintf("%s: %s", c.Name, c.Detail))
+	a := group[0].verdict()
+	for _, p := range group[1:] {
+		if v := p.verdict(); a.Backlog == 0 && v.Backlog == 0 && a.Delivered != v.Delivered {
+			c.Pass = false
+			c.Detail = fmt.Sprintf("%s delivered %d but %s delivered %d on the same tape",
+				a.Scheme, a.Delivered, v.Scheme, v.Delivered)
 		}
 	}
-	return out
+	return c
 }
 
-// Table renders the per-point verdicts for cmd/verify.
-func (r *Report) Table() *stats.Table {
-	t := stats.NewTable("determinism + conservation battery",
-		"scheme", "pattern", "rate", "digest", "events", "injected", "delivered", "backlog", "determ", "tape", "conserve")
-	mark := func(ok bool) string {
-		if ok {
-			return "ok"
-		}
-		return "FAIL"
-	}
-	for _, p := range r.Points {
-		t.AddRow(p.Scheme.String(), p.Pattern, p.Rate,
-			fmt.Sprintf("%016x", p.Digest), p.Events, p.Injected, p.Delivered, p.Backlog,
-			mark(p.Deterministic), mark(p.TapeFaithful), mark(p.Conservation == ""))
-	}
-	return t
+// PointReport is the verification verdict for one (scheme, pattern, rate).
+type PointReport struct {
+	TapeVerdict
+	Pattern string
+	Rate    float64
 }
+
+func (p PointReport) id() (core.Scheme, string, uint64) {
+	return p.Scheme, fmt.Sprintf("%s@%.3f", p.Pattern, p.Rate), p.Digest
+}
+
+func (p PointReport) row() []any {
+	return []any{p.Scheme.String(), p.Pattern, p.Rate,
+		fmt.Sprintf("%016x", p.Digest), p.Events, p.Injected, p.Delivered, p.Backlog,
+		mark(p.Deterministic), mark(p.TapeFaithful), mark(p.Conservation == "")}
+}
+
+var standardLayout = layout{"standard", "determinism + conservation battery", []string{
+	"scheme", "pattern", "rate", "digest", "events", "injected", "delivered", "backlog", "determ", "tape", "conserve"}}
 
 // Run executes the battery: per-point determinism + tape-faithfulness +
 // conservation, then the cross-scheme differential comparison and the
 // serial-vs-parallel sweep equivalence check.
-func Run(b Battery) (*Report, error) {
+func Run(b Battery) (*Report[PointReport], error) {
 	if len(b.Schemes) == 0 {
 		b.Schemes = core.Schemes()
 	}
@@ -198,11 +381,8 @@ func Run(b Battery) (*Report, error) {
 		b.Window = QuickBattery(b.Seed).Window
 	}
 
-	// Pre-record one tape per (pattern, rate); replays share it read-only.
-	type tapeKey struct {
-		pattern string
-		rate    float64
-	}
+	// Pre-record one tape per (pattern, rate); the schemes' replays share
+	// it read-only, so each tape's jobs are contiguous in scheme order.
 	type job struct {
 		scheme  core.Scheme
 		pattern traffic.Pattern
@@ -210,71 +390,31 @@ func Run(b Battery) (*Report, error) {
 		tape    *traffic.Tape
 	}
 	cfg0 := core.DefaultConfig(b.Schemes[0])
-	tapes := map[tapeKey]*traffic.Tape{}
 	var jobs []job
 	for _, pat := range b.Patterns {
 		for _, rate := range b.Loads(pat.Name()) {
 			tape, err := traffic.RecordTape(pat, rate, cfg0.Nodes, cfg0.CoresPerNode,
-				sim.DeriveSeed(b.Seed, uint64(len(tapes))), b.Window.Warmup+b.Window.Measure)
+				sim.DeriveSeed(b.Seed, uint64(len(jobs)/len(b.Schemes))), b.Window.Warmup+b.Window.Measure)
 			if err != nil {
 				return nil, fmt.Errorf("check: recording %s tape at %.3f: %w", pat.Name(), rate, err)
 			}
-			tapes[tapeKey{pat.Name(), rate}] = tape
 			for _, s := range b.Schemes {
 				jobs = append(jobs, job{scheme: s, pattern: pat, rate: rate, tape: tape})
 			}
 		}
 	}
 
-	// farm.Do supervises the fan-out: bounded workers, and a panicking
-	// verification job reports itself in its error slot instead of
-	// crashing the battery.
-	reports := make([]PointReport, len(jobs))
-	errs := farm.Do(len(jobs), b.workers(), func(i int) error {
-		var err error
-		j := jobs[i]
-		reports[i], err = verifyPoint(b, j.scheme, j.pattern, j.rate, j.tape)
-		return err
-	})
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("check: %s %s %.3f: %w",
-				jobs[i].scheme, jobs[i].pattern.Name(), jobs[i].rate, err)
-		}
+	reports, err := fanOut(jobs, 0,
+		func(j job) string { return fmt.Sprintf("%s %s %.3f", j.scheme, j.pattern.Name(), j.rate) },
+		func(j job) (PointReport, error) { return verifyPoint(b, j.scheme, j.pattern, j.rate, j.tape) })
+	if err != nil {
+		return nil, err
 	}
-	rep := &Report{Points: reports}
+	rep := &Report[PointReport]{Points: reports, layout: standardLayout}
 
-	// Differential comparison: over one shared tape, every scheme must see
-	// the same offered traffic, and fully drained schemes must deliver
-	// exactly the same packet count.
-	byTape := map[tapeKey][]PointReport{}
-	for _, p := range reports {
-		k := tapeKey{p.Pattern, p.Rate}
-		byTape[k] = append(byTape[k], p)
-	}
-	for _, pat := range b.Patterns {
-		for _, rate := range b.Loads(pat.Name()) {
-			k := tapeKey{pat.Name(), rate}
-			group := byTape[k]
-			name := fmt.Sprintf("differential %s @ %.3f", k.pattern, k.rate)
-			c := Check{Name: name, Pass: true}
-			wantInjected := int64(len(tapes[k].Entries))
-			for _, p := range group {
-				if p.Injected != wantInjected {
-					c.Pass = false
-					c.Detail = fmt.Sprintf("%s injected %d, tape holds %d entries", p.Scheme, p.Injected, wantInjected)
-				}
-			}
-			for i := 1; i < len(group); i++ {
-				a, bb := group[0], group[i]
-				if a.Backlog == 0 && bb.Backlog == 0 && a.Delivered != bb.Delivered {
-					c.Pass = false
-					c.Detail = fmt.Sprintf("%s delivered %d but %s delivered %d on the same tape",
-						a.Scheme, a.Delivered, bb.Scheme, bb.Delivered)
-				}
-			}
-			rep.Cross = append(rep.Cross, c)
-		}
+	for k := 0; k < len(jobs); k += len(b.Schemes) {
+		name := fmt.Sprintf("differential %s @ %.3f", jobs[k].pattern.Name(), jobs[k].rate)
+		rep.Cross = append(rep.Cross, differential(name, jobs[k].tape, reports[k:k+len(b.Schemes)]))
 	}
 
 	// Serial-vs-parallel sweep equivalence: exp.RunPoints must be a pure
@@ -345,37 +485,14 @@ func Run(b Battery) (*Report, error) {
 
 // verifyPoint runs one (scheme, tape) pair through the per-point checks.
 func verifyPoint(b Battery, s core.Scheme, pat traffic.Pattern, rate float64, tape *traffic.Tape) (PointReport, error) {
-	p := PointReport{Scheme: s, Pattern: pat.Name(), Rate: rate}
-
-	runTape := func() (core.Result, *core.Network, error) {
-		cfg := core.DefaultConfig(s)
-		cfg.Seed = b.Seed
-		net, err := core.NewNetwork(cfg, b.Window)
-		if err != nil {
-			return core.Result{}, nil, err
-		}
-		res, err := tape.Run(net)
-		return res, net, err
-	}
-
-	res1, _, err := runTape()
-	if err != nil {
-		return p, err
-	}
-	res2, net, err := runTape()
-	if err != nil {
-		return p, err
-	}
-	p.Digest = res2.Digest
-	p.Events = res2.DigestEvents
-	p.Deterministic = reflect.DeepEqual(res1, res2)
-	if !p.Deterministic {
-		p.Detail = fmt.Sprintf("repeat runs diverged: digest %016x vs %016x", res1.Digest, res2.Digest)
-	}
-
-	// Live-injector equivalence: the tape must be a faithful recording.
+	p := PointReport{TapeVerdict: TapeVerdict{Scheme: s}, Pattern: pat.Name(), Rate: rate}
 	cfg := core.DefaultConfig(s)
 	cfg.Seed = b.Seed
+	net, err := p.replayTwice(cfg, b.Window, tape)
+	if err != nil {
+		return p, err
+	}
+
 	liveNet, err := core.NewNetwork(cfg, b.Window)
 	if err != nil {
 		return p, err
@@ -384,29 +501,8 @@ func verifyPoint(b Battery, s core.Scheme, pat traffic.Pattern, rate float64, ta
 	if err != nil {
 		return p, err
 	}
-	liveRes := inj.Run(liveNet)
-	p.TapeFaithful = liveRes.Digest == res2.Digest
-	if !p.TapeFaithful && p.Detail == "" {
-		p.Detail = fmt.Sprintf("live injector digest %016x != tape digest %016x", liveRes.Digest, res2.Digest)
-	}
+	p.live(inj.Run(liveNet).Digest)
 
-	// Conservation: audit after the window, then again after a bounded
-	// extra drain (sub-saturation runs reach zero backlog; past-saturation
-	// runs stay backlogged and the identities must hold anyway).
-	if err := AuditNetwork(net); err != nil {
-		p.Conservation = err.Error()
-	}
-	net.Drain(b.DrainLimit)
-	if err := AuditNetwork(net); err != nil && p.Conservation == "" {
-		p.Conservation = err.Error()
-	}
-	if p.Conservation != "" && p.Detail == "" {
-		p.Detail = p.Conservation
-	}
-
-	acct := net.Accounting()
-	p.Injected = acct.Injected
-	p.Delivered = acct.Delivered
-	p.Backlog = acct.Backlog
+	p.settle(net, b.DrainLimit)
 	return p, nil
 }

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"photon/internal/core"
-	"photon/internal/farm"
 	"photon/internal/sim"
 	"photon/internal/traffic"
 )
@@ -104,8 +103,8 @@ func benchScheme(s core.Scheme, cfg BenchConfig, traced bool) (time.Duration, st
 // RunBench measures the cycle engine's throughput for every registered
 // scheme, untraced and with a minimal tap armed. It is a wall-clock
 // measurement, not part of the determinism battery — digests are
-// unaffected by how fast cycles execute. Per-scheme measurements run
-// under farm.Do supervision with a single worker: timing stays strictly
+// unaffected by how fast cycles execute. Per-scheme measurements run on
+// the shared pool (fanOut) with a single worker: timing stays strictly
 // serial (no co-running scheme perturbs a block), but a panicking
 // benchmark reports itself under its scheme's name instead of killing
 // the whole gate.
@@ -118,25 +117,18 @@ func RunBench(cfg BenchConfig) (*BenchReport, error) {
 // panics must surface as an error naming its scheme, not kill the gate.
 func runBenchWith(cfg BenchConfig, schemes []core.Scheme,
 	bench func(core.Scheme, BenchConfig, bool) (time.Duration, string, error)) (*BenchReport, error) {
-	rep := &BenchReport{
-		Seed:      cfg.Seed,
-		Load:      cfg.Load,
-		GoVersion: runtime.Version(),
-		GOARCH:    runtime.GOARCH,
-	}
-	points := make([]BenchPoint, len(schemes))
-	errs := farm.Do(len(schemes), 1, func(i int) error {
-		s := schemes[i]
+	name := func(s core.Scheme) string { return "bench " + s.String() }
+	points, err := fanOut(schemes, 1, name, func(s core.Scheme) (BenchPoint, error) {
 		best, family, err := bench(s, cfg, false)
 		if err != nil {
-			return err
+			return BenchPoint{}, err
 		}
 		tracedBest, _, err := bench(s, cfg, true)
 		if err != nil {
-			return err
+			return BenchPoint{}, err
 		}
 		secs := best.Seconds()
-		points[i] = BenchPoint{
+		return BenchPoint{
 			Scheme:           s.String(),
 			Family:           family,
 			Cycles:           cfg.Cycles,
@@ -144,16 +136,18 @@ func runBenchWith(cfg BenchConfig, schemes []core.Scheme,
 			CyclesPerSec:     float64(cfg.Cycles) / secs,
 			NsPerCycle:       secs * 1e9 / float64(cfg.Cycles),
 			TracedNsPerCycle: tracedBest.Seconds() * 1e9 / float64(cfg.Cycles),
-		}
-		return nil
+		}, nil
 	})
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("check: bench %s: %w", schemes[i], err)
-		}
+	if err != nil {
+		return nil, err
 	}
-	rep.Points = points
-	return rep, nil
+	return &BenchReport{
+		Seed:      cfg.Seed,
+		Load:      cfg.Load,
+		GoVersion: runtime.Version(),
+		GOARCH:    runtime.GOARCH,
+		Points:    points,
+	}, nil
 }
 
 // Gate compares a fresh measurement against a committed baseline report

@@ -68,7 +68,7 @@ func TestBenchTapOverheadGuard(t *testing.T) {
 }
 
 // TestBenchPanicNamesScheme: RunBench runs its per-scheme measurements
-// under single-worker farm.Do supervision; a measurement that panics
+// on the shared pool with a single worker; a measurement that panics
 // must come back as an error that names the offending scheme (so a CI
 // bench failure is attributable at a glance), not crash the process or
 // kill the sibling measurements.

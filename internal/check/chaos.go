@@ -4,13 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"runtime"
 
 	"photon/internal/core"
 	"photon/internal/fault"
-	"photon/internal/farm"
 	"photon/internal/sim"
-	"photon/internal/stats"
 	"photon/internal/traffic"
 )
 
@@ -46,8 +43,6 @@ type ChaosBattery struct {
 	// DrainLimit bounds the post-window drain; with recovery enabled every
 	// in-grid point must reach quiescence inside it.
 	DrainLimit int64
-	// Parallel bounds concurrent point verifications (0 = GOMAXPROCS).
-	Parallel int
 }
 
 // QuickChaos is the CI-sized chaos battery.
@@ -62,13 +57,6 @@ func QuickChaos(seed uint64) ChaosBattery {
 		Seed:       seed,
 		DrainLimit: 60_000,
 	}
-}
-
-func (b ChaosBattery) workers() int {
-	if b.Parallel > 0 {
-		return b.Parallel
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // classApplies reports whether a fault class belongs in scheme s's grid.
@@ -116,60 +104,20 @@ func (p ChaosPoint) Pass() bool {
 	return p.Deterministic && p.Drained && p.Recovered && p.Conservation == ""
 }
 
-// ChaosReport is the outcome of a chaos battery run.
-type ChaosReport struct {
-	Points []ChaosPoint
-	Cross  []Check
+func (p ChaosPoint) failure() string { return p.Detail }
+
+func (p ChaosPoint) id() (core.Scheme, string, uint64) {
+	return p.Scheme, fmt.Sprintf("%s@%.3f", p.Class, p.Rate), p.Digest
 }
 
-// Pass reports whether the whole chaos battery is green.
-func (r *ChaosReport) Pass() bool {
-	for _, p := range r.Points {
-		if !p.Pass() {
-			return false
-		}
-	}
-	for _, c := range r.Cross {
-		if !c.Pass {
-			return false
-		}
-	}
-	return true
+func (p ChaosPoint) row() []any {
+	return []any{p.Scheme.String(), p.Class.String(), p.Rate,
+		fmt.Sprintf("%016x", p.Digest), p.FaultsInjected, p.TimeoutRetransmits, p.TokensRegenerated,
+		mark(p.Deterministic), mark(p.Drained), mark(p.Recovered), mark(p.Conservation == "")}
 }
 
-// Failures returns every failing point and cross check as printable lines.
-func (r *ChaosReport) Failures() []string {
-	var out []string
-	for _, p := range r.Points {
-		if !p.Pass() {
-			out = append(out, fmt.Sprintf("%s %s @ %.3f: %s", p.Scheme, p.Class, p.Rate, p.Detail))
-		}
-	}
-	for _, c := range r.Cross {
-		if !c.Pass {
-			out = append(out, fmt.Sprintf("%s: %s", c.Name, c.Detail))
-		}
-	}
-	return out
-}
-
-// Table renders the per-point verdicts for cmd/verify.
-func (r *ChaosReport) Table() *stats.Table {
-	t := stats.NewTable("chaos battery (fault injection + recovery)",
-		"scheme", "class", "rate", "digest", "faults", "timeouts", "regens", "determ", "drained", "recovered", "conserve")
-	mark := func(ok bool) string {
-		if ok {
-			return "ok"
-		}
-		return "FAIL"
-	}
-	for _, p := range r.Points {
-		t.AddRow(p.Scheme.String(), p.Class.String(), p.Rate,
-			fmt.Sprintf("%016x", p.Digest), p.FaultsInjected, p.TimeoutRetransmits, p.TokensRegenerated,
-			mark(p.Deterministic), mark(p.Drained), mark(p.Recovered), mark(p.Conservation == ""))
-	}
-	return t
-}
+var chaosLayout = layout{"chaos", "chaos battery (fault injection + recovery)", []string{
+	"scheme", "class", "rate", "digest", "faults", "timeouts", "regens", "determ", "drained", "recovered", "conserve"}}
 
 // chaosConfig builds the faulty network config for one point.
 func (b ChaosBattery) chaosConfig(s core.Scheme, cl fault.Class, rate float64) core.Config {
@@ -186,7 +134,7 @@ func (b ChaosBattery) chaosConfig(s core.Scheme, cl fault.Class, rate float64) c
 }
 
 // RunChaos executes the chaos battery.
-func RunChaos(b ChaosBattery) (*ChaosReport, error) {
+func RunChaos(b ChaosBattery) (*Report[ChaosPoint], error) {
 	if len(b.Schemes) == 0 {
 		b.Schemes = core.Schemes()
 	}
@@ -230,20 +178,13 @@ func RunChaos(b ChaosBattery) (*ChaosReport, error) {
 		}
 	}
 
-	points := make([]ChaosPoint, len(jobs))
-	errs := farm.Do(len(jobs), b.workers(), func(i int) error {
-		var err error
-		j := jobs[i]
-		points[i], err = b.verifyChaosPoint(j.scheme, j.class, j.rate, tape)
-		return err
-	})
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("check: chaos %s %s %.3f: %w",
-				jobs[i].scheme, jobs[i].class, jobs[i].rate, err)
-		}
+	points, err := fanOut(jobs, 0,
+		func(j job) string { return fmt.Sprintf("chaos %s %s %.3f", j.scheme, j.class, j.rate) },
+		func(j job) (ChaosPoint, error) { return b.verifyChaosPoint(j.scheme, j.class, j.rate, tape) })
+	if err != nil {
+		return nil, err
 	}
-	rep := &ChaosReport{Points: points}
+	rep := &Report[ChaosPoint]{Points: points, layout: chaosLayout}
 
 	// Rate-zero inertness: an enabled injector with all rates zero, plus
 	// recovery armed, must reproduce the plain network's digest bit for
@@ -337,21 +278,12 @@ type chaosRun struct {
 
 // runChaosTape replays the tape, audits mid-flight, drains, audits again.
 func runChaosTape(cfg core.Config, w sim.Window, tape *traffic.Tape, drainLimit int64) (chaosRun, error) {
-	net, err := core.NewNetwork(cfg, w)
-	if err != nil {
-		return chaosRun{}, err
-	}
-	res, err := tape.Run(net)
+	res, net, err := replay(cfg, w, tape)
 	if err != nil {
 		return chaosRun{}, err
 	}
 	r := chaosRun{res: res}
-	r.auditErr = AuditNetwork(net)
-	_, r.drainErr = net.Drain(drainLimit)
-	if err := AuditNetwork(net); err != nil && r.auditErr == nil {
-		r.auditErr = err
-	}
-	r.acct = net.Accounting()
+	r.acct, r.drainErr, r.auditErr = settle(net, drainLimit)
 	return r, nil
 }
 

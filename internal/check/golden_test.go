@@ -10,7 +10,6 @@ import (
 
 	"photon/internal/core"
 	"photon/internal/exp"
-	"photon/internal/farm"
 	"photon/internal/fault"
 	"photon/internal/sim"
 	"photon/internal/traffic"
@@ -179,11 +178,11 @@ func goldenSLOPoints(t *testing.T, seed uint64) []goldenPoint {
 	return points
 }
 
-// runGoldenJobs fans n independent point runs over the farm's supervised
-// pool (GOMAXPROCS workers, panics contained into error slots).
+// runGoldenJobs fans n independent point runs over the shared pool
+// (GOMAXPROCS workers, panics contained into error slots).
 func runGoldenJobs(t *testing.T, n int, run func(i int) error) {
 	t.Helper()
-	for i, err := range farm.Do(n, 0, run) {
+	for i, err := range exp.Do(n, 0, run) {
 		if err != nil {
 			t.Fatalf("golden point %d: %v", i, err)
 		}

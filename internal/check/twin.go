@@ -2,13 +2,10 @@ package check
 
 import (
 	"fmt"
-	"runtime"
 
 	"photon/internal/core"
 	"photon/internal/exp"
-	"photon/internal/farm"
 	"photon/internal/ptrace"
-	"photon/internal/stats"
 	"photon/internal/twin"
 )
 
@@ -34,10 +31,6 @@ type TwinBattery struct {
 	// simulator's own discretization granularity, where a relative band is
 	// meaningless.
 	AbsTol float64
-	// Parallel bounds concurrent traced runs (0 = GOMAXPROCS). Each
-	// traced point holds its full event stream, so memory scales with
-	// workers x window.
-	Parallel int
 }
 
 // QuickTwinBattery is the CI-sized differential: all schemes at the
@@ -130,73 +123,36 @@ func (p TwinPoint) worst() TwinPhase {
 	return w
 }
 
-// TwinReport is the outcome of a twin differential run.
-type TwinReport struct {
-	Points []TwinPoint
-	Cross  []Check
+func (p TwinPoint) id() (core.Scheme, string, uint64) {
+	return p.Scheme, fmt.Sprintf("U=%.2f@%.4f", p.Utilization, p.Rate), p.Obs.Result.Digest
 }
 
-// Pass reports whether the whole differential is green.
-func (r *TwinReport) Pass() bool {
-	for _, p := range r.Points {
-		if !p.Pass() {
-			return false
-		}
+// failure is Detail, or failing that the worst phase against its band.
+func (p TwinPoint) failure() string {
+	if p.Detail != "" {
+		return p.Detail
 	}
-	for _, c := range r.Cross {
-		if !c.Pass {
-			return false
-		}
-	}
-	return true
+	w := p.worst()
+	return fmt.Sprintf("%s pred %.2f vs exact %.2f (err %+.2f, band max(10%%, 0.75))", w.Phase, w.Pred, w.Obs, w.Err)
 }
 
-// Failures returns every failing point and cross check as printable lines.
-func (r *TwinReport) Failures() []string {
-	var out []string
-	for _, p := range r.Points {
-		if !p.Pass() {
-			detail := p.Detail
-			if detail == "" {
-				w := p.worst()
-				detail = fmt.Sprintf("%s pred %.2f vs exact %.2f (err %+.2f, band max(10%%, 0.75))",
-					w.Phase, w.Pred, w.Obs, w.Err)
-			}
-			out = append(out, fmt.Sprintf("%s U=%.2f (rate %.4f): %s", p.Scheme, p.Utilization, p.Rate, detail))
-		}
-	}
-	for _, c := range r.Cross {
-		if !c.Pass {
-			out = append(out, fmt.Sprintf("%s: %s", c.Name, c.Detail))
-		}
-	}
-	return out
+// row shows predicted and measured means, the worst phase by
+// band-normalized error, and the verdict.
+func (p TwinPoint) row() []any {
+	w := p.worst()
+	return []any{p.Scheme.String(), p.Family,
+		fmt.Sprintf("%.2f", p.Utilization),
+		fmt.Sprintf("%.4f", p.Rate),
+		fmt.Sprintf("%.2f", p.Pred.Mean),
+		fmt.Sprintf("%.2f", p.Obs.Total),
+		w.Phase,
+		fmt.Sprintf("%.2f", w.Pred),
+		fmt.Sprintf("%.2f", w.Obs),
+		mark(p.Pass())}
 }
 
-// Table renders the per-point verdicts for cmd/verify: predicted and
-// measured means, the worst phase by band-normalized error, and the
-// verdict.
-func (r *TwinReport) Table() *stats.Table {
-	t := stats.NewTable("analytical twin vs exact spans",
-		"scheme", "family", "util", "rate", "twin-mean", "exact-mean", "worst-phase", "pred", "obs", "verdict")
-	for _, p := range r.Points {
-		w := p.worst()
-		verdict := "ok"
-		if !p.Pass() {
-			verdict = "FAIL"
-		}
-		t.AddRow(p.Scheme.String(), p.Family,
-			fmt.Sprintf("%.2f", p.Utilization),
-			fmt.Sprintf("%.4f", p.Rate),
-			fmt.Sprintf("%.2f", p.Pred.Mean),
-			fmt.Sprintf("%.2f", p.Obs.Total),
-			w.Phase,
-			fmt.Sprintf("%.2f", w.Pred),
-			fmt.Sprintf("%.2f", w.Obs),
-			verdict)
-	}
-	return t
-}
+var twinLayout = layout{"twin", "analytical twin vs exact spans", []string{
+	"scheme", "family", "util", "rate", "twin-mean", "exact-mean", "worst-phase", "pred", "obs", "verdict"}}
 
 var phaseNames = [ptrace.NumPhases]string{
 	ptrace.PhasePipeline:      "pipeline",
@@ -213,7 +169,7 @@ var phaseNames = [ptrace.NumPhases]string{
 // utilization) phase comparisons plus model-side cross checks (the
 // divergence flag must trip before the twin's own saturation estimate,
 // and no battery anchor may sit in the self-reported divergence regime).
-func RunTwin(b TwinBattery) (*TwinReport, error) {
+func RunTwin(b TwinBattery) (*Report[TwinPoint], error) {
 	if len(b.Schemes) == 0 {
 		b.Schemes = core.Schemes()
 	}
@@ -229,10 +185,6 @@ func RunTwin(b TwinBattery) (*TwinReport, error) {
 	}
 	if b.AbsTol == 0 {
 		b.AbsTol = def.AbsTol
-	}
-	workers := b.Parallel
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
 	}
 
 	models := make(map[core.Scheme]*twin.Model, len(b.Schemes))
@@ -254,15 +206,17 @@ func RunTwin(b TwinBattery) (*TwinReport, error) {
 			jobs = append(jobs, job{s, u})
 		}
 	}
-	points := make([]TwinPoint, len(jobs))
-	errs := farm.Do(len(jobs), workers, func(i int) error {
-		j := jobs[i]
+	// Each traced point holds its full event stream, so memory scales with
+	// GOMAXPROCS x window.
+	points, err := fanOut(jobs, 0, func(j job) string {
+		return fmt.Sprintf("twin %s U=%.2f", j.scheme, j.util)
+	}, func(j job) (TwinPoint, error) {
 		m := models[j.scheme]
 		rate := j.util * m.SaturationRate()
 		pred := m.Predict(rate)
 		obs, err := exp.ExactBreakdownPoint(j.scheme, rate, b.Opts)
 		if err != nil {
-			return err
+			return TwinPoint{}, err
 		}
 		p := TwinPoint{
 			Scheme:      j.scheme,
@@ -293,15 +247,12 @@ func RunTwin(b TwinBattery) (*TwinReport, error) {
 		}
 		p.Total = TwinPhase{Phase: "total", Pred: pred.Mean, Obs: obs.Total, Err: pred.Mean - obs.Total}
 		p.Total.Pass = p.Total.Err <= band(p.Total.Obs) && -p.Total.Err <= band(p.Total.Obs)
-		points[i] = p
-		return nil
+		return p, nil
 	})
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("check: twin %s U=%.2f: %w", jobs[i].scheme, jobs[i].util, err)
-		}
+	if err != nil {
+		return nil, err
 	}
-	rep := &TwinReport{Points: points}
+	rep := &Report[TwinPoint]{Points: points, layout: twinLayout}
 
 	// Model-side cross checks, no simulation needed: the divergence flag
 	// must trip strictly inside the twin's own saturation estimate (the

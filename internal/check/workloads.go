@@ -2,12 +2,9 @@ package check
 
 import (
 	"fmt"
-	"reflect"
 
 	"photon/internal/core"
-	"photon/internal/farm"
 	"photon/internal/sim"
-	"photon/internal/stats"
 	"photon/internal/traffic"
 )
 
@@ -31,8 +28,6 @@ type WorkloadBattery struct {
 	// DrainLimit bounds the extra post-window drain before the final
 	// audit.
 	DrainLimit int64
-	// Parallel bounds concurrent point verifications (0 = GOMAXPROCS).
-	Parallel int
 }
 
 // QuickWorkloadBattery is the CI-sized workload battery: all schemes over
@@ -49,99 +44,34 @@ func QuickWorkloadBattery(seed uint64) WorkloadBattery {
 }
 
 // WorkloadPointReport is the verdict for one (scheme, workload) pair.
+// TapeFaithful is judged against a live workload injector, and
+// Conservation also covers the mid-run phase-boundary audits.
 type WorkloadPointReport struct {
-	Scheme   core.Scheme
+	TapeVerdict
 	Workload string // preset name
 	Spec     string // canonical workload spec
-
-	Digest uint64
-	Events uint64
-
-	Injected  int64
-	Delivered int64
-	Backlog   int
-
-	// Deterministic: two replays of the workload tape produced identical
-	// core.Result structs (digest included).
-	Deterministic bool
-	// TapeFaithful: a live workload injector matched the tape replay's
-	// digest.
-	TapeFaithful bool
 	// Boundaries counts the schedule phase boundaries the conservation
 	// auditor checked mid-run (the final post-drain audit is extra).
 	Boundaries int
-	// Conservation holds the first auditor failure ("" = pass).
-	Conservation string
-
-	Detail string
 }
 
-// Pass reports whether every per-point check succeeded.
-func (p WorkloadPointReport) Pass() bool {
-	return p.Deterministic && p.TapeFaithful && p.Conservation == ""
+func (p WorkloadPointReport) id() (core.Scheme, string, uint64) {
+	return p.Scheme, p.Workload, p.Digest
 }
 
-// WorkloadReport is the outcome of a workload battery run.
-type WorkloadReport struct {
-	Points []WorkloadPointReport
-	Cross  []Check
+func (p WorkloadPointReport) row() []any {
+	return []any{p.Scheme.String(), p.Workload,
+		fmt.Sprintf("%016x", p.Digest), p.Events, p.Injected, p.Delivered, p.Backlog, p.Boundaries,
+		mark(p.Deterministic), mark(p.TapeFaithful), mark(p.Conservation == "")}
 }
 
-// Pass reports whether the whole battery is green.
-func (r *WorkloadReport) Pass() bool {
-	for _, p := range r.Points {
-		if !p.Pass() {
-			return false
-		}
-	}
-	for _, c := range r.Cross {
-		if !c.Pass {
-			return false
-		}
-	}
-	return true
-}
-
-// Failures returns every failing point and cross check, flattened into
-// printable lines.
-func (r *WorkloadReport) Failures() []string {
-	var out []string
-	for _, p := range r.Points {
-		if !p.Pass() {
-			out = append(out, fmt.Sprintf("%s %s: %s", p.Scheme, p.Workload, p.Detail))
-		}
-	}
-	for _, c := range r.Cross {
-		if !c.Pass {
-			out = append(out, fmt.Sprintf("%s: %s", c.Name, c.Detail))
-		}
-	}
-	return out
-}
-
-// Table renders the per-point verdicts for cmd/verify.
-func (r *WorkloadReport) Table() *stats.Table {
-	t := stats.NewTable("workload differential battery",
-		"scheme", "workload", "digest", "events", "injected", "delivered", "backlog", "phases", "determ", "tape", "conserve")
-	mark := func(ok bool) string {
-		if ok {
-			return "ok"
-		}
-		return "FAIL"
-	}
-	for _, p := range r.Points {
-		t.AddRow(p.Scheme.String(), p.Workload,
-			fmt.Sprintf("%016x", p.Digest), p.Events, p.Injected, p.Delivered, p.Backlog, p.Boundaries,
-			mark(p.Deterministic), mark(p.TapeFaithful), mark(p.Conservation == ""))
-	}
-	return t
-}
+var workloadLayout = layout{"workloads", "workload differential battery", []string{
+	"scheme", "workload", "digest", "events", "injected", "delivered", "backlog", "phases", "determ", "tape", "conserve"}}
 
 // RunWorkloads executes the workload battery: per-point determinism,
-// tape faithfulness and phase-boundary conservation under farm.Do
-// supervision, then the cross-scheme differential comparison over each
-// shared tape.
-func RunWorkloads(b WorkloadBattery) (*WorkloadReport, error) {
+// tape faithfulness and phase-boundary conservation, then the
+// cross-scheme differential comparison over each shared tape.
+func RunWorkloads(b WorkloadBattery) (*Report[WorkloadPointReport], error) {
 	if len(b.Schemes) == 0 {
 		b.Schemes = core.Schemes()
 	}
@@ -154,17 +84,17 @@ func RunWorkloads(b WorkloadBattery) (*WorkloadReport, error) {
 	if b.Window.Total() == 0 {
 		b.Window = QuickWorkloadBattery(b.Seed).Window
 	}
-	workers := b.Parallel // farm.Do treats <= 0 as GOMAXPROCS
 
 	// One tape per workload; every scheme replays the same tape, so the
-	// cross-scheme comparison is over byte-identical offered traffic.
+	// cross-scheme comparison is over byte-identical offered traffic and
+	// each tape's jobs are contiguous in scheme order.
 	type job struct {
+		scheme   core.Scheme
 		preset   traffic.WorkloadPreset
 		workload *traffic.Workload
 		tape     *traffic.Tape
 	}
 	cfg0 := core.DefaultConfig(b.Schemes[0])
-	span := b.Window.Warmup + b.Window.Measure
 	var jobs []job
 	for i, p := range b.Workloads {
 		w, err := traffic.ParseWorkload(p.Spec)
@@ -172,53 +102,27 @@ func RunWorkloads(b WorkloadBattery) (*WorkloadReport, error) {
 			return nil, fmt.Errorf("check: workload %s: %w", p.Name, err)
 		}
 		tape, err := traffic.RecordWorkloadTape(w, b.Pattern, cfg0.Nodes, cfg0.CoresPerNode,
-			sim.DeriveSeed(b.Seed, uint64(i)), span)
+			sim.DeriveSeed(b.Seed, uint64(i)), b.Window.Warmup+b.Window.Measure)
 		if err != nil {
 			return nil, fmt.Errorf("check: recording %s tape: %w", p.Name, err)
 		}
-		for range b.Schemes {
-			jobs = append(jobs, job{preset: p, workload: w, tape: tape})
+		for _, s := range b.Schemes {
+			jobs = append(jobs, job{scheme: s, preset: p, workload: w, tape: tape})
 		}
 	}
 
-	reports := make([]WorkloadPointReport, len(jobs))
-	errs := farm.Do(len(jobs), workers, func(i int) error {
-		var err error
-		j := jobs[i]
-		s := b.Schemes[i%len(b.Schemes)]
-		reports[i], err = verifyWorkloadPoint(b, s, j.preset, j.workload, j.tape)
-		return err
-	})
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("check: %s %s: %w",
-				b.Schemes[i%len(b.Schemes)], jobs[i].preset.Name, err)
-		}
+	reports, err := fanOut(jobs, 0,
+		func(j job) string { return fmt.Sprintf("%s %s", j.scheme, j.preset.Name) },
+		func(j job) (WorkloadPointReport, error) {
+			return verifyWorkloadPoint(b, j.scheme, j.preset, j.workload, j.tape)
+		})
+	if err != nil {
+		return nil, err
 	}
-	rep := &WorkloadReport{Points: reports}
-
-	// Differential comparison over each shared tape: every scheme must
-	// inject exactly the tape's entries, and fully drained schemes must
-	// deliver exactly the same packet count.
-	for wi, p := range b.Workloads {
-		group := reports[wi*len(b.Schemes) : (wi+1)*len(b.Schemes)]
-		c := Check{Name: fmt.Sprintf("workload differential %s", p.Name), Pass: true}
-		wantInjected := int64(len(jobs[wi*len(b.Schemes)].tape.Entries))
-		for _, r := range group {
-			if r.Injected != wantInjected {
-				c.Pass = false
-				c.Detail = fmt.Sprintf("%s injected %d, tape holds %d entries", r.Scheme, r.Injected, wantInjected)
-			}
-		}
-		for i := 1; i < len(group); i++ {
-			a, bb := group[0], group[i]
-			if a.Backlog == 0 && bb.Backlog == 0 && a.Delivered != bb.Delivered {
-				c.Pass = false
-				c.Detail = fmt.Sprintf("%s delivered %d but %s delivered %d on the same tape",
-					a.Scheme, a.Delivered, bb.Scheme, bb.Delivered)
-			}
-		}
-		rep.Cross = append(rep.Cross, c)
+	rep := &Report[WorkloadPointReport]{Points: reports, layout: workloadLayout}
+	for k := 0; k < len(jobs); k += len(b.Schemes) {
+		name := fmt.Sprintf("workload differential %s", jobs[k].preset.Name)
+		rep.Cross = append(rep.Cross, differential(name, jobs[k].tape, reports[k:k+len(b.Schemes)]))
 	}
 	return rep, nil
 }
@@ -226,32 +130,11 @@ func RunWorkloads(b WorkloadBattery) (*WorkloadReport, error) {
 // verifyWorkloadPoint runs one (scheme, workload) pair through the
 // per-point checks.
 func verifyWorkloadPoint(b WorkloadBattery, s core.Scheme, preset traffic.WorkloadPreset, w *traffic.Workload, tape *traffic.Tape) (WorkloadPointReport, error) {
-	p := WorkloadPointReport{Scheme: s, Workload: preset.Name, Spec: w.String()}
-
-	runTape := func() (core.Result, *core.Network, error) {
-		cfg := core.DefaultConfig(s)
-		cfg.Seed = b.Seed
-		net, err := core.NewNetwork(cfg, b.Window)
-		if err != nil {
-			return core.Result{}, nil, err
-		}
-		res, err := tape.Run(net)
-		return res, net, err
-	}
-
-	res1, _, err := runTape()
-	if err != nil {
+	p := WorkloadPointReport{TapeVerdict: TapeVerdict{Scheme: s}, Workload: preset.Name, Spec: w.String()}
+	cfg := core.DefaultConfig(s)
+	cfg.Seed = b.Seed
+	if _, err := p.replayTwice(cfg, b.Window, tape); err != nil {
 		return p, err
-	}
-	res2, _, err := runTape()
-	if err != nil {
-		return p, err
-	}
-	p.Digest = res2.Digest
-	p.Events = res2.DigestEvents
-	p.Deterministic = reflect.DeepEqual(res1, res2)
-	if !p.Deterministic {
-		p.Detail = fmt.Sprintf("repeat runs diverged: digest %016x vs %016x", res1.Digest, res2.Digest)
 	}
 
 	// Live-injector equivalence and phase-boundary conservation in one
@@ -259,8 +142,6 @@ func verifyWorkloadPoint(b WorkloadBattery, s core.Scheme, preset traffic.Worklo
 	// and audit the packet-conservation identities at every resolved
 	// schedule boundary — the audits are read-only, so the run's digest
 	// must still match the tape replay's.
-	cfg := core.DefaultConfig(s)
-	cfg.Seed = b.Seed
 	net, err := core.NewNetwork(cfg, b.Window)
 	if err != nil {
 		return p, err
@@ -287,29 +168,8 @@ func verifyWorkloadPoint(b WorkloadBattery, s core.Scheme, preset traffic.Worklo
 		}
 	}
 	net.RunCycles(b.Window.Drain)
-	liveRes := net.Result()
-	p.TapeFaithful = liveRes.Digest == res2.Digest
-	if !p.TapeFaithful && p.Detail == "" {
-		p.Detail = fmt.Sprintf("live injector digest %016x != tape digest %016x", liveRes.Digest, res2.Digest)
-	}
+	p.live(net.Result().Digest)
 
-	// Final conservation audits: after the window, then after a bounded
-	// extra drain (sub-saturation runs reach zero backlog; past-saturation
-	// runs stay backlogged and the identities must hold anyway).
-	if err := AuditNetwork(net); err != nil && p.Conservation == "" {
-		p.Conservation = err.Error()
-	}
-	net.Drain(b.DrainLimit)
-	if err := AuditNetwork(net); err != nil && p.Conservation == "" {
-		p.Conservation = err.Error()
-	}
-	if p.Conservation != "" && p.Detail == "" {
-		p.Detail = p.Conservation
-	}
-
-	acct := net.Accounting()
-	p.Injected = acct.Injected
-	p.Delivered = acct.Delivered
-	p.Backlog = acct.Backlog
+	p.settle(net, b.DrainLimit)
 	return p, nil
 }

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"sync"
 
 	"photon/internal/core"
 	"photon/internal/cpu"
@@ -15,6 +14,30 @@ import (
 type AppResult struct {
 	App     string
 	Latency map[core.Scheme]float64
+}
+
+// appJob is one (application, scheme) simulation of the application
+// studies.
+type appJob struct {
+	app    trace.AppModel
+	scheme core.Scheme
+}
+
+// runAppJobs runs one simulation per job on the shared pool and returns
+// each job's scalar in job order, or the lowest-index failure named after
+// the study and the job.
+func runAppJobs(study string, jobs []appJob, opts Options, run func(appJob) (float64, error)) ([]float64, error) {
+	out := make([]float64, len(jobs))
+	errs := Do(len(jobs), opts.Parallel, func(i int) (err error) {
+		out[i], err = run(jobs[i])
+		return err
+	})
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("exp: %s %s/%v: %w", study, jobs[i].app.Name, jobs[i].scheme, err)
+		}
+	}
+	return out, nil
 }
 
 // Fig10 reproduces Figure 10: average communication latency of the
@@ -30,69 +53,43 @@ func Fig10(opts Options) (global, distributed []AppResult, ta, tb *stats.Table, 
 	globalSchemes := core.GlobalGroup()
 	distSchemes := core.DistributedGroup()
 
-	apps := trace.Apps()
-	global = make([]AppResult, len(apps))
-	distributed = make([]AppResult, len(apps))
-
-	type job struct {
-		appIdx int
-		scheme core.Scheme
-		dist   bool
-	}
-	var jobs []job
-	for i := range apps {
-		global[i] = AppResult{App: apps[i].Name, Latency: map[core.Scheme]float64{}}
-		distributed[i] = AppResult{App: apps[i].Name, Latency: map[core.Scheme]float64{}}
+	var jobs []appJob
+	for _, app := range trace.Apps() {
+		global = append(global, AppResult{App: app.Name, Latency: map[core.Scheme]float64{}})
+		distributed = append(distributed, AppResult{App: app.Name, Latency: map[core.Scheme]float64{}})
 		for _, s := range globalSchemes {
-			jobs = append(jobs, job{appIdx: i, scheme: s})
+			jobs = append(jobs, appJob{app, s})
 		}
 		for _, s := range distSchemes {
-			jobs = append(jobs, job{appIdx: i, scheme: s, dist: true})
+			jobs = append(jobs, appJob{app, s})
 		}
 	}
-
-	var mu sync.Mutex
-	var firstErr error
-	sem := make(chan struct{}, opts.workers())
-	var wg sync.WaitGroup
-	for _, j := range jobs {
-		wg.Add(1)
-		go func(j job) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			app := apps[j.appIdx]
-			cfg := core.DefaultConfig(j.scheme)
-			cfg.Seed = opts.Seed
-			tr := app.Synthesize(cfg.Cores(), cfg.Nodes, traceCycles, opts.Seed+77)
-			// Measure every packet of the trace (no warmup: app traces are
-			// the workload, not a steady-state process).
-			net, nerr := core.NewNetwork(cfg, sim.Window{Warmup: 0, Measure: traceCycles, Drain: 0})
-			if nerr == nil {
-				var res core.Result
-				res, nerr = trace.Replay(tr, net, 20_000)
-				if nerr == nil {
-					mu.Lock()
-					if j.dist {
-						distributed[j.appIdx].Latency[j.scheme] = res.AvgLatency
-					} else {
-						global[j.appIdx].Latency[j.scheme] = res.AvgLatency
-					}
-					mu.Unlock()
-				}
-			}
-			if nerr != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = fmt.Errorf("exp: Fig10 %s/%v: %w", app.Name, j.scheme, nerr)
-				}
-				mu.Unlock()
-			}
-		}(j)
+	lat, err := runAppJobs("Fig10", jobs, opts, func(j appJob) (float64, error) {
+		cfg := core.DefaultConfig(j.scheme)
+		cfg.Seed = opts.Seed
+		tr := j.app.Synthesize(cfg.Cores(), cfg.Nodes, traceCycles, opts.Seed+77)
+		// Measure every packet of the trace (no warmup: app traces are
+		// the workload, not a steady-state process).
+		net, err := core.NewNetwork(cfg, sim.Window{Warmup: 0, Measure: traceCycles, Drain: 0})
+		if err != nil {
+			return 0, err
+		}
+		res, err := trace.Replay(tr, net, 20_000)
+		return res.AvgLatency, err
+	})
+	if err != nil {
+		return nil, nil, nil, nil, err
 	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, nil, nil, nil, firstErr
+	k := 0 // walks lat in the order jobs were submitted
+	for i := range global {
+		for _, s := range globalSchemes {
+			global[i].Latency[s] = lat[k]
+			k++
+		}
+		for _, s := range distSchemes {
+			distributed[i].Latency[s] = lat[k]
+			k++
+		}
 	}
 
 	ta = appTable("Figure 10(a): application latency (cycles), global arbitration", global, globalSchemes)
@@ -160,69 +157,42 @@ func IPCStudy(baseline, handshake core.Scheme, opts Options) ([]IPCResult, *stat
 	if opts.Quick {
 		cycles = 8_000
 	}
-	apps := trace.Apps()
-	out := make([]IPCResult, len(apps))
-
-	type job struct {
-		appIdx int
-		scheme core.Scheme
-		isBase bool
+	var out []IPCResult
+	var jobs []appJob
+	for _, app := range trace.Apps() {
+		out = append(out, IPCResult{App: app.Name})
+		jobs = append(jobs, appJob{app, baseline}, appJob{app, handshake})
 	}
-	var jobs []job
-	for i := range apps {
-		out[i] = IPCResult{App: apps[i].Name}
-		jobs = append(jobs, job{i, baseline, true}, job{i, handshake, false})
+	ipc, err := runAppJobs("IPC", jobs, opts, func(j appJob) (float64, error) {
+		cfg := core.DefaultConfig(j.scheme)
+		cfg.Seed = opts.Seed
+		net, err := core.NewNetwork(cfg, sim.Window{Warmup: 0, Measure: cycles, Drain: 0})
+		if err != nil {
+			return 0, err
+		}
+		params := cpu.DefaultParams()
+		params.Seed = opts.Seed + 13
+		// The closed-loop operating point uses 3x the trace's mean miss
+		// flux: the paper's full-system out-of-order cores keep several
+		// accesses in flight per committed load, so the 4-entry MSHR
+		// window is meaningfully exercised during memory phases. Without
+		// this headroom, self-throttling hides the network from IPC
+		// entirely.
+		params.MissPer1kInstr = 3 * cpu.AppMissIntensity(j.app.MeanRate, params.IssueWidth)
+		params.Burstiness = j.app.Burstiness
+		params.MeanBurst = j.app.MeanBurst
+		params.PhaseSync = j.app.PhaseSync
+		m, err := cpu.New(params, net)
+		if err != nil {
+			return 0, err
+		}
+		return m.Run(cycles).IPC, nil
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	var mu sync.Mutex
-	var firstErr error
-	sem := make(chan struct{}, opts.workers())
-	var wg sync.WaitGroup
-	for _, j := range jobs {
-		wg.Add(1)
-		go func(j job) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			app := apps[j.appIdx]
-			cfg := core.DefaultConfig(j.scheme)
-			cfg.Seed = opts.Seed
-			net, err := core.NewNetwork(cfg, sim.Window{Warmup: 0, Measure: cycles, Drain: 0})
-			var outcome cpu.Outcome
-			if err == nil {
-				params := cpu.DefaultParams()
-				params.Seed = opts.Seed + 13
-				// The closed-loop operating point uses 3x the trace's mean
-				// miss flux: the paper's full-system out-of-order cores
-				// keep several accesses in flight per committed load, so
-				// the 4-entry MSHR window is meaningfully exercised during
-				// memory phases. Without this headroom, self-throttling
-				// hides the network from IPC entirely.
-				params.MissPer1kInstr = 3 * cpu.AppMissIntensity(app.MeanRate, params.IssueWidth)
-				params.Burstiness = app.Burstiness
-				params.MeanBurst = app.MeanBurst
-				params.PhaseSync = app.PhaseSync
-				var m *cpu.CMP
-				m, err = cpu.New(params, net)
-				if err == nil {
-					outcome = m.Run(cycles)
-				}
-			}
-			mu.Lock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("exp: IPC %s/%v: %w", app.Name, j.scheme, err)
-				}
-			} else if j.isBase {
-				out[j.appIdx].BaselineIPC = outcome.IPC
-			} else {
-				out[j.appIdx].HandshakeIPC = outcome.IPC
-			}
-			mu.Unlock()
-		}(j)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, nil, firstErr
+	for i := range out {
+		out[i].BaselineIPC, out[i].HandshakeIPC = ipc[2*i], ipc[2*i+1]
 	}
 
 	t := stats.NewTable(

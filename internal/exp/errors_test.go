@@ -89,14 +89,3 @@ func TestRunPointsEmpty(t *testing.T) {
 		t.Fatalf("empty RunPoints: %v, %d", err, len(res))
 	}
 }
-
-func TestOptionsWorkers(t *testing.T) {
-	o := Options{}
-	if o.workers() < 1 {
-		t.Fatal("default workers < 1")
-	}
-	o.Parallel = 3
-	if o.workers() != 3 {
-		t.Fatal("explicit workers ignored")
-	}
-}

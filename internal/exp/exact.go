@@ -15,16 +15,7 @@ import (
 // tap is digest-inert, so Result (Digest included) is bit-identical to
 // RunPoint's for the same point and options.
 func RunTracedPoint(p Point, opts Options) (core.Result, *ptrace.TraceResult, error) {
-	cfg := core.DefaultConfig(p.Scheme)
-	cfg.Seed = opts.Seed
-	if p.Mod != nil {
-		p.Mod(&cfg)
-	}
-	net, err := core.NewNetwork(cfg, opts.Window)
-	if err != nil {
-		return core.Result{}, nil, err
-	}
-	inj, err := pointInjector(p, cfg, opts)
+	net, inj, err := buildPoint(p, opts)
 	if err != nil {
 		return core.Result{}, nil, err
 	}
@@ -47,16 +38,7 @@ func RunTracedPoint(p Point, opts Options) (core.Result, *ptrace.TraceResult, er
 // trace of the same run. The stream is digest-inert, so Result matches
 // RunPoint bit for bit.
 func RunStreamedPoint(p Point, opts Options) (core.Result, ptrace.Attribution, *ptrace.Stream, error) {
-	cfg := core.DefaultConfig(p.Scheme)
-	cfg.Seed = opts.Seed
-	if p.Mod != nil {
-		p.Mod(&cfg)
-	}
-	net, err := core.NewNetwork(cfg, opts.Window)
-	if err != nil {
-		return core.Result{}, ptrace.Attribution{}, nil, err
-	}
-	inj, err := pointInjector(p, cfg, opts)
+	net, inj, err := buildPoint(p, opts)
 	if err != nil {
 		return core.Result{}, ptrace.Attribution{}, nil, err
 	}
@@ -78,10 +60,9 @@ func RunStreamedPoint(p Point, opts Options) (core.Result, ptrace.Attribution, *
 
 // ExactBreakdownRow is one scheme's exact latency attribution at an
 // operating point: mean cycles per measured delivered packet in each
-// span phase. Unlike the legacy BreakdownRow — which reconstructs three
-// coarse stages from whole-run histogram averages — every column here is
-// an exact per-packet sum, and the columns add up to Total by
-// construction (the span algebra guarantees it per packet).
+// span phase. Every column is an exact per-packet sum, and the columns
+// add up to Total by construction (the span algebra guarantees it per
+// packet).
 type ExactBreakdownRow struct {
 	Scheme core.Scheme
 	// Phases holds mean cycles per measured delivered packet, by phase.

@@ -37,63 +37,64 @@ func TestExactBreakdownInternalConsistency(t *testing.T) {
 }
 
 // TestExactBreakdownDifferential compares exact attribution against the
-// legacy whole-run-average breakdown on every scheme at a contended
-// point. Where the legacy decomposition is exact — total latency, and
-// the queue/arbitration terms over the launched population — the two
-// must agree to the bit. The legacy flight+eject term is genuinely
-// approximate: it subtracts a remote-only average from an
-// all-deliveries average, so it is off by exactly ΣQW·L/(N·M) cycles
-// (L local deliveries, M remote, N = L+M). The test asserts that bound,
-// not a hand-waved tolerance.
+// whole-run-average decomposition the engine's own histograms give
+// (Result.AvgLatency / AvgArbWait / AvgQueueWait) on every scheme at a
+// contended point. Where the average-based decomposition is exact —
+// total latency, and the queue/arbitration terms over the launched
+// population — the two must agree to the bit. Its flight+eject
+// remainder is genuinely approximate: it subtracts a remote-only average
+// from an all-deliveries average, so it is off by exactly ΣQW·L/(N·M)
+// cycles (L local deliveries, M remote, N = L+M). The test asserts that
+// bound, not a hand-waved tolerance — it is why the average-based
+// breakdown is not offered as an attribution.
 func TestExactBreakdownDifferential(t *testing.T) {
-	const load = 0.13
-	opts := quickOpts()
-	exact, _, err := ExactBreakdown(load, opts)
+	exact, _, err := ExactBreakdown(0.13, quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, _, err := LatencyBreakdown(load, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(exact) != len(legacy) {
-		t.Fatalf("%d exact rows vs %d legacy rows", len(exact), len(legacy))
+	if len(exact) != len(core.Schemes()) {
+		t.Fatalf("%d exact rows vs %d schemes", len(exact), len(core.Schemes()))
 	}
 	for i, ex := range exact {
-		lg := legacy[i]
-		if ex.Scheme != lg.Scheme {
-			t.Fatalf("row %d: scheme mismatch %v vs %v", i, ex.Scheme, lg.Scheme)
+		if ex.Scheme != core.Schemes()[i] || ex.Result.Scheme != ex.Scheme {
+			t.Fatalf("row %d: scheme mismatch %v vs %v", i, ex.Scheme, ex.Result.Scheme)
 		}
+		// The average-based decomposition of the same run.
+		r := ex.Result
+		avgArb := r.AvgArbWait
+		avgQueue := math.Max(0, r.AvgQueueWait-avgArb)
+		avgRest := math.Max(0, r.AvgLatency-r.AvgQueueWait)
+
 		attr := ex.Attr
 		n, m, l := attr.Spans, attr.Remote(), attr.Local
 		if n == 0 || m == 0 {
 			t.Fatalf("%v: degenerate population n=%d m=%d", ex.Scheme, n, m)
 		}
 
-		// Exact where the old path is exact: total latency…
-		if ex.Total != lg.Total {
-			t.Errorf("%v: total %v != legacy total %v", ex.Scheme, ex.Total, lg.Total)
+		// Exact where the averages are exact: total latency…
+		if ex.Total != r.AvgLatency {
+			t.Errorf("%v: total %v != AvgLatency %v", ex.Scheme, ex.Total, r.AvgLatency)
 		}
 		// …the arbitration term (token wait over launched packets)…
 		arb := float64(attr.Phases[ptrace.PhaseTokenWait]) / float64(m)
-		if arb != lg.Arbitration {
-			t.Errorf("%v: token-wait %v != legacy arbitration %v", ex.Scheme, arb, lg.Arbitration)
+		if arb != avgArb {
+			t.Errorf("%v: token-wait %v != AvgArbWait %v", ex.Scheme, arb, avgArb)
 		}
 		// …and the queueing term (enqueue to head-eligibility).
 		queue := float64(attr.Phases[ptrace.PhaseQueue]) / float64(m)
-		if math.Abs(queue-lg.Queueing) > 1e-9 {
-			t.Errorf("%v: queue %v != legacy queueing %v", ex.Scheme, queue, lg.Queueing)
+		if math.Abs(queue-avgQueue) > 1e-9 {
+			t.Errorf("%v: queue %v != average-based queueing %v", ex.Scheme, queue, avgQueue)
 		}
 
-		// Bounded where the old path is approximate: its flight+eject
-		// remainder mixes populations. |legacy − exact| must equal
+		// Bounded where the averages are approximate: the flight+eject
+		// remainder mixes populations. |average − exact| must equal
 		// ΣQW·L/(N·M) up to float rounding.
 		sumQW := attr.Phases[ptrace.PhaseQueue] + attr.Phases[ptrace.PhaseTokenWait]
 		exactRest := float64(attr.Total-sumQW) / float64(n)
 		bound := float64(sumQW) * float64(l) / (float64(n) * float64(m))
-		if diff := math.Abs(lg.FlightAndEject - exactRest); diff > bound+1e-9 {
-			t.Errorf("%v: legacy flight+eject %v vs exact %v: |diff| %v exceeds population bound %v",
-				ex.Scheme, lg.FlightAndEject, exactRest, diff, bound)
+		if diff := math.Abs(avgRest - exactRest); diff > bound+1e-9 {
+			t.Errorf("%v: average-based flight+eject %v vs exact %v: |diff| %v exceeds population bound %v",
+				ex.Scheme, avgRest, exactRest, diff, bound)
 		}
 	}
 }

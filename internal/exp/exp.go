@@ -10,9 +10,7 @@ package exp
 
 import (
 	"fmt"
-	"runtime"
 	"runtime/debug"
-	"sync"
 
 	"photon/internal/core"
 	"photon/internal/sim"
@@ -43,13 +41,6 @@ func QuickOptions() Options {
 	return Options{Window: sim.ShortWindow(), Seed: 1, Quick: true}
 }
 
-func (o Options) workers() int {
-	if o.Parallel > 0 {
-		return o.Parallel
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // Point identifies one simulated configuration of a sweep.
 type Point struct {
 	Scheme  core.Scheme
@@ -65,35 +56,9 @@ type Point struct {
 	Mod func(*core.Config)
 }
 
-// pointInjector builds the injector a point specifies: the legacy
-// fixed-rate Bernoulli path when Workload is empty (bit-identical to the
-// pre-workload injector), the parsed workload otherwise. Both use the
-// same derived seed, so a workload spec of "bernoulli(rate=r)" and a
-// bare Rate r are the same experiment.
-func pointInjector(p Point, cfg core.Config, opts Options) (*traffic.Injector, error) {
-	seed := opts.Seed + 0x9E37
-	if p.Workload == "" {
-		return traffic.NewInjector(p.Pattern, p.Rate, cfg.Nodes, cfg.CoresPerNode, seed)
-	}
-	w, err := traffic.ParseWorkload(p.Workload)
-	if err != nil {
-		return nil, err
-	}
-	return traffic.NewWorkloadInjector(w, p.Pattern, cfg.Nodes, cfg.CoresPerNode, seed)
-}
-
 // RunPoint simulates one point and returns its result.
 func RunPoint(p Point, opts Options) (core.Result, error) {
-	cfg := core.DefaultConfig(p.Scheme)
-	cfg.Seed = opts.Seed
-	if p.Mod != nil {
-		p.Mod(&cfg)
-	}
-	net, err := core.NewNetwork(cfg, opts.Window)
-	if err != nil {
-		return core.Result{}, err
-	}
-	inj, err := pointInjector(p, cfg, opts)
+	net, inj, err := buildPoint(p, opts)
 	if err != nil {
 		return core.Result{}, err
 	}
@@ -132,34 +97,17 @@ func SafeRunPoint(p Point, opts Options) (res core.Result, err error) {
 	return RunPoint(p, opts)
 }
 
-// RunPoints simulates points concurrently (each point is an independent
-// network, so parallelism does not perturb determinism) and returns
-// results in input order. Points run on a bounded worker pool pulling
-// from a shared channel — never one goroutine per point — and a panic in
-// any point is contained to that point and reported as its error.
+// RunPoints simulates points concurrently on the shared pool (each point
+// is an independent network, so parallelism does not perturb determinism)
+// and returns results in input order. A panic in any point is contained
+// to that point and reported as its *PointPanic; with several failing
+// points the lowest-index one is reported.
 func RunPoints(points []Point, opts Options) ([]core.Result, error) {
 	results := make([]core.Result, len(points))
-	errs := make([]error, len(points))
-	workers := opts.workers()
-	if workers > len(points) {
-		workers = len(points)
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				results[i], errs[i] = SafeRunPoint(points[i], opts)
-			}
-		}()
-	}
-	for i := range points {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
+	errs := Do(len(points), opts.Parallel, func(i int) (err error) {
+		results[i], err = SafeRunPoint(points[i], opts)
+		return err
+	})
 	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("exp: point %d (%s %s rate %.3f): %w",

@@ -108,26 +108,14 @@ type Fig11fResult struct {
 	Scheme   core.Scheme
 	Setaside int
 	Latency  float64
+	// Result is the point's full run result (digest included).
+	Result core.Result
 }
 
 // Fig11f reproduces Figure 11(f): latency of GHS and DHS with setaside
 // sizes 1/2/4/8/16 under UR at 0.11 packets/cycle/core.
 func Fig11f(opts Options) ([]Fig11fResult, *stats.Table, error) {
-	const rate = 0.11
-	sizes := []int{1, 2, 4, 8, 16}
-	var points []Point
-	for _, scheme := range []core.Scheme{core.GHSSetaside, core.DHSSetaside} {
-		for _, s := range sizes {
-			s := s
-			points = append(points, Point{
-				Scheme:  scheme,
-				Pattern: traffic.UniformRandom{},
-				Rate:    rate,
-				Mod:     func(c *core.Config) { c.SetasideSize = s },
-			})
-		}
-	}
-	results, err := RunPoints(points, opts)
+	results, err := RunPoints(fig11fPoints(), opts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -135,12 +123,12 @@ func Fig11f(opts Options) ([]Fig11fResult, *stats.Table, error) {
 		"scheme", "Setaside_1", "Setaside_2", "Setaside_4", "Setaside_8", "Setaside_16")
 	var out []Fig11fResult
 	k := 0
-	for _, scheme := range []core.Scheme{core.GHSSetaside, core.DHSSetaside} {
+	for _, scheme := range fig11fSchemes {
 		row := []any{scheme.PaperName()}
-		for _, s := range sizes {
+		for _, s := range fig11fSizes {
 			r := results[k]
 			k++
-			out = append(out, Fig11fResult{Scheme: scheme, Setaside: s, Latency: r.AvgLatency})
+			out = append(out, Fig11fResult{Scheme: scheme, Setaside: s, Latency: r.AvgLatency, Result: r})
 			row = append(row, fmt.Sprintf("%.1f", r.AvgLatency))
 		}
 		t.AddRow(row...)

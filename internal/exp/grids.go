@@ -13,8 +13,9 @@ import (
 // available as a named, deterministically ordered []Point so that the
 // sweep farm (internal/farm) can shard it across workers or subprocess
 // shards and rebuild exactly the same grid from its name alone. The
-// figure drivers in figures.go and these builders must agree point for
-// point — TestFigureGridsMatchDrivers pins that.
+// figure drivers in figures.go run these same builders, and
+// TestFigureGridsMatchDrivers pins that driver and grid agree digest for
+// digest, in order.
 
 // sweepPoints expands (series x loads) into points in series-major order,
 // exactly as Sweep submits them.
@@ -45,14 +46,19 @@ func creditSeries(scheme core.Scheme) []SweepSeries {
 	return series
 }
 
-// fig11fPoints is the Figure 11(f) setaside-size grid, with labels so the
-// farm's manifest keys distinguish the sizes.
+// The Figure 11(f) axes: setaside sizes per scheme, in bar order.
+var (
+	fig11fSchemes = []core.Scheme{core.GHSSetaside, core.DHSSetaside}
+	fig11fSizes   = []int{1, 2, 4, 8, 16}
+)
+
+// fig11fPoints is the Figure 11(f) setaside-size grid (scheme-major), with
+// labels so the farm's manifest keys distinguish the sizes.
 func fig11fPoints() []Point {
 	const rate = 0.11
 	var points []Point
-	for _, scheme := range []core.Scheme{core.GHSSetaside, core.DHSSetaside} {
-		for _, s := range []int{1, 2, 4, 8, 16} {
-			s := s
+	for _, scheme := range fig11fSchemes {
+		for _, s := range fig11fSizes {
 			points = append(points, Point{
 				Scheme:  scheme,
 				Label:   fmt.Sprintf("Setaside_%d", s),

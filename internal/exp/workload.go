@@ -54,23 +54,11 @@ func RunWorkloadSLO(p Point, opts Options) (WorkloadSLO, error) {
 	if p.Workload == "" {
 		return WorkloadSLO{}, fmt.Errorf("exp: point has no workload spec")
 	}
-	cfg := core.DefaultConfig(p.Scheme)
-	cfg.Seed = opts.Seed
-	if p.Mod != nil {
-		p.Mod(&cfg)
-	}
-	net, err := core.NewNetwork(cfg, opts.Window)
+	net, inj, err := buildPoint(p, opts)
 	if err != nil {
 		return WorkloadSLO{}, err
 	}
-	w, err := traffic.ParseWorkload(p.Workload)
-	if err != nil {
-		return WorkloadSLO{}, err
-	}
-	inj, err := traffic.NewWorkloadInjector(w, p.Pattern, cfg.Nodes, cfg.CoresPerNode, opts.Seed+0x9E37)
-	if err != nil {
-		return WorkloadSLO{}, err
-	}
+	w := inj.Workload()
 	inj.Prepare(opts.Window.Warmup + opts.Window.Measure)
 	bounds := inj.Boundaries()
 	hists := make([]*stats.Histogram, len(bounds))

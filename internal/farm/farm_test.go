@@ -189,29 +189,6 @@ func TestResumeRejectsMismatchedGrid(t *testing.T) {
 	}
 }
 
-func TestDoContainsPanics(t *testing.T) {
-	errs := Do(5, 2, func(i int) error {
-		if i == 3 {
-			panic("job 3 exploded")
-		}
-		return nil
-	})
-	for i, err := range errs {
-		if i == 3 {
-			if err == nil || !strings.Contains(err.Error(), "job 3 exploded") {
-				t.Fatalf("panic not contained: %v", err)
-			}
-			continue
-		}
-		if err != nil {
-			t.Fatalf("job %d: %v", i, err)
-		}
-	}
-	if got := Do(0, 4, func(int) error { return nil }); len(got) != 0 {
-		t.Fatalf("Do(0) returned %d slots", len(got))
-	}
-}
-
 func TestBackoffSchedule(t *testing.T) {
 	b := Backoff{Base: 100 * time.Millisecond, Cap: 2 * time.Second}
 	want := []time.Duration{

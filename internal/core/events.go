@@ -171,7 +171,8 @@ func (n *Network) SetTracer(t Tracer) {
 // digest fold is unconditional: the fingerprint must cover every run,
 // traced or not, or repeat runs could not be compared.
 func (n *Network) emit(t EventType, p *router.Packet) {
-	n.stats.digest.observe(eventHash(n.now, t, p))
+	d := &n.stats.digest
+	d.observe(eventHash(d.prefixAt(n.now), t, p))
 	if n.onEvent != nil {
 		n.onEvent(Event{Cycle: n.now, Type: t, Packet: p})
 	}
@@ -184,7 +185,8 @@ func (n *Network) emit(t EventType, p *router.Packet) {
 // where a packet's identity would go, so token and stall faults are just
 // as canonical — and just as digest-visible — as packet events.
 func (n *Network) emitMeta(t EventType, aux uint64) {
-	n.stats.digest.observe(metaHash(n.now, t, aux))
+	d := &n.stats.digest
+	d.observe(metaHash(d.prefixAt(n.now), t, aux))
 	if n.onEvent != nil {
 		n.onEvent(Event{Cycle: n.now, Type: t, Aux: aux})
 	}

@@ -96,6 +96,32 @@ func BenchmarkTokenPhase(b *testing.B) {
 	}
 }
 
+// BenchmarkEmit times the per-event fixed cost every canonical protocol
+// event pays with no observer attached — the run-digest fold — through
+// Network.emit itself. Packet ids, node ids and the cycle take the sizes
+// they have late in a saturated 64-node run, and the clock moves on every
+// eight events (about the event density of such a cycle), so the
+// per-cycle prefix is rebuilt as often as it would be live.
+func BenchmarkEmit(b *testing.B) {
+	n, err := NewNetwork(DefaultConfig(DHS), sim.Window{Warmup: 1 << 40})
+	if err != nil {
+		b.Fatal(err)
+	}
+	n.now = 40_000
+	pkts := make([]*router.Packet, 1<<12)
+	for i := range pkts {
+		pkts[i] = router.NewPacket(300_000+uint64(i)*7, i%64, (i*29+1)%64, n.now)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n.emit(EventType(i%int(firstTapOnly)), pkts[i%len(pkts)])
+		if i%8 == 7 {
+			n.now++
+		}
+	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/s")
+}
+
 // BenchmarkSlotScan times the requester-driven capture scan for the single
 // busiest channel of a loaded distributed-token network: the bitmask walk
 // plus per-requester liveness probes, the inner loop the campaign inverted

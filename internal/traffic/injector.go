@@ -10,15 +10,17 @@ import (
 )
 
 // Injector drives a network with an open-loop Workload: every cycle, the
-// active schedule segment's arrival process draws "packets this cycle"
-// for each core, and each drawn packet's destination comes from the
-// Pattern. The legacy constructor wraps a fixed-rate Bernoulli workload
-// — the paper's traffic model — and is bit-identical to the pre-workload
-// injector (TestWorkloadBernoulliCompat).
+// active schedule segment's arrival process decides which cores inject,
+// and each drawn packet's destination comes from the Pattern. The legacy
+// constructor wraps a fixed-rate Bernoulli workload — the paper's traffic
+// model — and is bit-identical to the pre-workload injector
+// (TestWorkloadBernoulliCompat).
 //
 // Each core owns a private RNG stream so results are reproducible and
-// insensitive to core iteration order; the streams live in one contiguous
-// slice because generate touches every one of them every cycle.
+// insensitive to core iteration order. That, and the loop being open
+// (arrivals never look at the network), is what lets the draws be made a
+// block of cycles ahead, one core at a time (refill): nothing can observe
+// when a core's stream was advanced, only what it yielded.
 type Injector struct {
 	pattern      Pattern
 	workload     *Workload
@@ -38,7 +40,22 @@ type Injector struct {
 	segStart []int64
 	segEnd   []int64
 	arrivals []Arrival
+
+	// The drawn-ahead block: buckets[i] holds the injections of cycle
+	// blockStart+i in ascending core order, for cycles up to blockEnd.
+	// Prepare allocates the blockLen buckets.
+	blockStart int64
+	blockEnd   int64
+	buckets    [][]arrival
 }
+
+// blockLen is how many cycles refill draws ahead per core: long enough
+// that the per-core set-up is noise against the draws themselves, short
+// enough that the buckets stay in cache.
+const blockLen = 64
+
+// arrival is one drawn injection waiting in its cycle's bucket.
+type arrival struct{ core, dst int32 }
 
 // NewInjector builds the legacy fixed-rate Bernoulli injector for the
 // given pattern and per-core rate — a single full-span Bernoulli segment
@@ -137,6 +154,14 @@ func (in *Injector) Prepare(span int64) {
 		in.arrivals[i] = in.workload.Segments[i].Proc.New(len(in.rngs), end-at)
 		at = end
 	}
+	// One backing array for the buckets, each sized past a cycle's mean
+	// arrival count so that append only ever grows one for an outlier.
+	per := int(1.5*in.Rate()*float64(len(in.rngs))) + 8
+	backing := make([]arrival, blockLen*per)
+	in.buckets = make([][]arrival, blockLen)
+	for i := range in.buckets {
+		in.buckets[i] = backing[i*per : i*per : (i+1)*per]
+	}
 }
 
 // Boundaries returns the resolved exclusive end cycle of each schedule
@@ -153,6 +178,13 @@ func (in *Injector) Boundaries() []int64 {
 // before net.Step(). The first Tick binds the schedule to the network's
 // injection span (warmup+measure).
 func (in *Injector) Tick(net *core.Network) {
+	in.tick(net, func(c, dst int) {
+		net.Inject(c, dst, router.ClassData, 0)
+	})
+}
+
+// tick is Tick with the injection left to the caller.
+func (in *Injector) tick(net *core.Network, emit func(core, dst int)) {
 	if in.stopped {
 		return
 	}
@@ -160,35 +192,65 @@ func (in *Injector) Tick(net *core.Network) {
 		w := net.Window()
 		in.Prepare(w.Warmup + w.Measure)
 	}
-	in.generate(func(c, dst int) {
-		net.Inject(c, dst, router.ClassData, 0)
-	})
+	in.generate(emit)
 }
 
-// generate draws one cycle's injections and hands each (core, dst) pair to
-// emit. It is the single source of injection randomness, shared by Tick
-// and by tape recording (tape.go), so a recorded tape is bit-identical to
-// what the live injector would have produced. The draw loop is
-// allocation-free (TestGenerateZeroAlloc): arrival state is preallocated
-// by Prepare and the per-cycle work is pure arithmetic on it.
+// generate hands one cycle's (core, dst) injections to emit, in ascending
+// core order. It is the single source of injection randomness, shared by
+// Tick and by tape recording (tape.go), so a recorded tape is
+// bit-identical to what the live injector would have produced. It is
+// allocation-free in steady state (TestGenerateZeroAlloc): arrival state
+// and buckets are preallocated by Prepare.
 func (in *Injector) generate(emit func(core, dst int)) {
+	if in.cursor == in.blockEnd {
+		in.refill()
+	}
+	for _, a := range in.buckets[in.cursor-in.blockStart] {
+		emit(int(a.core), int(a.dst))
+	}
+	in.cursor++
+}
+
+// refill draws the next block of cycles, core by core: each core runs its
+// own stream through the whole block — arrival draws, and on each hit the
+// destination draws, in the order the cycle-by-cycle loop would make them
+// — dropping its injections into the per-cycle buckets, which therefore
+// fill in ascending core order. A block never crosses a schedule-segment
+// end, because the next segment's process takes the streams over there.
+// Draws for cycles that are never emitted (after Stop, past the span) are
+// invisible: nothing else reads the streams.
+func (in *Injector) refill() {
 	for in.seg < len(in.segEnd)-1 && in.cursor >= in.segEnd[in.seg] {
 		in.seg++
 	}
+	end := in.cursor + blockLen
+	if in.seg < len(in.segEnd)-1 {
+		end = min(end, in.segEnd[in.seg])
+	}
+	n := int(end - in.cursor)
+	buckets := in.buckets[:n]
+	for i := range buckets {
+		buckets[i] = buckets[i][:0]
+	}
 	a := in.arrivals[in.seg]
 	t := in.cursor - in.segStart[in.seg]
-	in.cursor++
 	for c := range in.rngs {
 		rng := &in.rngs[c]
 		w := 1.0
 		if in.weights != nil {
 			w = in.weights[c]
 		}
-		for n := a.Draw(c, t, w, rng); n > 0; n-- {
-			src := c / in.coresPerNode
-			emit(c, in.pattern.Dest(src, in.nodes, rng))
+		src := c / in.coresPerNode
+		for i := 0; i < n; i++ {
+			i += a.Next(c, t+int64(i), n-i, w, rng)
+			if i == n {
+				break
+			}
+			dst := in.pattern.Dest(src, in.nodes, rng)
+			buckets[i] = append(buckets[i], arrival{int32(c), int32(dst)})
 		}
 	}
+	in.blockStart, in.blockEnd = in.cursor, end
 }
 
 // Run drives net through its full window (warmup+measure with injection,

@@ -5,7 +5,6 @@ import (
 
 	"photon/internal/core"
 	"photon/internal/router"
-	"photon/internal/sim"
 	"photon/internal/stats"
 )
 
@@ -19,13 +18,12 @@ import (
 // of the first flit to delivery of the last), the metric that matters for
 // multi-flit transfers such as cache lines wider than the channel.
 type MultiFlitInjector struct {
-	pattern       Pattern
-	rate          float64 // messages/cycle/core
+	// The embedded Bernoulli injector draws the messages: one (core, dst)
+	// pair per message at rate messages/cycle/core, from the same
+	// generator — and so the same validation and the same streams — as
+	// single-flit traffic.
+	*Injector
 	flitsPerMsg   int
-	nodes         int
-	coresPerNode  int
-	rngs          []sim.RNG
-	stopped       bool
 	nextMsg       uint64
 	remaining     map[uint64]int
 	created       map[uint64]int64
@@ -37,31 +35,19 @@ type MultiFlitInjector struct {
 // NewMultiFlitInjector builds an injector sending flitsPerMsg flits per
 // message at rate messages/cycle/core.
 func NewMultiFlitInjector(pattern Pattern, rate float64, flitsPerMsg, nodes, coresPerNode int, seed uint64) (*MultiFlitInjector, error) {
-	if rate < 0 || rate > 1 {
-		return nil, fmt.Errorf("traffic: message rate %g outside [0,1]", rate)
-	}
 	if flitsPerMsg < 1 {
 		return nil, fmt.Errorf("traffic: flits per message must be >= 1, got %d", flitsPerMsg)
 	}
-	if pattern == nil {
-		return nil, fmt.Errorf("traffic: nil pattern")
-	}
-	cores := nodes * coresPerNode
-	root := sim.NewRNG(seed)
-	rngs := make([]sim.RNG, cores)
-	for i := range rngs {
-		rngs[i] = *root.Fork(uint64(i))
+	in, err := NewInjector(pattern, rate, nodes, coresPerNode, seed)
+	if err != nil {
+		return nil, err
 	}
 	return &MultiFlitInjector{
-		pattern:      pattern,
-		rate:         rate,
-		flitsPerMsg:  flitsPerMsg,
-		nodes:        nodes,
-		coresPerNode: coresPerNode,
-		rngs:         rngs,
-		remaining:    map[uint64]int{},
-		created:      map[uint64]int64{},
-		MsgLatency:   stats.NewHistogram(0),
+		Injector:    in,
+		flitsPerMsg: flitsPerMsg,
+		remaining:   map[uint64]int{},
+		created:     map[uint64]int64{},
+		MsgLatency:  stats.NewHistogram(0),
 	}, nil
 }
 
@@ -90,9 +76,6 @@ func (in *MultiFlitInjector) Install(net *core.Network) {
 	}
 }
 
-// Stop halts injection.
-func (in *MultiFlitInjector) Stop() { in.stopped = true }
-
 // Pending reports messages awaiting reassembly.
 func (in *MultiFlitInjector) Pending() int { return len(in.remaining) }
 
@@ -100,16 +83,7 @@ func (in *MultiFlitInjector) Pending() int { return len(in.remaining) }
 // the router back-to-back (they serialise through the core's injection
 // port over the following cycles via the output queue).
 func (in *MultiFlitInjector) Tick(net *core.Network) {
-	if in.stopped {
-		return
-	}
-	for c := range in.rngs {
-		rng := &in.rngs[c]
-		if !rng.Bernoulli(in.rate) {
-			continue
-		}
-		src := c / in.coresPerNode
-		dst := in.pattern.Dest(src, in.nodes, rng)
+	in.tick(net, func(c, dst int) {
 		msg := in.nextMsg
 		in.nextMsg++
 		in.remaining[msg] = in.flitsPerMsg
@@ -118,7 +92,7 @@ func (in *MultiFlitInjector) Tick(net *core.Network) {
 		for f := 0; f < in.flitsPerMsg; f++ {
 			net.Inject(c, dst, router.ClassData, msg)
 		}
-	}
+	})
 }
 
 // Run drives net through its window and returns the mean message latency

@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"math"
 	"testing"
 
 	"photon/internal/core"
@@ -8,14 +9,32 @@ import (
 )
 
 func TestMultiFlitValidation(t *testing.T) {
-	if _, err := NewMultiFlitInjector(UniformRandom{}, 0.01, 0, 64, 4, 1); err == nil {
-		t.Error("zero flits accepted")
+	ur := UniformRandom{}
+	cases := []struct {
+		name                       string
+		pattern                    Pattern
+		rate                       float64
+		flits, nodes, coresPerNode int
+	}{
+		{"zero flits", ur, 0.01, 0, 64, 4},
+		{"negative flits", ur, 0.01, -1, 64, 4},
+		{"nil pattern", nil, 0.01, 2, 64, 4},
+		{"rate > 1", ur, 2, 2, 64, 4},
+		{"negative rate", ur, -0.01, 2, 64, 4},
+		{"NaN rate", ur, math.NaN(), 2, 64, 4},
+		{"one node", ur, 0.01, 2, 1, 4}, // UR has no destination to draw
+		{"zero nodes", ur, 0.01, 2, 0, 4},
+		{"too many nodes", ur, 0.01, 2, core.MaxNodes + 1, 4},
+		{"zero cores per node", ur, 0.01, 2, 64, 0},
+		{"negative cores per node", ur, 0.01, 2, 64, -4},
 	}
-	if _, err := NewMultiFlitInjector(nil, 0.01, 2, 64, 4, 1); err == nil {
-		t.Error("nil pattern accepted")
+	for _, c := range cases {
+		if _, err := NewMultiFlitInjector(c.pattern, c.rate, c.flits, c.nodes, c.coresPerNode, 1); err == nil {
+			t.Errorf("%s accepted", c.name)
+		}
 	}
-	if _, err := NewMultiFlitInjector(UniformRandom{}, 2, 2, 64, 4, 1); err == nil {
-		t.Error("rate > 1 accepted")
+	if _, err := NewMultiFlitInjector(ur, 1, 1, 2, 1, 1); err != nil {
+		t.Errorf("smallest valid injector rejected: %v", err)
 	}
 }
 

@@ -2,6 +2,7 @@ package traffic
 
 import (
 	"fmt"
+	"math"
 
 	"photon/internal/core"
 	"photon/internal/router"
@@ -88,6 +89,10 @@ func record(in *Injector, seed uint64, cycles int64) (*Tape, error) {
 		Workload:     in.workload.String(),
 	}
 	in.Prepare(cycles)
+	// Size the entries for the expected count plus four standard
+	// deviations, so recording a long tape does not regrow it by doubling.
+	mean := in.Rate() * float64(len(in.rngs)) * float64(cycles)
+	t.Entries = make([]TapeEntry, 0, int(mean+4*math.Sqrt(mean))+16)
 	for cyc := int64(0); cyc < cycles; cyc++ {
 		c := cyc
 		in.generate(func(core, dst int) {

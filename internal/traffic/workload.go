@@ -15,27 +15,57 @@ import (
 //	ArrivalSpec — immutable, validated description of one arrival
 //	              process (parsed from the workload spec grammar);
 //	Arrival     — that process instantiated for one run: per-core state,
-//	              one Draw per (core, cycle) on the core's private RNG;
+//	              drawn a run of cycles at a time on the core's private
+//	              RNG (Next);
 //	Segment     — an ArrivalSpec plus a duration (fraction of the
 //	              injection span, or absolute cycles);
 //	Workload    — an ordered list of Segments plus an optional ClientMap
 //	              skewing per-core rates by hashed client population.
 //
-// Digest-compatibility contract: BernoulliSpec instantiated with weight
-// 1.0 consumes exactly one rng.Bernoulli(rate) per core per cycle —
-// bit-identical to the pre-workload injector — so every pinned quick-grid,
-// chaos and golden digest reproduces unchanged through this layer
-// (TestWorkloadBernoulliCompat pins it). Draw implementations must not
-// allocate: the injection tick sits on the engine's zero-alloc hot path
-// (TestGenerateZeroAlloc).
+// Digest-compatibility contract: on each core's private stream,
+// BernoulliSpec instantiated with weight 1.0 consumes exactly one
+// rng.Bernoulli(rate) per cycle, followed on a hit by that packet's
+// Pattern.Dest draws — the sequence the pre-workload injector consumed —
+// so every pinned quick-grid, chaos and golden digest reproduces
+// unchanged through this layer (TestWorkloadBernoulliCompat pins it).
+// Only the order of draws *within* a stream is observable: cores never
+// share a stream and arrivals never look at the network, so the injector
+// is free to run one core many cycles ahead before touching the next
+// (Injector.refill), and the per-cycle loop every process is specified
+// by survives as the oracle of TestBlockGeneratorMatchesCycleLoop. Next
+// implementations must not allocate: the injection tick sits on the
+// engine's zero-alloc hot path (TestGenerateZeroAlloc).
 
-// Arrival is one instantiated arrival process. Draw returns how many
-// packets core c injects this cycle; t is the cycle offset within the
-// current schedule segment and w the core's ClientMap weight (1 when the
-// workload carries no client skew). Draws use only c's private RNG
-// stream, so results are insensitive to core iteration order.
+// Arrival is one instantiated arrival process. Next makes core c's draws
+// for up to n consecutive cycles starting at offset t within the current
+// schedule segment and returns how many of them passed without an
+// arrival: a result i < n means c injects one packet at offset t+i (the
+// caller draws its destination, then resumes at t+i+1), n means none of
+// the cycles hit. w is the core's ClientMap weight (1 when the workload
+// carries no client skew); n is at least 1. Draws use only c's private
+// RNG stream, so results are insensitive to core iteration order.
 type Arrival interface {
-	Draw(c int, t int64, w float64, rng *sim.RNG) int
+	Next(c int, t int64, n int, w float64, rng *sim.RNG) int
+}
+
+// firstHit makes up to n draws of rng.Bernoulli(p) and returns the index
+// of the first success, or n. The uniform variate is an integer k < 2^53
+// scaled by 2^-53, both exact, so k/2^53 < p is the integer comparison
+// k < ceil(p*2^53); as in Bernoulli, p <= 0 and p >= 1 consume no draw.
+func firstHit(p float64, n int, rng *sim.RNG) int {
+	if p <= 0 {
+		return n
+	}
+	if p >= 1 {
+		return 0
+	}
+	below := uint64(math.Ceil(p * (1 << 53)))
+	for i := 0; i < n; i++ {
+		if rng.Uint64()>>11 < below {
+			return i
+		}
+	}
+	return n
 }
 
 // ArrivalSpec is the immutable description of an arrival process. A spec
@@ -90,13 +120,10 @@ func (s BernoulliSpec) New(cores int, span int64) Arrival { return bernoulliArri
 
 type bernoulliArrival struct{ rate float64 }
 
-func (a bernoulliArrival) Draw(c int, t int64, w float64, rng *sim.RNG) int {
+func (a bernoulliArrival) Next(c int, t int64, n int, w float64, rng *sim.RNG) int {
 	// w == 1 keeps rate*w bit-identical to rate (IEEE multiplication by
 	// 1.0 is exact), preserving the pre-workload digest stream.
-	if rng.Bernoulli(a.rate * w) {
-		return 1
-	}
-	return 0
+	return firstHit(a.rate*w, n, rng)
 }
 
 // BurstSpec is a two-state on/off (MMPP-2-style) source: each core
@@ -157,7 +184,7 @@ func regime(mean float64, rng *sim.RNG) int64 {
 	return 1 + rng.Geometric(1/mean)
 }
 
-func (a *burstArrival) Draw(c int, t int64, w float64, rng *sim.RNG) int {
+func (a *burstArrival) Next(c int, t int64, n int, w float64, rng *sim.RNG) int {
 	s := &a.st[c]
 	if !s.started {
 		// Start each core in a random regime weighted by the duty cycle,
@@ -171,19 +198,30 @@ func (a *burstArrival) Draw(c int, t int64, w float64, rng *sim.RNG) int {
 			s.left = regime(a.spec.Off, rng)
 		}
 	}
-	for s.left == 0 {
-		s.on = !s.on
-		if s.on {
-			s.left = regime(a.spec.On, rng)
-		} else {
-			s.left = regime(a.spec.Off, rng)
+	for i := 0; i < n; {
+		// A spent regime is replaced when the next cycle is drawn, not
+		// when its last one is: the draw belongs after that cycle's
+		// destination draw, and not at all if the segment ends there.
+		for s.left == 0 {
+			s.on = !s.on
+			if s.on {
+				s.left = regime(a.spec.On, rng)
+			} else {
+				s.left = regime(a.spec.Off, rng)
+			}
 		}
+		// OFF cycles draw nothing, so an OFF regime is stepped over whole.
+		k := int(min(s.left, int64(n-i)))
+		if s.on {
+			if j := firstHit(a.spec.Rate*w, k, rng); j < k {
+				s.left -= int64(j) + 1
+				return i + j
+			}
+		}
+		s.left -= int64(k)
+		i += k
 	}
-	s.left--
-	if s.on && rng.Bernoulli(a.spec.Rate*w) {
-		return 1
-	}
-	return 0
+	return n
 }
 
 // FlashSpec is a flash-crowd profile: Bernoulli at Base, spiking to Peak
@@ -240,15 +278,23 @@ type flashArrival struct {
 	from, to   int64
 }
 
-func (a flashArrival) Draw(c int, t int64, w float64, rng *sim.RNG) int {
-	rate := a.base
-	if t >= a.from && t < a.to {
-		rate = a.peak
+func (a flashArrival) Next(c int, t int64, n int, w float64, rng *sim.RNG) int {
+	// Up to three constant-rate stretches: before, inside, after the spike.
+	for i := 0; i < n; {
+		at, end, rate := t+int64(i), t+int64(n), a.base
+		switch {
+		case at < a.from:
+			end = min(end, a.from)
+		case at < a.to:
+			end, rate = min(end, a.to), a.peak
+		}
+		k := int(end - at)
+		if j := firstHit(rate*w, k, rng); j < k {
+			return i + j
+		}
+		i += k
 	}
-	if rng.Bernoulli(rate * w) {
-		return 1
-	}
-	return 0
+	return n
 }
 
 // DiurnalSpec modulates a Bernoulli source sinusoidally around Mean with
@@ -297,15 +343,17 @@ type diurnalArrival struct {
 	mean, amp, omega float64
 }
 
-func (a diurnalArrival) Draw(c int, t int64, w float64, rng *sim.RNG) int {
-	rate := a.mean * (1 + a.amp*math.Sin(a.omega*float64(t)))
-	if rate < 0 {
-		rate = 0
+func (a diurnalArrival) Next(c int, t int64, n int, w float64, rng *sim.RNG) int {
+	for i := 0; i < n; i++ {
+		rate := a.mean * (1 + a.amp*math.Sin(a.omega*float64(t+int64(i))))
+		if rate < 0 {
+			rate = 0
+		}
+		if rng.Bernoulli(rate * w) {
+			return i
+		}
 	}
-	if rng.Bernoulli(rate * w) {
-		return 1
-	}
-	return 0
+	return n
 }
 
 // Segment is one phase of a schedule: an arrival process active for a

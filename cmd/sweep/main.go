@@ -31,8 +31,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -46,35 +48,84 @@ import (
 	"photon/internal/viz"
 )
 
-func main() {
-	var (
-		fig      = flag.String("fig", "", "figure to regenerate: 2b, 8, 9, 11, 11f")
-		pattern  = flag.String("pattern", "UR", "pattern for figures 8/9 and -workload: UR, BC, TOR")
-		claims   = flag.Bool("claims", false, "measure the headline throughput/drop-rate claims on all three patterns")
-		fair     = flag.Bool("fairness", false, "run the §III-D fairness study (service share by ring position)")
-		brk      = flag.Float64("breakdown", 0, "exact per-phase latency attribution at this UR load (the analytical twin's prediction prints alongside as a cross-check)")
-		quick    = flag.Bool("quick", false, "reduced load grid and shorter windows")
-		csv      = flag.Bool("csv", false, "emit CSV instead of aligned text")
-		plot     = flag.Bool("plot", false, "also render an ASCII chart (latency clipped at 100 cycles, like the paper's axes)")
-		seed     = flag.Uint64("seed", 1, "random seed")
-		workload = flag.String("workload", "", "run a preset workload (bursty, flash, diurnal) or raw workload spec under every scheme, reporting per-phase p50/p99/p999")
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-		farmGridFlag = flag.String("farm", "", "run a named point grid under the supervised sweep farm: "+strings.Join(append(exp.FigureGridNames(), exp.WorkloadGridNames()...), ", "))
-		manifest     = flag.String("manifest", "", "journal farm progress to this file (crash-safe JSONL)")
-		resume       = flag.Bool("resume", false, "resume a farm run from its manifest, skipping completed points")
-		maxAttempts  = flag.Int("max-attempts", 3, "farm: attempts per point before quarantine")
-		farmWorkers  = flag.Int("farm-workers", 0, "farm: concurrent workers (0 = GOMAXPROCS)")
-		farmShards   = flag.Bool("farm-shards", false, "farm: run each point in its own subprocess (OS-level isolation)")
-		farmTimeout  = flag.Duration("farm-timeout", 0, "farm: per-point deadline (0 = none)")
-		fsync        = flag.Bool("fsync", false, "farm: fsync the manifest after every record")
+// errQuarantined reports a farm grid that finished incomplete; the
+// quarantined points have already been listed on stderr.
+var errQuarantined = errors.New("farm grid incomplete")
+
+// run is main without the process: it parses args, runs the selected
+// mode and returns the exit status (0 done, 1 failure, 2 usage).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		fig      = fs.String("fig", "", "figure to regenerate: 2b, 8, 9, 11, 11f")
+		pattern  = fs.String("pattern", "UR", "pattern for figures 8/9 and -workload: UR, BC, TOR")
+		claims   = fs.Bool("claims", false, "measure the headline throughput/drop-rate claims on all three patterns")
+		fair     = fs.Bool("fairness", false, "run the §III-D fairness study (service share by ring position)")
+		brk      = fs.Float64("breakdown", 0, "exact per-phase latency attribution at this UR load (the analytical twin's prediction prints alongside as a cross-check)")
+		quick    = fs.Bool("quick", false, "reduced load grid and shorter windows")
+		csv      = fs.Bool("csv", false, "emit CSV instead of aligned text")
+		plot     = fs.Bool("plot", false, "also render an ASCII chart (latency clipped at 100 cycles, like the paper's axes)")
+		seed     = fs.Uint64("seed", 1, "random seed")
+		workload = fs.String("workload", "", "run a preset workload (bursty, flash, diurnal) or raw workload spec under every scheme, reporting per-phase p50/p99/p999")
+
+		farmGridFlag = fs.String("farm", "", "run a named point grid under the supervised sweep farm: "+strings.Join(append(exp.FigureGridNames(), exp.WorkloadGridNames()...), ", "))
+		manifest     = fs.String("manifest", "", "journal farm progress to this file (crash-safe JSONL)")
+		resume       = fs.Bool("resume", false, "resume a farm run from its manifest, skipping completed points")
+		maxAttempts  = fs.Int("max-attempts", 3, "farm: attempts per point before quarantine")
+		farmWorkers  = fs.Int("farm-workers", 0, "farm: concurrent workers (0 = GOMAXPROCS)")
+		farmShards   = fs.Bool("farm-shards", false, "farm: run each point in its own subprocess (OS-level isolation)")
+		farmTimeout  = fs.Duration("farm-timeout", 0, "farm: per-point deadline (0 = none)")
+		fsync        = fs.Bool("fsync", false, "farm: fsync the manifest after every record")
 
 		// Hidden worker mode: the supervisor re-invokes this binary as
 		// `sweep -farm-worker -farm-grid <name> -farm-point <i> [...]`.
-		workerMode  = flag.Bool("farm-worker", false, "internal: run one farm point and print its result line")
-		workerGrid  = flag.String("farm-grid", "", "internal: grid name for -farm-worker")
-		workerPoint = flag.Int("farm-point", -1, "internal: point index for -farm-worker")
+		workerMode  = fs.Bool("farm-worker", false, "internal: run one farm point and print its result line")
+		workerGrid  = fs.String("farm-grid", "", "internal: grid name for -farm-worker")
+		workerPoint = fs.Int("farm-point", -1, "internal: point index for -farm-worker")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "sweep: "+format+"\n", a...)
+		return 2
+	}
+
+	// Exactly one mode per run.
+	mode := ""
+	for _, m := range []struct {
+		name string
+		on   bool
+	}{
+		{"farm-worker", *workerMode}, {"farm", *farmGridFlag != ""}, {"workload", *workload != ""},
+		{"breakdown", *brk > 0}, {"fairness", *fair}, {"claims", *claims}, {"fig", *fig != ""},
+	} {
+		if !m.on {
+			continue
+		}
+		if mode != "" {
+			return usage("-%s and -%s are mutually exclusive", mode, m.name)
+		}
+		mode = m.name
+	}
+	switch {
+	case fs.NArg() > 0:
+		return usage("unexpected argument %q", fs.Arg(0))
+	case mode == "":
+		fs.Usage()
+		return usage("nothing to run: give one of -fig, -claims, -fairness, -breakdown, -workload, -farm")
+	}
+	switch *fig {
+	case "", "2b", "8", "9", "11", "11f":
+	default:
+		return usage("unknown figure %q (2b, 8, 9, 11, 11f)", *fig)
+	}
 
 	opts := exp.DefaultOptions()
 	if *quick {
@@ -82,145 +133,144 @@ func main() {
 	}
 	opts.Seed = *seed
 
-	if *workerMode {
-		if err := farm.RunWorker(os.Stdout, *workerGrid, *workerPoint, opts); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *farmGridFlag != "" {
-		if err := runFarm(*farmGridFlag, opts, farmFlags{
+	var err error
+	switch mode {
+	case "farm-worker":
+		err = farm.RunWorker(stdout, *workerGrid, *workerPoint, opts)
+	case "farm":
+		err = runFarm(stdout, stderr, *farmGridFlag, opts, farmFlags{
 			manifest: *manifest, resume: *resume, maxAttempts: *maxAttempts,
 			workers: *farmWorkers, shards: *farmShards, timeout: *farmTimeout,
 			fsync: *fsync, quick: *quick, seed: *seed, csv: *csv,
-		}); err != nil {
-			fatal(err)
-		}
-		return
+		})
+	default:
+		err = runStudy(stdout, mode, *fig, *pattern, *workload, *brk, opts, *csv, *plot)
 	}
+	if err != nil {
+		if err != errQuarantined {
+			fmt.Fprintln(stderr, "sweep:", err)
+		}
+		return 1
+	}
+	return 0
+}
 
-	emit := func(t *stats.Table) {
+// runStudy runs the figure, claims, fairness, breakdown or workload study
+// the mode names and writes its tables (and, with plot, charts) to w.
+func runStudy(w io.Writer, mode, fig, pattern, workload string, brk float64, opts exp.Options, csv, plot bool) error {
+	emit := func(t *stats.Table, curves []exp.Curve) error {
 		var err error
-		if *csv {
-			err = t.WriteCSV(os.Stdout)
+		if csv {
+			err = t.WriteCSV(w)
 		} else {
-			err = t.WriteText(os.Stdout)
+			err = t.WriteText(w)
 		}
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Println()
-	}
-	emitPlot := func(title string, curves []exp.Curve) {
-		if !*plot {
-			return
+		fmt.Fprintln(w)
+		if !plot || curves == nil {
+			return nil
 		}
-		chart := &viz.Chart{Title: title, XLabel: "packets/cycle/core", YLabel: "latency (cycles)", YCap: 100}
+		chart := &viz.Chart{Title: t.Title, XLabel: "packets/cycle/core", YLabel: "latency (cycles)", YCap: 100}
 		for _, c := range curves {
 			chart.Add(c.Label, c.Loads, c.Latency)
 		}
-		if err := chart.Render(os.Stdout); err != nil {
-			fatal(err)
+		if err := chart.Render(w); err != nil {
+			return err
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
+		return nil
 	}
 
 	switch {
-	case *workload != "":
-		pat, err := traffic.ByName(*pattern)
+	case mode == "workload":
+		pat, err := traffic.ByName(pattern)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		_, t, err := exp.WorkloadSweep(*workload, pat, opts)
+		_, t, err := exp.WorkloadSweep(workload, pat, opts)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		emit(t)
-	case *brk > 0:
+		return emit(t, nil)
+	case mode == "breakdown":
 		// Exact per-packet attribution from the protocol event tap.
-		_, t, err := exp.ExactBreakdown(*brk, opts)
+		_, t, err := exp.ExactBreakdown(brk, opts)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		emit(t)
-	case *fair:
+		return emit(t, nil)
+	case mode == "fairness":
 		// The fairness study targets the non-blocking handshake variants
 		// (setaside and circulation) — the schemes whose senders keep
 		// injecting past an un-ACKed packet and so can starve far nodes.
-		var fairSchemes []core.Scheme
 		for _, s := range core.Schemes() {
-			if !s.CreditBased() && s.SendPolicy() != router.HoldHead {
-				fairSchemes = append(fairSchemes, s)
+			if s.CreditBased() || s.SendPolicy() == router.HoldHead {
+				continue
 			}
-		}
-		for _, s := range fairSchemes {
 			_, t, err := exp.FairnessStudy(s, opts)
 			if err != nil {
-				fatal(err)
+				return err
 			}
-			emit(t)
+			if err := emit(t, nil); err != nil {
+				return err
+			}
 		}
-	case *claims:
+	case mode == "claims":
 		for _, pat := range []string{"UR", "BC", "TOR"} {
 			c, err := exp.Claims(pat, opts)
 			if err != nil {
-				fatal(err)
+				return err
 			}
-			fmt.Printf("%s: global group: Token Channel %.4f -> best GHS %.4f (%+.0f%%); ",
+			fmt.Fprintf(w, "%s: global group: Token Channel %.4f -> best GHS %.4f (%+.0f%%); ",
 				pat, c.GlobalBaseline, c.GlobalHandshake, c.GlobalGainPct)
-			fmt.Printf("distributed group: Token Slot %.4f -> best DHS %.4f (%+.0f%%)\n",
+			fmt.Fprintf(w, "distributed group: Token Slot %.4f -> best DHS %.4f (%+.0f%%)\n",
 				c.DistBaseline, c.DistHandshake, c.DistGainPct)
-			fmt.Printf("%s: worst handshake rates: drop %.4f%%, retransmit %.4f%%, circulation %.4f%%\n",
+			fmt.Fprintf(w, "%s: worst handshake rates: drop %.4f%%, retransmit %.4f%%, circulation %.4f%%\n",
 				pat, 100*c.MaxDropRate, 100*c.MaxRetxRate, 100*c.MaxCirculateRate)
 		}
-	case *fig == "2b":
+	case fig == "2b":
 		curves, t, err := exp.Fig2b(opts)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		emit(t)
-		emitPlot(t.Title, curves)
-	case *fig == "8":
-		curves, t, err := exp.Fig8(*pattern, opts)
+		return emit(t, curves)
+	case fig == "8":
+		curves, t, err := exp.Fig8(pattern, opts)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		emit(t)
-		emitPlot(t.Title, curves)
-	case *fig == "9":
-		curves, t, err := exp.Fig9(*pattern, opts)
+		return emit(t, curves)
+	case fig == "9":
+		curves, t, err := exp.Fig9(pattern, opts)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		emit(t)
-		emitPlot(t.Title, curves)
-	case *fig == "11":
+		return emit(t, curves)
+	case fig == "11":
 		// Figure 11 panels (a)-(e): one per handshake-family scheme —
 		// everything the registry holds except the credit baselines.
-		var handshakes []core.Scheme
 		for _, s := range core.Schemes() {
-			if !s.CreditBased() {
-				handshakes = append(handshakes, s)
+			if s.CreditBased() {
+				continue
 			}
-		}
-		for _, s := range handshakes {
 			curves, t, err := exp.Fig11(s, opts)
 			if err != nil {
-				fatal(err)
+				return err
 			}
-			emit(t)
-			emitPlot(t.Title, curves)
+			if err := emit(t, curves); err != nil {
+				return err
+			}
 		}
-	case *fig == "11f":
+	case fig == "11f":
 		_, t, err := exp.Fig11f(opts)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		emit(t)
-	default:
-		flag.Usage()
-		os.Exit(2)
+		return emit(t, nil)
 	}
+	return nil
 }
 
 type farmFlags struct {
@@ -238,8 +288,8 @@ type farmFlags struct {
 
 // runFarm executes a named grid under the supervised farm and renders
 // the per-point summaries, the merged grid digest, and any quarantine
-// report. Exit status 1 signals an incomplete (quarantined) grid.
-func runFarm(gridName string, opts exp.Options, ff farmFlags) error {
+// report; errQuarantined signals an incomplete (quarantined) grid.
+func runFarm(stdout, stderr io.Writer, gridName string, opts exp.Options, ff farmFlags) error {
 	g, err := farm.Build(gridName, opts)
 	if err != nil {
 		return err
@@ -286,25 +336,20 @@ func runFarm(gridName string, opts exp.Options, ff farmFlags) error {
 		t.AddRow(p.Key, string(p.Status), p.Attempts, resumed, lat, tput, digest)
 	}
 	if ff.csv {
-		err = t.WriteCSV(os.Stdout)
+		err = t.WriteCSV(stdout)
 	} else {
-		err = t.WriteText(os.Stdout)
+		err = t.WriteText(stdout)
 	}
 	if err != nil {
 		return err
 	}
-	fmt.Printf("\nfarm: %d ran, %d resumed in %.1fs; grid digest %016x\n",
+	fmt.Fprintf(stdout, "\nfarm: %d ran, %d resumed in %.1fs; grid digest %016x\n",
 		rep.Ran, rep.Resumed, elapsed.Seconds(), rep.GridDigest())
 	if q := rep.Quarantined(); len(q) > 0 {
 		for _, p := range q {
-			fmt.Fprintf(os.Stderr, "sweep: quarantined %s after %d attempts: %s\n", p.Key, p.Attempts, p.LastError)
+			fmt.Fprintf(stderr, "sweep: quarantined %s after %d attempts: %s\n", p.Key, p.Attempts, p.LastError)
 		}
-		os.Exit(1)
+		return errQuarantined
 	}
 	return nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "sweep:", err)
-	os.Exit(1)
 }

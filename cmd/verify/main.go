@@ -31,9 +31,6 @@
 //	verify -workloads      # workload differential battery
 //	verify -twin -quick    # analytical twin vs exact spans differential
 //	verify -quick -json    # machine-readable pass/fail summary
-//	verify -bench          # cycles/sec per scheme (perf baseline, no checks)
-//	verify -bench -json    # write the BENCH_core.json format to stdout
-//	verify -bench -gate    # fail on >25% per-scheme ns/cycle regression vs BENCH_core.json
 //
 // With -trace it runs one point with the protocol event tap armed and
 // exports the assembled per-packet spans:
@@ -43,9 +40,9 @@
 //	verify -trace -trace-format chrome -trace-out trace.json   # chrome://tracing / Perfetto
 //	verify -trace -trace-format flame -trace-out folded.txt    # flame-graph folded stacks
 //
-// One mode per run: -chaos, -workloads, -twin, -bench and -trace are
-// mutually exclusive, and -gate/-baseline/-tolerance or a -trace-* flag
-// without its mode is a usage error (exit status 2).
+// One mode per run: -chaos, -workloads, -twin and -trace are mutually
+// exclusive, and a -trace-* flag without -trace is a usage error (exit
+// status 2). Wall-clock measurement lives in bench/ (bash bench/run.sh).
 package main
 
 import (
@@ -116,10 +113,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		chaos     = fs.Bool("chaos", false, "run the fault-injection battery instead of the standard one")
 		workloads = fs.Bool("workloads", false, "run the workload differential battery instead of the standard one")
 		twinDiff  = fs.Bool("twin", false, "run the analytical-twin-vs-exact-spans differential battery instead of the standard one")
-		bench     = fs.Bool("bench", false, "measure cycles/sec per scheme instead of running checks")
-		gate      = fs.Bool("gate", false, "with -bench: fail if any scheme regressed beyond -tolerance vs -baseline")
-		baseline  = fs.String("baseline", "BENCH_core.json", "with -bench -gate: committed baseline report to compare against")
-		tolerance = fs.Float64("tolerance", 0.25, "with -bench -gate: allowed fractional ns/cycle regression per scheme")
 		jsonOut   = fs.Bool("json", false, "emit a machine-readable pass/fail summary")
 
 		trace        = fs.Bool("trace", false, "trace one point with the event tap and export per-packet spans")
@@ -147,7 +140,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	for _, m := range []struct {
 		name string
 		on   bool
-	}{{"trace", *trace}, {"bench", *bench}, {"twin", *twinDiff}, {"workloads", *workloads}, {"chaos", *chaos}} {
+	}{{"trace", *trace}, {"twin", *twinDiff}, {"workloads", *workloads}, {"chaos", *chaos}} {
 		if !m.on {
 			continue
 		}
@@ -156,16 +149,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		mode = m.name
 	}
-	needs := map[string]string{"gate": "bench", "baseline": "gate", "tolerance": "gate"}
-	on := map[string]bool{"trace": *trace, "bench": *bench, "gate": *gate}
 	var orphan error
 	fs.Visit(func(f *flag.Flag) {
-		need := needs[f.Name]
-		if strings.HasPrefix(f.Name, "trace-") {
-			need = "trace"
-		}
-		if need != "" && !on[need] && orphan == nil {
-			orphan = fmt.Errorf("-%s needs -%s", f.Name, need)
+		if strings.HasPrefix(f.Name, "trace-") && !*trace && orphan == nil {
+			orphan = fmt.Errorf("-%s needs -trace", f.Name)
 		}
 	})
 	if orphan != nil {
@@ -177,8 +164,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	switch mode {
 	case "trace":
 		err = runTrace(stdout, *traceScheme, *tracePattern, *traceLoad, *traceFormat, *traceOut, *seed, *quick, *traceStream)
-	case "bench":
-		err = runBench(stdout, *seed, *quick, *jsonOut, *gate, *baseline, *tolerance)
 	default:
 		pass, err = runBattery(stdout, mode, *seed, *quick, *csv, *jsonOut)
 	}
@@ -233,43 +218,6 @@ func runBattery(w io.Writer, mode string, seed uint64, quick, csv, jsonOut bool)
 		fmt.Fprintln(w, "  -", f)
 	}
 	return false, nil
-}
-
-// runBench measures cycles/sec per scheme and, with gate set, compares
-// the measurement against the committed baseline report.
-func runBench(stdout io.Writer, seed uint64, quick, jsonOut, gate bool, baseline string, tolerance float64) error {
-	cfg := check.DefaultBench(seed)
-	if quick {
-		cfg.Warmup /= 2
-		cfg.Cycles /= 2
-		cfg.Blocks = 3
-	}
-	rep, err := check.RunBench(cfg)
-	if err != nil {
-		return err
-	}
-	if jsonOut {
-		err = rep.WriteJSON(stdout)
-	} else {
-		err = rep.WriteText(stdout)
-	}
-	if err != nil || !gate {
-		return err
-	}
-	data, err := os.ReadFile(baseline)
-	if err != nil {
-		return fmt.Errorf("reading bench baseline: %w", err)
-	}
-	var base check.BenchReport
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("parsing bench baseline: %w", err)
-	}
-	if violations := rep.Gate(&base, tolerance); len(violations) > 0 {
-		return fmt.Errorf("bench regression gate FAILED (%d violation(s)):\n  - %s",
-			len(violations), strings.Join(violations, "\n  - "))
-	}
-	_, err = fmt.Fprintf(stdout, "\nbench gate PASS: every scheme within %.0f%% of %s\n", tolerance*100, baseline)
-	return err
 }
 
 // runTrace runs one point with the event tap armed and exports the

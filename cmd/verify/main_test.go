@@ -42,19 +42,21 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"-chaos", "-twin", "-quick"}, []string{"-twin", "-chaos", "mutually exclusive"}},
 		{[]string{"-workloads", "-chaos"}, []string{"-workloads", "-chaos"}},
 		{[]string{"-twin", "-workloads"}, []string{"-twin", "-workloads"}},
-		{[]string{"-bench", "-chaos"}, []string{"-bench", "-chaos"}},
-		{[]string{"-trace", "-bench"}, []string{"-trace", "-bench"}},
 		{[]string{"-trace", "-twin", "-quick"}, []string{"-trace", "-twin"}},
-		{[]string{"-gate"}, []string{"-gate needs -bench"}},
-		{[]string{"-quick", "-baseline", "x.json"}, []string{"-baseline needs -gate"}},
-		{[]string{"-bench", "-tolerance", "0.1"}, []string{"-tolerance needs -gate"}},
-		{[]string{"-chaos", "-gate"}, []string{"-gate needs -bench"}},
+		// The wall-clock bench mode moved to bench/: its flags are unknown.
+		{[]string{"-bench", "-chaos"}, []string{"not defined: -bench"}},
+		{[]string{"-trace", "-bench"}, []string{"not defined: -bench"}},
+		{[]string{"-gate"}, []string{"not defined: -gate"}},
+		{[]string{"-quick", "-baseline", "x.json"}, []string{"not defined: -baseline"}},
+		{[]string{"-bench", "-tolerance", "0.1"}, []string{"not defined: -bench"}},
+		{[]string{"-chaos", "-gate"}, []string{"not defined: -gate"}},
+		{[]string{"-bench", "-trace-stream"}, []string{"not defined: -bench"}},
 		{[]string{"-trace-scheme", "ghs"}, []string{"-trace-scheme needs -trace"}},
 		{[]string{"-quick", "-trace-pattern", "BC"}, []string{"-trace-pattern needs -trace"}},
 		{[]string{"-trace-load", "0.2"}, []string{"-trace-load needs -trace"}},
 		{[]string{"-trace-format", "flame"}, []string{"-trace-format needs -trace"}},
 		{[]string{"-trace-out", "x"}, []string{"-trace-out needs -trace"}},
-		{[]string{"-bench", "-trace-stream"}, []string{"-trace-stream needs -trace"}},
+		{[]string{"-chaos", "-trace-stream"}, []string{"-trace-stream needs -trace"}},
 		{[]string{"-no-such-flag"}, []string{"no-such-flag"}},
 	}
 	for _, tc := range cases {
@@ -191,5 +193,32 @@ func TestQuickBatteries(t *testing.T) {
 	footer := fmt.Sprintf("PASS: %d points, %d cross checks\n", len(sum.Points), len(sum.Cross))
 	if status != 0 || !strings.HasSuffix(text, footer) {
 		t.Errorf("verify -quick: exit %d, output does not end in %q\n%s", status, footer, stderr)
+	}
+}
+
+// TestTraceStreamTableMatchesBatch: the streaming assembler attributes
+// exactly what the batch tap does — the two -trace tables are the same
+// bytes, setaside overlap included (the default point is dhs-setaside).
+func TestTraceStreamTableMatchesBatch(t *testing.T) {
+	if testing.Short() {
+		t.Skip("traces one quick point twice")
+	}
+	table := func(args ...string) string {
+		status, stdout, stderr := verify(args...)
+		if status != 0 {
+			t.Fatalf("verify %v: exit %d\n%s", args, status, stderr)
+		}
+		body, _, ok := strings.Cut(stdout, "\n\n") // the run summary follows a blank line
+		if !ok || !strings.Contains(body, "(setaside overlap)") {
+			t.Fatalf("verify %v: no attribution table in\n%s", args, stdout)
+		}
+		return body
+	}
+	batch, stream := table("-trace", "-quick"), table("-trace", "-trace-stream", "-quick")
+	if batch != stream {
+		t.Errorf("streamed table differs from batch:\n%s\n---\n%s", stream, batch)
+	}
+	if strings.Contains(batch, "(setaside overlap)  0 ") {
+		t.Errorf("no setaside residency at the default point:\n%s", batch)
 	}
 }

@@ -4,6 +4,38 @@ import (
 	"testing"
 )
 
+// The tests state capture rules one offset at a time; perOffset adapts
+// such a rule to the segment-granular SweepFunc the arbiters take.
+func perOffset(capture func(off int) bool) SweepFunc {
+	return func(start, end int) int {
+		for off := start; off < end; off++ {
+			if capture(off) {
+				return off
+			}
+		}
+		return -1
+	}
+}
+
+func (t *GlobalToken) Advance(capture func(off int) bool, onHome func()) {
+	t.AdvanceSweep(perOffset(capture), onHome)
+}
+
+func (s *SlotEmitter) Advance(now int64, emitGate func() bool, capture func(off int) bool, onExpire func()) {
+	s.AdvanceSweep(now, emitGate, perOffset(capture), onExpire)
+}
+
+// Live counts the tokens currently travelling.
+func (s *SlotEmitter) Live() int {
+	n := 0
+	for _, l := range s.live {
+		if l {
+			n++
+		}
+	}
+	return n
+}
+
 // collectSweep records the offsets a token polls.
 func collectSweep(t *GlobalToken, rounds int) []int {
 	var seen []int

@@ -10,15 +10,10 @@
 // top by the network core.
 package arbiter
 
-// CaptureFunc is asked, in downstream sweep order, whether the node at the
-// given offset captures the token this cycle. Returning true consumes the
-// token (distributed) or parks it at the node (global).
-type CaptureFunc func(offset int) bool
-
 // SweepFunc is the segment-granular capture interface: scan offsets
 // [start, end) in downstream order and return the first offset that
 // captures, or -1. Handing the arbiter one callback per token segment —
-// instead of one CaptureFunc call per node position — lets the network
+// instead of one callback per node position — lets the network
 // core reject non-requesting nodes with a contiguous array scan, which is
 // the difference between ~4096 closure calls per cycle and ~64 on an idle
 // 64-node ring. A nil SweepFunc means no node can capture this cycle
@@ -54,7 +49,6 @@ type GlobalToken struct {
 
 	captures   int64
 	homePasses int64
-	regens     int64
 }
 
 // NewGlobalToken returns a free token parked at the home position of a loop
@@ -74,9 +68,6 @@ func (t *GlobalToken) Captures() int64 { return t.captures }
 
 // Lost reports whether the token is currently destroyed.
 func (t *GlobalToken) Lost() bool { return t.lost }
-
-// Regenerations reports how many times the home node re-emitted the token.
-func (t *GlobalToken) Regenerations() int64 { return t.regens }
 
 // Invalidate destroys a free circulating token (fault injection). A held
 // token cannot be invalidated — a holder's token is latched electrically
@@ -104,31 +95,19 @@ func (t *GlobalToken) Regenerate() bool {
 	}
 	t.lost = false
 	t.pos = 0
-	t.regens++
 	return true
 }
 
 // HomePasses reports how many times the token has swept past the home node.
 func (t *GlobalToken) HomePasses() int64 { return t.homePasses }
 
-// Advance moves a free token one cycle down the loop, sweeping the next
-// NodesPerCycle offsets in order. onHome fires when the sweep crosses the
-// home position (offset 0) — Token Channel reimburses freed credits there.
-// capture is consulted for every non-home offset; the first true parks the
-// token at that offset and ends the sweep. A held or lost token does not
-// move.
-func (t *GlobalToken) Advance(capture CaptureFunc, onHome func()) {
-	t.AdvanceSweep(func(start, end int) int {
-		for off := start; off < end; off++ {
-			if capture(off) {
-				return off
-			}
-		}
-		return -1
-	}, onHome)
-}
-
-// AdvanceSweep is Advance with segment-granular capture (see SweepFunc).
+// AdvanceSweep moves a free token one cycle down the loop, sweeping the
+// next NodesPerCycle offsets in order. onHome fires when the sweep crosses
+// the home position (offset 0) — Token Channel reimburses freed credits
+// there. sweep is consulted for the non-home offsets; the first capturing
+// offset parks the token there and ends the sweep. A held or lost token
+// does not move.
+//
 // The cycle's sweep window covers offsets pos+1..pos+perCycle in downstream
 // order; it wraps past the home position at most once, so sweep is invoked
 // on at most two contiguous ranges with the home crossing between them.

@@ -51,43 +51,17 @@ func (s *SlotEmitter) Stats() (emitted, captured, expired int64) {
 	return s.emitted, s.captured, s.expired
 }
 
-// Live reports the number of tokens currently travelling.
-func (s *SlotEmitter) Live() int {
-	n := 0
-	for _, l := range s.live {
-		if l {
-			n++
-		}
-	}
-	return n
-}
-
-// Advance performs one cycle of token motion at cycle now:
+// AdvanceSweep performs one cycle of token motion at cycle now:
 //
 //  1. the token emitted at now-R (if still live) completes the loop and
 //     expires — onExpire lets Token Slot reclaim the unused credit;
-//  2. every live token of age 1..R sweeps its segment; capture is asked in
-//     downstream order and the first true consumes the token;
+//  2. every live token of age 1..R asks sweep (see SweepFunc in global.go)
+//     for its whole segment; a capturing offset consumes the token;
 //  3. a new token is emitted iff emitGate() allows.
 //
-// Advance must be called exactly once per cycle with strictly increasing
-// now values.
-func (s *SlotEmitter) Advance(now int64, emitGate func() bool, capture CaptureFunc, onExpire func()) {
-	s.AdvanceSweep(now, emitGate, func(start, end int) int {
-		for off := start; off < end; off++ {
-			if capture(off) {
-				return off
-			}
-		}
-		return -1
-	}, onExpire)
-}
-
-// AdvanceSweep is Advance with segment-granular capture (see SweepFunc in
-// global.go): each live token asks sweep for its whole segment in one call
-// instead of one CaptureFunc call per node position. A nil sweep skips the
-// capture scan entirely — expiry and emission still run, so a cycle with
-// no requesters costs O(1).
+// It must be called exactly once per cycle with strictly increasing now
+// values. A nil sweep skips the capture scan entirely — expiry and
+// emission still run, so a cycle with no requesters costs O(1).
 //
 // The engine's hot path does not use this composed form: it calls the
 // BeginCycle / LiveAt / Consume / Emit primitives directly, driving the

@@ -33,9 +33,6 @@ func TestRegenerateDuplicateGuard(t *testing.T) {
 	if tok.Regenerate() {
 		t.Fatal("Regenerate accepted with the original token still circulating")
 	}
-	if tok.Regenerations() != 0 {
-		t.Fatalf("regenerations = %d, want 0", tok.Regenerations())
-	}
 
 	// Held token: also not lost; the guard must refuse.
 	for i := 0; i < 8; i++ {
@@ -59,9 +56,6 @@ func TestRegenerateDuplicateGuard(t *testing.T) {
 	}
 	if tok.Regenerate() {
 		t.Fatal("second Regenerate duplicated the token")
-	}
-	if tok.Regenerations() != 1 {
-		t.Fatalf("regenerations = %d, want 1", tok.Regenerations())
 	}
 
 	// The regenerated token circulates from home again.

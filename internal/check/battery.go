@@ -201,13 +201,13 @@ func mark(ok bool) string {
 	return "FAIL"
 }
 
-// fanOut verifies one point per job on the shared pool (workers <= 0
-// means GOMAXPROCS; a panicking job reports itself instead of crashing
-// the battery) and returns the verdicts in job order, or the
-// lowest-index error under that job's name.
-func fanOut[J, P any](jobs []J, workers int, name func(J) string, verify func(J) (P, error)) ([]P, error) {
+// fanOut verifies one point per job on the shared pool (GOMAXPROCS
+// workers; a panicking job reports itself instead of crashing the
+// battery) and returns the verdicts in job order, or the lowest-index
+// error under that job's name.
+func fanOut[J, P any](jobs []J, name func(J) string, verify func(J) (P, error)) ([]P, error) {
 	points := make([]P, len(jobs))
-	errs := exp.Do(len(jobs), workers, func(i int) (err error) {
+	errs := exp.Do(len(jobs), 0, func(i int) (err error) {
 		points[i], err = verify(jobs[i])
 		return err
 	})
@@ -404,7 +404,7 @@ func Run(b Battery) (*Report[PointReport], error) {
 		}
 	}
 
-	reports, err := fanOut(jobs, 0,
+	reports, err := fanOut(jobs,
 		func(j job) string { return fmt.Sprintf("%s %s %.3f", j.scheme, j.pattern.Name(), j.rate) },
 		func(j job) (PointReport, error) { return verifyPoint(b, j.scheme, j.pattern, j.rate, j.tape) })
 	if err != nil {

@@ -178,7 +178,7 @@ func RunChaos(b ChaosBattery) (*Report[ChaosPoint], error) {
 		}
 	}
 
-	points, err := fanOut(jobs, 0,
+	points, err := fanOut(jobs,
 		func(j job) string { return fmt.Sprintf("chaos %s %s %.3f", j.scheme, j.class, j.rate) },
 		func(j job) (ChaosPoint, error) { return b.verifyChaosPoint(j.scheme, j.class, j.rate, tape) })
 	if err != nil {

@@ -178,6 +178,41 @@ func goldenSLOPoints(t *testing.T, seed uint64) []goldenPoint {
 	return points
 }
 
+// goldenWidePoints runs every distributed scheme on rings wider than one
+// want-mask word (128 and 256 nodes; uniform random at 0.05, quick
+// window). The case key names the node count.
+func goldenWidePoints(t *testing.T, seed uint64) []goldenPoint {
+	t.Helper()
+	opts := exp.QuickOptions()
+	opts.Seed = seed
+	const rate = 0.05
+	var grid []exp.Point
+	for _, nodes := range []int{128, 256} {
+		nodes := nodes
+		for _, s := range core.DistributedGroup() {
+			grid = append(grid, exp.Point{
+				Scheme: s, Label: fmt.Sprintf("UR/n%d", nodes), Pattern: traffic.UniformRandom{}, Rate: rate,
+				Mod: func(c *core.Config) { c.Nodes = nodes },
+			})
+		}
+	}
+	points := make([]goldenPoint, len(grid))
+	runGoldenJobs(t, len(grid), func(i int) error {
+		res, err := exp.RunPoint(grid[i], opts)
+		if err != nil {
+			return err
+		}
+		points[i] = goldenPoint{
+			Scheme: grid[i].Scheme.String(),
+			Case:   grid[i].Label,
+			Rate:   rate,
+			Digest: fmt.Sprintf("%016x", res.Digest),
+		}
+		return nil
+	})
+	return points
+}
+
 // runGoldenJobs fans n independent point runs over the shared pool
 // (GOMAXPROCS workers, panics contained into error slots).
 func runGoldenJobs(t *testing.T, n int, run func(i int) error) {
@@ -264,4 +299,14 @@ func TestGoldenSLODigests(t *testing.T) {
 		t.Skip("slo golden sweep skipped in -short mode")
 	}
 	checkGolden(t, "golden_slo.json", goldenSLOPoints(t, 1))
+}
+
+// TestGoldenWideRingDigests pins one digest per distributed scheme at
+// 128 and 256 nodes — the rings whose slot-capture scan spans more than
+// one want-mask word, which no 64-node golden reaches.
+func TestGoldenWideRingDigests(t *testing.T) {
+	if testing.Short() {
+		t.Skip("wide-ring golden sweep skipped in -short mode")
+	}
+	checkGolden(t, "golden_wide.json", goldenWidePoints(t, 1))
 }

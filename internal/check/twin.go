@@ -208,7 +208,7 @@ func RunTwin(b TwinBattery) (*Report[TwinPoint], error) {
 	}
 	// Each traced point holds its full event stream, so memory scales with
 	// GOMAXPROCS x window.
-	points, err := fanOut(jobs, 0, func(j job) string {
+	points, err := fanOut(jobs, func(j job) string {
 		return fmt.Sprintf("twin %s U=%.2f", j.scheme, j.util)
 	}, func(j job) (TwinPoint, error) {
 		m := models[j.scheme]

@@ -111,7 +111,7 @@ func RunWorkloads(b WorkloadBattery) (*Report[WorkloadPointReport], error) {
 		}
 	}
 
-	reports, err := fanOut(jobs, 0,
+	reports, err := fanOut(jobs,
 		func(j job) string { return fmt.Sprintf("%s %s", j.scheme, j.preset.Name) },
 		func(j job) (WorkloadPointReport, error) {
 			return verifyWorkloadPoint(b, j.scheme, j.preset, j.workload, j.tape)

@@ -52,7 +52,8 @@ func (t *countTap) Observe(core.Event) { t.n++ }
 
 // BenchmarkStepTraced is BenchmarkStep with a minimal event tap armed —
 // diff against BenchmarkStep to see the marginal cost of observing the
-// lifecycle stream (the nil-tap path is the one BENCH_core.json gates).
+// lifecycle stream (bench/ reports the same pair as core.step_ns_per_cycle
+// and core.tap_ns_per_event).
 func BenchmarkStepTraced(b *testing.B) {
 	for _, s := range core.Schemes() {
 		b.Run(s.String(), func(b *testing.B) {

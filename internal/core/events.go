@@ -82,10 +82,6 @@ const (
 // canonical (digest-folded), everything from it on feeds only the tap.
 const firstTapOnly = EvHeadReady
 
-// TapOnly reports whether e is a tap-only event — observable through a
-// Tracer but never folded into the run digest.
-func (e EventType) TapOnly() bool { return e >= firstTapOnly }
-
 func (e EventType) String() string {
 	switch e {
 	case EvEnqueue:

@@ -30,8 +30,8 @@ func mustNet(t testing.TB, scheme core.Scheme, mod func(*core.Config)) *core.Net
 
 // TestBasicDHSHoldHeadPeriod checks the fundamental HoldHead limit: one
 // saturated sender under basic DHS must deliver exactly one packet per
-// AckDelay (R+1) cycles in steady state, because the queue head is pinned
-// until its ACK returns.
+// R+1 cycles (the ACK delay) in steady state, because the queue head is
+// pinned until its ACK returns.
 func TestBasicDHSHoldHeadPeriod(t *testing.T) {
 	net := mustNet(t, core.DHS, nil)
 	const cycles = 2000
@@ -42,19 +42,19 @@ func TestBasicDHSHoldHeadPeriod(t *testing.T) {
 	}
 	delivered := net.Stats().Delivered
 	period := float64(cycles) / float64(delivered)
-	want := float64(net.Geometry().AckDelay())
+	want := float64(net.Config().RoundTrip + 1)
 	if period < want-0.5 {
-		t.Fatalf("basic DHS sender period %.2f cycles, want >= AckDelay %.0f (HOL blocking violated; %d delivered in %d cycles)",
+		t.Fatalf("basic DHS sender period %.2f cycles, want >= ACK delay %.0f (HOL blocking violated; %d delivered in %d cycles)",
 			period, want, delivered, cycles)
 	}
 	if period > want+3 {
-		t.Errorf("basic DHS sender period %.2f cycles, want close to AckDelay %.0f", period, want)
+		t.Errorf("basic DHS sender period %.2f cycles, want close to ACK delay %.0f", period, want)
 	}
 }
 
 // TestSetasideDHSInFlightWindow checks that a saturated sender with S
 // setaside slots keeps up to S packets in flight and therefore delivers
-// about S packets per AckDelay window (capped at 1/cycle).
+// about S packets per R+1-cycle ACK window (capped at 1/cycle).
 func TestSetasideDHSInFlightWindow(t *testing.T) {
 	for _, s := range []int{1, 2, 4} {
 		net := mustNet(t, core.DHSSetaside, func(c *core.Config) { c.SetasideSize = s })
@@ -64,7 +64,7 @@ func TestSetasideDHSInFlightWindow(t *testing.T) {
 			net.Step()
 		}
 		got := float64(net.Stats().Delivered) / float64(cycles)
-		want := float64(s) / float64(net.Geometry().AckDelay())
+		want := float64(s) / float64(net.Config().RoundTrip+1)
 		if want > 1 {
 			want = 1
 		}

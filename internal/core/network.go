@@ -70,11 +70,12 @@ type Network struct {
 	wantBacking []int16
 	wantRows    [][]int16
 	wantNodes   []int32
-	// wantMask[h] has bit id set iff wantRows[h][id] > 0 — a one-word
-	// summary the slot-capture scan iterates with trailing-zero counting
-	// instead of walking the whole row. Maintained for any node count but
-	// only consulted when Nodes <= 64 (bits beyond 63 would alias).
-	wantMask []uint64
+	// wantMask is the bitset form of the want rows: home h owns the
+	// wantWords = (Nodes+63)/64 words from h*wantWords, and bit id&63 of
+	// word id>>6 is set iff wantRows[h][id] > 0. The slot-capture scan
+	// iterates it with trailing-zero counting instead of walking the row.
+	wantMask  []uint64
+	wantWords int
 
 	grants []grant
 
@@ -260,7 +261,8 @@ func NewNetwork(cfg Config, window sim.Window) (*Network, error) {
 		n.wantRows[h] = n.wantBacking[h*cfg.Nodes : (h+1)*cfg.Nodes]
 	}
 	n.wantNodes = make([]int32, cfg.Nodes)
-	n.wantMask = make([]uint64, cfg.Nodes)
+	n.wantWords = (cfg.Nodes + 63) / 64
+	n.wantMask = make([]uint64, cfg.Nodes*n.wantWords)
 	// At most one grant per node per cycle (the granted flag), so the
 	// grant queue never outgrows this and phaseLaunch never reallocates.
 	n.grants = make([]grant, 0, cfg.Nodes)
@@ -315,9 +317,6 @@ func (n *Network) Geometry() *ring.Geometry { return n.geom }
 
 // Config returns the network's configuration.
 func (n *Network) Config() Config { return n.cfg }
-
-// Protocol returns the network's scheme registry row.
-func (n *Network) Protocol() ProtocolSpec { return n.spec }
 
 // Now returns the current cycle.
 func (n *Network) Now() int64 { return n.now }
@@ -680,7 +679,7 @@ func (n *Network) updateQueueWant(nd *nodeState, q *queueState) {
 		}
 		if row[nd.id] == 0 {
 			n.wantNodes[q.want]--
-			n.wantMask[q.want] &^= 1 << uint(nd.id)
+			n.wantMask[q.want*n.wantWords+nd.id>>6] &^= 1 << uint(nd.id&63)
 		}
 	}
 	if want >= 0 {
@@ -688,7 +687,7 @@ func (n *Network) updateQueueWant(nd *nodeState, q *queueState) {
 		if row[nd.id] == 0 {
 			n.chans[want].fair.OnRequest(nd.id)
 			n.wantNodes[want]++
-			n.wantMask[want] |= 1 << uint(nd.id)
+			n.wantMask[want*n.wantWords+nd.id>>6] |= 1 << uint(nd.id&63)
 		}
 		row[nd.id]++
 	}

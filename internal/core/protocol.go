@@ -207,51 +207,49 @@ func (n *Network) captureGlobal(c *channel, id int, rc *flow.RelayedCredits) boo
 }
 
 // slotScan runs the requester-driven capture scan for one distributed
-// channel at cycle now: it walks the channel's transposed want row in
-// downstream order, maps each requesting node's offset to the age of the
-// token whose segment covers it, and probes capture only when that token
-// is still live. This inverts the arbiter's per-token segment iteration —
-// O(requesters) live-token probes instead of O(roundTrip) segment sweeps —
-// while making the identical stateful calls in the identical order: ages
-// ascend exactly as offsets do (segments partition the loop in downstream
-// order), the want and LiveAt predicates are pure, and a consumed token
-// answers LiveAt false for the rest of its segment just as the historic
-// sweep stopped scanning a segment after its capture.
+// channel at cycle now: it hops between the channel's requesting nodes in
+// downstream order via the want bitset, maps each one's offset to the age
+// of the token whose segment covers it, and probes capture only when that
+// token is still live. This inverts the arbiter's per-token segment
+// iteration — O(requesters) live-token probes instead of O(roundTrip)
+// segment sweeps — while making the identical stateful calls in the
+// identical order: ages ascend exactly as offsets do (segments partition
+// the loop in downstream order), the want and LiveAt predicates are pure,
+// and a consumed token answers LiveAt false for the rest of its segment
+// just as the historic sweep stopped scanning a segment after its capture.
+//
+// Two passes keep the downstream-from-home probe order: ids above home
+// first (offset = id-home), then the wrap-around ids below home (offset =
+// id+nodes-home) — ascending id equals ascending offset within each pass.
+// The word holding home's own bit is split between the passes.
 // See bindGlobalSweep for why this must not inline.
 //
 //go:noinline
 func (n *Network) slotScan(c *channel, now int64, sc *flow.SlotCredits) {
 	nodes := n.cfg.Nodes
 	per := n.geom.NodesPerCycle()
-	if nodes <= 64 {
-		// Fast path: hop straight between requesting nodes via the want
-		// bitmask. Two passes keep the downstream-from-home probe order:
-		// ids above home first (offset = id-home), then the wrap-around
-		// ids below home (offset = id+nodes-home) — ascending id equals
-		// ascending offset within each pass.
-		m := n.wantMask[c.home]
-		home := c.home
-		for w := m >> uint(home+1) << uint(home+1); w != 0; w &= w - 1 {
-			id := bits.TrailingZeros64(w)
+	home := c.home
+	mask := n.wantMask[home*n.wantWords : (home+1)*n.wantWords]
+	hw := home >> 6
+	below := uint64(1)<<uint(home&63) - 1 // ids of word hw before home
+	for wi := hw; wi < len(mask); wi++ {
+		w := mask[wi]
+		if wi == hw {
+			w &= ^below << 1
+		}
+		for ; w != 0; w &= w - 1 {
+			id := wi<<6 | bits.TrailingZeros64(w)
 			n.slotProbe(c, now, id, id-home, per, sc)
 		}
-		for w := m & (1<<uint(home) - 1); w != 0; w &= w - 1 {
-			id := bits.TrailingZeros64(w)
+	}
+	for wi := 0; wi <= hw; wi++ {
+		w := mask[wi]
+		if wi == hw {
+			w &= below
+		}
+		for ; w != 0; w &= w - 1 {
+			id := wi<<6 | bits.TrailingZeros64(w)
 			n.slotProbe(c, now, id, id+nodes-home, per, sc)
-		}
-		return
-	}
-	want := n.wantRows[c.home]
-	id := c.home + 1
-	if id >= nodes {
-		id -= nodes
-	}
-	for off := 1; off < nodes; off++ {
-		if want[id] > 0 {
-			n.slotProbe(c, now, id, off, per, sc)
-		}
-		if id++; id == nodes {
-			id = 0
 		}
 	}
 }

@@ -41,7 +41,7 @@ func TestAckTimingExactlyRPlus1(t *testing.T) {
 		gap := p2.FirstSentAt - p1.FirstSentAt
 		want := int64(cfg.RoundTrip + 1)
 		if gap != want && gap != want+1 {
-			t.Errorf("src %d: launch gap %d, want AckDelay %d (+1 for token alignment)", src, gap, want)
+			t.Errorf("src %d: launch gap %d, want ACK delay %d (+1 for token alignment)", src, gap, want)
 		}
 	}
 }

@@ -30,9 +30,9 @@ func RunTracedPoint(p Point, opts Options) (core.Result, *ptrace.TraceResult, er
 
 // RunStreamedPoint simulates one point with the windowed streaming
 // assembler armed instead of a batch tap: each span is validated and
-// folded into the attribution the moment its packet delivers, then
-// dropped, so the trace's resident footprint is bounded by the live
-// packet population instead of the run length. The returned Stream
+// folded into the attribution the moment it completes, then dropped, so
+// the trace's resident footprint is bounded by the live packet
+// population instead of the run length. The returned Stream
 // carries the memory stats (MaxLive, Flushed); the attribution covers
 // measured delivered spans, exactly like Aggregate(tr, true) on a batch
 // trace of the same run. The stream is digest-inert, so Result matches

@@ -66,7 +66,8 @@ func TestExactBreakdownDifferential(t *testing.T) {
 		avgRest := math.Max(0, r.AvgLatency-r.AvgQueueWait)
 
 		attr := ex.Attr
-		n, m, l := attr.Spans, attr.Remote(), attr.Local
+		n, l := attr.Spans, attr.Local
+		m := n - l // spans that crossed the ring
 		if n == 0 || m == 0 {
 			t.Fatalf("%v: degenerate population n=%d m=%d", ex.Scheme, n, m)
 		}

@@ -188,19 +188,6 @@ func (c Curve) SaturationThroughput() float64 {
 	return best
 }
 
-// SaturationLoad returns the highest offered load at which average latency
-// stays below latencyCap (the conventional saturation-point definition;
-// the paper's figures clip their axes at 100 cycles).
-func (c Curve) SaturationLoad(latencyCap float64) float64 {
-	sat := 0.0
-	for i, l := range c.Latency {
-		if l <= latencyCap && c.Loads[i] > sat {
-			sat = c.Loads[i]
-		}
-	}
-	return sat
-}
-
 // SweepSeries describes one scheme-series of a sweep.
 type SweepSeries struct {
 	Label  string

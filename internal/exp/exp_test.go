@@ -79,9 +79,6 @@ func TestCurveHelpers(t *testing.T) {
 	if got := c.SaturationThroughput(); got != 0.06 {
 		t.Fatalf("SaturationThroughput = %v", got)
 	}
-	if got := c.SaturationLoad(100); got != 0.05 {
-		t.Fatalf("SaturationLoad = %v", got)
-	}
 }
 
 // TestFig2bShape: Figure 2(b)'s point — Token Slot's saturation improves

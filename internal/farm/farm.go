@@ -397,13 +397,3 @@ func SerialGridDigest(g Grid) (uint64, error) {
 	}
 	return MergeDigests(ds), nil
 }
-
-// RunFigures regenerates the full figure workload (every named grid in
-// exp.FigureGridNames) through one supervised farm run.
-func RunFigures(opts exp.Options, cfg Config) (*GridReport, error) {
-	g, err := Build("figures", opts)
-	if err != nil {
-		return nil, err
-	}
-	return Run(g, cfg)
-}

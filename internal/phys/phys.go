@@ -34,15 +34,6 @@ const (
 
 	// DieAreaMM2 is the die area used for waveguide length estimates.
 	DieAreaMM2 = 400.0
-
-	// RoundTripCycles is the optical ring's round-trip time in clock
-	// cycles: nanophotonic link traversal spans 1 to 8 cycles depending on
-	// sender/receiver distance (paper §V-A), i.e. a full loop is 8 cycles.
-	RoundTripCycles = 8
-
-	// EOConversionPS is the total latency of one electrical/optical or
-	// optical/electrical conversion (paper §V-A, citing Kapur & Saraswat).
-	EOConversionPS = 75.0
 )
 
 // NetworkShape describes the macroscopic layout of the interconnect: how

@@ -55,10 +55,15 @@ func Collect(net *core.Network) *Tap {
 	return t
 }
 
-// Observe implements core.Tracer: it copies the event into a Record. The
-// engine keeps mutating the packet after the call, so everything the
-// assembler needs is captured by value here.
+// Observe implements core.Tracer: it copies the event into a Record.
 func (t *Tap) Observe(e core.Event) {
+	t.Records = append(t.Records, recordOf(e))
+}
+
+// recordOf copies an event out of the engine. The engine keeps mutating
+// the packet after Observe returns, so everything the assembler needs is
+// captured by value here.
+func recordOf(e core.Event) Record {
 	r := Record{Cycle: e.Cycle, Type: e.Type, Aux: e.Aux, DeliveredAt: -1}
 	if p := e.Packet; p != nil {
 		r.ID = p.ID
@@ -70,7 +75,7 @@ func (t *Tap) Observe(e core.Event) {
 	} else {
 		r.Meta = true
 	}
-	t.Records = append(t.Records, r)
+	return r
 }
 
 // Assemble folds the tap's recorded stream into per-packet spans.

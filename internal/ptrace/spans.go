@@ -127,15 +127,6 @@ func (s *PacketSpan) PhaseSum() int64 {
 	return sum
 }
 
-// PhaseCycles returns the span's cycles by phase kind.
-func (s *PacketSpan) PhaseCycles() [NumPhases]int64 {
-	var out [NumPhases]int64
-	for _, p := range s.Phases {
-		out[p.Kind] += p.Len()
-	}
-	return out
-}
-
 // Validate checks the span-chain invariants independently of how the
 // chain was built: chronological, gap-free, non-overlapping phases
 // starting at the injection cycle, and — for a delivered, non-faulted
@@ -172,12 +163,7 @@ type TraceResult struct {
 	Spans  []*PacketSpan
 	Tokens []Record // EvTokenCapture / EvTokenRelease / EvTokenRegen
 	Faults []Record // packet-less EvFault records
-
-	byID map[uint64]*PacketSpan
 }
-
-// Span returns the span for packet id, or nil.
-func (tr *TraceResult) Span(id uint64) *PacketSpan { return tr.byID[id] }
 
 // assembly states of one packet.
 const (
@@ -191,8 +177,7 @@ const (
 	stBuffered        // accepted into the home input buffer
 	stDone            // delivered
 	// stAbsorbing is reached only in a Stream: the span was handed to the
-	// consumer at delivery and a recovery event touched the packet
-	// afterwards. The cursor swallows the rest of the packet's events
+	// consumer and a recovery event touched the packet afterwards. The cursor swallows the rest of the packet's events
 	// without writing to the span.
 	stAbsorbing
 )
@@ -236,9 +221,64 @@ type pktAsm struct {
 	span       PacketSpan
 	inline     [inlinePhases]Phase
 	state      int
+	flushed    bool  // Stream only: the span has been handed to OnSpan
 	mark       int64 // cycle anchoring the currently open phase
 	last       int64 // cycle of the packet's previous event
 	setasideAt int64 // open setaside residency start, or -1
+}
+
+// intake is the record-admission prologue Assemble and Stream share: the
+// stream-level checks every record passes before it reaches a packet's
+// state machine, and the cursor table they are checked against.
+type intake struct {
+	cursors map[uint64]*pktAsm
+	seen    int64 // records admitted
+	last    int64 // cycle of the last admitted record
+}
+
+// admit checks r against the stream so far — cycle non-negative and not
+// before its predecessor's, event type matching its kind, its packet's
+// history — and returns the packet's cursor: nil for a meta record, a
+// freshly opened one for EvInject. The caller advances a.last.
+func (in *intake) admit(r Record) (*pktAsm, error) {
+	i := in.seen
+	if r.Cycle < 0 {
+		return nil, fmt.Errorf("ptrace: record %d: negative cycle %d", i, r.Cycle)
+	}
+	if r.Cycle < in.last {
+		return nil, fmt.Errorf("ptrace: record %d: cycle %d before cycle %d (stream not chronological)",
+			i, r.Cycle, in.last)
+	}
+	in.last = r.Cycle
+	in.seen++
+	if r.Meta {
+		switch r.Type {
+		case core.EvTokenCapture, core.EvTokenRelease, core.EvTokenRegen, core.EvFault:
+			return nil, nil
+		}
+		return nil, fmt.Errorf("ptrace: record %d: meta record with packet event type %s", i, r.Type)
+	}
+	switch r.Type {
+	case core.EvTokenCapture, core.EvTokenRelease, core.EvTokenRegen:
+		return nil, fmt.Errorf("ptrace: record %d: packet record with meta event type %s", i, r.Type)
+	}
+	a := in.cursors[r.ID]
+	if r.Type == core.EvInject {
+		if a != nil {
+			return nil, fmt.Errorf("ptrace: record %d: packet %d injected twice", i, r.ID)
+		}
+		a = newCursor(r)
+		in.cursors[r.ID] = a
+		return a, nil
+	}
+	if a == nil {
+		return nil, fmt.Errorf("ptrace: record %d: %s for packet %d before its injection", i, r.Type, r.ID)
+	}
+	if r.Cycle < a.last {
+		return nil, fmt.Errorf("ptrace: record %d: packet %d time runs backwards (%d after %d)",
+			i, r.ID, r.Cycle, a.last)
+	}
+	return a, nil
 }
 
 // Assemble folds an event stream into per-packet spans. The stream must
@@ -251,63 +291,28 @@ type pktAsm struct {
 // a reconstructed phase chain; truncated streams yield undelivered
 // spans, which carry their phase prefix.
 func Assemble(records []Record) (*TraceResult, error) {
-	tr := &TraceResult{byID: make(map[uint64]*PacketSpan)}
-	cursors := make(map[uint64]*pktAsm)
-	var lastCycle int64
-
+	tr := &TraceResult{}
+	in := intake{cursors: make(map[uint64]*pktAsm)}
 	for i, r := range records {
-		if r.Cycle < 0 {
-			return nil, fmt.Errorf("ptrace: record %d: negative cycle %d", i, r.Cycle)
-		}
-		if r.Cycle < lastCycle {
-			return nil, fmt.Errorf("ptrace: record %d: cycle %d before cycle %d (stream not chronological)",
-				i, r.Cycle, lastCycle)
-		}
-		lastCycle = r.Cycle
-
-		if r.Meta {
-			switch r.Type {
-			case core.EvTokenCapture, core.EvTokenRelease, core.EvTokenRegen:
-				tr.Tokens = append(tr.Tokens, r)
-			case core.EvFault:
+		a, err := in.admit(r)
+		switch {
+		case err != nil:
+			return nil, err
+		case a == nil:
+			if r.Type == core.EvFault {
 				tr.Faults = append(tr.Faults, r)
-			default:
-				return nil, fmt.Errorf("ptrace: record %d: meta record with packet event type %s", i, r.Type)
+			} else {
+				tr.Tokens = append(tr.Tokens, r)
 			}
-			continue
-		}
-
-		switch r.Type {
-		case core.EvTokenCapture, core.EvTokenRelease, core.EvTokenRegen:
-			return nil, fmt.Errorf("ptrace: record %d: packet record with meta event type %s", i, r.Type)
-		}
-
-		a := cursors[r.ID]
-		if r.Type == core.EvInject {
-			if a != nil {
-				return nil, fmt.Errorf("ptrace: record %d: packet %d injected twice", i, r.ID)
-			}
-			a = newCursor(r)
+		case r.Type == core.EvInject:
 			tr.Spans = append(tr.Spans, &a.span)
-			tr.byID[r.ID] = &a.span
-			cursors[r.ID] = a
-			continue
-		}
-		if a == nil {
-			return nil, fmt.Errorf("ptrace: record %d: %s for packet %d before its injection", i, r.Type, r.ID)
-		}
-		if r.Cycle < a.last {
-			return nil, fmt.Errorf("ptrace: record %d: packet %d time runs backwards (%d after %d)",
-				i, r.ID, r.Cycle, a.last)
-		}
-		a.last = r.Cycle
-
-		if a.span.Faulted {
-			a.applyFaulted(r)
-			continue
-		}
-		if err := a.apply(r); err != nil {
-			return nil, fmt.Errorf("ptrace: record %d: %w", i, err)
+		default:
+			a.last = r.Cycle
+			if a.span.Faulted {
+				a.applyFaulted(r)
+			} else if err := a.apply(r); err != nil {
+				return nil, fmt.Errorf("ptrace: record %d: %w", i, err)
+			}
 		}
 	}
 	return tr, nil
@@ -534,9 +539,6 @@ func Aggregate(tr *TraceResult, measuredOnly bool) Attribution {
 	}
 	return a
 }
-
-// Remote returns the number of aggregated spans that crossed the ring.
-func (a Attribution) Remote() int64 { return a.Spans - a.Local }
 
 // AvgPhase returns the phase's mean cycles over all aggregated spans.
 func (a Attribution) AvgPhase(k PhaseKind) float64 {

@@ -21,6 +21,16 @@ func deliver(cycle int64, id uint64, deliveredAt int64) Record {
 	return r
 }
 
+// spanOf returns the span of packet id, or nil.
+func spanOf(tr *TraceResult, id uint64) *PacketSpan {
+	for _, s := range tr.Spans {
+		if s.ID == id {
+			return s
+		}
+	}
+	return nil
+}
+
 func mustAssemble(t *testing.T, records []Record) *TraceResult {
 	t.Helper()
 	tr, err := Assemble(records)
@@ -57,7 +67,7 @@ func TestAssembleCleanDelivery(t *testing.T) {
 		deliver(30, 1, 31),
 		pkt(36, core.EvAck, 1),
 	})
-	s := tr.Span(1)
+	s := spanOf(tr, 1)
 	if s == nil {
 		t.Fatal("no span for packet 1")
 	}
@@ -89,7 +99,7 @@ func TestAssembleNackRetransmit(t *testing.T) {
 		deliver(24, 9, 25),
 		pkt(29, core.EvAck, 9),
 	})
-	s := tr.Span(9)
+	s := spanOf(tr, 9)
 	wantPhases(t, s, []Phase{
 		{PhasePipeline, 0, 2},
 		{PhaseQueue, 2, 2},
@@ -123,7 +133,7 @@ func TestAssembleSetasideResidency(t *testing.T) {
 		pkt(30, core.EvAck, 4),
 		pkt(30, core.EvSetasideExit, 4),
 	})
-	s := tr.Span(4)
+	s := spanOf(tr, 4)
 	if s.Setaside != 26 {
 		t.Fatalf("setaside residency %d, want 26", s.Setaside)
 	}
@@ -147,7 +157,7 @@ func TestAssembleCirculation(t *testing.T) {
 		pkt(137, core.EvAccept, 2),
 		deliver(138, 2, 139),
 	})
-	s := tr.Span(2)
+	s := spanOf(tr, 2)
 	wantPhases(t, s, []Phase{
 		{PhasePipeline, 0, 2},
 		{PhaseQueue, 2, 2},
@@ -167,7 +177,7 @@ func TestAssembleLocalDelivery(t *testing.T) {
 		pkt(5, core.EvInject, 8),
 		deliver(7, 8, 8),
 	})
-	s := tr.Span(8)
+	s := spanOf(tr, 8)
 	if !s.Local {
 		t.Fatal("span not marked local")
 	}
@@ -184,7 +194,7 @@ func TestAssembleUndeliveredKeepsPrefix(t *testing.T) {
 		pkt(4, core.EvHeadReady, 1),
 		pkt(6, core.EvLaunch, 1),
 	})
-	s := tr.Span(1)
+	s := spanOf(tr, 1)
 	if s.Delivered != -1 || s.Latency() != -1 {
 		t.Fatalf("undelivered span reports delivery: %+v", s)
 	}
@@ -204,7 +214,7 @@ func TestAssembleFaultedLenient(t *testing.T) {
 		pkt(47, core.EvAccept, 6),
 		deliver(48, 6, 49),
 	})
-	s := tr.Span(6)
+	s := spanOf(tr, 6)
 	if !s.Faulted {
 		t.Fatal("span not marked faulted")
 	}
@@ -273,7 +283,7 @@ func TestAggregate(t *testing.T) {
 		deliver(14, 2, 15),
 	})
 	all := Aggregate(tr, false)
-	if all.Spans != 2 || all.Local != 1 || all.Remote() != 1 {
+	if all.Spans != 2 || all.Local != 1 {
 		t.Fatalf("aggregate spans=%d local=%d, want 2/1", all.Spans, all.Local)
 	}
 	if all.Total != 11+3 {

@@ -10,34 +10,38 @@ import (
 
 // Stream is the windowed counterpart of Tap + Assemble: a core.Tracer
 // that assembles spans while the simulation runs and hands each span to
-// a callback the moment the packet delivers, instead of retaining the
+// a callback the moment the packet completes, instead of retaining the
 // whole event stream and the whole span set in memory. Resident state is
 // bounded by the number of packets simultaneously in flight (plus a
 // short tombstone window for post-delivery ACKs), so tracing a long run
 // costs O(live packets), not O(total packets).
 //
 // The assembly grammar is byte-for-byte the one Assemble applies — both
-// drive the same per-packet state machine — so a stream fed a Tap's
-// records flushes exactly the spans Assemble would have built. The check
-// battery pins that equivalence.
+// admit records through the same intake and drive the same per-packet
+// state machine — so a stream fed a Tap's records flushes exactly the
+// spans Assemble would have built. The check battery pins that
+// equivalence.
 //
-// One case differs, because the stream cannot take a span back. A
-// recovery event (timeout, duplicate discard, packet fault) that reaches
-// a packet after its delivery — the lost-ACK path: accept, deliver, then
-// the sender's timer fires — makes Assemble, which sees the whole stream
-// before anyone sees a span, mark the packet Faulted and drop its phases.
-// The stream has already handed that span out as clean; it leaves the
-// span as flushed, swallows the packet's remaining events, and holds the
-// cursor until Close (as it holds every faulted cursor) without flushing
-// it again. After hand-off the stream writes one field only: Setaside, an
-// annotation outside the phase sum, whose closing event (the sender
-// freeing the slot when the ACK returns) trails delivery.
+// A span is complete, and flushed, when the packet has delivered and no
+// setaside residency is open: at delivery on most schemes, and on the
+// setaside schemes at the EvSetasideExit that trails it (the sender frees
+// the slot when the ACK returns). The stream never writes to a span after
+// hand-off.
+//
+// One case therefore differs from batch, because the stream cannot take a
+// span back. A recovery event (timeout, duplicate discard, packet fault)
+// that reaches a packet after its delivery — the lost-ACK path: accept,
+// deliver, then the sender's timer fires — makes Assemble, which sees the
+// whole stream before anyone sees a span, mark the packet Faulted and
+// drop its phases. If the stream still holds the span (its setaside slot
+// not yet released) it does exactly the same; if it has already handed
+// the span out as clean, it leaves the span as flushed, swallows the
+// packet's remaining events, and holds the cursor until Close (as it
+// holds every faulted cursor) without flushing it again.
 type Stream struct {
 	cfg StreamConfig
 
-	cursors map[uint64]*pktAsm
-	seen    int64 // records accepted
-	last    int64 // last accepted cycle (chronology check)
+	intake
 
 	// tombs queues flushed cursors for retirement. Entries are pushed
 	// under the current cycle, so at never decreases from head to tail.
@@ -51,12 +55,12 @@ type Stream struct {
 }
 
 // StreamConfig configures a Stream. OnSpan receives every assembled span
-// exactly once: delivered non-faulted spans as they deliver, everything
-// else (undelivered, faulted) at Close in (Injected, ID) order. A nil
-// OnSpan discards spans — useful when only the stream's validation and
-// stats are wanted. OnMeta receives packet-less records (token motion,
-// faults) as they happen; nil discards them. An error from either
-// callback latches and stops the stream.
+// exactly once: delivered non-faulted spans as they complete, everything
+// else (undelivered, faulted, setaside slot never released) at Close in
+// (Injected, ID) order. A nil OnSpan discards spans — useful when only
+// the stream's validation and stats are wanted. OnMeta receives
+// packet-less records (token motion, faults) as they happen; nil discards
+// them. An error from either callback latches and stops the stream.
 type StreamConfig struct {
 	OnSpan func(*PacketSpan) error
 	OnMeta func(Record) error
@@ -85,7 +89,7 @@ func NewStream(cfg StreamConfig) *Stream {
 	if cfg.RetireAfter <= 0 {
 		cfg.RetireAfter = defaultRetireAfter
 	}
-	return &Stream{cfg: cfg, cursors: make(map[uint64]*pktAsm), tombs: sim.NewQueue[tombstone](0)}
+	return &Stream{cfg: cfg, intake: intake{cursors: make(map[uint64]*pktAsm)}, tombs: sim.NewQueue[tombstone](0)}
 }
 
 // Err returns the first error the stream hit (malformed input or a
@@ -102,18 +106,7 @@ func (s *Stream) MaxLive() int { return s.maxLive }
 // Observe implements core.Tracer with the same value-copy contract as
 // Tap.Observe; assembly errors latch into Err.
 func (s *Stream) Observe(e core.Event) {
-	r := Record{Cycle: e.Cycle, Type: e.Type, Aux: e.Aux, DeliveredAt: -1}
-	if p := e.Packet; p != nil {
-		r.ID = p.ID
-		r.Src, r.Dst = int32(p.Src), int32(p.Dst)
-		r.Measured = p.Measured
-		if e.Type == core.EvDeliver {
-			r.DeliveredAt = p.DeliveredAt
-		}
-	} else {
-		r.Meta = true
-	}
-	_ = s.Push(r)
+	_ = s.Push(recordOf(e))
 }
 
 // Push feeds one record through the assembler. The first error latches:
@@ -133,15 +126,6 @@ func (s *Stream) Push(r Record) error {
 }
 
 func (s *Stream) push(r Record) error {
-	if r.Cycle < 0 {
-		return fmt.Errorf("ptrace: record %d: negative cycle %d", s.seen, r.Cycle)
-	}
-	if r.Cycle < s.last {
-		return fmt.Errorf("ptrace: record %d: cycle %d before cycle %d (stream not chronological)",
-			s.seen, r.Cycle, s.last)
-	}
-	s.last = r.Cycle
-	s.seen++
 	// Retire every tombstone whose last event is RetireAfter cycles old.
 	// The queue is in last-event order, so only its head can be due.
 	for {
@@ -155,41 +139,20 @@ func (s *Stream) push(r Record) error {
 		}
 	}
 
-	if r.Meta {
-		switch r.Type {
-		case core.EvTokenCapture, core.EvTokenRelease, core.EvTokenRegen, core.EvFault:
-			if s.cfg.OnMeta != nil {
-				if err := s.cfg.OnMeta(r); err != nil {
-					return err
-				}
-			}
-			return nil
-		default:
-			return fmt.Errorf("ptrace: record %d: meta record with packet event type %s", s.seen-1, r.Type)
+	a, err := s.admit(r)
+	switch {
+	case err != nil:
+		return err
+	case a == nil:
+		if s.cfg.OnMeta != nil {
+			return s.cfg.OnMeta(r)
 		}
-	}
-	switch r.Type {
-	case core.EvTokenCapture, core.EvTokenRelease, core.EvTokenRegen:
-		return fmt.Errorf("ptrace: record %d: packet record with meta event type %s", s.seen-1, r.Type)
-	}
-
-	a := s.cursors[r.ID]
-	if r.Type == core.EvInject {
-		if a != nil {
-			return fmt.Errorf("ptrace: record %d: packet %d injected twice", s.seen-1, r.ID)
-		}
-		s.cursors[r.ID] = newCursor(r)
+		return nil
+	case r.Type == core.EvInject:
 		if n := len(s.cursors); n > s.maxLive {
 			s.maxLive = n
 		}
 		return nil
-	}
-	if a == nil {
-		return fmt.Errorf("ptrace: record %d: %s for packet %d before its injection", s.seen-1, r.Type, r.ID)
-	}
-	if r.Cycle < a.last {
-		return fmt.Errorf("ptrace: record %d: packet %d time runs backwards (%d after %d)",
-			s.seen-1, r.ID, r.Cycle, a.last)
 	}
 	touched := r.Cycle > a.last
 	a.last = r.Cycle
@@ -202,7 +165,7 @@ func (s *Stream) push(r Record) error {
 		return nil
 	case a.state == stAbsorbing:
 		return nil
-	case a.state == stDone:
+	case a.flushed:
 		// A tombstone: the span is with the consumer.
 		switch r.Type {
 		case core.EvFault, core.EvTimeout, core.EvDupDrop:
@@ -218,10 +181,11 @@ func (s *Stream) push(r Record) error {
 	if err := a.apply(r); err != nil {
 		return fmt.Errorf("ptrace: record %d: %w", s.seen-1, err)
 	}
-	// Delivery completes a non-faulted span: flush it now. The cursor
-	// stays behind as a tombstone so the packet's post-delivery ACK is
+	// Delivered, not faulted, setaside slot released: the span is complete.
+	// The cursor stays behind as a tombstone so the packet's later ACK is
 	// still legal, and retires RetireAfter cycles after its last event.
-	if r.Type == core.EvDeliver {
+	if a.state == stDone && !a.flushed && a.setasideAt < 0 && !a.span.Faulted {
+		a.flushed = true
 		s.tombs.PushBack(tombstone{a, r.Cycle})
 		return s.flush(&a.span)
 	}
@@ -237,9 +201,10 @@ func (s *Stream) flush(span *PacketSpan) error {
 }
 
 // Close flushes every span still resident — undelivered packets with
-// their phase prefix, faulted packets with their counters — in
-// (Injected, ID) order, then drops all state. A latched error makes
-// Close a no-op returning that error.
+// their phase prefix, faulted packets with their counters, delivered
+// packets whose setaside slot was never released — in (Injected, ID)
+// order, then drops all state. A latched error makes Close a no-op
+// returning that error.
 func (s *Stream) Close() error {
 	if s.err != nil {
 		return s.err
@@ -250,10 +215,9 @@ func (s *Stream) Close() error {
 	s.closed = true
 	var rest []*pktAsm
 	for _, a := range s.cursors {
-		if !a.span.Faulted && (a.state == stDone || a.state == stAbsorbing) {
-			continue // flushed at delivery; cursor was only a tombstone
+		if !a.flushed {
+			rest = append(rest, a)
 		}
-		rest = append(rest, a)
 	}
 	sort.Slice(rest, func(i, j int) bool {
 		si, sj := &rest[i].span, &rest[j].span

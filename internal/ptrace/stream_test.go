@@ -21,10 +21,13 @@ func tapRun(t *testing.T, s core.Scheme, load float64) (core.Result, []Record) {
 	return tapRunWindow(t, s, load, streamWindow)
 }
 
-func tapRunWindow(t *testing.T, s core.Scheme, load float64, window sim.Window) (core.Result, []Record) {
+func tapRunWindow(t *testing.T, s core.Scheme, load float64, window sim.Window, mod ...func(*core.Config)) (core.Result, []Record) {
 	t.Helper()
 	cfg := core.DefaultConfig(s)
 	cfg.Seed = 1
+	for _, m := range mod {
+		m(&cfg)
+	}
 	net, err := core.NewNetwork(cfg, window)
 	if err != nil {
 		t.Fatal(err)
@@ -71,21 +74,34 @@ func streamAll(t *testing.T, records []Record, cfg StreamConfig) ([]*PacketSpan,
 // TestStreamMatchesBatch pins the headline equivalence: for every
 // registered scheme, feeding a Tap's records through the windowed Stream
 // flushes exactly the spans Assemble builds — same set, same phases,
-// same counters — while the resident cursor count stays far below the
-// total packet population.
+// same counters, complete at hand-off and never written afterwards —
+// while the resident cursor count stays far below the total packet
+// population. Shallow, stalling receivers make the handshake schemes NACK.
 func TestStreamMatchesBatch(t *testing.T) {
 	for _, s := range core.Schemes() {
 		t.Run(s.String(), func(t *testing.T) {
-			_, records := tapRun(t, s, 0.12)
+			_, records := tapRunWindow(t, s, 0.08, streamWindow, func(c *core.Config) {
+				c.BufferDepth, c.EjectStallProb = 2, 0.5
+			})
 			batch, err := Assemble(records)
 			if err != nil {
 				t.Fatal(err)
 			}
+			// What a consumer sees inside OnSpan: the attribution it can
+			// fold there, and a deep copy of each span as handed over.
+			var inc Attribution
+			atFlush := make(map[uint64]PacketSpan)
 			// Aggressive retirement exercises the tombstone queue; 256
 			// cycles still dwarfs a loop trip, so trailing ACKs are safe.
 			spans, meta, st := streamAll(t, records, StreamConfig{
 				RetireAfter: 256,
-				OnSpan:      func(sp *PacketSpan) error { return sp.Validate() },
+				OnSpan: func(sp *PacketSpan) error {
+					inc.AddSpan(sp, true)
+					c := *sp
+					c.Phases = append([]Phase(nil), sp.Phases...)
+					atFlush[sp.ID] = c
+					return sp.Validate()
+				},
 			})
 
 			if len(spans) != len(batch.Spans) {
@@ -102,19 +118,25 @@ func TestStreamMatchesBatch(t *testing.T) {
 				if !reflect.DeepEqual(got[want.ID], want) {
 					t.Fatalf("packet %d diverged:\n stream %+v\n batch  %+v", want.ID, got[want.ID], want)
 				}
+				if c := atFlush[want.ID]; !reflect.DeepEqual(&c, want) {
+					t.Fatalf("packet %d written after hand-off:\n at flush %+v\n final    %+v", want.ID, c, want)
+				}
 			}
 			if len(meta) != len(batch.Tokens)+len(batch.Faults) {
 				t.Fatalf("stream forwarded %d meta records, batch kept %d", len(meta), len(batch.Tokens)+len(batch.Faults))
 			}
 
-			// Streaming attribution over measured spans equals the batch
-			// aggregate exactly.
-			var inc Attribution
-			for _, sp := range spans {
-				inc.AddSpan(sp, true)
+			// Attribution folded inside OnSpan equals the batch aggregate
+			// field for field, setaside residency included.
+			want := Aggregate(batch, true)
+			if inc != want {
+				t.Fatalf("incremental attribution diverged:\n stream %+v\n batch  %+v", inc, want)
 			}
-			if inc != Aggregate(batch, true) {
-				t.Fatalf("incremental attribution diverged:\n stream %+v\n batch  %+v", inc, Aggregate(batch, true))
+			if spec, _ := core.LookupProtocol(s); spec.Handshake && want.Drops+want.Circulations == 0 {
+				t.Fatalf("no NACK or circulation; the handshake paths went unexercised")
+			}
+			if (s == core.GHSSetaside || s == core.DHSSetaside) && want.Setaside == 0 {
+				t.Fatalf("no setaside residency attributed")
 			}
 
 			if st.Flushed() != int64(len(spans)) {
@@ -123,8 +145,8 @@ func TestStreamMatchesBatch(t *testing.T) {
 			if st.MaxLive() >= len(spans) {
 				t.Fatalf("MaxLive %d did not bound memory below the %d-span population", st.MaxLive(), len(spans))
 			}
-			t.Logf("%s: %d spans, max %d live (%.1f%%)", s, len(spans), st.MaxLive(),
-				100*float64(st.MaxLive())/float64(len(spans)))
+			t.Logf("%s: %d spans, max %d live (%.1f%%), %d drops, setaside %d", s, len(spans), st.MaxLive(),
+				100*float64(st.MaxLive())/float64(len(spans)), want.Drops, want.Setaside)
 		})
 	}
 }
@@ -309,7 +331,7 @@ func TestStreamFlushesOncePastRecovery(t *testing.T) {
 			if held.Faulted || len(held.Phases) != 5 || held.Validate() != nil {
 				t.Fatalf("flushed span lost its clean chain: %+v", held)
 			}
-			if batch := mustAssemble(t, records); !batch.Span(1).Faulted {
+			if batch := mustAssemble(t, records); !spanOf(batch, 1).Faulted {
 				t.Fatal("batch Assemble no longer marks the packet Faulted; the Stream comment describes a difference that is gone")
 			}
 		})
@@ -321,69 +343,98 @@ type tee struct{ a, b core.Tracer }
 
 func (t tee) Observe(e core.Event) { t.a.Observe(e); t.b.Observe(e) }
 
-// TestStreamChaosFlushesOnce arms the stream on a live ACK-loss run with
+// TestStreamChaosFlushesOnce arms the stream on live ACK-loss runs with
 // recovery on — every lost ACK of an accepted packet ends in a sender
-// timeout after the delivery — and checks no packet is flushed twice.
+// timeout after the delivery — and checks no packet is flushed twice. On
+// GHS the span left at delivery, so the stream keeps it clean where batch
+// marks it Faulted; on GHS with setaside the slot is still held when the
+// timer fires, the span has not left, and the stream marks it Faulted
+// exactly as batch does.
 func TestStreamChaosFlushesOnce(t *testing.T) {
-	cfg := core.DefaultConfig(core.GHSSetaside)
-	cfg.Seed = 1
-	cfg.Fault = fault.Config{Enabled: true, Warmup: streamWindow.Warmup}
-	cfg.Fault = cfg.Fault.SetClass(fault.PulseLoss, fault.ClassConfig{Rate: 0.02, Burst: 2})
-	cfg.Recovery.Enabled = true
-	net, err := core.NewNetwork(cfg, streamWindow)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inj, err := traffic.NewInjector(traffic.UniformRandom{}, 0.04, cfg.Nodes, cfg.CoresPerNode, 0x5EED)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flushes := make(map[uint64]int)
-	cleanFlushes := make(map[uint64]bool)
-	st := NewStream(StreamConfig{OnSpan: func(sp *PacketSpan) error {
-		flushes[sp.ID]++
-		cleanFlushes[sp.ID] = !sp.Faulted && sp.Delivered >= 0
-		return sp.Validate()
-	}})
-	tap := NewTap()
-	net.SetTracer(tee{tap, st})
-	inj.Run(net)
-	net.Drain(60_000)
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
+	for _, scheme := range []core.Scheme{core.GHS, core.GHSSetaside} {
+		t.Run(scheme.String(), func(t *testing.T) {
+			cfg := core.DefaultConfig(scheme)
+			cfg.Seed = 1
+			cfg.Fault = fault.Config{Enabled: true, Warmup: streamWindow.Warmup}
+			cfg.Fault = cfg.Fault.SetClass(fault.PulseLoss, fault.ClassConfig{Rate: 0.02, Burst: 2})
+			cfg.Recovery.Enabled = true
+			net, err := core.NewNetwork(cfg, streamWindow)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inj, err := traffic.NewInjector(traffic.UniformRandom{}, 0.04, cfg.Nodes, cfg.CoresPerNode, 0x5EED)
+			if err != nil {
+				t.Fatal(err)
+			}
+			flushes := make(map[uint64]int)
+			streamed := make(map[uint64]PacketSpan)
+			st := NewStream(StreamConfig{OnSpan: func(sp *PacketSpan) error {
+				flushes[sp.ID]++
+				streamed[sp.ID] = *sp
+				return sp.Validate()
+			}})
+			tap := NewTap()
+			net.SetTracer(tee{tap, st})
+			inj.Run(net)
+			net.Drain(60_000)
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-	for id, n := range flushes {
-		if n != 1 {
-			t.Fatalf("packet %d flushed %d times", id, n)
-		}
+			for id, n := range flushes {
+				if n != 1 {
+					t.Fatalf("packet %d flushed %d times", id, n)
+				}
+			}
+			if int64(len(flushes)) != st.Flushed() {
+				t.Fatalf("Flushed() = %d, %d distinct packets flushed", st.Flushed(), len(flushes))
+			}
+			batch, err := tap.Assemble()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(batch.Spans) != len(flushes) {
+				t.Fatalf("stream flushed %d packets, batch assembled %d", len(flushes), len(batch.Spans))
+			}
+
+			// The case under test must have occurred: delivered packets a
+			// recovery event reached afterwards. late counts those the
+			// stream had already flushed clean, held those it still held
+			// and marked Faulted with batch.
+			delivered := make(map[uint64]bool)
+			after := make(map[uint64]bool)
+			for _, r := range tap.Records {
+				switch r.Type {
+				case core.EvDeliver:
+					delivered[r.ID] = true
+				case core.EvFault, core.EvTimeout, core.EvDupDrop:
+					after[r.ID] = after[r.ID] || (!r.Meta && delivered[r.ID])
+				}
+			}
+			var late, held int
+			for _, sp := range batch.Spans {
+				got := streamed[sp.ID]
+				switch {
+				case sp.Faulted && !got.Faulted && got.Delivered >= 0:
+					late++
+				case sp.Faulted && got.Faulted && after[sp.ID]:
+					held++
+				case sp.Faulted != got.Faulted:
+					t.Fatalf("packet %d: stream Faulted=%v, batch Faulted=%v", sp.ID, got.Faulted, sp.Faulted)
+				}
+			}
+			if scheme == core.GHS && late == 0 {
+				t.Fatal("no recovery event reached a flushed packet; test is vacuous")
+			}
+			if scheme == core.GHSSetaside && (late != 0 || held == 0) {
+				t.Fatalf("setaside: %d spans flushed before their slot's recovery, %d held and marked; want 0 and some", late, held)
+			}
+			if want := oracleMaxLive(tap.Records, defaultRetireAfter); st.MaxLive() != want {
+				t.Fatalf("MaxLive %d, oracle %d", st.MaxLive(), want)
+			}
+			t.Logf("%d packets, %d flushed before a recovery event, %d held through one", len(flushes), late, held)
+		})
 	}
-	if int64(len(flushes)) != st.Flushed() {
-		t.Fatalf("Flushed() = %d, %d distinct packets flushed", st.Flushed(), len(flushes))
-	}
-	// The case under test must have occurred: packets the stream flushed
-	// clean that the batch assembler, seeing their later recovery events,
-	// marks Faulted.
-	batch, err := tap.Assemble()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(batch.Spans) != len(flushes) {
-		t.Fatalf("stream flushed %d packets, batch assembled %d", len(flushes), len(batch.Spans))
-	}
-	var late int
-	for _, sp := range batch.Spans {
-		if sp.Faulted && cleanFlushes[sp.ID] {
-			late++
-		}
-	}
-	if late == 0 {
-		t.Fatal("no recovery event reached a delivered packet; test is vacuous")
-	}
-	if want := oracleMaxLive(tap.Records, defaultRetireAfter); st.MaxLive() != want {
-		t.Fatalf("MaxLive %d, oracle %d", st.MaxLive(), want)
-	}
-	t.Logf("%d packets, %d with recovery events after their flush", len(flushes), late)
 }
 
 // oracleMaxLive replays a recorded stream the slow way and returns the

@@ -46,15 +46,6 @@ func NewGeometry(nodes, roundTrip int) (*Geometry, error) {
 	return &Geometry{nodes: nodes, roundTrip: roundTrip, perCycle: nodes / roundTrip}, nil
 }
 
-// MustGeometry is NewGeometry for known-good literals (tests, defaults).
-func MustGeometry(nodes, roundTrip int) *Geometry {
-	g, err := NewGeometry(nodes, roundTrip)
-	if err != nil {
-		panic(err)
-	}
-	return g
-}
-
 // Nodes returns the number of nodes on the loop.
 func (g *Geometry) Nodes() int { return g.nodes }
 
@@ -87,11 +78,6 @@ func (g *Geometry) Segment(p int) int {
 	return (p + g.perCycle - 1) / g.perCycle
 }
 
-// TokenReach returns the cycle (relative to emission) at which a token
-// emitted by the home node reaches downstream offset p; identical to
-// Segment by construction.
-func (g *Geometry) TokenReach(p int) int { return g.Segment(p) }
-
 // FlightToHome returns the number of cycles a data flit launched at
 // downstream offset p takes to reach the home node, including the E/O and
 // O/E conversions that the paper folds into link traversal. The value is
@@ -106,31 +92,15 @@ func (g *Geometry) FlightToHome(p int) int {
 	return g.roundTrip + 1 - g.Segment(p)
 }
 
-// AckDelay returns the fixed sender-observed handshake latency: a sender
-// receives the ACK/NACK for a packet exactly AckDelay cycles after
-// launching it (paper §IV-C: "if the round-trip time for the optical ring
-// is 8 cycles, then a sender will receive the handshake message in 9
-// cycles"). The constancy is what lets each sender keep its handshake
-// detector off except in that one known cycle, making 1-bit handshake
-// messages feasible.
-func (g *Geometry) AckDelay() int { return g.roundTrip + 1 }
-
 // HandshakeReturn returns the cycle at which a handshake pulse emitted by
 // the home when a packet arrives (arrivedAt) reaches the sender at offset
 // p: the pulse spends Segment(p) cycles on the home→sender arc. For a flit
-// whose flight was the nominal FlightToHome this equals the packet's launch
-// cycle plus AckDelay.
+// whose flight was the nominal FlightToHome this is the packet's launch
+// cycle plus R+1, whatever p is (paper §IV-C: "if the round-trip time for
+// the optical ring is 8 cycles, then a sender will receive the handshake
+// message in 9 cycles"). The constancy is what lets each sender keep its
+// handshake detector off except in that one known cycle, making 1-bit
+// handshake messages feasible.
 func (g *Geometry) HandshakeReturn(arrivedAt int64, p int) int64 {
 	return arrivedAt + int64(g.Segment(p))
 }
-
-// SweepStart returns the first downstream offset covered by a token of the
-// given age (cycles since emission, 1-based): a token of age a sweeps
-// offsets [SweepStart(a), SweepStart(a)+NodesPerCycle) each cycle.
-func (g *Geometry) SweepStart(age int) int {
-	return (age-1)*g.perCycle + 1
-}
-
-// Expired reports whether a token of the given age has completed the loop
-// and returned to (or passed) the home node.
-func (g *Geometry) Expired(age int) bool { return age > g.roundTrip }

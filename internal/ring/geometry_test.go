@@ -5,6 +5,15 @@ import (
 	"testing/quick"
 )
 
+// MustGeometry is NewGeometry for the known-good literals of these tests.
+func MustGeometry(nodes, roundTrip int) *Geometry {
+	g, err := NewGeometry(nodes, roundTrip)
+	if err != nil {
+		panic(err)
+	}
+	return g
+}
+
 func TestGeometryValidation(t *testing.T) {
 	cases := []struct {
 		nodes, rt int
@@ -117,14 +126,11 @@ func TestFlightBounds(t *testing.T) {
 func TestAckDelayIsRPlus1(t *testing.T) {
 	for _, rt := range []int{4, 8, 16} {
 		g := MustGeometry(64, rt)
-		if g.AckDelay() != rt+1 {
-			t.Fatalf("R=%d: AckDelay = %d", rt, g.AckDelay())
-		}
 		for p := 1; p < 64; p++ {
 			sent := int64(100)
 			arrived := sent + int64(g.FlightToHome(p))
-			if got := g.HandshakeReturn(arrived, p); got != sent+int64(g.AckDelay()) {
-				t.Fatalf("R=%d offset %d: handshake at %d, want %d", rt, p, got, sent+int64(g.AckDelay()))
+			if got, want := g.HandshakeReturn(arrived, p), sent+int64(rt)+1; got != want {
+				t.Fatalf("R=%d offset %d: handshake at %d, want %d", rt, p, got, want)
 			}
 		}
 	}
@@ -134,7 +140,8 @@ func TestSweepCoversAllOffsets(t *testing.T) {
 	g := MustGeometry(64, 8)
 	seen := make([]bool, 64)
 	for age := 1; age <= g.RoundTrip(); age++ {
-		start := g.SweepStart(age)
+		// A token of age a sweeps NodesPerCycle offsets from (a-1)*per+1.
+		start := (age-1)*g.NodesPerCycle() + 1
 		for i := 0; i < g.NodesPerCycle(); i++ {
 			off := start + i
 			if off < 64 {
@@ -142,6 +149,9 @@ func TestSweepCoversAllOffsets(t *testing.T) {
 					t.Fatalf("offset %d swept twice", off)
 				}
 				seen[off] = true
+				if g.Segment(off) != age {
+					t.Fatalf("offset %d swept at age %d, Segment says %d", off, age, g.Segment(off))
+				}
 			}
 		}
 	}
@@ -149,9 +159,6 @@ func TestSweepCoversAllOffsets(t *testing.T) {
 		if !seen[p] {
 			t.Fatalf("offset %d never swept", p)
 		}
-	}
-	if !g.Expired(g.RoundTrip()+1) || g.Expired(g.RoundTrip()) {
-		t.Fatal("Expired boundary wrong")
 	}
 }
 

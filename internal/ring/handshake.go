@@ -5,7 +5,7 @@ import "photon/internal/sim"
 // Ack is one handshake pulse: a single-bit ACK/NACK addressed to the sender
 // of a specific packet. The paper dedicates one wavelength per home node on
 // a shared handshake waveguide; because the sender knows exactly when its
-// answer is due (AckDelay cycles after launch), one bit of payload —
+// answer is due (R+1 cycles after launch), one bit of payload —
 // positive or negative — is all that is needed.
 type Ack struct {
 	// To is the absolute node id of the sender being answered.
@@ -30,7 +30,7 @@ type Ack struct {
 type LossFunc func(now int64, a Ack) bool
 
 // HandshakeChannel carries Ack pulses from a home node back to senders with
-// the fixed AckDelay timing of the loop geometry.
+// the fixed R+1 timing of the loop geometry (Geometry.HandshakeReturn).
 type HandshakeChannel struct {
 	geom      *Geometry
 	line      *sim.DelayLine[Ack]
@@ -50,17 +50,15 @@ func NewHandshakeChannel(geom *Geometry) *HandshakeChannel {
 }
 
 // Send launches the answer for a packet that arrived at the home node at
-// cycle arrivedAt from downstream offset p. The pulse travels the
-// home-to-sender arc in Segment(p) cycles; for a flit whose flight was the
-// nominal FlightToHome this makes the sender observe exactly AckDelay
-// cycles after launch (paper §IV-C).
+// cycle arrivedAt from downstream offset p; the sender observes it at
+// Geometry.HandshakeReturn(arrivedAt, p).
 func (h *HandshakeChannel) Send(arrivedAt int64, p int, ack Ack) {
 	if ack.Positive {
 		h.acks++
 	} else {
 		h.nacks++
 	}
-	h.line.Schedule(arrivedAt+int64(h.geom.Segment(p)), ack)
+	h.line.Schedule(h.geom.HandshakeReturn(arrivedAt, p), ack)
 }
 
 // SetLoss installs a fault filter consulted for every delivered pulse.

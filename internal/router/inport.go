@@ -24,7 +24,6 @@ type InPort struct {
 
 	ejected int64
 	peak    int
-	stalls  int64
 }
 
 // NewInPort builds an ejection buffer with the given depth (credits),
@@ -43,9 +42,6 @@ func NewInPort(depth, ejectRate int, stallProb float64, rng *sim.RNG) *InPort {
 		rng:       rng,
 	}
 }
-
-// Depth returns the buffer depth (the credit count).
-func (in *InPort) Depth() int { return in.buf.Cap() }
 
 // Occupied reports current occupancy.
 func (in *InPort) Occupied() int { return in.buf.Len() }
@@ -72,7 +68,6 @@ func (in *InPort) Accept(p *Packet) bool {
 // returned slice is valid only until the next Eject call.
 func (in *InPort) Eject() []*Packet {
 	if in.stallProb > 0 && in.rng != nil && in.rng.Bernoulli(in.stallProb) {
-		in.stalls++
 		return nil
 	}
 	if in.buf.Empty() {
@@ -93,6 +88,3 @@ func (in *InPort) Eject() []*Packet {
 
 // Ejected reports the cumulative ejected packet count.
 func (in *InPort) Ejected() int64 { return in.ejected }
-
-// Stalls reports how many cycles ejection was stalled.
-func (in *InPort) Stalls() int64 { return in.stalls }

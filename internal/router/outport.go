@@ -68,9 +68,6 @@ type OutPort struct {
 	setasideCap int
 	pending     pendingEntry // used by HoldHead policy, valid iff hasPending
 	hasPending  bool
-
-	peakQueue    int
-	peakSetaside int
 }
 
 // NewOutPort builds an output port. queueCap bounds the output queue (0 =
@@ -97,18 +94,11 @@ func (o *OutPort) Policy() SendPolicy { return o.policy }
 // Enqueue admits a packet into the output queue; false means the queue is
 // full (only possible with a bounded queue).
 func (o *OutPort) Enqueue(p *Packet) bool {
-	ok := o.queue.PushBack(p)
-	if ok && o.queue.Len() > o.peakQueue {
-		o.peakQueue = o.queue.Len()
-	}
-	return ok
+	return o.queue.PushBack(p)
 }
 
 // QueueLen reports output queue occupancy (excluding pending/setaside).
 func (o *OutPort) QueueLen() int { return o.queue.Len() }
-
-// SetasideLen reports occupied setaside slots.
-func (o *OutPort) SetasideLen() int { return len(o.setaside) }
 
 // Unacked reports the number of sent packets awaiting handshake.
 func (o *OutPort) Unacked() int {
@@ -118,12 +108,6 @@ func (o *OutPort) Unacked() int {
 	}
 	return n
 }
-
-// PeakQueue reports the largest queue occupancy observed.
-func (o *OutPort) PeakQueue() int { return o.peakQueue }
-
-// PeakSetaside reports the largest setaside occupancy observed.
-func (o *OutPort) PeakSetaside() int { return o.peakSetaside }
 
 // Backlog reports every packet still owned by the port (for drain checks).
 func (o *OutPort) Backlog() int { return o.queue.Len() + o.Unacked() }
@@ -210,9 +194,6 @@ func (o *OutPort) MarkSent(pkt *Packet, now int64) {
 			panic("router: setaside overflow on launch")
 		}
 		o.setaside = append(o.setaside, pendingEntry{pkt: pkt})
-		if len(o.setaside) > o.peakSetaside {
-			o.peakSetaside = len(o.setaside)
-		}
 	}
 }
 

@@ -126,8 +126,8 @@ func TestSetasideFreesHead(t *testing.T) {
 	if o.NextReady() != nil {
 		t.Fatal("full setaside did not block")
 	}
-	if o.SetasideLen() != 2 || o.PeakSetaside() != 2 {
-		t.Fatalf("SetasideLen = %d peak %d", o.SetasideLen(), o.PeakSetaside())
+	if o.Unacked() != 2 {
+		t.Fatalf("Unacked = %d", o.Unacked())
 	}
 	if _, err := o.Ack(1); err != nil {
 		t.Fatal(err)
@@ -200,8 +200,8 @@ func TestBoundedQueueRejects(t *testing.T) {
 	if o.Enqueue(pkt(3, 1)) {
 		t.Fatal("enqueue beyond bound succeeded")
 	}
-	if o.PeakQueue() != 2 {
-		t.Fatalf("PeakQueue = %d", o.PeakQueue())
+	if o.QueueLen() != 2 {
+		t.Fatalf("QueueLen = %d", o.QueueLen())
 	}
 }
 
@@ -262,8 +262,8 @@ func TestInPortStall(t *testing.T) {
 			t.Fatal("stalled port ejected")
 		}
 	}
-	if in.Stalls() != 10 {
-		t.Fatalf("Stalls = %d", in.Stalls())
+	if in.Occupied() != 1 {
+		t.Fatalf("Occupied = %d after ten stalled cycles", in.Occupied())
 	}
 }
 

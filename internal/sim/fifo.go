@@ -26,22 +26,11 @@ func NewQueue[T any](limit int) *Queue[T] {
 // Len reports the number of queued items.
 func (q *Queue[T]) Len() int { return q.size }
 
-// Cap reports the capacity bound (0 = unbounded).
-func (q *Queue[T]) Cap() int { return q.limit }
-
 // Full reports whether the queue has reached its capacity bound.
 func (q *Queue[T]) Full() bool { return q.limit > 0 && q.size >= q.limit }
 
 // Empty reports whether the queue holds no items.
 func (q *Queue[T]) Empty() bool { return q.size == 0 }
-
-// Free reports the remaining capacity; -1 when unbounded.
-func (q *Queue[T]) Free() int {
-	if q.limit == 0 {
-		return -1
-	}
-	return q.limit - q.size
-}
 
 func (q *Queue[T]) grow() {
 	nb := make([]T, 2*len(q.buf))

@@ -36,12 +36,9 @@ func TestQueueBounded(t *testing.T) {
 	if !q.Full() {
 		t.Fatal("Full() = false at capacity")
 	}
-	if q.Free() != 0 {
-		t.Fatalf("Free() = %d at capacity", q.Free())
-	}
 	q.PopFront()
-	if q.Free() != 1 {
-		t.Fatalf("Free() = %d after one pop", q.Free())
+	if q.Full() {
+		t.Fatal("Full() = true after one pop")
 	}
 	if !q.PushBack(99) {
 		t.Fatal("push after freeing failed")

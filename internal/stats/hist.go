@@ -55,9 +55,6 @@ func (h *Histogram) Add(v int64) {
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.count }
 
-// Sum returns the sum of all observations.
-func (h *Histogram) Sum() int64 { return h.sum }
-
 // Max returns the largest observation (0 when empty).
 func (h *Histogram) Max() int64 { return h.max }
 

@@ -12,8 +12,8 @@ func TestHistogramBasics(t *testing.T) {
 	for _, v := range []int64{1, 2, 2, 3, 100} {
 		h.Add(v)
 	}
-	if h.Count() != 5 || h.Sum() != 108 || h.Max() != 100 {
-		t.Fatalf("count %d sum %d max %d", h.Count(), h.Sum(), h.Max())
+	if h.Count() != 5 || h.sum != 108 || h.Max() != 100 {
+		t.Fatalf("count %d sum %d max %d", h.Count(), h.sum, h.Max())
 	}
 	if got := h.Mean(); math.Abs(got-21.6) > 1e-9 {
 		t.Fatalf("mean %.3f", got)
@@ -71,8 +71,8 @@ func TestHistogramMerge(t *testing.T) {
 	b.Add(3)
 	b.Add(200) // overflow
 	a.Merge(b)
-	if a.Count() != 4 || a.Sum() != 206 || a.Max() != 200 {
-		t.Fatalf("merged: count %d sum %d max %d", a.Count(), a.Sum(), a.Max())
+	if a.Count() != 4 || a.sum != 206 || a.Max() != 200 {
+		t.Fatalf("merged: count %d sum %d max %d", a.Count(), a.sum, a.Max())
 	}
 	a.Merge(nil) // no-op
 	if a.Count() != 4 {

@@ -104,36 +104,6 @@ func (t *Trace) Slice(from, to int64) (*Trace, error) {
 	return out, nil
 }
 
-// Merge interleaves two traces over the same CMP shape (multiprogrammed
-// workloads); the result spans the longer of the two.
-func Merge(a, b *Trace) (*Trace, error) {
-	if a.Cores != b.Cores || a.Nodes != b.Nodes {
-		return nil, fmt.Errorf("trace: merging mismatched shapes %d/%d vs %d/%d", a.Cores, a.Nodes, b.Cores, b.Nodes)
-	}
-	out := &Trace{
-		App:    a.App + "+" + b.App,
-		Cores:  a.Cores,
-		Nodes:  a.Nodes,
-		Cycles: a.Cycles,
-	}
-	if b.Cycles > out.Cycles {
-		out.Cycles = b.Cycles
-	}
-	out.Records = make([]Record, 0, len(a.Records)+len(b.Records))
-	i, j := 0, 0
-	for i < len(a.Records) || j < len(b.Records) {
-		switch {
-		case j >= len(b.Records) || (i < len(a.Records) && a.Records[i].Cycle <= b.Records[j].Cycle):
-			out.Records = append(out.Records, a.Records[i])
-			i++
-		default:
-			out.Records = append(out.Records, b.Records[j])
-			j++
-		}
-	}
-	return out, nil
-}
-
 // FilterDst returns the sub-trace of packets addressed to keep(dst)==true
 // destinations.
 func (t *Trace) FilterDst(keep func(int) bool) *Trace {

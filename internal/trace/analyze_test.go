@@ -73,25 +73,6 @@ func TestSlice(t *testing.T) {
 	}
 }
 
-func TestMerge(t *testing.T) {
-	a := sampleTrace()
-	b := sampleTrace()
-	m, err := Merge(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Records) != 8 {
-		t.Fatalf("merged %d records", len(m.Records))
-	}
-	if err := m.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	bad := &Trace{App: "x", Cores: 2, Nodes: 2, Cycles: 10}
-	if _, err := Merge(a, bad); err == nil {
-		t.Fatal("shape mismatch accepted")
-	}
-}
-
 func TestFilterDst(t *testing.T) {
 	tr := sampleTrace()
 	f := tr.FilterDst(func(d int) bool { return d == 1 })

@@ -11,8 +11,8 @@
 // paper sees the largest gains), and a transactional SPECjbb mix.
 //
 // Traces are streams of (cycle, source core, destination node, class)
-// records, serialisable in a compact varint binary format and a plain text
-// format, and replayable into a core.Network open-loop.
+// records, serialisable in a compact varint binary format and replayable
+// into a core.Network open-loop.
 package trace
 
 import (
@@ -184,49 +184,6 @@ func ReadBinary(r io.Reader) (*Trace, error) {
 			return nil, fmt.Errorf("trace: record %d class: %w", i, err)
 		}
 		t.Records[i] = Record{Cycle: cyc, SrcCore: int32(src), DstNode: int32(dst), Class: router.Class(cls)}
-	}
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// WriteText serialises the trace as a line-oriented text format (header
-// line then one "cycle src dst class" line per record) — convenient for
-// diffing and hand-crafted test fixtures.
-func (t *Trace) WriteText(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "phtrace %s cores=%d nodes=%d cycles=%d records=%d\n",
-		t.App, t.Cores, t.Nodes, t.Cycles, len(t.Records)); err != nil {
-		return err
-	}
-	for _, r := range t.Records {
-		if _, err := fmt.Fprintf(bw, "%d %d %d %d\n", r.Cycle, r.SrcCore, r.DstNode, int(r.Class)); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadText parses the text format.
-func ReadText(r io.Reader) (*Trace, error) {
-	br := bufio.NewReader(r)
-	t := &Trace{}
-	var n int
-	if _, err := fmt.Fscanf(br, "phtrace %s cores=%d nodes=%d cycles=%d records=%d\n",
-		&t.App, &t.Cores, &t.Nodes, &t.Cycles, &n); err != nil {
-		return nil, fmt.Errorf("trace: bad text header: %w", err)
-	}
-	if n > 0 {
-		t.Records = make([]Record, n)
-	}
-	for i := range t.Records {
-		var cls int
-		if _, err := fmt.Fscanf(br, "%d %d %d %d\n",
-			&t.Records[i].Cycle, &t.Records[i].SrcCore, &t.Records[i].DstNode, &cls); err != nil {
-			return nil, fmt.Errorf("trace: record %d: %w", i, err)
-		}
-		t.Records[i].Class = router.Class(cls)
 	}
 	if err := t.Validate(); err != nil {
 		return nil, err

@@ -40,21 +40,6 @@ func TestBinaryRoundTrip(t *testing.T) {
 	}
 }
 
-func TestTextRoundTrip(t *testing.T) {
-	tr := sampleTrace()
-	var buf bytes.Buffer
-	if err := tr.WriteText(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadText(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(tr, got) {
-		t.Fatalf("round trip mismatch:\n%+v\n%+v", tr, got)
-	}
-}
-
 func TestBinaryRejectsGarbage(t *testing.T) {
 	if _, err := ReadBinary(strings.NewReader("not a trace")); err == nil {
 		t.Fatal("garbage accepted")

@@ -76,9 +76,6 @@ func (in *MultiFlitInjector) Install(net *core.Network) {
 	}
 }
 
-// Pending reports messages awaiting reassembly.
-func (in *MultiFlitInjector) Pending() int { return len(in.remaining) }
-
 // Tick injects this cycle's messages: all flits of a message are handed to
 // the router back-to-back (they serialise through the core's injection
 // port over the following cycles via the output queue).

@@ -52,8 +52,8 @@ func TestMultiFlitReassembly(t *testing.T) {
 	if inj.MessagesBegun == 0 {
 		t.Fatal("no messages injected")
 	}
-	if inj.Pending() != 0 {
-		t.Fatalf("%d messages never reassembled", inj.Pending())
+	if n := len(inj.remaining); n != 0 {
+		t.Fatalf("%d messages never reassembled", n)
 	}
 	if inj.MessagesDone != inj.MessagesBegun {
 		t.Fatalf("completed %d of %d messages", inj.MessagesDone, inj.MessagesBegun)

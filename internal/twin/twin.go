@@ -37,7 +37,7 @@
 //   - credit schemes and setaside handshake schemes free the head at
 //     launch: S = W_tok + 1.
 //   - hold-head handshake schemes pin the head until its ACK returns:
-//     S = W_tok + AckDelay (+1 for global schemes, whose freed queue must
+//     S = W_tok + R + 1 (+1 for global schemes, whose freed queue must
 //     re-capture the relayed token through a fresh arbitration pass).
 //
 // Token-wait models:
@@ -365,7 +365,7 @@ func (m *Model) tokenWait(rate float64) float64 {
 	case handshakeGlobalHold:
 		// Blocked heads do not compete for the token: the requester
 		// occupancy x is the fraction of a head's service spent waiting
-		// (W of W+AckDelay+1), launch-capped at saturation. Fixed point
+		// (W of W+R+2), launch-capped at saturation. Fixed point
 		// in W, converges in a handful of iterations.
 		leff := math.Min(lch, m.sat*float64(m.m))
 		w := base
@@ -402,7 +402,7 @@ func (m *Model) service(wTok float64) (s, varS float64) {
 	case creditGlobal, handshakeGlobalSetaside:
 		return wTok + 1, varGlobal
 	case handshakeGlobalHold:
-		// The head is pinned for its ACK round trip: S = W + AckDelay.
+		// The head is pinned for its ACK round trip: S = W + R + 1.
 		// (The extra re-arbitration cycle a saturated queue pays appears
 		// in the saturation bound, not here — below the knee the freed
 		// head's successor usually arbitrates within the same wait.)
@@ -448,7 +448,7 @@ func (m *Model) saturation() float64 {
 		return slotTokenEfficiency * b / (r + 2) / mm
 	case handshakeGlobalHold:
 		// Queue stability at the saturated token wait: one packet per
-		// W + AckDelay + 1 per queue. Joint fixed point with tokenWait.
+		// W + R + 2 per queue. Joint fixed point with tokenWait.
 		w := (r + 1) / 2
 		for i := 0; i < 64; i++ {
 			lch := mm / (w + r + 2)

@@ -33,7 +33,8 @@
 //	verify -quick -json    # machine-readable pass/fail summary
 //
 // With -trace it runs one point with the protocol event tap armed and
-// exports the assembled per-packet spans:
+// exports the assembled per-packet spans (the table is folded span by span
+// as packets deliver; chrome and flame hold every span until the end):
 //
 //	verify -trace                                   # exact attribution table, dhs-setaside UR@0.13
 //	verify -trace -trace-scheme ghs -trace-load 0.2 # another point
@@ -121,7 +122,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		traceLoad    = fs.Float64("trace-load", 0.13, "offered load for the traced point")
 		traceFormat  = fs.String("trace-format", "table", "export format: table, chrome, flame")
 		traceOut     = fs.String("trace-out", "", "output path (default stdout)")
-		traceStream  = fs.Bool("trace-stream", false, "with -trace: use the windowed streaming assembler (bounded memory; table format only)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -163,7 +163,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var err error
 	switch mode {
 	case "trace":
-		err = runTrace(stdout, *traceScheme, *tracePattern, *traceLoad, *traceFormat, *traceOut, *seed, *quick, *traceStream)
+		err = runTrace(stdout, *traceScheme, *tracePattern, *traceLoad, *traceFormat, *traceOut, *seed, *quick)
 	default:
 		pass, err = runBattery(stdout, mode, *seed, *quick, *csv, *jsonOut)
 	}
@@ -221,11 +221,11 @@ func runBattery(w io.Writer, mode string, seed uint64, quick, csv, jsonOut bool)
 }
 
 // runTrace runs one point with the event tap armed and exports the
-// assembled spans in the requested format. With stream set it uses the
-// windowed streaming assembler instead: spans are attributed and dropped
-// as they deliver, so the trace's footprint is bounded by the live
-// packet population — the mode for long runs the batch tap cannot hold.
-func runTrace(stdout io.Writer, schemeName, patternName string, load float64, format, outPath string, seed uint64, quick, stream bool) (err error) {
+// assembled spans in the requested format. The table needs only the
+// attribution sums, so it runs on the streaming assembler (spans are
+// folded and dropped as they deliver); chrome and flame need every span
+// and keep the batch tap.
+func runTrace(stdout io.Writer, schemeName, patternName string, load float64, format, outPath string, seed uint64, quick bool) (err error) {
 	scheme, err := core.ParseScheme(schemeName)
 	if err != nil {
 		return err
@@ -239,11 +239,8 @@ func runTrace(stdout io.Writer, schemeName, patternName string, load float64, fo
 	if pattern == nil {
 		return fmt.Errorf("unknown pattern %q (UR, BC, TOR)", patternName)
 	}
-	switch {
-	case format != "table" && format != "chrome" && format != "flame":
+	if format != "table" && format != "chrome" && format != "flame" {
 		return fmt.Errorf("unknown trace format %q (table, chrome, flame)", format)
-	case stream && format != "table":
-		return fmt.Errorf("-trace-stream drops spans after attribution; format %q needs the batch tap (drop -trace-stream)", format)
 	}
 	opts := exp.DefaultOptions()
 	if quick {
@@ -253,20 +250,17 @@ func runTrace(stdout io.Writer, schemeName, patternName string, load float64, fo
 	point := exp.Point{Scheme: scheme, Pattern: pattern, Rate: load}
 
 	var (
-		res     core.Result
-		attr    ptrace.Attribution
-		tr      *ptrace.TraceResult
-		summary string
+		res  core.Result
+		attr ptrace.Attribution
+		st   *ptrace.Stream
+		tr   *ptrace.TraceResult
 	)
-	if stream {
-		var st *ptrace.Stream
+	if format == "table" {
 		if res, attr, st, err = exp.RunStreamedPoint(point, opts); err != nil {
 			return err
 		}
-		summary = fmt.Sprintf("streamed %d spans, peak %d live (%.1f%% of flushed)  digest %016x (stream is digest-inert)",
-			st.Flushed(), st.MaxLive(), 100*float64(st.MaxLive())/float64(st.Flushed()), res.Digest)
 	} else {
-		if res, tr, err = exp.RunTracedPoint(point, opts); err != nil {
+		if _, tr, err = exp.RunTracedPoint(point, opts); err != nil {
 			return err
 		}
 		for _, s := range tr.Spans {
@@ -274,9 +268,6 @@ func runTrace(stdout io.Writer, schemeName, patternName string, load float64, fo
 				return fmt.Errorf("span invariant violated: %w", err)
 			}
 		}
-		attr = ptrace.Aggregate(tr, true)
-		summary = fmt.Sprintf("spans %d  launches %d  drops %d  circulations %d  digest %016x (tap is digest-inert)",
-			len(tr.Spans), attr.Launches, attr.Drops, attr.Circulations, res.Digest)
 	}
 
 	out := stdout
@@ -301,12 +292,12 @@ func runTrace(stdout io.Writer, schemeName, patternName string, load float64, fo
 	if err := writeAttributionTable(out, scheme, patternName, load, attr); err != nil {
 		return err
 	}
-	_, err = fmt.Fprintf(out, "\n%s\nexact mean %.4f == measured AvgLatency %.4f\n", summary, attr.AvgTotal(), res.AvgLatency)
+	_, err = fmt.Fprintf(out, "\nspans %d  launches %d  drops %d  circulations %d  digest %016x (tap is digest-inert)\nexact mean %.4f == measured AvgLatency %.4f\n",
+		st.Flushed(), attr.Launches, attr.Drops, attr.Circulations, res.Digest, attr.AvgTotal(), res.AvgLatency)
 	return err
 }
 
-// writeAttributionTable renders the per-phase exact attribution table
-// shared by the batch and streaming trace modes.
+// writeAttributionTable renders the per-phase exact attribution table.
 func writeAttributionTable(out io.Writer, scheme core.Scheme, patternName string, load float64, attr ptrace.Attribution) error {
 	t := stats.NewTable(
 		fmt.Sprintf("%s %s @ %.3f — exact attribution over %d measured deliveries (%d local)",

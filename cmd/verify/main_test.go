@@ -56,7 +56,8 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"-trace-load", "0.2"}, []string{"-trace-load needs -trace"}},
 		{[]string{"-trace-format", "flame"}, []string{"-trace-format needs -trace"}},
 		{[]string{"-trace-out", "x"}, []string{"-trace-out needs -trace"}},
-		{[]string{"-chaos", "-trace-stream"}, []string{"-trace-stream needs -trace"}},
+		// One attribution path: the table always streams, so the switch is gone.
+		{[]string{"-chaos", "-trace-stream"}, []string{"not defined: -trace-stream"}},
 		{[]string{"-no-such-flag"}, []string{"no-such-flag"}},
 	}
 	for _, tc := range cases {
@@ -78,23 +79,26 @@ func TestUsageErrors(t *testing.T) {
 }
 
 // TestTraceErrors: a bad -trace request fails before simulating
-// anything, with exit 1 and the named cause.
+// anything, with the named cause: exit 1 for a bad value, exit 2 for the
+// retired streaming switch (the table always streams, chrome and flame
+// never do, so there is nothing left to select).
 func TestTraceErrors(t *testing.T) {
 	cases := []struct {
-		name string
-		args []string
-		want string
+		name   string
+		args   []string
+		status int
+		want   string
 	}{
-		{"scheme", []string{"-trace", "-trace-scheme", "warp-drive"}, `unknown scheme "warp-drive"`},
-		{"pattern", []string{"-trace", "-trace-pattern", "XX"}, `unknown pattern "XX"`},
-		{"format", []string{"-trace", "-trace-format", "svg"}, `unknown trace format "svg"`},
-		{"stream needs table", []string{"-trace", "-trace-stream", "-trace-format", "chrome"}, "-trace-stream drops spans"},
+		{"scheme", []string{"-trace", "-trace-scheme", "warp-drive"}, 1, `unknown scheme "warp-drive"`},
+		{"pattern", []string{"-trace", "-trace-pattern", "XX"}, 1, `unknown pattern "XX"`},
+		{"format", []string{"-trace", "-trace-format", "svg"}, 1, `unknown trace format "svg"`},
+		{"stream needs table", []string{"-trace", "-trace-stream", "-trace-format", "chrome"}, 2, "not defined: -trace-stream"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			status, _, stderr := verify(tc.args...)
-			if status != 1 || !strings.Contains(stderr, tc.want) {
-				t.Fatalf("exit %d, stderr %q; want exit 1 naming %q", status, stderr, tc.want)
+			status, stdout, stderr := verify(tc.args...)
+			if status != tc.status || stdout != "" || !strings.Contains(stderr, tc.want) {
+				t.Fatalf("exit %d, stdout %q, stderr %q; want exit %d naming %q", status, stdout, stderr, tc.status, tc.want)
 			}
 		})
 	}
@@ -193,32 +197,5 @@ func TestQuickBatteries(t *testing.T) {
 	footer := fmt.Sprintf("PASS: %d points, %d cross checks\n", len(sum.Points), len(sum.Cross))
 	if status != 0 || !strings.HasSuffix(text, footer) {
 		t.Errorf("verify -quick: exit %d, output does not end in %q\n%s", status, footer, stderr)
-	}
-}
-
-// TestTraceStreamTableMatchesBatch: the streaming assembler attributes
-// exactly what the batch tap does — the two -trace tables are the same
-// bytes, setaside overlap included (the default point is dhs-setaside).
-func TestTraceStreamTableMatchesBatch(t *testing.T) {
-	if testing.Short() {
-		t.Skip("traces one quick point twice")
-	}
-	table := func(args ...string) string {
-		status, stdout, stderr := verify(args...)
-		if status != 0 {
-			t.Fatalf("verify %v: exit %d\n%s", args, status, stderr)
-		}
-		body, _, ok := strings.Cut(stdout, "\n\n") // the run summary follows a blank line
-		if !ok || !strings.Contains(body, "(setaside overlap)") {
-			t.Fatalf("verify %v: no attribution table in\n%s", args, stdout)
-		}
-		return body
-	}
-	batch, stream := table("-trace", "-quick"), table("-trace", "-trace-stream", "-quick")
-	if batch != stream {
-		t.Errorf("streamed table differs from batch:\n%s\n---\n%s", stream, batch)
-	}
-	if strings.Contains(batch, "(setaside overlap)  0 ") {
-		t.Errorf("no setaside residency at the default point:\n%s", batch)
 	}
 }

@@ -20,17 +20,6 @@ var exportedWithoutConsumer = map[string]string{
 	"ptrace.DecodeRecords":  "reads the FuzzAssemble corpus; the fuzz target's only way from bytes to records",
 	"check.AuditSpans":      "the span-algebra oracle of TestSpanInvariantBattery, CI's span battery",
 	"exp.Replicate":         "EXPERIMENTS.md's seed-robustness statement (cross-seed latency spread < 10%) is measured through it (TestReplicateStability)",
-
-	// Pending: substrate API whose only caller is its own unit test. Each
-	// goes together with that test in the next consolidation pass (ROADMAP).
-	"flow.RelayedCredits.Depth": "pending deletion with TestDepthAccessors",
-	"flow.SlotCredits.Depth":    "pending deletion with TestDepthAccessors",
-	"sim.Queue.PushFront":       "pending deletion with TestQueuePushFront, TestQueuePushFrontWrap",
-	"sim.Queue.Clear":           "pending deletion with TestQueueClear",
-	"sim.RNG.Exp":               "pending deletion with TestExpMean",
-	"sim.RNG.Shuffle":           "pending deletion with TestShuffleKeepsElements",
-	"stats.Histogram.Merge":     "pending deletion with TestHistogramMerge",
-	"trace.Trace.FilterDst":     "pending deletion with TestFilterDst",
 }
 
 // stdInterfaceMethods are methods the standard library calls through its

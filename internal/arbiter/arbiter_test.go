@@ -25,6 +25,40 @@ func (s *SlotEmitter) Advance(now int64, emitGate func() bool, capture func(off 
 	s.AdvanceSweep(now, emitGate, perOffset(capture), onExpire)
 }
 
+// AdvanceSweep is the composed form of one cycle of token motion, the
+// oracle the BeginCycle / LiveAt / Consume / Emit primitives are tested
+// against: expire the token that completed the loop, let every live token
+// of age 1..R ask sweep for its whole segment (a capturing offset consumes
+// the token; a nil sweep skips the scan), then emit iff emitGate allows.
+// The engine makes exactly the same stateful calls in the same order, but
+// drives the capture scan from its requester set instead of iterating
+// every live token.
+func (s *SlotEmitter) AdvanceSweep(now int64, emitGate func() bool, sweep SweepFunc, onExpire func()) {
+	s.BeginCycle(now, onExpire)
+	if sweep != nil {
+		for age := 1; age <= s.roundTrip; age++ {
+			if now-int64(age) < 0 {
+				break
+			}
+			if !s.LiveAt(now, age) {
+				continue
+			}
+			start := (age-1)*s.perCycle + 1
+			end := start + s.perCycle
+			if end > s.nodes {
+				end = s.nodes
+			}
+			if start >= end {
+				continue
+			}
+			if off := sweep(start, end); off >= 0 {
+				s.Consume(now, age)
+			}
+		}
+	}
+	s.Emit(now, emitGate)
+}
+
 // Live counts the tokens currently travelling.
 func (s *SlotEmitter) Live() int {
 	n := 0

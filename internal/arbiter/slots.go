@@ -14,6 +14,15 @@ import "fmt"
 // collision-free by construction. Token Slot gates emission on credits; DHS
 // emits unconditionally; DHS-with-circulation suppresses emission on cycles
 // where the home reinjects a packet.
+//
+// One cycle of token motion is three steps, once per cycle with strictly
+// increasing now: BeginCycle expires the token that completed the loop;
+// the caller asks LiveAt for the token of each age it wants to test and
+// Consumes the ones it captures (the token of age a covers offsets
+// [(a-1)*perCycle+1, a*perCycle]); Emit closes the cycle with a new token
+// iff the emission gate allows. The engine drives the capture step from
+// its requester set (core's slotScan), so a cycle with no requesters costs
+// O(1).
 type SlotEmitter struct {
 	nodes     int
 	roundTrip int
@@ -49,53 +58,6 @@ func NewSlotEmitter(nodes, roundTrip, perCycle int) *SlotEmitter {
 // Stats reports cumulative (emitted, captured, expired) token counts.
 func (s *SlotEmitter) Stats() (emitted, captured, expired int64) {
 	return s.emitted, s.captured, s.expired
-}
-
-// AdvanceSweep performs one cycle of token motion at cycle now:
-//
-//  1. the token emitted at now-R (if still live) completes the loop and
-//     expires — onExpire lets Token Slot reclaim the unused credit;
-//  2. every live token of age 1..R asks sweep (see SweepFunc in global.go)
-//     for its whole segment; a capturing offset consumes the token;
-//  3. a new token is emitted iff emitGate() allows.
-//
-// It must be called exactly once per cycle with strictly increasing now
-// values. A nil sweep skips the capture scan entirely — expiry and
-// emission still run, so a cycle with no requesters costs O(1).
-//
-// The engine's hot path does not use this composed form: it calls the
-// BeginCycle / LiveAt / Consume / Emit primitives directly, driving the
-// capture scan from its requester table instead of iterating every live
-// token (see core's slot arbitration binder). The two decompositions make
-// exactly the same stateful calls in the same order.
-func (s *SlotEmitter) AdvanceSweep(now int64, emitGate func() bool, sweep SweepFunc, onExpire func()) {
-	s.BeginCycle(now, onExpire)
-
-	// Sweep every live token. The token emitted at cycle e has age
-	// now-e and covers offsets [(age-1)*perCycle+1, age*perCycle].
-	if sweep != nil {
-		for age := 1; age <= s.roundTrip; age++ {
-			if now-int64(age) < 0 {
-				break
-			}
-			if !s.LiveAt(now, age) {
-				continue
-			}
-			start := (age-1)*s.perCycle + 1
-			end := start + s.perCycle
-			if end > s.nodes {
-				end = s.nodes
-			}
-			if start >= end {
-				continue
-			}
-			if off := sweep(start, end); off >= 0 {
-				s.Consume(now, age)
-			}
-		}
-	}
-
-	s.Emit(now, emitGate)
 }
 
 // BeginCycle opens cycle now: it enforces the once-per-cycle contract and

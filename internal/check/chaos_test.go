@@ -28,7 +28,7 @@ func TestChaosReduced(t *testing.T) {
 	if len(rep.Points) != 12 {
 		t.Fatalf("expected 12 point reports, got %d", len(rep.Points))
 	}
-	if rep.Table().Len() != len(rep.Points) {
+	if check.TableRows(rep.Table()) != len(rep.Points) {
 		t.Fatal("table row count mismatch")
 	}
 	// Cross legs: one inertness check per scheme plus the two fixed legs.

@@ -75,7 +75,17 @@ func TestDigestDiscriminates(t *testing.T) {
 	}
 }
 
-// TestDigestIgnoresObservers: installing a Trace hook must not perturb the
+// canonicalFunc adapts a func to a core.Tracer that sees only the
+// canonical (digest-folded) events.
+type canonicalFunc func(core.Event)
+
+func (f canonicalFunc) Observe(e core.Event) {
+	if e.Type < core.EvHeadReady {
+		f(e)
+	}
+}
+
+// TestDigestIgnoresObservers: attaching a tracer must not perturb the
 // digest (observation must be free of side effects).
 func TestDigestIgnoresObservers(t *testing.T) {
 	run := func(traced bool) core.Result {
@@ -86,7 +96,7 @@ func TestDigestIgnoresObservers(t *testing.T) {
 			t.Fatal(err)
 		}
 		if traced {
-			net.Trace(func(core.Event) {})
+			net.SetTracer(canonicalFunc(func(core.Event) {}))
 		}
 		inj, err := traffic.NewInjector(traffic.BitComplement{}, 0.10, cfg.Nodes, cfg.CoresPerNode, 8)
 		if err != nil {
@@ -96,7 +106,7 @@ func TestDigestIgnoresObservers(t *testing.T) {
 	}
 	plain, traced := run(false), run(true)
 	if plain.Digest != traced.Digest {
-		t.Fatalf("trace hook perturbed the digest: %016x vs %016x", plain.Digest, traced.Digest)
+		t.Fatalf("tracer perturbed the digest: %016x vs %016x", plain.Digest, traced.Digest)
 	}
 }
 
@@ -118,7 +128,7 @@ func TestBatteryReduced(t *testing.T) {
 	if len(rep.Points) != 2*3 {
 		t.Fatalf("expected 6 point reports, got %d", len(rep.Points))
 	}
-	if rep.Table().Len() != len(rep.Points) {
+	if check.TableRows(rep.Table()) != len(rep.Points) {
 		t.Fatal("table row count mismatch")
 	}
 	for _, p := range rep.Points {

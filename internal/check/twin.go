@@ -206,8 +206,6 @@ func RunTwin(b TwinBattery) (*Report[TwinPoint], error) {
 			jobs = append(jobs, job{s, u})
 		}
 	}
-	// Each traced point holds its full event stream, so memory scales with
-	// GOMAXPROCS x window.
 	points, err := fanOut(jobs, func(j job) string {
 		return fmt.Sprintf("twin %s U=%.2f", j.scheme, j.util)
 	}, func(j job) (TwinPoint, error) {

@@ -170,14 +170,14 @@ func TestDigestPrefixFollowsClock(t *testing.T) {
 		}
 		var want runDigest
 		meta := 0
-		n.Trace(func(e Event) {
+		n.SetTracer(CanonicalFunc(func(e Event) {
 			if e.Packet == nil {
 				meta++
 				want.observe(oracleMeta(e.Cycle, e.Type, e.Aux))
 				return
 			}
 			want.observe(oracleEvent(e.Cycle, e.Type, e.Packet.ID, e.Packet.Src, e.Packet.Dst))
-		})
+		}))
 		burst := func() {
 			for c := 0; c < cfg.Cores(); c += 7 {
 				n.Inject(c, (c+11)%cfg.Nodes, router.ClassData, 0)

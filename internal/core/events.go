@@ -135,15 +135,6 @@ type Event struct {
 	Aux    uint64
 }
 
-// Trace installs an event observer on the network. The hook fires inline
-// during Step, so observers must be fast and must not mutate the network;
-// pass nil to remove. Delivery events still fire OnDeliver as well. The
-// hook sees only canonical (digest-folded) events; a Tracer attached with
-// SetTracer additionally receives the tap-only attribution events.
-func (n *Network) Trace(hook func(Event)) {
-	n.onEvent = hook
-}
-
 // Tracer is a per-run protocol event sink: it receives the complete
 // lifecycle stream — every canonical digest event plus the tap-only
 // arbitration-side events (EvHeadReady, EvTokenCapture/Release,
@@ -163,15 +154,12 @@ func (n *Network) SetTracer(t Tracer) {
 	n.tap = t
 }
 
-// emit folds the event into the run digest and fires the observers. The
+// emit folds the event into the run digest and fires the tap. The
 // digest fold is unconditional: the fingerprint must cover every run,
 // traced or not, or repeat runs could not be compared.
 func (n *Network) emit(t EventType, p *router.Packet) {
 	d := &n.stats.digest
 	d.observe(eventHash(d.prefixAt(n.now), t, p))
-	if n.onEvent != nil {
-		n.onEvent(Event{Cycle: n.now, Type: t, Packet: p})
-	}
 	if n.tap != nil {
 		n.tap.Observe(Event{Cycle: n.now, Type: t, Packet: p})
 	}
@@ -183,9 +171,6 @@ func (n *Network) emit(t EventType, p *router.Packet) {
 func (n *Network) emitMeta(t EventType, aux uint64) {
 	d := &n.stats.digest
 	d.observe(metaHash(d.prefixAt(n.now), t, aux))
-	if n.onEvent != nil {
-		n.onEvent(Event{Cycle: n.now, Type: t, Aux: aux})
-	}
 	if n.tap != nil {
 		n.tap.Observe(Event{Cycle: n.now, Type: t, Aux: aux})
 	}

@@ -19,7 +19,7 @@ func TestEventSequenceCleanDelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 	var seq []core.EventType
-	net.Trace(func(e core.Event) { seq = append(seq, e.Type) })
+	net.SetTracer(core.CanonicalFunc(func(e core.Event) { seq = append(seq, e.Type) }))
 	net.RunCycles(int64(cfg.RoundTrip))
 	net.Inject(4, 9, router.ClassData, 0)
 	net.RunCycles(40)
@@ -54,7 +54,7 @@ func TestEventSequenceDropRetransmit(t *testing.T) {
 		t.Fatal(err)
 	}
 	counts := map[core.EventType]int{}
-	net.Trace(func(e core.Event) { counts[e.Type]++ })
+	net.SetTracer(core.CanonicalFunc(func(e core.Event) { counts[e.Type]++ }))
 	inj, err := traffic.NewInjector(traffic.UniformRandom{}, 0.08, cfg.Nodes, cfg.CoresPerNode, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -91,7 +91,7 @@ func TestEventReinjectCirculation(t *testing.T) {
 		t.Fatal(err)
 	}
 	counts := map[core.EventType]int{}
-	net.Trace(func(e core.Event) { counts[e.Type]++ })
+	net.SetTracer(core.CanonicalFunc(func(e core.Event) { counts[e.Type]++ }))
 	inj, err := traffic.NewInjector(traffic.UniformRandom{}, 0.08, cfg.Nodes, cfg.CoresPerNode, 7)
 	if err != nil {
 		t.Fatal(err)

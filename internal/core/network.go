@@ -3,10 +3,10 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"photon/internal/arbiter"
 	"photon/internal/fault"
-	"photon/internal/flow"
 	"photon/internal/ring"
 	"photon/internal/router"
 	"photon/internal/sim"
@@ -25,10 +25,10 @@ import (
 // its private setaside slots; the node's own channel ends in an input
 // buffer of BufferDepth slots drained at EjectRate packets per cycle.
 //
-// The engine itself is scheme-agnostic: everything per-scheme lives behind
-// the Protocol interface (protocol.go), bound once per channel at
-// construction into the channel's hook closures. The cycle loop only calls
-// those closures — no scheme dispatch on the hot path.
+// The engine itself is scheme-agnostic: everything per-scheme is reached
+// through the scheme's registry row (protocol.go), whose wire function
+// binds the channel's hook closures once at construction. The cycle loop
+// only calls those closures — no scheme dispatch on the hot path.
 //
 // Cycle phase order (the determinism contract documented in DESIGN.md):
 //
@@ -61,21 +61,16 @@ type Network struct {
 	queues []queueState // node i's queues: queues[i*CoresPerNode : (i+1)*CoresPerNode]
 	chans  []channel
 
-	// wantRows[h][id] counts how many of node id's queues currently want
-	// channel h — the transpose of the former per-node wantCount layout,
-	// so a token sweep over channel h reads one contiguous row instead of
-	// striding across every node. wantNodes[h] counts nodes with a
-	// non-zero entry; zero lets the token phase skip channel h's capture
-	// scan outright. wantBacking is the rows' shared backing store.
-	wantBacking []int16
-	wantRows    [][]int16
-	wantNodes   []int32
-	// wantMask is the bitset form of the want rows: home h owns the
-	// wantWords = (Nodes+63)/64 words from h*wantWords, and bit id&63 of
-	// word id>>6 is set iff wantRows[h][id] > 0. The slot-capture scan
-	// iterates it with trailing-zero counting instead of walking the row.
+	// wantMask is the requester set, one bit per (channel, node): home h
+	// owns the wantWords = (Nodes+63)/64 words from h*wantWords, and bit
+	// id&63 of word id>>6 is set iff one of node id's queues wants channel
+	// h (queueState.want == h). Token sweeps over channel h read one
+	// contiguous row of it. wantNodes[h] is row h's population count; zero
+	// lets the token phase skip channel h's capture scan outright.
+	// updateQueueWant is the only writer of both.
 	wantMask  []uint64
 	wantWords int
+	wantNodes []int32
 
 	grants []grant
 
@@ -87,11 +82,7 @@ type Network struct {
 	// workloads (the CMP model) use to complete transactions.
 	OnDeliver func(*router.Packet)
 
-	// onEvent is the protocol observer installed with Trace.
-	onEvent func(Event)
-
-	// tap is the optional lifecycle-event sink installed with SetTracer.
-	// Unlike onEvent it also receives the tap-only attribution events;
+	// tap is the optional lifecycle-event sink installed with SetTracer;
 	// nil (the default) keeps every emit site to a single pointer test.
 	tap Tracer
 
@@ -124,17 +115,16 @@ type Network struct {
 	orphans      int
 	dupsInFlight int
 
-	// spec is the scheme's registry row; proto built the channel hooks.
-	// (Kept at the tail: these are cold after construction, and the hot
-	// fields above share cache lines the cycle loop depends on.)
+	// spec is the scheme's registry row; its wire function built the
+	// channel hooks. (Kept at the tail: these are cold after construction,
+	// and the hot fields above share cache lines the cycle loop depends on.)
 	spec   ProtocolSpec
-	proto  Protocol
 	policy router.SendPolicy
 }
 
 // nodeState is the electrical side of one ring node. Its queues live in
 // the network's flat queue slice (Network.nodeQueues); which channels the
-// node wants live in the transposed want rows (Network.wantRows).
+// node wants live in the requester set (Network.wantMask).
 type nodeState struct {
 	id int
 	// granted marks that the node's launch port is already claimed this
@@ -153,17 +143,15 @@ type queueState struct {
 }
 
 // channel is the optical machinery of one home node. The scheme-specific
-// substrate fields (hs/glob/slot/rc/sc/regen) are populated by the
-// protocol's Wire hook; the closure fields at the bottom are bound once
-// from the Protocol at construction and are all the cycle loop ever calls.
+// substrate fields (hs/glob/slot/regen) and the closure fields at the
+// bottom are set once by the scheme's wire function at construction; the
+// closures are all of the scheme the cycle loop ever calls.
 type channel struct {
 	home int
 	data *ring.DataChannel[*router.Packet]
 	hs   *ring.HandshakeChannel // handshake schemes only
 	glob *arbiter.GlobalToken   // global arbitration only
 	slot *arbiter.SlotEmitter   // distributed arbitration only
-	rc   *flow.RelayedCredits   // Token Channel only
-	sc   *flow.SlotCredits      // Token Slot only
 	in   *router.InPort
 	fair *arbiter.Fairness
 
@@ -185,8 +173,8 @@ type channel struct {
 	faultDiscards int64
 	dupsDiscarded int64
 
-	// Pre-bound protocol hooks (see Protocol in protocol.go). A nil hook
-	// means the scheme has no behaviour in that phase.
+	// Pre-bound protocol hooks (see ProtocolSpec.wire in protocol.go). A
+	// nil hook means the scheme has no behaviour in that phase.
 	advance     func(now int64)                     // phase 4: token motion + capture
 	launchHeld  func(now int64)                     // phase 5: held global token sends
 	arrive      func(now int64, pkt *router.Packet) // phase 1: packet at home
@@ -219,7 +207,6 @@ func NewNetwork(cfg Config, window sim.Window) (*Network, error) {
 		geom:    geom,
 		window:  window,
 		spec:    spec,
-		proto:   spec.New(),
 		policy:  spec.SendPolicy,
 		stats:   NewStats(window, cfg.Nodes, cfg.Cores()),
 		rng:     sim.NewRNG(cfg.Seed),
@@ -255,11 +242,6 @@ func NewNetwork(cfg Config, window sim.Window) (*Network, error) {
 			want: -1,
 		}
 	}
-	n.wantBacking = make([]int16, cfg.Nodes*cfg.Nodes)
-	n.wantRows = make([][]int16, cfg.Nodes)
-	for h := range n.wantRows {
-		n.wantRows[h] = n.wantBacking[h*cfg.Nodes : (h+1)*cfg.Nodes]
-	}
 	n.wantNodes = make([]int32, cfg.Nodes)
 	n.wantWords = (cfg.Nodes + 63) / 64
 	n.wantMask = make([]uint64, cfg.Nodes*n.wantWords)
@@ -276,7 +258,7 @@ func NewNetwork(cfg Config, window sim.Window) (*Network, error) {
 			in:   router.NewInPort(cfg.BufferDepth, cfg.EjectRate, cfg.EjectStallProb, n.rng.Fork(uint64(h)+1000)),
 			fair: arbiter.NewFairness(cfg.Nodes, cfg.Fairness),
 		}
-		n.bindChannel(c)
+		spec.wire(n, c)
 	}
 	return n, nil
 }
@@ -288,18 +270,14 @@ func (n *Network) nodeQueues(id int) []queueState {
 	return n.queues[id*k : (id+1)*k]
 }
 
-// bindChannel wires channel c's scheme machinery and pre-binds the
-// protocol's hook closures so the hot loop performs no per-cycle
-// allocation or scheme dispatch.
-func (n *Network) bindChannel(c *channel) {
-	n.proto.Wire(n, c)
-	c.advance = n.proto.Arbitrate(n, c)
-	c.launchHeld = n.proto.LaunchHeld(n, c)
-	c.arrive = n.proto.Arrive(n, c)
-	c.handshake = n.proto.Handshake(n, c)
-	c.onEject = n.proto.Eject(n, c)
-	c.onDataFault = n.proto.RecoverData(n, c)
-	c.invariant = n.proto.Invariant(n, c)
+// wantRow returns channel h's row of the requester set.
+func (n *Network) wantRow(h int) []uint64 {
+	return n.wantMask[h*n.wantWords : (h+1)*n.wantWords]
+}
+
+// wants reports whether node id is in channel h's requester set.
+func (n *Network) wants(h, id int) bool {
+	return n.wantMask[h*n.wantWords+id>>6]>>uint(id&63)&1 != 0
 }
 
 // faultSeedStream is the DeriveSeed stream id reserved for the fault
@@ -435,8 +413,8 @@ func (n *Network) RunCycles(k int64) {
 //     expire and re-emit, credits ride tokens home, global tokens
 //     circulate, watchdogs observe silence — so it runs in full, in the
 //     same rotated channel order as Step;
-//   - quiescence is absorbing: with no requesters (empty queues mean
-//     every want row is zero) no capture, grant or launch can occur, so
+//   - quiescence is absorbing: with no requesters (empty queues mean an
+//     empty requester set) no capture, grant or launch can occur, so
 //     eligibility never needs re-checking inside the loop.
 //
 // Afterwards the skipped clocks (injection pipeline, per-channel data and
@@ -488,7 +466,7 @@ func (n *Network) phaseArrive(c *channel, now int64) {
 // dataFault applies a data-loss fault to an arriving flit: the home cannot
 // read it (header included), so it is discarded with no handshake answer.
 // What happens to the *packet* depends on who still remembers it — the
-// protocol's RecoverData hook reconciles its ledger and classifies the
+// scheme's onDataFault hook reconciles its ledger and classifies the
 // packet's fate.
 func (n *Network) dataFault(c *channel, pkt *router.Packet) {
 	n.stats.FaultsInjected++
@@ -539,12 +517,11 @@ func (n *Network) phaseEject(c *channel, now int64) {
 func (n *Network) phaseTokens(c *channel, now int64) {
 	if c.fair.BeginCycle(now) && n.wantNodes[c.home] > 0 {
 		// A new fairness window opened: re-register the still-backlogged
-		// requesters so sustained contention is counted, not just newly
-		// arriving heads.
-		row := n.wantRows[c.home]
-		for id := range row {
-			if row[id] > 0 {
-				c.fair.OnRequest(id)
+		// requesters (in ascending id) so sustained contention is counted,
+		// not just newly arriving heads.
+		for wi, w := range n.wantRow(c.home) {
+			for ; w != 0; w &= w - 1 {
+				c.fair.OnRequest(wi<<6 | bits.TrailingZeros64(w))
 			}
 		}
 	}
@@ -657,8 +634,9 @@ func (n *Network) phasePipeline(now int64) {
 	}
 }
 
-// updateQueueWant re-derives which channel queue q requests and maintains
-// the node-level want counts the capture callbacks read.
+// updateQueueWant re-derives which channel queue q requests and keeps the
+// requester set equal to the queues' want fields: node nd's bit in row h is
+// set iff one of nd's queues wants h.
 func (n *Network) updateQueueWant(nd *nodeState, q *queueState) {
 	want := -1
 	if pkt := q.out.NextReady(); pkt != nil {
@@ -671,27 +649,28 @@ func (n *Network) updateQueueWant(nd *nodeState, q *queueState) {
 	if want == q.want {
 		return
 	}
-	if q.want >= 0 {
-		row := n.wantRows[q.want]
-		row[nd.id]--
-		if row[nd.id] < 0 {
-			panic("core: negative want count")
-		}
-		if row[nd.id] == 0 {
-			n.wantNodes[q.want]--
-			n.wantMask[q.want*n.wantWords+nd.id>>6] &^= 1 << uint(nd.id&63)
-		}
-	}
-	if want >= 0 {
-		row := n.wantRows[want]
-		if row[nd.id] == 0 {
-			n.chans[want].fair.OnRequest(nd.id)
-			n.wantNodes[want]++
-			n.wantMask[want*n.wantWords+nd.id>>6] |= 1 << uint(nd.id&63)
-		}
-		row[nd.id]++
-	}
+	old := q.want
 	q.want = want
+	word, bit := nd.id>>6, uint64(1)<<uint(nd.id&63)
+	if old >= 0 && !n.nodeWants(nd.id, old) {
+		n.wantNodes[old]--
+		n.wantMask[old*n.wantWords+word] &^= bit
+	}
+	if want >= 0 && !n.wants(want, nd.id) {
+		n.chans[want].fair.OnRequest(nd.id)
+		n.wantNodes[want]++
+		n.wantMask[want*n.wantWords+word] |= bit
+	}
+}
+
+// nodeWants reports whether any of node id's queues wants channel h.
+func (n *Network) nodeWants(id, h int) bool {
+	for _, q := range n.nodeQueues(id) {
+		if q.want == h {
+			return true
+		}
+	}
+	return false
 }
 
 // checkInvariants asserts the protocol's flow-control conservation

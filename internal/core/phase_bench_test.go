@@ -151,8 +151,7 @@ func BenchmarkSlotScan(b *testing.B) {
 
 // BenchmarkQueueScan times the launch-side queue selection pair: the
 // round-robin pickQueue walk over a node's per-core queues plus the
-// updateQueueWant re-derivation that maintains the transposed want rows
-// and the wantMask bitmask.
+// updateQueueWant re-derivation that maintains the requester set.
 func BenchmarkQueueScan(b *testing.B) {
 	n := loadedBenchNet(b, DHS)
 	var nd *nodeState
@@ -160,7 +159,7 @@ func BenchmarkQueueScan(b *testing.B) {
 outer:
 	for id := range n.nodes {
 		for ch := range n.chans {
-			if n.wantRows[ch][id] > 0 {
+			if n.wants(ch, id) {
 				nd, h = &n.nodes[id], ch
 				break outer
 			}

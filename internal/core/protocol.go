@@ -1,9 +1,7 @@
 package core
 
 import (
-	"fmt"
 	"math/bits"
-	"sort"
 
 	"photon/internal/arbiter"
 	"photon/internal/fault"
@@ -12,64 +10,12 @@ import (
 	"photon/internal/router"
 )
 
-// Protocol is the per-scheme strategy behind the Network engine. One
-// implementation exists per scheme family (credit-global, credit-slot,
-// handshake-global, handshake-slot, circulation); the registry maps each
-// Scheme to its family plus the scheme's static traits (ProtocolSpec).
-//
-// The engine never dispatches on the interface inside the cycle loop:
-// NewNetwork calls Wire once per channel to build the scheme's machinery,
-// then asks each hook method for a closure and stores it on the channel.
-// Step drives those pre-bound closures, so adding a scheme costs nothing
-// on the hot path of the existing ones.
-//
-// Hook lifecycle within one cycle (phase order is the determinism
-// contract in DESIGN.md):
-//
-//	Arrive      phase 1: the packet landing at the home node this cycle
-//	Handshake   phase 2: ACK/NACK pulses reaching senders (nil = no waveguide)
-//	Eject       phase 3: per-packet credit release at ejection (nil = creditless)
-//	Arbitrate   phase 4: token motion, capture, and token-recovery watchdogs
-//	LaunchHeld  phase 5: sends under a held global token (nil = distributed)
-//
-// RecoverData and Invariant run outside the phase sequence: RecoverData
-// reconciles the flow-control ledger when a fault destroys an arriving
-// flit, and Invariant is the per-cycle conservation check hook.
-type Protocol interface {
-	// Wire builds channel c's scheme-specific machinery — token arbiter,
-	// credit ledgers, handshake waveguide — including its fault-injection
-	// attachments (pulse-loss filters, credit-reclaim timers).
-	Wire(n *Network, c *channel)
-	// Arbitrate returns c's bound token-phase closure: token death and
-	// regeneration (recovery), emission gating, motion, and capture.
-	Arbitrate(n *Network, c *channel) func(now int64)
-	// LaunchHeld returns the bound launch closure for a held global
-	// token, or nil for distributed schemes (their launches ride the
-	// engine's grant queue).
-	LaunchHeld(n *Network, c *channel) func(now int64)
-	// Arrive returns the bound handler for a packet reaching c's home.
-	Arrive(n *Network, c *channel) func(now int64, pkt *router.Packet)
-	// Handshake returns the bound ACK/NACK delivery closure, or nil for
-	// schemes without a handshake waveguide.
-	Handshake(n *Network, c *channel) func(now int64)
-	// Eject returns the per-ejection credit-release hook, or nil for
-	// creditless schemes.
-	Eject(n *Network, c *channel) func()
-	// RecoverData returns the bound data-fault hook: reconcile the credit
-	// ledger for the destroyed arrival, then classify the packet's fate
-	// (duplicate, permanent loss, or orphaned awaiting retransmission).
-	RecoverData(n *Network, c *channel) func(pkt *router.Packet)
-	// Invariant returns the per-cycle flow-control conservation check for
-	// c, or nil when the scheme keeps no checkable ledger.
-	Invariant(n *Network, c *channel) func() error
-}
-
 // ProtocolSpec is one registry row: a scheme's identity and static traits,
-// plus the factory for its Protocol strategy. Everything the rest of the
-// system knows about a scheme — names, grouping, retention policy,
-// hardware profile — is read from here, so registering a new scheme makes
-// it appear in Schemes(), config parsing, the experiment groups, and the
-// verification batteries without touching the engine.
+// plus the function that wires its machinery into a channel. Everything
+// the rest of the system knows about a scheme — names, grouping, retention
+// policy, hardware profile — is read from here, so a new row makes the
+// scheme appear in Schemes(), config parsing, the experiment groups, and
+// the verification batteries without touching the engine.
 type ProtocolSpec struct {
 	Scheme    Scheme
 	Name      string // CLI name; Scheme.String() returns this
@@ -87,51 +33,119 @@ type ProtocolSpec struct {
 	// Hardware is the scheme's optical hardware profile (Table I, power).
 	Hardware phys.SchemeHardware
 
-	// New returns the Protocol strategy for this scheme.
-	New func() Protocol
+	// wire builds channel c's scheme-specific machinery — token arbiter,
+	// credit ledger, handshake waveguide, and their fault-injection
+	// attachments — and assigns the channel's phase hooks. NewNetwork calls
+	// it once per channel; Step only ever calls the hooks it bound, so a
+	// scheme costs nothing on the hot path of the others. A hook the scheme
+	// has no behaviour for stays nil.
+	//
+	// Hook lifecycle within one cycle (phase order is the determinism
+	// contract in DESIGN.md):
+	//
+	//	arrive      phase 1: the packet landing at the home node this cycle
+	//	handshake   phase 2: ACK/NACK pulses reaching senders (nil = no waveguide)
+	//	onEject     phase 3: per-packet credit release at ejection (nil = creditless)
+	//	advance     phase 4: token motion, capture, and token-recovery watchdogs
+	//	launchHeld  phase 5: sends under a held global token (nil = distributed)
+	//
+	// onDataFault and invariant run outside the phase sequence: onDataFault
+	// reconciles the flow-control ledger when a fault destroys an arriving
+	// flit and classifies the packet's fate, and invariant is the per-cycle
+	// conservation check (nil = no checkable ledger).
+	wire func(n *Network, c *channel)
 }
 
-// protocols is the scheme registry, populated by RegisterProtocol from
-// the protocol files' init functions.
-var protocols = map[Scheme]ProtocolSpec{}
-
-// RegisterProtocol adds a scheme to the registry. It panics on malformed
-// or conflicting registrations: a mis-registered scheme must fail at
-// init, not at first dispatch.
-func RegisterProtocol(spec ProtocolSpec) {
-	if spec.Name == "" || spec.PaperName == "" || spec.Family == "" {
-		panic(fmt.Sprintf("core: protocol registration for scheme %d is missing a name", int(spec.Scheme)))
-	}
-	if spec.New == nil {
-		panic(fmt.Sprintf("core: protocol %q registered without a factory", spec.Name))
-	}
-	if prev, ok := protocols[spec.Scheme]; ok {
-		panic(fmt.Sprintf("core: scheme %d registered twice (%q and %q)", int(spec.Scheme), prev.Name, spec.Name))
-	}
-	for _, p := range protocols {
-		if p.Name == spec.Name {
-			panic(fmt.Sprintf("core: protocol name %q registered twice", spec.Name))
-		}
-	}
-	protocols[spec.Scheme] = spec
+// protocols is the scheme registry, indexed by Scheme. The wire functions
+// live in the protocol_*.go files, one per family.
+var protocols = [...]ProtocolSpec{
+	TokenChannel: {
+		Scheme:      TokenChannel,
+		Name:        "token-channel",
+		PaperName:   "Token Channel",
+		Family:      "credit-global",
+		Global:      true,
+		CreditBased: true,
+		SendPolicy:  router.FireAndForget,
+		Hardware:    phys.SchemeHardware{Name: "Token Channel", Arbitration: phys.GlobalArbitration, TokenCreditBits: 6},
+		wire:        wireCreditGlobal,
+	},
+	TokenSlot: {
+		Scheme:      TokenSlot,
+		Name:        "token-slot",
+		PaperName:   "Token Slot",
+		Family:      "credit-slot",
+		CreditBased: true,
+		SendPolicy:  router.FireAndForget,
+		Hardware:    phys.SchemeHardware{Name: "Token Slot", Arbitration: phys.DistributedArbitration},
+		wire:        wireCreditSlot,
+	},
+	GHS: {
+		Scheme:     GHS,
+		Name:       "ghs",
+		PaperName:  "GHS",
+		Family:     "handshake-global",
+		Global:     true,
+		Handshake:  true,
+		SendPolicy: router.HoldHead,
+		Hardware:   phys.SchemeHardware{Name: "GHS", Arbitration: phys.GlobalArbitration, Handshake: true},
+		wire:       wireHandshakeGlobal,
+	},
+	GHSSetaside: {
+		Scheme:     GHSSetaside,
+		Name:       "ghs-setaside",
+		PaperName:  "GHS w/ Setaside",
+		Family:     "handshake-global",
+		Global:     true,
+		Handshake:  true,
+		SendPolicy: router.Setaside,
+		Hardware:   phys.SchemeHardware{Name: "GHS_SetBuf", Arbitration: phys.GlobalArbitration, Handshake: true},
+		wire:       wireHandshakeGlobal,
+	},
+	DHS: {
+		Scheme:     DHS,
+		Name:       "dhs",
+		PaperName:  "DHS",
+		Family:     "handshake-slot",
+		Handshake:  true,
+		SendPolicy: router.HoldHead,
+		Hardware:   phys.SchemeHardware{Name: "DHS", Arbitration: phys.DistributedArbitration, Handshake: true},
+		wire:       wireHandshakeSlot,
+	},
+	DHSSetaside: {
+		Scheme:     DHSSetaside,
+		Name:       "dhs-setaside",
+		PaperName:  "DHS w/ Setaside",
+		Family:     "handshake-slot",
+		Handshake:  true,
+		SendPolicy: router.Setaside,
+		Hardware:   phys.SchemeHardware{Name: "DHS_SetBuf", Arbitration: phys.DistributedArbitration, Handshake: true},
+		wire:       wireHandshakeSlot,
+	},
+	DHSCirculation: {
+		Scheme:      DHSCirculation,
+		Name:        "dhs-circulation",
+		PaperName:   "DHS w/ Circulation",
+		Family:      "circulation",
+		Circulating: true,
+		SendPolicy:  router.FireAndForget,
+		Hardware:    phys.SchemeHardware{Name: "DHS_Cir", Arbitration: phys.DistributedArbitration, Circulation: true},
+		wire:        wireCirculation,
+	},
 }
 
 // LookupProtocol returns the registry row for s.
 func LookupProtocol(s Scheme) (ProtocolSpec, bool) {
-	sp, ok := protocols[s]
-	return sp, ok
+	if s < 0 || int(s) >= len(protocols) {
+		return ProtocolSpec{}, false
+	}
+	return protocols[s], true
 }
 
 // RegisteredProtocols returns every registry row in presentation order
-// (ascending Scheme value, the order the paper introduces them).
-func RegisteredProtocols() []ProtocolSpec {
-	out := make([]ProtocolSpec, 0, len(protocols))
-	for _, sp := range protocols {
-		out = append(out, sp)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Scheme < out[j].Scheme })
-	return out
-}
+// (ascending Scheme value, the order the paper introduces them). The slice
+// is the registry itself: read it, do not write to it.
+func RegisteredProtocols() []ProtocolSpec { return protocols[:] }
 
 // --- shared hook builders -------------------------------------------------
 //
@@ -141,7 +155,7 @@ func RegisteredProtocols() []ProtocolSpec {
 // The sweep builders run inside the arbiters' token-scan inner loop — the
 // hottest code in the simulator. Each sweep call covers one token's whole
 // segment: the closure rejects non-requesting nodes with a contiguous
-// scan of the channel's transposed want row (one int16 load per node,
+// scan of the channel's row of the requester set (one bit test per node,
 // no modulo, no per-offset closure call), and only a node that actually
 // wants the channel pays for the full eligibility checks. The check
 // order within a node — stall, want, port-busy, credits, fairness — is
@@ -156,24 +170,25 @@ func RegisteredProtocols() []ProtocolSpec {
 // aboard (Token Channel: an empty token cannot authorise a send).
 //
 // go:noinline on both sweep builders: if the builder is inlined into the
-// protocol's Arbitrate method, the compiler re-parents the returned
-// closure and stops inlining the closure's own callees (the want-row
-// scan, the fairness filter, the credit ledger) — a measurable hit to
-// the token-scan loop.
+// scheme's wire function, the compiler re-parents the returned closure
+// and stops inlining the closure's own callees (the requester-set scan,
+// the fairness filter, the credit ledger) — a measurable hit to the
+// token-scan loop.
 //
 //go:noinline
 func bindGlobalSweep(n *Network, c *channel, rc *flow.RelayedCredits) arbiter.SweepFunc {
-	want := n.wantRows[c.home]
+	want := n.wantRow(c.home)
+	nodes := n.cfg.Nodes
 	return func(start, end int) int {
 		id := c.home + start
-		if id >= len(want) {
-			id -= len(want)
+		if id >= nodes {
+			id -= nodes
 		}
 		for off := start; off < end; off++ {
-			if want[id] > 0 && n.captureGlobal(c, id, rc) {
+			if want[id>>6]>>uint(id&63)&1 != 0 && n.captureGlobal(c, id, rc) {
 				return off
 			}
-			if id++; id == len(want) {
+			if id++; id == nodes {
 				id = 0
 			}
 		}
@@ -229,7 +244,7 @@ func (n *Network) slotScan(c *channel, now int64, sc *flow.SlotCredits) {
 	nodes := n.cfg.Nodes
 	per := n.geom.NodesPerCycle()
 	home := c.home
-	mask := n.wantMask[home*n.wantWords : (home+1)*n.wantWords]
+	mask := n.wantRow(home)
 	hw := home >> 6
 	below := uint64(1)<<uint(home&63) - 1 // ids of word hw before home
 	for wi := hw; wi < len(mask); wi++ {
@@ -295,7 +310,7 @@ func (n *Network) captureSlot(c *channel, id int, sc *flow.SlotCredits) bool {
 // free-token death (fault injection), the silence watchdog (recovery),
 // and token motion with capture. onHome, when non-nil, runs each time the
 // token passes its home node (Token Channel: credit reimbursement).
-// Bound once per channel at construction; never inline (see bindGlobalCapture).
+// Bound once per channel at construction; never inline (see bindGlobalSweep).
 //
 //go:noinline
 func bindGlobalArbitrate(n *Network, c *channel, sweep arbiter.SweepFunc, onHome func()) func(now int64) {
@@ -341,7 +356,7 @@ func bindGlobalArbitrate(n *Network, c *channel, sweep arbiter.SweepFunc, onHome
 // Slot only), then drive the slot emitter through one cycle — expiry,
 // requester-driven capture scan (slotScan), emission. sc, when non-nil,
 // moves the home credit aboard each captured token (Token Slot).
-// Bound once per channel at construction; never inline (see bindGlobalCapture).
+// Bound once per channel at construction; never inline (see bindGlobalSweep).
 //
 //go:noinline
 func bindSlotArbitrate(n *Network, c *channel, gate func() bool, sc *flow.SlotCredits, expire func()) func(now int64) {
@@ -370,7 +385,7 @@ func bindSlotArbitrate(n *Network, c *channel, gate func() bool, sc *flow.SlotCr
 // rc, when non-nil, must authorise each send by spending a credit aboard
 // the token, and gates holding the token on credits remaining (Token
 // Channel).
-// Bound once per channel at construction; never inline (see bindGlobalCapture).
+// Bound once per channel at construction; never inline (see bindGlobalSweep).
 //
 //go:noinline
 func bindHeldLaunch(n *Network, c *channel, rc *flow.RelayedCredits) func(now int64) {
@@ -404,7 +419,7 @@ func bindHeldLaunch(n *Network, c *channel, rc *flow.RelayedCredits) func(now in
 			// frees the token in the send cycle rather than one cycle
 			// later — without this, global arbitration caps at half the
 			// channel's wave-pipelined capacity.
-			keep := n.wantRows[c.home][nd.id] > 0 &&
+			keep := n.wants(c.home, nd.id) &&
 				(n.cfg.MaxTokenHold == 0 || c.holdCount < n.cfg.MaxTokenHold) &&
 				(rc == nil || rc.OnToken() > 0)
 			if !keep {
@@ -427,7 +442,7 @@ func bindHeldLaunch(n *Network, c *channel, rc *flow.RelayedCredits) func(now in
 func (n *Network) tokenFault(c *channel) {
 	n.stats.FaultsInjected++
 	n.emitMeta(EvFault, faultAux(fault.TokenLoss, c.home))
-	if c.sc != nil && n.recoveryOn && c.regen != nil {
+	if n.recoveryOn && c.regen != nil {
 		c.regen.Schedule(n.now+int64(n.cfg.RoundTrip)+1, n.now)
 	}
 }

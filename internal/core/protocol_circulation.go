@@ -2,37 +2,17 @@ package core
 
 import (
 	"photon/internal/arbiter"
-	"photon/internal/phys"
 	"photon/internal/router"
 )
 
-// DHS with circulation: the receiver takes responsibility for every packet
-// — one it cannot buffer is reinjected onto the data waveguide for another
-// loop instead of being dropped, and the home "virtually consumes" its own
-// next token to make room. Senders fire and forget, and no handshake
-// waveguide exists.
-
-func init() {
-	RegisterProtocol(ProtocolSpec{
-		Scheme:      DHSCirculation,
-		Name:        "dhs-circulation",
-		PaperName:   "DHS w/ Circulation",
-		Family:      "circulation",
-		Circulating: true,
-		SendPolicy:  router.FireAndForget,
-		Hardware:    phys.SchemeHardware{Name: "DHS_Cir", Arbitration: phys.DistributedArbitration, Circulation: true},
-		New:         func() Protocol { return circulationProtocol{} },
-	})
-}
-
-type circulationProtocol struct{}
-
-func (circulationProtocol) Wire(n *Network, c *channel) {
+// wireCirculation is DHS with circulation: the receiver takes
+// responsibility for every packet — one it cannot buffer is reinjected onto
+// the data waveguide for another loop instead of being dropped, and the
+// home "virtually consumes" its own next token to make room. Senders fire
+// and forget, and no handshake waveguide exists.
+func wireCirculation(n *Network, c *channel) {
 	c.slot = arbiter.NewSlotEmitter(n.cfg.Nodes, n.cfg.RoundTrip, n.geom.NodesPerCycle())
-}
-
-func (circulationProtocol) Arbitrate(n *Network, c *channel) func(now int64) {
-	// DHS-cir: reinjection suppresses this cycle's token emission.
+	// Reinjection suppresses this cycle's token emission.
 	gate := func() bool {
 		if c.suppress {
 			c.suppress = false
@@ -44,13 +24,8 @@ func (circulationProtocol) Arbitrate(n *Network, c *channel) func(now int64) {
 		}
 		return true
 	}
-	return bindSlotArbitrate(n, c, gate, nil, nil)
-}
-
-func (circulationProtocol) LaunchHeld(n *Network, c *channel) func(now int64) { return nil }
-
-func (circulationProtocol) Arrive(n *Network, c *channel) func(now int64, pkt *router.Packet) {
-	return func(now int64, pkt *router.Packet) {
+	c.advance = bindSlotArbitrate(n, c, gate, nil, nil)
+	c.arrive = func(now int64, pkt *router.Packet) {
 		if c.in.Accept(pkt) {
 			pkt.AcceptedAt = now
 			n.emit(EvAccept, pkt)
@@ -64,16 +39,7 @@ func (circulationProtocol) Arrive(n *Network, c *channel) func(now int64, pkt *r
 			n.emit(EvReinject, pkt)
 		}
 	}
-}
-
-func (circulationProtocol) Handshake(n *Network, c *channel) func(now int64) { return nil }
-
-func (circulationProtocol) Eject(n *Network, c *channel) func() { return nil }
-
-func (circulationProtocol) RecoverData(n *Network, c *channel) func(pkt *router.Packet) {
 	// No credit ledger to reconcile; the destroyed copy was the only one
 	// (fire and forget), so the packet is gone unless it was a duplicate.
-	return n.classifyDataLoss
+	c.onDataFault = n.classifyDataLoss
 }
-
-func (circulationProtocol) Invariant(n *Network, c *channel) func() error { return nil }

@@ -3,7 +3,6 @@ package core
 import (
 	"photon/internal/arbiter"
 	"photon/internal/flow"
-	"photon/internal/phys"
 	"photon/internal/router"
 	"photon/internal/sim"
 )
@@ -12,34 +11,36 @@ import (
 // by construction, so senders fire and forget, and every arrival MUST fit
 // in the home buffer — a rejection is a protocol bug, not backpressure.
 
-func init() {
-	RegisterProtocol(ProtocolSpec{
-		Scheme:      TokenChannel,
-		Name:        "token-channel",
-		PaperName:   "Token Channel",
-		Family:      "credit-global",
-		Global:      true,
-		CreditBased: true,
-		SendPolicy:  router.FireAndForget,
-		Hardware:    phys.SchemeHardware{Name: "Token Channel", Arbitration: phys.GlobalArbitration, TokenCreditBits: 6},
-		New:         func() Protocol { return creditGlobalProtocol{} },
-	})
-	RegisterProtocol(ProtocolSpec{
-		Scheme:      TokenSlot,
-		Name:        "token-slot",
-		PaperName:   "Token Slot",
-		Family:      "credit-slot",
-		CreditBased: true,
-		SendPolicy:  router.FireAndForget,
-		Hardware:    phys.SchemeHardware{Name: "Token Slot", Arbitration: phys.DistributedArbitration},
-		New:         func() Protocol { return creditSlotProtocol{} },
-	})
+// creditLedger is what flow.RelayedCredits and flow.SlotCredits have in
+// common: the receiver-side half of the ledger, which both credit schemes
+// drive identically.
+type creditLedger interface {
+	Arrive() error
+	Eject() error
+	Invariant() error
+}
+
+// wireCredits assigns the hooks both credit schemes share: arrival claims
+// the reserved buffer slot, ejection frees it, and the ledger's own
+// conservation law is the per-cycle invariant.
+func wireCredits(n *Network, c *channel, led creditLedger, label string) {
+	c.arrive = bindCreditArrive(n, c, led.Arrive, label)
+	c.onEject = func() { must(led.Eject()) }
+	c.onDataFault = func(pkt *router.Packet) {
+		// The scheme reserved a buffer slot for this arrival; the slot is
+		// claimed and immediately freed so the credit ledger stays exact
+		// (the credit travels home through the usual reimbursement path).
+		must(led.Arrive())
+		must(led.Eject())
+		n.classifyDataLoss(pkt)
+	}
+	c.invariant = led.Invariant
 }
 
 // bindCreditArrive builds the arrival handler shared by both credit
 // schemes: claim the reserved buffer slot and accept — the credit ledger
 // guarantees space.
-// Bound once per channel at construction; never inline (see bindGlobalCapture).
+// Bound once per channel at construction; never inline (see bindGlobalSweep).
 //
 //go:noinline
 func bindCreditArrive(n *Network, c *channel, claim func() error, label string) func(now int64, pkt *router.Packet) {
@@ -53,71 +54,34 @@ func bindCreditArrive(n *Network, c *channel, claim func() error, label string) 
 	}
 }
 
-// creditGlobalProtocol is Token Channel: one relayed token per channel
+// wireCreditGlobal is Token Channel: one relayed token per channel
 // carrying the home node's credit count; capture requires credits aboard,
 // each send spends one, and passing home reimburses freed credits.
-type creditGlobalProtocol struct{}
-
-func (creditGlobalProtocol) Wire(n *Network, c *channel) {
+func wireCreditGlobal(n *Network, c *channel) {
 	c.glob = arbiter.NewGlobalToken(n.cfg.Nodes, n.geom.NodesPerCycle())
-	c.rc = flow.NewRelayedCredits(n.cfg.BufferDepth)
+	rc := flow.NewRelayedCredits(n.cfg.BufferDepth)
+	c.advance = bindGlobalArbitrate(n, c, bindGlobalSweep(n, c, rc), rc.PassHome)
+	c.launchHeld = bindHeldLaunch(n, c, rc)
+	wireCredits(n, c, rc, "token channel")
 }
 
-func (creditGlobalProtocol) Arbitrate(n *Network, c *channel) func(now int64) {
-	return bindGlobalArbitrate(n, c, bindGlobalSweep(n, c, c.rc), c.rc.PassHome)
-}
-
-func (creditGlobalProtocol) LaunchHeld(n *Network, c *channel) func(now int64) {
-	return bindHeldLaunch(n, c, c.rc)
-}
-
-func (creditGlobalProtocol) Arrive(n *Network, c *channel) func(now int64, pkt *router.Packet) {
-	return bindCreditArrive(n, c, c.rc.Arrive, "token channel")
-}
-
-func (creditGlobalProtocol) Handshake(n *Network, c *channel) func(now int64) { return nil }
-
-func (creditGlobalProtocol) Eject(n *Network, c *channel) func() {
-	return func() { must(c.rc.Eject()) }
-}
-
-func (creditGlobalProtocol) RecoverData(n *Network, c *channel) func(pkt *router.Packet) {
-	return func(pkt *router.Packet) {
-		// The scheme reserved a buffer slot for this arrival; the slot is
-		// claimed and immediately freed so the credit ledger stays exact
-		// (the credit travels home through the usual reimbursement path).
-		must(c.rc.Arrive())
-		must(c.rc.Eject())
-		n.classifyDataLoss(pkt)
-	}
-}
-
-func (creditGlobalProtocol) Invariant(n *Network, c *channel) func() error {
-	return c.rc.Invariant
-}
-
-// creditSlotProtocol is Token Slot: the home node emits one-credit tokens
+// wireCreditSlot is Token Slot: the home node emits one-credit tokens
 // while it has credits; a captured token is both grant and buffer
 // reservation.
-type creditSlotProtocol struct{}
-
-func (creditSlotProtocol) Wire(n *Network, c *channel) {
+func wireCreditSlot(n *Network, c *channel) {
 	c.slot = arbiter.NewSlotEmitter(n.cfg.Nodes, n.cfg.RoundTrip, n.geom.NodesPerCycle())
-	c.sc = flow.NewSlotCredits(n.cfg.BufferDepth)
+	sc := flow.NewSlotCredits(n.cfg.BufferDepth)
 	if n.faults != nil {
 		// Recovery state: a credit that left home aboard a token that died
 		// is reclaimed at the token's nominal expiry window.
 		c.regen = sim.NewDelayLine[int64](n.cfg.RoundTrip + 2)
 	}
-}
-
-func (creditSlotProtocol) Arbitrate(n *Network, c *channel) func(now int64) {
-	// Token Slot: emission gated on credits.
+	// Emission is gated on credits.
 	gate := func() bool {
-		if !c.sc.CanEmit() {
+		if !sc.CanEmit() {
 			return false
 		}
-		c.sc.Emit()
+		sc.Emit()
 		if n.faults != nil && n.faults.KillToken(c.home, n.now) {
 			// The token dies leaving home with a credit aboard; the
 			// credit is stranded until the watchdog reclaims it at the
@@ -128,29 +92,6 @@ func (creditSlotProtocol) Arbitrate(n *Network, c *channel) func(now int64) {
 		}
 		return true
 	}
-	return bindSlotArbitrate(n, c, gate, c.sc, c.sc.Expire)
-}
-
-func (creditSlotProtocol) LaunchHeld(n *Network, c *channel) func(now int64) { return nil }
-
-func (creditSlotProtocol) Arrive(n *Network, c *channel) func(now int64, pkt *router.Packet) {
-	return bindCreditArrive(n, c, c.sc.Arrive, "token slot")
-}
-
-func (creditSlotProtocol) Handshake(n *Network, c *channel) func(now int64) { return nil }
-
-func (creditSlotProtocol) Eject(n *Network, c *channel) func() {
-	return func() { must(c.sc.Eject()) }
-}
-
-func (creditSlotProtocol) RecoverData(n *Network, c *channel) func(pkt *router.Packet) {
-	return func(pkt *router.Packet) {
-		must(c.sc.Arrive())
-		must(c.sc.Eject())
-		n.classifyDataLoss(pkt)
-	}
-}
-
-func (creditSlotProtocol) Invariant(n *Network, c *channel) func() error {
-	return c.sc.Invariant
+	c.advance = bindSlotArbitrate(n, c, gate, sc, sc.Expire)
+	wireCredits(n, c, sc, "token slot")
 }

@@ -5,7 +5,6 @@ import (
 
 	"photon/internal/arbiter"
 	"photon/internal/fault"
-	"photon/internal/phys"
 	"photon/internal/ring"
 	"photon/internal/router"
 )
@@ -17,58 +16,19 @@ import (
 // pulse and data faults recoverable where fire-and-forget schemes lose
 // the packet outright.
 
-func init() {
-	RegisterProtocol(ProtocolSpec{
-		Scheme:     GHS,
-		Name:       "ghs",
-		PaperName:  "GHS",
-		Family:     "handshake-global",
-		Global:     true,
-		Handshake:  true,
-		SendPolicy: router.HoldHead,
-		Hardware:   phys.SchemeHardware{Name: "GHS", Arbitration: phys.GlobalArbitration, Handshake: true},
-		New:        func() Protocol { return handshakeGlobalProtocol{} },
-	})
-	RegisterProtocol(ProtocolSpec{
-		Scheme:     GHSSetaside,
-		Name:       "ghs-setaside",
-		PaperName:  "GHS w/ Setaside",
-		Family:     "handshake-global",
-		Global:     true,
-		Handshake:  true,
-		SendPolicy: router.Setaside,
-		Hardware:   phys.SchemeHardware{Name: "GHS_SetBuf", Arbitration: phys.GlobalArbitration, Handshake: true},
-		New:        func() Protocol { return handshakeGlobalProtocol{} },
-	})
-	RegisterProtocol(ProtocolSpec{
-		Scheme:     DHS,
-		Name:       "dhs",
-		PaperName:  "DHS",
-		Family:     "handshake-slot",
-		Handshake:  true,
-		SendPolicy: router.HoldHead,
-		Hardware:   phys.SchemeHardware{Name: "DHS", Arbitration: phys.DistributedArbitration, Handshake: true},
-		New:        func() Protocol { return handshakeSlotProtocol{} },
-	})
-	RegisterProtocol(ProtocolSpec{
-		Scheme:     DHSSetaside,
-		Name:       "dhs-setaside",
-		PaperName:  "DHS w/ Setaside",
-		Family:     "handshake-slot",
-		Handshake:  true,
-		SendPolicy: router.Setaside,
-		Hardware:   phys.SchemeHardware{Name: "DHS_SetBuf", Arbitration: phys.DistributedArbitration, Handshake: true},
-		New:        func() Protocol { return handshakeSlotProtocol{} },
-	})
-}
-
-// wireHandshake attaches the handshake waveguide and, under fault
-// injection, its pulse-loss filter.
+// wireHandshake attaches what all four handshake schemes share: the
+// handshake waveguide (under fault injection, with its pulse-loss filter)
+// and the receiver and sender sides of the ACK/NACK exchange. There is no
+// credit ledger, so a data fault only needs the packet's fate classified
+// and there is no ejection hook or invariant.
 func wireHandshake(n *Network, c *channel) {
 	c.hs = ring.NewHandshakeChannel(n.geom)
 	if n.faults != nil {
 		c.hs.SetLoss(n.pulseLoss(c))
 	}
+	c.arrive = bindHandshakeArrive(n, c)
+	c.handshake = bindHandshakeDelivery(n, c)
+	c.onDataFault = n.classifyDataLoss
 }
 
 // pulseLoss builds channel c's handshake-pulse fault filter.
@@ -91,7 +51,7 @@ func (n *Network) pulseLoss(c *channel) ring.LossFunc {
 // bindHandshakeArrive builds the arrival handler shared by every
 // handshake scheme: accept or drop+NACK, with duplicate detection for
 // timeout-recovery copies.
-// Bound once per channel at construction; never inline (see bindGlobalCapture).
+// Bound once per channel at construction; never inline (see bindGlobalSweep).
 //
 //go:noinline
 func bindHandshakeArrive(n *Network, c *channel) func(now int64, pkt *router.Packet) {
@@ -161,52 +121,21 @@ func bindHandshakeDelivery(n *Network, c *channel) func(now int64) {
 	}
 }
 
-// handshakeGlobalProtocol is GHS (± setaside): a credit-free relayed
-// global token grants the channel; the receiver answers every flit.
-type handshakeGlobalProtocol struct{}
-
-func (handshakeGlobalProtocol) Wire(n *Network, c *channel) {
+// wireHandshakeGlobal is GHS (± setaside): a credit-free relayed global
+// token grants the channel; the receiver answers every flit.
+func wireHandshakeGlobal(n *Network, c *channel) {
 	c.glob = arbiter.NewGlobalToken(n.cfg.Nodes, n.geom.NodesPerCycle())
+	c.advance = bindGlobalArbitrate(n, c, bindGlobalSweep(n, c, nil), nil)
+	c.launchHeld = bindHeldLaunch(n, c, nil)
 	wireHandshake(n, c)
 }
 
-func (handshakeGlobalProtocol) Arbitrate(n *Network, c *channel) func(now int64) {
-	return bindGlobalArbitrate(n, c, bindGlobalSweep(n, c, nil), nil)
-}
-
-func (handshakeGlobalProtocol) LaunchHeld(n *Network, c *channel) func(now int64) {
-	return bindHeldLaunch(n, c, nil)
-}
-
-func (handshakeGlobalProtocol) Arrive(n *Network, c *channel) func(now int64, pkt *router.Packet) {
-	return bindHandshakeArrive(n, c)
-}
-
-func (handshakeGlobalProtocol) Handshake(n *Network, c *channel) func(now int64) {
-	return bindHandshakeDelivery(n, c)
-}
-
-func (handshakeGlobalProtocol) Eject(n *Network, c *channel) func() { return nil }
-
-func (handshakeGlobalProtocol) RecoverData(n *Network, c *channel) func(pkt *router.Packet) {
-	return n.classifyDataLoss
-}
-
-func (handshakeGlobalProtocol) Invariant(n *Network, c *channel) func() error { return nil }
-
-// handshakeSlotProtocol is DHS (± setaside): the home emits a fresh token
-// every cycle; one packet per captured token; the receiver answers every
+// wireHandshakeSlot is DHS (± setaside): the home emits a fresh token
+// every cycle, unconditionally (unless it dies leaving home under fault
+// injection); one packet per captured token; the receiver answers every
 // flit.
-type handshakeSlotProtocol struct{}
-
-func (handshakeSlotProtocol) Wire(n *Network, c *channel) {
+func wireHandshakeSlot(n *Network, c *channel) {
 	c.slot = arbiter.NewSlotEmitter(n.cfg.Nodes, n.cfg.RoundTrip, n.geom.NodesPerCycle())
-	wireHandshake(n, c)
-}
-
-func (handshakeSlotProtocol) Arbitrate(n *Network, c *channel) func(now int64) {
-	// DHS: a token every cycle, unconditionally (unless it dies leaving
-	// home under fault injection).
 	gate := func() bool {
 		if n.faults != nil && n.faults.KillToken(c.home, n.now) {
 			n.tokenFault(c)
@@ -214,23 +143,6 @@ func (handshakeSlotProtocol) Arbitrate(n *Network, c *channel) func(now int64) {
 		}
 		return true
 	}
-	return bindSlotArbitrate(n, c, gate, nil, nil)
+	c.advance = bindSlotArbitrate(n, c, gate, nil, nil)
+	wireHandshake(n, c)
 }
-
-func (handshakeSlotProtocol) LaunchHeld(n *Network, c *channel) func(now int64) { return nil }
-
-func (handshakeSlotProtocol) Arrive(n *Network, c *channel) func(now int64, pkt *router.Packet) {
-	return bindHandshakeArrive(n, c)
-}
-
-func (handshakeSlotProtocol) Handshake(n *Network, c *channel) func(now int64) {
-	return bindHandshakeDelivery(n, c)
-}
-
-func (handshakeSlotProtocol) Eject(n *Network, c *channel) func() { return nil }
-
-func (handshakeSlotProtocol) RecoverData(n *Network, c *channel) func(pkt *router.Packet) {
-	return n.classifyDataLoss
-}
-
-func (handshakeSlotProtocol) Invariant(n *Network, c *channel) func() error { return nil }

@@ -8,13 +8,22 @@ import (
 )
 
 // TestRegistryCompleteness pins the registry contract every consumer
-// relies on: each scheme resolves to a protocol, carries a unique CLI
-// name, sits in exactly one arbitration group, and survives the
-// CLI-name round trip used by config parsing.
+// relies on: row i is scheme i and names a wire function, and each scheme
+// resolves to a row, carries a unique CLI name, sits in exactly one
+// arbitration group, and survives the CLI-name round trip used by config
+// parsing.
 func TestRegistryCompleteness(t *testing.T) {
 	schemes := core.Schemes()
 	if len(schemes) == 0 {
 		t.Fatal("no schemes registered")
+	}
+	for i, sp := range core.RegisteredProtocols() {
+		if sp.Scheme != core.Scheme(i) {
+			t.Errorf("registry row %d holds scheme %d: a row is missing or misplaced", i, int(sp.Scheme))
+		}
+		if !sp.Wired() {
+			t.Errorf("registry row %d (%q) has no wire function", i, sp.Name)
+		}
 	}
 
 	names := make(map[string]core.Scheme)
@@ -26,11 +35,6 @@ func TestRegistryCompleteness(t *testing.T) {
 		}
 		if sp.Scheme != s {
 			t.Errorf("%v: spec.Scheme = %v, want %v", s, sp.Scheme, s)
-		}
-		if sp.New == nil {
-			t.Errorf("%v: spec.New is nil", s)
-		} else if sp.New() == nil {
-			t.Errorf("%v: spec.New() returned nil", s)
 		}
 
 		if sp.Name == "" {
@@ -127,8 +131,13 @@ func TestRegistryGroupPartition(t *testing.T) {
 
 // TestParseSchemeUnknown pins the error shape: the valid-name list must
 // come from the registry, so the message stays accurate as schemes are
-// added.
+// added. A Scheme value outside the registry resolves to no row.
 func TestParseSchemeUnknown(t *testing.T) {
+	for _, s := range []core.Scheme{-1, core.Scheme(len(core.Schemes()))} {
+		if sp, ok := core.LookupProtocol(s); ok {
+			t.Errorf("LookupProtocol(%d) found a row: %+v", int(s), sp.Name)
+		}
+	}
 	_, err := core.ParseScheme("no-such-scheme")
 	if err == nil {
 		t.Fatal("ParseScheme accepted an unknown name")
@@ -138,19 +147,4 @@ func TestParseSchemeUnknown(t *testing.T) {
 			t.Errorf("error %q does not list valid scheme %q", err, s.String())
 		}
 	}
-}
-
-// TestRegisterProtocolRejectsDuplicates asserts the registry panics on a
-// re-registration, which would otherwise silently shadow a scheme.
-func TestRegisterProtocolRejectsDuplicates(t *testing.T) {
-	sp, ok := core.LookupProtocol(core.GHS)
-	if !ok {
-		t.Fatal("GHS not registered")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("re-registering an existing scheme did not panic")
-		}
-	}()
-	core.RegisterProtocol(sp)
 }

@@ -6,11 +6,11 @@
 // circulation).
 //
 // The Network type is a scheme-agnostic cycle engine; everything
-// per-scheme lives behind the Protocol strategy layer (protocol.go) and
-// its registry, which also backs every trait accessor below. The engine
-// wires together the substrates from the sibling packages: ring (optical
-// timing), arbiter (token motion), flow (credit conservation) and router
-// (electrical queues). One Network simulates all Nodes MWSR channels
+// per-scheme lives in the scheme's registry row (protocol.go) and the wire
+// function it names, and the row also backs every trait accessor below.
+// The engine wires together the substrates from the sibling packages: ring
+// (optical timing), arbiter (token motion), flow (credit conservation) and
+// router (electrical queues). One Network simulates all Nodes MWSR channels
 // simultaneously, since sender-side head-of-line interactions couple the
 // channels — the very effect the setaside and circulation techniques
 // target.
@@ -24,10 +24,10 @@ import (
 	"photon/internal/router"
 )
 
-// Scheme identifies an arbitration + flow-control scheme. Each value is a
-// key into the protocol registry (see RegisterProtocol); every trait
-// accessor below reads the scheme's ProtocolSpec, so a newly registered
-// scheme needs no edits here.
+// Scheme identifies an arbitration + flow-control scheme. Each value
+// indexes the protocol registry (protocols in protocol.go); every trait
+// accessor below reads the scheme's ProtocolSpec, so a new row needs no
+// edits here beyond its constant.
 type Scheme int
 
 const (

@@ -14,8 +14,9 @@ import (
 type probe struct{ id, off int }
 
 // rowWalk is the oracle for slotScan's probe order: the linear downstream
-// walk of a channel's want row the engine used before the bitset walk.
-func rowWalk(row []int16, home int) []probe {
+// walk of a channel's want row (row[id] = node id requests the channel)
+// the engine used before the bitset walk.
+func rowWalk(row []bool, home int) []probe {
 	nodes := len(row)
 	var out []probe
 	id := home + 1
@@ -23,7 +24,7 @@ func rowWalk(row []int16, home int) []probe {
 		id -= nodes
 	}
 	for off := 1; off < nodes; off++ {
-		if row[id] > 0 {
+		if row[id] {
 			out = append(out, probe{id, off})
 		}
 		if id++; id == nodes {
@@ -104,7 +105,9 @@ func checkSlotScanOrder(t *testing.T, nodes, home int, wants func() bool) {
 	}
 	c.slot.BeginCycle(now, nil)
 
-	// Requests go through the engine's own bookkeeping.
+	// Requests go through the engine's own bookkeeping; row is the oracle's
+	// independent record of who asked.
+	row := make([]bool, nodes)
 	for id := 0; id < nodes; id++ {
 		if id == home || !wants() {
 			continue
@@ -115,6 +118,7 @@ func checkSlotScanOrder(t *testing.T, nodes, home int, wants func() bool) {
 			t.Fatalf("node %d refused its packet", id)
 		}
 		n.updateQueueWant(nd, q)
+		row[id] = true
 	}
 
 	rec := &probeRecorder{c: c, now: now, live: make([]bool, nodes+1)}
@@ -127,7 +131,7 @@ func checkSlotScanOrder(t *testing.T, nodes, home int, wants func() bool) {
 		rec.settle()
 	}
 
-	want := rowWalk(n.wantRows[home], home)
+	want := rowWalk(row, home)
 	if !reflect.DeepEqual(rec.got, want) {
 		t.Errorf("nodes %d home %d: bitset walk probed\n%v\nrow walk probes\n%v", nodes, home, rec.got, want)
 	}

@@ -21,7 +21,7 @@ func TestFig10Shape(t *testing.T) {
 	if len(global) != 13 || len(distributed) != 13 {
 		t.Fatalf("app rows %d/%d", len(global), len(distributed))
 	}
-	if ta.Len() != 13 || tb.Len() != 13 {
+	if tableRows(ta) != 13 || tableRows(tb) != 13 {
 		t.Fatal("tables incomplete")
 	}
 
@@ -61,7 +61,7 @@ func TestIPCStudyShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 13 || table.Len() != 13 {
+	if len(rows) != 13 || tableRows(table) != 13 {
 		t.Fatal("incomplete IPC rows")
 	}
 	if g := MeanIPCGain(rows); g < 0 {

@@ -84,11 +84,10 @@ type ExactBreakdownRow struct {
 // under UR at the given load — the single-point unit ExactBreakdown and
 // the twin differential battery (check.RunTwin) share.
 func ExactBreakdownPoint(s core.Scheme, load float64, opts Options) (ExactBreakdownRow, error) {
-	res, tr, err := RunTracedPoint(Point{Scheme: s, Pattern: traffic.UniformRandom{}, Rate: load}, opts)
+	res, attr, _, err := RunStreamedPoint(Point{Scheme: s, Pattern: traffic.UniformRandom{}, Rate: load}, opts)
 	if err != nil {
 		return ExactBreakdownRow{}, err
 	}
-	attr := ptrace.Aggregate(tr, true)
 	row := ExactBreakdownRow{Scheme: s, Attr: attr, Result: res, Total: attr.AvgTotal()}
 	if attr.Spans > 0 {
 		for k := 0; k < ptrace.NumPhases; k++ {
@@ -102,9 +101,7 @@ func ExactBreakdownPoint(s core.Scheme, load float64, opts Options) (ExactBreakd
 // ExactBreakdown measures the exact latency attribution of every scheme
 // under UR at the given load, with the analytical twin's predicted mean
 // and utilization alongside for an at-a-glance model-vs-measurement
-// check. Points run serially: an armed tap holds the whole event stream
-// in memory, so trading wall-clock for a bounded footprint is the right
-// default here.
+// check.
 func ExactBreakdown(load float64, opts Options) ([]ExactBreakdownRow, *stats.Table, error) {
 	if load <= 0 {
 		load = 0.05

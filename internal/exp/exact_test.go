@@ -16,7 +16,7 @@ func TestExactBreakdownInternalConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 7 || table.Len() != 7 {
+	if len(rows) != 7 || tableRows(table) != 7 {
 		t.Fatalf("rows %d", len(rows))
 	}
 	for _, r := range rows {

@@ -12,8 +12,8 @@ func TestSWMRStudyShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 6 || table.Len() != 2 {
-		t.Fatalf("rows %d table %d", len(rows), table.Len())
+	if len(rows) != 6 || tableRows(table) != 2 {
+		t.Fatalf("rows %d table %d", len(rows), tableRows(table))
 	}
 	byKey := map[[2]interface{}]swmr.Result{}
 	for _, r := range rows {
@@ -33,8 +33,8 @@ func TestScalingStudyShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if table.Len() != 4 {
-		t.Fatalf("table rows %d", table.Len())
+	if tableRows(table) != 4 {
+		t.Fatalf("table rows %d", tableRows(table))
 	}
 	lat := map[[2]interface{}]float64{}
 	for _, r := range rows {
@@ -58,7 +58,7 @@ func TestMultiFlitStudyShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 4 || table.Len() != 4 {
+	if len(rows) != 4 || tableRows(table) != 4 {
 		t.Fatalf("rows %d", len(rows))
 	}
 	if rows[0].MsgLatency >= rows[2].MsgLatency {

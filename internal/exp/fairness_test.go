@@ -11,8 +11,8 @@ func TestFairnessStudyShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 4 || table.Len() != 5 {
-		t.Fatalf("rows %d table %d", len(rows), table.Len())
+	if len(rows) != 4 || tableRows(table) != 5 {
+		t.Fatalf("rows %d table %d", len(rows), tableRows(table))
 	}
 	// The last quadrant (farthest downstream) must gain share when the
 	// policy is on.

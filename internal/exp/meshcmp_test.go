@@ -10,7 +10,7 @@ func TestMeshCompareShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 3 || table.Len() != 3 {
+	if len(rows) != 3 || tableRows(table) != 3 {
 		t.Fatalf("rows %d", len(rows))
 	}
 	for _, r := range rows {

@@ -143,22 +143,6 @@ func (c Config) Validate() error {
 	return c.Stall.validate("stall")
 }
 
-// Class returns the configuration of one class.
-func (c Config) Class(cl Class) ClassConfig {
-	switch cl {
-	case TokenLoss:
-		return c.Token
-	case PulseLoss:
-		return c.Pulse
-	case DataLoss:
-		return c.Data
-	case NodeStall:
-		return c.Stall
-	default:
-		panic(fmt.Sprintf("fault: Class of invalid class %d", int(cl)))
-	}
-}
-
 // SetClass returns a copy of the config with one class replaced — the
 // sweep helper the chaos battery uses to light up classes one at a time.
 func (c Config) SetClass(cl Class, cc ClassConfig) Config {
@@ -236,20 +220,8 @@ func streamID(cl Class, element int) uint64 {
 	return uint64(cl)<<32 | uint64(uint32(element))
 }
 
-// Config returns the injector's configuration.
-func (in *Injector) Config() Config { return in.cfg }
-
 // Counts reports how many faults of each class have fired.
 func (in *Injector) Counts() [NumClasses]int64 { return in.counts }
-
-// Total reports the total number of faults fired across all classes.
-func (in *Injector) Total() int64 {
-	var t int64
-	for _, c := range in.counts {
-		t += c
-	}
-	return t
-}
 
 // fire is the shared per-opportunity decision: honour the warm-up guard,
 // drain an active burst, otherwise draw. A zero rate draws nothing, so

@@ -177,8 +177,8 @@ func TestZeroRateDrawsNothing(t *testing.T) {
 			}
 		}
 	}
-	if in.Total() != 0 {
-		t.Fatalf("zero-rate injector counted %d faults", in.Total())
+	if in.Counts() != [NumClasses]int64{} {
+		t.Fatalf("zero-rate injector counted faults: %v", in.Counts())
 	}
 }
 
@@ -218,11 +218,16 @@ func TestStallBurstAndCallback(t *testing.T) {
 func TestClassRoundTrip(t *testing.T) {
 	cfg := Config{}
 	for _, cl := range Classes() {
-		want := ClassConfig{Rate: 0.25, Burst: int(cl) + 1}
-		cfg = cfg.SetClass(cl, want)
-		if got := cfg.Class(cl); got != want {
-			t.Fatalf("%s round-trip: got %+v, want %+v", cl, got, want)
-		}
+		cfg = cfg.SetClass(cl, ClassConfig{Rate: 0.25, Burst: int(cl) + 1})
+	}
+	want := Config{
+		Token: ClassConfig{Rate: 0.25, Burst: int(TokenLoss) + 1},
+		Pulse: ClassConfig{Rate: 0.25, Burst: int(PulseLoss) + 1},
+		Data:  ClassConfig{Rate: 0.25, Burst: int(DataLoss) + 1},
+		Stall: ClassConfig{Rate: 0.25, Burst: int(NodeStall) + 1},
+	}
+	if cfg != want {
+		t.Fatalf("SetClass round-trip: got %+v, want %+v", cfg, want)
 	}
 	for _, cl := range Classes() {
 		if cl.String() == "" || strings.HasPrefix(cl.String(), "Class(") {

@@ -60,7 +60,8 @@ func FuzzFaultConfig(f *testing.F) {
 				in.Stalled(ch)
 			}
 		}
-		if total := in.Total() - in.Counts()[NodeStall]; total != fired {
+		c := in.Counts()
+		if total := c[TokenLoss] + c[PulseLoss] + c[DataLoss]; total != fired {
 			t.Fatalf("kill loop observed %d fires but counters say %d", fired, total)
 		}
 	})

@@ -39,9 +39,6 @@ func NewRelayedCredits(depth int) *RelayedCredits {
 // OnToken reports the credits currently available to token holders.
 func (c *RelayedCredits) OnToken() int { return c.onToken }
 
-// Depth returns the total buffer depth.
-func (c *RelayedCredits) Depth() int { return c.depth }
-
 // Spend consumes one token credit for a packet launch; it reports false
 // when the token is empty (the holder must not send).
 func (c *RelayedCredits) Spend() bool {
@@ -85,9 +82,6 @@ func (c *RelayedCredits) PassHome() {
 	c.freed = 0
 }
 
-// Occupied reports home-buffer occupancy.
-func (c *RelayedCredits) Occupied() int { return c.occupied }
-
 // Invariant verifies credit conservation.
 func (c *RelayedCredits) Invariant() error {
 	if sum := c.onToken + c.freed + c.inFlight + c.occupied; sum != c.depth {
@@ -120,9 +114,6 @@ func NewSlotCredits(depth int) *SlotCredits {
 	}
 	return &SlotCredits{depth: depth, free: depth}
 }
-
-// Depth returns the total buffer depth.
-func (c *SlotCredits) Depth() int { return c.depth }
 
 // CanEmit reports whether home holds a credit to mint a token with.
 func (c *SlotCredits) CanEmit() bool { return c.free > 0 }
@@ -179,9 +170,6 @@ func (c *SlotCredits) Eject() error {
 	c.free++
 	return nil
 }
-
-// Occupied reports home-buffer occupancy.
-func (c *SlotCredits) Occupied() int { return c.occupied }
 
 // Invariant verifies credit conservation.
 func (c *SlotCredits) Invariant() error {

@@ -11,8 +11,8 @@ func TestOccupiedAccessors(t *testing.T) {
 	if err := rc.Arrive(); err != nil {
 		t.Fatal(err)
 	}
-	if rc.Occupied() != 1 {
-		t.Fatalf("relayed Occupied = %d", rc.Occupied())
+	if rc.occupied != 1 {
+		t.Fatalf("relayed occupied = %d", rc.occupied)
 	}
 	sc := NewSlotCredits(3)
 	sc.Emit()
@@ -20,8 +20,8 @@ func TestOccupiedAccessors(t *testing.T) {
 	if err := sc.Arrive(); err != nil {
 		t.Fatal(err)
 	}
-	if sc.Occupied() != 1 {
-		t.Fatalf("slot Occupied = %d", sc.Occupied())
+	if sc.occupied != 1 {
+		t.Fatalf("slot occupied = %d", sc.occupied)
 	}
 }
 

@@ -194,9 +194,3 @@ func TestSlotCreditsConservationProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestDepthAccessors(t *testing.T) {
-	if NewRelayedCredits(7).Depth() != 7 || NewSlotCredits(9).Depth() != 9 {
-		t.Fatal("Depth accessors wrong")
-	}
-}

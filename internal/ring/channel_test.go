@@ -153,7 +153,7 @@ func TestHandshakeCountsNacks(t *testing.T) {
 	if acks != 1 || nacks != 1 {
 		t.Fatalf("Sent = %d,%d", acks, nacks)
 	}
-	if h.InFlight() != 2 {
-		t.Fatalf("InFlight = %d", h.InFlight())
+	if h.line.Len() != 2 {
+		t.Fatalf("%d pulses in flight", h.line.Len())
 	}
 }

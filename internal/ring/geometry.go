@@ -46,9 +46,6 @@ func NewGeometry(nodes, roundTrip int) (*Geometry, error) {
 	return &Geometry{nodes: nodes, roundTrip: roundTrip, perCycle: nodes / roundTrip}, nil
 }
 
-// Nodes returns the number of nodes on the loop.
-func (g *Geometry) Nodes() int { return g.nodes }
-
 // RoundTrip returns the loop's round-trip time R in cycles.
 func (g *Geometry) RoundTrip() int { return g.roundTrip }
 

@@ -99,8 +99,5 @@ func (h *HandshakeChannel) Deliver(now int64) []Ack {
 // pulse is still travelling.
 func (h *HandshakeChannel) SkipTo(now int64) { h.line.SkipTo(now) }
 
-// InFlight reports the number of pulses currently travelling.
-func (h *HandshakeChannel) InFlight() int { return h.line.Len() }
-
 // Sent reports cumulative (ACK, NACK) counts.
 func (h *HandshakeChannel) Sent() (acksSent, nacksSent int64) { return h.acks, h.nacks }

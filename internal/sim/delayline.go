@@ -148,14 +148,6 @@ func (s *SlotLine[T]) Schedule(due int64, v T) error {
 	return nil
 }
 
-// Occupied reports whether cycle due is already booked.
-func (s *SlotLine[T]) Occupied(due int64) bool {
-	if due < s.now || due-s.now >= int64(len(s.slots)) {
-		return false
-	}
-	return s.slots[due%int64(len(s.slots))].full
-}
-
 // PopDue returns the item booked for cycle now, if any.
 func (s *SlotLine[T]) PopDue(now int64) (T, bool) {
 	var zero T

@@ -101,11 +101,8 @@ func TestSlotLineExclusive(t *testing.T) {
 	if _, ok := err.(*ErrSlotTaken); !ok {
 		t.Fatalf("error type %T, want *ErrSlotTaken", err)
 	}
-	if !s.Occupied(4) {
-		t.Fatal("Occupied(4) = false after booking")
-	}
-	if s.Occupied(5) {
-		t.Fatal("Occupied(5) = true without booking")
+	if err := s.Schedule(5, 3); err != nil {
+		t.Fatalf("booking the free neighbouring cycle failed: %v", err)
 	}
 }
 

@@ -54,22 +54,6 @@ func (q *Queue[T]) PushBack(v T) bool {
 	return true
 }
 
-// PushFront inserts v at the head of the queue — used to return NACKed
-// packets so that the oldest packet is retransmitted first. Reports false
-// when full.
-func (q *Queue[T]) PushFront(v T) bool {
-	if q.Full() {
-		return false
-	}
-	if q.size == len(q.buf) {
-		q.grow()
-	}
-	q.head = (q.head - 1 + len(q.buf)) % len(q.buf)
-	q.buf[q.head] = v
-	q.size++
-	return true
-}
-
 // Peek returns the head item without removing it.
 func (q *Queue[T]) Peek() (T, bool) {
 	var zero T
@@ -77,15 +61,6 @@ func (q *Queue[T]) Peek() (T, bool) {
 		return zero, false
 	}
 	return q.buf[q.head], true
-}
-
-// At returns the item at position i from the head (0 = head) without
-// removing it. It panics when i is out of range.
-func (q *Queue[T]) At(i int) T {
-	if i < 0 || i >= q.size {
-		panic("sim: Queue.At out of range")
-	}
-	return q.buf[(q.head+i)%len(q.buf)]
 }
 
 // PopFront removes and returns the head item.
@@ -99,13 +74,4 @@ func (q *Queue[T]) PopFront() (T, bool) {
 	q.head = (q.head + 1) % len(q.buf)
 	q.size--
 	return v, true
-}
-
-// Clear removes every item.
-func (q *Queue[T]) Clear() {
-	var zero T
-	for i := 0; i < q.size; i++ {
-		q.buf[(q.head+i)%len(q.buf)] = zero
-	}
-	q.head, q.size = 0, 0
 }

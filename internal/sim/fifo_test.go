@@ -45,41 +45,14 @@ func TestQueueBounded(t *testing.T) {
 	}
 }
 
-func TestQueuePushFront(t *testing.T) {
-	q := NewQueue[int](0)
-	q.PushBack(2)
-	q.PushBack(3)
-	if !q.PushFront(1) {
-		t.Fatal("PushFront failed")
+// at returns the item at position i from the head (0 = head) without
+// removing it, so a test can read a queue's contents and keep using it. It
+// panics when i is out of range.
+func (q *Queue[T]) at(i int) T {
+	if i < 0 || i >= q.size {
+		panic("sim: Queue.at out of range")
 	}
-	for want := 1; want <= 3; want++ {
-		v, _ := q.PopFront()
-		if v != want {
-			t.Fatalf("got %d, want %d", v, want)
-		}
-	}
-}
-
-func TestQueuePushFrontWrap(t *testing.T) {
-	// Exercise head wrap-around: pop a few then push front repeatedly.
-	q := NewQueue[int](0)
-	for i := 0; i < 8; i++ {
-		q.PushBack(i)
-	}
-	for i := 0; i < 5; i++ {
-		q.PopFront()
-	}
-	for i := 0; i < 10; i++ {
-		q.PushFront(100 + i)
-	}
-	// Expect 109..100 then 5,6,7.
-	want := []int{109, 108, 107, 106, 105, 104, 103, 102, 101, 100, 5, 6, 7}
-	for i, w := range want {
-		v, ok := q.PopFront()
-		if !ok || v != w {
-			t.Fatalf("pos %d: got %d ok=%v, want %d", i, v, ok, w)
-		}
-	}
+	return q.buf[(q.head+i)%len(q.buf)]
 }
 
 func TestQueueAtAndPeek(t *testing.T) {
@@ -89,28 +62,15 @@ func TestQueueAtAndPeek(t *testing.T) {
 	if v, ok := q.Peek(); !ok || v != "a" {
 		t.Fatalf("Peek = %q, %v", v, ok)
 	}
-	if q.At(1) != "b" {
-		t.Fatalf("At(1) = %q", q.At(1))
+	if q.at(1) != "b" {
+		t.Fatalf("at(1) = %q", q.at(1))
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("At out of range did not panic")
+			t.Fatal("at out of range did not panic")
 		}
 	}()
-	q.At(2)
-}
-
-func TestQueueClear(t *testing.T) {
-	q := NewQueue[int](5)
-	q.PushBack(1)
-	q.PushBack(2)
-	q.Clear()
-	if q.Len() != 0 || q.Full() {
-		t.Fatalf("after Clear: len %d full %v", q.Len(), q.Full())
-	}
-	if !q.PushBack(3) {
-		t.Fatal("push after clear failed")
-	}
+	q.at(2)
 }
 
 // TestQueueAgainstModel drives the queue with a random operation sequence
@@ -123,13 +83,9 @@ func TestQueueAgainstModel(t *testing.T) {
 		next := 0
 		for _, op := range ops {
 			switch op % 3 {
-			case 0:
+			case 0, 1:
 				q.PushBack(next)
 				model = append(model, next)
-				next++
-			case 1:
-				q.PushFront(next)
-				model = append([]int{next}, model...)
 				next++
 			case 2:
 				v, ok := q.PopFront()
@@ -149,7 +105,7 @@ func TestQueueAgainstModel(t *testing.T) {
 			}
 		}
 		for i, w := range model {
-			if q.At(i) != w {
+			if q.at(i) != w {
 				return false
 			}
 		}

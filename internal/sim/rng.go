@@ -129,15 +129,6 @@ func (r *RNG) Geometric(p float64) int64 {
 	return int64(math.Log(u) / math.Log(1-p))
 }
 
-// Exp returns an exponentially distributed sample with the given mean.
-func (r *RNG) Exp(mean float64) float64 {
-	u := r.Float64()
-	if u <= 0 {
-		u = math.SmallestNonzeroFloat64
-	}
-	return -mean * math.Log(u)
-}
-
 // Perm returns a uniformly random permutation of [0, n).
 func (r *RNG) Perm(n int) []int {
 	p := make([]int, n)
@@ -147,12 +138,4 @@ func (r *RNG) Perm(n int) []int {
 		p[j] = i
 	}
 	return p
-}
-
-// Shuffle randomly permutes n elements using the provided swap function.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
 }

@@ -107,60 +107,21 @@ func (h *Histogram) P99() int64 { return h.Quantile(0.99) }
 // quantile of the workload reports; sugar for Quantile(0.999).
 func (h *Histogram) P999() int64 { return h.Quantile(0.999) }
 
-// Merge folds other into h (used when aggregating per-channel histograms).
-func (h *Histogram) Merge(other *Histogram) {
-	if other == nil {
-		return
-	}
-	for v, c := range other.bins {
-		if c == 0 {
-			continue
-		}
-		if int64(len(h.bins)) <= int64(v) {
-			nb := make([]int64, v+v/2+16)
-			copy(nb, h.bins)
-			h.bins = nb
-		}
-		h.bins[v] += c
-	}
-	h.overflow += other.overflow
-	h.count += other.count
-	h.sum += other.sum
-	if other.max > h.max {
-		h.max = other.max
-	}
-}
-
 // MeanVar accumulates a running mean and variance (Welford's algorithm)
 // for float-valued series such as per-node throughputs.
 type MeanVar struct {
 	n    int64
 	mean float64
 	m2   float64
-	min  float64
-	max  float64
 }
 
 // Add records one observation.
 func (m *MeanVar) Add(x float64) {
 	m.n++
-	if m.n == 1 {
-		m.min, m.max = x, x
-	} else {
-		if x < m.min {
-			m.min = x
-		}
-		if x > m.max {
-			m.max = x
-		}
-	}
 	d := x - m.mean
 	m.mean += d / float64(m.n)
 	m.m2 += d * (x - m.mean)
 }
-
-// N returns the observation count.
-func (m *MeanVar) N() int64 { return m.n }
 
 // Mean returns the running mean.
 func (m *MeanVar) Mean() float64 { return m.mean }
@@ -172,9 +133,3 @@ func (m *MeanVar) Var() float64 {
 	}
 	return m.m2 / float64(m.n)
 }
-
-// Min returns the smallest observation.
-func (m *MeanVar) Min() float64 { return m.min }
-
-// Max returns the largest observation.
-func (m *MeanVar) Max() float64 { return m.max }

@@ -64,22 +64,6 @@ func TestHistogramNegativePanics(t *testing.T) {
 	NewHistogram(0).Add(-1)
 }
 
-func TestHistogramMerge(t *testing.T) {
-	a, b := NewHistogram(100), NewHistogram(100)
-	a.Add(1)
-	a.Add(2)
-	b.Add(3)
-	b.Add(200) // overflow
-	a.Merge(b)
-	if a.Count() != 4 || a.sum != 206 || a.Max() != 200 {
-		t.Fatalf("merged: count %d sum %d max %d", a.Count(), a.sum, a.Max())
-	}
-	a.Merge(nil) // no-op
-	if a.Count() != 4 {
-		t.Fatal("nil merge changed state")
-	}
-}
-
 func TestHistogramMeanMatchesDirect(t *testing.T) {
 	f := func(vals []uint16) bool {
 		h := NewHistogram(1 << 15)
@@ -104,14 +88,11 @@ func TestMeanVar(t *testing.T) {
 	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
 		m.Add(x)
 	}
-	if m.N() != 8 || math.Abs(m.Mean()-5) > 1e-12 {
-		t.Fatalf("n %d mean %f", m.N(), m.Mean())
+	if m.n != 8 || math.Abs(m.Mean()-5) > 1e-12 {
+		t.Fatalf("n %d mean %f", m.n, m.Mean())
 	}
 	if math.Abs(m.Var()-4) > 1e-12 {
 		t.Fatalf("var %f, want 4", m.Var())
-	}
-	if m.Min() != 2 || m.Max() != 9 {
-		t.Fatalf("min %f max %f", m.Min(), m.Max())
 	}
 }
 
@@ -127,8 +108,8 @@ func TestTableText(t *testing.T) {
 	if len(lines) != 5 { // title, header, rule, 2 rows
 		t.Fatalf("line count %d:\n%s", len(lines), out)
 	}
-	if tab.Len() != 2 {
-		t.Fatalf("Len = %d", tab.Len())
+	if len(tab.rows) != 2 {
+		t.Fatalf("%d rows", len(tab.rows))
 	}
 }
 

@@ -36,9 +36,6 @@ func (t *Table) AddRow(cells ...any) {
 	t.rows = append(t.rows, row)
 }
 
-// Len reports the number of data rows.
-func (t *Table) Len() int { return len(t.rows) }
-
 // WriteText renders the table with aligned columns.
 func (t *Table) WriteText(w io.Writer) error {
 	widths := make([]int, len(t.headers))

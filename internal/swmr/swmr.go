@@ -66,8 +66,8 @@ func (s Scheme) String() string {
 	}
 }
 
-// ParseScheme resolves a CLI name.
-func ParseScheme(name string) (Scheme, error) {
+// parseScheme resolves a CLI name.
+func parseScheme(name string) (Scheme, error) {
 	for s := Reservation; s < numSchemes; s++ {
 		if s.String() == name {
 			return s, nil

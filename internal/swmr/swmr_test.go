@@ -36,12 +36,12 @@ func drive(t testing.TB, scheme Scheme, rate float64, mod func(*Config)) (Result
 
 func TestSchemeParse(t *testing.T) {
 	for _, s := range Schemes() {
-		got, err := ParseScheme(s.String())
+		got, err := parseScheme(s.String())
 		if err != nil || got != s {
-			t.Errorf("ParseScheme(%q) = %v, %v", s.String(), got, err)
+			t.Errorf("parseScheme(%q) = %v, %v", s.String(), got, err)
 		}
 	}
-	if _, err := ParseScheme("nope"); err == nil {
+	if _, err := parseScheme("nope"); err == nil {
 		t.Error("bogus scheme accepted")
 	}
 }

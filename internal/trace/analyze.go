@@ -88,9 +88,9 @@ func AnalysisTable(analyses []Analysis) *stats.Table {
 	return t
 }
 
-// Slice returns the sub-trace covering cycles [from, to), rebased to start
+// slice returns the sub-trace covering cycles [from, to), rebased to start
 // at cycle 0.
-func (t *Trace) Slice(from, to int64) (*Trace, error) {
+func (t *Trace) slice(from, to int64) (*Trace, error) {
 	if from < 0 || to > t.Cycles || from >= to {
 		return nil, fmt.Errorf("trace: invalid slice [%d,%d) of %d cycles", from, to, t.Cycles)
 	}
@@ -102,16 +102,4 @@ func (t *Trace) Slice(from, to int64) (*Trace, error) {
 		}
 	}
 	return out, nil
-}
-
-// FilterDst returns the sub-trace of packets addressed to keep(dst)==true
-// destinations.
-func (t *Trace) FilterDst(keep func(int) bool) *Trace {
-	out := &Trace{App: t.App, Cores: t.Cores, Nodes: t.Nodes, Cycles: t.Cycles}
-	for _, r := range t.Records {
-		if keep(int(r.DstNode)) {
-			out.Records = append(out.Records, r)
-		}
-	}
-	return out
 }

@@ -3,8 +3,6 @@ package trace
 import (
 	"strings"
 	"testing"
-
-	"photon/internal/router"
 )
 
 func TestAnalyzeBasics(t *testing.T) {
@@ -47,7 +45,7 @@ func TestAnalyzeBurstyVsSmooth(t *testing.T) {
 
 func TestSlice(t *testing.T) {
 	tr := sampleTrace()
-	s, err := tr.Slice(0, 10)
+	s, err := tr.slice(0, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,28 +56,17 @@ func TestSlice(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Rebasing.
-	s2, err := tr.Slice(5, 100)
+	s2, err := tr.slice(5, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s2.Records[0].Cycle != 0 || s2.Records[1].Cycle != 94 {
 		t.Fatalf("rebase wrong: %+v", s2.Records)
 	}
-	if _, err := tr.Slice(50, 20); err == nil {
+	if _, err := tr.slice(50, 20); err == nil {
 		t.Fatal("inverted slice accepted")
 	}
-	if _, err := tr.Slice(0, 1000); err == nil {
+	if _, err := tr.slice(0, 1000); err == nil {
 		t.Fatal("overlong slice accepted")
-	}
-}
-
-func TestFilterDst(t *testing.T) {
-	tr := sampleTrace()
-	f := tr.FilterDst(func(d int) bool { return d == 1 })
-	if len(f.Records) != 1 || f.Records[0].DstNode != 1 {
-		t.Fatalf("filter: %+v", f.Records)
-	}
-	if f.Records[0].Class != router.ClassData {
-		t.Fatal("class lost")
 	}
 }

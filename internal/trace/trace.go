@@ -84,6 +84,10 @@ func (t *Trace) Validate() error {
 
 const binaryMagic = "PHTR1\n"
 
+// maxRecordPrealloc caps what ReadBinary allocates on the header's word
+// alone (1.5 MiB of records); past it the slice grows as records are read.
+const maxRecordPrealloc = 1 << 16
+
 // WriteBinary serialises the trace in the compact varint format:
 // magic, app name, shape, then per record the cycle delta, source core,
 // destination node and class as unsigned varints.
@@ -161,11 +165,14 @@ func ReadBinary(r io.Reader) (*Trace, error) {
 		Nodes:  int(hdr[1]),
 		Cycles: int64(hdr[2]),
 	}
+	// The header's record count is a claim, not a fact: it sizes the
+	// slice only up to a bound, so a lying header runs into EOF below
+	// instead of into the allocator.
 	if hdr[3] > 0 {
-		t.Records = make([]Record, hdr[3])
+		t.Records = make([]Record, 0, min(hdr[3], maxRecordPrealloc))
 	}
 	var cyc int64
-	for i := range t.Records {
+	for i := uint64(0); i < hdr[3]; i++ {
 		d, err := binary.ReadUvarint(br)
 		if err != nil {
 			return nil, fmt.Errorf("trace: record %d cycle: %w", i, err)
@@ -183,7 +190,7 @@ func ReadBinary(r io.Reader) (*Trace, error) {
 		if err != nil {
 			return nil, fmt.Errorf("trace: record %d class: %w", i, err)
 		}
-		t.Records[i] = Record{Cycle: cyc, SrcCore: int32(src), DstNode: int32(dst), Class: router.Class(cls)}
+		t.Records = append(t.Records, Record{Cycle: cyc, SrcCore: int32(src), DstNode: int32(dst), Class: router.Class(cls)})
 	}
 	if err := t.Validate(); err != nil {
 		return nil, err

@@ -2,8 +2,12 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -61,6 +65,45 @@ func TestBinaryRejectsTruncated(t *testing.T) {
 			t.Fatalf("truncated trace (at %d) accepted", cut)
 		}
 	}
+}
+
+// TestBinaryRejectsLyingCount: the header's record count is untrusted. A
+// file claiming more records than it holds must end in the truncation
+// error without allocating for the claim (2^62 records used to panic in
+// makeslice; 2^31 would have asked for 48 GiB).
+func TestBinaryRejectsLyingCount(t *testing.T) {
+	tr := sampleTrace()
+	for _, claim := range []uint64{uint64(len(tr.Records)) + 1, 1 << 31, 1 << 62} {
+		file := encodeWithCount(t, tr, claim)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadBinary(bytes.NewReader(file))
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "record 4 cycle") || !errors.Is(err, io.EOF) {
+			t.Errorf("count %d over 4 records: err = %v, want the record-4 EOF", claim, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<20 {
+			t.Errorf("count %d over 4 records: allocated %d bytes", claim, grew)
+		}
+	}
+}
+
+// encodeWithCount writes tr with its header's record count replaced.
+func encodeWithCount(t *testing.T, tr *Trace, count uint64) []byte {
+	t.Helper()
+	var body bytes.Buffer
+	if err := tr.WriteBinary(&body); err != nil {
+		t.Fatal(err)
+	}
+	// Header: magic, name length, name, cores, nodes, cycles — all
+	// single-byte varints for sampleTrace — then the count.
+	at := len(binaryMagic) + 1 + len(tr.App) + 3
+	if got, n := binary.Uvarint(body.Bytes()[at:]); got != uint64(len(tr.Records)) || n != 1 {
+		t.Fatalf("count not at offset %d", at)
+	}
+	out := append([]byte(nil), body.Bytes()[:at]...)
+	out = binary.AppendUvarint(out, count)
+	return append(out, body.Bytes()[at+1:]...)
 }
 
 func TestValidateCatchesBadTraces(t *testing.T) {

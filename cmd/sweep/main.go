@@ -28,6 +28,11 @@
 //	sweep -farm figures -quick -manifest run.jsonl   # full quick grid, journalled
 //	sweep -farm figures -quick -manifest run.jsonl -resume   # pick up after a crash
 //	sweep -farm fig8:UR -farm-shards                 # one subprocess per point
+//
+// Any run takes -cpuprofile and -memprofile (pprof files; stdout is
+// unchanged by them):
+//
+//	sweep -workload bursty -quick -cpuprofile cpu.prof
 package main
 
 import (
@@ -70,6 +75,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		plot     = fs.Bool("plot", false, "also render an ASCII chart (latency clipped at 100 cycles, like the paper's axes)")
 		seed     = fs.Uint64("seed", 1, "random seed")
 		workload = fs.String("workload", "", "run a preset workload (bursty, flash, diurnal) or raw workload spec under every scheme, reporting per-phase p50/p99/p999")
+
+		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProfile = fs.String("memprofile", "", "write a heap profile to this file when the run ends")
 
 		farmGridFlag = fs.String("farm", "", "run a named point grid under the supervised sweep farm: "+strings.Join(append(exp.FigureGridNames(), exp.WorkloadGridNames()...), ", "))
 		manifest     = fs.String("manifest", "", "journal farm progress to this file (crash-safe JSONL)")
@@ -133,7 +141,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	opts.Seed = *seed
 
-	var err error
+	stopProfiles, err := exp.Profile(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintln(stderr, "sweep:", err)
+		return 1
+	}
 	switch mode {
 	case "farm-worker":
 		err = farm.RunWorker(stdout, *workerGrid, *workerPoint, opts)
@@ -145,6 +157,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		})
 	default:
 		err = runStudy(stdout, mode, *fig, *pattern, *workload, *brk, opts, *csv, *plot)
+	}
+	if perr := stopProfiles(); err == nil {
+		err = perr
 	}
 	if err != nil {
 		if err != errQuarantined {

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -60,6 +62,9 @@ func TestRunErrors(t *testing.T) {
 		{[]string{"-workload", "warp(rate=1)", "-quick"}, "warp"},
 		{[]string{"-farm", "no-such-grid", "-quick"}, "no-such-grid"},
 		{[]string{"-farm-worker", "-farm-grid", "fig8:UR", "-farm-point", "9999", "-quick"}, "9999"},
+		// A profile that cannot be written fails before the study runs.
+		{[]string{"-fig", "8", "-quick", "-cpuprofile", "/no/such/dir/cpu.prof"}, "/no/such/dir/cpu.prof"},
+		{[]string{"-claims", "-memprofile", "/no/such/dir/mem.prof"}, "/no/such/dir/mem.prof"},
 	}
 	for _, tc := range cases {
 		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
@@ -87,6 +92,26 @@ func TestSameSeedSameBytes(t *testing.T) {
 		}
 		if _, other, _ := sweep(append(args, "-seed", "2")...); other == first {
 			t.Errorf("sweep %v: -seed 2 wrote the same bytes as -seed 1", args)
+		}
+	}
+}
+
+// TestProfileFlags: -cpuprofile and -memprofile leave non-empty pprof
+// files behind and do not move a byte of stdout.
+func TestProfileFlags(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a quick study twice")
+	}
+	args := []string{"-workload", "bursty", "-quick"}
+	_, plain, _ := sweep(args...)
+	cpu, mem := filepath.Join(t.TempDir(), "cpu.prof"), filepath.Join(t.TempDir(), "mem.prof")
+	status, profiled, stderr := sweep(append(args, "-cpuprofile", cpu, "-memprofile", mem)...)
+	if status != 0 || profiled != plain {
+		t.Fatalf("profiled run: exit %d, stdout differs from the plain run: %v\n%s", status, profiled != plain, stderr)
+	}
+	for _, path := range []string{cpu, mem} {
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Errorf("profile %s: %v, want a non-empty file", path, err)
 		}
 	}
 }

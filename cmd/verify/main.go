@@ -43,7 +43,8 @@
 //
 // One mode per run: -chaos, -workloads, -twin and -trace are mutually
 // exclusive, and a -trace-* flag without -trace is a usage error (exit
-// status 2). Wall-clock measurement lives in bench/ (bash bench/run.sh).
+// status 2). Wall-clock measurement lives in bench/ (bash bench/run.sh);
+// -cpuprofile and -memprofile write pprof profiles of any mode's run.
 package main
 
 import (
@@ -122,6 +123,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		traceLoad    = fs.Float64("trace-load", 0.13, "offered load for the traced point")
 		traceFormat  = fs.String("trace-format", "table", "export format: table, chrome, flame")
 		traceOut     = fs.String("trace-out", "", "output path (default stdout)")
+
+		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProfile = fs.String("memprofile", "", "write a heap profile to this file when the run ends")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -159,13 +163,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(2, orphan)
 	}
 
+	stopProfiles, err := exp.Profile(*cpuProfile, *memProfile)
+	if err != nil {
+		return fail(1, err)
+	}
 	pass := true
-	var err error
 	switch mode {
 	case "trace":
 		err = runTrace(stdout, *traceScheme, *tracePattern, *traceLoad, *traceFormat, *traceOut, *seed, *quick)
 	default:
 		pass, err = runBattery(stdout, mode, *seed, *quick, *csv, *jsonOut)
+	}
+	if perr := stopProfiles(); err == nil {
+		err = perr
 	}
 	if err != nil {
 		return fail(1, err)

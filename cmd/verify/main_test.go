@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -78,10 +80,10 @@ func TestUsageErrors(t *testing.T) {
 	}
 }
 
-// TestTraceErrors: a bad -trace request fails before simulating
-// anything, with the named cause: exit 1 for a bad value, exit 2 for the
-// retired streaming switch (the table always streams, chrome and flame
-// never do, so there is nothing left to select).
+// TestTraceErrors: a bad -trace request, or an unwritable profile path,
+// fails before simulating anything, with the named cause: exit 1 for a bad
+// value, exit 2 for the retired streaming switch (the table always
+// streams, chrome and flame never do, so there is nothing left to select).
 func TestTraceErrors(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -93,6 +95,9 @@ func TestTraceErrors(t *testing.T) {
 		{"pattern", []string{"-trace", "-trace-pattern", "XX"}, 1, `unknown pattern "XX"`},
 		{"format", []string{"-trace", "-trace-format", "svg"}, 1, `unknown trace format "svg"`},
 		{"stream needs table", []string{"-trace", "-trace-stream", "-trace-format", "chrome"}, 2, "not defined: -trace-stream"},
+		// A profile that cannot be written fails the same way, in any mode.
+		{"cpuprofile path", []string{"-trace", "-cpuprofile", "/no/such/dir/cpu.prof"}, 1, "/no/such/dir/cpu.prof"},
+		{"memprofile path", []string{"-quick", "-memprofile", "/no/such/dir/mem.prof"}, 1, "/no/such/dir/mem.prof"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -197,5 +202,25 @@ func TestQuickBatteries(t *testing.T) {
 	footer := fmt.Sprintf("PASS: %d points, %d cross checks\n", len(sum.Points), len(sum.Cross))
 	if status != 0 || !strings.HasSuffix(text, footer) {
 		t.Errorf("verify -quick: exit %d, output does not end in %q\n%s", status, footer, stderr)
+	}
+}
+
+// TestProfileFlags: -cpuprofile and -memprofile leave non-empty pprof
+// files behind and do not move a byte of stdout.
+func TestProfileFlags(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a quick battery twice")
+	}
+	args := []string{"-workloads", "-quick"}
+	_, plain, _ := verify(args...)
+	cpu, mem := filepath.Join(t.TempDir(), "cpu.prof"), filepath.Join(t.TempDir(), "mem.prof")
+	status, profiled, stderr := verify(append(args, "-cpuprofile", cpu, "-memprofile", mem)...)
+	if status != 0 || profiled != plain {
+		t.Fatalf("profiled run: exit %d, stdout differs from the plain run: %v\n%s", status, profiled != plain, stderr)
+	}
+	for _, path := range []string{cpu, mem} {
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Errorf("profile %s: %v, want a non-empty file", path, err)
+		}
 	}
 }

@@ -2,8 +2,10 @@ package exp
 
 import (
 	"fmt"
+	"os"
 	"runtime"
 	"runtime/debug"
+	"runtime/pprof"
 	"sync"
 
 	"photon/internal/core"
@@ -11,8 +13,54 @@ import (
 )
 
 // This file is the run harness every driver above the cycle engine
-// shares: the one bounded worker pool (Do) and the one place a Point is
-// turned into a network and its injector (buildPoint).
+// shares: the one bounded worker pool (Do), the one place a Point is
+// turned into a network and its injector (buildPoint), and what the
+// commands' -cpuprofile / -memprofile flags do (Profile).
+
+// Profile starts a CPU profile into cpuPath and returns the function that
+// stops it and writes a heap profile to memPath; an empty path skips that
+// profile. Both files are created here, so an unwritable path fails before
+// the run instead of after it, and every error names its path.
+func Profile(cpuPath, memPath string) (stop func() error, err error) {
+	var cpu, mem *os.File
+	if memPath != "" {
+		if mem, err = os.Create(memPath); err != nil {
+			return nil, err
+		}
+	}
+	if cpuPath != "" {
+		if cpu, err = os.Create(cpuPath); err == nil {
+			if err = pprof.StartCPUProfile(cpu); err != nil {
+				cpu.Close()
+				err = fmt.Errorf("cpu profile %s: %w", cpuPath, err)
+			}
+		}
+		if err != nil {
+			if mem != nil {
+				mem.Close()
+			}
+			return nil, err
+		}
+	}
+	return func() error {
+		var err error
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			err = cpu.Close()
+		}
+		if mem != nil {
+			runtime.GC() // settle the statistics the heap profile reports
+			werr := pprof.WriteHeapProfile(mem)
+			if cerr := mem.Close(); werr == nil {
+				werr = cerr
+			}
+			if werr != nil && err == nil {
+				err = fmt.Errorf("heap profile %s: %w", memPath, werr)
+			}
+		}
+		return err
+	}, nil
+}
 
 // Do fans n independent jobs over a bounded worker pool (workers <= 0
 // means GOMAXPROCS) and returns one error slot per job, in job order. A

@@ -1,6 +1,7 @@
 package ptrace
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -28,47 +29,66 @@ type chromeEvent struct {
 // and packet id (tid), plus instant events for token captures and
 // faults. Undelivered spans export their phase prefix; faulted spans
 // export no phases (they have none) but keep their instants.
+//
+// Events are encoded one at a time — the array is several times the size
+// of the trace it renders — into the bytes json.Encoder.Encode would
+// produce for the whole slice.
 func WriteChromeTrace(w io.Writer, tr *TraceResult) error {
-	events := make([]chromeEvent, 0, len(tr.Spans)*4+len(tr.Tokens)+len(tr.Faults))
+	bw := bufio.NewWriter(w)
+	sep := byte('[')
+	var err error // the first failure; emit does nothing after it
+	emit := func(e chromeEvent) {
+		if err != nil {
+			return
+		}
+		var b []byte
+		if b, err = json.Marshal(&e); err != nil {
+			return
+		}
+		bw.WriteByte(sep)
+		sep = ','
+		_, err = bw.Write(b)
+	}
+	// One args map per event kind, overwritten for each event.
+	phaseArgs, setasideArgs := map[string]any{}, map[string]any{}
 	for _, s := range tr.Spans {
+		phaseArgs["dst"], phaseArgs["measured"] = s.Dst, s.Measured
 		for _, p := range s.Phases {
-			events = append(events, chromeEvent{
-				Name:  p.Kind.String(),
-				Phase: "X",
-				TS:    p.From,
-				Dur:   p.Len(),
-				PID:   s.Src,
-				TID:   s.ID,
-				Args: map[string]any{
-					"dst":      s.Dst,
-					"measured": s.Measured,
-				},
+			emit(chromeEvent{
+				Name: p.Kind.String(), Phase: "X", TS: p.From, Dur: p.Len(),
+				PID: s.Src, TID: s.ID, Args: phaseArgs,
 			})
 		}
 		if s.Setaside > 0 {
-			events = append(events, chromeEvent{
+			setasideArgs["cycles"] = s.Setaside
+			emit(chromeEvent{
 				Name: "setaside", Phase: "i", TS: s.Injected,
-				PID: s.Src, TID: s.ID, Scope: "t",
-				Args: map[string]any{"cycles": s.Setaside},
+				PID: s.Src, TID: s.ID, Scope: "t", Args: setasideArgs,
 			})
 		}
 	}
+	tokenArgs := map[string]any{}
 	for _, t := range tr.Tokens {
 		node, home := core.TokenAux(t.Aux)
-		events = append(events, chromeEvent{
+		tokenArgs["home"] = home
+		emit(chromeEvent{
 			Name: t.Type.String(), Phase: "i", TS: t.Cycle,
-			PID: node, Scope: "t",
-			Args: map[string]any{"home": home},
+			PID: node, Scope: "t", Args: tokenArgs,
 		})
 	}
+	faultArgs := map[string]any{}
 	for _, f := range tr.Faults {
-		events = append(events, chromeEvent{
-			Name: "fault", Phase: "i", TS: f.Cycle, Scope: "g",
-			Args: map[string]any{"aux": f.Aux},
-		})
+		faultArgs["aux"] = f.Aux
+		emit(chromeEvent{Name: "fault", Phase: "i", TS: f.Cycle, Scope: "g", Args: faultArgs})
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(events)
+	if err != nil {
+		return err
+	}
+	if sep == '[' {
+		bw.WriteByte('[') // no events: an empty array
+	}
+	bw.WriteString("]\n")
+	return bw.Flush()
 }
 
 // WriteFlame renders the trace's aggregate attribution as folded stack

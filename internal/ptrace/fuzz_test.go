@@ -131,7 +131,7 @@ func fuzzStream(t *testing.T, records []Record, tr *TraceResult, batchErr error)
 				if spans[sp.ID] != nil && batchErr == nil {
 					t.Fatalf("RetireAfter %d: packet %d flushed twice", retireAfter, sp.ID)
 				}
-				spans[sp.ID] = sp
+				spans[sp.ID] = cloneSpan(sp)
 				return nil
 			},
 			OnMeta: func(Record) error { metas++; return nil },

@@ -165,24 +165,26 @@ type TraceResult struct {
 	Faults []Record // packet-less EvFault records
 }
 
-// assembly states of one packet.
+// assembly states of one packet. The zero state marks a free slot of the
+// cursor table.
 const (
-	stInjected = iota // created, in the electrical injection pipeline
-	stEnqueued        // in the output queue, not yet head-eligible
-	stReady           // head-eligible, awaiting arbitration
-	stFlight          // on the data waveguide
-	stDropped         // dropped at the home, NACK in flight
-	stNacked          // NACK received, awaiting retransmission
-	stCirc            // reinjected, circulating for another loop
-	stBuffered        // accepted into the home input buffer
-	stDone            // delivered
+	stFree     = iota
+	stInjected // created, in the electrical injection pipeline
+	stEnqueued // in the output queue, not yet head-eligible
+	stReady    // head-eligible, awaiting arbitration
+	stFlight   // on the data waveguide
+	stDropped  // dropped at the home, NACK in flight
+	stNacked   // NACK received, awaiting retransmission
+	stCirc     // reinjected, circulating for another loop
+	stBuffered // accepted into the home input buffer
+	stDone     // delivered
 	// stAbsorbing is reached only in a Stream: the span was handed to the
-	// consumer and a recovery event touched the packet afterwards. The cursor swallows the rest of the packet's events
-	// without writing to the span.
+	// consumer and a recovery event touched the packet afterwards. The
+	// cursor swallows the rest of the packet's events.
 	stAbsorbing
 )
 
-func stateName(st int) string {
+func stateName(st uint8) string {
 	switch st {
 	case stInjected:
 		return "injected"
@@ -209,29 +211,33 @@ func stateName(st int) string {
 	}
 }
 
-// inlinePhases is the phase capacity a cursor carries inline: the common
-// chain pipeline→queue→token-wait→flight→eject. Longer chains (NACK
-// retries, circulation loops) spill to the heap through append.
+// inlinePhases is the phase capacity a span buffer carries inline: the
+// common chain pipeline→queue→token-wait→flight→eject. Longer chains
+// (NACK retries, circulation loops) spill to the heap through append.
 const inlinePhases = 5
 
-// pktAsm is the per-packet assembly cursor. The span and the first
-// inlinePhases phases live inside it, so a packet costs one allocation;
-// whoever retains the span retains the cursor.
+// pktAsm is the per-packet assembly cursor: the 48 bytes every record of
+// the packet touches. It lives by value in the cursor table; the span
+// being assembled sits behind buf until a Stream hands it to its consumer,
+// after which the cursor is a tombstone of header only — a trailing ACK, a
+// late recovery event and the impossible-transition messages need just
+// state, last and id.
 type pktAsm struct {
-	span       PacketSpan
-	inline     [inlinePhases]Phase
-	state      int
-	flushed    bool  // Stream only: the span has been handed to OnSpan
-	mark       int64 // cycle anchoring the currently open phase
-	last       int64 // cycle of the packet's previous event
-	setasideAt int64 // open setaside residency start, or -1
+	id         uint64
+	buf        *spanBuf // nil once flushed
+	mark       int64    // cycle anchoring the currently open phase
+	last       int64    // cycle of the packet's previous event
+	setasideAt int64    // open setaside residency start, or -1
+	state      uint8
+	flushed    bool // Stream only: the span has been handed to OnSpan
+	faulted    bool // buf.span.Faulted, without the dereference
 }
 
 // intake is the record-admission prologue Assemble and Stream share: the
 // stream-level checks every record passes before it reaches a packet's
 // state machine, and the cursor table they are checked against.
 type intake struct {
-	cursors map[uint64]*pktAsm
+	cursors cursorTable
 	seen    int64 // records admitted
 	last    int64 // cycle of the last admitted record
 }
@@ -240,7 +246,7 @@ type intake struct {
 // before its predecessor's, event type matching its kind, its packet's
 // history — and returns the packet's cursor: nil for a meta record, a
 // freshly opened one for EvInject. The caller advances a.last.
-func (in *intake) admit(r Record) (*pktAsm, error) {
+func (in *intake) admit(r *Record) (*pktAsm, error) {
 	i := in.seen
 	if r.Cycle < 0 {
 		return nil, fmt.Errorf("ptrace: record %d: negative cycle %d", i, r.Cycle)
@@ -262,14 +268,12 @@ func (in *intake) admit(r Record) (*pktAsm, error) {
 	case core.EvTokenCapture, core.EvTokenRelease, core.EvTokenRegen:
 		return nil, fmt.Errorf("ptrace: record %d: packet record with meta event type %s", i, r.Type)
 	}
-	a := in.cursors[r.ID]
+	a := in.cursors.get(r.ID)
 	if r.Type == core.EvInject {
 		if a != nil {
 			return nil, fmt.Errorf("ptrace: record %d: packet %d injected twice", i, r.ID)
 		}
-		a = newCursor(r)
-		in.cursors[r.ID] = a
-		return a, nil
+		return in.open(r), nil
 	}
 	if a == nil {
 		return nil, fmt.Errorf("ptrace: record %d: %s for packet %d before its injection", i, r.Type, r.ID)
@@ -279,6 +283,19 @@ func (in *intake) admit(r Record) (*pktAsm, error) {
 			i, r.ID, r.Cycle, a.last)
 	}
 	return a, nil
+}
+
+// open opens the cursor of the packet an EvInject record announces.
+func (in *intake) open(r *Record) *pktAsm {
+	a := in.cursors.open(r.ID)
+	a.buf = in.cursors.newBuf()
+	a.buf.span = PacketSpan{
+		ID: r.ID, Src: int(r.Src), Dst: int(r.Dst),
+		Measured: r.Measured,
+		Injected: r.Cycle, Delivered: -1,
+	}
+	a.mark, a.last, a.setasideAt = r.Cycle, r.Cycle, -1
+	return a
 }
 
 // Assemble folds an event stream into per-packet spans. The stream must
@@ -292,23 +309,24 @@ func (in *intake) admit(r Record) (*pktAsm, error) {
 // spans, which carry their phase prefix.
 func Assemble(records []Record) (*TraceResult, error) {
 	tr := &TraceResult{}
-	in := intake{cursors: make(map[uint64]*pktAsm)}
-	for i, r := range records {
+	var in intake
+	for i := range records {
+		r := &records[i]
 		a, err := in.admit(r)
 		switch {
 		case err != nil:
 			return nil, err
 		case a == nil:
 			if r.Type == core.EvFault {
-				tr.Faults = append(tr.Faults, r)
+				tr.Faults = append(tr.Faults, *r)
 			} else {
-				tr.Tokens = append(tr.Tokens, r)
+				tr.Tokens = append(tr.Tokens, *r)
 			}
 		case r.Type == core.EvInject:
-			tr.Spans = append(tr.Spans, &a.span)
+			tr.Spans = append(tr.Spans, &a.buf.span)
 		default:
 			a.last = r.Cycle
-			if a.span.Faulted {
+			if a.faulted {
 				a.applyFaulted(r)
 			} else if err := a.apply(r); err != nil {
 				return nil, fmt.Errorf("ptrace: record %d: %w", i, err)
@@ -318,39 +336,28 @@ func Assemble(records []Record) (*TraceResult, error) {
 	return tr, nil
 }
 
-// newCursor opens the cursor of the packet an EvInject record announces.
-func newCursor(r Record) *pktAsm {
-	return &pktAsm{
-		span: PacketSpan{
-			ID: r.ID, Src: int(r.Src), Dst: int(r.Dst),
-			Measured: r.Measured,
-			Injected: r.Cycle, Delivered: -1,
-		},
-		state: stInjected, mark: r.Cycle, last: r.Cycle, setasideAt: -1,
-	}
-}
-
 // phase closes the open interval [mark, to) as kind and re-anchors at to.
 // Phases stays nil until the first phase closes, as it is for a span
 // that never left the pipeline.
 func (a *pktAsm) phase(kind PhaseKind, to int64) {
-	s := &a.span
-	if s.Phases == nil {
-		s.Phases = a.inline[:0]
+	b := a.buf
+	if b.span.Phases == nil {
+		b.span.Phases = b.inline[:0]
 	}
-	s.Phases = append(s.Phases, Phase{Kind: kind, From: a.mark, To: to})
+	b.span.Phases = append(b.span.Phases, Phase{Kind: kind, From: a.mark, To: to})
 	a.mark = to
 }
 
 // badState reports an impossible transition.
 func (a *pktAsm) badState(t core.EventType) error {
-	return fmt.Errorf("%s for %s packet %d", t, stateName(a.state), a.span.ID)
+	return fmt.Errorf("%s for %s packet %d", t, stateName(a.state), a.id)
 }
 
 // apply advances the packet's state machine by one event (strict,
-// fault-free grammar).
-func (a *pktAsm) apply(r Record) error {
-	s := &a.span
+// fault-free grammar). A flushed cursor has no span buffer: every case
+// checks the state before it reaches for a.buf, and no event is legal for
+// a flushed cursor but the ACK, which writes nothing.
+func (a *pktAsm) apply(r *Record) error {
 	switch r.Type {
 	case core.EvEnqueue:
 		if a.state != stInjected {
@@ -376,7 +383,7 @@ func (a *pktAsm) apply(r Record) error {
 			return a.badState(r.Type)
 		}
 		a.state = stFlight
-		s.Launches++
+		a.buf.span.Launches++
 
 	case core.EvSetasideEnter:
 		if a.state != stFlight || a.setasideAt >= 0 {
@@ -388,7 +395,7 @@ func (a *pktAsm) apply(r Record) error {
 		if a.setasideAt < 0 {
 			return a.badState(r.Type)
 		}
-		s.Setaside += r.Cycle - a.setasideAt
+		a.buf.span.Setaside += r.Cycle - a.setasideAt
 		a.setasideAt = -1
 
 	case core.EvAccept:
@@ -412,7 +419,7 @@ func (a *pktAsm) apply(r Record) error {
 			return a.badState(r.Type)
 		}
 		a.state = stCirc
-		s.Circulations++
+		a.buf.span.Circulations++
 
 	case core.EvDrop:
 		if a.state != stFlight {
@@ -420,7 +427,7 @@ func (a *pktAsm) apply(r Record) error {
 		}
 		a.phase(PhaseFlight, r.Cycle)
 		a.state = stDropped
-		s.Drops++
+		a.buf.span.Drops++
 
 	case core.EvNack:
 		if a.state != stDropped {
@@ -440,7 +447,7 @@ func (a *pktAsm) apply(r Record) error {
 	case core.EvDeliver:
 		if r.DeliveredAt < r.Cycle {
 			return fmt.Errorf("packet %d delivered at %d before its delivery event at %d",
-				s.ID, r.DeliveredAt, r.Cycle)
+				a.id, r.DeliveredAt, r.Cycle)
 		}
 		switch a.state {
 		case stInjected:
@@ -448,23 +455,25 @@ func (a *pktAsm) apply(r Record) error {
 			// pipeline, no queue, no ring.
 			a.phase(PhasePipeline, r.Cycle)
 			a.phase(PhaseEject, r.DeliveredAt)
-			s.Local = true
+			a.buf.span.Local = true
 		case stBuffered:
 			a.phase(PhaseEject, r.DeliveredAt)
 		default:
 			return a.badState(r.Type)
 		}
 		a.state = stDone
-		s.Delivered = r.DeliveredAt
+		a.buf.span.Delivered = r.DeliveredAt
 
 	case core.EvFault, core.EvTimeout, core.EvDupDrop:
 		// Fault injection touched this packet: keep counting, stop
-		// reconstructing phases.
-		s.Faulted = true
-		s.Phases = nil
+		// reconstructing phases. (A Stream keeps these away from a
+		// flushed cursor.)
+		a.faulted = true
+		a.buf.span.Faulted = true
+		a.buf.span.Phases = nil
 
 	default:
-		return fmt.Errorf("unknown event type %d for packet %d", int(r.Type), s.ID)
+		return fmt.Errorf("unknown event type %d for packet %d", int(r.Type), a.id)
 	}
 	return nil
 }
@@ -473,8 +482,8 @@ func (a *pktAsm) apply(r Record) error {
 // without attempting phase reconstruction: the recovery grammar (timeout
 // copies, duplicate arrivals, destroyed flits) is deliberately out of
 // scope for exact attribution.
-func (a *pktAsm) applyFaulted(r Record) {
-	s := &a.span
+func (a *pktAsm) applyFaulted(r *Record) {
+	s := &a.buf.span
 	switch r.Type {
 	case core.EvLaunch:
 		s.Launches++

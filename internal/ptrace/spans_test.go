@@ -2,6 +2,7 @@ package ptrace
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -337,19 +338,39 @@ func TestExporters(t *testing.T) {
 		pkt(2, core.EvEnqueue, 1),
 		pkt(3, core.EvHeadReady, 1),
 		pkt(5, core.EvLaunch, 1),
+		pkt(5, core.EvSetasideEnter, 1),
 		{Cycle: 5, Type: core.EvTokenCapture, Meta: true, Aux: 42, DeliveredAt: -1},
+		{Cycle: 6, Type: core.EvFault, Meta: true, Aux: 7, DeliveredAt: -1},
 		pkt(9, core.EvAccept, 1),
 		deliver(10, 1, 11),
+		pkt(12, core.EvSetasideExit, 1),
 	})
 	var chrome bytes.Buffer
 	if err := WriteChromeTrace(&chrome, tr); err != nil {
 		t.Fatalf("WriteChromeTrace: %v", err)
 	}
 	out := chrome.String()
-	for _, want := range []string{`"ph":"X"`, `"name":"token-wait"`, `"name":"token-capture"`} {
+	for _, want := range []string{`"ph":"X"`, `"name":"token-wait"`, `"name":"token-capture"`, `"name":"setaside"`, `"name":"fault"`} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("chrome trace missing %s:\n%s", want, out)
 		}
+	}
+	// The event-by-event writer produces the bytes json.Encoder.Encode
+	// gives the whole array.
+	var events []chromeEvent
+	if err := json.Unmarshal(chrome.Bytes(), &events); err != nil {
+		t.Fatalf("chrome trace is not a JSON array of events: %v\n%s", err, out)
+	}
+	var whole bytes.Buffer
+	if err := json.NewEncoder(&whole).Encode(events); err != nil {
+		t.Fatal(err)
+	}
+	if len(events) != 8 || whole.String() != out {
+		t.Fatalf("chrome trace of %d events is not the array encoding:\n got  %s want %s", len(events), out, whole.String())
+	}
+	chrome.Reset()
+	if err := WriteChromeTrace(&chrome, &TraceResult{}); err != nil || chrome.String() != "[]\n" {
+		t.Fatalf("empty chrome trace: %q, %v; want \"[]\\n\"", chrome.String(), err)
 	}
 	var flame bytes.Buffer
 	if err := WriteFlame(&flame, tr, "test"); err != nil {

@@ -25,8 +25,9 @@ import (
 // A span is complete, and flushed, when the packet has delivered and no
 // setaside residency is open: at delivery on most schemes, and on the
 // setaside schemes at the EvSetasideExit that trails it (the sender frees
-// the slot when the ACK returns). The stream never writes to a span after
-// hand-off.
+// the slot when the ACK returns). The *PacketSpan given to OnSpan is valid
+// for the duration of the call — its buffer goes to the next injected
+// packet — so a consumer that keeps a span copies it, Phases included.
 //
 // One case therefore differs from batch, because the stream cannot take a
 // span back. A recovery event (timeout, duplicate discard, packet fault)
@@ -75,11 +76,12 @@ type StreamConfig struct {
 
 const defaultRetireAfter = 1024
 
-// tombstone queues a flushed cursor for retirement; at is the cursor's
-// last-event cycle when it was queued. An entry whose cursor has moved on
-// since (a.last > at) is stale: a later entry carries the cursor.
+// tombstone queues a flushed cursor for retirement, by id because the
+// table moves cursors when it grows; at is the cursor's last-event cycle
+// when it was queued. An entry whose cursor has moved on since (last > at)
+// is stale: a later entry carries the cursor.
 type tombstone struct {
-	a  *pktAsm
+	id uint64
 	at int64
 }
 
@@ -89,7 +91,7 @@ func NewStream(cfg StreamConfig) *Stream {
 	if cfg.RetireAfter <= 0 {
 		cfg.RetireAfter = defaultRetireAfter
 	}
-	return &Stream{cfg: cfg, intake: intake{cursors: make(map[uint64]*pktAsm)}, tombs: sim.NewQueue[tombstone](0)}
+	return &Stream{cfg: cfg, tombs: sim.NewQueue[tombstone](0)}
 }
 
 // Err returns the first error the stream hit (malformed input or a
@@ -106,26 +108,31 @@ func (s *Stream) MaxLive() int { return s.maxLive }
 // Observe implements core.Tracer with the same value-copy contract as
 // Tap.Observe; assembly errors latch into Err.
 func (s *Stream) Observe(e core.Event) {
-	_ = s.Push(recordOf(e))
+	if s.ready() {
+		r := recordOf(e)
+		s.err = s.push(&r)
+	}
 }
 
 // Push feeds one record through the assembler. The first error latches:
 // the stream stays safe to push to but drops everything after the fault.
 func (s *Stream) Push(r Record) error {
-	if s.err != nil {
-		return s.err
-	}
-	if s.closed {
-		s.err = fmt.Errorf("ptrace: push into closed stream")
-		return s.err
-	}
-	if err := s.push(r); err != nil {
-		s.err = err
+	if s.ready() {
+		s.err = s.push(&r)
 	}
 	return s.err
 }
 
-func (s *Stream) push(r Record) error {
+// ready reports whether the stream still takes input, latching the error
+// of a push into a closed stream.
+func (s *Stream) ready() bool {
+	if s.err == nil && s.closed {
+		s.err = fmt.Errorf("ptrace: push into closed stream")
+	}
+	return s.err == nil
+}
+
+func (s *Stream) push(r *Record) error {
 	// Retire every tombstone whose last event is RetireAfter cycles old.
 	// The queue is in last-event order, so only its head can be due.
 	for {
@@ -134,8 +141,8 @@ func (s *Stream) push(r Record) error {
 			break
 		}
 		s.tombs.PopFront()
-		if t.a.state == stDone && t.a.last == t.at {
-			delete(s.cursors, t.a.span.ID)
+		if a := s.cursors.get(t.id); a != nil && a.state == stDone && a.last == t.at {
+			s.cursors.delete(t.id)
 		}
 	}
 
@@ -145,11 +152,11 @@ func (s *Stream) push(r Record) error {
 		return err
 	case a == nil:
 		if s.cfg.OnMeta != nil {
-			return s.cfg.OnMeta(r)
+			return s.cfg.OnMeta(*r)
 		}
 		return nil
 	case r.Type == core.EvInject:
-		if n := len(s.cursors); n > s.maxLive {
+		if n := s.cursors.count(); n > s.maxLive {
 			s.maxLive = n
 		}
 		return nil
@@ -158,7 +165,7 @@ func (s *Stream) push(r Record) error {
 	a.last = r.Cycle
 
 	switch {
-	case a.span.Faulted:
+	case a.faulted:
 		// Faulted spans keep exact counters but are held until Close:
 		// the recovery grammar can touch them at any point.
 		a.applyFaulted(r)
@@ -175,7 +182,7 @@ func (s *Stream) push(r Record) error {
 		if touched {
 			// Re-queue under the later cycle; the entry already queued
 			// goes stale and is skipped when it reaches the head.
-			s.tombs.PushBack(tombstone{a, r.Cycle})
+			s.tombs.PushBack(tombstone{a.id, r.Cycle})
 		}
 	}
 	if err := a.apply(r); err != nil {
@@ -184,20 +191,23 @@ func (s *Stream) push(r Record) error {
 	// Delivered, not faulted, setaside slot released: the span is complete.
 	// The cursor stays behind as a tombstone so the packet's later ACK is
 	// still legal, and retires RetireAfter cycles after its last event.
-	if a.state == stDone && !a.flushed && a.setasideAt < 0 && !a.span.Faulted {
+	if a.state == stDone && !a.flushed && a.setasideAt < 0 && !a.faulted {
 		a.flushed = true
-		s.tombs.PushBack(tombstone{a, r.Cycle})
-		return s.flush(&a.span)
+		s.tombs.PushBack(tombstone{a.id, r.Cycle})
+		return s.flush(a)
 	}
 	return nil
 }
 
-func (s *Stream) flush(span *PacketSpan) error {
+// flush hands a's span to the consumer and takes the buffer back.
+func (s *Stream) flush(a *pktAsm) error {
 	s.flushed++
-	if s.cfg.OnSpan == nil {
-		return nil
+	var err error
+	if s.cfg.OnSpan != nil {
+		err = s.cfg.OnSpan(&a.buf.span)
 	}
-	return s.cfg.OnSpan(span)
+	s.cursors.recycle(a)
+	return err
 }
 
 // Close flushes every span still resident — undelivered packets with
@@ -214,24 +224,24 @@ func (s *Stream) Close() error {
 	}
 	s.closed = true
 	var rest []*pktAsm
-	for _, a := range s.cursors {
+	s.cursors.each(func(a *pktAsm) {
 		if !a.flushed {
 			rest = append(rest, a)
 		}
-	}
+	})
 	sort.Slice(rest, func(i, j int) bool {
-		si, sj := &rest[i].span, &rest[j].span
+		si, sj := &rest[i].buf.span, &rest[j].buf.span
 		if si.Injected != sj.Injected {
 			return si.Injected < sj.Injected
 		}
 		return si.ID < sj.ID
 	})
 	for _, a := range rest {
-		if err := s.flush(&a.span); err != nil {
+		if err := s.flush(a); err != nil {
 			s.err = err
 			return err
 		}
 	}
-	s.cursors, s.tombs = nil, nil
+	s.cursors, s.tombs = cursorTable{}, nil
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"photon/internal/core"
 	"photon/internal/fault"
@@ -41,15 +42,30 @@ func tapRunWindow(t *testing.T, s core.Scheme, load float64, window sim.Window, 
 	return res, tap.Records
 }
 
-// streamAll pushes records through a fresh Stream and returns the spans
-// and meta records it emitted, plus the stream for its stats.
+// cloneSpan deep-copies a span inside OnSpan: the stream takes the buffer
+// back when the callback returns.
+func cloneSpan(sp *PacketSpan) *PacketSpan {
+	c := *sp
+	c.Phases = append([]Phase(nil), sp.Phases...)
+	return &c
+}
+
+// withPoison runs the rest of the test with recycled span buffers
+// overwritten, so a span read after its hand-off cannot pass for a packet.
+func withPoison(t *testing.T) {
+	poisonSpans = true
+	t.Cleanup(func() { poisonSpans = false })
+}
+
+// streamAll pushes records through a fresh Stream and returns copies of
+// the spans and the meta records it emitted, plus the stream for its stats.
 func streamAll(t *testing.T, records []Record, cfg StreamConfig) ([]*PacketSpan, []Record, *Stream) {
 	t.Helper()
 	var spans []*PacketSpan
 	var meta []Record
 	userSpan := cfg.OnSpan
 	cfg.OnSpan = func(s *PacketSpan) error {
-		spans = append(spans, s)
+		spans = append(spans, cloneSpan(s))
 		if userSpan != nil {
 			return userSpan(s)
 		}
@@ -74,10 +90,12 @@ func streamAll(t *testing.T, records []Record, cfg StreamConfig) ([]*PacketSpan,
 // TestStreamMatchesBatch pins the headline equivalence: for every
 // registered scheme, feeding a Tap's records through the windowed Stream
 // flushes exactly the spans Assemble builds — same set, same phases,
-// same counters, complete at hand-off and never written afterwards —
-// while the resident cursor count stays far below the total packet
-// population. Shallow, stalling receivers make the handshake schemes NACK.
+// same counters, complete at hand-off (recycled buffers are poisoned, and
+// streamAll copies each span inside OnSpan) — while the resident cursor
+// count stays far below the total packet population. Shallow, stalling
+// receivers make the handshake schemes NACK.
 func TestStreamMatchesBatch(t *testing.T) {
+	withPoison(t)
 	for _, s := range core.Schemes() {
 		t.Run(s.String(), func(t *testing.T) {
 			_, records := tapRunWindow(t, s, 0.08, streamWindow, func(c *core.Config) {
@@ -87,19 +105,14 @@ func TestStreamMatchesBatch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// What a consumer sees inside OnSpan: the attribution it can
-			// fold there, and a deep copy of each span as handed over.
+			// The attribution a consumer can fold inside OnSpan.
 			var inc Attribution
-			atFlush := make(map[uint64]PacketSpan)
 			// Aggressive retirement exercises the tombstone queue; 256
 			// cycles still dwarfs a loop trip, so trailing ACKs are safe.
 			spans, meta, st := streamAll(t, records, StreamConfig{
 				RetireAfter: 256,
 				OnSpan: func(sp *PacketSpan) error {
 					inc.AddSpan(sp, true)
-					c := *sp
-					c.Phases = append([]Phase(nil), sp.Phases...)
-					atFlush[sp.ID] = c
 					return sp.Validate()
 				},
 			})
@@ -117,9 +130,6 @@ func TestStreamMatchesBatch(t *testing.T) {
 			for _, want := range batch.Spans {
 				if !reflect.DeepEqual(got[want.ID], want) {
 					t.Fatalf("packet %d diverged:\n stream %+v\n batch  %+v", want.ID, got[want.ID], want)
-				}
-				if c := atFlush[want.ID]; !reflect.DeepEqual(&c, want) {
-					t.Fatalf("packet %d written after hand-off:\n at flush %+v\n final    %+v", want.ID, c, want)
 				}
 			}
 			if len(meta) != len(batch.Tokens)+len(batch.Faults) {
@@ -156,6 +166,7 @@ func TestStreamMatchesBatch(t *testing.T) {
 // checks both the run digest (tracers are digest-inert) and the
 // attribution agree.
 func TestStreamAsTracer(t *testing.T) {
+	withPoison(t)
 	scheme := core.GHS
 	tape0 := core.DefaultConfig(scheme)
 	tape, err := traffic.RecordTape(traffic.UniformRandom{}, 0.12, tape0.Nodes, tape0.CoresPerNode,
@@ -315,21 +326,23 @@ func TestStreamFlushesOncePastRecovery(t *testing.T) {
 				pktR(58, core.EvDupDrop, 1),
 				pktR(66, core.EvAck, 1),
 			}
+			// The buffer the span was handed over in is the free list's
+			// after the flush: poisoned, it shows if the recovery grammar
+			// that follows still writes to it.
+			withPoison(t)
 			var held *PacketSpan
-			var atFlush PacketSpan
 			spans, _, st := streamAll(t, records, StreamConfig{OnSpan: func(sp *PacketSpan) error {
-				held, atFlush = sp, *sp
-				atFlush.Phases = append([]Phase(nil), sp.Phases...)
+				held = sp
 				return nil
 			}})
 			if len(spans) != 1 || st.Flushed() != 1 {
 				t.Fatalf("OnSpan fired %d times, Flushed() = %d; want exactly one flush", len(spans), st.Flushed())
 			}
-			if !reflect.DeepEqual(*held, atFlush) {
-				t.Fatalf("span written after hand-off:\n now      %+v\n at flush %+v", *held, atFlush)
+			if held.ID != ^uint64(0) || held.Delivered != -2 || held.Launches != 1 || len(held.Phases) != 0 {
+				t.Fatalf("span buffer written after hand-off: %+v", *held)
 			}
-			if held.Faulted || len(held.Phases) != 5 || held.Validate() != nil {
-				t.Fatalf("flushed span lost its clean chain: %+v", held)
+			if sp := spans[0]; sp.Faulted || len(sp.Phases) != 5 || sp.Validate() != nil {
+				t.Fatalf("flushed span lost its clean chain: %+v", sp)
 			}
 			if batch := mustAssemble(t, records); !spanOf(batch, 1).Faulted {
 				t.Fatal("batch Assemble no longer marks the packet Faulted; the Stream comment describes a difference that is gone")
@@ -351,6 +364,7 @@ func (t tee) Observe(e core.Event) { t.a.Observe(e); t.b.Observe(e) }
 // timer fires, the span has not left, and the stream marks it Faulted
 // exactly as batch does.
 func TestStreamChaosFlushesOnce(t *testing.T) {
+	withPoison(t)
 	for _, scheme := range []core.Scheme{core.GHS, core.GHSSetaside} {
 		t.Run(scheme.String(), func(t *testing.T) {
 			cfg := core.DefaultConfig(scheme)
@@ -437,49 +451,67 @@ func TestStreamChaosFlushesOnce(t *testing.T) {
 	}
 }
 
-// oracleMaxLive replays a recorded stream the slow way and returns the
-// peak number of packets a stream has to keep: every injected packet
-// except those delivered, untouched by recovery, and silent for
-// retireAfter cycles. It rescans the whole live set at every new cycle,
-// sharing nothing with the stream's queue.
-func oracleMaxLive(records []Record, retireAfter int64) int {
-	type pk struct {
-		last                 int64
-		delivered, recovered bool
+// liveOracle counts, the slow way, the packets a stream has to keep:
+// every injected packet except those delivered, untouched by recovery, and
+// silent for retireAfter cycles. It rescans the whole live set at every
+// new cycle, sharing nothing with the stream's queue or its table.
+type liveOracle struct {
+	retireAfter int64
+	byID        map[uint64]*oraclePkt
+	live        []*oraclePkt
+	peak        int
+	now         int64
+}
+
+type oraclePkt struct {
+	id                   uint64
+	last                 int64
+	delivered, recovered bool
+}
+
+func newLiveOracle(retireAfter int64) *liveOracle {
+	return &liveOracle{retireAfter: retireAfter, byID: make(map[uint64]*oraclePkt), now: -1}
+}
+
+func (o *liveOracle) observe(r Record) {
+	if r.Meta {
+		return
 	}
-	byID := make(map[uint64]*pk)
-	var live []*pk
-	peak, now := 0, int64(-1)
-	for _, r := range records {
-		if r.Meta {
-			continue
-		}
-		if r.Cycle != now {
-			now = r.Cycle
-			kept := live[:0]
-			for _, p := range live {
-				if p.delivered && !p.recovered && now-p.last >= retireAfter {
-					continue
-				}
-				kept = append(kept, p)
+	if r.Cycle != o.now {
+		o.now = r.Cycle
+		kept := o.live[:0]
+		for _, p := range o.live {
+			if p.delivered && !p.recovered && o.now-p.last >= o.retireAfter {
+				delete(o.byID, p.id)
+				continue
 			}
-			live = kept
+			kept = append(kept, p)
 		}
-		p := byID[r.ID]
-		switch r.Type {
-		case core.EvInject:
-			p = &pk{}
-			byID[r.ID] = p
-			live = append(live, p)
-			peak = max(peak, len(live))
-		case core.EvDeliver:
-			p.delivered = true
-		case core.EvFault, core.EvTimeout, core.EvDupDrop:
-			p.recovered = true
-		}
-		p.last = r.Cycle
+		o.live = kept
 	}
-	return peak
+	p := o.byID[r.ID]
+	switch r.Type {
+	case core.EvInject:
+		p = &oraclePkt{id: r.ID}
+		o.byID[r.ID] = p
+		o.live = append(o.live, p)
+		o.peak = max(o.peak, len(o.live))
+	case core.EvDeliver:
+		p.delivered = true
+	case core.EvFault, core.EvTimeout, core.EvDupDrop:
+		p.recovered = true
+	}
+	p.last = r.Cycle
+}
+
+// oracleMaxLive replays a recorded stream through a liveOracle and returns
+// the peak.
+func oracleMaxLive(records []Record, retireAfter int64) int {
+	o := newLiveOracle(retireAfter)
+	for _, r := range records {
+		o.observe(r)
+	}
+	return o.peak
 }
 
 // TestStreamMaxLiveExact pins that retirement is exact, not sampled: the
@@ -517,10 +549,14 @@ func chain(tb testing.TB, st *Stream, id uint64, cycle int64) {
 	}
 }
 
-// TestStreamPushAllocs guards the cursor layout: a packet on the common
-// 5-phase chain costs one allocation (cursor, span and phases together),
-// made by its inject record; every other record allocates nothing.
+// TestStreamPushAllocs guards the cursor layout: at steady state a packet
+// on the common 5-phase chain allocates nothing — its cursor is a slot of
+// the table's ring and its span buffer comes off the free list — and
+// neither does any record after its injection.
 func TestStreamPushAllocs(t *testing.T) {
+	if size := unsafe.Sizeof(pktAsm{}); size != 48 {
+		t.Errorf("a cursor header is %d bytes; DESIGN.md and the tombstone cost it quotes say 48", size)
+	}
 	st := NewStream(StreamConfig{OnSpan: func(sp *PacketSpan) error { return sp.Validate() }})
 	var id uint64
 	var cycle int64
@@ -532,13 +568,13 @@ func TestStreamPushAllocs(t *testing.T) {
 		}
 		chain(t, st, id, cycle)
 	}
-	// Warm up past the retirement window so the cursor map and the
+	// Warm up past the retirement window so the cursor table and the
 	// tombstone queue have reached their steady size.
 	for cycle < 4*defaultRetireAfter {
 		packet()
 	}
-	if avg := testing.AllocsPerRun(500, packet); avg > 1 {
-		t.Errorf("a 5-phase packet allocates %.2f times; want at most 1", avg)
+	if avg := testing.AllocsPerRun(500, packet); avg != 0 {
+		t.Errorf("a 5-phase packet allocates %.2f times at steady state; want 0", avg)
 	}
 
 	// Inject a batch, then time only the records that follow injection.
@@ -563,9 +599,71 @@ func TestStreamPushAllocs(t *testing.T) {
 	}
 }
 
+// steadyStep returns step k of a steady inject→deliver→ACK record mix: a
+// packet is born every 2 cycles and lives 16, so a step holds one record
+// of each kind, for seven different packets. The first packets' early
+// records predate the run: the caller skips records with an ID below base.
+func steadyStep(base uint64, k int64) [7]Record {
+	id, c := base+uint64(k), 2*k
+	return [...]Record{
+		pktR(c, core.EvInject, id),
+		pktR(c, core.EvEnqueue, id-1),
+		pktR(c, core.EvHeadReady, id-2),
+		pktR(c, core.EvLaunch, id-3),
+		pktR(c, core.EvAccept, id-5),
+		deliverR(c, id-6, c+1),
+		pktR(c, core.EvAck, id-8),
+	}
+}
+
+// TestStreamResidentBoundedByLive pins the straggler rule: 1,000 packets
+// that never deliver pin the low end of the id space while a million ids
+// pass above them. The cursor table must not stretch its window over the
+// gap — its slot count stays within a constant of the resident cursor
+// count — and MaxLive must still count the stragglers it moved aside.
+func TestStreamResidentBoundedByLive(t *testing.T) {
+	const stragglers, packets, retireAfter = 1_000, 1_000_000, 64
+	st := NewStream(StreamConfig{RetireAfter: retireAfter})
+	oracle := newLiveOracle(retireAfter)
+	push := func(r Record) {
+		oracle.observe(r)
+		if err := st.Push(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for id := uint64(0); id < stragglers; id++ {
+		push(pktR(0, core.EvInject, id))
+	}
+	base := uint64(stragglers) + 8
+	for k := int64(0); k < packets; k++ {
+		for _, r := range steadyStep(base, k) {
+			if r.ID >= base {
+				push(r)
+			}
+		}
+		if slots := len(st.cursors.ring); slots > 8*st.MaxLive() {
+			t.Fatalf("step %d: %d ring slots for at most %d resident cursors", k, slots, st.MaxLive())
+		}
+	}
+	if st.MaxLive() != oracle.peak {
+		t.Fatalf("MaxLive %d, oracle %d", st.MaxLive(), oracle.peak)
+	}
+	if got := st.cursors.count(); got < stragglers || got > oracle.peak {
+		t.Fatalf("%d cursors resident at the end; want the %d stragglers and at most the peak %d", got, stragglers, oracle.peak)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if undelivered := st.Flushed() - (packets - 6); undelivered != stragglers+6 {
+		t.Fatalf("Close flushed %d undelivered spans; want the %d stragglers and the 6 packets in flight", undelivered, stragglers)
+	}
+}
+
 // BenchmarkStreamPush times a steady inject→deliver→ACK record mix with
 // a standing population of undelivered packets resident, as past
-// saturation. The per-record cost must not depend on that population.
+// saturation. The per-record cost must not depend on that population, and
+// B/op must not grow with -benchtime: resident memory follows the live
+// cursors, not the ids that have passed.
 func BenchmarkStreamPush(b *testing.B) {
 	for _, resident := range []int{1_000, 40_000} {
 		b.Run(fmt.Sprintf("resident=%dk", resident/1000), func(b *testing.B) {
@@ -575,22 +673,9 @@ func BenchmarkStreamPush(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			// A packet is born every 2 cycles and lives 16, so each step
-			// pushes one record of each kind, for seven different packets.
-			const perStep = 7
 			base := uint64(resident) + 8
 			step := func(k int64) {
-				id, c := base+uint64(k), 2*k
-				for _, r := range [perStep]Record{
-					pktR(c, core.EvInject, id),
-					pktR(c, core.EvEnqueue, id-1),
-					pktR(c, core.EvHeadReady, id-2),
-					pktR(c, core.EvLaunch, id-3),
-					pktR(c, core.EvAccept, id-5),
-					deliverR(c, id-6, c+1),
-					pktR(c, core.EvAck, id-8),
-				} {
-					// The first packets' early records predate the run.
+				for _, r := range steadyStep(base, k) {
 					if r.ID >= base {
 						if err := st.Push(r); err != nil {
 							b.Fatal(err)
@@ -608,7 +693,7 @@ func BenchmarkStreamPush(b *testing.B) {
 			for k := int64(0); k < int64(b.N); k++ {
 				step(warm + k)
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(perStep*b.N), "ns/record")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(len(steadyStep(0, 0))*b.N), "ns/record")
 		})
 	}
 }

@@ -25,7 +25,7 @@ func quickOpts() exp.Options { return exp.QuickOptions() }
 // Metric: saturation throughput with 4 vs 32 credits.
 func BenchmarkFig2b(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		curves, _, err := exp.Fig2b(quickOpts())
+		curves, err := exp.Figure("fig2b", quickOpts())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -34,10 +34,10 @@ func BenchmarkFig2b(b *testing.B) {
 	}
 }
 
-func benchFig8or9(b *testing.B, fig func(string, exp.Options) ([]exp.Curve, interface{ String() string }, error), pattern string, base, best core.Scheme) {
+func benchFig8or9(b *testing.B, study string, base, best core.Scheme) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		curves, _, err := fig(pattern, quickOpts())
+		curves, err := exp.Figure(study, quickOpts())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -58,22 +58,12 @@ func benchFig8or9(b *testing.B, fig func(string, exp.Options) ([]exp.Curve, inte
 	}
 }
 
-func fig8Adapter(p string, o exp.Options) ([]exp.Curve, interface{ String() string }, error) {
-	c, t, err := exp.Fig8(p, o)
-	return c, t, err
-}
-
-func fig9Adapter(p string, o exp.Options) ([]exp.Curve, interface{ String() string }, error) {
-	c, t, err := exp.Fig9(p, o)
-	return c, t, err
-}
-
 // BenchmarkFig8 — global-arbitration group (Token Channel vs GHS variants),
 // one sub-benchmark per traffic pattern (Fig 8a-c).
 func BenchmarkFig8(b *testing.B) {
 	for _, pat := range []string{"UR", "BC", "TOR"} {
 		b.Run(pat, func(b *testing.B) {
-			benchFig8or9(b, fig8Adapter, pat, core.TokenChannel, core.GHSSetaside)
+			benchFig8or9(b, "fig8:"+pat, core.TokenChannel, core.GHSSetaside)
 		})
 	}
 }
@@ -83,7 +73,7 @@ func BenchmarkFig8(b *testing.B) {
 func BenchmarkFig9(b *testing.B) {
 	for _, pat := range []string{"UR", "BC", "TOR"} {
 		b.Run(pat, func(b *testing.B) {
-			benchFig8or9(b, fig9Adapter, pat, core.TokenSlot, core.DHSCirculation)
+			benchFig8or9(b, "fig9:"+pat, core.TokenSlot, core.DHSCirculation)
 		})
 	}
 }
@@ -128,10 +118,15 @@ func BenchmarkIPC(b *testing.B) {
 func BenchmarkFig11(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		worst := 1.0
-		for _, s := range []core.Scheme{core.GHSSetaside, core.DHSSetaside, core.DHSCirculation} {
-			curves, _, err := exp.Fig11(s, quickOpts())
-			if err != nil {
-				b.Fatal(err)
+		curves, err := exp.Figure("fig11", quickOpts())
+		if err != nil {
+			b.Fatal(err)
+		}
+		// Four credit counts per scheme, in grid order: 4, 8, 16, 32; the
+		// metric covers the enhanced schemes.
+		for ; len(curves) >= 4; curves = curves[4:] {
+			if s := curves[0].Scheme; s != core.GHSSetaside && s != core.DHSSetaside && s != core.DHSCirculation {
+				continue
 			}
 			for j := range curves[0].Loads {
 				l4, l32 := curves[0].Latency[j], curves[3].Latency[j]

@@ -10,6 +10,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -27,49 +28,68 @@ func writeHistCSV(w io.Writer, st *core.Stats) {
 	}
 }
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main without the process: it parses args, runs the one
+// simulation and returns the exit status (0 done, 1 failure, 2 usage).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("photosim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		preset     = flag.String("preset", "", "start from a named configuration: paper, corona, bigring, smallcmp (flags below override)")
-		schemeName = flag.String("scheme", "dhs-setaside", "scheme: token-channel, token-slot, ghs, ghs-setaside, dhs, dhs-setaside, dhs-circulation")
-		patName    = flag.String("pattern", "UR", "traffic pattern: UR, BC, TOR, TP, NBR")
-		rate       = flag.Float64("rate", 0.05, "injection rate in packets/cycle/core")
-		nodes      = flag.Int("nodes", 64, "ring nodes")
-		cores      = flag.Int("cores", 4, "cores per node")
-		roundtrip  = flag.Int("roundtrip", 8, "ring round-trip time in cycles")
-		credits    = flag.Int("credits", 8, "home buffer depth (credits)")
-		setaside   = flag.Int("setaside", 4, "setaside slots per queue")
-		warmup     = flag.Int64("warmup", 10_000, "warmup cycles")
-		measure    = flag.Int64("measure", 20_000, "measurement cycles")
-		drain      = flag.Int64("drain", 10_000, "drain cycles")
-		seed       = flag.Uint64("seed", 1, "random seed")
-		ejectStall = flag.Float64("ejectstall", 0, "per-cycle ejection stall probability (receiver contention)")
-		noFair     = flag.Bool("nofair", false, "disable the fairness quota policy")
-		verbose    = flag.Bool("v", false, "print per-channel diagnostics")
-		asJSON     = flag.Bool("json", false, "emit the result as JSON")
-		histOut    = flag.String("hist", "", "write the measured latency distribution as CSV to this file")
+		preset     = fs.String("preset", "", "start from a named configuration: paper, corona, bigring, smallcmp (flags below override)")
+		schemeName = fs.String("scheme", "dhs-setaside", "scheme: token-channel, token-slot, ghs, ghs-setaside, dhs, dhs-setaside, dhs-circulation")
+		patName    = fs.String("pattern", "UR", "traffic pattern: UR, BC, TOR, TP, NBR")
+		rate       = fs.Float64("rate", 0.05, "injection rate in packets/cycle/core")
+		nodes      = fs.Int("nodes", 64, "ring nodes")
+		cores      = fs.Int("cores", 4, "cores per node")
+		roundtrip  = fs.Int("roundtrip", 8, "ring round-trip time in cycles")
+		credits    = fs.Int("credits", 8, "home buffer depth (credits)")
+		setaside   = fs.Int("setaside", 4, "setaside slots per queue")
+		warmup     = fs.Int64("warmup", 10_000, "warmup cycles")
+		measure    = fs.Int64("measure", 20_000, "measurement cycles")
+		drain      = fs.Int64("drain", 10_000, "drain cycles")
+		seed       = fs.Uint64("seed", 1, "random seed")
+		ejectStall = fs.Float64("ejectstall", 0, "per-cycle ejection stall probability (receiver contention)")
+		noFair     = fs.Bool("nofair", false, "disable the fairness quota policy")
+		verbose    = fs.Bool("v", false, "print per-channel diagnostics")
+		asJSON     = fs.Bool("json", false, "emit the result as JSON")
+		histOut    = fs.String("hist", "", "write the measured latency distribution as CSV to this file")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "photosim: unexpected argument %q\n", fs.Arg(0))
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "photosim:", err)
+		return 1
+	}
 
 	scheme, err := photon.ParseScheme(*schemeName)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	pat, err := photon.PatternByName(*patName)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 
 	cfg := photon.DefaultConfig(scheme)
 	if *preset != "" {
 		p, ok := core.PresetByName(*preset)
 		if !ok {
-			fatal(fmt.Errorf("unknown preset %q (paper, corona, bigring, smallcmp)", *preset))
+			return fail(fmt.Errorf("unknown preset %q (paper, corona, bigring, smallcmp)", *preset))
 		}
 		cfg = p.Config
 	}
 	// Explicitly passed flags override the preset; defaults do not.
 	explicit := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
+	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 	apply := func(name string, set func()) {
 		if *preset == "" || explicit[name] {
 			set()
@@ -88,26 +108,26 @@ func main() {
 	window := photon.Window{Warmup: *warmup, Measure: *measure, Drain: *drain}
 	net, err := photon.NewNetwork(cfg, window)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	inj, err := photon.NewInjector(pat, *rate, cfg.Nodes, cfg.CoresPerNode, *seed+0x9E37)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	res := inj.Run(net)
 
 	if *histOut != "" {
-		f, ferr := os.Create(*histOut)
-		if ferr != nil {
-			fatal(ferr)
+		f, err := os.Create(*histOut)
+		if err != nil {
+			return fail(err)
 		}
 		writeHistCSV(f, net.Stats())
-		if ferr := f.Close(); ferr != nil {
-			fatal(ferr)
+		if err := f.Close(); err != nil {
+			return fail(err)
 		}
 	}
 	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(struct {
 			Scheme  string
@@ -115,39 +135,35 @@ func main() {
 			Rate    float64
 			Result  photon.Result
 		}{cfg.Scheme.String(), pat.Name(), *rate, res}); err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		return
+		return 0
 	}
 
-	fmt.Printf("scheme            %s\n", cfg.Scheme.PaperName())
-	fmt.Printf("pattern           %s @ %.4f pkt/cycle/core\n", pat.Name(), *rate)
-	fmt.Printf("network           %d nodes x %d cores, R=%d cycles, %d credits\n",
+	fmt.Fprintf(stdout, "scheme            %s\n", cfg.Scheme.PaperName())
+	fmt.Fprintf(stdout, "pattern           %s @ %.4f pkt/cycle/core\n", pat.Name(), *rate)
+	fmt.Fprintf(stdout, "network           %d nodes x %d cores, R=%d cycles, %d credits\n",
 		cfg.Nodes, cfg.CoresPerNode, cfg.RoundTrip, cfg.BufferDepth)
-	fmt.Printf("avg latency       %.2f cycles\n", res.AvgLatency)
-	fmt.Printf("p95 / p99 / max   %d / %d / %d cycles\n", res.P95Latency, res.P99Latency, res.MaxLatency)
-	fmt.Printf("throughput        %.4f pkt/cycle/core (offered %.4f)\n", res.Throughput, res.OfferedLoad)
-	fmt.Printf("arbitration wait  %.2f cycles\n", res.AvgArbWait)
-	fmt.Printf("drop rate         %.5f per launch\n", res.DropRate)
-	fmt.Printf("retransmit rate   %.5f per launch\n", res.RetransmitRate)
-	fmt.Printf("circulation rate  %.5f per launch\n", res.CirculationRate)
-	fmt.Printf("fairness spread   %.2f (max/min per-source throughput)\n", res.FairnessSpread)
-	fmt.Printf("unfinished        %d measured packets\n", res.Unfinished)
+	fmt.Fprintf(stdout, "avg latency       %.2f cycles\n", res.AvgLatency)
+	fmt.Fprintf(stdout, "p95 / p99 / max   %d / %d / %d cycles\n", res.P95Latency, res.P99Latency, res.MaxLatency)
+	fmt.Fprintf(stdout, "throughput        %.4f pkt/cycle/core (offered %.4f)\n", res.Throughput, res.OfferedLoad)
+	fmt.Fprintf(stdout, "arbitration wait  %.2f cycles\n", res.AvgArbWait)
+	fmt.Fprintf(stdout, "drop rate         %.5f per launch\n", res.DropRate)
+	fmt.Fprintf(stdout, "retransmit rate   %.5f per launch\n", res.RetransmitRate)
+	fmt.Fprintf(stdout, "circulation rate  %.5f per launch\n", res.CirculationRate)
+	fmt.Fprintf(stdout, "fairness spread   %.2f (max/min per-source throughput)\n", res.FairnessSpread)
+	fmt.Fprintf(stdout, "unfinished        %d measured packets\n", res.Unfinished)
 
 	if *verbose {
-		fmt.Println("\nper-channel diagnostics (first 8 channels):")
+		fmt.Fprintln(stdout, "\nper-channel diagnostics (first 8 channels):")
 		for i, d := range net.Diagnostics() {
 			if i >= 8 {
 				break
 			}
-			fmt.Printf("  home %2d: launches=%d reinj=%d peakFlight=%d peakBuf=%d captures=%d emitted=%d expired=%d acks=%d nacks=%d yields=%d\n",
+			fmt.Fprintf(stdout, "  home %2d: launches=%d reinj=%d peakFlight=%d peakBuf=%d captures=%d emitted=%d expired=%d acks=%d nacks=%d yields=%d\n",
 				d.Home, d.Launches, d.Reinjections, d.PeakInFlight, d.PeakInputBuf,
 				d.TokenCaptures, d.TokensEmitted, d.TokensExpired, d.AcksSent, d.NacksSent, d.FairYields)
 		}
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "photosim:", err)
-	os.Exit(1)
+	return 0
 }

@@ -1,38 +1,30 @@
-// Command sweep regenerates the paper's latency-vs-load figures and the
-// headline synthetic-workload claims.
+// Command sweep is the front end of the study catalog in internal/exp:
+// every table, figure and extension study of the evaluation is one row,
+// listed by -list and run by -study.
 //
-// Examples:
+//	sweep -list                    # every study: id, paper artefact, parameters, results file
+//	sweep -study fig8:BC           # Fig 8: global group on Bit Complement
+//	sweep -study claims            # up-to-62% throughput / sub-1% drop claims
+//	sweep -study fig12 -load 0.05  # Fig 12 at another operating point
+//	sweep -study fig8:UR -quick -csv -plot   # fast grid, CSV output, ASCII chart
+//	sweep -study workload -workload bursty   # per-phase p50/p99/p999 under every scheme
+//	sweep -study trace-gen -workload nas-cg -o cg.phtr   # synthesise a binary trace
 //
-//	sweep -fig 2b              # Fig 2(b): token slot by credit count
-//	sweep -fig 8 -pattern BC   # Fig 8: global group on Bit Complement
-//	sweep -fig 9 -pattern UR   # Fig 9: distributed group on Uniform Random
-//	sweep -fig 11              # Fig 11(a)-(e): credit sensitivity
-//	sweep -fig 11f             # Fig 11(f): setaside size study
-//	sweep -claims              # up-to-62% throughput / sub-1% drop claims
-//	sweep -fig 8 -quick -csv   # fast grid, CSV output
+// A row reads only the parameter flags -list shows for it (-pattern,
+// -load, -workload, -o, -cycles); passing another one is a usage error.
 //
-// Serving workloads: -workload runs a named preset (bursty, flash,
-// diurnal) or a raw workload spec (see traffic.ParseWorkload for the
-// grammar) under every scheme and reports per-phase p50/p99/p999 latency
-// from exact span attribution:
-//
-//	sweep -workload bursty -quick
-//	sweep -workload "0.5@bernoulli(rate=0.05);0.5@burst(rate=0.3,on=400,off=1200)"
-//	sweep -farm slo -quick     # the preset x scheme grid under the farm
-//
-// Fault-tolerant regeneration: -farm runs a named point grid under the
-// supervised sweep farm — a durable manifest journals every completed
-// point, so a killed run resumes where it left off, and a poison point
-// is retried with backoff then quarantined instead of wedging the grid:
+// Fault-tolerant regeneration: -farm runs a grid-backed row (or "figures",
+// the union of the paper-figure grids) under the supervised sweep farm — a
+// durable manifest journals every completed point, so a killed run resumes
+// where it left off, and a poison point is retried with backoff then
+// quarantined instead of wedging the grid:
 //
 //	sweep -farm figures -quick -manifest run.jsonl   # full quick grid, journalled
 //	sweep -farm figures -quick -manifest run.jsonl -resume   # pick up after a crash
 //	sweep -farm fig8:UR -farm-shards                 # one subprocess per point
 //
 // Any run takes -cpuprofile and -memprofile (pprof files; stdout is
-// unchanged by them):
-//
-//	sweep -workload bursty -quick -cpuprofile cpu.prof
+// unchanged by them).
 package main
 
 import (
@@ -41,16 +33,13 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
-	"photon/internal/core"
 	"photon/internal/exp"
 	"photon/internal/farm"
-	"photon/internal/router"
 	"photon/internal/stats"
-	"photon/internal/traffic"
-	"photon/internal/viz"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -64,22 +53,24 @@ var errQuarantined = errors.New("farm grid incomplete")
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	// The study parameters are declared first and alone, so that what is
+	// registered at this point is exactly the set a row may read.
+	var params exp.Params
+	params.Register(fs)
+	isParam := map[string]bool{}
+	fs.VisitAll(func(f *flag.Flag) { isParam[f.Name] = true })
 	var (
-		fig      = fs.String("fig", "", "figure to regenerate: 2b, 8, 9, 11, 11f")
-		pattern  = fs.String("pattern", "UR", "pattern for figures 8/9 and -workload: UR, BC, TOR")
-		claims   = fs.Bool("claims", false, "measure the headline throughput/drop-rate claims on all three patterns")
-		fair     = fs.Bool("fairness", false, "run the §III-D fairness study (service share by ring position)")
-		brk      = fs.Float64("breakdown", 0, "exact per-phase latency attribution at this UR load (the analytical twin's prediction prints alongside as a cross-check)")
-		quick    = fs.Bool("quick", false, "reduced load grid and shorter windows")
-		csv      = fs.Bool("csv", false, "emit CSV instead of aligned text")
-		plot     = fs.Bool("plot", false, "also render an ASCII chart (latency clipped at 100 cycles, like the paper's axes)")
-		seed     = fs.Uint64("seed", 1, "random seed")
-		workload = fs.String("workload", "", "run a preset workload (bursty, flash, diurnal) or raw workload spec under every scheme, reporting per-phase p50/p99/p999")
+		study = fs.String("study", "", "run one study of the catalog (see -list)")
+		list  = fs.Bool("list", false, "print the study catalog: name, id, paper artefact, parameters, results file")
+		quick = fs.Bool("quick", false, "reduced load grid and shorter windows")
+		csv   = fs.Bool("csv", false, "emit CSV instead of aligned text")
+		plot  = fs.Bool("plot", false, "also render an ASCII chart of each latency-vs-load table (latency clipped at 100 cycles, like the paper's axes)")
+		seed  = fs.Uint64("seed", 1, "random seed")
 
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProfile = fs.String("memprofile", "", "write a heap profile to this file when the run ends")
 
-		farmGridFlag = fs.String("farm", "", "run a named point grid under the supervised sweep farm: "+strings.Join(append(exp.FigureGridNames(), exp.WorkloadGridNames()...), ", "))
+		farmGridFlag = fs.String("farm", "", "run a named point grid under the supervised sweep farm: "+strings.Join(exp.GridNames(), ", "))
 		manifest     = fs.String("manifest", "", "journal farm progress to this file (crash-safe JSONL)")
 		resume       = fs.Bool("resume", false, "resume a farm run from its manifest, skipping completed points")
 		maxAttempts  = fs.Int("max-attempts", 3, "farm: attempts per point before quarantine")
@@ -111,8 +102,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		name string
 		on   bool
 	}{
-		{"farm-worker", *workerMode}, {"farm", *farmGridFlag != ""}, {"workload", *workload != ""},
-		{"breakdown", *brk > 0}, {"fairness", *fair}, {"claims", *claims}, {"fig", *fig != ""},
+		{"farm-worker", *workerMode}, {"farm", *farmGridFlag != ""}, {"study", *study != ""}, {"list", *list},
 	} {
 		if !m.on {
 			continue
@@ -127,12 +117,28 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return usage("unexpected argument %q", fs.Arg(0))
 	case mode == "":
 		fs.Usage()
-		return usage("nothing to run: give one of -fig, -claims, -fairness, -breakdown, -workload, -farm")
+		return usage("nothing to run: give one of -list, -study, -farm")
 	}
-	switch *fig {
-	case "", "2b", "8", "9", "11", "11f":
-	default:
-		return usage("unknown figure %q (2b, 8, 9, 11, 11f)", *fig)
+
+	// A parameter flag must be one the selected row reads.
+	var row exp.Study
+	if mode == "study" {
+		var err error
+		if row, err = exp.StudyByName(*study); err != nil {
+			return usage("%v", err)
+		}
+	}
+	var unread []string
+	fs.Visit(func(f *flag.Flag) {
+		if isParam[f.Name] && !slices.Contains(row.Params, f.Name) {
+			unread = append(unread, "-"+f.Name)
+		}
+	})
+	if len(unread) > 0 {
+		return usage("%s does not read %s (see -list)", strings.TrimSpace("-"+mode+" "+*study+*farmGridFlag), strings.Join(unread, ", "))
+	}
+	if params.Load == 0 {
+		params.Load = row.Load
 	}
 
 	opts := exp.DefaultOptions()
@@ -140,6 +146,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		opts = exp.QuickOptions()
 	}
 	opts.Seed = *seed
+	out := &exp.Output{W: stdout, CSV: *csv, Plot: *plot}
 
 	stopProfiles, err := exp.Profile(*cpuProfile, *memProfile)
 	if err != nil {
@@ -150,13 +157,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case "farm-worker":
 		err = farm.RunWorker(stdout, *workerGrid, *workerPoint, opts)
 	case "farm":
-		err = runFarm(stdout, stderr, *farmGridFlag, opts, farmFlags{
-			manifest: *manifest, resume: *resume, maxAttempts: *maxAttempts,
-			workers: *farmWorkers, shards: *farmShards, timeout: *farmTimeout,
-			fsync: *fsync, quick: *quick, seed: *seed, csv: *csv,
+		err = runFarm(out, stderr, *farmGridFlag, opts, *farmShards, farm.Config{
+			Workers: *farmWorkers, MaxAttempts: *maxAttempts, PointTimeout: *farmTimeout,
+			Manifest: *manifest, Resume: *resume, Sync: *fsync,
 		})
+	case "list":
+		err = out.Table(exp.CatalogTable())
 	default:
-		err = runStudy(stdout, mode, *fig, *pattern, *workload, *brk, opts, *csv, *plot)
+		err = row.Run(out, opts, params)
 	}
 	if perr := stopProfiles(); err == nil {
 		err = perr
@@ -170,160 +178,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// runStudy runs the figure, claims, fairness, breakdown or workload study
-// the mode names and writes its tables (and, with plot, charts) to w.
-func runStudy(w io.Writer, mode, fig, pattern, workload string, brk float64, opts exp.Options, csv, plot bool) error {
-	emit := func(t *stats.Table, curves []exp.Curve) error {
-		var err error
-		if csv {
-			err = t.WriteCSV(w)
-		} else {
-			err = t.WriteText(w)
-		}
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w)
-		if !plot || curves == nil {
-			return nil
-		}
-		chart := &viz.Chart{Title: t.Title, XLabel: "packets/cycle/core", YLabel: "latency (cycles)", YCap: 100}
-		for _, c := range curves {
-			chart.Add(c.Label, c.Loads, c.Latency)
-		}
-		if err := chart.Render(w); err != nil {
-			return err
-		}
-		fmt.Fprintln(w)
-		return nil
-	}
-
-	switch {
-	case mode == "workload":
-		pat, err := traffic.ByName(pattern)
-		if err != nil {
-			return err
-		}
-		_, t, err := exp.WorkloadSweep(workload, pat, opts)
-		if err != nil {
-			return err
-		}
-		return emit(t, nil)
-	case mode == "breakdown":
-		// Exact per-packet attribution from the protocol event tap.
-		_, t, err := exp.ExactBreakdown(brk, opts)
-		if err != nil {
-			return err
-		}
-		return emit(t, nil)
-	case mode == "fairness":
-		// The fairness study targets the non-blocking handshake variants
-		// (setaside and circulation) — the schemes whose senders keep
-		// injecting past an un-ACKed packet and so can starve far nodes.
-		for _, s := range core.Schemes() {
-			if s.CreditBased() || s.SendPolicy() == router.HoldHead {
-				continue
-			}
-			_, t, err := exp.FairnessStudy(s, opts)
-			if err != nil {
-				return err
-			}
-			if err := emit(t, nil); err != nil {
-				return err
-			}
-		}
-	case mode == "claims":
-		for _, pat := range []string{"UR", "BC", "TOR"} {
-			c, err := exp.Claims(pat, opts)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "%s: global group: Token Channel %.4f -> best GHS %.4f (%+.0f%%); ",
-				pat, c.GlobalBaseline, c.GlobalHandshake, c.GlobalGainPct)
-			fmt.Fprintf(w, "distributed group: Token Slot %.4f -> best DHS %.4f (%+.0f%%)\n",
-				c.DistBaseline, c.DistHandshake, c.DistGainPct)
-			fmt.Fprintf(w, "%s: worst handshake rates: drop %.4f%%, retransmit %.4f%%, circulation %.4f%%\n",
-				pat, 100*c.MaxDropRate, 100*c.MaxRetxRate, 100*c.MaxCirculateRate)
-		}
-	case fig == "2b":
-		curves, t, err := exp.Fig2b(opts)
-		if err != nil {
-			return err
-		}
-		return emit(t, curves)
-	case fig == "8":
-		curves, t, err := exp.Fig8(pattern, opts)
-		if err != nil {
-			return err
-		}
-		return emit(t, curves)
-	case fig == "9":
-		curves, t, err := exp.Fig9(pattern, opts)
-		if err != nil {
-			return err
-		}
-		return emit(t, curves)
-	case fig == "11":
-		// Figure 11 panels (a)-(e): one per handshake-family scheme —
-		// everything the registry holds except the credit baselines.
-		for _, s := range core.Schemes() {
-			if s.CreditBased() {
-				continue
-			}
-			curves, t, err := exp.Fig11(s, opts)
-			if err != nil {
-				return err
-			}
-			if err := emit(t, curves); err != nil {
-				return err
-			}
-		}
-	case fig == "11f":
-		_, t, err := exp.Fig11f(opts)
-		if err != nil {
-			return err
-		}
-		return emit(t, nil)
-	}
-	return nil
-}
-
-type farmFlags struct {
-	manifest    string
-	resume      bool
-	maxAttempts int
-	workers     int
-	shards      bool
-	timeout     time.Duration
-	fsync       bool
-	quick       bool
-	seed        uint64
-	csv         bool
-}
-
 // runFarm executes a named grid under the supervised farm and renders
 // the per-point summaries, the merged grid digest, and any quarantine
 // report; errQuarantined signals an incomplete (quarantined) grid.
-func runFarm(stdout, stderr io.Writer, gridName string, opts exp.Options, ff farmFlags) error {
+func runFarm(out *exp.Output, stderr io.Writer, gridName string, opts exp.Options, shards bool, cfg farm.Config) error {
 	g, err := farm.Build(gridName, opts)
 	if err != nil {
 		return err
 	}
-	cfg := farm.Config{
-		Workers:      ff.workers,
-		MaxAttempts:  ff.maxAttempts,
-		PointTimeout: ff.timeout,
-		Manifest:     ff.manifest,
-		Resume:       ff.resume,
-		Sync:         ff.fsync,
-	}
-	if ff.shards {
+	if shards {
+		// A shard is this binary re-invoked with the flags that shape a point.
 		self, err := os.Executable()
 		if err != nil {
 			return fmt.Errorf("sweep: resolving own binary for shards: %w", err)
 		}
-		extra := []string{"-seed", fmt.Sprint(ff.seed)}
-		if ff.quick {
+		extra := []string{"-seed", fmt.Sprint(opts.Seed)}
+		if opts.Quick {
 			extra = append(extra, "-quick")
 		}
 		cfg.Exec = farm.SelfExec(self, extra...)
@@ -350,15 +220,10 @@ func runFarm(stdout, stderr io.Writer, gridName string, opts exp.Options, ff far
 		}
 		t.AddRow(p.Key, string(p.Status), p.Attempts, resumed, lat, tput, digest)
 	}
-	if ff.csv {
-		err = t.WriteCSV(stdout)
-	} else {
-		err = t.WriteText(stdout)
-	}
-	if err != nil {
+	if err := out.Table(t); err != nil {
 		return err
 	}
-	fmt.Fprintf(stdout, "\nfarm: %d ran, %d resumed in %.1fs; grid digest %016x\n",
+	out.Printf("\nfarm: %d ran, %d resumed in %.1fs; grid digest %016x\n",
 		rep.Ran, rep.Resumed, elapsed.Seconds(), rep.GridDigest())
 	if q := rep.Quarantined(); len(q) > 0 {
 		for _, p := range q {

@@ -11,11 +11,11 @@ import (
 
 func TestFigureDriversRejectBadInput(t *testing.T) {
 	opts := quickOpts()
-	if _, _, err := Fig8("NOPE", opts); err == nil {
-		t.Error("Fig8 accepted an unknown pattern")
+	if _, err := Figure("fig8:NOPE", opts); err == nil {
+		t.Error("Figure accepted Figure 8 on an unknown pattern")
 	}
-	if _, _, err := Fig9("NOPE", opts); err == nil {
-		t.Error("Fig9 accepted an unknown pattern")
+	if _, err := Claims("NOPE", opts); err == nil {
+		t.Error("Claims accepted an unknown pattern")
 	}
 	if _, _, err := MultiFlitStudy(core.DHSSetaside, 0.01, Options{Window: opts.Window}); err != nil {
 		t.Errorf("MultiFlitStudy with zero-value quick flag failed: %v", err)
@@ -23,13 +23,12 @@ func TestFigureDriversRejectBadInput(t *testing.T) {
 }
 
 func TestSweepPropagatesPointErrors(t *testing.T) {
-	series := []SweepSeries{{
-		Label:  "broken",
-		Scheme: core.DHS,
-		Mod:    func(c *core.Config) { c.BufferDepth = 0 },
-	}}
-	if _, err := Sweep(series, traffic.UniformRandom{}, []float64{0.01}, quickOpts()); err == nil {
-		t.Error("Sweep swallowed a configuration error")
+	broken := Point{
+		Label: "broken", Scheme: core.DHS, Pattern: traffic.UniformRandom{},
+		Mod: func(c *core.Config) { c.BufferDepth = 0 },
+	}
+	if _, err := runCurves(overLoads(broken, []float64{0.01}), quickOpts()); err == nil {
+		t.Error("the curve runner swallowed a configuration error")
 	}
 }
 
@@ -80,6 +79,22 @@ func TestSafeRunPointPassthrough(t *testing.T) {
 	}
 	if safe.Digest != direct.Digest {
 		t.Fatalf("recovery wrapper perturbed the run: %016x vs %016x", safe.Digest, direct.Digest)
+	}
+}
+
+// TestNilPatternIsAnError: a point with no pattern is reported by every
+// path that names points, none of which may fault on the nil while doing
+// so (RunPoints' error, SafeRunPoint's recover, the point's String).
+func TestNilPatternIsAnError(t *testing.T) {
+	p := Point{Rate: 0.05}
+	if _, err := RunPoints([]Point{p}, QuickOptions()); err == nil || !strings.Contains(err.Error(), "nil pattern") {
+		t.Fatalf("RunPoints on a nil-pattern point: %v, want the nil pattern error", err)
+	}
+	if _, err := SafeRunPoint(p, QuickOptions()); err == nil {
+		t.Fatal("SafeRunPoint accepted a nil-pattern point")
+	}
+	if got := (&PointPanic{Point: p, Value: "boom"}).Error(); !strings.Contains(got, "/nil@0.05") {
+		t.Fatalf("PointPanic names the point as %q", got)
 	}
 }
 

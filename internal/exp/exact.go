@@ -103,9 +103,6 @@ func ExactBreakdownPoint(s core.Scheme, load float64, opts Options) (ExactBreakd
 // and utilization alongside for an at-a-glance model-vs-measurement
 // check.
 func ExactBreakdown(load float64, opts Options) ([]ExactBreakdownRow, *stats.Table, error) {
-	if load <= 0 {
-		load = 0.05
-	}
 	t := stats.NewTable(
 		fmt.Sprintf("Exact latency attribution (cycles) at UR %.2f pkt/cycle/core", load),
 		"scheme", "pipeline", "queue", "token-wait", "flight", "hs-wait",

@@ -1,16 +1,18 @@
-// Package exp contains the experiment drivers that regenerate every table
-// and figure of the paper's evaluation (§V). Each driver returns plain
-// data and/or a stats.Table whose rows mirror the corresponding figure's
-// series, so the cmd/ binaries, the benchmark harness and the tests all
-// share one implementation.
+// Package exp contains the study catalog (catalog.go: one row per table,
+// figure and extension study of the paper's evaluation, §V) and the
+// experiment drivers its rows call. Each driver returns plain data and/or
+// a stats.Table whose rows mirror the corresponding figure's series, so
+// cmd/sweep, the benchmark harness and the tests all share one
+// implementation.
 //
-// The per-experiment index lives in DESIGN.md; measured-vs-paper shapes are
-// recorded in EXPERIMENTS.md.
+// DESIGN.md's per-experiment index repeats the catalog; measured-vs-paper
+// shapes are recorded in EXPERIMENTS.md.
 package exp
 
 import (
 	"fmt"
 	"runtime/debug"
+	"strconv"
 
 	"photon/internal/core"
 	"photon/internal/sim"
@@ -56,6 +58,25 @@ type Point struct {
 	Mod func(*core.Config)
 }
 
+// String is the point's identity in error messages and farm manifest
+// keys: scheme/pattern@rate, then #label and ~workload when set. A nil
+// pattern prints as "nil", so the paths that report a malformed point
+// cannot themselves fault on it.
+func (p Point) String() string {
+	pat := "nil"
+	if p.Pattern != nil {
+		pat = p.Pattern.Name()
+	}
+	s := fmt.Sprintf("%s/%s@%s", p.Scheme, pat, strconv.FormatFloat(p.Rate, 'g', -1, 64))
+	if p.Label != "" {
+		s += "#" + p.Label
+	}
+	if p.Workload != "" {
+		s += "~" + p.Workload
+	}
+	return s
+}
+
 // RunPoint simulates one point and returns its result.
 func RunPoint(p Point, opts Options) (core.Result, error) {
 	net, inj, err := buildPoint(p, opts)
@@ -71,15 +92,13 @@ func RunPoint(p Point, opts Options) (core.Result, error) {
 // its sweep cleanly instead of killing the whole process — the contract
 // the farm supervisor and RunPoints both build on.
 type PointPanic struct {
-	Scheme  core.Scheme
-	Pattern string
-	Rate    float64
-	Value   any    // the recovered panic value
-	Stack   []byte // stack of the panicking goroutine
+	Point
+	Value any    // the recovered panic value
+	Stack []byte // stack of the panicking goroutine
 }
 
 func (e *PointPanic) Error() string {
-	return fmt.Sprintf("exp: panic in point %s %s rate %.3g: %v", e.Scheme, e.Pattern, e.Rate, e.Value)
+	return fmt.Sprintf("exp: panic in point %s: %v", e.Point, e.Value)
 }
 
 // SafeRunPoint is RunPoint with panic containment: a panic anywhere in
@@ -88,10 +107,7 @@ func (e *PointPanic) Error() string {
 func SafeRunPoint(p Point, opts Options) (res core.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = &PointPanic{
-				Scheme: p.Scheme, Pattern: p.Pattern.Name(), Rate: p.Rate,
-				Value: r, Stack: debug.Stack(),
-			}
+			err = &PointPanic{Point: p, Value: r, Stack: debug.Stack()}
 		}
 	}()
 	return RunPoint(p, opts)
@@ -110,8 +126,7 @@ func RunPoints(points []Point, opts Options) ([]core.Result, error) {
 	})
 	for i, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("exp: point %d (%s %s rate %.3f): %w",
-				i, points[i].Scheme, points[i].Pattern.Name(), points[i].Rate, err)
+			return nil, fmt.Errorf("exp: point %d (%s): %w", i, points[i], err)
 		}
 	}
 	return results, nil
@@ -188,32 +203,25 @@ func (c Curve) SaturationThroughput() float64 {
 	return best
 }
 
-// SweepSeries describes one scheme-series of a sweep.
-type SweepSeries struct {
-	Label  string
-	Scheme core.Scheme
-	Mod    func(*core.Config)
-}
-
-// Sweep runs every (series, load) combination on a pattern.
-func Sweep(series []SweepSeries, pat traffic.Pattern, loads []float64, opts Options) ([]Curve, error) {
-	points := sweepPoints(series, pat, loads)
+// runCurves is the one curve runner behind every latency-vs-load figure:
+// it simulates a series-major grid (overLoads runs) as one RunPoints
+// call and folds each run of points sharing a scheme and label into a
+// Curve.
+func runCurves(points []Point, opts Options) ([]Curve, error) {
 	results, err := RunPoints(points, opts)
 	if err != nil {
 		return nil, err
 	}
-	curves := make([]Curve, len(series))
-	k := 0
-	for i, s := range series {
-		c := Curve{Label: s.Label, Scheme: s.Scheme, Loads: loads}
-		for range loads {
-			r := results[k]
-			k++
-			c.Latency = append(c.Latency, r.AvgLatency)
-			c.Throughput = append(c.Throughput, r.Throughput)
-			c.Results = append(c.Results, r)
+	var curves []Curve
+	for i, p := range points {
+		if i == 0 || p.Scheme != points[i-1].Scheme || p.Label != points[i-1].Label {
+			curves = append(curves, Curve{Label: p.Label, Scheme: p.Scheme})
 		}
-		curves[i] = c
+		c, r := &curves[len(curves)-1], results[i]
+		c.Loads = append(c.Loads, p.Rate)
+		c.Latency = append(c.Latency, r.AvgLatency)
+		c.Throughput = append(c.Throughput, r.Throughput)
+		c.Results = append(c.Results, r)
 	}
 	return curves, nil
 }

@@ -95,7 +95,7 @@ func TestCurveHelpers(t *testing.T) {
 // TestFig2bShape: Figure 2(b)'s point — Token Slot's saturation improves
 // with credit count and levels off once credits cover the loop.
 func TestFig2bShape(t *testing.T) {
-	curves, table, err := Fig2b(quickOpts())
+	curves, err := Figure("fig2b", quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestFig2bShape(t *testing.T) {
 	if sat32 < sat16*0.9 {
 		t.Errorf("credit_32 (%.3f) should not be worse than credit_16 (%.3f)", sat32, sat16)
 	}
-	if !strings.Contains(table.String(), "Credit_8") {
+	if table := curvesToTable("fig2b", curves); !strings.Contains(table.String(), "Credit_8") {
 		t.Error("table missing series")
 	}
 }
@@ -120,7 +120,7 @@ func TestFig2bShape(t *testing.T) {
 // throughput on every paper pattern.
 func TestFig8Shape(t *testing.T) {
 	for _, pat := range []string{"UR", "BC"} {
-		curves, _, err := Fig8(pat, quickOpts())
+		curves, err := Figure("fig8:"+pat, quickOpts())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,7 +143,7 @@ func TestFig8Shape(t *testing.T) {
 // DHS on Bit Complement (HOL blocking), and DHS with setaside/circulation
 // beats Token Slot.
 func TestFig9Shape(t *testing.T) {
-	curves, _, err := Fig9("BC", quickOpts())
+	curves, err := Figure("fig9:BC", quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,8 @@ func TestFig9Shape(t *testing.T) {
 // TestFig11CreditIndependence: the handshake schemes' curves must be nearly
 // identical across credit counts (Figures 11(a)-(e)).
 func TestFig11CreditIndependence(t *testing.T) {
-	curves, _, err := Fig11(core.DHSSetaside, quickOpts())
+	// One panel of the fig11 row's grid: the row itself runs all five.
+	curves, err := runCurves(creditPoints(quickOpts(), core.DHSSetaside), quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,9 +187,6 @@ func TestFig11CreditIndependence(t *testing.T) {
 			t.Errorf("load %.3f: latency spread %.1f..%.1f across credits — not independent",
 				curves[0].Loads[i], lo, hi)
 		}
-	}
-	if _, _, err := Fig11(core.TokenSlot, quickOpts()); err == nil {
-		t.Error("Fig11 accepted a non-handshake scheme")
 	}
 }
 

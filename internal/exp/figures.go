@@ -5,7 +5,6 @@ import (
 
 	"photon/internal/core"
 	"photon/internal/stats"
-	"photon/internal/traffic"
 )
 
 // curvesToTable renders a set of latency curves in the paper's layout: one
@@ -29,78 +28,16 @@ func curvesToTable(title string, curves []Curve) *stats.Table {
 	return t
 }
 
-// Fig2b reproduces Figure 2(b): Token Slot latency vs load under UR for
-// credit counts 4/8/16/32 — the motivation figure showing credit-based
-// flow control's dependence on buffer depth.
-func Fig2b(opts Options) ([]Curve, *stats.Table, error) {
-	curves, err := Sweep(creditSeries(core.TokenSlot), traffic.UniformRandom{}, PaperLoads("UR", opts.Quick), opts)
+// Figure runs the named curve-figure row of the catalog (fig2b, fig8:P,
+// fig9:P, fig11) and returns its series in grid order — the typed access
+// the claims study, the shape tests and the root benchmarks share with
+// the row's renderer.
+func Figure(name string, opts Options) ([]Curve, error) {
+	points, err := FigurePoints(name, opts)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return curves, curvesToTable("Figure 2(b): Token Slot latency vs load, UR, by credit count", curves), nil
-}
-
-// seriesFor turns a scheme group into sweep series labelled with the
-// paper's figure names, preserving registry (presentation) order.
-func seriesFor(group []core.Scheme) []SweepSeries {
-	series := make([]SweepSeries, len(group))
-	for i, s := range group {
-		series[i] = SweepSeries{Label: s.PaperName(), Scheme: s}
-	}
-	return series
-}
-
-// globalSeries returns the Figure 8 comparison set: every registered
-// global-arbitration scheme.
-func globalSeries() []SweepSeries { return seriesFor(core.GlobalGroup()) }
-
-// distributedSeries returns the Figure 9 comparison set: every registered
-// distributed-arbitration scheme.
-func distributedSeries() []SweepSeries { return seriesFor(core.DistributedGroup()) }
-
-// Fig8 reproduces Figure 8: the global-arbitration group (Token Channel,
-// GHS, GHS+Setaside) on the named pattern (UR, BC or TOR).
-func Fig8(pattern string, opts Options) ([]Curve, *stats.Table, error) {
-	pat, err := traffic.ByName(pattern)
-	if err != nil {
-		return nil, nil, err
-	}
-	curves, err := Sweep(globalSeries(), pat, PaperLoads(pat.Name(), opts.Quick), opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	title := fmt.Sprintf("Figure 8 (%s): Global Handshake vs Token Channel, latency (cycles) vs load", pat.Name())
-	return curves, curvesToTable(title, curves), nil
-}
-
-// Fig9 reproduces Figure 9: the distributed-arbitration group (Token Slot,
-// DHS, DHS+Setaside, DHS+Circulation) on the named pattern.
-func Fig9(pattern string, opts Options) ([]Curve, *stats.Table, error) {
-	pat, err := traffic.ByName(pattern)
-	if err != nil {
-		return nil, nil, err
-	}
-	curves, err := Sweep(distributedSeries(), pat, PaperLoads(pat.Name(), opts.Quick), opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	title := fmt.Sprintf("Figure 9 (%s): Distributed Handshake vs Token Slot, latency (cycles) vs load", pat.Name())
-	return curves, curvesToTable(title, curves), nil
-}
-
-// Fig11 reproduces Figures 11(a)-(e): credit-count sensitivity of each
-// handshake scheme under UR. The paper's point: handshake performance is
-// (nearly) independent of credits, unlike Figure 2(b).
-func Fig11(scheme core.Scheme, opts Options) ([]Curve, *stats.Table, error) {
-	if scheme.CreditBased() {
-		return nil, nil, fmt.Errorf("exp: Fig11 is defined for the handshake schemes, not %v", scheme)
-	}
-	curves, err := Sweep(creditSeries(scheme), traffic.UniformRandom{}, PaperLoads("UR", opts.Quick), opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	title := fmt.Sprintf("Figure 11 (%s): latency vs load by credit count, UR", scheme.PaperName())
-	return curves, curvesToTable(title, curves), nil
+	return runCurves(points, opts)
 }
 
 // Fig11fResult is one bar of Figure 11(f).
@@ -156,11 +93,11 @@ type ThroughputClaim struct {
 // Claims measures the throughput-improvement and sub-1%-drop-rate claims
 // on the given pattern.
 func Claims(pattern string, opts Options) (ThroughputClaim, error) {
-	gc, _, err := Fig8(pattern, opts)
+	gc, err := Figure("fig8:"+pattern, opts)
 	if err != nil {
 		return ThroughputClaim{}, err
 	}
-	dc, _, err := Fig9(pattern, opts)
+	dc, err := Figure("fig9:"+pattern, opts)
 	if err != nil {
 		return ThroughputClaim{}, err
 	}

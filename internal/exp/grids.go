@@ -2,48 +2,64 @@ package exp
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 
 	"photon/internal/core"
 	"photon/internal/traffic"
 )
 
-// This file is the declarative grid registry: every figure sweep is also
-// available as a named, deterministically ordered []Point so that the
-// sweep farm (internal/farm) can shard it across workers or subprocess
-// shards and rebuild exactly the same grid from its name alone. The
-// figure drivers in figures.go run these same builders, and
-// TestFigureGridsMatchDrivers pins that driver and grid agree digest for
-// digest, in order.
+// This file holds the point-list builders the catalog's grid-backed rows
+// name: each builds a deterministically ordered []Point from the options
+// alone, so the sweep farm (internal/farm) can shard a grid across workers
+// or subprocess shards and rebuild exactly the same grid from its name.
+// A row's driver runs the same list its Grid returns (catalog.go).
 
-// sweepPoints expands (series x loads) into points in series-major order,
-// exactly as Sweep submits them.
-func sweepPoints(series []SweepSeries, pat traffic.Pattern, loads []float64) []Point {
+// overLoads is one series of a latency-vs-load grid: p at every load.
+func overLoads(p Point, loads []float64) []Point {
+	points := make([]Point, len(loads))
+	for i, rate := range loads {
+		points[i] = p
+		points[i].Rate = rate
+	}
+	return points
+}
+
+// creditPoints is the credit-count sensitivity grid of the given schemes
+// under UR, one 4/8/16/32-credit series each: Figure 2(b) for Token Slot,
+// Figures 11(a)-(e) for the handshake family.
+func creditPoints(opts Options, schemes ...core.Scheme) []Point {
 	var points []Point
-	for _, s := range series {
-		for _, rate := range loads {
-			points = append(points, Point{
-				Scheme: s.Scheme, Label: s.Label, Pattern: pat, Rate: rate, Mod: s.Mod,
-			})
+	for _, s := range schemes {
+		for _, credits := range []int{4, 8, 16, 32} {
+			points = append(points, overLoads(Point{
+				Scheme: s, Label: fmt.Sprintf("Credit_%d", credits), Pattern: traffic.UniformRandom{},
+				Mod: func(c *core.Config) { c.BufferDepth = credits },
+			}, PaperLoads("UR", opts.Quick))...)
 		}
 	}
 	return points
 }
 
-// creditSeries is the 4/8/16/32 credit-count series of Figures 2(b) and
-// 11(a)-(e).
-func creditSeries(scheme core.Scheme) []SweepSeries {
-	var series []SweepSeries
-	for _, credits := range []int{4, 8, 16, 32} {
-		credits := credits
-		series = append(series, SweepSeries{
-			Label:  fmt.Sprintf("Credit_%d", credits),
-			Scheme: scheme,
-			Mod:    func(c *core.Config) { c.BufferDepth = credits },
-		})
+// handshakeFamily is everything the registry holds except the credit
+// baselines: the Figure 11(a)-(e) panels.
+func handshakeFamily() []core.Scheme {
+	var schemes []core.Scheme
+	for _, s := range core.Schemes() {
+		if !s.CreditBased() {
+			schemes = append(schemes, s)
+		}
 	}
-	return series
+	return schemes
+}
+
+// groupPoints is the Figure 8/9 grid: one series per scheme of the group,
+// labelled with the paper's figure names in registry (presentation)
+// order, over the pattern's paper load axis.
+func groupPoints(group []core.Scheme, pat traffic.Pattern, opts Options) []Point {
+	var points []Point
+	for _, s := range group {
+		points = append(points, overLoads(Point{Scheme: s, Label: s.PaperName(), Pattern: pat}, PaperLoads(pat.Name(), opts.Quick))...)
+	}
+	return points
 }
 
 // The Figure 11(f) axes: setaside sizes per scheme, in bar order.
@@ -69,76 +85,4 @@ func fig11fPoints() []Point {
 		}
 	}
 	return points
-}
-
-// FigureGridNames lists every named grid FigurePoints accepts, in
-// presentation order. "figures" is the union of all of them — the full
-// regeneration workload of the paper's synthetic-traffic evaluation.
-func FigureGridNames() []string {
-	names := []string{"fig2b"}
-	for _, pat := range []string{"UR", "BC", "TOR"} {
-		names = append(names, "fig8:"+pat)
-	}
-	for _, pat := range []string{"UR", "BC", "TOR"} {
-		names = append(names, "fig9:"+pat)
-	}
-	names = append(names, "fig11", "fig11f", "figures")
-	return names
-}
-
-// FigurePoints builds the named grid. The point order is deterministic —
-// it is the grid's identity: the farm keys its manifest entries by
-// (index, scheme, pattern, rate, label), and a subprocess shard re-derives
-// point i by rebuilding the same grid from the same name and options.
-func FigurePoints(name string, opts Options) ([]Point, error) {
-	pat := func(p string) (traffic.Pattern, error) { return traffic.ByName(p) }
-	switch {
-	case name == "fig2b":
-		return sweepPoints(creditSeries(core.TokenSlot), traffic.UniformRandom{}, PaperLoads("UR", opts.Quick)), nil
-	case strings.HasPrefix(name, "fig8:"):
-		p, err := pat(strings.TrimPrefix(name, "fig8:"))
-		if err != nil {
-			return nil, err
-		}
-		return sweepPoints(globalSeries(), p, PaperLoads(p.Name(), opts.Quick)), nil
-	case strings.HasPrefix(name, "fig9:"):
-		p, err := pat(strings.TrimPrefix(name, "fig9:"))
-		if err != nil {
-			return nil, err
-		}
-		return sweepPoints(distributedSeries(), p, PaperLoads(p.Name(), opts.Quick)), nil
-	case name == "fig11":
-		var points []Point
-		for _, s := range core.Schemes() {
-			if s.CreditBased() {
-				continue
-			}
-			points = append(points, sweepPoints(creditSeries(s), traffic.UniformRandom{}, PaperLoads("UR", opts.Quick))...)
-		}
-		return points, nil
-	case name == "fig11f":
-		return fig11fPoints(), nil
-	case name == "slo":
-		// Workload grid, registered alongside the figure grids but not
-		// folded into "figures": the union below is the paper's pinned
-		// regeneration workload and must not change shape.
-		return workloadGridPoints(), nil
-	case name == "figures":
-		var points []Point
-		for _, n := range FigureGridNames() {
-			if n == "figures" {
-				continue
-			}
-			sub, err := FigurePoints(n, opts)
-			if err != nil {
-				return nil, err
-			}
-			points = append(points, sub...)
-		}
-		return points, nil
-	default:
-		known := append(FigureGridNames(), WorkloadGridNames()...)
-		sort.Strings(known)
-		return nil, fmt.Errorf("exp: unknown grid %q (known: %s)", name, strings.Join(known, ", "))
-	}
 }

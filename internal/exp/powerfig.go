@@ -22,12 +22,9 @@ type Fig12Row struct {
 
 // Fig12 reproduces Figure 12: per-scheme power breakdown (a) and energy
 // per packet (b). Activities come from a live simulation of every scheme
-// under UR at the given load (the paper's sensitivity operating point,
-// 0.11 packets/cycle/core, by default).
+// under UR at the given load (the catalog's fig12 rows default to the
+// paper's sensitivity operating point, 0.11 packets/cycle/core).
 func Fig12(load float64, opts Options) ([]Fig12Row, *stats.Table, *stats.Table, error) {
-	if load <= 0 {
-		load = 0.11
-	}
 	// Table order follows the paper: the global-arbitration group first,
 	// then the distributed one.
 	schemes := append(core.GlobalGroup(), core.DistributedGroup()...)

@@ -116,10 +116,10 @@ func WorkloadSweep(nameOrSpec string, pattern traffic.Pattern, opts Options) ([]
 		pattern = traffic.UniformRandom{}
 	}
 	var slos []WorkloadSLO
-	for _, s := range core.Schemes() {
-		slo, err := RunWorkloadSLO(Point{Scheme: s, Pattern: pattern, Workload: spec}, opts)
+	for _, p := range workloadPoints("", spec, pattern) {
+		slo, err := RunWorkloadSLO(p, opts)
 		if err != nil {
-			return nil, nil, fmt.Errorf("exp: workload %s under %s: %w", spec, s, err)
+			return nil, nil, fmt.Errorf("exp: workload %s under %s: %w", spec, p.Scheme, err)
 		}
 		slos = append(slos, slo)
 	}
@@ -149,26 +149,25 @@ func WorkloadSLOTable(spec string, slos []WorkloadSLO) *stats.Table {
 	return t
 }
 
-// WorkloadGridNames lists the workload grids FigurePoints accepts in
-// addition to the paper-figure grids. They are deliberately NOT part of
-// the combined "figures" grid: that union is the paper's regeneration
-// workload and its point list is pinned.
-func WorkloadGridNames() []string { return []string{"slo"} }
+// workloadPoints is one workload under every registered scheme, in
+// registry order. The canonical spec is the point's workload, so farm
+// manifest keys identify workload points fully.
+func workloadPoints(label, spec string, pattern traffic.Pattern) []Point {
+	var points []Point
+	for _, s := range core.Schemes() {
+		points = append(points, Point{Scheme: s, Label: label, Pattern: pattern, Workload: spec})
+	}
+	return points
+}
 
-// workloadGridPoints builds the "slo" grid: every registered scheme
-// under every preset workload, UR destinations, in (preset-major,
-// scheme-minor) order. The preset name is the point label and the
-// canonical spec is the point's workload, so farm manifest keys identify
-// workload points fully.
+// workloadGridPoints builds the "slo" grid: every preset workload under
+// every scheme, UR destinations, in (preset-major, scheme-minor) order,
+// labelled with the preset name.
 func workloadGridPoints() []Point {
 	var points []Point
 	for _, p := range traffic.PresetWorkloads() {
 		spec := traffic.MustParseWorkload(p.Spec).String()
-		for _, s := range core.Schemes() {
-			points = append(points, Point{
-				Scheme: s, Label: p.Name, Pattern: traffic.UniformRandom{}, Workload: spec,
-			})
-		}
+		points = append(points, workloadPoints(p.Name, spec, traffic.UniformRandom{})...)
 	}
 	return points
 }

@@ -118,6 +118,27 @@ func TestQuarantineAfterK(t *testing.T) {
 	}
 }
 
+// TestNilPatternPointQuarantines: a point with no pattern is a per-point
+// failure like any other — keyed, retried, quarantined with the injector's
+// error — not a crash while formatting its key.
+func TestNilPatternPointQuarantines(t *testing.T) {
+	g := testGrid(3)
+	g.Points[1].Pattern = nil
+	cfg := Config{Workers: 2, MaxAttempts: 2}
+	noSleep(&cfg)
+	rep, err := Run(g, cfg)
+	if err != nil {
+		t.Fatalf("Run returned a harness error for a per-point failure: %v", err)
+	}
+	q := rep.Quarantined()
+	if len(q) != 1 || q[0].Index != 1 || !strings.Contains(q[0].LastError, "nil pattern") {
+		t.Fatalf("quarantined %+v, want exactly point 1 with the nil pattern error", q)
+	}
+	if !strings.Contains(q[0].Key, "/nil@") {
+		t.Fatalf("key %q does not name the missing pattern", q[0].Key)
+	}
+}
+
 func TestPointTimeoutQuarantines(t *testing.T) {
 	g := testGrid(3)
 	g.Points[1].Mod = func(*core.Config) { time.Sleep(10 * time.Second) }

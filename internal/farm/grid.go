@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"strconv"
 
 	"photon/internal/exp"
 )
@@ -19,8 +18,8 @@ type Grid struct {
 	Opts   exp.Options
 }
 
-// Build constructs a named figure grid (see exp.FigureGridNames for the
-// accepted names; "figures" is the full regeneration workload).
+// Build constructs a named grid: a grid-backed row of the study catalog
+// (see exp.GridNames), or "figures", the full regeneration workload.
 func Build(name string, opts exp.Options) (Grid, error) {
 	points, err := exp.FigurePoints(name, opts)
 	if err != nil {
@@ -29,23 +28,14 @@ func Build(name string, opts exp.Options) (Grid, error) {
 	return Grid{Name: name, Points: points, Opts: opts}, nil
 }
 
-// Key returns point i's manifest key: index, scheme, pattern, rate,
-// (when set) the series label, and (when set) the canonical workload
-// spec. Two points that differ only in their Mod closure — which cannot
-// be serialised — are still distinguished by index, which is why
-// resuming validates the whole-grid Fingerprint rather than trusting
-// keys alone.
+// Key returns point i's manifest key: its index and identity
+// (exp.Point.String: scheme, pattern, rate, then the series label and the
+// canonical workload spec when set). Two points that differ only in their
+// Mod closure — which cannot be serialised — are still distinguished by
+// index, which is why resuming validates the whole-grid Fingerprint
+// rather than trusting keys alone.
 func (g Grid) Key(i int) string {
-	p := g.Points[i]
-	key := fmt.Sprintf("%04d:%s/%s@%s", i, p.Scheme, p.Pattern.Name(),
-		strconv.FormatFloat(p.Rate, 'g', -1, 64))
-	if p.Label != "" {
-		key += "#" + p.Label
-	}
-	if p.Workload != "" {
-		key += "~" + p.Workload
-	}
-	return key
+	return fmt.Sprintf("%04d:%s", i, g.Points[i])
 }
 
 // Fingerprint hashes the grid's identity — name, options that change

@@ -66,16 +66,6 @@ func (s Scheme) String() string {
 	}
 }
 
-// parseScheme resolves a CLI name.
-func parseScheme(name string) (Scheme, error) {
-	for s := Reservation; s < numSchemes; s++ {
-		if s.String() == name {
-			return s, nil
-		}
-	}
-	return 0, fmt.Errorf("swmr: unknown scheme %q", name)
-}
-
 // Schemes lists the implemented SWMR disciplines.
 func Schemes() []Scheme { return []Scheme{Reservation, Handshake, HandshakeSetaside} }
 

@@ -34,18 +34,6 @@ func drive(t testing.TB, scheme Scheme, rate float64, mod func(*Config)) (Result
 	return net.Result(), net
 }
 
-func TestSchemeParse(t *testing.T) {
-	for _, s := range Schemes() {
-		got, err := parseScheme(s.String())
-		if err != nil || got != s {
-			t.Errorf("parseScheme(%q) = %v, %v", s.String(), got, err)
-		}
-	}
-	if _, err := parseScheme("nope"); err == nil {
-		t.Error("bogus scheme accepted")
-	}
-}
-
 func TestConfigValidation(t *testing.T) {
 	mods := []func(*Config){
 		func(c *Config) { c.Nodes = 1 },

@@ -87,19 +87,3 @@ func AnalysisTable(analyses []Analysis) *stats.Table {
 	}
 	return t
 }
-
-// slice returns the sub-trace covering cycles [from, to), rebased to start
-// at cycle 0.
-func (t *Trace) slice(from, to int64) (*Trace, error) {
-	if from < 0 || to > t.Cycles || from >= to {
-		return nil, fmt.Errorf("trace: invalid slice [%d,%d) of %d cycles", from, to, t.Cycles)
-	}
-	out := &Trace{App: t.App, Cores: t.Cores, Nodes: t.Nodes, Cycles: to - from}
-	for _, r := range t.Records {
-		if r.Cycle >= from && r.Cycle < to {
-			r.Cycle -= from
-			out.Records = append(out.Records, r)
-		}
-	}
-	return out, nil
-}

@@ -42,31 +42,3 @@ func TestAnalyzeBurstyVsSmooth(t *testing.T) {
 		t.Fatal("table missing app")
 	}
 }
-
-func TestSlice(t *testing.T) {
-	tr := sampleTrace()
-	s, err := tr.slice(0, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s.Records) != 3 || s.Cycles != 10 {
-		t.Fatalf("slice: %d records over %d cycles", len(s.Records), s.Cycles)
-	}
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// Rebasing.
-	s2, err := tr.slice(5, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s2.Records[0].Cycle != 0 || s2.Records[1].Cycle != 94 {
-		t.Fatalf("rebase wrong: %+v", s2.Records)
-	}
-	if _, err := tr.slice(50, 20); err == nil {
-		t.Fatal("inverted slice accepted")
-	}
-	if _, err := tr.slice(0, 1000); err == nil {
-		t.Fatal("overlong slice accepted")
-	}
-}

@@ -259,6 +259,22 @@ func TestSlotEmitterGateBlocksEmission(t *testing.T) {
 	}
 }
 
+// TestSlotEmitterDoubleBeginCyclePanics: opening one cycle twice is a caller
+// bug, and the panic names the method the caller actually called.
+func TestSlotEmitterDoubleBeginCyclePanics(t *testing.T) {
+	s := NewSlotEmitter(64, 8, 8)
+	for now := int64(0); now < 3; now++ {
+		s.Advance(now, func() bool { return true }, func(int) bool { return false }, nil)
+	}
+	defer func() {
+		const want = "arbiter: SlotEmitter.BeginCycle called twice for cycle 2"
+		if got := recover(); got != want {
+			t.Fatalf("second BeginCycle(2) panicked with %v, want %q", got, want)
+		}
+	}()
+	s.BeginCycle(2, nil)
+}
+
 func TestFairnessQuota(t *testing.T) {
 	f := NewFairness(64, FairnessConfig{Enabled: true, Window: 100, Quota: 2})
 	f.BeginCycle(0)

@@ -71,7 +71,7 @@ func (s *SlotEmitter) Stats() (emitted, captured, expired int64) {
 // would predate the simulation), so no early-cycle guard is needed.
 func (s *SlotEmitter) BeginCycle(now int64, onExpire func()) {
 	if now <= s.lastEmitCheck && s.emitted+s.expired+s.captured > 0 {
-		panic(fmt.Sprintf("arbiter: SlotEmitter.Advance called twice for cycle %d", now))
+		panic(fmt.Sprintf("arbiter: SlotEmitter.BeginCycle called twice for cycle %d", now))
 	}
 	prev := s.lastEmitCheck
 	s.lastEmitCheck = now

@@ -55,6 +55,16 @@ func Audit(a core.Accounting) error {
 			a.Outstanding, a.Pipeline, a.Queued, a.Unacked, a.InFlight, a.Buffered)
 	}
 
+	// Packet lifetime: the engine counts one holder per place Outstanding
+	// counts a packet, so the two agree at every cycle; a packet is live
+	// only while held, so a quiescent network has released them all.
+	if a.Holders != a.Outstanding {
+		fail("packet holders %d != outstanding %d (a skipped or doubled release)", a.Holders, a.Outstanding)
+	}
+	if a.LivePackets > a.Outstanding || a.LivePackets < 0 {
+		fail("%d live packets with only %d outstanding: leaked packets", a.LivePackets, a.Outstanding)
+	}
+
 	// Retransmission causality: every re-launch was triggered by a
 	// delivered NACK (at most Drops - NacksLost of those exist) or by a
 	// sender timeout. Equality holds at quiescence, inequality mid-flight

@@ -146,6 +146,8 @@ func TestAuditDetectsCorruption(t *testing.T) {
 		{"channel ledger", func(a *core.Accounting) { a.Channels[0].Ejected++ }, "channel 0"},
 		{"drop mismatch", func(a *core.Accounting) { a.Drops++ }, "drops"},
 		{"scheme shape", func(a *core.Accounting) { a.Circulations++ }, "circulat"},
+		{"skipped release", func(a *core.Accounting) { a.Holders++ }, "packet holders"},
+		{"live at quiescence", func(a *core.Accounting) { a.LivePackets++ }, "leaked packets"},
 	}
 	for _, c := range corruptions {
 		t.Run(c.name, func(t *testing.T) {

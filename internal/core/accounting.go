@@ -59,6 +59,12 @@ type Accounting struct {
 	Orphans      int // only live copy destroyed; retransmission owed
 	DupsInFlight int // duplicate copies of accepted packets on waveguides
 
+	// Packet lifetime: Holders is the engine's running sum of packet holder
+	// counts, equal to Outstanding term for term; LivePackets counts packets
+	// injected and not yet released, at most one per holder.
+	Holders     int
+	LivePackets int
+
 	Channels []ChannelAccounting
 }
 
@@ -102,6 +108,8 @@ func (n *Network) Accounting() Accounting {
 		NacksLost:          n.stats.NacksLost,
 		Orphans:            n.orphans,
 		DupsInFlight:       n.dupsInFlight,
+		Holders:            n.holders,
+		LivePackets:        n.live,
 	}
 	if n.faults != nil {
 		counts := n.faults.Counts()

@@ -140,8 +140,9 @@ type Event struct {
 // arbitration-side events (EvHeadReady, EvTokenCapture/Release,
 // EvSetasideEnter/Exit) the digest never needed. Observe fires inline
 // during Step, so implementations must be fast, must not mutate the
-// network, and should not retain the Event's Packet pointer beyond the
-// call (copy what they need — the engine keeps mutating the packet).
+// network, and must not retain the Event's Packet pointer beyond the call:
+// the engine keeps mutating the packet and, once its last holder lets go,
+// recycles it for a later injection — copy what outlives the call.
 type Tracer interface {
 	Observe(Event)
 }

@@ -2,6 +2,8 @@ package core
 
 // Test-only exports for the core_test files.
 
+import "photon/internal/router"
+
 // CanonicalFunc adapts a func to a Tracer that sees only the canonical
 // (digest-folded) events; the tap-only attribution events are dropped.
 type CanonicalFunc func(Event)
@@ -14,3 +16,16 @@ func (f CanonicalFunc) Observe(e Event) {
 
 // Wired reports whether the registry row names a wire function.
 func (sp ProtocolSpec) Wired() bool { return sp.wire != nil }
+
+// SetPoisonPackets flips poisonPackets and returns the previous setting.
+func SetPoisonPackets(on bool) (was bool) {
+	was, poisonPackets = poisonPackets, on
+	return was
+}
+
+// LeakHolder takes a holder of p that nothing will ever release — what a
+// transition that forgot its release leaves behind.
+func (n *Network) LeakHolder(p *router.Packet) {
+	p.Hold()
+	n.holders++
+}

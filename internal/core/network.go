@@ -79,7 +79,9 @@ type Network struct {
 
 	// OnDeliver, when set, is invoked for every delivered packet in the
 	// cycle it reaches its destination core — the hook closed-loop
-	// workloads (the CMP model) use to complete transactions.
+	// workloads (the CMP model) use to complete transactions. The packet
+	// is valid for the duration of the call: the engine may recycle it the
+	// moment the callee returns, so copy what outlives the call.
 	OnDeliver func(*router.Packet)
 
 	// tap is the optional lifecycle-event sink installed with SetTracer;
@@ -114,6 +116,14 @@ type Network struct {
 	// dupsInFlight == 0.
 	orphans      int
 	dupsInFlight int
+
+	// Packet lifetime (DESIGN.md, "Packet lifetime"). holders sums the live
+	// packets' holder counts, one per term of Outstanding(), so the two are
+	// equal at every cycle boundary; live counts packets injected and not
+	// yet released; free is where release puts them and Inject looks first.
+	holders int
+	live    int
+	free    []*router.Packet
 
 	// spec is the scheme's registry row; its wire function built the
 	// channel hooks. (Kept at the tail: these are cold after construction,
@@ -312,6 +322,10 @@ func (n *Network) Stats() *Stats { return n.stats }
 // source's own node never enter the optical ring: they are delivered
 // locally after the router latency, as in the paper's concentrated S-NUCA
 // layout.
+//
+// The returned packet is valid until it is delivered (OnDeliver has
+// returned), rejected by a bounded queue, or lost to a fault; after that it
+// is recycled into a later injection. Copy it in OnDeliver or a Tracer.
 func (n *Network) Inject(srcCore, dstNode int, class router.Class, tag uint64) *router.Packet {
 	if srcCore < 0 || srcCore >= n.cfg.Cores() {
 		panic(fmt.Sprintf("core: Inject from invalid core %d", srcCore))
@@ -320,8 +334,16 @@ func (n *Network) Inject(srcCore, dstNode int, class router.Class, tag uint64) *
 		panic(fmt.Sprintf("core: Inject to invalid node %d", dstNode))
 	}
 	srcNode := srcCore / n.cfg.CoresPerNode
-	pkt := router.NewPacket(n.nextID, srcNode, dstNode, n.now)
-	n.nextID++
+	var pkt *router.Packet
+	if k := len(n.free) - 1; k >= 0 {
+		pkt, n.free = n.free[k], n.free[:k]
+		pkt.Reset(n.nextID, srcNode, dstNode, n.now)
+	} else {
+		pkt = router.NewPacket(n.nextID, srcNode, dstNode, n.now)
+	}
+	n.nextID++ // always a fresh id: digests, ptrace cursors and OutPort.Ack key on it
+	n.holders++
+	n.live++
 	pkt.Class = class
 	pkt.Tag = tag | uint64(srcCore)<<40 // keep the core for local queue routing
 	n.stats.onInjected(pkt)
@@ -333,6 +355,30 @@ func (n *Network) Inject(srcCore, dstNode int, class router.Class, tag uint64) *
 // Digest returns the current value of the run's protocol-event
 // fingerprint (finalised into Result.Digest at the end of the run).
 func (n *Network) Digest() uint64 { return n.stats.digest.value() }
+
+// poisonPackets, set only by tests, makes release overwrite a finished
+// packet instead of recycling it, so anything that reads a packet after the
+// engine is done with it fails loudly.
+var poisonPackets bool
+
+// release records that one engine-side holder of pkt let go; the last one
+// to do so recycles the packet. Every call site sits after the last emit
+// and callback of its phase that is handed the packet.
+func (n *Network) release(pkt *router.Packet) {
+	n.holders--
+	if !pkt.Drop() {
+		return
+	}
+	n.live--
+	if poisonPackets {
+		const never = -1 << 62
+		*pkt = router.Packet{ID: ^uint64(0), Src: -1, Dst: -1,
+			CreatedAt: never, EnqueuedAt: never, ReadyAt: never, FirstSentAt: never,
+			SentAt: never, DeliveredAt: never, AcceptedAt: never}
+		return
+	}
+	n.free = append(n.free, pkt)
+}
 
 // queueOf returns the per-core output queue a packet belongs to.
 func (n *Network) queueOf(pkt *router.Packet) (*nodeState, *queueState) {
@@ -473,6 +519,7 @@ func (n *Network) dataFault(c *channel, pkt *router.Packet) {
 	c.faultDiscards++
 	n.emit(EvFault, pkt)
 	c.onDataFault(pkt)
+	n.release(pkt) // the destroyed copy
 }
 
 // phaseTimeouts expires armed retransmit timers (recovery only). It runs
@@ -508,6 +555,7 @@ func (n *Network) phaseEject(c *channel, now int64) {
 		if n.OnDeliver != nil {
 			n.OnDeliver(pkt)
 		}
+		n.release(pkt) // the home buffer's
 	}
 }
 
@@ -597,8 +645,15 @@ func (n *Network) launch(nd *nodeState, q *queueState, c *channel, pkt *router.P
 			}
 		}
 	}
-	if n.recoveryOn && q.out.Policy() != router.FireAndForget {
-		q.out.Arm(pkt, n.now, n.retxBase, n.backoffCap)
+	if q.out.Policy() != router.FireAndForget {
+		// The copy on the waveguide is a new holder beside the retaining
+		// sender (re-sends too: a duplicate in flight outlives delivery and
+		// ACK of its original); a fire-and-forget sender hands its own over.
+		pkt.Hold()
+		n.holders++
+		if n.recoveryOn {
+			q.out.Arm(pkt, n.now, n.retxBase, n.backoffCap)
+		}
 	}
 	n.emit(EvLaunch, pkt)
 	if !retx && q.out.Policy() == router.Setaside {
@@ -621,11 +676,13 @@ func (n *Network) phasePipeline(now int64) {
 			if n.OnDeliver != nil {
 				n.OnDeliver(pkt)
 			}
+			n.release(pkt)
 			continue
 		}
 		nd, q := n.queueOf(pkt)
 		if !q.out.Enqueue(pkt) {
 			n.stats.QueueRejected++
+			n.release(pkt)
 			continue
 		}
 		pkt.EnqueuedAt = now

@@ -122,6 +122,40 @@ func BenchmarkEmit(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/s")
 }
 
+// BenchmarkInject times Network.Inject alone on a warmed network — ns and
+// bytes per injected packet, the in-package twin of bench/'s
+// core.inject_ns_per_packet. Injections come in batches the free list
+// already covers; the drain that hands each batch back runs off the clock.
+func BenchmarkInject(b *testing.B) {
+	cfg := DefaultConfig(DHSSetaside)
+	cfg.CheckInvariants = false
+	n, err := NewNetwork(cfg, sim.Window{Warmup: 1 << 40})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const batch = 1 << 12
+	fill := func(k int) {
+		for i := 0; i < k; i++ {
+			n.Inject(i%cfg.Cores(), (i*29+1)%cfg.Nodes, router.ClassData, 0)
+		}
+	}
+	drain := func() {
+		if _, err := n.Drain(1 << 20); err != nil {
+			b.Fatal(err)
+		}
+	}
+	fill(batch)
+	drain()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for done := 0; done < b.N; done += batch {
+		fill(min(batch, b.N-done))
+		b.StopTimer()
+		drain()
+		b.StartTimer()
+	}
+}
+
 // BenchmarkSlotScan times the requester-driven capture scan for the single
 // busiest channel of a loaded distributed-token network: the bitmask walk
 // plus per-requester liveness probes, the inner loop the campaign inverted

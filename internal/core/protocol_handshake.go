@@ -70,6 +70,7 @@ func bindHandshakeArrive(n *Network, c *channel) func(now int64, pkt *router.Pac
 			n.stats.DupsDiscarded++
 			n.emit(EvDupDrop, pkt)
 			c.hs.Send(now, off, ring.Ack{To: pkt.Src, PacketID: pkt.ID, Queue: queue, Positive: true})
+			n.release(pkt) // the discarded copy
 			return
 		}
 		accepted := c.in.Accept(pkt)
@@ -82,6 +83,9 @@ func bindHandshakeArrive(n *Network, c *channel) func(now int64, pkt *router.Pac
 			n.emit(EvDrop, pkt)
 		}
 		c.hs.Send(now, off, ring.Ack{To: pkt.Src, PacketID: pkt.ID, Queue: queue, Positive: accepted})
+		if !accepted {
+			n.release(pkt) // the dropped copy; the sender still holds its own
+		}
 	}
 }
 
@@ -117,6 +121,9 @@ func bindHandshakeDelivery(n *Network, c *channel) func(now int64) {
 				n.emit(EvNack, pkt)
 			}
 			n.updateQueueWant(nd, q)
+			if ack.Positive {
+				n.release(pkt) // the sender's retained copy
+			}
 		}
 	}
 }

@@ -190,14 +190,15 @@ func TestFig2aPathology(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			net.Inject(1, 0, router.ClassData, 0)
 		}
-		var probe *router.Packet
+		launched := snapshotOn(net, core.EvLaunch)
+		probe := ^uint64(0)
 		for cyc := 0; cyc < 400; cyc++ {
 			if cyc == 6 {
-				probe = net.Inject(2, 0, router.ClassData, 0)
+				probe = net.Inject(2, 0, router.ClassData, 0).ID
 			}
 			net.Step()
-			if probe != nil && probe.FirstSentAt >= 0 {
-				return probe.FirstSentAt - probe.ReadyAt
+			if p, ok := launched.byID[probe]; ok {
+				return p.FirstSentAt - p.ReadyAt
 			}
 		}
 		t.Fatalf("%v: probe never launched", scheme)
@@ -228,11 +229,13 @@ func TestZeroLoadLatencyFormula(t *testing.T) {
 		// Let the token stream fill the loop first (cold start aside, a
 		// token of every age is in flight in steady state).
 		net.RunCycles(int64(cfg.RoundTrip))
-		pkt := net.Inject(src*cfg.CoresPerNode, 0, router.ClassData, 0)
-		for i := 0; i < 50 && pkt.DeliveredAt < 0; i++ {
+		delivered := snapshotOn(net, core.EvDeliver)
+		id := net.Inject(src*cfg.CoresPerNode, 0, router.ClassData, 0).ID
+		for i := 0; i < 50 && len(delivered.byID) == 0; i++ {
 			net.Step()
 		}
-		if pkt.DeliveredAt < 0 {
+		pkt, ok := delivered.byID[id]
+		if !ok {
 			t.Fatalf("src %d: never delivered", src)
 		}
 		off := net.Geometry().Offset(0, src)
@@ -251,9 +254,14 @@ func TestLocalTrafficBypassesRing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkt := net.Inject(12, 3, router.ClassData, 0) // core 12 is on node 3
-	for i := 0; i < 10 && pkt.DeliveredAt < 0; i++ {
+	delivered := snapshotOn(net, core.EvDeliver)
+	id := net.Inject(12, 3, router.ClassData, 0).ID // core 12 is on node 3
+	for i := 0; i < 10 && len(delivered.byID) == 0; i++ {
 		net.Step()
+	}
+	pkt, ok := delivered.byID[id]
+	if !ok {
+		t.Fatal("local packet never delivered")
 	}
 	want := int64(cfg.RouterPipeline + cfg.EjectLatency)
 	if pkt.Latency() != want {
@@ -312,18 +320,19 @@ func TestFairnessPolicyPreventsStarvation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var probe *router.Packet
+		launched := snapshotOn(net, core.EvLaunch)
+		probe := ^uint64(0)
 		for cyc := 0; cyc < 600; cyc++ {
 			// Node 1 floods home 0 from all four cores, every cycle.
 			for q := 0; q < cfg.CoresPerNode; q++ {
 				net.Inject(1*cfg.CoresPerNode+q, 0, router.ClassData, 0)
 			}
 			if cyc == 100 {
-				probe = net.Inject(2*cfg.CoresPerNode, 0, router.ClassData, 0)
+				probe = net.Inject(2*cfg.CoresPerNode, 0, router.ClassData, 0).ID
 			}
 			net.Step()
-			if probe != nil && probe.FirstSentAt >= 0 {
-				return probe.FirstSentAt - probe.ReadyAt
+			if p, ok := launched.byID[probe]; ok {
+				return p.FirstSentAt - p.ReadyAt
 			}
 		}
 		return 1 << 30 // starved for the whole run
@@ -409,9 +418,10 @@ func TestGHSBurstBoundedBySetaside(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Node 1 has 6 packets for home 0 ready before the token arrives.
-	var pkts []*router.Packet
+	launched := snapshotOn(net, core.EvLaunch)
+	var ids []uint64
 	for i := 0; i < 6; i++ {
-		pkts = append(pkts, net.Inject(1, 0, router.ClassData, 0))
+		ids = append(ids, net.Inject(1, 0, router.ClassData, 0).ID)
 	}
 	// The token marches one node per cycle on this 8-node loop and comes
 	// back to node 1 after a full revolution; run long enough to see the
@@ -421,9 +431,10 @@ func TestGHSBurstBoundedBySetaside(t *testing.T) {
 	}
 	// Count consecutive-cycle launches in the first burst.
 	burst := 1
-	for i := 1; i < len(pkts); i++ {
-		if pkts[i].FirstSentAt >= 0 && pkts[i-1].FirstSentAt >= 0 &&
-			pkts[i].FirstSentAt == pkts[i-1].FirstSentAt+1 {
+	for i := 1; i < len(ids); i++ {
+		prev, ok0 := launched.byID[ids[i-1]]
+		cur, ok1 := launched.byID[ids[i]]
+		if ok0 && ok1 && cur.FirstSentAt == prev.FirstSentAt+1 {
 			burst++
 		} else {
 			break
@@ -447,17 +458,19 @@ func TestMaxTokenHoldCapsBurst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var pkts []*router.Packet
+	launched := snapshotOn(net, core.EvLaunch)
+	var ids []uint64
 	for i := 0; i < 6; i++ {
-		pkts = append(pkts, net.Inject(1, 0, router.ClassData, 0))
+		ids = append(ids, net.Inject(1, 0, router.ClassData, 0).ID)
 	}
 	for i := 0; i < 2*cfg.RoundTrip; i++ {
 		net.Step()
 	}
 	burst := 1
-	for i := 1; i < len(pkts); i++ {
-		if pkts[i].FirstSentAt >= 0 && pkts[i-1].FirstSentAt >= 0 &&
-			pkts[i].FirstSentAt == pkts[i-1].FirstSentAt+1 {
+	for i := 1; i < len(ids); i++ {
+		prev, ok0 := launched.byID[ids[i-1]]
+		cur, ok1 := launched.byID[ids[i]]
+		if ok0 && ok1 && cur.FirstSentAt == prev.FirstSentAt+1 {
 			burst++
 		} else {
 			break

@@ -27,14 +27,16 @@ func TestAckTimingExactlyRPlus1(t *testing.T) {
 		// Two packets: the second becomes launchable exactly when the
 		// first's ACK arrives (HoldHead), so the launch gap measures the
 		// handshake delay. The second must already be queued.
-		p1 := net.Inject(src*cfg.CoresPerNode, 0, router.ClassData, 0)
-		p2 := net.Inject(src*cfg.CoresPerNode, 0, router.ClassData, 0)
-		for i := 0; i < 80 && p2.FirstSentAt < 0; i++ {
+		launched := snapshotOn(net, core.EvLaunch)
+		id1 := net.Inject(src*cfg.CoresPerNode, 0, router.ClassData, 0).ID
+		id2 := net.Inject(src*cfg.CoresPerNode, 0, router.ClassData, 0).ID
+		for i := 0; i < 80 && len(launched.byID) < 2; i++ {
 			net.Step()
 		}
-		if p2.FirstSentAt < 0 {
+		if len(launched.byID) < 2 {
 			t.Fatalf("src %d: second packet never launched", src)
 		}
+		p1, p2 := launched.byID[id1], launched.byID[id2]
 		// ACK arrives at p1.FirstSentAt + R + 1; p2 becomes ready that
 		// cycle and, with tokens streaming every cycle, launches in the
 		// next token opportunity (the same or next cycle).
@@ -63,14 +65,16 @@ func TestTokenChannelReimburseOnlyAtHome(t *testing.T) {
 	// packet can only launch after (a) the first is delivered and ejected
 	// and (b) the token has passed home to collect the credit and come
 	// back around to node 1.
-	p1 := net.Inject(1, 0, router.ClassData, 0)
-	p2 := net.Inject(1, 0, router.ClassData, 0)
-	for i := 0; i < 200 && p2.FirstSentAt < 0; i++ {
+	launched := snapshotOn(net, core.EvLaunch)
+	id1 := net.Inject(1, 0, router.ClassData, 0).ID
+	id2 := net.Inject(1, 0, router.ClassData, 0).ID
+	for i := 0; i < 200 && len(launched.byID) < 2; i++ {
 		net.Step()
 	}
-	if p1.FirstSentAt < 0 || p2.FirstSentAt < 0 {
+	if len(launched.byID) < 2 {
 		t.Fatal("packets never launched")
 	}
+	p1, p2 := launched.byID[id1], launched.byID[id2]
 	gap := p2.FirstSentAt - p1.FirstSentAt
 	// Lower bound: delivery of p1 (flight 8 from offset 1) plus the
 	// token's return to home and travel back to node 1 — more than one

@@ -75,14 +75,29 @@ type Packet struct {
 	Measured bool
 
 	Class Class
+	// holders counts the places in internal/core's engine that hold the
+	// packet now: injection pipeline, output port, each copy on a waveguide,
+	// home input buffer. The engine recycles the packet when Drop takes it
+	// to zero (DESIGN.md, "Packet lifetime"); mesh and swmr never touch it.
+	holders int32
 	// Tag carries workload-defined context (e.g. the MSHR id of the
 	// memory transaction a request belongs to).
 	Tag uint64
 }
 
-// NewPacket returns a packet with all timestamps unset.
+// NewPacket returns a packet with all timestamps unset, held once by its
+// creator.
 func NewPacket(id uint64, src, dst int, created int64) *Packet {
-	return &Packet{
+	p := new(Packet)
+	p.Reset(id, src, dst, created)
+	return p
+}
+
+// Reset starts the packet's life over. Every field is assigned: a stale
+// AcceptedAt would make a recycled packet's next life a "duplicate", a
+// stale FirstSentAt its first launch a retransmission.
+func (p *Packet) Reset(id uint64, src, dst int, created int64) {
+	*p = Packet{
 		ID:  id,
 		Src: src, Dst: dst,
 		CreatedAt:   created,
@@ -92,7 +107,20 @@ func NewPacket(id uint64, src, dst int, created int64) *Packet {
 		SentAt:      -1,
 		DeliveredAt: -1,
 		AcceptedAt:  -1,
+		holders:     1,
 	}
+}
+
+// Hold records one more holder of the packet.
+func (p *Packet) Hold() { p.holders++ }
+
+// Drop records that one holder let go and reports whether it was the last.
+func (p *Packet) Drop() bool {
+	p.holders--
+	if p.holders < 0 {
+		panic("router: packet dropped by more holders than held it")
+	}
+	return p.holders == 0
 }
 
 // Latency returns the end-to-end packet latency; it panics when the packet

@@ -82,7 +82,13 @@ func NewNetwork(cfg Config, w Window) (*Network, error) { return core.NewNetwork
 type Result = core.Result
 
 // Packet is the single-flit transfer unit; delivered packets carry their
-// full timestamp history.
+// full timestamp history. A *Packet belongs to the network that injected
+// it: the pointer Inject returns is valid until the packet is delivered,
+// rejected or lost, and the one handed to OnDeliver or a Tracer is valid for
+// the duration of that call — after that the network recycles it for a
+// later injection, so copy the struct (or the fields you need) to keep it.
+// Reset, Hold and Drop are the engine's side of that contract, not the
+// caller's.
 type Packet = router.Packet
 
 // Packet classes for closed-loop workloads.

@@ -21,7 +21,10 @@
 //
 //	sweep -farm figures -quick -manifest run.jsonl   # full quick grid, journalled
 //	sweep -farm figures -quick -manifest run.jsonl -resume   # pick up after a crash
-//	sweep -farm fig8:UR -farm-shards                 # one subprocess per point
+//
+// The farm flags (-manifest, -resume, -fsync, -max-attempts, -farm-workers,
+// -farm-timeout) need -farm, and -resume and -fsync need -manifest; an
+// out-of-range value is a usage error, never a silent default.
 //
 // Any run takes -cpuprofile and -memprofile (pprof files; stdout is
 // unchanged by them).
@@ -53,12 +56,21 @@ var errQuarantined = errors.New("farm grid incomplete")
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	// The study parameters are declared first and alone, so that what is
-	// registered at this point is exactly the set a row may read.
+	// The study parameters are declared first and alone, then the farm's
+	// flags, so that each group is exactly the set a row, or -farm, reads.
 	var params exp.Params
 	params.Register(fs)
 	isParam := map[string]bool{}
 	fs.VisitAll(func(f *flag.Flag) { isParam[f.Name] = true })
+	var fcfg farm.Config
+	fs.StringVar(&fcfg.Manifest, "manifest", "", "journal farm progress to this file (crash-safe JSONL)")
+	fs.BoolVar(&fcfg.Resume, "resume", false, "resume a farm run from its manifest, skipping completed points")
+	fs.BoolVar(&fcfg.Sync, "fsync", false, "farm: fsync the manifest after every record")
+	fs.IntVar(&fcfg.MaxAttempts, "max-attempts", 3, "farm: attempts per point before quarantine")
+	fs.IntVar(&fcfg.Workers, "farm-workers", 0, "farm: concurrent workers (0 = GOMAXPROCS)")
+	fs.DurationVar(&fcfg.PointTimeout, "farm-timeout", 0, "farm: per-point deadline (0 = none)")
+	isFarm := map[string]bool{}
+	fs.VisitAll(func(f *flag.Flag) { isFarm[f.Name] = !isParam[f.Name] })
 	var (
 		study = fs.String("study", "", "run one study of the catalog (see -list)")
 		list  = fs.Bool("list", false, "print the study catalog: name, id, paper artefact, parameters, results file")
@@ -71,19 +83,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		memProfile = fs.String("memprofile", "", "write a heap profile to this file when the run ends")
 
 		farmGridFlag = fs.String("farm", "", "run a named point grid under the supervised sweep farm: "+strings.Join(exp.GridNames(), ", "))
-		manifest     = fs.String("manifest", "", "journal farm progress to this file (crash-safe JSONL)")
-		resume       = fs.Bool("resume", false, "resume a farm run from its manifest, skipping completed points")
-		maxAttempts  = fs.Int("max-attempts", 3, "farm: attempts per point before quarantine")
-		farmWorkers  = fs.Int("farm-workers", 0, "farm: concurrent workers (0 = GOMAXPROCS)")
-		farmShards   = fs.Bool("farm-shards", false, "farm: run each point in its own subprocess (OS-level isolation)")
-		farmTimeout  = fs.Duration("farm-timeout", 0, "farm: per-point deadline (0 = none)")
-		fsync        = fs.Bool("fsync", false, "farm: fsync the manifest after every record")
-
-		// Hidden worker mode: the supervisor re-invokes this binary as
-		// `sweep -farm-worker -farm-grid <name> -farm-point <i> [...]`.
-		workerMode  = fs.Bool("farm-worker", false, "internal: run one farm point and print its result line")
-		workerGrid  = fs.String("farm-grid", "", "internal: grid name for -farm-worker")
-		workerPoint = fs.Int("farm-point", -1, "internal: point index for -farm-worker")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -102,7 +101,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		name string
 		on   bool
 	}{
-		{"farm-worker", *workerMode}, {"farm", *farmGridFlag != ""}, {"study", *study != ""}, {"list", *list},
+		{"farm", *farmGridFlag != ""}, {"study", *study != ""}, {"list", *list},
 	} {
 		if !m.on {
 			continue
@@ -120,7 +119,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return usage("nothing to run: give one of -list, -study, -farm")
 	}
 
-	// A parameter flag must be one the selected row reads.
+	// A parameter flag must be one the selected row reads, and a farm
+	// flag needs -farm.
 	var row exp.Study
 	if mode == "study" {
 		var err error
@@ -129,13 +129,30 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	var unread []string
+	orphan := ""
 	fs.Visit(func(f *flag.Flag) {
-		if isParam[f.Name] && !slices.Contains(row.Params, f.Name) {
+		switch {
+		case isParam[f.Name] && !slices.Contains(row.Params, f.Name):
 			unread = append(unread, "-"+f.Name)
+		case isFarm[f.Name] && mode != "farm" && orphan == "":
+			orphan = f.Name
 		}
 	})
-	if len(unread) > 0 {
+	switch {
+	case len(unread) > 0:
 		return usage("%s does not read %s (see -list)", strings.TrimSpace("-"+mode+" "+*study+*farmGridFlag), strings.Join(unread, ", "))
+	case orphan != "":
+		return usage("-%s needs -farm", orphan)
+	case fcfg.Resume && fcfg.Manifest == "":
+		return usage("-resume needs -manifest")
+	case fcfg.Sync && fcfg.Manifest == "":
+		return usage("-fsync needs -manifest")
+	case fcfg.MaxAttempts < 1:
+		return usage("-max-attempts must be >= 1, got %d", fcfg.MaxAttempts)
+	case fcfg.Workers < 0:
+		return usage("-farm-workers must be >= 0, got %d", fcfg.Workers)
+	case fcfg.PointTimeout < 0:
+		return usage("-farm-timeout must be >= 0, got %v", fcfg.PointTimeout)
 	}
 	if params.Load == 0 {
 		params.Load = row.Load
@@ -154,13 +171,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	switch mode {
-	case "farm-worker":
-		err = farm.RunWorker(stdout, *workerGrid, *workerPoint, opts)
 	case "farm":
-		err = runFarm(out, stderr, *farmGridFlag, opts, *farmShards, farm.Config{
-			Workers: *farmWorkers, MaxAttempts: *maxAttempts, PointTimeout: *farmTimeout,
-			Manifest: *manifest, Resume: *resume, Sync: *fsync,
-		})
+		err = runFarm(out, stderr, *farmGridFlag, opts, fcfg)
 	case "list":
 		err = out.Table(exp.CatalogTable())
 	default:
@@ -181,22 +193,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 // runFarm executes a named grid under the supervised farm and renders
 // the per-point summaries, the merged grid digest, and any quarantine
 // report; errQuarantined signals an incomplete (quarantined) grid.
-func runFarm(out *exp.Output, stderr io.Writer, gridName string, opts exp.Options, shards bool, cfg farm.Config) error {
+func runFarm(out *exp.Output, stderr io.Writer, gridName string, opts exp.Options, cfg farm.Config) error {
 	g, err := farm.Build(gridName, opts)
 	if err != nil {
 		return err
-	}
-	if shards {
-		// A shard is this binary re-invoked with the flags that shape a point.
-		self, err := os.Executable()
-		if err != nil {
-			return fmt.Errorf("sweep: resolving own binary for shards: %w", err)
-		}
-		extra := []string{"-seed", fmt.Sprint(opts.Seed)}
-		if opts.Quick {
-			extra = append(extra, "-quick")
-		}
-		cfg.Exec = farm.SelfExec(self, extra...)
 	}
 	start := time.Now()
 	rep, err := farm.Run(g, cfg)

@@ -119,6 +119,17 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"-study", "swmr", "-load", "0.1", "-cycles", "9"}, "-study swmr does not read -cycles, -load"},
 		{[]string{"-workload", "bursty", "-farm", "slo"}, "-farm slo does not read -workload"},
 		{[]string{"-list", "-o", "x.phtr"}, "-list does not read -o"},
+		// The subprocess-shard path is gone, not aliased.
+		{[]string{"-farm-worker", "-farm-grid", "fig8:UR", "-farm-point", "9999", "-quick"}, "not defined: -farm-worker"},
+		{[]string{"-farm", "fig8:UR", "-quick", "-farm-shards"}, "not defined: -farm-shards"},
+		// A farm flag without -farm, or one -farm cannot honour.
+		{[]string{"-list", "-resume"}, "-resume needs -farm"},
+		{[]string{"-study", "fig2b", "-quick", "-manifest", "x.jsonl", "-max-attempts", "-4", "-farm-workers", "-2"}, "-farm-workers needs -farm"},
+		{[]string{"-farm", "fig2b", "-quick", "-resume", "-max-attempts", "-1", "-farm-workers", "-7", "-farm-timeout", "-5s"}, "-resume needs -manifest"},
+		{[]string{"-farm", "fig2b", "-quick", "-fsync"}, "-fsync needs -manifest"},
+		{[]string{"-farm", "fig2b", "-quick", "-max-attempts", "0"}, "-max-attempts must be >= 1, got 0"},
+		{[]string{"-farm", "fig2b", "-quick", "-farm-workers", "-2"}, "-farm-workers must be >= 0, got -2"},
+		{[]string{"-farm", "fig2b", "-quick", "-farm-timeout", "-5s"}, "-farm-timeout must be >= 0, got -5s"},
 	}
 	for _, tc := range cases {
 		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
@@ -148,7 +159,6 @@ func TestRunErrors(t *testing.T) {
 		{[]string{"-study", "workload", "-quick"}, "empty workload spec"},
 		{[]string{"-farm", "no-such-grid", "-quick"}, "no-such-grid"},
 		{[]string{"-farm", "claims", "-quick"}, `unknown grid "claims"`},
-		{[]string{"-farm-worker", "-farm-grid", "fig8:UR", "-farm-point", "9999", "-quick"}, "9999"},
 		{[]string{"-study", "trace-gen", "-workload", "no-such-app"}, "no-such-app"},
 		{[]string{"-study", "trace-gen", "-workload", "nas-cg", "-o", "/no/such/dir/cg.phtr"}, "/no/such/dir/cg.phtr"},
 		{[]string{"-study", "trace-dump", "-o", "/no/such/dir/cg.phtr"}, "/no/such/dir/cg.phtr"},

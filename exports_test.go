@@ -199,8 +199,8 @@ var optionStructs = []string{
 
 // fieldWithoutSetter is the allowlist of TestOptionFieldsHaveSetters:
 // option-struct fields no non-test code sets, each with the test or
-// battery that needs the knob, or "pending: ..." for one whose removal is
-// queued.
+// battery that needs the knob. There is no third kind: a field no test
+// needs is deleted, not queued ("pending: ..." entries fail the test).
 var fieldWithoutSetter = map[string]string{
 	// Knobs a test or battery turns.
 	"core.Config.DisableSkipAhead":       "the reference path of the skip-ahead equivalence battery (TestSkipAheadEquivalence, TestSkipAheadTapeEquivalence, FuzzSkipAheadEquivalence)",
@@ -226,14 +226,6 @@ var fieldWithoutSetter = map[string]string{
 	"mesh.Config.RouterPipeline": "model constant (2-cycle router, as on the ring); TestConfigValidation guards it",
 	"mesh.Config.LinkLatency":    "model constant (1-cycle links); TestConfigValidation guards it",
 	"swmr.Config.EjectRate":      "model constant mirrored from core.Config; TestConfigValidation guards it",
-
-	// Queued for deletion: no test needs a non-default value.
-	"core.Config.MaxTokenHold":           "pending: only TestMaxTokenHoldCapsBurst (and the config fuzzers) set it; deleting it touches the engine's held-token launch and a fuzz corpus",
-	"core.RecoveryConfig.RetxTimeout":    "pending: 0 derives the timeout in every run; only TestConfigValidateFaultBlock sets it, to invalid values",
-	"core.RecoveryConfig.RetxBackoffCap": "pending: 0 derives 4 in every run; only TestConfigValidateFaultBlock sets it, to an invalid value",
-	"swmr.Config.EjectLatency":           "pending: mirrored from core.Config, set by nothing",
-	"swmr.Config.RouterPipeline":         "pending: mirrored from core.Config, set by nothing",
-	"swmr.Config.QueueCap":               "pending: mirrored from core.Config; only TestConfigValidation sets it, to an invalid value",
 }
 
 // TestOptionFieldsHaveSetters extends the export census from functions
@@ -241,7 +233,9 @@ var fieldWithoutSetter = map[string]string{
 // outside the default-filling functions of its own package (DefaultConfig,
 // withDefaults, ...) — is a knob only tests turn. Like the census above it
 // matches by name: `x.F = v` and `&x.F` count for every listed struct with
-// a field F; a keyed literal counts for the struct it names.
+// a field F; a keyed literal counts for the struct it names. An allowlist
+// entry must name the test or battery that needs the knob; one marked
+// "pending:" fails, so a field without a consumer is deleted, not queued.
 func TestOptionFieldsHaveSetters(t *testing.T) {
 	files, filePkg := parseTree(t)
 	fields := map[string][]string{} // field name -> the pkg.Type keys declaring it
@@ -346,9 +340,12 @@ func TestOptionFieldsHaveSetters(t *testing.T) {
 			unset = append(unset, key)
 		}
 	}
-	for key := range fieldWithoutSetter {
+	for key, reason := range fieldWithoutSetter {
 		if !declared[key] {
 			t.Errorf("allowlist entry %s names no exported field of an option struct", key)
+		}
+		if strings.HasPrefix(reason, "pending:") {
+			t.Errorf("%s is allowlisted as pending: name the test that needs the knob, or delete the field", key)
 		}
 	}
 	sort.Strings(unset)

@@ -46,10 +46,6 @@ type Config struct {
 	// EjectLatency is the electrical ejection latency in cycles (1).
 	EjectLatency int
 
-	// MaxTokenHold caps consecutive sends per global-token grab
-	// (0 = unbounded; credit and setaside limits bound it naturally).
-	MaxTokenHold int
-
 	// Fairness configures the contended-channel service-quota policy
 	// (the "well-served nodes sit on their hands" idea of Fair Slot).
 	Fairness arbiter.FairnessConfig
@@ -80,22 +76,20 @@ type Config struct {
 	Recovery RecoveryConfig
 }
 
-// RecoveryConfig tunes the fault-recovery protocol. All windows are in
-// cycles; zeros select defaults derived from the loop round trip R.
+// RecoveryConfig tunes the fault-recovery protocol. Windows are in
+// cycles; zero selects a default derived from the loop round trip R.
+//
+// The sender timeout is not a knob: a launch with no ACK/NACK after
+// 2*(R+2) cycles — comfortably above the fixed R+1 answer delay, so a
+// healthy handshake can never time out — is assumed lost and
+// retransmitted, and each consecutive timeout doubles that window, up to
+// 2*(R+2) << retxBackoffCap.
 type RecoveryConfig struct {
 	// Enabled arms sender retransmit timers and home watchdogs. With no
 	// faults configured the machinery is provably inert: timers are always
 	// answered before their deadline and watchdogs always observe token
 	// activity, so run digests are bit-identical to recovery-off runs.
 	Enabled bool
-	// RetxTimeout is the base sender timeout: cycles after a launch with
-	// no ACK/NACK before the sender assumes the answer (or the packet) was
-	// lost and retransmits. 0 derives 2*(R+2), comfortably above the fixed
-	// R+1 answer delay so a healthy handshake can never time out.
-	RetxTimeout int
-	// RetxBackoffCap caps the exponential backoff: the effective timeout
-	// is RetxTimeout << min(consecutiveTimeouts, cap). 0 derives 4.
-	RetxBackoffCap int
 	// WatchdogWindow is how many cycles of arbitration silence (no token
 	// pass and no arrival at home) a globally arbitrated channel tolerates
 	// before the home node regenerates the token. 0 derives 4R+8, above
@@ -105,21 +99,9 @@ type RecoveryConfig struct {
 	WatchdogWindow int
 }
 
-// retxTimeoutBase resolves the sender timeout default.
-func (c Config) retxTimeoutBase() int64 {
-	if c.Recovery.RetxTimeout > 0 {
-		return int64(c.Recovery.RetxTimeout)
-	}
-	return int64(2 * (c.RoundTrip + 2))
-}
-
-// retxBackoffCap resolves the backoff-shift cap default.
-func (c Config) retxBackoffCap() int {
-	if c.Recovery.RetxBackoffCap > 0 {
-		return c.Recovery.RetxBackoffCap
-	}
-	return 4
-}
+// retxBackoffCap caps the sender timeout's exponential backoff shift
+// (see RecoveryConfig).
+const retxBackoffCap = 4
 
 // watchdogWindow resolves the token-watchdog silence window default.
 func (c Config) watchdogWindow() int64 {
@@ -145,7 +127,6 @@ func DefaultConfig(s Scheme) Config {
 		EjectStallProb:  0,
 		RouterPipeline:  2,
 		EjectLatency:    1,
-		MaxTokenHold:    0,
 		Fairness:        arbiter.DefaultFairness(),
 		CheckInvariants: true,
 		Seed:            1,
@@ -210,9 +191,6 @@ func (c Config) Validate() error {
 	if c.EjectLatency < 0 || c.EjectLatency > maxDepth {
 		return fmt.Errorf("core: eject latency must be in [0, %d], got %d", maxDepth, c.EjectLatency)
 	}
-	if c.MaxTokenHold < 0 {
-		return fmt.Errorf("core: max token hold must be >= 0, got %d", c.MaxTokenHold)
-	}
 	// Fault rates are validated whenever the block is enabled — NaN or
 	// out-of-[0,1] rates must fail here, not surface as skewed Bernoulli
 	// draws deep in a run (mirrors the EjectStallProb check above).
@@ -220,18 +198,6 @@ func (c Config) Validate() error {
 		if err := c.Fault.Validate(); err != nil {
 			return err
 		}
-	}
-	if c.Recovery.RetxTimeout < 0 || c.Recovery.RetxTimeout > maxDepth {
-		return fmt.Errorf("core: retransmit timeout must be in [0, %d], got %d", maxDepth, c.Recovery.RetxTimeout)
-	}
-	if c.Recovery.Enabled && c.Recovery.RetxTimeout > 0 && c.Recovery.RetxTimeout <= c.RoundTrip+1 {
-		// A handshake answer arrives exactly R+1 cycles after launch; a
-		// timeout at or below that would fire on every healthy send.
-		return fmt.Errorf("core: retransmit timeout %d must exceed the handshake answer delay R+1 = %d",
-			c.Recovery.RetxTimeout, c.RoundTrip+1)
-	}
-	if c.Recovery.RetxBackoffCap < 0 || c.Recovery.RetxBackoffCap > 32 {
-		return fmt.Errorf("core: retransmit backoff cap must be in [0, 32], got %d", c.Recovery.RetxBackoffCap)
 	}
 	if c.Recovery.WatchdogWindow < 0 || c.Recovery.WatchdogWindow > maxDepth {
 		return fmt.Errorf("core: watchdog window must be in [0, %d], got %d", maxDepth, c.Recovery.WatchdogWindow)

@@ -16,18 +16,18 @@ import (
 // over-allocated) mid-run.
 func FuzzConfigValidate(f *testing.F) {
 	// The paper's default, each scheme, and known-nasty inputs.
-	f.Add(64, 4, 8, 0, 8, 4, 0, 1, 0.0, 2, 1, 0, uint64(1))
-	f.Add(64, 4, 8, 6, 8, 4, 0, 1, 0.5, 2, 1, 0, uint64(7))
-	f.Add(16, 1, 4, 4, 1, 1, 2, 1, 0.9, 0, 0, 3, uint64(0))
-	f.Add(2, 1, 1, 2, 1, 1, 0, 1, 0.0, 0, 0, 0, uint64(0))
-	f.Add(-64, -4, -8, -1, -8, -4, -1, -1, -0.5, -2, -1, -1, uint64(1))
-	f.Add(1<<30, 1<<30, 8, 1, 8, 4, 0, 1, 0.0, 2, 1, 0, uint64(1))
+	f.Add(64, 4, 8, 0, 8, 4, 0, 1, 0.0, 2, 1, uint64(1))
+	f.Add(64, 4, 8, 6, 8, 4, 0, 1, 0.5, 2, 1, uint64(7))
+	f.Add(16, 1, 4, 4, 1, 1, 2, 1, 0.9, 0, 0, uint64(0))
+	f.Add(2, 1, 1, 2, 1, 1, 0, 1, 0.0, 0, 0, uint64(0))
+	f.Add(-64, -4, -8, -1, -8, -4, -1, -1, -0.5, -2, -1, uint64(1))
+	f.Add(1<<30, 1<<30, 8, 1, 8, 4, 0, 1, 0.0, 2, 1, uint64(1))
 	nan := 0.0
 	nan /= nan
-	f.Add(64, 4, 8, 1, 8, 4, 0, 1, nan, 2, 1, 0, uint64(1))
+	f.Add(64, 4, 8, 1, 8, 4, 0, 1, nan, 2, 1, uint64(1))
 
 	f.Fuzz(func(t *testing.T, nodes, cores, rt, scheme, bufDepth, setaside, queueCap, ejectRate int,
-		stallProb float64, routerPipe, ejectLat, maxHold int, seed uint64) {
+		stallProb float64, routerPipe, ejectLat int, seed uint64) {
 		cfg := core.Config{
 			Nodes:           nodes,
 			CoresPerNode:    cores,
@@ -40,7 +40,6 @@ func FuzzConfigValidate(f *testing.F) {
 			EjectStallProb:  stallProb,
 			RouterPipeline:  routerPipe,
 			EjectLatency:    ejectLat,
-			MaxTokenHold:    maxHold,
 			Fairness:        arbiter.DefaultFairness(),
 			CheckInvariants: true,
 			Seed:            seed,

@@ -96,7 +96,6 @@ type Network struct {
 	faults     *fault.Injector
 	recoveryOn bool
 	retxBase   int64 // sender timeout base (cycles)
-	backoffCap int   // max backoff shift
 	watchdog   int64 // global-token silence window (cycles)
 	onTimeout  func(*router.Packet)
 
@@ -168,8 +167,6 @@ type channel struct {
 	// suppress blocks this cycle's token emission after a reinjection
 	// (DHS with circulation: the home "virtually consumes" the token).
 	suppress bool
-	// holdCount counts consecutive sends under the current global grab.
-	holdCount int
 
 	// Fault-injection state. lastActivity is the last cycle the home node
 	// observed arbitration life on a global channel (a token pass or a
@@ -232,8 +229,7 @@ func NewNetwork(cfg Config, window sim.Window) (*Network, error) {
 	n.skipOK = !cfg.DisableSkipAhead && n.faults == nil && cfg.EjectStallProb == 0
 	if cfg.Recovery.Enabled {
 		n.recoveryOn = true
-		n.retxBase = cfg.retxTimeoutBase()
-		n.backoffCap = cfg.retxBackoffCap()
+		n.retxBase = int64(2 * (cfg.RoundTrip + 2)) // see RecoveryConfig
 		n.watchdog = cfg.watchdogWindow()
 		n.onTimeout = func(pkt *router.Packet) {
 			n.stats.TimeoutRetransmits++
@@ -652,7 +648,7 @@ func (n *Network) launch(nd *nodeState, q *queueState, c *channel, pkt *router.P
 		pkt.Hold()
 		n.holders++
 		if n.recoveryOn {
-			q.out.Arm(pkt, n.now, n.retxBase, n.backoffCap)
+			q.out.Arm(pkt, n.now, n.retxBase, retxBackoffCap)
 		}
 	}
 	n.emit(EvLaunch, pkt)

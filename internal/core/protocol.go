@@ -216,7 +216,6 @@ func (n *Network) captureGlobal(c *channel, id int, rc *flow.RelayedCredits) boo
 	}
 	c.fair.OnCapture(id)
 	nd.holding = c.home
-	c.holdCount = 0
 	n.emitTapMeta(EvTokenCapture, tokenAux(id, c.home))
 	return true
 }
@@ -403,25 +402,15 @@ func bindHeldLaunch(n *Network, c *channel, rc *flow.RelayedCredits) func(now in
 			n.emitTapMeta(EvTokenRelease, tokenAux(nd.id, c.home))
 			return
 		}
-		canHold := n.cfg.MaxTokenHold == 0 || c.holdCount < n.cfg.MaxTokenHold
-		var (
-			q   *queueState
-			pkt *router.Packet
-		)
-		if canHold {
-			_, q, pkt = n.pickQueue(nd, c.home)
-		}
+		_, q, pkt := n.pickQueue(nd, c.home)
 		if pkt != nil && (rc == nil || rc.Spend()) {
 			n.launch(nd, q, c, pkt)
-			c.holdCount++
 			// Wave-pipelined release: the re-emitted token rides just
 			// behind the data flit, so a holder with nothing more to send
 			// frees the token in the send cycle rather than one cycle
 			// later — without this, global arbitration caps at half the
 			// channel's wave-pipelined capacity.
-			keep := n.wants(c.home, nd.id) &&
-				(n.cfg.MaxTokenHold == 0 || c.holdCount < n.cfg.MaxTokenHold) &&
-				(rc == nil || rc.OnToken() > 0)
+			keep := n.wants(c.home, nd.id) && (rc == nil || rc.OnToken() > 0)
 			if !keep {
 				c.glob.Release()
 				nd.holding = -1

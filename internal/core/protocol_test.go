@@ -445,42 +445,6 @@ func TestGHSBurstBoundedBySetaside(t *testing.T) {
 	}
 }
 
-// TestMaxTokenHoldCapsBurst: the explicit hold cap must bound a Token
-// Channel holder's burst even when credits would allow more.
-func TestMaxTokenHoldCapsBurst(t *testing.T) {
-	cfg := core.DefaultConfig(core.TokenChannel)
-	cfg.Nodes = 8
-	cfg.CoresPerNode = 1
-	cfg.RoundTrip = 8
-	cfg.MaxTokenHold = 2
-	cfg.Fairness.Enabled = false
-	net, err := core.NewNetwork(cfg, sim.Window{Warmup: 0, Measure: 1 << 20, Drain: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	launched := snapshotOn(net, core.EvLaunch)
-	var ids []uint64
-	for i := 0; i < 6; i++ {
-		ids = append(ids, net.Inject(1, 0, router.ClassData, 0).ID)
-	}
-	for i := 0; i < 2*cfg.RoundTrip; i++ {
-		net.Step()
-	}
-	burst := 1
-	for i := 1; i < len(ids); i++ {
-		prev, ok0 := launched.byID[ids[i-1]]
-		cur, ok1 := launched.byID[ids[i]]
-		if ok0 && ok1 && cur.FirstSentAt == prev.FirstSentAt+1 {
-			burst++
-		} else {
-			break
-		}
-	}
-	if burst != 2 {
-		t.Fatalf("burst %d launches, want MaxTokenHold 2", burst)
-	}
-}
-
 // TestOnDeliverHook: the delivery callback fires exactly once per packet.
 func TestOnDeliverHook(t *testing.T) {
 	cfg := core.DefaultConfig(core.TokenSlot)

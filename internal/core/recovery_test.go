@@ -299,9 +299,6 @@ func TestConfigValidateFaultBlock(t *testing.T) {
 		{"negative rate", func(c *core.Config) { c.Fault.Data.Rate = -0.1 }},
 		{"nan rate", func(c *core.Config) { c.Fault.Pulse.Rate = nan }},
 		{"negative warmup", func(c *core.Config) { c.Fault.Warmup = -5 }},
-		{"timeout below answer delay", func(c *core.Config) { c.Recovery.RetxTimeout = 3 }},
-		{"negative timeout", func(c *core.Config) { c.Recovery.RetxTimeout = -1 }},
-		{"backoff cap out of range", func(c *core.Config) { c.Recovery.RetxBackoffCap = 64 }},
 		{"negative watchdog", func(c *core.Config) { c.Recovery.WatchdogWindow = -1 }},
 	}
 	for _, tc := range cases {

@@ -84,7 +84,6 @@ func TestConfigValidation(t *testing.T) {
 		{"stall", func(c *core.Config) { c.EjectStallProb = 1 }},
 		{"pipeline", func(c *core.Config) { c.RouterPipeline = -1 }},
 		{"ejectlat", func(c *core.Config) { c.EjectLatency = -1 }},
-		{"hold", func(c *core.Config) { c.MaxTokenHold = -1 }},
 	}
 	for _, m := range mods {
 		cfg := core.DefaultConfig(core.DHS)

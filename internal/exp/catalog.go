@@ -162,7 +162,7 @@ func GridNames() []string {
 
 // FigurePoints builds the named grid from its catalog row. The point
 // order is deterministic — it is the grid's identity: the farm keys its
-// manifest entries by index and Point.String, and a subprocess shard
+// manifest entries by index and Point.String, and a resumed run
 // re-derives point i by rebuilding the same grid from the same name and
 // options.
 func FigurePoints(name string, opts Options) ([]Point, error) {

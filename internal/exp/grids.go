@@ -9,8 +9,8 @@ import (
 
 // This file holds the point-list builders the catalog's grid-backed rows
 // name: each builds a deterministically ordered []Point from the options
-// alone, so the sweep farm (internal/farm) can shard a grid across workers
-// or subprocess shards and rebuild exactly the same grid from its name.
+// alone, so the sweep farm (internal/farm) can spread a grid across
+// workers and, on resume, rebuild exactly the same grid from its name.
 // A row's driver runs the same list its Grid returns (catalog.go).
 
 // overLoads is one series of a latency-vs-load grid: p at every load.

@@ -5,8 +5,8 @@ import "testing"
 // TestFigureGridsBuild pins the named-grid registry: every advertised
 // grid builds non-empty, unknown names are rejected, and the combined
 // "figures" grid is exactly the concatenation of the individual grids in
-// registry order — the property the farm's resumable manifests and
-// subprocess shards rely on to rebuild identical grids by name.
+// registry order — the property the farm's resumable manifests rely on
+// to rebuild identical grids by name.
 func TestFigureGridsBuild(t *testing.T) {
 	opts := quickOpts()
 	total := 0

@@ -1,26 +1,21 @@
 package farm
 
 import (
-	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"testing"
 	"time"
-
-	"photon/internal/exp"
 )
 
 // The crash/resume battery uses the stdlib's helper-process pattern: the
 // test re-executes its own binary with an env var selecting a helper
 // "test" that runs a farm, SIGKILLs it mid-grid, then resumes from the
 // manifest in-process and checks the merged grid digest against a fresh
-// serial run — the acceptance criterion of the sharded-sweep-farm issue.
+// serial run — a whole-process crash costs no completed point and no bit
+// of the grid digest.
 
-const (
-	crashHelperEnv = "PHOTON_FARM_CRASH_MANIFEST"
-	shardHelperEnv = "PHOTON_FARM_SHARD_SPEC"
-)
+const crashHelperEnv = "PHOTON_FARM_CRASH_MANIFEST"
 
 // crashGrid must be identical in the helper child and the resuming
 // parent: same construction, same options, same fingerprint.
@@ -127,106 +122,5 @@ func TestFarmCrashResume(t *testing.T) {
 	}
 	if again.Ran != 0 || again.GridDigest() != want {
 		t.Fatalf("second resume re-ran %d points (digest %016x, want %016x)", again.Ran, again.GridDigest(), want)
-	}
-}
-
-// TestFarmShardHelper is the subprocess body for the shard test: run one
-// point of a named grid in worker mode, exactly as `sweep -farm-worker`
-// does.
-func TestFarmShardHelper(t *testing.T) {
-	spec := os.Getenv(shardHelperEnv)
-	if spec == "" {
-		t.Skip("helper process body; driven by TestFarmSubprocessShards")
-	}
-	var (
-		grid string
-		idx  int
-		seed uint64
-	)
-	if _, err := fmt.Sscanf(spec, "%s %d %d", &grid, &idx, &seed); err != nil {
-		t.Fatalf("bad shard spec %q: %v", spec, err)
-	}
-	opts := exp.QuickOptions()
-	opts.Seed = seed
-	if err := RunWorker(os.Stdout, grid, idx, opts); err != nil {
-		t.Fatalf("worker: %v", err)
-	}
-}
-
-func TestFarmSubprocessShards(t *testing.T) {
-	if testing.Short() {
-		t.Skip("subprocess shard battery skipped in -short mode")
-	}
-	opts := exp.QuickOptions()
-	opts.Seed = 3
-	g, err := Build("fig2b", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Shard only a slice of the figure grid to keep process count modest.
-	sub := Grid{Name: g.Name, Points: g.Points[:8], Opts: g.Opts}
-
-	cfg := Config{
-		Workers:      4,
-		PointTimeout: 2 * time.Minute,
-		Exec: func(grid Grid, index int) (*exec.Cmd, error) {
-			cmd := exec.Command(os.Args[0], "-test.run=^TestFarmShardHelper$")
-			cmd.Env = append(os.Environ(),
-				fmt.Sprintf("%s=%s %d %d", shardHelperEnv, grid.Name, index, grid.Opts.Seed))
-			return cmd, nil
-		},
-	}
-	rep, err := Run(sub, cfg)
-	if err != nil {
-		t.Fatalf("sharded run: %v", err)
-	}
-	if !rep.Complete() {
-		t.Fatalf("sharded grid incomplete: %+v", rep.Quarantined())
-	}
-
-	o := sub.Opts
-	o.Parallel = 1
-	serial, err := exp.RunPoints(sub.Points, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, res := range serial {
-		if rep.Points[i].Digest != res.Digest {
-			t.Fatalf("shard point %d digest %016x != in-process %016x", i, rep.Points[i].Digest, res.Digest)
-		}
-		if rep.Points[i].Summary.Delivered != res.Delivered {
-			t.Fatalf("shard point %d summary skew: %+v vs %+v", i, rep.Points[i].Summary, res)
-		}
-	}
-}
-
-// TestWorkerGridSkewDetected pins the defence against a worker binary
-// that rebuilt a different grid: the echoed key must match.
-func TestWorkerGridSkewDetected(t *testing.T) {
-	opts := exp.QuickOptions()
-	g, err := Build("fig2b", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sum Summary
-	if _, _, err := parseWorkerLine([]byte(`{"key":"9999:bogus","digest":"1","summary":{}}`+"\n"), g.Key(0), nil); err == nil {
-		t.Fatalf("grid skew accepted: %+v", sum)
-	}
-	if _, _, err := parseWorkerLine([]byte("\n\n"), g.Key(0), nil); err == nil {
-		t.Fatal("empty worker output accepted")
-	}
-	if _, _, err := parseWorkerLine([]byte(`{"key":"`+g.Key(0)+`","digest":"zz","summary":{}}`), g.Key(0), nil); err == nil {
-		t.Fatal("bad digest accepted")
-	}
-}
-
-// TestWorkerPointIndexValidated pins RunWorker's range check.
-func TestWorkerPointIndexValidated(t *testing.T) {
-	opts := exp.QuickOptions()
-	if err := RunWorker(os.Stdout, "fig2b", 1<<20, opts); err == nil {
-		t.Fatal("out-of-range worker index accepted")
-	}
-	if err := RunWorker(os.Stdout, "no-such-grid", 0, opts); err == nil {
-		t.Fatal("unknown grid accepted")
 	}
 }

@@ -1,8 +1,8 @@
-// Package farm is the fault-tolerant sharded sweep runner: it executes
-// any []exp.Point grid through a supervised worker pool and an optional
-// durable job manifest, so that the multi-thousand-point regeneration
-// grids behind the paper's figures survive worker panics, hung points,
-// and whole-process crashes.
+// Package farm is the fault-tolerant sweep runner: it executes any
+// []exp.Point grid through a supervised in-process worker pool and an
+// optional durable job manifest, so that the multi-thousand-point
+// regeneration grids behind the paper's figures survive point panics,
+// hung points, and whole-process crashes.
 //
 // Supervision means four things, in order of escalation:
 //
@@ -11,16 +11,18 @@
 //     into a typed error carrying the point's identity; the rest of the
 //     grid keeps running;
 //   - deadlines — a point that exceeds Config.PointTimeout is abandoned
-//     (in-process) or killed (subprocess shard) and treated as failed;
+//     and treated as failed; its goroutine cannot be killed, so it runs
+//     out its fixed window in the background and its result is dropped;
 //   - retry with exponential backoff — a failed point is re-queued after
 //     Backoff.Delay(attempt), so transient failures heal themselves;
 //   - quarantine — after Config.MaxAttempts failures the point is marked
 //     quarantined and the grid completes without it, reported but never
 //     wedged.
 //
-// With Config.Manifest set, every terminal outcome is appended to a
-// crash-safe JSONL journal (see manifest.go). Killing the process at any
-// moment and re-running with Config.Resume skips the completed points;
+// A whole-process crash is answered by the manifest: with Config.Manifest
+// set, every terminal outcome is appended to a crash-safe JSONL journal
+// (see manifest.go). Killing the process at any moment and re-running
+// with Config.Resume skips the completed points;
 // the per-point digests recorded in the manifest merge — in grid index
 // order — into a grid digest that is byte-identical to a serial
 // single-process run of the same grid, extending the serial≡parallel
@@ -30,7 +32,6 @@ package farm
 import (
 	"errors"
 	"fmt"
-	"os/exec"
 	"runtime"
 	"time"
 
@@ -111,8 +112,8 @@ func (e *PointError) Error() string {
 
 func (e *PointError) Unwrap() error { return e.Err }
 
-// ErrPointTimeout marks an attempt abandoned (or, for a subprocess
-// shard, killed) after exceeding Config.PointTimeout.
+// ErrPointTimeout marks an attempt abandoned after exceeding
+// Config.PointTimeout.
 var ErrPointTimeout = errors.New("farm: point deadline exceeded")
 
 // Config tunes one farm run.
@@ -124,10 +125,9 @@ type Config struct {
 	MaxAttempts int
 	// Backoff is the retry schedule (zero value = 100ms base, 5s cap).
 	Backoff Backoff
-	// PointTimeout is the per-attempt deadline (0 = none). An in-process
-	// attempt that misses it is abandoned — its goroutine cannot be
-	// killed and its eventual result is discarded; a subprocess shard is
-	// killed outright.
+	// PointTimeout is the per-attempt deadline (0 = none). An attempt
+	// that misses it is abandoned — its goroutine cannot be killed and
+	// its eventual result is discarded.
 	PointTimeout time.Duration
 	// Manifest is the durable journal path ("" = in-memory only).
 	Manifest string
@@ -139,11 +139,6 @@ type Config struct {
 	// appends already survive a process kill; Sync extends that to
 	// power loss at the cost of one fsync per point.
 	Sync bool
-	// Exec, when set, isolates every point in its own subprocess shard:
-	// the returned command must run `sweep -farm-worker` (or equivalent)
-	// and print a WorkerResult line on stdout. The grid must be a named
-	// grid the worker can rebuild (see Build).
-	Exec func(grid Grid, index int) (*exec.Cmd, error)
 	// PostPoint, when set, observes every state change the supervisor
 	// records: a failed attempt (Status pending, LastError set), a
 	// completed point, or a quarantined one. Called from the supervisor
@@ -203,7 +198,8 @@ func (r *GridReport) Quarantined() []PointState {
 
 // GridDigest merges the done points' digests in grid index order. For a
 // Complete report it is byte-identical to SerialGridDigest of the same
-// grid, however the run was sharded, interrupted or resumed.
+// grid, however many workers ran it and however often it was interrupted
+// and resumed.
 func (r *GridReport) GridDigest() uint64 {
 	var ds []uint64
 	for i := range r.Points {
@@ -338,13 +334,9 @@ func Run(g Grid, cfg Config) (*GridReport, error) {
 	return rep, nil
 }
 
-// execPoint runs one attempt: in-process with panic containment by
-// default, or in a subprocess shard when cfg.Exec is set. The deadline,
-// if any, applies to the whole attempt.
+// execPoint runs one attempt in-process with panic containment. The
+// deadline, if any, applies to the whole attempt.
 func (cfg Config) execPoint(g Grid, idx int) (uint64, Summary, error) {
-	if cfg.Exec != nil {
-		return cfg.runShard(g, idx)
-	}
 	run := func() (core.Result, error) {
 		o := g.Opts
 		o.Parallel = 1

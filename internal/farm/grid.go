@@ -10,8 +10,8 @@ import (
 
 // Grid is a named, deterministically ordered sweep grid. The point order
 // IS the grid's identity: manifest keys embed the index, the grid digest
-// folds per-point digests in index order, and a subprocess shard
-// re-derives point i by rebuilding the same grid from Name and Opts.
+// folds per-point digests in index order, and a resumed run re-derives
+// point i by rebuilding the same grid from Name and Opts.
 type Grid struct {
 	Name   string
 	Points []exp.Point

@@ -8,6 +8,13 @@ import (
 	"photon/internal/sim"
 )
 
+// The electrical router latencies, in cycles, as on the MWSR ring: the
+// 2-stage injection pipeline and a 1-cycle ejection.
+const (
+	routerPipeline = 2
+	ejectLatency   = 1
+)
+
 // Network is one cycle-accurate SWMR simulation instance. Each node owns
 // the channel it writes (no sender arbitration, at most one launch per
 // node per cycle); receivers bound simultaneous arrivals with RxPorts and
@@ -95,7 +102,7 @@ func NewNetwork(cfg Config, window sim.Window) (*Network, error) {
 		window:  window,
 		stats:   newStats(window, cfg.Cores()),
 		rng:     sim.NewRNG(cfg.Seed),
-		injPipe: sim.NewDelayLine[*router.Packet](cfg.RouterPipeline + 2),
+		injPipe: sim.NewDelayLine[*router.Packet](routerPipeline + 2),
 	}
 	horizon := 2*cfg.RoundTrip + 6
 	n.nodes = make([]*nodeState, cfg.Nodes)
@@ -103,7 +110,7 @@ func NewNetwork(cfg Config, window sim.Window) (*Network, error) {
 	for i := 0; i < cfg.Nodes; i++ {
 		nd := &nodeState{id: i, queues: make([]*router.OutPort, cfg.CoresPerNode)}
 		for q := range nd.queues {
-			nd.queues[q] = router.NewOutPort(cfg.Scheme.sendPolicy(), cfg.QueueCap, cfg.SetasideSize)
+			nd.queues[q] = router.NewOutPort(cfg.Scheme.sendPolicy(), 0, cfg.SetasideSize)
 		}
 		n.nodes[i] = nd
 		n.rxs[i] = &rxState{
@@ -155,7 +162,7 @@ func (n *Network) Inject(srcCore, dstNode int, class router.Class, tag uint64) *
 		pkt.Measured = true
 		n.stats.InjectedMeasured++
 	}
-	n.injPipe.Schedule(n.now+int64(n.cfg.RouterPipeline), pkt)
+	n.injPipe.Schedule(n.now+routerPipeline, pkt)
 	return pkt
 }
 
@@ -264,7 +271,7 @@ func (n *Network) phaseEject(now int64) {
 			if n.cfg.Scheme == Reservation {
 				rx.free++
 			}
-			pkt.DeliveredAt = now + int64(n.cfg.EjectLatency)
+			pkt.DeliveredAt = now + ejectLatency
 			n.onDelivered(pkt)
 		}
 	}
@@ -414,16 +421,14 @@ func (n *Network) launch(nd *nodeState, q *router.OutPort, pkt *router.Packet, n
 func (n *Network) phasePipeline(now int64) {
 	for _, pkt := range n.injPipe.PopDue(now) {
 		if pkt.Dst == pkt.Src {
-			pkt.DeliveredAt = now + int64(n.cfg.EjectLatency)
+			pkt.DeliveredAt = now + ejectLatency
 			n.stats.LocalDelivered++
 			n.onDelivered(pkt)
 			continue
 		}
 		nd := n.nodes[pkt.Src]
 		core := int(pkt.Tag>>40) % n.cfg.CoresPerNode
-		if !nd.queues[core].Enqueue(pkt) {
-			continue // bounded queue refusal
-		}
+		nd.queues[core].Enqueue(pkt) // unbounded: never refuses
 		pkt.EnqueuedAt = now
 	}
 }

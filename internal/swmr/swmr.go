@@ -32,6 +32,7 @@ package swmr
 
 import (
 	"fmt"
+	"math"
 
 	"photon/internal/router"
 	"photon/internal/sim"
@@ -98,33 +99,25 @@ type Config struct {
 	RxPorts int
 	// SetasideSize for HandshakeSetaside.
 	SetasideSize int
-	// QueueCap bounds output queues (0 = unbounded).
-	QueueCap int
 	// EjectRate drains the input buffer to the cores.
 	EjectRate int
 	// EjectStallProb models receiver-side contention.
 	EjectStallProb float64
-	// RouterPipeline and EjectLatency as in MWSR.
-	RouterPipeline int
-	EjectLatency   int
-
-	Seed uint64
+	Seed           uint64
 }
 
 // DefaultConfig mirrors the paper's 64-node CMP for SWMR.
 func DefaultConfig(s Scheme) Config {
 	return Config{
-		Nodes:          64,
-		CoresPerNode:   4,
-		RoundTrip:      8,
-		Scheme:         s,
-		BufferDepth:    8,
-		RxPorts:        2,
-		SetasideSize:   4,
-		EjectRate:      2,
-		RouterPipeline: 2,
-		EjectLatency:   1,
-		Seed:           1,
+		Nodes:        64,
+		CoresPerNode: 4,
+		RoundTrip:    8,
+		Scheme:       s,
+		BufferDepth:  8,
+		RxPorts:      2,
+		SetasideSize: 4,
+		EjectRate:    2,
+		Seed:         1,
 	}
 }
 
@@ -157,14 +150,8 @@ func (c Config) Validate() error {
 	if c.EjectRate < 1 {
 		return fmt.Errorf("swmr: eject rate must be >= 1")
 	}
-	if c.EjectStallProb < 0 || c.EjectStallProb >= 1 {
+	if math.IsNaN(c.EjectStallProb) || c.EjectStallProb < 0 || c.EjectStallProb >= 1 {
 		return fmt.Errorf("swmr: eject stall probability must be in [0,1)")
-	}
-	if c.RouterPipeline < 0 || c.EjectLatency < 0 {
-		return fmt.Errorf("swmr: negative pipeline latency")
-	}
-	if c.QueueCap < 0 {
-		return fmt.Errorf("swmr: queue cap must be >= 0")
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package swmr
 
 import (
+	"math"
 	"testing"
 
 	"photon/internal/router"
@@ -44,7 +45,7 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.RxPorts = 0 },
 		func(c *Config) { c.EjectRate = 0 },
 		func(c *Config) { c.EjectStallProb = 1 },
-		func(c *Config) { c.QueueCap = -1 },
+		func(c *Config) { c.EjectStallProb = math.NaN() },
 	}
 	for i, mod := range mods {
 		cfg := DefaultConfig(Handshake)
@@ -225,7 +226,7 @@ func TestLocalBypass(t *testing.T) {
 	for i := 0; i < 10 && pkt.DeliveredAt < 0; i++ {
 		net.Step()
 	}
-	if pkt.Latency() != int64(cfg.RouterPipeline+cfg.EjectLatency) {
+	if pkt.Latency() != routerPipeline+ejectLatency {
 		t.Fatalf("local latency %d", pkt.Latency())
 	}
 	if net.Stats().Launches != 0 {

@@ -376,6 +376,9 @@ func TestFairnessDisabled(t *testing.T) {
 		t.Fatal("nil policy must allow")
 	}
 	nilF.OnCapture(0) // must not panic
+	if got := nilF.Contenders(); got != 0 {
+		t.Fatalf("nil policy Contenders = %d, want 0", got)
+	}
 }
 
 func TestFairnessDefaultsApplied(t *testing.T) {

@@ -1,5 +1,7 @@
 package arbiter
 
+import "errors"
+
 // Fairness implements the "well served nodes sit on their hands for a
 // while" policy of Fair Token Channel / Fair Slot (Vantrease et al.,
 // MICRO'09), which the paper adopts for its handshake schemes (§III-D):
@@ -22,15 +24,14 @@ type Fairness struct {
 	window  int64
 	quota   int
 
-	epoch       int64
-	nextRoll    int64 // first cycle of the next window: (epoch+1)*window
-	served      []int32
-	servedEpoch []int64
+	nextRoll int64    // first cycle of the next window
+	served   []uint16 // captures this window: at most one per cycle, so <= Window
+	dirty    bool     // served holds a capture of this window
 
-	// Distinct requesters per window: reqEpoch stamps a node's first
-	// request of the current window; prevReqCount carries the previous
-	// window's verdict so allowances are sane right after a boundary.
-	reqEpoch     []int64
+	// Distinct requesters per window: seen marks a node's first request of
+	// the current window; prevReqCount carries the previous window's
+	// verdict so allowances are sane right after a boundary.
+	seen         []uint64
 	reqCount     int
 	prevReqCount int
 
@@ -43,13 +44,32 @@ type FairnessConfig struct {
 	// handshake scheme; basic GHS/DHS are "partially fair" through HOL
 	// blocking alone, so disabling it there is faithful too.
 	Enabled bool
-	// Window is the quota window in cycles (default 512).
+	// Window is the quota window in cycles (0 = default 512).
 	Window int64
 	// Quota is the *floor* of the per-window capture allowance under
 	// contention; the effective allowance is max(Quota, Window/requesters)
-	// (default 8 — the egalitarian share of a fully contended 64-node
-	// channel with the default window).
+	// (0 = default 16).
 	Quota int
+}
+
+// MaxFairnessWindow is the longest quota window: capture counts are 16-bit.
+const MaxFairnessWindow = 1<<16 - 1
+
+// The errors FairnessConfig.Validate returns.
+var (
+	ErrFairnessWindow = errors.New("arbiter: fairness window must be in [0, 65535]")
+	ErrFairnessQuota  = errors.New("arbiter: fairness quota must be >= 0")
+)
+
+// Validate rejects a window or quota the policy cannot honour.
+func (c FairnessConfig) Validate() error {
+	if c.Window < 0 || c.Window > MaxFairnessWindow {
+		return ErrFairnessWindow
+	}
+	if c.Quota < 0 {
+		return ErrFairnessQuota
+	}
+	return nil
 }
 
 // DefaultFairness returns the configuration used in the evaluation. The
@@ -76,13 +96,8 @@ func NewFairness(nodes int, cfg FairnessConfig) *Fairness {
 	}
 	f.nextRoll = f.window
 	if f.enabled {
-		f.served = make([]int32, nodes)
-		f.servedEpoch = make([]int64, nodes)
-		f.reqEpoch = make([]int64, nodes)
-		for i := range f.servedEpoch {
-			f.servedEpoch[i] = -1
-			f.reqEpoch[i] = -1
-		}
+		f.served = make([]uint16, nodes)
+		f.seen = make([]uint64, (nodes+63)/64)
 	}
 	return f
 }
@@ -101,11 +116,14 @@ func (f *Fairness) BeginCycle(now int64) bool {
 		// not a division.
 		return false
 	}
-	f.epoch = now / f.window
-	f.nextRoll = (f.epoch + 1) * f.window
+	f.nextRoll = (now/f.window + 1) * f.window
 	f.prevReqCount = f.reqCount
 	f.reqCount = 0
-	// served[] and reqEpoch[] reset lazily via their epoch stamps.
+	clear(f.seen)
+	if f.dirty {
+		clear(f.served)
+		f.dirty = false
+	}
 	return true
 }
 
@@ -115,18 +133,19 @@ func (f *Fairness) OnRequest(node int) {
 	if f == nil || !f.enabled {
 		return
 	}
-	if f.reqEpoch[node] != f.epoch {
-		f.reqEpoch[node] = f.epoch
+	w, bit := &f.seen[node>>6], uint64(1)<<uint(node&63)
+	if *w&bit == 0 {
+		*w |= bit
 		f.reqCount++
 	}
 }
 
 // Contenders reports the distinct-requester estimate the allowance uses.
 func (f *Fairness) Contenders() int {
-	if f.reqCount > f.prevReqCount {
-		return f.reqCount
+	if f == nil {
+		return 0
 	}
-	return f.prevReqCount
+	return max(f.reqCount, f.prevReqCount)
 }
 
 // Allow is consulted when a requesting node would capture a token. It
@@ -141,11 +160,7 @@ func (f *Fairness) Allow(node int) bool {
 	if contenders <= 1 {
 		return true
 	}
-	allowance := f.window / int64(contenders)
-	if allowance < int64(f.quota) {
-		allowance = int64(f.quota)
-	}
-	if f.servedEpoch[node] == f.epoch && int64(f.served[node]) >= allowance {
+	if int64(f.served[node]) >= max(f.window/int64(contenders), int64(f.quota)) {
 		f.yields++
 		return false
 	}
@@ -157,11 +172,8 @@ func (f *Fairness) OnCapture(node int) {
 	if f == nil || !f.enabled {
 		return
 	}
-	if f.servedEpoch[node] != f.epoch {
-		f.servedEpoch[node] = f.epoch
-		f.served[node] = 0
-	}
 	f.served[node]++
+	f.dirty = true
 }
 
 // Yields reports how many capture opportunities were declined by policy.

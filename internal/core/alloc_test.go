@@ -1,8 +1,10 @@
 package core_test
 
 import (
+	"runtime"
 	"testing"
 
+	"photon/internal/arbiter"
 	"photon/internal/core"
 	"photon/internal/sim"
 	"photon/internal/traffic"
@@ -57,6 +59,24 @@ func TestStepZeroAlloc(t *testing.T) {
 		cfg.Nodes = 128
 		guard(t, cfg, 0.10)
 	})
+}
+
+// TestFairnessStateFitsInAKiB: a channel's fairness state on the 256-node
+// ring — a one-bit requester set and a 16-bit capture count per node —
+// stays under 1 KiB, so a whole network's 256 channels keep theirs in
+// cache. The three epoch-stamp arrays it replaced took 5 KiB per channel.
+func TestFairnessStateFitsInAKiB(t *testing.T) {
+	const runs = 64
+	keep := make([]*arbiter.Fairness, runs)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range keep {
+		keep[i] = arbiter.NewFairness(256, arbiter.DefaultFairness())
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > 1024 {
+		t.Errorf("NewFairness(256, DefaultFairness()) allocates %d B; want <= 1024", per)
+	}
 }
 
 // TestRunCyclesZeroAlloc extends the guard to the idle fast path: once the

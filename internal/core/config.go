@@ -191,6 +191,9 @@ func (c Config) Validate() error {
 	if c.EjectLatency < 0 || c.EjectLatency > maxDepth {
 		return fmt.Errorf("core: eject latency must be in [0, %d], got %d", maxDepth, c.EjectLatency)
 	}
+	if err := c.Fairness.Validate(); err != nil {
+		return err
+	}
 	// Fault rates are validated whenever the block is enabled — NaN or
 	// out-of-[0,1] rates must fail here, not surface as skewed Bernoulli
 	// draws deep in a run (mirrors the EjectStallProb check above).

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"photon/internal/router"
@@ -19,9 +20,10 @@ import (
 // want row has live requesters and every phase has work. The all-warmup
 // window keeps packets unmeasured: the latency histograms never grow, so
 // phase timings are free of amortised allocation noise.
-func loadedBenchNet(b *testing.B, s Scheme) *Network {
+func loadedBenchNet(b *testing.B, s Scheme, ringNodes int) *Network {
 	b.Helper()
 	cfg := DefaultConfig(s)
+	cfg.Nodes = ringNodes
 	cfg.CheckInvariants = false
 	n, err := NewNetwork(cfg, sim.Window{Warmup: 1 << 40})
 	if err != nil {
@@ -76,23 +78,27 @@ func clearTokenPhaseEffects(n *Network) {
 
 // BenchmarkTokenPhase times one full rotated token-phase sweep — fairness
 // window roll, token motion, capture scan — across all channels of a
-// loaded network, for one global-token scheme and one slot-token scheme.
-// The clock advances each iteration so slot expiry/emission behave as in a
-// real cycle; capture effects are cleared so the requester set is stable.
+// loaded network, for one global-token scheme and one slot-token scheme,
+// on the paper's 64-node ring and on a 256-node ring (four requester-set
+// words per channel, 32 offsets per global-token sweep). The clock
+// advances each iteration so slot expiry/emission behave as in a real
+// cycle; capture effects are cleared so the requester set is stable.
 func BenchmarkTokenPhase(b *testing.B) {
 	for _, s := range []Scheme{TokenChannel, DHS} {
-		b.Run(s.String(), func(b *testing.B) {
-			n := loadedBenchNet(b, s)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				now := n.now + int64(i)
-				start := int(now) % len(n.chans)
-				for j := range n.chans {
-					n.phaseTokens(&n.chans[(start+j)%len(n.chans)], now)
+		for _, nodes := range []int{64, 256} {
+			b.Run(fmt.Sprintf("%s/n%d", s, nodes), func(b *testing.B) {
+				n := loadedBenchNet(b, s, nodes)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					now := n.now + int64(i)
+					start := int(now) % len(n.chans)
+					for j := range n.chans {
+						n.phaseTokens(&n.chans[(start+j)%len(n.chans)], now)
+					}
+					clearTokenPhaseEffects(n)
 				}
-				clearTokenPhaseEffects(n)
-			}
-		})
+			})
+		}
 	}
 }
 
@@ -161,7 +167,7 @@ func BenchmarkInject(b *testing.B) {
 // plus per-requester liveness probes, the inner loop the campaign inverted
 // from the arbiter's O(roundTrip) segment sweep.
 func BenchmarkSlotScan(b *testing.B) {
-	n := loadedBenchNet(b, DHS)
+	n := loadedBenchNet(b, DHS, 64)
 	best := 0
 	for h := range n.chans {
 		if n.wantNodes[h] > n.wantNodes[best] {
@@ -187,7 +193,7 @@ func BenchmarkSlotScan(b *testing.B) {
 // round-robin pickQueue walk over a node's per-core queues plus the
 // updateQueueWant re-derivation that maintains the requester set.
 func BenchmarkQueueScan(b *testing.B) {
-	n := loadedBenchNet(b, DHS)
+	n := loadedBenchNet(b, DHS, 64)
 	var nd *nodeState
 	var h int
 outer:

@@ -154,16 +154,16 @@ func RegisteredProtocols() []ProtocolSpec { return protocols[:] }
 //
 // The sweep builders run inside the arbiters' token-scan inner loop — the
 // hottest code in the simulator. Each sweep call covers one token's whole
-// segment: the closure rejects non-requesting nodes with a contiguous
-// scan of the channel's row of the requester set (one bit test per node,
-// no modulo, no per-offset closure call), and only a node that actually
-// wants the channel pays for the full eligibility checks. The check
-// order within a node — stall, want, port-busy, credits, fairness — is
-// digest-equivalent to the historic per-offset order because the stall
-// and want predicates are both pure; the first stateful call
-// (Fairness.Allow, which counts yields) still happens exactly when it
-// always did. A family with novel capture semantics binds its own
-// arbiter.SweepFunc instead of reusing these.
+// segment: the closure maps the segment's offsets to a node-id range and
+// hops between the requesting nodes in it a want-mask word at a time
+// (bits.TrailingZeros64, no modulo, no per-offset closure call), and only
+// a node that actually wants the channel pays for the full eligibility
+// checks. The check order within a node — stall, want, port-busy,
+// credits, fairness — is digest-equivalent to the historic per-offset
+// order because the stall and want predicates are both pure; the first
+// stateful call (Fairness.Allow, which counts yields) still happens
+// exactly when it always did. A family with novel capture semantics binds
+// its own arbiter.SweepFunc instead of reusing these.
 
 // bindGlobalSweep builds the segment-sweep closure for a relayed global
 // token. rc, when non-nil, vetoes capture of a token with no credits
@@ -180,17 +180,30 @@ func bindGlobalSweep(n *Network, c *channel, rc *flow.RelayedCredits) arbiter.Sw
 	want := n.wantRow(c.home)
 	nodes := n.cfg.Nodes
 	return func(start, end int) int {
-		id := c.home + start
-		if id >= nodes {
-			id -= nodes
-		}
-		for off := start; off < end; off++ {
-			if want[id>>6]>>uint(id&63)&1 != 0 && n.captureGlobal(c, id, rc) {
-				return off
+		// Offsets [start, end) are ids [home+start, home+end), which wrap
+		// past the last node at most once; within each piece ascending id
+		// is ascending offset.
+		lo, hi, base := c.home+start, c.home+end, 0
+		for lo < hi {
+			if lo >= nodes {
+				lo, hi, base = lo-nodes, hi-nodes, nodes
 			}
-			if id++; id == nodes {
-				id = 0
+			top := min(hi, nodes)
+			for wi := lo >> 6; wi<<6 < top; wi++ {
+				w := want[wi]
+				if wi == lo>>6 {
+					w &= ^uint64(0) << uint(lo&63)
+				}
+				if top < (wi+1)<<6 {
+					w &= 1<<uint(top&63) - 1
+				}
+				for ; w != 0; w &= w - 1 {
+					if id := wi<<6 | bits.TrailingZeros64(w); n.captureGlobal(c, id, rc) {
+						return id + base - c.home
+					}
+				}
 			}
+			lo = top
 		}
 		return -1
 	}

@@ -1,8 +1,10 @@
 package core_test
 
 import (
+	"errors"
 	"testing"
 
+	"photon/internal/arbiter"
 	"photon/internal/core"
 	"photon/internal/router"
 	"photon/internal/sim"
@@ -84,6 +86,9 @@ func TestConfigValidation(t *testing.T) {
 		{"stall", func(c *core.Config) { c.EjectStallProb = 1 }},
 		{"pipeline", func(c *core.Config) { c.RouterPipeline = -1 }},
 		{"ejectlat", func(c *core.Config) { c.EjectLatency = -1 }},
+		{"fair-window-negative", func(c *core.Config) { c.Fairness.Window = -1 }},
+		{"fair-window-wide", func(c *core.Config) { c.Fairness.Window = arbiter.MaxFairnessWindow + 1 }},
+		{"fair-quota", func(c *core.Config) { c.Fairness.Quota = -1 }},
 	}
 	for _, m := range mods {
 		cfg := core.DefaultConfig(core.DHS)
@@ -93,6 +98,25 @@ func TestConfigValidation(t *testing.T) {
 		}
 		if _, err := core.NewNetwork(cfg, sim.ShortWindow()); err == nil {
 			t.Errorf("%s: NewNetwork accepted invalid config", m.name)
+		}
+	}
+	// Fairness settings fail with their named error; 0 still means the
+	// default, and the widest window a 16-bit capture count holds passes.
+	for _, fc := range []struct {
+		window int64
+		quota  int
+		want   error
+	}{
+		{-1, 16, arbiter.ErrFairnessWindow},
+		{arbiter.MaxFairnessWindow + 1, 16, arbiter.ErrFairnessWindow},
+		{512, -1, arbiter.ErrFairnessQuota},
+		{0, 0, nil},
+		{arbiter.MaxFairnessWindow, 16, nil},
+	} {
+		cfg := core.DefaultConfig(core.DHSSetaside)
+		cfg.Fairness.Window, cfg.Fairness.Quota = fc.window, fc.quota
+		if err := cfg.Validate(); !errors.Is(err, fc.want) {
+			t.Errorf("fairness window %d quota %d: Validate = %v, want %v", fc.window, fc.quota, err, fc.want)
 		}
 	}
 	// Setaside schemes specifically need setaside slots.

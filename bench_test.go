@@ -354,19 +354,6 @@ func BenchmarkSWMR(b *testing.B) {
 	}
 }
 
-// BenchmarkMeshCompare runs the §I motivation study: the electrical 2D
-// mesh baseline vs the optical ring on identical traffic.
-func BenchmarkMeshCompare(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, _, err := exp.MeshCompare([]float64{0.05}, quickOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(rows[0].MeshLatency, "mesh_lat")
-		b.ReportMetric(rows[0].RingLatency, "ring_lat")
-	}
-}
-
 // BenchmarkMultiFlit runs the multi-flit message study (paper fn. 6: each
 // flit carries its own header and routes independently).
 func BenchmarkMultiFlit(b *testing.B) {

@@ -72,6 +72,25 @@ func TestPinnedStdout(t *testing.T) {
 	}
 }
 
+// TestPinnedFilesHaveRows is TestPinnedStdout's converse: every file
+// under testdata/ is the pinned stdout of some catalog row, so a file
+// left behind by a deleted study fails here instead of going stale.
+func TestPinnedFilesHaveRows(t *testing.T) {
+	rows := map[string]bool{}
+	for _, s := range exp.Studies() {
+		rows[strings.ReplaceAll(s.Name, ":", "_")+".txt"] = true
+	}
+	files, err := filepath.Glob(filepath.Join("testdata", "*.txt"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("testdata/*.txt: %d files, %v", len(files), err)
+	}
+	for _, path := range files {
+		if !rows[filepath.Base(path)] {
+			t.Errorf("%s is the pinned stdout of no catalog row", path)
+		}
+	}
+}
+
 // TestList: -list prints one line per catalog row.
 func TestList(t *testing.T) {
 	status, stdout, stderr := sweep("-list")

@@ -194,7 +194,7 @@ func TestInternalExportsHaveConsumers(t *testing.T) {
 // TestOptionFieldsHaveSetters checks, as pkg.Type under internal/.
 var optionStructs = []string{
 	"core.Config", "core.RecoveryConfig", "arbiter.FairnessConfig", "fault.Config", "fault.ClassConfig",
-	"swmr.Config", "mesh.Config", "farm.Config", "cpu.Params", "ptrace.StreamConfig", "exp.Options",
+	"swmr.Config", "farm.Config", "cpu.Params", "ptrace.StreamConfig", "exp.Options",
 }
 
 // fieldWithoutSetter is the allowlist of TestOptionFieldsHaveSetters:
@@ -203,11 +203,9 @@ var optionStructs = []string{
 // needs is deleted, not queued ("pending: ..." entries fail the test).
 var fieldWithoutSetter = map[string]string{
 	// Knobs a test or battery turns.
-	"core.Config.DisableSkipAhead":       "the reference path of the skip-ahead equivalence battery (TestSkipAheadEquivalence, TestSkipAheadTapeEquivalence, FuzzSkipAheadEquivalence)",
 	"core.Config.QueueCap":               "the conservation audit's QueueRejected term: TestConservationBoundedQueues and TestBoundedQueueThrottles bound the output queues through it",
 	"core.RecoveryConfig.WatchdogWindow": "TestWatchdogDuplicateGuard drives the duplicate-token guard through a short window",
 	"farm.Config.Backoff":                "TestQuarantineAfterK pins the retry schedule through a short base; sweep keeps the 100ms/5s default",
-	"mesh.Config.InjectionQueueCap":      "TestBoundedInjectionQueue bounds the mesh's injection queues through it",
 	"ptrace.StreamConfig.OnMeta":         "the stream-vs-batch equivalence (TestStreamMatchesBatch, FuzzAssemble) collects the meta records through it",
 	"ptrace.StreamConfig.RetireAfter":    "TestStreamMatchesBatch, TestStreamMaxLiveExact and FuzzAssemble retire aggressively to exercise the tombstone queue; every run keeps the 1024-cycle default",
 	"swmr.Config.RxPorts":                "TestRxPortContentionThrottles and TestRxPortsScaleThroughput: receiver-port contention is the SWMR model's one free dimension",
@@ -221,10 +219,6 @@ var fieldWithoutSetter = map[string]string{
 	"cpu.Params.IssueWidth":      "model constant of the §V-B core (also the IPC ceiling TestFacadeTraceAndCMP checks); TestParamsValidation guards it",
 	"cpu.Params.BankLatency":     "model constant of the S-NUCA L2; TestParamsValidation guards it",
 	"cpu.Params.BanksPerNode":    "model constant of the S-NUCA L2; TestParamsValidation guards it",
-	"mesh.Config.Width":          "model constant (8x8 mesh = the ring's 64 nodes); TestConfigValidation guards it",
-	"mesh.Config.Height":         "model constant (8x8 mesh = the ring's 64 nodes); TestConfigValidation guards it",
-	"mesh.Config.RouterPipeline": "model constant (2-cycle router, as on the ring); TestConfigValidation guards it",
-	"mesh.Config.LinkLatency":    "model constant (1-cycle links); TestConfigValidation guards it",
 	"swmr.Config.EjectRate":      "model constant mirrored from core.Config; TestConfigValidation guards it",
 }
 

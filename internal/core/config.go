@@ -54,13 +54,6 @@ type Config struct {
 	// occupancy checks (cheap; on by default, benches may disable).
 	CheckInvariants bool
 
-	// DisableSkipAhead turns off the engine's idle fast path: with it set,
-	// RunCycles steps every cycle individually even when the network is
-	// provably quiescent. Skip-ahead is digest-exact by construction (the
-	// equivalence battery asserts it), so the knob exists for those tests
-	// and for debugging, not for correctness.
-	DisableSkipAhead bool
-
 	// Seed drives every stochastic element (ejection stalls; traffic
 	// sources fork from it by convention).
 	Seed uint64

@@ -23,6 +23,10 @@ func SetPoisonPackets(on bool) (was bool) {
 	return was
 }
 
+// DisableSkipAhead turns off the idle fast path: RunCycles then steps
+// every cycle, the reference side of the skip-ahead equivalence battery.
+func (n *Network) DisableSkipAhead() { n.skipOK = false }
+
 // LeakHolder takes a holder of p that nothing will ever release — what a
 // transition that forgot its release leaves behind.
 func (n *Network) LeakHolder(p *router.Packet) {

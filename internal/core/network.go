@@ -226,7 +226,7 @@ func NewNetwork(cfg Config, window sim.Window) (*Network, error) {
 		}
 		n.faults = fault.NewInjector(fcfg, cfg.Nodes)
 	}
-	n.skipOK = !cfg.DisableSkipAhead && n.faults == nil && cfg.EjectStallProb == 0
+	n.skipOK = n.faults == nil && cfg.EjectStallProb == 0
 	if cfg.Recovery.Enabled {
 		n.recoveryOn = true
 		n.retxBase = int64(2 * (cfg.RoundTrip + 2)) // see RecoveryConfig

@@ -39,12 +39,16 @@ func (fp skipFingerprint) String() string {
 // driveBursty runs one network through a deterministic burst/gap schedule:
 // a few cycles of random injections, then an idle gap handed to RunCycles
 // whole, repeated, with a long tail gap at the end. All randomness comes
-// from a private RNG seeded identically for both members of a pair.
-func driveBursty(t testing.TB, cfg core.Config, seed uint64, rounds int) skipFingerprint {
+// from a private RNG seeded identically for both members of a pair;
+// disable turns the fast path off for the reference member.
+func driveBursty(t testing.TB, cfg core.Config, seed uint64, rounds int, disable bool) skipFingerprint {
 	t.Helper()
 	net, err := core.NewNetwork(cfg, sim.Window{Warmup: 0, Measure: 1 << 40, Drain: 0})
 	if err != nil {
 		t.Fatalf("NewNetwork: %v", err)
+	}
+	if disable {
+		net.DisableSkipAhead()
 	}
 	rng := sim.NewRNG(seed)
 	cores := uint64(cfg.Cores())
@@ -111,9 +115,8 @@ func TestSkipAheadEquivalence(t *testing.T) {
 					mod(&cfg)
 					cfg.Seed = seed
 
-					on := driveBursty(t, cfg, seed, 20)
-					cfg.DisableSkipAhead = true
-					off := driveBursty(t, cfg, seed, 20)
+					on := driveBursty(t, cfg, seed, 20, false)
+					off := driveBursty(t, cfg, seed, 20, true)
 					if on != off {
 						t.Errorf("seed %d: skip-on and skip-off runs diverged\n  on:  %v\n  off: %v", seed, on, off)
 					}
@@ -140,11 +143,12 @@ func TestSkipAheadTapeEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			run := func(disable bool) core.Result {
-				c := cfg
-				c.DisableSkipAhead = disable
-				net, err := core.NewNetwork(c, window)
+				net, err := core.NewNetwork(cfg, window)
 				if err != nil {
 					t.Fatal(err)
+				}
+				if disable {
+					net.DisableSkipAhead()
 				}
 				res, err := tape.Run(net)
 				if err != nil {
@@ -198,17 +202,18 @@ func FuzzSkipAheadEquivalence(f *testing.F) {
 		cfg.Seed = seed
 
 		drive := func(disable bool) skipFingerprint {
-			c := cfg
-			c.DisableSkipAhead = disable
-			net, err := core.NewNetwork(c, sim.Window{Warmup: 0, Measure: 1 << 40, Drain: 0})
+			net, err := core.NewNetwork(cfg, sim.Window{Warmup: 0, Measure: 1 << 40, Drain: 0})
 			if err != nil {
 				t.Skip("config rejected")
+			}
+			if disable {
+				net.DisableSkipAhead()
 			}
 			rng := sim.NewRNG(seed)
 			for r := 0; r < 8; r++ {
 				for b := 0; b < 3; b++ {
 					if rng.Uint64()%2 == 0 {
-						net.Inject(int(rng.Uint64()%uint64(c.Cores())), int(rng.Uint64()%uint64(c.Nodes)), router.ClassData, 0)
+						net.Inject(int(rng.Uint64()%uint64(cfg.Cores())), int(rng.Uint64()%uint64(cfg.Nodes)), router.ClassData, 0)
 					}
 					net.Step()
 				}

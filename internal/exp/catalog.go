@@ -301,8 +301,6 @@ func buildCatalog() []Study {
 			func(o Options, p Params) (*stats.Table, error) {
 				return second(MultiFlitStudy(core.DHSSetaside, p.Load, o))
 			}),
-		tableStudy(Study{Name: "mesh", ID: "X5", Paper: "§I (motivation)"}, "",
-			func(o Options, _ Params) (*stats.Table, error) { return second(MeshCompare(nil, o)) }),
 		tableStudy(Study{Name: "breakdown", ID: "X6", Paper: "§III (mechanism)", Params: []string{"load"}, Load: 0.05}, "\n",
 			func(o Options, p Params) (*stats.Table, error) { return second(ExactBreakdown(p.Load, o)) }),
 		Study{Name: "workload", ID: "X7", Params: []string{"workload", "pattern"}, Run: runWorkload},

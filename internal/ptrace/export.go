@@ -100,19 +100,11 @@ func WriteChromeTrace(w io.Writer, tr *TraceResult) error {
 func WriteFlame(w io.Writer, tr *TraceResult, label string) error {
 	var local, remote Attribution
 	for _, s := range tr.Spans {
-		if s.Delivered < 0 || s.Faulted {
-			continue
-		}
-		a := &remote
 		if s.Local {
-			a = &local
+			local.AddSpan(s, false)
+		} else {
+			remote.AddSpan(s, false)
 		}
-		a.Spans++
-		for _, p := range s.Phases {
-			a.Phases[p.Kind] += p.Len()
-		}
-		a.Total += s.Latency()
-		a.Setaside += s.Setaside
 	}
 	emit := func(class string, a Attribution) error {
 		for k := 0; k < NumPhases; k++ {

@@ -78,7 +78,7 @@ type Packet struct {
 	// holders counts the places in internal/core's engine that hold the
 	// packet now: injection pipeline, output port, each copy on a waveguide,
 	// home input buffer. The engine recycles the packet when Drop takes it
-	// to zero (DESIGN.md, "Packet lifetime"); mesh and swmr never touch it.
+	// to zero (DESIGN.md, "Packet lifetime"); swmr never touches it.
 	holders int32
 	// Tag carries workload-defined context (e.g. the MSHR id of the
 	// memory transaction a request belongs to).

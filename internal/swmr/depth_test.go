@@ -48,3 +48,20 @@ func TestReservationWaitTracksLoad(t *testing.T) {
 		t.Errorf("reservation wait %.1f below any plausible notification trip", light)
 	}
 }
+
+// TestReservationWideRxPorts: the reservation baseline delivers every
+// packet however many receiver ports there are. A per-slot port count
+// narrower than RxPorts would wrap it (an 8-bit count from 128 ports on),
+// so no slot would ever look free and nothing would be granted.
+func TestReservationWideRxPorts(t *testing.T) {
+	want, _ := drive(t, Reservation, 0.01, nil)
+	if want.Delivered == 0 || want.Unfinished != 0 {
+		t.Fatalf("default ports: delivered %d, unfinished %d", want.Delivered, want.Unfinished)
+	}
+	for _, ports := range []int{127, 128, 256} {
+		res, _ := drive(t, Reservation, 0.01, func(c *Config) { c.RxPorts = ports })
+		if res.Delivered != want.Delivered || res.Unfinished != 0 {
+			t.Errorf("%d rx ports: delivered %d of %d, unfinished %d", ports, res.Delivered, want.Delivered, res.Unfinished)
+		}
+	}
+}

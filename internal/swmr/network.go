@@ -78,7 +78,7 @@ type rxState struct {
 	free     int
 	promised int
 	// portsReserved[cycle % len] counts reserved arrival ports.
-	portsReserved []int8
+	portsReserved []int
 }
 
 type requestMsg struct {
@@ -120,7 +120,7 @@ func NewNetwork(cfg Config, window sim.Window) (*Network, error) {
 			requests:      sim.NewDelayLine[requestMsg](horizon),
 			deferred:      sim.NewQueue[requestMsg](0),
 			free:          cfg.BufferDepth,
-			portsReserved: make([]int8, horizon+1),
+			portsReserved: make([]int, horizon+1),
 		}
 	}
 	return n, nil
@@ -311,7 +311,7 @@ func (n *Network) phaseRequests(now int64) {
 			launchAt := grantAt // the sender launches the cycle the grant lands
 			arriveAt := launchAt + int64(n.flightTo(req.sender, dst))
 			slot := arriveAt % int64(len(rx.portsReserved))
-			if rx.free == 0 || rx.portsReserved[slot] >= int8(n.cfg.RxPorts) {
+			if rx.free == 0 || rx.portsReserved[slot] >= n.cfg.RxPorts {
 				break // head-of-line defer; retry next cycle
 			}
 			rx.deferred.PopFront()
@@ -473,7 +473,7 @@ func (n *Network) CheckInvariants() {
 				id, rx.free, rx.promised, rx.in.Occupied(), n.cfg.BufferDepth))
 		}
 		for slot, c := range rx.portsReserved {
-			if int(c) > n.cfg.RxPorts {
+			if c > n.cfg.RxPorts {
 				panic(fmt.Sprintf("swmr: receiver %d overbooked slot %d (%d > %d ports)", id, slot, c, n.cfg.RxPorts))
 			}
 			if c < 0 {

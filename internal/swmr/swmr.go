@@ -124,13 +124,23 @@ func DefaultConfig(s Scheme) Config {
 // Cores returns the total core count.
 func (c Config) Cores() int { return c.Nodes * c.CoresPerNode }
 
+// Structural size caps enforced by Validate, the same as the MWSR
+// engine's: far above the paper's 64 nodes and 4 cores, they make an
+// oversized configuration fail with an error instead of letting
+// NewNetwork attempt a multi-gigabyte allocation.
+const (
+	maxNodes        = 1 << 12
+	maxCoresPerNode = 1 << 8
+	maxDepth        = 1 << 20 // buffers, set-aside slots, receiver ports
+)
+
 // Validate reports the first configuration error.
 func (c Config) Validate() error {
-	if c.Nodes < 2 {
-		return fmt.Errorf("swmr: need at least 2 nodes, got %d", c.Nodes)
+	if c.Nodes < 2 || c.Nodes > maxNodes {
+		return fmt.Errorf("swmr: node count must be in [2, %d], got %d", maxNodes, c.Nodes)
 	}
-	if c.CoresPerNode < 1 {
-		return fmt.Errorf("swmr: cores per node must be >= 1")
+	if c.CoresPerNode < 1 || c.CoresPerNode > maxCoresPerNode {
+		return fmt.Errorf("swmr: cores per node must be in [1, %d], got %d", maxCoresPerNode, c.CoresPerNode)
 	}
 	if c.RoundTrip < 1 || c.Nodes%c.RoundTrip != 0 {
 		return fmt.Errorf("swmr: round trip %d must divide node count %d", c.RoundTrip, c.Nodes)
@@ -138,14 +148,17 @@ func (c Config) Validate() error {
 	if c.Scheme < 0 || c.Scheme >= numSchemes {
 		return fmt.Errorf("swmr: invalid scheme %d", int(c.Scheme))
 	}
-	if c.BufferDepth < 1 {
-		return fmt.Errorf("swmr: buffer depth must be >= 1")
+	if c.BufferDepth < 1 || c.BufferDepth > maxDepth {
+		return fmt.Errorf("swmr: buffer depth must be in [1, %d], got %d", maxDepth, c.BufferDepth)
 	}
-	if c.RxPorts < 1 {
-		return fmt.Errorf("swmr: rx ports must be >= 1")
+	if c.RxPorts < 1 || c.RxPorts > maxDepth {
+		return fmt.Errorf("swmr: rx ports must be in [1, %d], got %d", maxDepth, c.RxPorts)
 	}
 	if c.Scheme == HandshakeSetaside && c.SetasideSize < 1 {
 		return fmt.Errorf("swmr: setaside scheme needs SetasideSize >= 1")
+	}
+	if c.SetasideSize > maxDepth {
+		return fmt.Errorf("swmr: setaside size %d exceeds the structural cap %d", c.SetasideSize, maxDepth)
 	}
 	if c.EjectRate < 1 {
 		return fmt.Errorf("swmr: eject rate must be >= 1")

@@ -38,11 +38,16 @@ func drive(t testing.TB, scheme Scheme, rate float64, mod func(*Config)) (Result
 func TestConfigValidation(t *testing.T) {
 	mods := []func(*Config){
 		func(c *Config) { c.Nodes = 1 },
+		func(c *Config) { c.Nodes = maxNodes * 2 },
 		func(c *Config) { c.CoresPerNode = 0 },
+		func(c *Config) { c.CoresPerNode = maxCoresPerNode + 1 },
 		func(c *Config) { c.RoundTrip = 7 },
 		func(c *Config) { c.Scheme = Scheme(9) },
 		func(c *Config) { c.BufferDepth = 0 },
+		func(c *Config) { c.BufferDepth = maxDepth + 1 },
 		func(c *Config) { c.RxPorts = 0 },
+		func(c *Config) { c.RxPorts = maxDepth + 1 },
+		func(c *Config) { c.SetasideSize = maxDepth + 1 },
 		func(c *Config) { c.EjectRate = 0 },
 		func(c *Config) { c.EjectStallProb = 1 },
 		func(c *Config) { c.EjectStallProb = math.NaN() },

@@ -34,7 +34,6 @@ import (
 	"photon/internal/core"
 	"photon/internal/cpu"
 	"photon/internal/exp"
-	"photon/internal/mesh"
 	"photon/internal/phys"
 	"photon/internal/power"
 	"photon/internal/router"
@@ -230,25 +229,6 @@ func DefaultSWMRConfig(s SWMRScheme) SWMRConfig { return swmr.DefaultConfig(s) }
 // NewSWMRNetwork builds an SWMR network measuring over w.
 func NewSWMRNetwork(cfg SWMRConfig, w Window) (*SWMRNetwork, error) {
 	return swmr.NewNetwork(cfg, w)
-}
-
-// Mesh is the electrical 2D-mesh baseline of the paper's §I motivation:
-// hop-by-hop credit-based flow control with XY routing.
-type (
-	// MeshConfig describes the electrical mesh.
-	MeshConfig = mesh.Config
-	// MeshNetwork is one mesh simulation instance.
-	MeshNetwork = mesh.Network
-	// MeshResult condenses a mesh run.
-	MeshResult = mesh.Result
-)
-
-// DefaultMeshConfig returns the 8x8, 256-core electrical baseline.
-func DefaultMeshConfig() MeshConfig { return mesh.DefaultConfig() }
-
-// NewMeshNetwork builds an electrical mesh measuring over w.
-func NewMeshNetwork(cfg MeshConfig, w Window) (*MeshNetwork, error) {
-	return mesh.NewNetwork(cfg, w)
 }
 
 // Table renders experiment output as text or CSV.

@@ -20,9 +20,11 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 
@@ -33,21 +35,43 @@ import (
 	"photon/internal/twin"
 )
 
-func main() {
-	var cfg planConfig
-	flag.StringVar(&cfg.scheme, "scheme", "", "scheme to plan for (default: all registered schemes)")
-	flag.Float64Var(&cfg.budget, "budget", 0, "latency budget in cycles (0: print the capacity profile instead)")
-	flag.BoolVar(&cfg.p99, "p99", false, "budget the twin's p99 estimate instead of the mean")
-	flag.BoolVar(&cfg.quick, "quick", false, "shorter simulation windows for the divergence-regime refinement")
-	flag.BoolVar(&cfg.noRefine, "no-refine", false, "never simulate: report the twin's envelope-capped answer as-is")
-	flag.BoolVar(&cfg.jsonOut, "json", false, "emit machine-readable JSON")
-	flag.Uint64Var(&cfg.seed, "seed", 1, "seed for the refinement simulations")
-	flag.Parse()
+func main() { os.Exit(plan(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	if err := run(os.Stdout, cfg); err != nil {
-		fmt.Fprintln(os.Stderr, "plan:", err)
-		os.Exit(1)
+// plan is main without the process: it parses args, answers the query and
+// returns the exit status (0 answered, 1 failed, 2 usage error).
+func plan(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("plan", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var cfg planConfig
+	fs.StringVar(&cfg.scheme, "scheme", "", "scheme to plan for (default: all registered schemes)")
+	fs.Float64Var(&cfg.budget, "budget", 0, "latency budget in cycles (0: print the capacity profile instead)")
+	fs.BoolVar(&cfg.p99, "p99", false, "budget the twin's p99 estimate instead of the mean")
+	fs.BoolVar(&cfg.quick, "quick", false, "shorter simulation windows for the divergence-regime refinement")
+	fs.BoolVar(&cfg.noRefine, "no-refine", false, "never simulate: report the twin's envelope-capped answer as-is")
+	fs.BoolVar(&cfg.jsonOut, "json", false, "emit machine-readable JSON")
+	fs.Uint64Var(&cfg.seed, "seed", 1, "seed for the refinement simulations")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
+	// The refinement flags qualify a budget query; the profile has none.
+	status := 0
+	fs.Visit(func(f *flag.Flag) {
+		if (f.Name == "quick" || f.Name == "seed" || f.Name == "no-refine") && cfg.budget == 0 && status == 0 {
+			fmt.Fprintf(stderr, "plan: -%s needs -budget\n", f.Name)
+			status = 2
+		}
+	})
+	if status != 0 {
+		return status
+	}
+	if err := run(stdout, cfg); err != nil {
+		fmt.Fprintln(stderr, "plan:", err)
+		return 1
+	}
+	return 0
 }
 
 type planConfig struct {
@@ -103,6 +127,9 @@ func run(out io.Writer, cfg planConfig) error {
 			return err
 		}
 		schemes = []core.Scheme{s}
+	}
+	if math.IsNaN(cfg.budget) || math.IsInf(cfg.budget, 0) {
+		return fmt.Errorf("-budget must be a finite number of cycles, got %g", cfg.budget)
 	}
 	if cfg.budget < 0 {
 		return fmt.Errorf("budget must be positive, got %g", cfg.budget)

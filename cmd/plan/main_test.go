@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
@@ -21,6 +22,10 @@ func TestRunValidation(t *testing.T) {
 		{"unknown scheme no budget", planConfig{scheme: "nope"}, "unknown scheme"},
 		{"negative budget", planConfig{scheme: "dhs", budget: -3}, "budget must be positive"},
 		{"p99 without budget", planConfig{p99: true}, "-p99 needs a -budget"},
+		// A non-finite budget has no answer, not rate 0 for every scheme.
+		{"NaN budget", planConfig{budget: math.NaN()}, "-budget must be a finite"},
+		{"+Inf budget", planConfig{scheme: "dhs", budget: math.Inf(1)}, "-budget must be a finite"},
+		{"-Inf budget", planConfig{budget: math.Inf(-1)}, "-budget must be a finite"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -33,6 +38,39 @@ func TestRunValidation(t *testing.T) {
 				t.Fatalf("run(%+v) error %q, want it to contain %q", tc.cfg, err, tc.wantErr)
 			}
 		})
+	}
+}
+
+// TestUsageErrors: a flag that only qualifies a budget query, given
+// without one, is a usage error (exit 2) naming the flag and -budget —
+// never silently ignored. A non-finite -budget fails with exit 1.
+func TestUsageErrors(t *testing.T) {
+	cases := []struct {
+		args   []string
+		status int
+		want   string
+	}{
+		{[]string{"-quick"}, 2, "-quick needs -budget"},
+		{[]string{"-seed", "3"}, 2, "-seed needs -budget"},
+		{[]string{"-no-refine", "-json"}, 2, "-no-refine needs -budget"},
+		{[]string{"-budget", "0", "-quick"}, 2, "-quick needs -budget"},
+		{[]string{"-no-such-flag"}, 2, "no-such-flag"},
+		{[]string{"-budget", "NaN"}, 1, "-budget must be a finite number of cycles, got NaN"},
+		{[]string{"-budget", "+Inf", "-no-refine"}, 1, "-budget must be a finite number of cycles, got +Inf"},
+	}
+	for _, tc := range cases {
+		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			status := plan(tc.args, &stdout, &stderr)
+			if status != tc.status || stdout.Len() != 0 || !strings.Contains(stderr.String(), tc.want) {
+				t.Fatalf("exit %d, stdout %q, stderr %q; want exit %d naming %q", status, stdout.String(), stderr.String(), tc.status, tc.want)
+			}
+		})
+	}
+	// The profile itself takes no refinement flag and still answers.
+	var stdout, stderr bytes.Buffer
+	if status := plan([]string{"-json"}, &stdout, &stderr); status != 0 || stdout.Len() == 0 {
+		t.Fatalf("plan -json: exit %d, stderr %q", status, stderr.String())
 	}
 }
 

@@ -32,9 +32,9 @@
 //	verify -twin -quick    # analytical twin vs exact spans differential
 //	verify -quick -json    # machine-readable pass/fail summary
 //
-// With -trace it runs one point with the protocol event tap armed and
-// exports the assembled per-packet spans (the table is folded span by span
-// as packets deliver; chrome and flame hold every span until the end):
+// With -trace it runs one point with the streaming span assembler armed
+// and exports the per-packet spans; every format folds or writes each
+// span as it completes, so the trace never holds the run:
 //
 //	verify -trace                                   # exact attribution table, dhs-setaside UR@0.13
 //	verify -trace -trace-scheme ghs -trace-load 0.2 # another point
@@ -43,8 +43,9 @@
 //
 // One mode per run: -chaos, -workloads, -twin and -trace are mutually
 // exclusive, and a -trace-* flag without -trace is a usage error (exit
-// status 2). Wall-clock measurement lives in bench/ (bash bench/run.sh);
-// -cpuprofile and -memprofile write pprof profiles of any mode's run.
+// status 2), as are -csv with -json and either of them with -trace.
+// Wall-clock measurement lives in bench/ (bash bench/run.sh); -cpuprofile
+// and -memprofile write pprof profiles of any mode's run.
 package main
 
 import (
@@ -153,6 +154,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		mode = m.name
 	}
+	switch {
+	case *csv && *jsonOut:
+		return fail(2, errors.New("-csv and -json are mutually exclusive"))
+	case *trace && (*csv || *jsonOut):
+		return fail(2, errors.New("-csv and -json do not apply to -trace (it has -trace-format)"))
+	}
 	var orphan error
 	fs.Visit(func(f *flag.Flag) {
 		if strings.HasPrefix(f.Name, "trace-") && !*trace && orphan == nil {
@@ -230,11 +237,10 @@ func runBattery(w io.Writer, mode string, seed uint64, quick, csv, jsonOut bool)
 	return false, nil
 }
 
-// runTrace runs one point with the event tap armed and exports the
-// assembled spans in the requested format. The table needs only the
-// attribution sums, so it runs on the streaming assembler (spans are
-// folded and dropped as they deliver); chrome and flame need every span
-// and keep the batch tap.
+// runTrace runs one point on the streaming assembler and exports its
+// spans in the requested format. Each one consumes spans as they flush:
+// the table and flame fold them into attribution sums, chrome writes
+// their events straight to the output.
 func runTrace(stdout io.Writer, schemeName, patternName string, load float64, format, outPath string, seed uint64, quick bool) (err error) {
 	scheme, err := core.ParseScheme(schemeName)
 	if err != nil {
@@ -257,28 +263,6 @@ func runTrace(stdout io.Writer, schemeName, patternName string, load float64, fo
 		opts = exp.QuickOptions()
 	}
 	opts.Seed = seed
-	point := exp.Point{Scheme: scheme, Pattern: pattern, Rate: load}
-
-	var (
-		res  core.Result
-		attr ptrace.Attribution
-		st   *ptrace.Stream
-		tr   *ptrace.TraceResult
-	)
-	if format == "table" {
-		if res, attr, st, err = exp.RunStreamedPoint(point, opts); err != nil {
-			return err
-		}
-	} else {
-		if _, tr, err = exp.RunTracedPoint(point, opts); err != nil {
-			return err
-		}
-		for _, s := range tr.Spans {
-			if err := s.Validate(); err != nil {
-				return fmt.Errorf("span invariant violated: %w", err)
-			}
-		}
-	}
 
 	out := stdout
 	if outPath != "" {
@@ -293,22 +277,33 @@ func runTrace(stdout io.Writer, schemeName, patternName string, load float64, fo
 		}()
 		out = f
 	}
+	var tee ptrace.StreamConfig
+	var finish func() error // writes what the stream left to write
 	switch format {
 	case "chrome":
-		return ptrace.WriteChromeTrace(out, tr)
+		ct := ptrace.NewChromeTrace(out)
+		tee, finish = ptrace.StreamConfig{OnSpan: ct.Span, OnMeta: ct.Meta}, ct.Close
 	case "flame":
-		return ptrace.WriteFlame(out, tr, fmt.Sprintf("%s-%s@%.2f", scheme, patternName, load))
+		var local, remote ptrace.Attribution
+		tee.OnSpan = func(s *ptrace.PacketSpan) error {
+			if s.Local {
+				local.AddSpan(s, false)
+			} else {
+				remote.AddSpan(s, false)
+			}
+			return nil
+		}
+		finish = func() error {
+			return ptrace.WriteFlame(out, local, remote, fmt.Sprintf("%s-%s@%.2f", scheme, patternName, load))
+		}
 	}
-	if err := writeAttributionTable(out, scheme, patternName, load, attr); err != nil {
+	res, attr, st, err := exp.RunStreamedPoint(exp.Point{Scheme: scheme, Pattern: pattern, Rate: load}, opts, tee)
+	if err != nil {
 		return err
 	}
-	_, err = fmt.Fprintf(out, "\nspans %d  launches %d  drops %d  circulations %d  digest %016x (tap is digest-inert)\nexact mean %.4f == measured AvgLatency %.4f\n",
-		st.Flushed(), attr.Launches, attr.Drops, attr.Circulations, res.Digest, attr.AvgTotal(), res.AvgLatency)
-	return err
-}
-
-// writeAttributionTable renders the per-phase exact attribution table.
-func writeAttributionTable(out io.Writer, scheme core.Scheme, patternName string, load float64, attr ptrace.Attribution) error {
+	if finish != nil {
+		return finish()
+	}
 	t := stats.NewTable(
 		fmt.Sprintf("%s %s @ %.3f — exact attribution over %d measured deliveries (%d local)",
 			scheme, patternName, load, attr.Spans, attr.Local),
@@ -319,5 +314,10 @@ func writeAttributionTable(out io.Writer, scheme core.Scheme, patternName string
 	}
 	t.AddRow("total", attr.Total, fmt.Sprintf("%.2f", attr.AvgTotal()))
 	t.AddRow("(setaside overlap)", attr.Setaside, "")
-	return t.WriteText(out)
+	if err := t.WriteText(out); err != nil {
+		return err
+	}
+	_, err = fmt.Fprintf(out, "\nspans %d  launches %d  drops %d  circulations %d  digest %016x (tap is digest-inert)\nexact mean %.4f == measured AvgLatency %.4f\n",
+		st.Flushed(), attr.Launches, attr.Drops, attr.Circulations, res.Digest, attr.AvgTotal(), res.AvgLatency)
+	return err
 }

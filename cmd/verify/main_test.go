@@ -3,14 +3,23 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"runtime"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
 	"photon/internal/check"
+	"photon/internal/core"
+	"photon/internal/exp"
+	"photon/internal/ptrace"
 	"photon/internal/stats"
+	"photon/internal/traffic"
 )
 
 // verify runs the command in-process and returns its exit status and
@@ -60,6 +69,11 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"-trace-out", "x"}, []string{"-trace-out needs -trace"}},
 		// One attribution path: the table always streams, so the switch is gone.
 		{[]string{"-chaos", "-trace-stream"}, []string{"not defined: -trace-stream"}},
+		// An output flag is never dropped in silence: -csv and -json exclude
+		// each other, and -trace writes neither.
+		{[]string{"-quick", "-csv", "-json"}, []string{"-csv", "-json", "mutually exclusive"}},
+		{[]string{"-trace", "-json"}, []string{"-json", "-trace"}},
+		{[]string{"-trace", "-csv"}, []string{"-csv", "-trace"}},
 		{[]string{"-no-such-flag"}, []string{"no-such-flag"}},
 	}
 	for _, tc := range cases {
@@ -82,8 +96,8 @@ func TestUsageErrors(t *testing.T) {
 
 // TestTraceErrors: a bad -trace request, or an unwritable profile path,
 // fails before simulating anything, with the named cause: exit 1 for a bad
-// value, exit 2 for the retired streaming switch (the table always
-// streams, chrome and flame never do, so there is nothing left to select).
+// value, exit 2 for the retired streaming switch (every format streams,
+// so there is nothing left to select).
 func TestTraceErrors(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -106,6 +120,162 @@ func TestTraceErrors(t *testing.T) {
 				t.Fatalf("exit %d, stdout %q, stderr %q; want exit %d naming %q", status, stdout, stderr, tc.status, tc.want)
 			}
 		})
+	}
+}
+
+// tracePoint is the small point the -trace output tests run: the default
+// setaside scheme (so spans carry setaside instants) at a light load.
+var tracePoint = struct {
+	scheme core.Scheme
+	load   float64
+	seed   uint64
+}{core.DHSSetaside, 0.03, 7}
+
+// batchTrace is the test-side oracle of verify -trace: tracePoint simulated
+// as exp.RunPoint builds it, with a batch Tap armed and the record stream
+// assembled in one go after the run.
+func batchTrace(t *testing.T) *ptrace.TraceResult {
+	t.Helper()
+	opts := exp.QuickOptions()
+	opts.Seed = tracePoint.seed
+	cfg := core.DefaultConfig(tracePoint.scheme)
+	cfg.Seed = opts.Seed
+	net, err := core.NewNetwork(cfg, opts.Window)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj, err := traffic.NewInjector(traffic.UniformRandom{}, tracePoint.load, cfg.Nodes, cfg.CoresPerNode, opts.Seed+0x9E37)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tap := &ptrace.Tap{}
+	net.SetTracer(tap)
+	res := inj.Run(net)
+	want, err := exp.RunPoint(exp.Point{Scheme: tracePoint.scheme, Pattern: traffic.UniformRandom{}, Rate: tracePoint.load}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Digest != want.Digest {
+		t.Fatalf("oracle digest %016x != exp.RunPoint's %016x: the oracle no longer builds the traced point", res.Digest, want.Digest)
+	}
+	tr, err := ptrace.Assemble(tap.Records)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+// traceArgs are verify's flags for tracePoint in the given format.
+func traceArgs(format string) []string {
+	return []string{"-trace", "-quick", "-seed", fmt.Sprint(tracePoint.seed),
+		"-trace-scheme", tracePoint.scheme.String(), "-trace-load", fmt.Sprint(tracePoint.load), "-trace-format", format}
+}
+
+// TestTraceMatchesBatch holds the streamed -trace exports to the batch
+// oracle: flame output byte for byte (it is a sum over spans), and the
+// chrome array event for event, in any order (the stream writes spans as
+// they flush, the batch in injection order).
+func TestTraceMatchesBatch(t *testing.T) {
+	tr := batchTrace(t)
+
+	var local, remote ptrace.Attribution
+	for _, s := range tr.Spans {
+		if s.Local {
+			local.AddSpan(s, false)
+		} else {
+			remote.AddSpan(s, false)
+		}
+	}
+	var want bytes.Buffer
+	if err := ptrace.WriteFlame(&want, local, remote, fmt.Sprintf("%s-UR@%.2f", tracePoint.scheme, tracePoint.load)); err != nil {
+		t.Fatal(err)
+	}
+	status, flame, stderr := verify(traceArgs("flame")...)
+	if status != 0 || flame != want.String() {
+		t.Fatalf("flame: exit %d (%s)\n got\n%s want\n%s", status, stderr, flame, want.String())
+	}
+
+	want.Reset()
+	ct := ptrace.NewChromeTrace(&want)
+	for _, s := range tr.Spans {
+		ct.Span(s)
+	}
+	for _, r := range append(tr.Tokens, tr.Faults...) {
+		ct.Meta(r)
+	}
+	if err := ct.Close(); err != nil {
+		t.Fatal(err)
+	}
+	status, chrome, stderr := verify(traceArgs("chrome")...)
+	if status != 0 {
+		t.Fatalf("chrome: exit %d (%s)", status, stderr)
+	}
+	sorted := func(doc []byte) []string {
+		var events []json.RawMessage
+		if err := json.Unmarshal(doc, &events); err != nil {
+			t.Fatalf("chrome output is not a JSON array: %v", err)
+		}
+		out := make([]string, len(events))
+		for i, e := range events {
+			out[i] = string(e)
+		}
+		sort.Strings(out)
+		return out
+	}
+	got, batch := sorted([]byte(chrome)), sorted(want.Bytes())
+	if len(batch) == 0 || !slices.Equal(got, batch) {
+		t.Fatalf("chrome: streamed %d events, batch %d; the multisets differ", len(got), len(batch))
+	}
+}
+
+// TestMain runs verify itself, not the tests, when the test binary is
+// given arguments after "--", and then reports the process's peak resident
+// set (its /proc VmHWM line) on stderr, so TestTraceMemoryBounded can
+// measure a run in a process of its own. The child's rusage Maxrss cannot
+// serve: Linux carries the high-water mark of the parent's address space
+// across the vfork and exec that start the child, and the test process
+// itself can be large.
+func TestMain(m *testing.M) {
+	flag.Parse()
+	if args := flag.Args(); len(args) > 0 {
+		status := run(args, os.Stdout, os.Stderr)
+		if b, err := os.ReadFile("/proc/self/status"); err == nil {
+			for _, line := range strings.Split(string(b), "\n") {
+				if strings.HasPrefix(line, "VmHWM:") {
+					fmt.Fprintln(os.Stderr, line)
+				}
+			}
+		}
+		os.Exit(status)
+	}
+	os.Exit(m.Run())
+}
+
+// TestTraceMemoryBounded: every -trace format streams, so the default
+// quick point's peak RSS stays near the table's ~14 MB instead of the
+// ~300 MB (chrome) and ~270 MB (flame) that holding every record and span
+// took.
+func TestTraceMemoryBounded(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("reads VmHWM from /proc")
+	}
+	if testing.Short() {
+		t.Skip("traces the default quick point")
+	}
+	for _, format := range []string{"chrome", "flame"} {
+		cmd := exec.Command(os.Args[0], "--", "-trace", "-quick", "-trace-format", format, "-trace-out", os.DevNull)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		if err := cmd.Run(); err != nil {
+			t.Fatalf("%s: %v\n%s", format, err, stderr.String())
+		}
+		var kib int64
+		if _, err := fmt.Sscanf(stderr.String(), "VmHWM: %d kB", &kib); err != nil {
+			t.Fatalf("%s: no VmHWM line on stderr (%v): %q", format, err, stderr.String())
+		}
+		if kib > 64<<10 {
+			t.Errorf("%s: peak RSS %d MiB, want at most 64 MiB", format, kib>>10)
+		}
 	}
 }
 

@@ -18,7 +18,6 @@ import (
 var exportedWithoutConsumer = map[string]string{
 	// Oracles and evidence: what tests and documents compare against.
 	"farm.SerialGridDigest": "reference implementation: the farm tests compare the supervised grid digest against this serial fold",
-	"ptrace.DecodeRecords":  "reads the FuzzAssemble corpus; the fuzz target's only way from bytes to records",
 	"check.AuditSpans":      "the span-algebra oracle of TestSpanInvariantBattery, CI's span battery",
 	"exp.Replicate":         "EXPERIMENTS.md's seed-robustness statement (cross-seed latency spread < 10%) is measured through it (TestReplicateStability)",
 }
@@ -206,7 +205,6 @@ var fieldWithoutSetter = map[string]string{
 	"core.Config.QueueCap":               "the conservation audit's QueueRejected term: TestConservationBoundedQueues and TestBoundedQueueThrottles bound the output queues through it",
 	"core.RecoveryConfig.WatchdogWindow": "TestWatchdogDuplicateGuard drives the duplicate-token guard through a short window",
 	"farm.Config.Backoff":                "TestQuarantineAfterK pins the retry schedule through a short base; sweep keeps the 100ms/5s default",
-	"ptrace.StreamConfig.OnMeta":         "the stream-vs-batch equivalence (TestStreamMatchesBatch, FuzzAssemble) collects the meta records through it",
 	"ptrace.StreamConfig.RetireAfter":    "TestStreamMatchesBatch, TestStreamMaxLiveExact and FuzzAssemble retire aggressively to exercise the tombstone queue; every run keeps the 1024-cycle default",
 	"swmr.Config.RxPorts":                "TestRxPortContentionThrottles and TestRxPortsScaleThroughput: receiver-port contention is the SWMR model's one free dimension",
 

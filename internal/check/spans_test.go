@@ -2,6 +2,7 @@ package check
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"photon/internal/core"
@@ -13,9 +14,18 @@ import (
 
 var spanWindow = sim.Window{Warmup: 300, Measure: 1000, Drain: 1000}
 
-// runTracedTape replays a tape with a tap armed, drains, and returns the
-// result, the assembled trace, and the final accounting snapshot.
-func runTracedTape(t *testing.T, s core.Scheme, tape *traffic.Tape, drain int64) (core.Result, *ptrace.TraceResult, core.Accounting) {
+// tracedRun is what runTracedTape folds off the stream as spans flush.
+type tracedRun struct {
+	res           core.Result
+	fold          SpanFold
+	all, measured ptrace.Attribution // delivered spans; measured ones only
+	acct          core.Accounting
+}
+
+// runTracedTape replays a tape with a streaming assembler armed, drains,
+// closes the stream, and returns the result, the span folds and the final
+// accounting snapshot.
+func runTracedTape(t *testing.T, s core.Scheme, tape *traffic.Tape, drain int64) *tracedRun {
 	t.Helper()
 	cfg := core.DefaultConfig(s)
 	cfg.Seed = 1
@@ -23,17 +33,22 @@ func runTracedTape(t *testing.T, s core.Scheme, tape *traffic.Tape, drain int64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tap := ptrace.Collect(net)
-	res, err := tape.Run(net)
-	if err != nil {
+	run := &tracedRun{}
+	st := ptrace.NewStream(ptrace.StreamConfig{OnSpan: func(sp *ptrace.PacketSpan) error {
+		run.all.AddSpan(sp, false)
+		run.measured.AddSpan(sp, true)
+		return run.fold.Add(sp)
+	}})
+	net.SetTracer(st)
+	if run.res, err = tape.Run(net); err != nil {
 		t.Fatal(err)
 	}
 	net.Drain(drain)
-	tr, err := tap.Assemble()
-	if err != nil {
+	if err := st.Close(); err != nil {
 		t.Fatalf("%s: assembling trace: %v", s, err)
 	}
-	return res, tr, net.Accounting()
+	run.acct = net.Accounting()
+	return run
 }
 
 // TestSpanInvariantBattery runs every registered scheme over a small load
@@ -52,31 +67,49 @@ func TestSpanInvariantBattery(t *testing.T) {
 		}
 		for _, s := range core.Schemes() {
 			t.Run(fmt.Sprintf("%s@%.2f", s, load), func(t *testing.T) {
-				res, tr, acct := runTracedTape(t, s, tape, 20_000)
-				if err := AuditSpans(tr, acct); err != nil {
+				run := runTracedTape(t, s, tape, 20_000)
+				if err := AuditSpans(&run.fold, run.acct); err != nil {
 					t.Fatal(err)
 				}
-				if err := Audit(acct); err != nil {
+				if err := Audit(run.acct); err != nil {
 					t.Fatal(err)
 				}
 				// The trace must cover the run: at least every measured
 				// delivery the windowed result counted (the bounded drain
 				// delivers more after Finish), all delivered at the ledger
 				// level (AuditSpans checked the exact total).
-				if res.Delivered == 0 {
+				if run.res.Delivered == 0 {
 					t.Fatal("no measured deliveries at this point")
 				}
-				var measured int64
-				for _, sp := range tr.Spans {
-					if sp.Measured && sp.Delivered >= 0 {
-						measured++
-					}
-				}
-				if measured < res.Delivered {
-					t.Fatalf("%d measured delivered spans, result counted %d", measured, res.Delivered)
+				if run.measured.Spans < run.res.Delivered {
+					t.Fatalf("%d measured delivered spans, result counted %d", run.measured.Spans, run.res.Delivered)
 				}
 			})
 		}
+	}
+}
+
+// TestAuditSpansNamesMismatches: a fold that disagrees with the ledger,
+// or holds a broken chain, fails the audit and names each difference.
+func TestAuditSpansNamesMismatches(t *testing.T) {
+	cfg0 := core.DefaultConfig(core.GHS)
+	tape, err := traffic.RecordTape(traffic.UniformRandom{}, 0.05, cfg0.Nodes, cfg0.CoresPerNode,
+		sim.DeriveSeed(1, 2), spanWindow.Warmup+spanWindow.Measure)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := runTracedTape(t, core.GHS, tape, 20_000)
+	bad := run.fold
+	bad.launches++
+	bad.Add(&ptrace.PacketSpan{ID: 1 << 40, Injected: 5, Delivered: 4}) // chain ends at 5, not 4
+	err = AuditSpans(&bad, run.acct)
+	for _, want := range []string{"launches: trace", "spans vs injected", "delivered: trace", "span invariant"} {
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("audit of a tampered fold: %v; want it to name %q", err, want)
+		}
+	}
+	if err := AuditSpans(&run.fold, run.acct); err != nil {
+		t.Fatalf("untampered fold: %v", err)
 	}
 }
 
@@ -92,8 +125,7 @@ func TestSpanSchemeShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range core.Schemes() {
-		_, tr, _ := runTracedTape(t, s, tape, 20_000)
-		attr := ptrace.Aggregate(tr, false)
+		attr := runTracedTape(t, s, tape, 20_000).all
 		if !s.Handshake() && (attr.Phases[ptrace.PhaseHandshakeWait] != 0 || attr.Phases[ptrace.PhaseRetxWait] != 0) {
 			t.Errorf("%s: handshake phases on a scheme without a handshake line: %v", s, attr.Phases)
 		}
@@ -137,7 +169,8 @@ func TestArmedTapReproducesPinnedDigests(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tap := ptrace.Collect(net)
+		tap := &ptrace.Tap{}
+		net.SetTracer(tap)
 		res, err := tape.Run(net)
 		if err != nil {
 			t.Fatal(err)
@@ -173,7 +206,8 @@ func TestChaosPointArmedTapDigestEquality(t *testing.T) {
 		}
 		var tap *ptrace.Tap
 		if withTap {
-			tap = ptrace.Collect(net)
+			tap = &ptrace.Tap{}
+			net.SetTracer(tap)
 		}
 		res, err := tape.Run(net)
 		if err != nil {
@@ -182,7 +216,7 @@ func TestChaosPointArmedTapDigestEquality(t *testing.T) {
 		net.Drain(60_000)
 		if withTap {
 			// The stream must still assemble (leniently) under faults.
-			tr, err := tap.Assemble()
+			tr, err := ptrace.Assemble(tap.Records)
 			if err != nil {
 				t.Fatalf("assembling faulted trace: %v", err)
 			}

@@ -10,46 +10,31 @@ import (
 	"photon/internal/twin"
 )
 
-// RunTracedPoint simulates one point with a protocol event tap armed and
-// returns the result together with the assembled per-packet spans. The
-// tap is digest-inert, so Result (Digest included) is bit-identical to
-// RunPoint's for the same point and options.
-func RunTracedPoint(p Point, opts Options) (core.Result, *ptrace.TraceResult, error) {
-	net, inj, err := buildPoint(p, opts)
-	if err != nil {
-		return core.Result{}, nil, err
-	}
-	tap := ptrace.Collect(net)
-	res := inj.Run(net)
-	tr, err := tap.Assemble()
-	if err != nil {
-		return core.Result{}, nil, fmt.Errorf("exp: assembling trace for %s: %w", p.Scheme, err)
-	}
-	return res, tr, nil
-}
-
-// RunStreamedPoint simulates one point with the windowed streaming
-// assembler armed instead of a batch tap: each span is validated and
-// folded into the attribution the moment it completes, then dropped, so
-// the trace's resident footprint is bounded by the live packet
-// population instead of the run length. The returned Stream
-// carries the memory stats (MaxLive, Flushed); the attribution covers
-// measured delivered spans, exactly like Aggregate(tr, true) on a batch
-// trace of the same run. The stream is digest-inert, so Result matches
-// RunPoint bit for bit.
-func RunStreamedPoint(p Point, opts Options) (core.Result, ptrace.Attribution, *ptrace.Stream, error) {
+// RunStreamedPoint simulates one point with the streaming assembler
+// armed: each span is validated and folded into the attribution (measured
+// delivered spans, as Aggregate(tr, true) on a batch trace of the run)
+// when it completes, then dropped, so memory is bounded by the live
+// packets, not the run length. tee configures the stream; its OnSpan, if
+// set, gets each span after that fold. The returned Stream carries the
+// memory stats (MaxLive, Flushed). Result matches RunPoint bit for bit.
+func RunStreamedPoint(p Point, opts Options, tee ptrace.StreamConfig) (core.Result, ptrace.Attribution, *ptrace.Stream, error) {
 	net, inj, err := buildPoint(p, opts)
 	if err != nil {
 		return core.Result{}, ptrace.Attribution{}, nil, err
 	}
 	var attr ptrace.Attribution
-	st := ptrace.NewStream(ptrace.StreamConfig{OnSpan: func(s *ptrace.PacketSpan) error {
+	cfg := tee
+	cfg.OnSpan = func(s *ptrace.PacketSpan) error {
 		if err := s.Validate(); err != nil {
 			return err
 		}
 		attr.AddSpan(s, true)
+		if tee.OnSpan != nil {
+			return tee.OnSpan(s)
+		}
 		return nil
-	}})
+	}
+	st := ptrace.NewStream(cfg)
 	net.SetTracer(st)
 	res := inj.Run(net)
 	if err := st.Close(); err != nil {
@@ -84,7 +69,7 @@ type ExactBreakdownRow struct {
 // under UR at the given load — the single-point unit ExactBreakdown and
 // the twin differential battery (check.RunTwin) share.
 func ExactBreakdownPoint(s core.Scheme, load float64, opts Options) (ExactBreakdownRow, error) {
-	res, attr, _, err := RunStreamedPoint(Point{Scheme: s, Pattern: traffic.UniformRandom{}, Rate: load}, opts)
+	res, attr, _, err := RunStreamedPoint(Point{Scheme: s, Pattern: traffic.UniformRandom{}, Rate: load}, opts, ptrace.StreamConfig{})
 	if err != nil {
 		return ExactBreakdownRow{}, err
 	}

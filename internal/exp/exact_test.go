@@ -100,15 +100,21 @@ func TestExactBreakdownDifferential(t *testing.T) {
 	}
 }
 
-// TestTracedPointDigestInert: arming the tap must not move the digest —
-// the traced run of a point is bit-identical to the untraced run.
+// TestTracedPointDigestInert: arming the streaming assembler, with a tee
+// consuming its spans and meta records, must not move the digest — the
+// traced run of a point is bit-identical to the untraced run — and the tee
+// sees every span the stream flushes.
 func TestTracedPointDigestInert(t *testing.T) {
 	p := Point{Scheme: core.DHSSetaside, Pattern: traffic.UniformRandom{}, Rate: 0.13}
 	plain, err := RunPoint(p, quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	traced, tr, err := RunTracedPoint(p, quickOpts())
+	var spans, metas int64
+	traced, _, st, err := RunStreamedPoint(p, quickOpts(), ptrace.StreamConfig{
+		OnSpan: func(*ptrace.PacketSpan) error { spans++; return nil },
+		OnMeta: func(ptrace.Record) error { metas++; return nil },
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +122,7 @@ func TestTracedPointDigestInert(t *testing.T) {
 		t.Fatalf("tap moved the digest: traced %016x/%d, plain %016x/%d",
 			traced.Digest, traced.DigestEvents, plain.Digest, plain.DigestEvents)
 	}
-	if len(tr.Spans) == 0 {
-		t.Fatal("traced run assembled no spans")
+	if spans == 0 || spans != st.Flushed() || metas == 0 {
+		t.Fatalf("tee saw %d spans (stream flushed %d) and %d meta records", spans, st.Flushed(), metas)
 	}
 }

@@ -1,6 +1,7 @@
 package ptrace_test
 
 import (
+	"crypto/sha256"
 	"reflect"
 	"testing"
 
@@ -11,8 +12,9 @@ import (
 )
 
 // TestConsumersDropSpansAtHandOff holds the production OnSpan consumers to
-// the hand-off contract: exp.RunStreamedPoint and exp.RunWorkloadSLO fold
-// each span inside the callback and keep nothing, so overwriting every
+// the hand-off contract: exp.RunStreamedPoint (with verify -trace's chrome
+// writer teed on) and exp.RunWorkloadSLO fold or encode each span inside
+// the callback and keep nothing, so overwriting every
 // span buffer the moment the callback returns changes none of their
 // output. A setaside scheme behind shallow, stalling receivers makes the
 // spans NACK, retransmit and flush late (at the slot's release). The test
@@ -29,6 +31,7 @@ func TestConsumersDropSpansAtHandOff(t *testing.T) {
 	type outcome struct {
 		res    core.Result
 		attr   ptrace.Attribution
+		chrome []byte // digest of the chrome trace the point streams
 		live   int
 		slo    exp.WorkloadSLO
 		sloErr error
@@ -38,12 +41,18 @@ func TestConsumersDropSpansAtHandOff(t *testing.T) {
 		defer ptrace.SetPoisonSpans(false)
 		var o outcome
 		var st *ptrace.Stream
+		chrome := sha256.New()
+		ct := ptrace.NewChromeTrace(chrome)
 		o.res, o.attr, st, err = exp.RunStreamedPoint(exp.Point{
 			Scheme: core.DHSSetaside, Pattern: traffic.UniformRandom{}, Rate: 0.08, Mod: nacking,
-		}, opts)
+		}, opts, ptrace.StreamConfig{OnSpan: ct.Span, OnMeta: ct.Meta})
+		if err == nil {
+			err = ct.Close()
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
+		o.chrome = chrome.Sum(nil)
 		o.live = st.MaxLive()
 		o.slo, o.sloErr = exp.RunWorkloadSLO(exp.Point{
 			Scheme: core.GHSSetaside, Pattern: traffic.UniformRandom{}, Workload: bursty, Mod: nacking,

@@ -1,16 +1,14 @@
 // Package ptrace is the protocol event tap and its span assembler: it
 // turns the core engine's per-packet lifecycle event stream into exact
-// latency attribution. A Tap (a core.Tracer) records every canonical
+// latency attribution. A Stream (a core.Tracer) takes every canonical
 // digest event plus the tap-only arbitration-side events (head-ready,
-// token capture/release, setaside entry/exit); Assemble folds the stream
-// into per-packet span chains whose phases — injection pipeline, queue,
-// token wait, optical flight, handshake wait, retransmit wait,
-// circulation, ejection — are gap-free, non-overlapping, and sum exactly
-// to the packet's end-to-end latency. That algebra is a checkable
-// invariant on every registered scheme (internal/check runs it as a
-// battery), and the aggregate Attribution replaces the approximate
-// latency breakdown the experiment drivers previously derived from
-// whole-run averages.
+// token capture/release, setaside entry/exit) and assembles per-packet
+// span chains as the run goes, handing each one over when its packet
+// completes. The phases — injection pipeline, queue, token wait, optical
+// flight, handshake wait, retransmit wait, circulation, ejection — are
+// gap-free, non-overlapping, and sum exactly to the packet's end-to-end
+// latency, a checkable invariant on every registered scheme
+// (internal/check audits it against the conservation ledger).
 //
 // The package is named ptrace (protocol trace) to keep it distinct from
 // internal/trace, which holds application workload traces.
@@ -37,22 +35,13 @@ type Record struct {
 	DeliveredAt int64  // EvDeliver only: final delivery cycle; -1 otherwise
 }
 
-// Tap is an in-memory event sink implementing core.Tracer. It appends one
-// Record per observed event; attach it with core.Network.SetTracer (or
-// Collect) before the first injection so every packet's stream starts at
-// its birth.
+// Tap is an in-memory event sink implementing core.Tracer: it appends one
+// Record per observed event, for Assemble to fold in one batch (every run
+// path streams instead; the Tap feeds the benchmarks and the stream's
+// equivalence tests). Attach it with core.Network.SetTracer before the
+// first injection so every packet's stream starts at its birth.
 type Tap struct {
 	Records []Record
-}
-
-// NewTap returns an empty tap.
-func NewTap() *Tap { return &Tap{} }
-
-// Collect attaches a fresh tap to the network and returns it.
-func Collect(net *core.Network) *Tap {
-	t := NewTap()
-	net.SetTracer(t)
-	return t
 }
 
 // Observe implements core.Tracer: it copies the event into a Record.
@@ -76,9 +65,4 @@ func recordOf(e core.Event) Record {
 		r.Meta = true
 	}
 	return r
-}
-
-// Assemble folds the tap's recorded stream into per-packet spans.
-func (t *Tap) Assemble() (*TraceResult, error) {
-	return Assemble(t.Records)
 }

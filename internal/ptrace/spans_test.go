@@ -306,13 +306,13 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		{Cycle: 13, Type: core.EvTokenCapture, Meta: true, Aux: 1<<40 | 5, DeliveredAt: -1},
 		deliver(20, 1, 21),
 	}
-	data := EncodeRecords(records)
+	data := encodeRecords(records)
 	if len(data) != len(records)*recordSize {
 		t.Fatalf("encoded %d bytes, want %d", len(data), len(records)*recordSize)
 	}
-	back, err := DecodeRecords(data)
+	back, err := decodeRecords(data)
 	if err != nil {
-		t.Fatalf("DecodeRecords: %v", err)
+		t.Fatalf("decodeRecords: %v", err)
 	}
 	if len(back) != len(records) {
 		t.Fatalf("decoded %d records, want %d", len(back), len(records))
@@ -322,18 +322,20 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 			t.Fatalf("record %d: got %+v, want %+v", i, back[i], records[i])
 		}
 	}
-	if _, err := DecodeRecords(data[:recordSize-1]); err == nil {
+	if _, err := decodeRecords(data[:recordSize-1]); err == nil {
 		t.Fatal("truncated frame decoded without error")
 	}
 	bad := append([]byte(nil), data...)
 	bad[1] = 0xff // unknown flag bits
-	if _, err := DecodeRecords(bad); err == nil {
+	if _, err := decodeRecords(bad); err == nil {
 		t.Fatal("unknown flags decoded without error")
 	}
 }
 
+// TestExporters drives both exporters the way verify -trace does: the
+// chrome writer and the flame fold consume a Stream's output as it runs.
 func TestExporters(t *testing.T) {
-	tr := mustAssemble(t, []Record{
+	records := []Record{
 		pkt(0, core.EvInject, 1),
 		pkt(2, core.EvEnqueue, 1),
 		pkt(3, core.EvHeadReady, 1),
@@ -344,10 +346,28 @@ func TestExporters(t *testing.T) {
 		pkt(9, core.EvAccept, 1),
 		deliver(10, 1, 11),
 		pkt(12, core.EvSetasideExit, 1),
-	})
+	}
 	var chrome bytes.Buffer
-	if err := WriteChromeTrace(&chrome, tr); err != nil {
-		t.Fatalf("WriteChromeTrace: %v", err)
+	var local, remote Attribution
+	ct := NewChromeTrace(&chrome)
+	st := NewStream(StreamConfig{OnMeta: ct.Meta, OnSpan: func(s *PacketSpan) error {
+		if s.Local {
+			local.AddSpan(s, false)
+		} else {
+			remote.AddSpan(s, false)
+		}
+		return ct.Span(s)
+	}})
+	for _, r := range records {
+		if err := st.Push(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := ct.Close(); err != nil {
+		t.Fatalf("ChromeTrace.Close: %v", err)
 	}
 	out := chrome.String()
 	for _, want := range []string{`"ph":"X"`, `"name":"token-wait"`, `"name":"token-capture"`, `"name":"setaside"`, `"name":"fault"`} {
@@ -369,11 +389,11 @@ func TestExporters(t *testing.T) {
 		t.Fatalf("chrome trace of %d events is not the array encoding:\n got  %s want %s", len(events), out, whole.String())
 	}
 	chrome.Reset()
-	if err := WriteChromeTrace(&chrome, &TraceResult{}); err != nil || chrome.String() != "[]\n" {
+	if err := NewChromeTrace(&chrome).Close(); err != nil || chrome.String() != "[]\n" {
 		t.Fatalf("empty chrome trace: %q, %v; want \"[]\\n\"", chrome.String(), err)
 	}
 	var flame bytes.Buffer
-	if err := WriteFlame(&flame, tr, "test"); err != nil {
+	if err := WriteFlame(&flame, local, remote, "test"); err != nil {
 		t.Fatalf("WriteFlame: %v", err)
 	}
 	if !strings.Contains(flame.String(), "test;remote;flight 4") {

@@ -37,7 +37,8 @@ func tapRunWindow(t *testing.T, s core.Scheme, load float64, window sim.Window, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	tap := Collect(net)
+	tap := &Tap{}
+	net.SetTracer(tap)
 	res := inj.Run(net)
 	return res, tap.Records
 }
@@ -191,9 +192,9 @@ func TestStreamAsTracer(t *testing.T) {
 		return res
 	}
 
-	tap := NewTap()
+	tap := &Tap{}
 	resTap := run(tap)
-	batch, err := tap.Assemble()
+	batch, err := Assemble(tap.Records)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,18 +314,18 @@ func TestStreamFlushesOncePastRecovery(t *testing.T) {
 	for _, late := range []core.EventType{core.EvTimeout, core.EvDupDrop, core.EvFault} {
 		t.Run(late.String(), func(t *testing.T) {
 			records := []Record{
-				pktR(10, core.EvInject, 1),
-				pktR(12, core.EvEnqueue, 1),
-				pktR(15, core.EvHeadReady, 1),
-				pktR(20, core.EvLaunch, 1),
-				pktR(28, core.EvAccept, 1),
-				deliverR(30, 1, 31),
-				pktR(48, late, 1),
+				pkt(10, core.EvInject, 1),
+				pkt(12, core.EvEnqueue, 1),
+				pkt(15, core.EvHeadReady, 1),
+				pkt(20, core.EvLaunch, 1),
+				pkt(28, core.EvAccept, 1),
+				deliver(30, 1, 31),
+				pkt(48, late, 1),
 				// The recovery grammar carries on: the timeout's copy
 				// launches, is discarded at the home, and is ACKed again.
-				pktR(50, core.EvLaunch, 1),
-				pktR(58, core.EvDupDrop, 1),
-				pktR(66, core.EvAck, 1),
+				pkt(50, core.EvLaunch, 1),
+				pkt(58, core.EvDupDrop, 1),
+				pkt(66, core.EvAck, 1),
 			}
 			// The buffer the span was handed over in is the free list's
 			// after the flush: poisoned, it shows if the recovery grammar
@@ -387,7 +388,7 @@ func TestStreamChaosFlushesOnce(t *testing.T) {
 				streamed[sp.ID] = *sp
 				return sp.Validate()
 			}})
-			tap := NewTap()
+			tap := &Tap{}
 			net.SetTracer(tee{tap, st})
 			inj.Run(net)
 			net.Drain(60_000)
@@ -403,7 +404,7 @@ func TestStreamChaosFlushesOnce(t *testing.T) {
 			if int64(len(flushes)) != st.Flushed() {
 				t.Fatalf("Flushed() = %d, %d distinct packets flushed", st.Flushed(), len(flushes))
 			}
-			batch, err := tap.Assemble()
+			batch, err := Assemble(tap.Records)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -536,12 +537,12 @@ func TestStreamMaxLiveExact(t *testing.T) {
 // common 5-phase chain plus its trailing ACK — starting at cycle.
 func chain(tb testing.TB, st *Stream, id uint64, cycle int64) {
 	for _, r := range [...]Record{
-		pktR(cycle+2, core.EvEnqueue, id),
-		pktR(cycle+3, core.EvHeadReady, id),
-		pktR(cycle+5, core.EvLaunch, id),
-		pktR(cycle+9, core.EvAccept, id),
-		deliverR(cycle+10, id, cycle+11),
-		pktR(cycle+14, core.EvAck, id),
+		pkt(cycle+2, core.EvEnqueue, id),
+		pkt(cycle+3, core.EvHeadReady, id),
+		pkt(cycle+5, core.EvLaunch, id),
+		pkt(cycle+9, core.EvAccept, id),
+		deliver(cycle+10, id, cycle+11),
+		pkt(cycle+14, core.EvAck, id),
 	} {
 		if err := st.Push(r); err != nil {
 			tb.Fatal(err)
@@ -563,7 +564,7 @@ func TestStreamPushAllocs(t *testing.T) {
 	packet := func() {
 		id++
 		cycle += 16 // past the previous chain: the stream stays chronological
-		if err := st.Push(pktR(cycle, core.EvInject, id)); err != nil {
+		if err := st.Push(pkt(cycle, core.EvInject, id)); err != nil {
 			t.Fatal(err)
 		}
 		chain(t, st, id, cycle)
@@ -583,7 +584,7 @@ func TestStreamPushAllocs(t *testing.T) {
 	next := id
 	for i := 0; i < 501; i++ {
 		id++
-		if err := st.Push(pktR(cycle, core.EvInject, id)); err != nil {
+		if err := st.Push(pkt(cycle, core.EvInject, id)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -606,13 +607,13 @@ func TestStreamPushAllocs(t *testing.T) {
 func steadyStep(base uint64, k int64) [7]Record {
 	id, c := base+uint64(k), 2*k
 	return [...]Record{
-		pktR(c, core.EvInject, id),
-		pktR(c, core.EvEnqueue, id-1),
-		pktR(c, core.EvHeadReady, id-2),
-		pktR(c, core.EvLaunch, id-3),
-		pktR(c, core.EvAccept, id-5),
-		deliverR(c, id-6, c+1),
-		pktR(c, core.EvAck, id-8),
+		pkt(c, core.EvInject, id),
+		pkt(c, core.EvEnqueue, id-1),
+		pkt(c, core.EvHeadReady, id-2),
+		pkt(c, core.EvLaunch, id-3),
+		pkt(c, core.EvAccept, id-5),
+		deliver(c, id-6, c+1),
+		pkt(c, core.EvAck, id-8),
 	}
 }
 
@@ -632,7 +633,7 @@ func TestStreamResidentBoundedByLive(t *testing.T) {
 		}
 	}
 	for id := uint64(0); id < stragglers; id++ {
-		push(pktR(0, core.EvInject, id))
+		push(pkt(0, core.EvInject, id))
 	}
 	base := uint64(stragglers) + 8
 	for k := int64(0); k < packets; k++ {
@@ -669,7 +670,7 @@ func BenchmarkStreamPush(b *testing.B) {
 		b.Run(fmt.Sprintf("resident=%dk", resident/1000), func(b *testing.B) {
 			st := NewStream(StreamConfig{OnSpan: func(sp *PacketSpan) error { return sp.Validate() }})
 			for id := 0; id < resident; id++ {
-				if err := st.Push(pktR(0, core.EvInject, uint64(id))); err != nil {
+				if err := st.Push(pkt(0, core.EvInject, uint64(id))); err != nil {
 					b.Fatal(err)
 				}
 			}

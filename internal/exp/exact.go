@@ -35,6 +35,9 @@ func RunStreamedPoint(p Point, opts Options, tee ptrace.StreamConfig) (core.Resu
 		return nil
 	}
 	st := ptrace.NewStream(cfg)
+	// A run that panics must not return while its last batch is still
+	// being assembled: the callbacks write state the caller owns.
+	defer st.Abort()
 	net.SetTracer(st)
 	res := inj.Run(net)
 	if err := st.Close(); err != nil {

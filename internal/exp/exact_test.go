@@ -2,10 +2,13 @@ package exp
 
 import (
 	"math"
+	"runtime"
 	"testing"
+	"time"
 
 	"photon/internal/core"
 	"photon/internal/ptrace"
+	"photon/internal/sim"
 	"photon/internal/traffic"
 )
 
@@ -124,5 +127,52 @@ func TestTracedPointDigestInert(t *testing.T) {
 	}
 	if spans == 0 || spans != st.Flushed() || metas == 0 {
 		t.Fatalf("tee saw %d spans (stream flushed %d) and %d meta records", spans, st.Flushed(), metas)
+	}
+}
+
+// failingPattern is UR until its draws run out, then panics: a run that
+// dies mid-simulation with spans still being assembled.
+type failingPattern struct{ left *int }
+
+func (failingPattern) Name() string { return "failing" }
+
+func (p failingPattern) Dest(src, nodes int, rng *sim.RNG) int {
+	if *p.left--; *p.left < 0 {
+		panic("forced failure mid-run")
+	}
+	return traffic.UniformRandom{}.Dest(src, nodes, rng)
+}
+
+// TestStreamedRunPanicStopsItsTee: when a streamed run panics, no callback
+// of its stream runs after the panic leaves RunStreamedPoint. The tee is
+// slow, so the assembler is a batch behind when the run fails; its counter
+// is a plain int, so under -race a callback racing the caller's read is
+// reported even if the counter happens not to move.
+func TestStreamedRunPanicStopsItsTee(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	spans := 0
+	tee := ptrace.StreamConfig{OnSpan: func(*ptrace.PacketSpan) error {
+		if spans++; spans%32 == 0 {
+			time.Sleep(100 * time.Microsecond)
+		}
+		return nil
+	}}
+	left := 10_000
+	p := Point{Scheme: core.DHS, Pattern: failingPattern{&left}, Rate: 0.13}
+	recovered := func() (v any) {
+		defer func() { v = recover() }()
+		RunStreamedPoint(p, quickOpts(), tee)
+		return nil
+	}()
+	if recovered != "forced failure mid-run" {
+		t.Fatalf("recovered %v, want the pattern's panic", recovered)
+	}
+	seen := spans
+	if seen == 0 {
+		t.Fatal("no span was assembled before the failure; the test is vacuous")
+	}
+	time.Sleep(20 * time.Millisecond)
+	if spans != seen {
+		t.Fatalf("the tee saw %d spans when the run returned and %d after", seen, spans)
 	}
 }

@@ -81,6 +81,9 @@ func RunWorkloadSLO(p Point, opts Options) (WorkloadSLO, error) {
 		}
 		return nil
 	}})
+	// A run that panics must not return while its last batch is still
+	// being assembled: the callbacks write state the caller owns.
+	defer st.Abort()
 	net.SetTracer(st)
 	res := inj.Run(net)
 	if err := st.Close(); err != nil {

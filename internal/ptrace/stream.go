@@ -2,7 +2,9 @@ package ptrace
 
 import (
 	"fmt"
+	"runtime/debug"
 	"sort"
+	"sync"
 
 	"photon/internal/core"
 	"photon/internal/sim"
@@ -39,7 +41,26 @@ import (
 // the span out as clean, it leaves the span as flushed, swallows the
 // packet's remaining events, and holds the cursor until Close (as it
 // holds every faulted cursor) without flushing it again.
+//
+// Attached as a tracer, the stream is a pipeline of two goroutines.
+// Observe only copies the record into a batch; a full batch goes to an
+// assembler goroutine, which runs the state machine over it while the
+// simulation fills the next. OnSpan and OnMeta therefore run on the
+// assembler goroutine, in record order, at most one batch behind the
+// simulation; state they capture is the caller's to read after Close.
+// Push, the accessors and Close first bring the assembler up to date, so
+// each returns exactly what it would had every record been assembled the
+// moment it was observed. A run that may panic defers Abort, so that no
+// callback outlives it. A Stream is driven by one goroutine at a time; on
+// one processor the two goroutines take turns, the assembler running
+// while the producer waits at its next hand-off.
 type Stream struct {
+	// feed is the producer's side: Observe, Push, the accessors and Close
+	// write it, the assembler never does. The padding keeps it off the
+	// cache lines of everything the assembler writes below.
+	feed feed
+	_    [feedPad]byte
+
 	cfg StreamConfig
 
 	intake
@@ -51,8 +72,35 @@ type Stream struct {
 	flushed int64 // spans handed to OnSpan
 	maxLive int   // peak resident cursor count
 
-	err    error
-	closed bool
+	err      error
+	panicked *callbackPanic // recovered on the assembler goroutine
+}
+
+// feedPad is the gap between the producer's fields and the assembler's:
+// two cache lines, because the adjacent-line prefetcher pairs lines.
+const feedPad = 128
+
+// batchLen is how many records Observe collects before it hands them to
+// the assembler. Smaller batches pay the hand-off more often; larger ones
+// make the callbacks later and the buffers bigger.
+const batchLen = 4096
+
+// batch is one batch buffer. Close and Abort return a stream's two to the
+// batches pool, so a run of many short streams reuses them.
+type batch = [batchLen]Record
+
+var batches = sync.Pool{New: func() any { return new(batch) }}
+
+// feed is the producer's hand-off state. fill is the batch Observe copies
+// records into; spare is the other buffer, with the assembler while busy.
+// At most one batch is in flight, so the producer runs at most one batch
+// ahead of the callbacks.
+type feed struct {
+	fill, spare []Record      // batchLen long once armed; nil before and after
+	n           int           // records in fill
+	busy        bool          // spare is being assembled
+	closed      bool          // Close or Abort has run
+	done        chan struct{} // the assembler's "batch finished"
 }
 
 // StreamConfig configures a Stream. OnSpan receives every assembled span
@@ -62,6 +110,9 @@ type Stream struct {
 // the stream's validation and stats are wanted. OnMeta receives
 // packet-less records (token motion, faults) as they happen; nil discards
 // them. An error from either callback latches and stops the stream.
+// Both callbacks may run on the stream's assembler goroutine rather than
+// the caller's (see Stream), in record order and one call at a time; what
+// they capture is safe to read once Close has returned.
 type StreamConfig struct {
 	OnSpan func(*PacketSpan) error
 	OnMeta func(Record) error
@@ -91,32 +142,153 @@ func NewStream(cfg StreamConfig) *Stream {
 	if cfg.RetireAfter <= 0 {
 		cfg.RetireAfter = defaultRetireAfter
 	}
-	return &Stream{cfg: cfg, tombs: sim.NewQueue[tombstone](0)}
+	return &Stream{
+		cfg:   cfg,
+		tombs: sim.NewQueue[tombstone](0),
+		feed:  feed{done: make(chan struct{}, 1)},
+	}
 }
 
 // Err returns the first error the stream hit (malformed input or a
 // callback failure); once set, further input is ignored.
-func (s *Stream) Err() error { return s.err }
+func (s *Stream) Err() error {
+	s.drain()
+	return s.err
+}
 
 // Flushed returns how many spans have been handed to OnSpan so far.
-func (s *Stream) Flushed() int64 { return s.flushed }
+func (s *Stream) Flushed() int64 {
+	s.drain()
+	return s.flushed
+}
 
 // MaxLive returns the peak number of resident packet cursors — the
 // memory high-water mark the windowed mode exists to bound.
-func (s *Stream) MaxLive() int { return s.maxLive }
+func (s *Stream) MaxLive() int {
+	s.drain()
+	return s.maxLive
+}
 
 // Observe implements core.Tracer with the same value-copy contract as
-// Tap.Observe; assembly errors latch into Err.
+// Tap.Observe: it copies the event into the batch being filled, and hands
+// a full batch to the assembler. Assembly errors latch into Err.
 func (s *Stream) Observe(e core.Event) {
-	if s.ready() {
-		r := recordOf(e)
-		s.err = s.push(&r)
+	if f := &s.feed; f.n < len(f.fill) {
+		f.fill[f.n] = recordOf(e)
+		f.n++
+		return
+	}
+	s.turn(e)
+}
+
+// turn is Observe's slow path: the batch is full, or the stream has no
+// buffers yet (before the first record) or any more (after Close).
+func (s *Stream) turn(e core.Event) {
+	f := &s.feed
+	if f.closed {
+		s.ready()
+		return
+	}
+	if f.fill == nil {
+		f.fill = batches.Get().(*batch)[:]
+	} else {
+		s.handoff()
+	}
+	f.fill[0] = recordOf(e)
+	f.n = 1
+}
+
+// handoff passes the full batch to the assembler once the previous one is
+// done, and takes that one's buffer to fill next.
+func (s *Stream) handoff() {
+	f := &s.feed
+	s.wait()
+	if f.spare == nil {
+		f.spare = batches.Get().(*batch)[:]
+	}
+	full := f.fill[:f.n]
+	f.fill, f.spare, f.n, f.busy = f.spare, f.fill, 0, true
+	go s.assembleAsync(full)
+}
+
+// assembleAsync is the assembler goroutine of one batch. A callback panic
+// is caught here, with the stack it was raised on, and raised again on the
+// producer by wait, where the caller can recover it.
+func (s *Stream) assembleAsync(b []Record) {
+	defer func() {
+		if v := recover(); v != nil {
+			s.panicked = &callbackPanic{v, debug.Stack()}
+		}
+		s.feed.done <- struct{}{}
+	}()
+	s.assemble(b)
+}
+
+// callbackPanic is a callback's panic as the producer sees it: the value
+// and the assembler goroutine's stack at the panic. It is both the value
+// wait panics with and the error the stream latches.
+type callbackPanic struct {
+	value any
+	stack []byte
+}
+
+func (p *callbackPanic) Error() string {
+	return fmt.Sprintf("ptrace: stream callback panicked: %v\n\nassembler goroutine stack:\n%s", p.value, p.stack)
+}
+
+// settle waits for the batch in flight, if any, and returns the panic of
+// a callback it ran, latched as the stream's error.
+func (s *Stream) settle() *callbackPanic {
+	f := &s.feed
+	if !f.busy {
+		return nil
+	}
+	<-f.done
+	f.busy = false
+	p := s.panicked
+	if p != nil {
+		s.panicked = nil
+		s.err = p
+	}
+	return p
+}
+
+// wait is settle on the producer's own path: a callback's panic is raised
+// again here.
+func (s *Stream) wait() {
+	if p := s.settle(); p != nil {
+		panic(p)
 	}
 }
 
-// Push feeds one record through the assembler. The first error latches:
-// the stream stays safe to push to but drops everything after the fault.
+// assemble runs the records of a batch through the assembler in order,
+// until an error latches.
+func (s *Stream) assemble(b []Record) {
+	for i := range b {
+		if s.err != nil {
+			return
+		}
+		s.err = s.push(&b[i])
+	}
+}
+
+// drain waits for the batch in flight and assembles the partial one, so
+// every record observed so far has been through the assembler and every
+// callback it causes has returned. The accessors, Push and Close drain
+// first.
+func (s *Stream) drain() {
+	s.wait()
+	if f := &s.feed; f.n > 0 {
+		s.assemble(f.fill[:f.n])
+		f.n = 0
+	}
+}
+
+// Push feeds one record through the assembler on the caller's goroutine,
+// after every record observed before it. The first error latches: the
+// stream stays safe to push to but drops everything after the fault.
 func (s *Stream) Push(r Record) error {
+	s.drain()
 	if s.ready() {
 		s.err = s.push(&r)
 	}
@@ -126,7 +298,7 @@ func (s *Stream) Push(r Record) error {
 // ready reports whether the stream still takes input, latching the error
 // of a push into a closed stream.
 func (s *Stream) ready() bool {
-	if s.err == nil && s.closed {
+	if s.err == nil && s.feed.closed {
 		s.err = fmt.Errorf("ptrace: push into closed stream")
 	}
 	return s.err == nil
@@ -216,13 +388,12 @@ func (s *Stream) flush(a *pktAsm) error {
 // order, then drops all state. A latched error makes Close a no-op
 // returning that error.
 func (s *Stream) Close() error {
-	if s.err != nil {
+	s.drain()
+	closed := s.feed.closed
+	s.release()
+	if s.err != nil || closed {
 		return s.err
 	}
-	if s.closed {
-		return nil
-	}
-	s.closed = true
 	var rest []*pktAsm
 	s.cursors.each(func(a *pktAsm) {
 		if !a.flushed {
@@ -244,4 +415,26 @@ func (s *Stream) Close() error {
 	}
 	s.cursors, s.tombs = cursorTable{}, nil
 	return nil
+}
+
+// Abort is Close for a run that is failing, and is meant for a defer: it
+// waits for the batch in flight, if any, drops the records not yet handed
+// off and closes the stream, so no callback runs after it returns. It
+// never panics; a callback panic it finds latches into Err, and the panic
+// already unwinding stays the run's failure. After Close it does nothing.
+func (s *Stream) Abort() {
+	s.settle()
+	s.release()
+}
+
+// release returns the stream's batch buffers to the pool and marks it
+// closed. Nothing may be in flight.
+func (s *Stream) release() {
+	f := &s.feed
+	for _, b := range [...][]Record{f.fill, f.spare} {
+		if b != nil {
+			batches.Put((*batch)(b))
+		}
+	}
+	f.fill, f.spare, f.n, f.closed = nil, nil, 0, true
 }

@@ -1,20 +1,25 @@
-// Command verify runs the determinism + conservation battery: every
-// scheme on the paper's three patterns, each point run twice from a
-// pre-recorded traffic tape (bit-reproducibility), checked against the
-// live injector (tape faithfulness), audited for packet conservation
-// mid-flight and after drain, then cross-checked differentially between
-// schemes and between serial and parallel sweep execution.
+// Command verify runs one of internal/check's verification batteries. Each
+// battery is a row of that package's table (check.Lookup): a point grid,
+// the per-point check every point gets and the cross checks over the run.
+// The mode flag names the row; without one it runs the standard battery.
 //
-// With -chaos it instead runs the fault-injection battery: every (scheme,
-// fault class, fault rate) triple with recovery enabled, asserting
-// determinism under faults, conservation, quiescence, and zero permanent
-// loss, plus the rate-zero inertness and recovery-off stranding legs.
+// The standard battery is determinism + conservation: every scheme on the
+// paper's three patterns, each point run twice from a pre-recorded
+// traffic tape (bit-reproducibility), checked against the live injector
+// (tape faithfulness), audited for packet conservation mid-flight and
+// after drain, then cross-checked differentially between schemes and
+// between serial, parallel and farm sweep execution.
+//
+// With -chaos it runs the fault-injection battery: every (scheme, fault
+// class, fault rate) triple with recovery enabled, asserting determinism
+// under faults, conservation, quiescence, and zero permanent loss, plus
+// the rate-zero inertness and recovery-off stranding legs.
 //
 // With -workloads it runs the workload differential battery: every
 // preset workload (bursty, flash-crowd, phased diurnal) recorded as a
-// tape and verified under every scheme — replay determinism, live
-// tape-faithfulness, and packet conservation audited at every schedule
-// phase boundary.
+// tape and verified under every scheme with the standard battery's
+// per-point checks, conservation audited at every schedule phase
+// boundary.
 //
 // With -twin it runs the analytical-twin differential: internal/twin's
 // closed-form per-phase predictions compared against the exact span
@@ -49,6 +54,7 @@
 package main
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -61,7 +67,6 @@ import (
 	"photon/internal/core"
 	"photon/internal/exp"
 	"photon/internal/ptrace"
-	"photon/internal/sim"
 	"photon/internal/stats"
 	"photon/internal/traffic"
 )
@@ -71,37 +76,11 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 // battery runs the battery a mode flag names ("" is the standard one).
 // It is a variable so tests can substitute an outcome.
 var battery = func(mode string, seed uint64, quick bool) (check.Outcome, error) {
-	switch mode {
-	case "twin":
-		b := check.QuickTwinBattery(seed)
-		if !quick {
-			b = check.FullTwinBattery(seed)
-		}
-		return check.RunTwin(b)
-	case "workloads":
-		b := check.QuickWorkloadBattery(seed)
-		if !quick {
-			// The full variant runs the standard short window with a deeper
-			// post-run drain.
-			b.Window = sim.ShortWindow()
-			b.DrainLimit = 60_000
-		}
-		return check.RunWorkloads(b)
-	case "chaos":
-		b := check.QuickChaos(seed)
-		if !quick {
-			// The full variant widens the rate grid and the window.
-			b.Rates = []float64{0.001, 0.01, 0.05, 0.10}
-			b.Window.Measure *= 4
-		}
-		return check.RunChaos(b)
-	default:
-		b := check.FullBattery(seed)
-		if quick {
-			b = check.QuickBattery(seed)
-		}
-		return check.Run(b)
+	b, err := check.Lookup(cmp.Or(mode, "standard"))
+	if err != nil {
+		return nil, err
 	}
+	return b.Run(b.Grid(quick), seed)
 }
 
 // run is main without the process: it parses args, runs the selected

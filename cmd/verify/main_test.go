@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -334,44 +335,54 @@ func TestFailingBatteryExitsNonZero(t *testing.T) {
 	}
 }
 
-// TestQuickBatteries drives the real batteries through the command: the
-// determinism leg (same seed ⇒ byte-identical stdout on two runs), and
-// `-quick -json` round-tripping into check.Summary with the point count
-// the text footer prints.
+// TestQuickBatteries runs each quick battery once and drives the command
+// over that one outcome in every output format: `-json` round-trips into
+// check.Summary, the text footer counts the same points and cross checks,
+// and the CSV has one row per point. (CI holds same-seed runs to
+// byte-identical stdout.)
 func TestQuickBatteries(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the quick batteries")
 	}
-	for _, args := range [][]string{{"-chaos", "-quick"}, {"-workloads", "-quick", "-csv"}, {"-workloads", "-quick", "-json"}} {
-		status, first, stderr := verify(args...)
-		if status != 0 {
-			t.Fatalf("verify %v: exit %d\n%s%s", args, status, first, stderr)
+	unstubbed := battery
+	for _, mode := range []string{"", "chaos", "workloads"} {
+		out, err := unstubbed(mode, 1, true)
+		if err != nil {
+			t.Fatalf("battery %q: %v", mode, err)
 		}
-		if _, second, _ := verify(args...); second != first {
-			t.Errorf("verify %v: two runs with the same seed wrote different stdout", args)
+		stubBattery(t, func(string, uint64, bool) (check.Outcome, error) { return out, nil })
+		args := []string{"-quick"}
+		if mode != "" {
+			args = append(args, "-"+mode)
 		}
-	}
 
-	status, doc, stderr := verify("-quick", "-json")
-	if status != 0 {
-		t.Fatalf("verify -quick -json: exit %d\n%s", status, stderr)
-	}
-	var sum check.Summary
-	if err := json.Unmarshal([]byte(doc), &sum); err != nil {
-		t.Fatalf("-json output does not parse: %v", err)
-	}
-	if !sum.Pass || sum.Battery != "standard" || sum.Seed != 1 || len(sum.Points) == 0 {
-		t.Errorf("summary header: battery %q seed %d pass %v, %d points", sum.Battery, sum.Seed, sum.Pass, len(sum.Points))
-	}
-	for _, v := range sum.Points {
-		if v.Status != "pass" || v.Scheme == "" || len(v.Digest) != 16 {
-			t.Errorf("point %+v in a passing summary", v)
+		status, doc, stderr := verify(append(args, "-json")...)
+		if status != 0 {
+			t.Fatalf("verify %v -json: exit %d\n%s", args, status, stderr)
 		}
-	}
-	status, text, stderr := verify("-quick")
-	footer := fmt.Sprintf("PASS: %d points, %d cross checks\n", len(sum.Points), len(sum.Cross))
-	if status != 0 || !strings.HasSuffix(text, footer) {
-		t.Errorf("verify -quick: exit %d, output does not end in %q\n%s", status, footer, stderr)
+		var sum check.Summary
+		if err := json.Unmarshal([]byte(doc), &sum); err != nil {
+			t.Fatalf("verify %v -json: output does not parse: %v", args, err)
+		}
+		if want := cmp.Or(mode, "standard"); !sum.Pass || sum.Battery != want || sum.Seed != 1 || len(sum.Points) == 0 {
+			t.Errorf("summary header: battery %q (want %q) seed %d pass %v, %d points", sum.Battery, want, sum.Seed, sum.Pass, len(sum.Points))
+		}
+		for _, v := range sum.Points {
+			if v.Status != "pass" || v.Scheme == "" || len(v.Digest) != 16 {
+				t.Errorf("point %+v in a passing summary", v)
+			}
+		}
+
+		status, text, stderr := verify(args...)
+		footer := fmt.Sprintf("PASS: %d points, %d cross checks\n", len(sum.Points), len(sum.Cross))
+		if status != 0 || !strings.HasSuffix(text, footer) {
+			t.Errorf("verify %v: exit %d, output does not end in %q\n%s", args, status, footer, stderr)
+		}
+		status, csv, stderr := verify(append(args, "-csv")...)
+		table, _, _ := strings.Cut(csv, "\n\n") // the header line, then a line per point
+		if rows := strings.Count(table, "\n"); status != 0 || rows != len(sum.Points) {
+			t.Errorf("verify %v -csv: exit %d, %d rows for %d points\n%s", args, status, rows, len(sum.Points), stderr)
+		}
 	}
 }
 

@@ -194,6 +194,7 @@ func TestInternalExportsHaveConsumers(t *testing.T) {
 var optionStructs = []string{
 	"core.Config", "core.RecoveryConfig", "arbiter.FairnessConfig", "fault.Config", "fault.ClassConfig",
 	"swmr.Config", "farm.Config", "cpu.Params", "ptrace.StreamConfig", "exp.Options",
+	"check.Point", "check.Drive", "check.Grid",
 }
 
 // fieldWithoutSetter is the allowlist of TestOptionFieldsHaveSetters:

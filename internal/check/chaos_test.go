@@ -9,15 +9,26 @@ import (
 	"photon/internal/sim"
 )
 
+// chaosGrid returns the chaos battery and its quick grid on a short window.
+func chaosGrid(t *testing.T) (*check.Battery, check.Grid) {
+	t.Helper()
+	b, err := check.Lookup("chaos")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := b.Grid(true)
+	g.Window = sim.Window{Warmup: 200, Measure: 600, Drain: 600}
+	return b, g
+}
+
 // TestChaosReduced: an end-to-end chaos battery over a scheme pair must
 // come back green with sane reporting. (cmd/verify -chaos runs the full
 // quick chaos battery; this keeps the test suite fast.)
 func TestChaosReduced(t *testing.T) {
-	b := check.QuickChaos(1)
-	b.Schemes = []core.Scheme{core.TokenSlot, core.DHS}
-	b.Rates = []float64{0.01, 0.05}
-	b.Window = sim.Window{Warmup: 200, Measure: 600, Drain: 600}
-	rep, err := check.RunChaos(b)
+	b, g := chaosGrid(t)
+	g.Schemes = []core.Scheme{core.TokenSlot, core.DHS}
+	g.FaultRates = []float64{0.01, 0.05}
+	rep, err := b.Run(g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,15 +43,15 @@ func TestChaosReduced(t *testing.T) {
 		t.Fatal("table row count mismatch")
 	}
 	// Cross legs: one inertness check per scheme plus the two fixed legs.
-	if len(rep.Cross) != len(b.Schemes)+2 {
-		t.Fatalf("expected %d cross checks, got %d", len(b.Schemes)+2, len(rep.Cross))
+	if len(rep.Cross) != len(g.Schemes)+2 {
+		t.Fatalf("expected %d cross checks, got %d", len(g.Schemes)+2, len(rep.Cross))
 	}
 	fired := false
 	for _, p := range rep.Points {
 		if p.Digest == 0 {
 			t.Fatalf("degenerate point report: %+v", p)
 		}
-		if p.FaultsInjected > 0 {
+		if p.Acct.FaultsInjected > 0 {
 			fired = true
 		}
 	}
@@ -53,14 +64,11 @@ func TestChaosReduced(t *testing.T) {
 // injected class must come back red — the battery's Recovered check is
 // live, not vacuously true.
 func TestChaosDetectsPermanentLoss(t *testing.T) {
-	b := check.QuickChaos(1)
-	b.Schemes = []core.Scheme{core.DHSCirculation}
-	b.Classes = []fault.Class{fault.DataLoss}
-	b.Rates = []float64{0.05}
-	b.Window = sim.Window{Warmup: 200, Measure: 600, Drain: 600}
-	// Force the unrecoverable pairing into the grid by bypassing the
-	// applicability filter: run the point directly.
-	rep, err := check.RunChaos(b)
+	b, g := chaosGrid(t)
+	g.Schemes = []core.Scheme{core.DHSCirculation}
+	g.Classes = []fault.Class{fault.DataLoss}
+	g.FaultRates = []float64{0.05}
+	rep, err := b.Run(g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package check_test
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"photon/internal/check"
@@ -114,11 +115,15 @@ func TestDigestIgnoresObservers(t *testing.T) {
 // back green with sane reporting. (cmd/verify runs the full quick battery;
 // this keeps the test suite fast.)
 func TestBatteryReduced(t *testing.T) {
-	b := check.QuickBattery(1)
-	b.Schemes = []core.Scheme{core.TokenChannel, core.GHSSetaside}
-	b.Patterns = []traffic.Pattern{traffic.UniformRandom{}}
-	b.Window = sim.Window{Warmup: 200, Measure: 600, Drain: 600}
-	rep, err := check.Run(b)
+	b, err := check.Lookup("standard")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := b.Grid(true)
+	g.Schemes = []core.Scheme{core.TokenChannel, core.GHSSetaside}
+	g.Drives = slices.DeleteFunc(g.Drives, func(d check.Drive) bool { return d.Pattern.Name() != "UR" })
+	g.Window = sim.Window{Warmup: 200, Measure: 600, Drain: 600}
+	rep, err := b.Run(g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,21 +137,20 @@ func TestBatteryReduced(t *testing.T) {
 		t.Fatal("table row count mismatch")
 	}
 	for _, p := range rep.Points {
-		if p.Injected == 0 || p.Events == 0 {
+		if p.Acct.Injected == 0 || p.Events == 0 {
 			t.Fatalf("degenerate point report: %+v", p)
 		}
 	}
 	// The two schemes replayed the same tapes: injected counts must agree
 	// pairwise (the differential guarantee, visible in the report).
-	byKey := map[string][]check.PointReport{}
+	byKey := map[check.Drive][]check.Result{}
 	for _, p := range rep.Points {
-		k := p.Pattern + "@" + string(rune('0'+int(p.Rate*100)))
-		byKey[k] = append(byKey[k], p)
+		byKey[p.Drive] = append(byKey[p.Drive], p)
 	}
 	for k, group := range byKey {
 		for i := 1; i < len(group); i++ {
-			if group[i].Injected != group[0].Injected {
-				t.Fatalf("%s: schemes saw different traffic: %d vs %d", k, group[i].Injected, group[0].Injected)
+			if group[i].Acct.Injected != group[0].Acct.Injected {
+				t.Fatalf("%v: schemes saw different traffic: %d vs %d", k, group[i].Acct.Injected, group[0].Acct.Injected)
 			}
 		}
 	}

@@ -10,15 +10,14 @@ import (
 
 	"photon/internal/core"
 	"photon/internal/exp"
-	"photon/internal/fault"
-	"photon/internal/sim"
 	"photon/internal/traffic"
 )
 
 // The golden-digest regression tests pin the behavioural fingerprint of
-// every quick-grid and chaos-battery point as testdata, so a plain
-// `go test ./...` fails on any engine divergence — EXPERIMENTS.md records
-// the same digests for humans, but only these files make them binding.
+// every point of the quick standard, chaos and workload batteries (and of
+// the slo and wide-ring grids) as testdata, so a plain `go test ./...`
+// fails on any engine divergence — EXPERIMENTS.md records the same
+// digests for humans, but only these files make them binding.
 //
 // Regenerate after an *intentional* behaviour change with:
 //
@@ -42,54 +41,31 @@ func (p goldenPoint) key() string {
 	return fmt.Sprintf("%s/%s@%g", p.Scheme, p.Case, p.Rate)
 }
 
-// goldenQuickPoints reproduces the per-point digests of
-// Run(QuickBattery(seed)) — same tape derivation order, same seeds, same
-// window — without the battery's repeat runs and cross checks, so the
-// golden sweep stays test-suite cheap.
-func goldenQuickPoints(t *testing.T, seed uint64) []goldenPoint {
+// goldenBatteryPoints replays every point of b's quick grid once, with
+// the jobs and tapes the battery's own builder makes, and keys each
+// digest by caseOf(point) — the battery's per-point digests without its
+// repeat runs and cross checks, so the golden sweep stays test-suite
+// cheap while guarding the tape seeds, point order and filters the
+// battery actually runs.
+func goldenBatteryPoints(t *testing.T, b *Battery, seed uint64, caseOf func(Point) (string, float64)) []goldenPoint {
 	t.Helper()
-	b := QuickBattery(seed)
-	cfg0 := core.DefaultConfig(b.Schemes[0])
-
-	type pointJob struct {
-		scheme core.Scheme
-		name   string
-		rate   float64
-		tape   *traffic.Tape
+	g := b.Grid(true)
+	_, jobs, err := b.jobs(g, seed)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var jobs []pointJob
-	tapes := 0
-	for _, pat := range b.Patterns {
-		for _, rate := range b.Loads(pat.Name()) {
-			tape, err := traffic.RecordTape(pat, rate, cfg0.Nodes, cfg0.CoresPerNode,
-				sim.DeriveSeed(b.Seed, uint64(tapes)), b.Window.Warmup+b.Window.Measure)
-			if err != nil {
-				t.Fatalf("recording %s tape at %.3f: %v", pat.Name(), rate, err)
-			}
-			tapes++
-			for _, s := range b.Schemes {
-				jobs = append(jobs, pointJob{scheme: s, name: pat.Name(), rate: rate, tape: tape})
-			}
-		}
-	}
-
 	points := make([]goldenPoint, len(jobs))
 	runGoldenJobs(t, len(jobs), func(i int) error {
 		j := jobs[i]
-		cfg := core.DefaultConfig(j.scheme)
-		cfg.Seed = b.Seed
-		net, err := core.NewNetwork(cfg, b.Window)
+		res, _, err := replay(j.config(seed, g.Window), g.Window, j.tape)
 		if err != nil {
 			return err
 		}
-		res, err := j.tape.Run(net)
-		if err != nil {
-			return err
-		}
+		name, rate := caseOf(j.Point)
 		points[i] = goldenPoint{
-			Scheme: j.scheme.String(),
-			Case:   j.name,
-			Rate:   j.rate,
+			Scheme: j.Scheme.String(),
+			Case:   name,
+			Rate:   rate,
 			Digest: fmt.Sprintf("%016x", res.Digest),
 		}
 		return nil
@@ -97,57 +73,19 @@ func goldenQuickPoints(t *testing.T, seed uint64) []goldenPoint {
 	return points
 }
 
-// goldenChaosPoints reproduces the per-point digests of
-// RunChaos(QuickChaos(seed)): faults armed per (scheme, class, rate) with
-// recovery on, over the battery's shared uniform-random tape.
+// goldenQuickPoints: the quick standard battery, keyed by pattern and load.
+func goldenQuickPoints(t *testing.T, seed uint64) []goldenPoint {
+	return goldenBatteryPoints(t, standardBattery, seed, func(p Point) (string, float64) { return p.Pattern.Name(), p.Rate })
+}
+
+// goldenChaosPoints: the quick chaos battery, keyed by fault class and rate.
 func goldenChaosPoints(t *testing.T, seed uint64) []goldenPoint {
-	t.Helper()
-	b := QuickChaos(seed)
-	cfg0 := core.DefaultConfig(b.Schemes[0])
-	tape, err := traffic.RecordTape(traffic.UniformRandom{}, b.Load, cfg0.Nodes, cfg0.CoresPerNode,
-		sim.DeriveSeed(b.Seed, 0xC4A05), b.Window.Warmup+b.Window.Measure)
-	if err != nil {
-		t.Fatalf("recording chaos tape: %v", err)
-	}
+	return goldenBatteryPoints(t, chaosBattery, seed, func(p Point) (string, float64) { return p.Class.String(), p.FaultRate })
+}
 
-	type pointJob struct {
-		scheme core.Scheme
-		class  fault.Class
-		rate   float64
-	}
-	var jobs []pointJob
-	for _, s := range b.Schemes {
-		for _, cl := range b.Classes {
-			if !classApplies(s, cl) {
-				continue
-			}
-			for _, rate := range b.Rates {
-				jobs = append(jobs, pointJob{s, cl, rate})
-			}
-		}
-	}
-
-	points := make([]goldenPoint, len(jobs))
-	runGoldenJobs(t, len(jobs), func(i int) error {
-		j := jobs[i]
-		cfg := b.chaosConfig(j.scheme, j.class, j.rate)
-		net, err := core.NewNetwork(cfg, b.Window)
-		if err != nil {
-			return err
-		}
-		res, err := tape.Run(net)
-		if err != nil {
-			return err
-		}
-		points[i] = goldenPoint{
-			Scheme: j.scheme.String(),
-			Case:   j.class.String(),
-			Rate:   j.rate,
-			Digest: fmt.Sprintf("%016x", res.Digest),
-		}
-		return nil
-	})
-	return points
+// goldenWorkloadPoints: the quick workload battery, keyed by preset.
+func goldenWorkloadPoints(t *testing.T, seed uint64) []goldenPoint {
+	return goldenBatteryPoints(t, workloadBattery, seed, func(p Point) (string, float64) { return p.Workload.Name, 0 })
 }
 
 // goldenSLOPoints reproduces the per-point digests of the "slo" workload
@@ -287,6 +225,13 @@ func TestGoldenChaosDigests(t *testing.T) {
 		t.Skip("chaos golden sweep skipped in -short mode")
 	}
 	checkGolden(t, "golden_chaos.json", goldenChaosPoints(t, 1))
+}
+
+// TestGoldenWorkloadDigests pins every (scheme, preset workload) digest
+// of the quick workload battery, whose tapes differ from the "slo" grid's
+// (battery tape seeds, a 300/1200/1000 window).
+func TestGoldenWorkloadDigests(t *testing.T) {
+	checkGolden(t, "golden_workloads.json", goldenWorkloadPoints(t, 1))
 }
 
 // TestGoldenSLODigests pins every (scheme, preset workload) digest of the

@@ -1,11 +1,13 @@
 package check
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"photon/internal/core"
 	"photon/internal/exp"
+	"photon/internal/sim"
 )
 
 // TestRunTwinQuick runs the full CI twin differential: every registered
@@ -17,7 +19,7 @@ func TestRunTwinQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("twin differential skipped in -short mode")
 	}
-	rep, err := RunTwin(QuickTwinBattery(1))
+	rep, err := twinBattery.Run(twinBattery.Grid(true), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,15 +39,16 @@ func TestRunTwinQuick(t *testing.T) {
 }
 
 // TestRunTwinTightBandFails proves the battery actually bites: with a
-// near-zero tolerance band the same comparison must fail and the report
-// must carry an attributable failure line.
+// near-zero tolerance band the same comparison must fail, and the failure
+// line must name the band in force and a phase that failed under it.
 func TestRunTwinTightBandFails(t *testing.T) {
-	b := QuickTwinBattery(1)
-	b.Schemes = []core.Scheme{core.TokenSlot}
-	b.Utilizations = []float64{0.5}
-	b.RelTol = 1e-9
-	b.AbsTol = 1e-9
-	rep, err := RunTwin(b)
+	tight := band{rel: 1e-9, abs: 1e-9}
+	b := *twinBattery
+	b.check = tight.verify
+	g := b.Grid(true)
+	g.Schemes = []core.Scheme{core.TokenSlot}
+	g.Utils = []float64{0.5}
+	rep, err := b.Run(g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,6 +62,22 @@ func TestRunTwinTightBandFails(t *testing.T) {
 	if !strings.Contains(fails[0], "token-slot") {
 		t.Errorf("failure line %q does not name the scheme", fails[0])
 	}
+	if want := "band max(1e-07%, 1e-09))"; !strings.HasSuffix(fails[0], want) {
+		t.Errorf("failure line %q does not name the band in force (%s)", fails[0], want)
+	}
+	p := rep.Points[0]
+	named := false
+	for _, ph := range append(p.Twin.Phases, p.Twin.Total) {
+		if strings.Contains(fails[0], ": "+ph.Phase+" pred ") {
+			named = true
+			if ph.Pass {
+				t.Errorf("failure line %q names phase %s, which passed the band", fails[0], ph.Phase)
+			}
+		}
+	}
+	if !named {
+		t.Errorf("failure line %q names no phase", fails[0])
+	}
 	// The rendered table must mark the point.
 	var sb strings.Builder
 	if err := rep.Table().WriteText(&sb); err != nil {
@@ -69,14 +88,20 @@ func TestRunTwinTightBandFails(t *testing.T) {
 	}
 }
 
-// TestRunTwinDefaults: a zero-value battery fills in the quick defaults
-// instead of running an empty comparison.
+// TestRunTwinDefaults: the quick grid carries the documented defaults
+// (every scheme at utilisation 0.2/0.35/0.5 over the short window, held to
+// max(10%, 0.75 cycles)), and one of its points passes under them.
 func TestRunTwinDefaults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("twin differential skipped in -short mode")
 	}
-	b := TwinBattery{Schemes: []core.Scheme{core.DHSSetaside}, Utilizations: []float64{0.2}}
-	rep, err := RunTwin(b)
+	g := twinBattery.Grid(true)
+	if !slices.Equal(g.Schemes, core.Schemes()) || !slices.Equal(g.Utils, []float64{0.2, 0.35, 0.5}) ||
+		g.Window != sim.ShortWindow() || twinBand.String() != "max(10%, 0.75)" {
+		t.Fatalf("quick twin grid %+v, band %s: not the documented defaults", g, twinBand)
+	}
+	g.Schemes, g.Utils = []core.Scheme{core.DHSSetaside}, []float64{0.2}
+	rep, err := twinBattery.Run(g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +109,7 @@ func TestRunTwinDefaults(t *testing.T) {
 		t.Fatalf("%d points, want 1", len(rep.Points))
 	}
 	p := rep.Points[0]
-	if p.Rate <= 0 || len(p.Phases) == 0 {
+	if p.Rate <= 0 || len(p.Twin.Phases) == 0 {
 		t.Fatalf("defaulted battery produced an empty point: %+v", p)
 	}
 	if !p.Pass() {
@@ -99,7 +124,7 @@ func TestTwinSeedRobustness(t *testing.T) {
 	if testing.Short() {
 		t.Skip("twin differential skipped in -short mode")
 	}
-	rep, err := RunTwin(QuickTwinBattery(7))
+	rep, err := twinBattery.Run(twinBattery.Grid(true), 7)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,11 +20,23 @@ func TableRows(tab *stats.Table) int {
 	return strings.Count(csv.String(), "\n") - 1
 }
 
+// passed reports whether the point's check of that name passed.
+func passed(t *testing.T, p Result, name string) bool {
+	t.Helper()
+	for _, c := range p.Checks {
+		if c.Name == name {
+			return c.Pass
+		}
+	}
+	t.Fatalf("%s %s has no %q check", p.Scheme, p.name(), name)
+	return false
+}
+
 // TestQuickWorkloadBattery runs the CI-sized workload battery end to
 // end: every preset workload under every scheme must be deterministic,
 // tape-faithful and conservation-clean at every phase boundary.
 func TestQuickWorkloadBattery(t *testing.T) {
-	rep, err := RunWorkloads(QuickWorkloadBattery(1))
+	rep, err := workloadBattery.Run(workloadBattery.Grid(true), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,14 +52,14 @@ func TestQuickWorkloadBattery(t *testing.T) {
 	// still audit once, at the injection-span end.
 	for _, p := range rep.Points {
 		want := 1
-		if p.Workload == "diurnal" {
+		if p.Workload.Name == "diurnal" {
 			want = 3
 		}
 		if p.Boundaries != want {
-			t.Errorf("%s %s audited %d phase boundaries, want %d", p.Scheme, p.Workload, p.Boundaries, want)
+			t.Errorf("%s %s audited %d phase boundaries, want %d", p.Scheme, p.Workload.Name, p.Boundaries, want)
 		}
-		if p.Injected == 0 {
-			t.Errorf("%s %s injected nothing — the battery is vacuous", p.Scheme, p.Workload)
+		if p.Acct.Injected == 0 {
+			t.Errorf("%s %s injected nothing — the battery is vacuous", p.Scheme, p.Workload.Name)
 		}
 	}
 	if TableRows(rep.Table()) != len(rep.Points) {
@@ -59,29 +71,28 @@ func TestQuickWorkloadBattery(t *testing.T) {
 // tape-faithfulness check actually bites: verifying a point against a
 // tape recorded from a different seed must fail, not silently pass.
 func TestWorkloadBatteryDetectsDivergence(t *testing.T) {
-	b := QuickWorkloadBattery(1)
-	preset := traffic.PresetWorkloads()[0]
-	w, err := traffic.ParseWorkload(preset.Spec)
+	g := workloadBattery.Grid(true)
+	r, jobs, err := workloadBattery.jobs(g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := core.DefaultConfig(b.Schemes[0])
-	span := b.Window.Warmup + b.Window.Measure
-	tape, err := traffic.RecordWorkloadTape(w, b.Pattern, cfg.Nodes, cfg.CoresPerNode, 12345, span)
+	j := jobs[0]
+	tape, err := j.record(12345, g.Window)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Lie about the tape's seed: the live injector leg now runs different
 	// traffic than the replay legs.
-	tape.Seed = sim.DeriveSeed(b.Seed, 0)
-	p, err := verifyWorkloadPoint(b, b.Schemes[0], preset, w, tape)
+	tape.Seed = sim.DeriveSeed(1, 0)
+	j.tape = tape
+	p, err := verifyTape(r, j)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.TapeFaithful {
+	if passed(t, p, "tape") {
 		t.Fatal("battery accepted a live run that diverged from its tape")
 	}
-	if p.Deterministic != true {
+	if !passed(t, p, "determ") {
 		t.Fatal("replay determinism should be independent of the tape's recorded seed")
 	}
 }

@@ -70,7 +70,7 @@ type ExactBreakdownRow struct {
 
 // ExactBreakdownPoint measures one scheme's exact latency attribution
 // under UR at the given load — the single-point unit ExactBreakdown and
-// the twin differential battery (check.RunTwin) share.
+// the twin differential battery (verify -twin) share.
 func ExactBreakdownPoint(s core.Scheme, load float64, opts Options) (ExactBreakdownRow, error) {
 	res, attr, _, err := RunStreamedPoint(Point{Scheme: s, Pattern: traffic.UniformRandom{}, Rate: load}, opts, ptrace.StreamConfig{})
 	if err != nil {

@@ -1,7 +1,7 @@
 // Package twin is the analytical queueing twin of the cycle engine: a
 // closed-form model of each scheme family's per-phase mean latency under
 // uniform-random Bernoulli traffic, validated against the simulator's
-// exact span attribution (exp.ExactBreakdown) by check.RunTwin.
+// exact span attribution (exp.ExactBreakdown) by the twin battery (verify -twin).
 //
 // The twin answers in microseconds what a sweep answers in minutes —
 // "what offered load can N nodes sustain under scheme X within a latency
@@ -71,7 +71,7 @@
 // slot-token efficiency) are calibrated once against the simulator at the
 // paper's default configuration and recorded here as constants. The
 // validity envelope and the per-phase error bands are documented in
-// DESIGN.md ("Analytical twin") and enforced by check.RunTwin.
+// DESIGN.md ("Analytical twin") and enforced by the twin battery.
 package twin
 
 import (
@@ -153,7 +153,7 @@ const (
 	// DivergenceUtilization is the utilization above which the twin
 	// self-reports divergence: the closed forms assume queueing terms are
 	// perturbations of the zero-load pipeline, which stops holding as the
-	// knee approaches. check.RunTwin validates only below this; cmd/plan
+	// knee approaches. The twin battery validates only below this; cmd/plan
 	// falls back to simulation beyond it.
 	DivergenceUtilization = 0.7
 	// divergenceQueueRho is the per-queue occupancy that independently

@@ -33,7 +33,8 @@ func pinned(t *testing.T, study string) string {
 }
 
 // TestPinnedStdout runs every catalog row through run() and compares
-// bytes with what the row's old invocation printed. A row added without
+// bytes with what the row's old invocation printed, then checks the row's
+// claims (claims_test.go) on the stdout it produced. A row added without
 // a pinned file fails here.
 func TestPinnedStdout(t *testing.T) {
 	if testing.Short() {
@@ -67,6 +68,11 @@ func TestPinnedStdout(t *testing.T) {
 			// The pinned trace files were written as cg.phtr in the working directory.
 			if got, want := strings.ReplaceAll(stdout, tracePath, "cg.phtr"), pinned(t, s.Name); got != want {
 				t.Errorf("sweep %v: stdout differs from the pinned bytes\n--- got\n%s--- want\n%s", args, got, want)
+			}
+			for _, c := range claims {
+				if c.row == s.Name {
+					t.Run("claim:"+c.name, func(t *testing.T) { c.check(t, stdout) })
+				}
 			}
 		})
 	}
@@ -218,14 +224,17 @@ func TestSameSeedSameBytes(t *testing.T) {
 }
 
 // TestProfileFlags: -cpuprofile and -memprofile leave non-empty pprof
-// files behind and do not move a byte of stdout.
+// files behind and do not move a byte of stdout: the profiled run prints
+// what an unprofiled run of the same study prints.
 func TestProfileFlags(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs a quick study")
+		t.Skip("runs a quick study twice")
 	}
+	args := []string{"-study", "workload", "-workload", "bursty", "-quick"}
+	_, plain, _ := sweep(args...)
 	cpu, mem := filepath.Join(t.TempDir(), "cpu.prof"), filepath.Join(t.TempDir(), "mem.prof")
-	status, profiled, stderr := sweep("-study", "workload", "-workload", "bursty", "-quick", "-cpuprofile", cpu, "-memprofile", mem)
-	if plain := pinned(t, "workload"); status != 0 || profiled != plain {
+	status, profiled, stderr := sweep(append(args, "-cpuprofile", cpu, "-memprofile", mem)...)
+	if status != 0 || plain == "" || profiled != plain {
 		t.Fatalf("profiled run: exit %d, stdout differs from the plain run: %v\n%s", status, profiled != plain, stderr)
 	}
 	for _, path := range []string{cpu, mem} {

@@ -116,7 +116,8 @@ func appTable(title string, rows []AppResult, schemes []core.Scheme) *stats.Tabl
 // LatencyReduction computes the mean and maximum percentage latency
 // reduction of scheme b relative to scheme a across app results — the
 // paper's "GHS reduces communication latency by an average of 42%" and
-// "up to 59%" numbers.
+// "up to 59%" numbers. When every app regresses, the maximum is the
+// smallest regression (negative), not zero.
 func LatencyReduction(rows []AppResult, baseline, scheme core.Scheme) (avgPct, maxPct float64) {
 	var sum float64
 	var n int
@@ -127,11 +128,11 @@ func LatencyReduction(rows []AppResult, baseline, scheme core.Scheme) (avgPct, m
 			continue
 		}
 		red := 100 * (base - got) / base
-		sum += red
-		n++
-		if red > maxPct {
+		if n == 0 || red > maxPct {
 			maxPct = red
 		}
+		sum += red
+		n++
 	}
 	if n > 0 {
 		avgPct = sum / float64(n)

@@ -225,16 +225,13 @@ func tableStudy(s Study, after string, table func(Options, Params) (*stats.Table
 	return s
 }
 
-// second drops a driver's typed rows, which the catalog does not render.
-func second[T any](_ T, t *stats.Table, err error) (*stats.Table, error) { return t, err }
-
 // fig12Study is a Figure 12 row: panel (a), panel (b) or both, from the
 // same live simulations.
 func fig12Study(name, id, paper, results string, a, b bool) Study {
 	return Study{
 		Name: name, ID: id, Paper: paper, Results: results, Params: []string{"load"}, Load: 0.11,
 		Run: func(out *Output, opts Options, p Params) error {
-			_, ta, tb, err := Fig12(p.Load, opts)
+			ta, tb, err := Fig12(p.Load, opts)
 			if a && err == nil {
 				err = out.Tables(ta)
 			}
@@ -281,28 +278,26 @@ func buildCatalog() []Study {
 		}),
 		tableStudy(Study{Name: "fig11f", ID: "E7", Paper: "Fig. 11(f)", Results: "fig11f.txt",
 			Grid: func(Options) []Point { return fig11fPoints() }}, "\n",
-			func(o Options, _ Params) (*stats.Table, error) { return second(Fig11f(o)) }),
+			func(o Options, _ Params) (*stats.Table, error) { return Fig11f(o) }),
 		fig12Study("fig12", "E8+E9", "Fig. 12", "fig12.txt", true, true),
 		fig12Study("fig12a", "E8", "Fig. 12(a)", "", true, false),
 		fig12Study("fig12b", "E9", "Fig. 12(b)", "", false, true),
 		tableStudy(Study{Name: "table1", ID: "E10", Paper: "Table I", Results: "table1.txt"}, "",
-			func(Options, Params) (*stats.Table, error) { _, t := Table1(); return t, nil }),
+			func(Options, Params) (*stats.Table, error) { return Table1(), nil }),
 		Study{Name: "claims", ID: "E11", Paper: "§V-B claims", Results: "claims.txt", Run: runClaims},
 		Study{Name: "fairness", ID: "X1", Paper: "§III-D (fairness)", Results: "fairness.txt", Run: runFairness},
 		tableStudy(Study{Name: "swmr", ID: "X2", Paper: "§II-B (SWMR)", Results: "swmr.txt"},
 			"\nReservation pays a notification round trip before every packet and\n"+
 				"serialises per node; handshake sends immediately and absorbs receiver\n"+
 				"contention with NACK/retransmit — the paper's argument, on SWMR.\n",
-			func(o Options, _ Params) (*stats.Table, error) { return second(SWMRStudy(nil, o)) }),
+			func(o Options, _ Params) (*stats.Table, error) { return SWMRStudy(o) }),
 		tableStudy(Study{Name: "scaling", ID: "X3", Paper: "large-scale argument", Results: "scaling.txt"}, "",
-			func(o Options, _ Params) (*stats.Table, error) { return second(ScalingStudy(o)) }),
+			func(o Options, _ Params) (*stats.Table, error) { return ScalingStudy(o) }),
 		tableStudy(Study{Name: "multiflit", ID: "X4", Paper: "fn. 6 (multi-flit)", Results: "multiflit.txt",
 			Params: []string{"load"}, Load: 0.05}, "",
-			func(o Options, p Params) (*stats.Table, error) {
-				return second(MultiFlitStudy(core.DHSSetaside, p.Load, o))
-			}),
+			func(o Options, p Params) (*stats.Table, error) { return MultiFlitStudy(p.Load, o) }),
 		tableStudy(Study{Name: "breakdown", ID: "X6", Paper: "§III (mechanism)", Params: []string{"load"}, Load: 0.05}, "\n",
-			func(o Options, p Params) (*stats.Table, error) { return second(ExactBreakdown(p.Load, o)) }),
+			func(o Options, p Params) (*stats.Table, error) { return ExactBreakdown(p.Load, o) }),
 		Study{Name: "workload", ID: "X7", Params: []string{"workload", "pattern"}, Run: runWorkload},
 		Study{
 			Name: "slo", ID: "X7", Grid: func(Options) []Point { return workloadGridPoints() },
@@ -329,7 +324,7 @@ func runWorkload(out *Output, opts Options, p Params) error {
 	if err != nil {
 		return err
 	}
-	_, t, err := WorkloadSweep(p.Workload, pat, opts)
+	t, err := WorkloadSweep(p.Workload, pat, opts)
 	if err != nil {
 		return err
 	}
@@ -396,7 +391,7 @@ func runFairness(out *Output, opts Options, _ Params) error {
 		if s.CreditBased() || s.SendPolicy() == router.HoldHead {
 			continue
 		}
-		_, t, err := FairnessStudy(s, opts)
+		t, err := FairnessStudy(s, opts)
 		if err != nil {
 			return err
 		}

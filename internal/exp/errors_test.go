@@ -10,15 +10,18 @@ import (
 )
 
 func TestFigureDriversRejectBadInput(t *testing.T) {
-	opts := quickOpts()
+	opts := QuickOptions()
 	if _, err := Figure("fig8:NOPE", opts); err == nil {
 		t.Error("Figure accepted Figure 8 on an unknown pattern")
 	}
 	if _, err := Claims("NOPE", opts); err == nil {
 		t.Error("Claims accepted an unknown pattern")
 	}
-	if _, _, err := MultiFlitStudy(core.DHSSetaside, 0.01, Options{Window: opts.Window}); err != nil {
+	if _, err := MultiFlitStudy(0.01, Options{Window: opts.Window}); err != nil {
 		t.Errorf("MultiFlitStudy with zero-value quick flag failed: %v", err)
+	}
+	if _, err := FairnessStudy(core.TokenSlot, opts); err == nil {
+		t.Error("FairnessStudy accepted a credit scheme")
 	}
 }
 
@@ -27,7 +30,7 @@ func TestSweepPropagatesPointErrors(t *testing.T) {
 		Label: "broken", Scheme: core.DHS, Pattern: traffic.UniformRandom{},
 		Mod: func(c *core.Config) { c.BufferDepth = 0 },
 	}
-	if _, err := runCurves(overLoads(broken, []float64{0.01}), quickOpts()); err == nil {
+	if _, err := runCurves(overLoads(broken, []float64{0.01}), QuickOptions()); err == nil {
 		t.Error("the curve runner swallowed a configuration error")
 	}
 }
@@ -43,7 +46,7 @@ func TestRunPointsContainsPanic(t *testing.T) {
 			Mod: func(*core.Config) { panic("wired to explode") }},
 		{Scheme: core.GHS, Pattern: traffic.UniformRandom{}, Rate: 0.01},
 	}
-	opts := quickOpts()
+	opts := QuickOptions()
 	opts.Parallel = 2
 	_, err := RunPoints(points, opts)
 	if err == nil {
@@ -68,7 +71,7 @@ func TestRunPointsContainsPanic(t *testing.T) {
 // healthy points: same result, same digest as the direct call.
 func TestSafeRunPointPassthrough(t *testing.T) {
 	p := Point{Scheme: core.TokenSlot, Pattern: traffic.UniformRandom{}, Rate: 0.02}
-	opts := quickOpts()
+	opts := QuickOptions()
 	direct, err := RunPoint(p, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +102,7 @@ func TestNilPatternIsAnError(t *testing.T) {
 }
 
 func TestRunPointsEmpty(t *testing.T) {
-	res, err := RunPoints(nil, quickOpts())
+	res, err := RunPoints(nil, QuickOptions())
 	if err != nil || len(res) != 0 {
 		t.Fatalf("empty RunPoints: %v, %d", err, len(res))
 	}

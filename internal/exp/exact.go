@@ -90,18 +90,16 @@ func ExactBreakdownPoint(s core.Scheme, load float64, opts Options) (ExactBreakd
 // under UR at the given load, with the analytical twin's predicted mean
 // and utilization alongside for an at-a-glance model-vs-measurement
 // check.
-func ExactBreakdown(load float64, opts Options) ([]ExactBreakdownRow, *stats.Table, error) {
+func ExactBreakdown(load float64, opts Options) (*stats.Table, error) {
 	t := stats.NewTable(
 		fmt.Sprintf("Exact latency attribution (cycles) at UR %.2f pkt/cycle/core", load),
 		"scheme", "pipeline", "queue", "token-wait", "flight", "hs-wait",
 		"retx-wait", "circulation", "eject", "total", "(setaside)", "twin-mean", "twin-util")
-	var rows []ExactBreakdownRow
 	for _, s := range core.Schemes() {
 		row, err := ExactBreakdownPoint(s, load, opts)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		rows = append(rows, row)
 		twinMean, twinUtil := "-", "-"
 		if model, err := twin.NewDefault(s); err == nil {
 			p := model.Predict(load)
@@ -124,5 +122,5 @@ func ExactBreakdown(load float64, opts Options) ([]ExactBreakdownRow, *stats.Tab
 			fmt.Sprintf("%.1f", row.Setaside),
 			twinMean, twinUtil)
 	}
-	return rows, t, nil
+	return t, nil
 }

@@ -3,6 +3,7 @@ package exp
 import (
 	"math"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -12,15 +13,25 @@ import (
 	"photon/internal/traffic"
 )
 
+// exactBreakdownRows measures every scheme's exact attribution at UR
+// 0.13, once for the tests that read it.
+var exactBreakdownRows = sync.OnceValues(func() (rows []ExactBreakdownRow, err error) {
+	for _, s := range core.Schemes() {
+		row, err := ExactBreakdownPoint(s, 0.13, QuickOptions())
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, row)
+	}
+	return rows, nil
+})
+
 // TestExactBreakdownInternalConsistency: the span phases of every scheme
 // sum to the measured latency at the integer level — no tolerance.
 func TestExactBreakdownInternalConsistency(t *testing.T) {
-	rows, table, err := ExactBreakdown(0.13, quickOpts())
+	rows, err := exactBreakdownRows()
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(rows) != 7 || tableRows(table) != 7 {
-		t.Fatalf("rows %d", len(rows))
 	}
 	for _, r := range rows {
 		var phaseSum int64
@@ -51,12 +62,9 @@ func TestExactBreakdownInternalConsistency(t *testing.T) {
 // bound, not a hand-waved tolerance — it is why the average-based
 // breakdown is not offered as an attribution.
 func TestExactBreakdownDifferential(t *testing.T) {
-	exact, _, err := ExactBreakdown(0.13, quickOpts())
+	exact, err := exactBreakdownRows()
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(exact) != len(core.Schemes()) {
-		t.Fatalf("%d exact rows vs %d schemes", len(exact), len(core.Schemes()))
 	}
 	for i, ex := range exact {
 		if ex.Scheme != core.Schemes()[i] || ex.Result.Scheme != ex.Scheme {
@@ -109,12 +117,12 @@ func TestExactBreakdownDifferential(t *testing.T) {
 // sees every span the stream flushes.
 func TestTracedPointDigestInert(t *testing.T) {
 	p := Point{Scheme: core.DHSSetaside, Pattern: traffic.UniformRandom{}, Rate: 0.13}
-	plain, err := RunPoint(p, quickOpts())
+	plain, err := RunPoint(p, QuickOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	var spans, metas int64
-	traced, _, st, err := RunStreamedPoint(p, quickOpts(), ptrace.StreamConfig{
+	traced, _, st, err := RunStreamedPoint(p, QuickOptions(), ptrace.StreamConfig{
 		OnSpan: func(*ptrace.PacketSpan) error { spans++; return nil },
 		OnMeta: func(ptrace.Record) error { metas++; return nil },
 	})
@@ -161,7 +169,7 @@ func TestStreamedRunPanicStopsItsTee(t *testing.T) {
 	p := Point{Scheme: core.DHS, Pattern: failingPattern{&left}, Rate: 0.13}
 	recovered := func() (v any) {
 		defer func() { v = recover() }()
-		RunStreamedPoint(p, quickOpts(), tee)
+		RunStreamedPoint(p, QuickOptions(), tee)
 		return nil
 	}()
 	if recovered != "forced failure mid-run" {

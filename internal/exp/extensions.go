@@ -11,24 +11,14 @@ import (
 	"photon/internal/traffic"
 )
 
-// SWMRRow is one operating point of the SWMR extension study.
-type SWMRRow struct {
-	Scheme swmr.Scheme
-	Load   float64
-	Result swmr.Result
-}
-
 // SWMRStudy evaluates the paper's SWMR extension direction: the
 // reservation baseline against the handshake disciplines over a load
 // sweep. Loads are messages/cycle/core under uniform random traffic.
-func SWMRStudy(loads []float64, opts Options) ([]SWMRRow, *stats.Table, error) {
-	if len(loads) == 0 {
-		loads = []float64{0.005, 0.01, 0.02, 0.05, 0.08, 0.11}
-		if opts.Quick {
-			loads = []float64{0.01, 0.02, 0.05}
-		}
+func SWMRStudy(opts Options) (*stats.Table, error) {
+	loads := []float64{0.005, 0.01, 0.02, 0.05, 0.08, 0.11}
+	if opts.Quick {
+		loads = []float64{0.01, 0.02, 0.05}
 	}
-	var rows []SWMRRow
 	t := stats.NewTable("SWMR extension: latency (cycles) by flow-control discipline, UR",
 		"load", "Reservation", "Handshake", "Handshake w/ Setaside")
 	for _, load := range loads {
@@ -38,18 +28,17 @@ func SWMRStudy(loads []float64, opts Options) ([]SWMRRow, *stats.Table, error) {
 			cfg.Seed = opts.Seed
 			net, err := swmr.NewNetwork(cfg, opts.Window)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			res, err := runSWMR(net, load, opts.Seed+55)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
-			rows = append(rows, SWMRRow{Scheme: s, Load: load, Result: res})
 			row = append(row, fmt.Sprintf("%.1f", res.AvgLatency))
 		}
 		t.AddRow(row...)
 	}
-	return rows, t, nil
+	return t, nil
 }
 
 // runSWMR drives an SWMR network with Bernoulli UR traffic.
@@ -70,18 +59,11 @@ func runSWMR(net *swmr.Network, rate float64, seed uint64) (swmr.Result, error) 
 	return net.Result(), nil
 }
 
-// ScalingRow is one point of the ring-size study.
-type ScalingRow struct {
-	RoundTrip int
-	Scheme    core.Scheme
-	Latency   float64
-}
-
 // ScalingStudy quantifies the paper's large-scale argument: with the
 // buffer depth held at 8, credit-based flow control collapses as the
 // loop's round trip grows while the handshake schemes degrade only with
 // the flight time. Load is UR at 0.09 packets/cycle/core.
-func ScalingStudy(opts Options) ([]ScalingRow, *stats.Table, error) {
+func ScalingStudy(opts Options) (*stats.Table, error) {
 	schemes := []core.Scheme{core.TokenSlot, core.TokenChannel, core.DHSSetaside, core.GHSSetaside}
 	rts := []int{4, 8, 16, 32}
 	var points []Point
@@ -98,52 +80,40 @@ func ScalingStudy(opts Options) ([]ScalingRow, *stats.Table, error) {
 	}
 	results, err := RunPoints(points, opts)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	t := stats.NewTable("Ring-size scaling: latency (cycles) at UR 0.09 with 8-deep buffers",
 		"round trip", "Token Slot", "Token Channel", "DHS w/ Setaside", "GHS w/ Setaside")
-	var rows []ScalingRow
-	k := 0
-	for _, rt := range rts {
+	for i, rt := range rts {
 		row := []any{fmt.Sprintf("%d", rt)}
-		for _, s := range schemes {
-			r := results[k]
-			k++
-			rows = append(rows, ScalingRow{RoundTrip: rt, Scheme: s, Latency: r.AvgLatency})
+		for _, r := range results[i*len(schemes) : (i+1)*len(schemes)] {
 			row = append(row, fmt.Sprintf("%.1f", r.AvgLatency))
 		}
 		t.AddRow(row...)
 	}
-	return rows, t, nil
+	return t, nil
 }
 
-// MultiFlitRow is one point of the multi-flit message study.
-type MultiFlitRow struct {
-	Flits      int
-	MsgLatency float64
-	MsgRate    float64
-}
-
-// MultiFlitStudy measures message-completion latency as packets span
-// multiple independently-routed flits (the paper's fn. 6 design).
-func MultiFlitStudy(scheme core.Scheme, rate float64, opts Options) ([]MultiFlitRow, *stats.Table, error) {
+// MultiFlitStudy measures message-completion latency under DHS w/
+// Setaside as packets span multiple independently-routed flits (the
+// paper's fn. 6 design).
+func MultiFlitStudy(rate float64, opts Options) (*stats.Table, error) {
+	const scheme = core.DHSSetaside
 	t := stats.NewTable(fmt.Sprintf("Multi-flit messages (%s, UR %.3f msg/cycle/core)", scheme.PaperName(), rate),
 		"flits/message", "message latency", "messages/cycle/core")
-	var rows []MultiFlitRow
 	for _, flits := range []int{1, 2, 4, 8} {
 		cfg := core.DefaultConfig(scheme)
 		cfg.Seed = opts.Seed
 		net, err := core.NewNetwork(cfg, opts.Window)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		inj, err := traffic.NewMultiFlitInjector(traffic.UniformRandom{}, rate, flits, cfg.Nodes, cfg.CoresPerNode, opts.Seed+7)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		lat, thr := inj.Run(net)
-		rows = append(rows, MultiFlitRow{Flits: flits, MsgLatency: lat, MsgRate: thr})
 		t.AddRow(fmt.Sprintf("%d", flits), fmt.Sprintf("%.1f", lat), fmt.Sprintf("%.4f", thr))
 	}
-	return rows, t, nil
+	return t, nil
 }

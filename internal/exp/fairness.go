@@ -8,24 +8,15 @@ import (
 	"photon/internal/stats"
 )
 
-// FairnessRow is one ring-position bucket of the fairness study.
-type FairnessRow struct {
-	// OffsetBucket labels the downstream-offset range from the hot home.
-	OffsetBucket string
-	// SharePolicyOff/On are the bucket's fraction of total deliveries.
-	SharePolicyOff float64
-	SharePolicyOn  float64
-}
-
 // FairnessStudy quantifies §III-D: with setaside buffers removing the
 // natural HOL throttling, senders near the home node can starve
 // downstream senders; the fairness quota redistributes
 // service. Every node saturates one hot destination and the study reports
 // each ring-quadrant's share of delivered packets with the policy off and
 // on, plus the count of fully starved sources.
-func FairnessStudy(scheme core.Scheme, opts Options) ([]FairnessRow, *stats.Table, error) {
+func FairnessStudy(scheme core.Scheme, opts Options) (*stats.Table, error) {
 	if !scheme.Handshake() && !scheme.Circulating() {
-		return nil, nil, fmt.Errorf("exp: fairness study targets the handshake schemes, not %v", scheme)
+		return nil, fmt.Errorf("exp: fairness study targets the handshake schemes, not %v", scheme)
 	}
 	run := func(enabled bool) ([]int64, int, error) {
 		cfg := core.DefaultConfig(scheme)
@@ -75,11 +66,11 @@ func FairnessStudy(scheme core.Scheme, opts Options) ([]FairnessRow, *stats.Tabl
 
 	offShares, offStarved, err := run(false)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	onShares, onStarved, err := run(true)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
 	nodes := len(offShares)
@@ -101,21 +92,14 @@ func FairnessStudy(scheme core.Scheme, opts Options) ([]FairnessRow, *stats.Tabl
 	t := stats.NewTable(
 		fmt.Sprintf("Fairness (§III-D): share of service by ring position, %s, hot-home saturation", scheme.PaperName()),
 		"downstream offset", "share (policy off)", "share (policy on)")
-	var rows []FairnessRow
 	for q := 0; q < 4; q++ {
 		lo, hi := q*quarter, (q+1)*quarter
 		if q == 0 {
 			lo = 1
 		}
-		label := fmt.Sprintf("%d..%d", lo, hi-1)
-		row := FairnessRow{
-			OffsetBucket:   label,
-			SharePolicyOff: bucket(offShares, lo, hi),
-			SharePolicyOn:  bucket(onShares, lo, hi),
-		}
-		rows = append(rows, row)
-		t.AddRow(label, fmt.Sprintf("%.3f", row.SharePolicyOff), fmt.Sprintf("%.3f", row.SharePolicyOn))
+		t.AddRow(fmt.Sprintf("%d..%d", lo, hi-1),
+			fmt.Sprintf("%.3f", bucket(offShares, lo, hi)), fmt.Sprintf("%.3f", bucket(onShares, lo, hi)))
 	}
 	t.AddRow("starved sources", fmt.Sprintf("%d", offStarved), fmt.Sprintf("%d", onStarved))
-	return rows, t, nil
+	return t, nil
 }

@@ -30,8 +30,7 @@ func curvesToTable(title string, curves []Curve) *stats.Table {
 
 // Figure runs the named curve-figure row of the catalog (fig2b, fig8:P,
 // fig9:P, fig11) and returns its series in grid order — the typed access
-// the claims study, the shape tests and the root benchmarks share with
-// the row's renderer.
+// the claims study shares with the row's renderer.
 func Figure(name string, opts Options) ([]Curve, error) {
 	points, err := FigurePoints(name, opts)
 	if err != nil {
@@ -40,37 +39,23 @@ func Figure(name string, opts Options) ([]Curve, error) {
 	return runCurves(points, opts)
 }
 
-// Fig11fResult is one bar of Figure 11(f).
-type Fig11fResult struct {
-	Scheme   core.Scheme
-	Setaside int
-	Latency  float64
-	// Result is the point's full run result (digest included).
-	Result core.Result
-}
-
 // Fig11f reproduces Figure 11(f): latency of GHS and DHS with setaside
 // sizes 1/2/4/8/16 under UR at 0.11 packets/cycle/core.
-func Fig11f(opts Options) ([]Fig11fResult, *stats.Table, error) {
+func Fig11f(opts Options) (*stats.Table, error) {
 	results, err := RunPoints(fig11fPoints(), opts)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	t := stats.NewTable("Figure 11(f): latency (cycles) at UR 0.11 by setaside size",
 		"scheme", "Setaside_1", "Setaside_2", "Setaside_4", "Setaside_8", "Setaside_16")
-	var out []Fig11fResult
-	k := 0
-	for _, scheme := range fig11fSchemes {
+	for i, scheme := range fig11fSchemes {
 		row := []any{scheme.PaperName()}
-		for _, s := range fig11fSizes {
-			r := results[k]
-			k++
-			out = append(out, Fig11fResult{Scheme: scheme, Setaside: s, Latency: r.AvgLatency, Result: r})
+		for _, r := range results[i*len(fig11fSizes) : (i+1)*len(fig11fSizes)] {
 			row = append(row, fmt.Sprintf("%.1f", r.AvgLatency))
 		}
 		t.AddRow(row...)
 	}
-	return out, t, nil
+	return t, nil
 }
 
 // ThroughputClaim quantifies the paper's headline synthetic-workload

@@ -8,7 +8,7 @@ import "testing"
 // registry order — the property the farm's resumable manifests rely on
 // to rebuild identical grids by name.
 func TestFigureGridsBuild(t *testing.T) {
-	opts := quickOpts()
+	opts := QuickOptions()
 	total := 0
 	var all []Point
 	for _, s := range Studies() {

@@ -10,21 +10,11 @@ import (
 	"photon/internal/traffic"
 )
 
-// Fig12Row is one scheme's power/energy evaluation.
-type Fig12Row struct {
-	Scheme         core.Scheme
-	Breakdown      power.Breakdown
-	EnergyPerPktNJ float64
-	ActivityPkts   float64
-	ActivityReinj  float64
-	ActivityRetx   float64
-}
-
 // Fig12 reproduces Figure 12: per-scheme power breakdown (a) and energy
 // per packet (b). Activities come from a live simulation of every scheme
 // under UR at the given load (the catalog's fig12 rows default to the
 // paper's sensitivity operating point, 0.11 packets/cycle/core).
-func Fig12(load float64, opts Options) ([]Fig12Row, *stats.Table, *stats.Table, error) {
+func Fig12(load float64, opts Options) (ta, tb *stats.Table, err error) {
 	// Table order follows the paper: the global-arbitration group first,
 	// then the distributed one.
 	schemes := append(core.GlobalGroup(), core.DistributedGroup()...)
@@ -34,15 +24,14 @@ func Fig12(load float64, opts Options) ([]Fig12Row, *stats.Table, *stats.Table, 
 	}
 	results, err := RunPoints(points, opts)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 
 	model := power.DefaultModel()
 	cores := float64(model.Shape.Cores())
-	rows := make([]Fig12Row, len(schemes))
-	ta := stats.NewTable(fmt.Sprintf("Figure 12(a): power breakdown (W) at UR %.2f pkt/cycle/core", load),
+	ta = stats.NewTable(fmt.Sprintf("Figure 12(a): power breakdown (W) at UR %.2f pkt/cycle/core", load),
 		"scheme", "Laser", "Heating", "E/O", "O/E", "Router", "Total")
-	tb := stats.NewTable("Figure 12(b): energy per packet (nJ)", "scheme", "nJ/packet")
+	tb = stats.NewTable("Figure 12(b): energy per packet (nJ)", "scheme", "nJ/packet")
 	for i, s := range schemes {
 		r := results[i]
 		act := power.Activity{
@@ -52,27 +41,19 @@ func Fig12(load float64, opts Options) ([]Fig12Row, *stats.Table, *stats.Table, 
 		}
 		bd, err := model.Evaluate(s.Hardware(), act)
 		if err != nil {
-			return nil, nil, nil, fmt.Errorf("exp: Fig12 %v: %w", s, err)
-		}
-		rows[i] = Fig12Row{
-			Scheme:         s,
-			Breakdown:      bd,
-			EnergyPerPktNJ: model.EnergyPerPacketNJ(bd, act),
-			ActivityPkts:   act.PacketsPerCycle,
-			ActivityReinj:  act.ReinjectionsPerCycle,
-			ActivityRetx:   act.RetransmissionsPerCycle,
+			return nil, nil, fmt.Errorf("exp: Fig12 %v: %w", s, err)
 		}
 		ta.AddRow(s.PaperName(),
 			fmt.Sprintf("%.2f", bd.LaserW), fmt.Sprintf("%.2f", bd.HeatW),
 			fmt.Sprintf("%.2f", bd.EOW), fmt.Sprintf("%.2f", bd.OEW),
 			fmt.Sprintf("%.2f", bd.RouterW), fmt.Sprintf("%.2f", bd.TotalW()))
-		tb.AddRow(s.PaperName(), fmt.Sprintf("%.2f", rows[i].EnergyPerPktNJ))
+		tb.AddRow(s.PaperName(), fmt.Sprintf("%.2f", model.EnergyPerPacketNJ(bd, act)))
 	}
-	return rows, ta, tb, nil
+	return ta, tb, nil
 }
 
 // Table1 reproduces Table I: the optical component budget per scheme.
-func Table1() ([]phys.Inventory, *stats.Table) {
+func Table1() *stats.Table {
 	shape := phys.DefaultShape()
 	rows := phys.TableI(shape)
 	t := stats.NewTable("Table I: component budgets for a 64-node network",
@@ -83,5 +64,5 @@ func Table1() ([]phys.Inventory, *stats.Table) {
 			fmt.Sprintf("%dK", r.MicroRings/1024),
 			fmt.Sprintf("%+.1f%%", 100*r.Overhead(base)))
 	}
-	return rows, t
+	return t
 }

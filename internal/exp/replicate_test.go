@@ -16,7 +16,7 @@ func TestReplicateStability(t *testing.T) {
 		Scheme:  core.DHSSetaside,
 		Pattern: traffic.UniformRandom{},
 		Rate:    0.09,
-	}, 5, quickOpts())
+	}, 5, QuickOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestReplicateSeedsDiffer(t *testing.T) {
 		Scheme:  core.DHSSetaside,
 		Pattern: traffic.UniformRandom{},
 		Rate:    0.11,
-	}, 4, quickOpts())
+	}, 4, QuickOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

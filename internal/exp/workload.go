@@ -107,13 +107,13 @@ func RunWorkloadSLO(p Point, opts Options) (WorkloadSLO, error) {
 }
 
 // WorkloadSweep runs a workload (preset name or raw spec) under every
-// registered scheme on the given pattern and returns the per-scheme SLO
-// reports plus a rendered table. Runs are serial: each holds a live
-// streaming assembler, and scheme order is the report order.
-func WorkloadSweep(nameOrSpec string, pattern traffic.Pattern, opts Options) ([]WorkloadSLO, *stats.Table, error) {
+// registered scheme on the given pattern and renders the per-scheme SLO
+// reports as one table. Runs are serial: each holds a live streaming
+// assembler, and scheme order is the report order.
+func WorkloadSweep(nameOrSpec string, pattern traffic.Pattern, opts Options) (*stats.Table, error) {
 	_, spec, err := traffic.PresetWorkload(nameOrSpec)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if pattern == nil {
 		pattern = traffic.UniformRandom{}
@@ -122,11 +122,11 @@ func WorkloadSweep(nameOrSpec string, pattern traffic.Pattern, opts Options) ([]
 	for _, p := range workloadPoints("", spec, pattern) {
 		slo, err := RunWorkloadSLO(p, opts)
 		if err != nil {
-			return nil, nil, fmt.Errorf("exp: workload %s under %s: %w", spec, p.Scheme, err)
+			return nil, fmt.Errorf("exp: workload %s under %s: %w", spec, p.Scheme, err)
 		}
 		slos = append(slos, slo)
 	}
-	return slos, WorkloadSLOTable(spec, slos), nil
+	return WorkloadSLOTable(spec, slos), nil
 }
 
 // WorkloadSLOTable renders per-phase SLO reports as one table, one row

@@ -19,11 +19,11 @@ func TestWorkloadSLODeterminism(t *testing.T) {
 		Pattern:  traffic.UniformRandom{},
 		Workload: "0.5@bernoulli(rate=0.05);0.5@burst(rate=0.2,on=100,off=300)",
 	}
-	a, err := RunWorkloadSLO(p, quickOpts())
+	a, err := RunWorkloadSLO(p, QuickOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunWorkloadSLO(p, quickOpts())
+	b, err := RunWorkloadSLO(p, QuickOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,11 +57,11 @@ func TestWorkloadSLODigestInert(t *testing.T) {
 		Pattern:  traffic.UniformRandom{},
 		Workload: "burst(rate=0.2,on=100,off=300)",
 	}
-	slo, err := RunWorkloadSLO(p, quickOpts())
+	slo, err := RunWorkloadSLO(p, QuickOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := RunPoint(p, quickOpts())
+	plain, err := RunPoint(p, QuickOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,11 +75,11 @@ func TestWorkloadSLODigestInert(t *testing.T) {
 // Result, digest included.
 func TestWorkloadPointEquivalence(t *testing.T) {
 	s := core.Schemes()[0]
-	plain, err := RunPoint(Point{Scheme: s, Pattern: traffic.UniformRandom{}, Rate: 0.11}, quickOpts())
+	plain, err := RunPoint(Point{Scheme: s, Pattern: traffic.UniformRandom{}, Rate: 0.11}, QuickOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaSpec, err := RunPoint(Point{Scheme: s, Pattern: traffic.UniformRandom{}, Workload: "bernoulli(rate=0.11)"}, quickOpts())
+	viaSpec, err := RunPoint(Point{Scheme: s, Pattern: traffic.UniformRandom{}, Workload: "bernoulli(rate=0.11)"}, QuickOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestWorkloadPointEquivalence(t *testing.T) {
 // with every point carrying a canonical workload spec, and it is NOT
 // part of the pinned "figures" union.
 func TestWorkloadGrid(t *testing.T) {
-	pts, err := FigurePoints("slo", quickOpts())
+	pts, err := FigurePoints("slo", QuickOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestWorkloadGrid(t *testing.T) {
 			t.Fatalf("slo[%d] spec %q is not canonical (%q)", i, p.Workload, canon)
 		}
 	}
-	figs, err := FigurePoints("figures", quickOpts())
+	figs, err := FigurePoints("figures", QuickOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestWorkloadGrid(t *testing.T) {
 		}
 	}
 	// The error for unknown grids advertises the workload grids too.
-	if _, err := FigurePoints("bogus", quickOpts()); err == nil || !strings.Contains(err.Error(), "slo") {
+	if _, err := FigurePoints("bogus", QuickOptions()); err == nil || !strings.Contains(err.Error(), "slo") {
 		t.Fatalf("unknown-grid error does not advertise slo: %v", err)
 	}
 }

@@ -38,6 +38,10 @@ func TestErrors(t *testing.T) {
 		{[]string{"-pattern", "XX"}, 1, `unknown pattern "XX"`},
 		{[]string{"-credits", "0"}, 1, "photosim:"},
 		{[]string{"-hist", "/no/such/dir/hist.csv"}, 1, "/no/such/dir/hist.csv"},
+		{[]string{"-measure", "0"}, 1, "core: window measure 0 cycles, need >= 1"},
+		{[]string{"-measure", "-10"}, 1, "core: window measure -10 cycles, need >= 1"},
+		{[]string{"-warmup", "-5"}, 1, "core: window warmup -5 cycles, need >= 0"},
+		{[]string{"-drain", "-1"}, 1, "core: window drain -1 cycles, need >= 0"},
 	}
 	for _, tc := range cases {
 		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {

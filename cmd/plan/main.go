@@ -5,7 +5,7 @@
 // The twin (internal/twin) is inverted by bisection. When the answer
 // lands outside the twin's validity envelope — the twin self-reports
 // divergence above utilization 0.7 — plan refines it with a short
-// farm-supervised simulation probe over candidate rates near saturation;
+// simulation probe (exp.RunPoints) over candidate rates near saturation;
 // below the envelope the answer is closed-form and instant.
 //
 // Examples:

@@ -13,18 +13,18 @@
 // A row reads only the parameter flags -list shows for it (-pattern,
 // -load, -workload, -o, -cycles); passing another one is a usage error.
 //
-// Fault-tolerant regeneration: -farm runs a grid-backed row (or "figures",
-// the union of the paper-figure grids) under the supervised sweep farm — a
-// durable manifest journals every completed point, so a killed run resumes
-// where it left off, and a poison point is retried with backoff then
-// quarantined instead of wedging the grid:
+// Crash-safe regeneration: -farm runs a grid-backed row (or "figures",
+// the union of the paper-figure grids) under the sweep farm — a durable
+// manifest journals every finished point, so a killed run resumes where it
+// left off, and a point that fails is run once and quarantined instead of
+// wedging the grid:
 //
 //	sweep -farm figures -quick -manifest run.jsonl   # full quick grid, journalled
 //	sweep -farm figures -quick -manifest run.jsonl -resume   # pick up after a crash
 //
-// The farm flags (-manifest, -resume, -fsync, -max-attempts, -farm-workers,
-// -farm-timeout) need -farm, and -resume and -fsync need -manifest; an
-// out-of-range value is a usage error, never a silent default.
+// The farm flags (-manifest, -resume, -fsync, -farm-workers) need -farm,
+// and -resume and -fsync need -manifest; an out-of-range value is a usage
+// error, never a silent default.
 //
 // Any run takes -cpuprofile and -memprofile (pprof files; stdout is
 // unchanged by them).
@@ -66,9 +66,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&fcfg.Manifest, "manifest", "", "journal farm progress to this file (crash-safe JSONL)")
 	fs.BoolVar(&fcfg.Resume, "resume", false, "resume a farm run from its manifest, skipping completed points")
 	fs.BoolVar(&fcfg.Sync, "fsync", false, "farm: fsync the manifest after every record")
-	fs.IntVar(&fcfg.MaxAttempts, "max-attempts", 3, "farm: attempts per point before quarantine")
 	fs.IntVar(&fcfg.Workers, "farm-workers", 0, "farm: concurrent workers (0 = GOMAXPROCS)")
-	fs.DurationVar(&fcfg.PointTimeout, "farm-timeout", 0, "farm: per-point deadline (0 = none)")
 	isFarm := map[string]bool{}
 	fs.VisitAll(func(f *flag.Flag) { isFarm[f.Name] = !isParam[f.Name] })
 	var (
@@ -82,7 +80,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProfile = fs.String("memprofile", "", "write a heap profile to this file when the run ends")
 
-		farmGridFlag = fs.String("farm", "", "run a named point grid under the supervised sweep farm: "+strings.Join(exp.GridNames(), ", "))
+		farmGridFlag = fs.String("farm", "", "run a named point grid under the sweep farm: "+strings.Join(exp.GridNames(), ", "))
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -147,12 +145,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return usage("-resume needs -manifest")
 	case fcfg.Sync && fcfg.Manifest == "":
 		return usage("-fsync needs -manifest")
-	case fcfg.MaxAttempts < 1:
-		return usage("-max-attempts must be >= 1, got %d", fcfg.MaxAttempts)
 	case fcfg.Workers < 0:
 		return usage("-farm-workers must be >= 0, got %d", fcfg.Workers)
-	case fcfg.PointTimeout < 0:
-		return usage("-farm-timeout must be >= 0, got %v", fcfg.PointTimeout)
 	}
 	if params.Load == 0 {
 		params.Load = row.Load
@@ -190,7 +184,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// runFarm executes a named grid under the supervised farm and renders
+// runFarm executes a named grid under the farm and renders
 // the per-point summaries, the merged grid digest, and any quarantine
 // report; errQuarantined signals an incomplete (quarantined) grid.
 func runFarm(out *exp.Output, stderr io.Writer, gridName string, opts exp.Options, cfg farm.Config) error {
@@ -206,7 +200,7 @@ func runFarm(out *exp.Output, stderr io.Writer, gridName string, opts exp.Option
 	elapsed := time.Since(start)
 
 	t := stats.NewTable(fmt.Sprintf("farm grid %s (%d points)", g.Name, len(g.Points)),
-		"point", "status", "attempts", "resumed", "avg-lat", "throughput", "digest")
+		"point", "status", "resumed", "avg-lat", "throughput", "digest")
 	for _, p := range rep.Points {
 		lat, tput, digest := "-", "-", "-"
 		if p.Status == farm.StatusDone {
@@ -218,7 +212,7 @@ func runFarm(out *exp.Output, stderr io.Writer, gridName string, opts exp.Option
 		if p.Resumed {
 			resumed = "yes"
 		}
-		t.AddRow(p.Key, string(p.Status), p.Attempts, resumed, lat, tput, digest)
+		t.AddRow(p.Key, string(p.Status), resumed, lat, tput, digest)
 	}
 	if err := out.Table(t); err != nil {
 		return err
@@ -227,7 +221,7 @@ func runFarm(out *exp.Output, stderr io.Writer, gridName string, opts exp.Option
 		rep.Ran, rep.Resumed, elapsed.Seconds(), rep.GridDigest())
 	if q := rep.Quarantined(); len(q) > 0 {
 		for _, p := range q {
-			fmt.Fprintf(stderr, "sweep: quarantined %s after %d attempts: %s\n", p.Key, p.Attempts, p.LastError)
+			fmt.Fprintf(stderr, "sweep: quarantined %s: %s\n", p.Key, p.LastError)
 		}
 		return errQuarantined
 	}

@@ -149,12 +149,16 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"-farm", "fig8:UR", "-quick", "-farm-shards"}, "not defined: -farm-shards"},
 		// A farm flag without -farm, or one -farm cannot honour.
 		{[]string{"-list", "-resume"}, "-resume needs -farm"},
-		{[]string{"-study", "fig2b", "-quick", "-manifest", "x.jsonl", "-max-attempts", "-4", "-farm-workers", "-2"}, "-farm-workers needs -farm"},
-		{[]string{"-farm", "fig2b", "-quick", "-resume", "-max-attempts", "-1", "-farm-workers", "-7", "-farm-timeout", "-5s"}, "-resume needs -manifest"},
+		{[]string{"-study", "fig2b", "-quick", "-manifest", "x.jsonl", "-farm-workers", "-2"}, "-farm-workers needs -farm"},
+		{[]string{"-farm", "fig2b", "-quick", "-resume", "-farm-workers", "-7"}, "-resume needs -manifest"},
 		{[]string{"-farm", "fig2b", "-quick", "-fsync"}, "-fsync needs -manifest"},
-		{[]string{"-farm", "fig2b", "-quick", "-max-attempts", "0"}, "-max-attempts must be >= 1, got 0"},
 		{[]string{"-farm", "fig2b", "-quick", "-farm-workers", "-2"}, "-farm-workers must be >= 0, got -2"},
-		{[]string{"-farm", "fig2b", "-quick", "-farm-timeout", "-5s"}, "-farm-timeout must be >= 0, got -5s"},
+		// The farm runs each point once: the retry budget and the
+		// per-point deadline are gone, not aliased.
+		{[]string{"-study", "fig2b", "-quick", "-manifest", "x.jsonl", "-max-attempts", "-4", "-farm-workers", "-2"}, "not defined: -max-attempts"},
+		{[]string{"-farm", "fig2b", "-quick", "-resume", "-max-attempts", "-1", "-farm-workers", "-7", "-farm-timeout", "-5s"}, "not defined: -max-attempts"},
+		{[]string{"-farm", "fig2b", "-quick", "-max-attempts", "0"}, "not defined: -max-attempts"},
+		{[]string{"-farm", "fig2b", "-quick", "-farm-timeout", "-5s"}, "not defined: -farm-timeout"},
 	}
 	for _, tc := range cases {
 		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {

@@ -20,6 +20,9 @@ var exportedWithoutConsumer = map[string]string{
 	"farm.SerialGridDigest": "reference implementation: the farm tests compare the supervised grid digest against this serial fold",
 	"check.AuditSpans":      "the span-algebra oracle of TestSpanInvariantBattery, CI's span battery",
 	"exp.Replicate":         "EXPERIMENTS.md's seed-robustness statement (cross-seed latency spread < 10%) is measured through it (TestReplicateStability)",
+
+	// Facade API: reachable through photon.Injector, driven by hand.
+	"traffic.Injector.Stop": "halts injection before a hand-driven drain of a photon.Injector; TestStopMidBlock pins the tape prefix a mid-block stop keeps",
 }
 
 // stdInterfaceMethods are methods the standard library calls through its
@@ -205,7 +208,6 @@ var fieldWithoutSetter = map[string]string{
 	// Knobs a test or battery turns.
 	"core.Config.QueueCap":               "the conservation audit's QueueRejected term: TestConservationBoundedQueues and TestBoundedQueueThrottles bound the output queues through it",
 	"core.RecoveryConfig.WatchdogWindow": "TestWatchdogDuplicateGuard drives the duplicate-token guard through a short window",
-	"farm.Config.Backoff":                "TestQuarantineAfterK pins the retry schedule through a short base; sweep keeps the 100ms/5s default",
 	"ptrace.StreamConfig.RetireAfter":    "TestStreamMatchesBatch, TestStreamMaxLiveExact and FuzzAssemble retire aggressively to exercise the tombstone queue; every run keeps the 1024-cycle default",
 	"swmr.Config.RxPorts":                "TestRxPortContentionThrottles and TestRxPortsScaleThroughput: receiver-port contention is the SWMR model's one free dimension",
 

@@ -569,8 +569,8 @@ func differentials(r *run, points []Result, name func(Drive) string) []Check {
 // offered load, and one load keeps the mandatory serial leg affordable.
 //   - serial vs parallel: exp.RunPoints must be a pure function of its
 //     inputs regardless of worker count.
-//   - farm vs serial: the supervised sweep farm (retries, per-point
-//     containment, out-of-order completion) must fold the same points
+//   - farm vs serial: the sweep farm (per-point containment,
+//     out-of-order completion) must fold the same points
 //     into the exact grid digest a serial run produces, the property
 //     that makes crash/resume regeneration trustworthy.
 func sweepChecks(r *run) ([]Check, error) {

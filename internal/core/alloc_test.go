@@ -28,7 +28,7 @@ func TestStepZeroAlloc(t *testing.T) {
 	defer core.SetPoisonPackets(core.SetPoisonPackets(false)) // measure recycling, not poison
 	guard := func(t *testing.T, cfg core.Config, rate float64) {
 		cfg.CheckInvariants = false
-		net, err := core.NewNetwork(cfg, sim.Window{Warmup: 1 << 40})
+		net, err := core.NewNetwork(cfg, sim.Window{Warmup: 1 << 40, Measure: 1})
 		if err != nil {
 			t.Fatalf("NewNetwork: %v", err)
 		}
@@ -86,7 +86,7 @@ func TestRunCyclesZeroAlloc(t *testing.T) {
 		t.Run(s.String(), func(t *testing.T) {
 			cfg := core.DefaultConfig(s)
 			cfg.CheckInvariants = false
-			net, err := core.NewNetwork(cfg, sim.Window{Warmup: 1 << 40})
+			net, err := core.NewNetwork(cfg, sim.Window{Warmup: 1 << 40, Measure: 1})
 			if err != nil {
 				t.Fatalf("NewNetwork: %v", err)
 			}
@@ -117,7 +117,7 @@ func BenchmarkIdleRunCycles(b *testing.B) {
 		b.Run(s.String(), func(b *testing.B) {
 			cfg := core.DefaultConfig(s)
 			cfg.CheckInvariants = false
-			net, err := core.NewNetwork(cfg, sim.Window{Warmup: 1 << 40})
+			net, err := core.NewNetwork(cfg, sim.Window{Warmup: 1 << 40, Measure: 1})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -79,7 +79,7 @@ func sweepNet(t *testing.T, nodes, home int, keep, seed uint64) (*Network, *chan
 	// A short window with a floor of one capture: two captures put any
 	// node over its allowance once two or more nodes contend.
 	cfg.Fairness = arbiter.FairnessConfig{Enabled: true, Window: 4, Quota: 1}
-	n, err := NewNetwork(cfg, sim.Window{Warmup: 1 << 40})
+	n, err := NewNetwork(cfg, sim.Window{Warmup: 1 << 40, Measure: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -196,10 +196,20 @@ type grant struct {
 	ch   *channel
 }
 
-// NewNetwork builds a network from cfg, measuring over window.
+// NewNetwork builds a network from cfg, measuring over window. The
+// window needs a measure phase of at least one cycle (throughput divides
+// by it) and no negative phase.
 func NewNetwork(cfg Config, window sim.Window) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	switch {
+	case window.Warmup < 0:
+		return nil, fmt.Errorf("core: window warmup %d cycles, need >= 0", window.Warmup)
+	case window.Measure < 1:
+		return nil, fmt.Errorf("core: window measure %d cycles, need >= 1", window.Measure)
+	case window.Drain < 0:
+		return nil, fmt.Errorf("core: window drain %d cycles, need >= 0", window.Drain)
 	}
 	spec, ok := LookupProtocol(cfg.Scheme)
 	if !ok {

@@ -25,7 +25,7 @@ func loadedBenchNet(b *testing.B, s Scheme, ringNodes int) *Network {
 	cfg := DefaultConfig(s)
 	cfg.Nodes = ringNodes
 	cfg.CheckInvariants = false
-	n, err := NewNetwork(cfg, sim.Window{Warmup: 1 << 40})
+	n, err := NewNetwork(cfg, sim.Window{Warmup: 1 << 40, Measure: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func BenchmarkTokenPhase(b *testing.B) {
 // eight events (about the event density of such a cycle), so the
 // per-cycle prefix is rebuilt as often as it would be live.
 func BenchmarkEmit(b *testing.B) {
-	n, err := NewNetwork(DefaultConfig(DHS), sim.Window{Warmup: 1 << 40})
+	n, err := NewNetwork(DefaultConfig(DHS), sim.Window{Warmup: 1 << 40, Measure: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func BenchmarkEmit(b *testing.B) {
 func BenchmarkInject(b *testing.B) {
 	cfg := DefaultConfig(DHSSetaside)
 	cfg.CheckInvariants = false
-	n, err := NewNetwork(cfg, sim.Window{Warmup: 1 << 40})
+	n, err := NewNetwork(cfg, sim.Window{Warmup: 1 << 40, Measure: 1})
 	if err != nil {
 		b.Fatal(err)
 	}

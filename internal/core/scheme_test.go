@@ -100,6 +100,23 @@ func TestConfigValidation(t *testing.T) {
 			t.Errorf("%s: NewNetwork accepted invalid config", m.name)
 		}
 	}
+	// A window needs a measure phase and no negative phase.
+	for _, wc := range []struct {
+		window sim.Window
+		want   string
+	}{
+		{sim.Window{Warmup: -5, Measure: 100}, "core: window warmup -5 cycles, need >= 0"},
+		{sim.Window{Warmup: 10, Measure: 0, Drain: 10}, "core: window measure 0 cycles, need >= 1"},
+		{sim.Window{Measure: -10}, "core: window measure -10 cycles, need >= 1"},
+		{sim.Window{Measure: 100, Drain: -1}, "core: window drain -1 cycles, need >= 0"},
+	} {
+		if _, err := core.NewNetwork(core.DefaultConfig(core.DHS), wc.window); err == nil || err.Error() != wc.want {
+			t.Errorf("window %+v: NewNetwork = %v, want %q", wc.window, err, wc.want)
+		}
+	}
+	if _, err := core.NewNetwork(core.DefaultConfig(core.DHS), sim.Window{Measure: 1}); err != nil {
+		t.Errorf("one-cycle measure window rejected: %v", err)
+	}
 	// Fairness settings fail with their named error; 0 still means the
 	// default, and the widest window a 16-bit capture count holds passes.
 	for _, fc := range []struct {

@@ -92,7 +92,7 @@ func TestSlotScanOrderMatchesRowWalk(t *testing.T) {
 func checkSlotScanOrder(t *testing.T, nodes, home int, wants func() bool) {
 	cfg := DefaultConfig(DHS)
 	cfg.Nodes, cfg.RoundTrip, cfg.CoresPerNode = nodes, nodes, 1
-	n, err := NewNetwork(cfg, sim.Window{Warmup: 1 << 40})
+	n, err := NewNetwork(cfg, sim.Window{Warmup: 1 << 40, Measure: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

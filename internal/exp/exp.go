@@ -90,7 +90,7 @@ func RunPoint(p Point, opts Options) (core.Result, error) {
 // an ordinary error carrying the point's identity. One corrupt corner of
 // a grid (an engine invariant violation, a DrainError) therefore fails
 // its sweep cleanly instead of killing the whole process — the contract
-// the farm supervisor and RunPoints both build on.
+// farm.Run and RunPoints both build on.
 type PointPanic struct {
 	Point
 	Value any    // the recovered panic value

@@ -66,8 +66,8 @@ func Profile(cpuPath, memPath string) (stop func() error, err error) {
 // means GOMAXPROCS) and returns one error slot per job, in job order. A
 // panic inside a job is recovered into its slot, so one poisoned job
 // reports itself instead of taking down the process. Workers pull from a
-// shared channel — never one goroutine per job. Do has no retries, no
-// manifest and no deadlines; farm.Run owns those.
+// shared channel — never one goroutine per job. Do runs each job once; a
+// manifest and resume are farm.Run's, which is built on Do.
 func Do(n, workers int, run func(i int) error) []error {
 	errs := make([]error, n)
 	if workers <= 0 {

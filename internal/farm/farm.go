@@ -1,48 +1,35 @@
-// Package farm is the fault-tolerant sweep runner: it executes any
-// []exp.Point grid through a supervised in-process worker pool and an
-// optional durable job manifest, so that the multi-thousand-point
-// regeneration grids behind the paper's figures survive point panics,
-// hung points, and whole-process crashes.
+// Package farm is the durable sweep runner: it executes any []exp.Point
+// grid on the shared worker pool (exp.Do) and an optional crash-safe job
+// manifest, so that the regeneration grids behind the paper's figures
+// survive point panics and whole-process crashes.
 //
-// Supervision means four things, in order of escalation:
-//
-//   - panic containment — a panic inside one point (an engine invariant
-//     violation, a DrainError in one corner of the grid) is recovered
-//     into a typed error carrying the point's identity; the rest of the
-//     grid keeps running;
-//   - deadlines — a point that exceeds Config.PointTimeout is abandoned
-//     and treated as failed; its goroutine cannot be killed, so it runs
-//     out its fixed window in the background and its result is dropped;
-//   - retry with exponential backoff — a failed point is re-queued after
-//     Backoff.Delay(attempt), so transient failures heal themselves;
-//   - quarantine — after Config.MaxAttempts failures the point is marked
-//     quarantined and the grid completes without it, reported but never
-//     wedged.
+// Each point runs exactly once. A point is a pure function of its
+// (exp.Point, exp.Options), so a second attempt could only replay the
+// same failure: a point whose run returns an error or panics is
+// quarantined at once, keyed and with its cause, and the grid completes
+// without it — reported, never wedged.
 //
 // A whole-process crash is answered by the manifest: with Config.Manifest
-// set, every terminal outcome is appended to a crash-safe JSONL journal
+// set, every finished point is appended to a crash-safe JSONL journal
 // (see manifest.go). Killing the process at any moment and re-running
-// with Config.Resume skips the completed points;
-// the per-point digests recorded in the manifest merge — in grid index
+// with Config.Resume skips the done and quarantined points; the
+// per-point digests recorded in the manifest merge — in grid index
 // order — into a grid digest that is byte-identical to a serial
 // single-process run of the same grid, extending the serial≡parallel
 // guarantee of exp.RunPoints to crash/resume execution.
 package farm
 
 import (
-	"errors"
 	"fmt"
-	"runtime"
-	"time"
+	"sync"
 
 	"photon/internal/core"
 	"photon/internal/exp"
 )
 
-// Status is a point's position in the supervision state machine. The
-// persisted states are pending (implicit: no terminal record), done and
-// quarantined; "running" exists only in memory and is never written to
-// the manifest, so a crash always resumes from a consistent state.
+// Status is a point's position in a farm run. The persisted states are
+// done and quarantined; pending is every point without a record, so a
+// crash always resumes from a consistent state.
 type Status string
 
 const (
@@ -81,87 +68,42 @@ func summarize(res core.Result) Summary {
 	}
 }
 
-// PointState is the supervision state of one grid point.
+// PointState is the state of one grid point.
 type PointState struct {
-	Key      string
-	Index    int
-	Status   Status
+	Key    string
+	Index  int
+	Status Status
+	// Attempts is 1 for a point that finished (done or quarantined) and 0
+	// for a pending one: a point runs once.
 	Attempts int
 	// Digest is the point's behavioural run digest (done points only).
 	Digest  uint64
 	Summary Summary
-	// LastError describes the most recent failed attempt ("" once done).
+	// LastError is a quarantined point's failure, naming its key and cause.
 	LastError string
 	// Resumed marks a point whose terminal state was loaded from the
 	// manifest rather than executed in this run.
 	Resumed bool
 }
 
-// PointError is a failed attempt at one point, carrying its identity so
-// a supervisor log line or quarantine report pinpoints the grid corner.
-type PointError struct {
-	Key     string
-	Index   int
-	Attempt int
-	Err     error
-}
-
-func (e *PointError) Error() string {
-	return fmt.Sprintf("farm: point %s (index %d, attempt %d): %v", e.Key, e.Index, e.Attempt, e.Err)
-}
-
-func (e *PointError) Unwrap() error { return e.Err }
-
-// ErrPointTimeout marks an attempt abandoned after exceeding
-// Config.PointTimeout.
-var ErrPointTimeout = errors.New("farm: point deadline exceeded")
-
 // Config tunes one farm run.
 type Config struct {
 	// Workers bounds concurrently executing points (0 = GOMAXPROCS).
 	Workers int
-	// MaxAttempts is the per-point attempt budget before quarantine
-	// (0 = 3). Attempts recorded in a resumed manifest count against it.
-	MaxAttempts int
-	// Backoff is the retry schedule (zero value = 100ms base, 5s cap).
-	Backoff Backoff
-	// PointTimeout is the per-attempt deadline (0 = none). An attempt
-	// that misses it is abandoned — its goroutine cannot be killed and
-	// its eventual result is discarded.
-	PointTimeout time.Duration
 	// Manifest is the durable journal path ("" = in-memory only).
 	Manifest string
 	// Resume loads an existing manifest (matching it against the grid's
-	// fingerprint) and skips its completed points. Without Resume an
-	// existing manifest file is truncated.
+	// fingerprint) and skips its done and quarantined points. Without
+	// Resume an existing manifest file is truncated.
 	Resume bool
 	// Sync fsyncs the manifest after every appended record. Plain
 	// appends already survive a process kill; Sync extends that to
 	// power loss at the cost of one fsync per point.
 	Sync bool
-	// PostPoint, when set, observes every state change the supervisor
-	// records: a failed attempt (Status pending, LastError set), a
-	// completed point, or a quarantined one. Called from the supervisor
-	// goroutine, in completion order.
+	// PostPoint, when set, observes every finished point, done or
+	// quarantined, after its record is journaled. Calls are one at a
+	// time, in completion order.
 	PostPoint func(PointState)
-
-	// sleep is the retry-delay clock, injectable by tests.
-	sleep func(time.Duration)
-}
-
-// withDefaults fills zero fields.
-func (cfg Config) withDefaults() Config {
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = 3
-	}
-	cfg.Backoff = cfg.Backoff.withDefaults()
-	if cfg.sleep == nil {
-		cfg.sleep = time.Sleep
-	}
-	return cfg
 }
 
 // GridReport is the outcome of one farm run over a grid.
@@ -169,8 +111,8 @@ type GridReport struct {
 	Grid string
 	// Points holds every point's final state, in grid index order.
 	Points []PointState
-	// Ran counts points executed (or re-executed) by this run; Resumed
-	// counts points whose completed state came from the manifest.
+	// Ran counts points executed by this run; Resumed counts points whose
+	// terminal state came from the manifest.
 	Ran     int
 	Resumed int
 }
@@ -210,21 +152,13 @@ func (r *GridReport) GridDigest() uint64 {
 	return MergeDigests(ds)
 }
 
-// outcome is one finished attempt, reported back to the supervisor.
-type outcome struct {
-	idx    int
-	digest uint64
-	sum    Summary
-	err    error
-}
-
-// Run executes the grid under supervision and returns every point's
-// final state. Run only returns an error for harness-level failures (a
-// corrupt or mismatched manifest, an unwritable journal); per-point
-// failures — panics included — are contained, retried, and at worst
-// reported as quarantined points in the GridReport.
+// Run executes the grid's pending points once each on exp.Do and returns
+// every point's final state. Run only returns an error for harness-level
+// failures (a corrupt or mismatched manifest, an unwritable journal, a
+// panic in PostPoint); the first of these starts no further point. A
+// per-point failure, panics included, is contained and reported as a
+// quarantined point in the GridReport.
 func Run(g Grid, cfg Config) (*GridReport, error) {
-	cfg = cfg.withDefaults()
 	rep := &GridReport{Grid: g.Name, Points: make([]PointState, len(g.Points))}
 	for i := range g.Points {
 		rep.Points[i] = PointState{Key: g.Key(i), Index: i, Status: StatusPending}
@@ -233,144 +167,76 @@ func Run(g Grid, cfg Config) (*GridReport, error) {
 	var man *Manifest
 	if cfg.Manifest != "" {
 		var err error
-		man, err = OpenManifest(cfg.Manifest, HeaderFor(g, cfg), cfg.Resume)
+		man, err = OpenManifest(cfg.Manifest, HeaderFor(g), cfg.Resume)
 		if err != nil {
 			return nil, err
 		}
 		man.fsync = cfg.Sync
 		defer man.Close()
-		for i := range rep.Points {
-			if st, ok := man.State(rep.Points[i].Key); ok {
-				st.Index = i
-				st.Resumed = st.Status == StatusDone || st.Status == StatusQuarantined
-				rep.Points[i] = st
-			}
-		}
 	}
 
 	var pending []int
 	for i := range rep.Points {
-		switch rep.Points[i].Status {
-		case StatusDone, StatusQuarantined:
+		if st, ok := man.State(rep.Points[i].Key); ok {
+			st.Index = i
+			st.Resumed = true
+			rep.Points[i] = st
 			rep.Resumed++
-		default:
-			pending = append(pending, i)
+			continue
 		}
-	}
-	if len(pending) == 0 {
-		return rep, nil
+		pending = append(pending, i)
 	}
 	rep.Ran = len(pending)
 
-	post := func(st PointState) {
-		if cfg.PostPoint != nil {
-			cfg.PostPoint(st)
-		}
-	}
-
-	// The supervisor loop: fill worker slots from the ready queue, absorb
-	// outcomes, re-queue failures after their backoff, quarantine after
-	// the attempt budget. Both channels are buffered to the full pending
-	// count so an early (manifest-error) return never strands a worker or
-	// retry timer on a blocked send.
+	// mu serialises the journal and PostPoint. stopped, once left set by
+	// a journal error or a PostPoint panic, keeps every later job from
+	// starting its point.
 	var (
-		queue    = append([]int(nil), pending...)
-		results  = make(chan outcome, len(pending))
-		retries  = make(chan int, len(pending))
-		inflight = 0
-		terminal = 0
+		mu      sync.Mutex
+		stopped bool
 	)
-	for terminal < len(pending) {
-		for inflight < cfg.Workers && len(queue) > 0 {
-			idx := queue[0]
-			queue = queue[1:]
-			rep.Points[idx].Attempts++
-			inflight++
-			go func(idx int) {
-				d, sum, err := cfg.execPoint(g, idx)
-				results <- outcome{idx: idx, digest: d, sum: sum, err: err}
-			}(idx)
+	o := g.Opts
+	o.Parallel = 1
+	errs := exp.Do(len(pending), cfg.Workers, func(k int) error {
+		mu.Lock()
+		skip := stopped
+		mu.Unlock()
+		if skip {
+			return nil
 		}
-		select {
-		case o := <-results:
-			inflight--
-			st := &rep.Points[o.idx]
-			if o.err == nil {
-				st.Status = StatusDone
-				st.Digest = o.digest
-				st.Summary = o.sum
-				st.LastError = ""
-				terminal++
-				if err := man.AppendPoint(*st); err != nil {
-					return nil, err
-				}
-				post(*st)
-				continue
-			}
-			perr := &PointError{Key: st.Key, Index: o.idx, Attempt: st.Attempts, Err: o.err}
-			st.LastError = perr.Error()
-			if st.Attempts >= cfg.MaxAttempts {
-				st.Status = StatusQuarantined
-				terminal++
-				if err := man.AppendPoint(*st); err != nil {
-					return nil, err
-				}
-				post(*st)
-				continue
-			}
-			if err := man.AppendAttempt(st.Key, o.idx, st.Attempts, st.LastError); err != nil {
-				return nil, err
-			}
-			post(*st)
-			delay := cfg.Backoff.Delay(st.Attempts)
-			go func(idx int) {
-				cfg.sleep(delay)
-				retries <- idx
-			}(o.idx)
-		case idx := <-retries:
-			queue = append(queue, idx)
+		st := &rep.Points[pending[k]]
+		res, err := exp.SafeRunPoint(g.Points[st.Index], o)
+		st.Attempts = 1
+		if err != nil {
+			st.Status = StatusQuarantined
+			st.LastError = fmt.Sprintf("farm: point %s: %v", st.Key, err)
+		} else {
+			st.Status = StatusDone
+			st.Digest = res.Digest
+			st.Summary = summarize(res)
+		}
+
+		mu.Lock()
+		defer mu.Unlock()
+		if stopped {
+			return nil
+		}
+		stopped = true // until the record is written and PostPoint returns
+		if err := man.AppendPoint(*st); err != nil {
+			return err
+		}
+		if cfg.PostPoint != nil {
+			cfg.PostPoint(*st)
+		}
+		stopped = false
+		return nil
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
 	}
 	return rep, nil
-}
-
-// execPoint runs one attempt in-process with panic containment. The
-// deadline, if any, applies to the whole attempt.
-func (cfg Config) execPoint(g Grid, idx int) (uint64, Summary, error) {
-	run := func() (core.Result, error) {
-		o := g.Opts
-		o.Parallel = 1
-		return exp.SafeRunPoint(g.Points[idx], o)
-	}
-	if cfg.PointTimeout <= 0 {
-		res, err := run()
-		if err != nil {
-			return 0, Summary{}, err
-		}
-		return res.Digest, summarize(res), nil
-	}
-	type runResult struct {
-		res core.Result
-		err error
-	}
-	ch := make(chan runResult, 1)
-	go func() {
-		r, e := run()
-		ch <- runResult{r, e}
-	}()
-	timer := time.NewTimer(cfg.PointTimeout)
-	defer timer.Stop()
-	select {
-	case r := <-ch:
-		if r.err != nil {
-			return 0, Summary{}, r.err
-		}
-		return r.res.Digest, summarize(r.res), nil
-	case <-timer.C:
-		// The attempt's goroutine cannot be killed; it is abandoned and
-		// its buffered result, if any, is discarded.
-		return 0, Summary{}, fmt.Errorf("%w after %v", ErrPointTimeout, cfg.PointTimeout)
-	}
 }
 
 // SerialGridDigest runs the grid serially in a single process and merges

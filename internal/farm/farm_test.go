@@ -3,9 +3,8 @@ package farm
 import (
 	"errors"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"testing"
-	"time"
 
 	"photon/internal/core"
 	"photon/internal/exp"
@@ -29,21 +28,6 @@ func testGrid(n int) Grid {
 		}
 	}
 	return Grid{Name: "farmtest", Points: points, Opts: exp.Options{Window: testWindow, Seed: 7}}
-}
-
-// noSleep replaces the retry clock so backoff tests finish instantly.
-func noSleep(cfg *Config) *[]time.Duration {
-	var (
-		mu     sync.Mutex
-		slept  []time.Duration
-		record = func(d time.Duration) {
-			mu.Lock()
-			defer mu.Unlock()
-			slept = append(slept, d)
-		}
-	)
-	cfg.sleep = record
-	return &slept
 }
 
 func TestRunMatchesSerialDigest(t *testing.T) {
@@ -78,30 +62,32 @@ func TestRunMatchesSerialDigest(t *testing.T) {
 	}
 }
 
-// TestQuarantineAfterK injects an always-panicking point and asserts the
-// supervision contract: the poison point is retried with the exact
-// backoff schedule, quarantined after MaxAttempts, and the rest of the
+// TestPoisonPointRunsOnce injects an always-panicking point: it runs
+// exactly once (a point is deterministic, so a retry could only replay the
+// panic), ends quarantined with its key and cause, and the rest of the
 // grid completes untouched.
-func TestQuarantineAfterK(t *testing.T) {
+func TestPoisonPointRunsOnce(t *testing.T) {
 	g := testGrid(6)
-	g.Points[2].Mod = func(*core.Config) { panic("injected poison point") }
+	var runs atomic.Int32
+	g.Points[2].Mod = func(*core.Config) {
+		runs.Add(1)
+		panic("injected poison point")
+	}
 	g.Points[2].Label = "poison"
 
-	cfg := Config{Workers: 2, MaxAttempts: 3, Backoff: Backoff{Base: 10 * time.Millisecond, Cap: time.Minute}}
-	slept := noSleep(&cfg)
-	rep, err := Run(g, cfg)
+	rep, err := Run(g, Config{Workers: 2})
 	if err != nil {
 		t.Fatalf("Run returned a harness error for a per-point failure: %v", err)
+	}
+	if n := runs.Load(); n != 1 {
+		t.Fatalf("poison point ran %d times, want 1", n)
 	}
 	if rep.Complete() {
 		t.Fatal("grid reported complete despite a poison point")
 	}
 	q := rep.Quarantined()
-	if len(q) != 1 || q[0].Index != 2 {
-		t.Fatalf("quarantined %+v, want exactly point 2", q)
-	}
-	if q[0].Attempts != 3 {
-		t.Fatalf("poison point got %d attempts, want 3", q[0].Attempts)
+	if len(q) != 1 || q[0].Index != 2 || q[0].Attempts != 1 {
+		t.Fatalf("quarantined %+v, want exactly point 2 after 1 attempt", q)
 	}
 	if !strings.Contains(q[0].LastError, "injected poison point") || !strings.Contains(q[0].LastError, q[0].Key) {
 		t.Fatalf("quarantine error lost identity or cause: %q", q[0].LastError)
@@ -111,22 +97,15 @@ func TestQuarantineAfterK(t *testing.T) {
 			t.Fatalf("healthy point %d ended %s: %s", i, p.Status, p.LastError)
 		}
 	}
-	// Two retries -> backoff slept exactly Base then 2*Base.
-	want := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond}
-	if len(*slept) != len(want) || (*slept)[0] != want[0] || (*slept)[1] != want[1] {
-		t.Fatalf("backoff schedule %v, want %v", *slept, want)
-	}
 }
 
 // TestNilPatternPointQuarantines: a point with no pattern is a per-point
-// failure like any other — keyed, retried, quarantined with the injector's
-// error — not a crash while formatting its key.
+// failure like any other — keyed, quarantined with the injector's error —
+// not a crash while formatting its key.
 func TestNilPatternPointQuarantines(t *testing.T) {
 	g := testGrid(3)
 	g.Points[1].Pattern = nil
-	cfg := Config{Workers: 2, MaxAttempts: 2}
-	noSleep(&cfg)
-	rep, err := Run(g, cfg)
+	rep, err := Run(g, Config{Workers: 2})
 	if err != nil {
 		t.Fatalf("Run returned a harness error for a per-point failure: %v", err)
 	}
@@ -139,25 +118,20 @@ func TestNilPatternPointQuarantines(t *testing.T) {
 	}
 }
 
-func TestPointTimeoutQuarantines(t *testing.T) {
-	g := testGrid(3)
-	g.Points[1].Mod = func(*core.Config) { time.Sleep(10 * time.Second) }
-	g.Points[1].Label = "hang"
-
-	// The deadline must be generous enough that the healthy millisecond
-	// points clear it even under the race detector's slowdown.
-	cfg := Config{Workers: 3, MaxAttempts: 2, PointTimeout: time.Second}
-	noSleep(&cfg)
-	rep, err := Run(g, cfg)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
+// TestPostPointPanicStopsRun: a panic in PostPoint is a harness failure.
+// Run returns it, and no point after the one being posted starts.
+func TestPostPointPanicStopsRun(t *testing.T) {
+	g := testGrid(4)
+	var runs atomic.Int32
+	for i := range g.Points {
+		g.Points[i].Mod = func(*core.Config) { runs.Add(1) }
 	}
-	q := rep.Quarantined()
-	if len(q) != 1 || q[0].Index != 1 || q[0].Attempts != 2 {
-		t.Fatalf("quarantined %+v, want point 1 after 2 attempts", q)
+	_, err := Run(g, Config{Workers: 1, PostPoint: func(PointState) { panic("observer bug") }})
+	if err == nil || !strings.Contains(err.Error(), "observer bug") {
+		t.Fatalf("Run: %v, want the PostPoint panic", err)
 	}
-	if !strings.Contains(q[0].LastError, ErrPointTimeout.Error()) {
-		t.Fatalf("timeout not named in %q", q[0].LastError)
+	if n := runs.Load(); n != 1 {
+		t.Fatalf("%d points ran, want 1: the panic must stop the run", n)
 	}
 }
 
@@ -207,28 +181,6 @@ func TestResumeRejectsMismatchedGrid(t *testing.T) {
 	smaller := testGrid(4)
 	if _, err := Run(smaller, Config{Workers: 2, Manifest: path, Resume: true}); !errors.Is(err, ErrManifestMismatch) {
 		t.Fatalf("resume against a smaller grid: %v, want ErrManifestMismatch", err)
-	}
-}
-
-func TestBackoffSchedule(t *testing.T) {
-	b := Backoff{Base: 100 * time.Millisecond, Cap: 2 * time.Second}
-	want := []time.Duration{
-		100 * time.Millisecond, 200 * time.Millisecond, 400 * time.Millisecond,
-		800 * time.Millisecond, 1600 * time.Millisecond, 2 * time.Second, 2 * time.Second,
-	}
-	for i, w := range want {
-		if got := b.Delay(i + 1); got != w {
-			t.Fatalf("Delay(%d) = %v, want %v", i+1, got, w)
-		}
-	}
-	if got := (Backoff{}).Delay(1); got != 100*time.Millisecond {
-		t.Fatalf("zero-value base delay = %v", got)
-	}
-	if got := (Backoff{}).Delay(1000); got != 5*time.Second {
-		t.Fatalf("zero-value capped delay = %v", got)
-	}
-	if got := (Backoff{Base: time.Second, Cap: time.Millisecond}).Delay(1); got != time.Second {
-		t.Fatalf("cap below base should clamp to base, got %v", got)
 	}
 }
 

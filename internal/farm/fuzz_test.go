@@ -9,25 +9,22 @@ import (
 // FuzzManifestDecode hammers the manifest decoder with arbitrary bytes.
 // The contract under fuzz: never panic, and on success every decoded
 // state is internally consistent (key present, index inside the declared
-// grid, terminal statuses only from point records).
+// grid, terminal statuses only).
 func FuzzManifestDecode(f *testing.F) {
 	// Seed with a genuine manifest so the fuzzer starts from valid frames.
 	valid := func() []byte {
 		path := f.TempDir() + "/seed.jsonl"
 		m, err := OpenManifest(path, Header{
 			Version: ManifestVersion, Grid: "fuzz", Fingerprint: "00000000deadbeef",
-			Points: 3, Seed: 7, MaxAttempts: 3,
+			Points: 3, Seed: 7,
 		}, false)
 		if err != nil {
 			f.Fatal(err)
 		}
-		if err := m.AppendAttempt("0000:a", 0, 1, "transient"); err != nil {
+		if err := m.AppendPoint(PointState{Key: "0000:a", Index: 0, Status: StatusDone, Attempts: 1, Digest: 42}); err != nil {
 			f.Fatal(err)
 		}
-		if err := m.AppendPoint(PointState{Key: "0000:a", Index: 0, Status: StatusDone, Attempts: 2, Digest: 42}); err != nil {
-			f.Fatal(err)
-		}
-		if err := m.AppendPoint(PointState{Key: "0002:c", Index: 2, Status: StatusQuarantined, Attempts: 3, LastError: "poison"}); err != nil {
+		if err := m.AppendPoint(PointState{Key: "0002:c", Index: 2, Status: StatusQuarantined, Attempts: 1, LastError: "poison"}); err != nil {
 			f.Fatal(err)
 		}
 		m.Close()
@@ -60,7 +57,7 @@ func FuzzManifestDecode(f *testing.F) {
 				t.Fatalf("state index %d outside declared grid of %d", st.Index, md.Header.Points)
 			}
 			switch st.Status {
-			case StatusPending, StatusDone, StatusQuarantined:
+			case StatusDone, StatusQuarantined:
 			default:
 				t.Fatalf("state in unknown status %q", st.Status)
 			}

@@ -14,8 +14,7 @@ import (
 
 // The manifest is a crash-safe JSONL journal. Line one is the header
 // (grid name, fingerprint, point count, options); every later line
-// records one supervision event: a failed attempt, a completed point, or
-// a quarantine. Each line is framed as
+// records one finished point, done or quarantined. Each line is framed as
 //
 //	crc32(json-payload) SP json-payload LF
 //
@@ -27,8 +26,10 @@ import (
 // rejected with ErrManifestCorrupt: a manifest either replays exactly or
 // loudly refuses to.
 
-// ManifestVersion is the journal format version.
-const ManifestVersion = 1
+// ManifestVersion is the journal format version. Version 1 also held
+// per-attempt records and a retry budget; a v1 journal is refused, not
+// misread.
+const ManifestVersion = 2
 
 var (
 	// ErrManifestCorrupt marks a manifest that failed validation while
@@ -50,11 +51,10 @@ type Header struct {
 	Warmup      int64  `json:"warmup"`
 	Measure     int64  `json:"measure"`
 	Drain       int64  `json:"drain"`
-	MaxAttempts int    `json:"maxAttempts"`
 }
 
 // HeaderFor builds the manifest header for a grid run.
-func HeaderFor(g Grid, cfg Config) Header {
+func HeaderFor(g Grid) Header {
 	return Header{
 		Version:     ManifestVersion,
 		Grid:        g.Name,
@@ -65,25 +65,23 @@ func HeaderFor(g Grid, cfg Config) Header {
 		Warmup:      g.Opts.Window.Warmup,
 		Measure:     g.Opts.Window.Measure,
 		Drain:       g.Opts.Window.Drain,
-		MaxAttempts: cfg.MaxAttempts,
 	}
 }
 
 // manifestRec is one journal line.
 type manifestRec struct {
-	Kind    string   `json:"kind"` // "header" | "attempt" | "point"
+	Kind    string   `json:"kind"` // "header" | "point"
 	Header  *Header  `json:"header,omitempty"`
 	Key     string   `json:"key,omitempty"`
 	Index   int      `json:"index,omitempty"`
 	Status  string   `json:"status,omitempty"`
-	Attempt int      `json:"attempt,omitempty"`
 	Digest  string   `json:"digest,omitempty"`
 	Error   string   `json:"error,omitempty"`
 	Summary *Summary `json:"summary,omitempty"`
 }
 
 // ManifestData is a decoded manifest snapshot: the header plus the
-// replayed per-point states (keys absent from States are still pending).
+// replayed terminal states (keys absent from States are still pending).
 type ManifestData struct {
 	Header Header
 	States map[string]PointState
@@ -173,7 +171,7 @@ func (md *ManifestData) apply(rec manifestRec, lineNo int) error {
 	switch rec.Kind {
 	case "header":
 		return fmt.Errorf("%w: line %d: second header", ErrManifestCorrupt, lineNo+1)
-	case "attempt", "point":
+	case "point":
 		if rec.Key == "" {
 			return fmt.Errorf("%w: line %d: record without key", ErrManifestCorrupt, lineNo+1)
 		}
@@ -185,37 +183,21 @@ func (md *ManifestData) apply(rec manifestRec, lineNo int) error {
 		return fmt.Errorf("%w: line %d: unknown record kind %q", ErrManifestCorrupt, lineNo+1, rec.Kind)
 	}
 
-	st := md.States[rec.Key]
-	st.Key = rec.Key
-	st.Index = rec.Index
-	if rec.Attempt > st.Attempts {
-		st.Attempts = rec.Attempt
-	}
-	switch rec.Kind {
-	case "attempt":
-		if st.Status == "" {
-			st.Status = StatusPending
+	st := PointState{Key: rec.Key, Index: rec.Index, Status: Status(rec.Status), Attempts: 1}
+	switch st.Status {
+	case StatusDone:
+		d, err := strconv.ParseUint(rec.Digest, 16, 64)
+		if err != nil {
+			return fmt.Errorf("%w: line %d: bad digest %q", ErrManifestCorrupt, lineNo+1, rec.Digest)
 		}
+		st.Digest = d
+		if rec.Summary != nil {
+			st.Summary = *rec.Summary
+		}
+	case StatusQuarantined:
 		st.LastError = rec.Error
-	case "point":
-		switch Status(rec.Status) {
-		case StatusDone:
-			d, err := strconv.ParseUint(rec.Digest, 16, 64)
-			if err != nil {
-				return fmt.Errorf("%w: line %d: bad digest %q", ErrManifestCorrupt, lineNo+1, rec.Digest)
-			}
-			st.Status = StatusDone
-			st.Digest = d
-			st.LastError = ""
-			if rec.Summary != nil {
-				st.Summary = *rec.Summary
-			}
-		case StatusQuarantined:
-			st.Status = StatusQuarantined
-			st.LastError = rec.Error
-		default:
-			return fmt.Errorf("%w: line %d: terminal record with status %q", ErrManifestCorrupt, lineNo+1, rec.Status)
-		}
+	default:
+		return fmt.Errorf("%w: line %d: point record with status %q", ErrManifestCorrupt, lineNo+1, rec.Status)
 	}
 	md.States[rec.Key] = st
 	return nil
@@ -302,25 +284,14 @@ func (m *Manifest) State(key string) (PointState, bool) {
 	return st, ok
 }
 
-// AppendAttempt journals one failed, non-terminal attempt. All append
-// methods are no-ops on a nil receiver, so in-memory (manifest-less)
-// farm runs share the supervisor code path unchanged.
-func (m *Manifest) AppendAttempt(key string, index, attempt int, errMsg string) error {
-	if m == nil {
-		return nil
-	}
-	return m.append(manifestRec{Kind: "attempt", Key: key, Index: index, Attempt: attempt, Error: errMsg})
-}
-
-// AppendPoint journals a terminal state (done or quarantined).
+// AppendPoint journals a terminal state (done or quarantined). It is a
+// no-op on a nil receiver, so in-memory (manifest-less) farm runs share
+// Run's code path unchanged.
 func (m *Manifest) AppendPoint(st PointState) error {
 	if m == nil {
 		return nil
 	}
-	rec := manifestRec{
-		Kind: "point", Key: st.Key, Index: st.Index,
-		Status: string(st.Status), Attempt: st.Attempts,
-	}
+	rec := manifestRec{Kind: "point", Key: st.Key, Index: st.Index, Status: string(st.Status)}
 	switch st.Status {
 	case StatusDone:
 		rec.Digest = fmt.Sprintf("%016x", st.Digest)

@@ -12,7 +12,7 @@ import (
 func testHeader(points int) Header {
 	return Header{
 		Version: ManifestVersion, Grid: "unit", Fingerprint: "00000000deadbeef",
-		Points: points, Seed: 7, MaxAttempts: 3,
+		Points: points, Seed: 7,
 		Warmup: 50, Measure: 200, Drain: 100,
 	}
 }
@@ -23,9 +23,6 @@ func TestManifestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("create: %v", err)
 	}
-	if err := m.AppendAttempt("0001:k", 1, 1, "transient"); err != nil {
-		t.Fatal(err)
-	}
 	done := PointState{
 		Key: "0000:j", Index: 0, Status: StatusDone, Attempts: 1, Digest: 0xABCDEF0123456789,
 		Summary: Summary{Scheme: "dhs", AvgLatency: 12.5, Throughput: 0.03, Delivered: 42, DigestEvents: 99},
@@ -33,7 +30,7 @@ func TestManifestRoundTrip(t *testing.T) {
 	if err := m.AppendPoint(done); err != nil {
 		t.Fatal(err)
 	}
-	quar := PointState{Key: "0002:q", Index: 2, Status: StatusQuarantined, Attempts: 3, LastError: "poison"}
+	quar := PointState{Key: "0002:q", Index: 2, Status: StatusQuarantined, Attempts: 1, LastError: "poison"}
 	if err := m.AppendPoint(quar); err != nil {
 		t.Fatal(err)
 	}
@@ -55,12 +52,11 @@ func TestManifestRoundTrip(t *testing.T) {
 	if st.Status != StatusDone || st.Digest != done.Digest || st.Summary != done.Summary || st.Attempts != 1 {
 		t.Fatalf("done state round-trip: %+v", st)
 	}
-	st = md.States["0001:k"]
-	if st.Status != StatusPending || st.Attempts != 1 || st.LastError != "transient" {
-		t.Fatalf("attempt state round-trip: %+v", st)
+	if _, ok := md.States["0001:k"]; ok {
+		t.Fatal("a point without a record has a state")
 	}
 	st = md.States["0002:q"]
-	if st.Status != StatusQuarantined || st.Attempts != 3 || st.LastError != "poison" {
+	if st.Status != StatusQuarantined || st.Attempts != 1 || st.LastError != "poison" {
 		t.Fatalf("quarantine state round-trip: %+v", st)
 	}
 }
@@ -84,7 +80,11 @@ func TestManifestRejectsCorruption(t *testing.T) {
 	}
 
 	lastStart := bytes.LastIndexByte(clean[:len(clean)-1], '\n') + 1
+	// A version-1 journal (per-attempt records, a retry budget) with a
+	// valid frame.
+	v1 := []byte(`1ceb98c1 {"kind":"header","header":{"v":1,"grid":"unit","fingerprint":"00000000deadbeef","points":2,"seed":7,"quick":false,"warmup":50,"measure":200,"drain":100,"maxAttempts":3}}` + "\n")
 	cases := map[string][]byte{
+		"v1 header":         v1,
 		"empty file":        nil,
 		"flipped byte":      flip(clean, len(clean)/2),
 		"truncated header":  clean[:10],
@@ -95,6 +95,9 @@ func TestManifestRejectsCorruption(t *testing.T) {
 		if _, err := DecodeManifest(data); !errors.Is(err, ErrManifestCorrupt) {
 			t.Errorf("%s: %v, want ErrManifestCorrupt", name, err)
 		}
+	}
+	if _, err := DecodeManifest(v1); err == nil || !strings.Contains(err.Error(), "version 1, this build reads 2") {
+		t.Errorf("v1 header: %v, want both versions named", err)
 	}
 
 	// Index outside the declared grid.

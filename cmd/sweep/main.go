@@ -1,6 +1,8 @@
 // Command sweep is the front end of the study catalog in internal/exp:
 // every table, figure and extension study of the evaluation is one row,
-// listed by -list and run by -study.
+// listed by -list and run by -study. -study takes a comma-separated list
+// of distinct rows: the union of their points is simulated once, each
+// distinct point once, and the rows print in list order.
 //
 //	sweep -list                    # every study: id, paper artefact, parameters, results file
 //	sweep -study fig8:BC           # Fig 8: global group on Bit Complement
@@ -9,12 +11,15 @@
 //	sweep -study fig8:UR -quick -csv -plot   # fast grid, CSV output, ASCII chart
 //	sweep -study workload -workload bursty   # per-phase p50/p99/p999 under every scheme
 //	sweep -study trace-gen -workload nas-cg -o cg.phtr   # synthesise a binary trace
+//	sweep -study fig8:UR,fig9:UR,claims      # claims re-uses the two grids' points
 //
 // A row reads only the parameter flags -list shows for it (-pattern,
-// -load, -workload, -o, -cycles); passing another one is a usage error.
+// -load, -workload, -o, -cycles), and every listed row must read every
+// parameter flag given; anything else is a usage error.
 //
-// Crash-safe regeneration: -farm runs a grid-backed row (or "figures",
-// the union of the paper-figure grids) under the sweep farm — a durable
+// Crash-safe regeneration: -farm runs a catalog row's points (any row
+// that lists points and reads no -workload, or "figures", the union of
+// the paper-figure grids) under the sweep farm — a durable
 // manifest journals every finished point, so a killed run resumes where it
 // left off, and a point that fails is run once and quarantined instead of
 // wedging the grid:
@@ -70,7 +75,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	isFarm := map[string]bool{}
 	fs.VisitAll(func(f *flag.Flag) { isFarm[f.Name] = !isParam[f.Name] })
 	var (
-		study = fs.String("study", "", "run one study of the catalog (see -list)")
+		study = fs.String("study", "", "run studies of the catalog, a comma-separated list (see -list)")
 		list  = fs.Bool("list", false, "print the study catalog: name, id, paper artefact, parameters, results file")
 		quick = fs.Bool("quick", false, "reduced load grid and shorter windows")
 		csv   = fs.Bool("csv", false, "emit CSV instead of aligned text")
@@ -117,28 +122,41 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return usage("nothing to run: give one of -list, -study, -farm")
 	}
 
-	// A parameter flag must be one the selected row reads, and a farm
+	// A -study list names distinct rows, a parameter flag must be one
+	// every selected row reads (-farm and -list read none), and a farm
 	// flag needs -farm.
-	var row exp.Study
+	rows := []exp.Study{{Name: *farmGridFlag}}
 	if mode == "study" {
-		var err error
-		if row, err = exp.StudyByName(*study); err != nil {
-			return usage("%v", err)
+		rows = nil
+		for _, name := range strings.Split(*study, ",") {
+			row, err := exp.StudyByName(name)
+			switch {
+			case name == "":
+				return usage("-study %q has an empty element", *study)
+			case err != nil:
+				return usage("%v", err)
+			case slices.ContainsFunc(rows, func(r exp.Study) bool { return r.Name == name }):
+				return usage("-study lists %s twice", name)
+			}
+			rows = append(rows, row)
 		}
 	}
-	var unread []string
+	var given []string
 	orphan := ""
 	fs.Visit(func(f *flag.Flag) {
 		switch {
-		case isParam[f.Name] && !slices.Contains(row.Params, f.Name):
-			unread = append(unread, "-"+f.Name)
+		case isParam[f.Name]:
+			given = append(given, "-"+f.Name)
 		case isFarm[f.Name] && mode != "farm" && orphan == "":
 			orphan = f.Name
 		}
 	})
+	for _, r := range rows {
+		if unread := slices.DeleteFunc(slices.Clone(given), func(f string) bool { return slices.Contains(r.Params, f[1:]) }); len(unread) > 0 {
+			return usage("%s does not read %s (see -list)", strings.TrimSpace("-"+mode+" "+r.Name), strings.Join(unread, ", "))
+		}
+	}
 	switch {
-	case len(unread) > 0:
-		return usage("%s does not read %s (see -list)", strings.TrimSpace("-"+mode+" "+*study+*farmGridFlag), strings.Join(unread, ", "))
 	case orphan != "":
 		return usage("-%s needs -farm", orphan)
 	case fcfg.Resume && fcfg.Manifest == "":
@@ -147,9 +165,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return usage("-fsync needs -manifest")
 	case fcfg.Workers < 0:
 		return usage("-farm-workers must be >= 0, got %d", fcfg.Workers)
-	}
-	if params.Load == 0 {
-		params.Load = row.Load
 	}
 
 	opts := exp.DefaultOptions()
@@ -170,7 +185,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case "list":
 		err = out.Table(exp.CatalogTable())
 	default:
-		err = row.Run(out, opts, params)
+		err = exp.RunStudies(out, opts, params, rows...)
 	}
 	if perr := stopProfiles(); err == nil {
 		err = perr

@@ -35,39 +35,62 @@ func pinned(t *testing.T, study string) string {
 // TestPinnedStdout runs every catalog row through run() and compares
 // bytes with what the row's old invocation printed, then checks the row's
 // claims (claims_test.go) on the stdout it produced. A row added without
-// a pinned file fails here.
+// a pinned file fails here. The rows that need no parameter run as one
+// `-study a,b,…` list, so each distinct point is simulated once, and
+// print one after another in list order; the rest run alone with the
+// parameters their pinned files were generated with.
 func TestPinnedStdout(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every study at quick fidelity")
 	}
+	quick := []string{"-quick", "-seed", "1"}
+	tracePath := filepath.Join(t.TempDir(), "cg.phtr")
+	traceGen := append([]string{"-study", "trace-gen", "-workload", "nas-cg", "-cycles", "5000", "-o", tracePath}, quick...)
+	alone := map[string][]string{
+		"workload":  append([]string{"-study", "workload", "-workload", "bursty"}, quick...),
+		"trace-gen": traceGen,
+		// The gen -> dump round trip: dump reads what gen wrote.
+		"trace-dump": append([]string{"-study", "trace-dump", "-o", tracePath}, quick...),
+	}
+	var list []string
+	for _, s := range exp.Studies() {
+		if alone[s.Name] == nil {
+			list = append(list, s.Name)
+		}
+	}
+	runArgs := func(t *testing.T, args []string) string {
+		t.Helper()
+		status, stdout, stderr := sweep(args...)
+		if status != 0 {
+			t.Fatalf("sweep %v: exit %d\n%s", args, status, stderr)
+		}
+		// The pinned trace files were written as cg.phtr in the working directory.
+		return strings.ReplaceAll(stdout, tracePath, "cg.phtr")
+	}
+	combined := runArgs(t, append([]string{"-study", strings.Join(list, ",")}, quick...))
 	for _, s := range exp.Studies() {
 		t.Run(s.Name, func(t *testing.T) {
-			t.Parallel()
-			// The parameters the pinned files were generated with, for the
-			// rows that need any.
-			tracePath := filepath.Join(t.TempDir(), "cg.phtr")
-			traceGen := []string{"-study", "trace-gen", "-workload", "nas-cg", "-cycles", "5000", "-o", tracePath}
-			args := []string{"-study", s.Name}
-			switch s.Name {
-			case "workload":
-				args = append(args, "-workload", "bursty")
-			case "trace-gen":
-				args = traceGen
-			case "trace-dump":
-				// The gen -> dump round trip: dump reads what gen wrote.
-				if status, _, stderr := sweep(traceGen...); status != 0 {
-					t.Fatalf("trace-gen: exit %d\n%s", status, stderr)
+			want := pinned(t, s.Name)
+			var stdout string
+			if args := alone[s.Name]; args != nil {
+				if s.Name == "trace-dump" {
+					runArgs(t, traceGen)
 				}
-				args = append(args, "-o", tracePath)
+				stdout = runArgs(t, args)
+			} else {
+				stdout = combined[:min(len(want), len(combined))]
+				if stdout != want {
+					// Report the row's own bytes, and keep the rows after
+					// it aligned, by running it alone.
+					stdout = runArgs(t, append([]string{"-study", s.Name}, quick...))
+					if !strings.HasPrefix(combined, stdout) {
+						t.Errorf("%s prints other bytes in a -study list than alone", s.Name)
+					}
+				}
+				combined = strings.TrimPrefix(combined, stdout)
 			}
-			args = append(args, "-quick", "-seed", "1")
-			status, stdout, stderr := sweep(args...)
-			if status != 0 {
-				t.Fatalf("sweep %v: exit %d\n%s", args, status, stderr)
-			}
-			// The pinned trace files were written as cg.phtr in the working directory.
-			if got, want := strings.ReplaceAll(stdout, tracePath, "cg.phtr"), pinned(t, s.Name); got != want {
-				t.Errorf("sweep %v: stdout differs from the pinned bytes\n--- got\n%s--- want\n%s", args, got, want)
+			if stdout != want {
+				t.Errorf("sweep -study %s: stdout differs from the pinned bytes\n--- got\n%s--- want\n%s", s.Name, stdout, want)
 			}
 			for _, c := range claims {
 				if c.row == s.Name {
@@ -75,6 +98,9 @@ func TestPinnedStdout(t *testing.T) {
 				}
 			}
 		})
+	}
+	if combined != "" {
+		t.Errorf("the -study list printed %d bytes past its last row", len(combined))
 	}
 }
 
@@ -137,6 +163,13 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"-study", "fig8:UR", "UR"}, `unexpected argument "UR"`},
 		{[]string{"-study", "no-such-study"}, `unknown study "no-such-study" (known: fig2b, fig8:UR, `},
 		{[]string{"-study", "fig8:XX", "-quick"}, `unknown study "fig8:XX"`},
+		// A -study list: known, distinct names, and parameters every
+		// listed row reads.
+		{[]string{"-study", "fig8:UR,no-such-study"}, `unknown study "no-such-study"`},
+		{[]string{"-study", "fig8:UR,,claims"}, `-study "fig8:UR,,claims" has an empty element`},
+		{[]string{"-study", "fig8:UR,"}, `-study "fig8:UR," has an empty element`},
+		{[]string{"-study", "fig8:UR,claims,fig8:UR"}, "-study lists fig8:UR twice"},
+		{[]string{"-study", "fig12,multiflit,claims", "-load", "0.1"}, "-study claims does not read -load"},
 		{[]string{"-study", "fig8:UR", "-farm", "fig8:UR"}, "-farm and -study are mutually exclusive"},
 		{[]string{"-study", "claims", "-list"}, "-study and -list are mutually exclusive"},
 		// A parameter flag the selected row does not read.
@@ -187,7 +220,12 @@ func TestRunErrors(t *testing.T) {
 		{[]string{"-study", "workload", "-workload", "warp(rate=1)", "-quick"}, "warp"},
 		{[]string{"-study", "workload", "-quick"}, "empty workload spec"},
 		{[]string{"-farm", "no-such-grid", "-quick"}, "no-such-grid"},
-		{[]string{"-farm", "claims", "-quick"}, `unknown grid "claims"`},
+		{[]string{"-farm", "fig10", "-quick"}, `unknown grid "fig10"`},
+		// A span of no cycles is refused before any file is created.
+		{[]string{"-study", "trace-gen", "-workload", "nas-cg", "-cycles", "-5", "-o", "/no/such/dir/cg.phtr"}, "trace: span of -5 cycles"},
+		{[]string{"-study", "trace-gen", "-workload", "nas-cg", "-cycles", "0", "-o", "/no/such/dir/cg.phtr"}, "trace: span of 0 cycles"},
+		{[]string{"-study", "analyze", "-cycles", "0"}, "trace: span of 0 cycles"},
+		{[]string{"-study", "analyze", "-cycles", "-5"}, "trace: span of -5 cycles"},
 		{[]string{"-study", "trace-gen", "-workload", "no-such-app"}, "no-such-app"},
 		{[]string{"-study", "trace-gen", "-workload", "nas-cg", "-o", "/no/such/dir/cg.phtr"}, "/no/such/dir/cg.phtr"},
 		{[]string{"-study", "trace-dump", "-o", "/no/such/dir/cg.phtr"}, "/no/such/dir/cg.phtr"},

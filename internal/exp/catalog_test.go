@@ -8,7 +8,7 @@ import (
 )
 
 // TestCatalogRowsAreWellFormed: names are unique selectors, every row
-// runs, a row's parameters are flags Params.Register declares, and a row
+// renders, a grid row's points build, a row's parameters are flags Params.Register declares, and a row
 // has a -load default exactly when it reads -load.
 func TestCatalogRowsAreWellFormed(t *testing.T) {
 	fs := flag.NewFlagSet("params", flag.ContinueOnError)
@@ -20,8 +20,13 @@ func TestCatalogRowsAreWellFormed(t *testing.T) {
 			t.Errorf("row name %q is empty, reserved or repeated", s.Name)
 		}
 		seen[s.Name] = true
-		if s.Run == nil {
-			t.Errorf("%s: no Run", s.Name)
+		if s.Render == nil {
+			t.Errorf("%s: no Render", s.Name)
+		}
+		if s.grid() {
+			if points, err := s.Points(QuickOptions(), s.params(Params{})); err != nil || len(points) == 0 {
+				t.Errorf("%s: %d points, %v", s.Name, len(points), err)
+			}
 		}
 		for _, p := range s.Params {
 			if fs.Lookup(p) == nil {

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"errors"
+	"io"
 	"strings"
 	"testing"
 
@@ -11,11 +12,11 @@ import (
 
 func TestFigureDriversRejectBadInput(t *testing.T) {
 	opts := QuickOptions()
-	if _, err := Figure("fig8:NOPE", opts); err == nil {
-		t.Error("Figure accepted Figure 8 on an unknown pattern")
+	if _, err := FigurePoints("fig8:NOPE", opts); err == nil {
+		t.Error("FigurePoints accepted Figure 8 on an unknown pattern")
 	}
-	if _, err := Claims("NOPE", opts); err == nil {
-		t.Error("Claims accepted an unknown pattern")
+	if _, err := workloadRowPoints(opts, Params{Workload: "bursty", Pattern: "NOPE"}); err == nil {
+		t.Error("the workload row accepted an unknown pattern")
 	}
 	if _, err := MultiFlitStudy(0.01, Options{Window: opts.Window}); err != nil {
 		t.Errorf("MultiFlitStudy with zero-value quick flag failed: %v", err)
@@ -30,8 +31,13 @@ func TestSweepPropagatesPointErrors(t *testing.T) {
 		Label: "broken", Scheme: core.DHS, Pattern: traffic.UniformRandom{},
 		Mod: func(c *core.Config) { c.BufferDepth = 0 },
 	}
-	if _, err := runCurves(overLoads(broken, []float64{0.01}), QuickOptions()); err == nil {
-		t.Error("the curve runner swallowed a configuration error")
+	if _, err := Simulate(overLoads(broken, []float64{0.01}), QuickOptions()); err == nil {
+		t.Error("Simulate swallowed a configuration error")
+	}
+	// A point Simulate was not given is an error, not a zero result.
+	claims, _ := StudyByName("claims")
+	if err := claims.Render(&Output{W: io.Discard}, QuickOptions(), Params{}, Results{}); err == nil {
+		t.Error("a row rendered points that were never simulated")
 	}
 }
 

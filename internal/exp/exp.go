@@ -1,9 +1,10 @@
 // Package exp contains the study catalog (catalog.go: one row per table,
 // figure and extension study of the paper's evaluation, §V) and the
-// experiment drivers its rows call. Each driver returns plain data and/or
-// a stats.Table whose rows mirror the corresponding figure's series, so
-// cmd/sweep, the benchmark harness and the tests all share one
-// implementation.
+// experiment drivers its rows call. A row lists the points it reads;
+// Simulate (simulate.go) runs the union of several rows' points, each
+// distinct point once, and each row renders its tables from those
+// results, so cmd/sweep, the benchmark harness and the tests all share
+// one implementation.
 //
 // DESIGN.md's per-experiment index repeats the catalog; measured-vs-paper
 // shapes are recorded in EXPERIMENTS.md.
@@ -104,13 +105,18 @@ func (e *PointPanic) Error() string {
 // SafeRunPoint is RunPoint with panic containment: a panic anywhere in
 // the point's construction or simulation is recovered into a *PointPanic
 // error instead of unwinding the caller.
-func SafeRunPoint(p Point, opts Options) (res core.Result, err error) {
+func SafeRunPoint(p Point, opts Options) (core.Result, error) {
+	return safely(p, func() (core.Result, error) { return RunPoint(p, opts) })
+}
+
+// safely runs f for point p, recovering a panic into a *PointPanic.
+func safely[R any](p Point, f func() (R, error)) (res R, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &PointPanic{Point: p, Value: r, Stack: debug.Stack()}
 		}
 	}()
-	return RunPoint(p, opts)
+	return f()
 }
 
 // RunPoints simulates points concurrently on the shared pool (each point
@@ -119,9 +125,14 @@ func SafeRunPoint(p Point, opts Options) (res core.Result, err error) {
 // to that point and reported as its *PointPanic; with several failing
 // points the lowest-index one is reported.
 func RunPoints(points []Point, opts Options) ([]core.Result, error) {
-	results := make([]core.Result, len(points))
+	return runEach(points, opts, RunPoint)
+}
+
+// runEach is RunPoints over any per-point runner.
+func runEach[R any](points []Point, opts Options, run func(Point, Options) (R, error)) ([]R, error) {
+	results := make([]R, len(points))
 	errs := Do(len(points), opts.Parallel, func(i int) (err error) {
-		results[i], err = SafeRunPoint(points[i], opts)
+		results[i], err = safely(points[i], func() (R, error) { return run(points[i], opts) })
 		return err
 	})
 	for i, err := range errs {
@@ -201,29 +212,6 @@ func (c Curve) SaturationThroughput() float64 {
 		}
 	}
 	return best
-}
-
-// runCurves is the one curve runner behind every latency-vs-load figure:
-// it simulates a series-major grid (overLoads runs) as one RunPoints
-// call and folds each run of points sharing a scheme and label into a
-// Curve.
-func runCurves(points []Point, opts Options) ([]Curve, error) {
-	results, err := RunPoints(points, opts)
-	if err != nil {
-		return nil, err
-	}
-	var curves []Curve
-	for i, p := range points {
-		if i == 0 || p.Scheme != points[i-1].Scheme || p.Label != points[i-1].Label {
-			curves = append(curves, Curve{Label: p.Label, Scheme: p.Scheme})
-		}
-		c, r := &curves[len(curves)-1], results[i]
-		c.Loads = append(c.Loads, p.Rate)
-		c.Latency = append(c.Latency, r.AvgLatency)
-		c.Throughput = append(c.Throughput, r.Throughput)
-		c.Results = append(c.Results, r)
-	}
-	return curves, nil
 }
 
 // PaperLoads returns the paper's x-axis grid for a traffic pattern

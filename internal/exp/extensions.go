@@ -59,17 +59,18 @@ func runSWMR(net *swmr.Network, rate float64, seed uint64) (swmr.Result, error) 
 	return net.Result(), nil
 }
 
-// ScalingStudy quantifies the paper's large-scale argument: with the
-// buffer depth held at 8, credit-based flow control collapses as the
-// loop's round trip grows while the handshake schemes degrade only with
-// the flight time. Load is UR at 0.09 packets/cycle/core.
-func ScalingStudy(opts Options) (*stats.Table, error) {
-	schemes := []core.Scheme{core.TokenSlot, core.TokenChannel, core.DHSSetaside, core.GHSSetaside}
-	rts := []int{4, 8, 16, 32}
+// The ring-size scaling axes: round trips, then schemes in column order.
+var (
+	scalingRoundTrips = []int{4, 8, 16, 32}
+	scalingSchemes    = []core.Scheme{core.TokenSlot, core.TokenChannel, core.DHSSetaside, core.GHSSetaside}
+)
+
+// scalingPoints is the scaling grid, round-trip-major: UR at 0.09 with
+// the default 8-deep buffers.
+func scalingPoints() []Point {
 	var points []Point
-	for _, rt := range rts {
-		for _, s := range schemes {
-			rt := rt
+	for _, rt := range scalingRoundTrips {
+		for _, s := range scalingSchemes {
 			points = append(points, Point{
 				Scheme:  s,
 				Pattern: traffic.UniformRandom{},
@@ -78,20 +79,25 @@ func ScalingStudy(opts Options) (*stats.Table, error) {
 			})
 		}
 	}
-	results, err := RunPoints(points, opts)
-	if err != nil {
-		return nil, err
-	}
+	return points
+}
+
+// ScalingStudy quantifies the paper's large-scale argument: with the
+// buffer depth held at 8, credit-based flow control collapses as the
+// loop's round trip grows while the handshake schemes degrade only with
+// the flight time. Load is UR at 0.09 packets/cycle/core; runs are those
+// of scalingPoints.
+func ScalingStudy(runs []WorkloadSLO) *stats.Table {
 	t := stats.NewTable("Ring-size scaling: latency (cycles) at UR 0.09 with 8-deep buffers",
 		"round trip", "Token Slot", "Token Channel", "DHS w/ Setaside", "GHS w/ Setaside")
-	for i, rt := range rts {
+	for i, rt := range scalingRoundTrips {
 		row := []any{fmt.Sprintf("%d", rt)}
-		for _, r := range results[i*len(schemes) : (i+1)*len(schemes)] {
-			row = append(row, fmt.Sprintf("%.1f", r.AvgLatency))
+		for _, r := range runs[i*len(scalingSchemes) : (i+1)*len(scalingSchemes)] {
+			row = append(row, fmt.Sprintf("%.1f", r.Result.AvgLatency))
 		}
 		t.AddRow(row...)
 	}
-	return t, nil
+	return t
 }
 
 // MultiFlitStudy measures message-completion latency under DHS w/

@@ -7,11 +7,11 @@ import (
 	"photon/internal/traffic"
 )
 
-// This file holds the point-list builders the catalog's grid-backed rows
-// name: each builds a deterministically ordered []Point from the options
-// alone, so the sweep farm (internal/farm) can spread a grid across
-// workers and, on resume, rebuild exactly the same grid from its name.
-// A row's driver runs the same list its Grid returns (catalog.go).
+// This file holds the point-list builders the catalog's rows name as
+// their Points: each builds a deterministically ordered []Point from the
+// options alone, so the sweep farm (internal/farm) can spread a grid
+// across workers and, on resume, rebuild exactly the same grid from its
+// name, and a row renders from the runs of the same list (catalog.go).
 
 // overLoads is one series of a latency-vs-load grid: p at every load.
 func overLoads(p Point, loads []float64) []Point {
@@ -58,6 +58,16 @@ func groupPoints(group []core.Scheme, pat traffic.Pattern, opts Options) []Point
 	var points []Point
 	for _, s := range group {
 		points = append(points, overLoads(Point{Scheme: s, Label: s.PaperName(), Pattern: pat}, PaperLoads(pat.Name(), opts.Quick))...)
+	}
+	return points
+}
+
+// claimsPoints are the six Figure 8/9 grids the claims are read off,
+// pattern-major, the global group first.
+func claimsPoints(opts Options) []Point {
+	var points []Point
+	for _, pat := range traffic.PaperPatterns() {
+		points = append(append(points, groupPoints(core.GlobalGroup(), pat, opts)...), groupPoints(core.DistributedGroup(), pat, opts)...)
 	}
 	return points
 }

@@ -4,34 +4,32 @@ import "testing"
 
 // TestFigureGridsBuild pins the named-grid registry: every advertised
 // grid builds non-empty, unknown names are rejected, and the combined
-// "figures" grid is exactly the concatenation of the individual grids in
-// registry order — the property the farm's resumable manifests rely on
-// to rebuild identical grids by name.
+// "figures" grid is exactly the concatenation of the grids figuresRows
+// names, in that order — the property the farm's resumable manifests rely
+// on to rebuild identical grids by name.
 func TestFigureGridsBuild(t *testing.T) {
 	opts := QuickOptions()
-	total := 0
-	var all []Point
-	for _, s := range Studies() {
-		if s.Grid == nil || s.Paper == "" {
-			continue // "figures" is the union of the paper-figure grids only
+	for _, name := range GridNames() {
+		if pts, err := FigurePoints(name, opts); err != nil || len(pts) == 0 {
+			t.Fatalf("grid %s: %d points, %v", name, len(pts), err)
 		}
-		name := s.Name
+	}
+	var all []Point
+	for _, name := range figuresRows {
 		pts, err := FigurePoints(name, opts)
 		if err != nil {
 			t.Fatalf("grid %s: %v", name, err)
 		}
-		if len(pts) == 0 {
-			t.Fatalf("grid %s is empty", name)
-		}
-		total += len(pts)
 		all = append(all, pts...)
 	}
 	combined, err := FigurePoints("figures", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(combined) != total {
-		t.Fatalf("figures grid has %d points, individual grids sum to %d", len(combined), total)
+	// 249 points: the figures grid whose quick seed-1 farm digest the
+	// documents quote.
+	if len(combined) != len(all) || len(combined) != 249 {
+		t.Fatalf("figures grid has %d points, its rows sum to %d, want 249", len(combined), len(all))
 	}
 	for i, p := range combined {
 		q := all[i]
@@ -40,7 +38,9 @@ func TestFigureGridsBuild(t *testing.T) {
 				i, p.Scheme, p.Pattern.Name(), p.Rate, p.Label, q.Scheme, q.Pattern.Name(), q.Rate, q.Label)
 		}
 	}
-	if _, err := FigurePoints("no-such-grid", opts); err == nil {
-		t.Fatal("unknown grid name accepted")
+	for _, name := range []string{"no-such-grid", "fig10", "workload"} {
+		if _, err := FigurePoints(name, opts); err == nil {
+			t.Fatalf("FigurePoints accepted %q, which is no grid", name)
+		}
 	}
 }

@@ -109,11 +109,7 @@ func Do(n, workers int, run func(i int) error) []error {
 // otherwise; both use the same derived seed, so a workload spec of
 // "bernoulli(rate=r)" and a bare Rate r are the same experiment.
 func buildPoint(p Point, opts Options) (*core.Network, *traffic.Injector, error) {
-	cfg := core.DefaultConfig(p.Scheme)
-	cfg.Seed = opts.Seed
-	if p.Mod != nil {
-		p.Mod(&cfg)
-	}
+	cfg := pointConfig(p, opts)
 	net, err := core.NewNetwork(cfg, opts.Window)
 	if err != nil {
 		return nil, nil, err
@@ -129,4 +125,15 @@ func buildPoint(p Point, opts Options) (*core.Network, *traffic.Injector, error)
 	}
 	inj, err := traffic.NewWorkloadInjector(w, p.Pattern, cfg.Nodes, cfg.CoresPerNode, seed)
 	return net, inj, err
+}
+
+// pointConfig is the network configuration p resolves to: its scheme's
+// defaults, the run's seed, then Mod.
+func pointConfig(p Point, opts Options) core.Config {
+	cfg := core.DefaultConfig(p.Scheme)
+	cfg.Seed = opts.Seed
+	if p.Mod != nil {
+		p.Mod(&cfg)
+	}
+	return cfg
 }

@@ -11,29 +11,17 @@ import (
 )
 
 // Fig12 reproduces Figure 12: per-scheme power breakdown (a) and energy
-// per packet (b). Activities come from a live simulation of every scheme
-// under UR at the given load (the catalog's fig12 rows default to the
-// paper's sensitivity operating point, 0.11 packets/cycle/core).
-func Fig12(load float64, opts Options) (ta, tb *stats.Table, err error) {
-	// Table order follows the paper: the global-arbitration group first,
-	// then the distributed one.
-	schemes := append(core.GlobalGroup(), core.DistributedGroup()...)
-	var points []Point
-	for _, s := range schemes {
-		points = append(points, Point{Scheme: s, Pattern: traffic.UniformRandom{}, Rate: load})
-	}
-	results, err := RunPoints(points, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-
+// per packet (b). Activities come from the runs of fig12Points at the
+// given load (the catalog's fig12 rows default to the paper's sensitivity
+// operating point, 0.11 packets/cycle/core).
+func Fig12(load float64, runs []WorkloadSLO) (ta, tb *stats.Table, err error) {
 	model := power.DefaultModel()
 	cores := float64(model.Shape.Cores())
 	ta = stats.NewTable(fmt.Sprintf("Figure 12(a): power breakdown (W) at UR %.2f pkt/cycle/core", load),
 		"scheme", "Laser", "Heating", "E/O", "O/E", "Router", "Total")
 	tb = stats.NewTable("Figure 12(b): energy per packet (nJ)", "scheme", "nJ/packet")
-	for i, s := range schemes {
-		r := results[i]
+	for _, run := range runs {
+		r, s := run.Result, run.Result.Scheme
 		act := power.Activity{
 			PacketsPerCycle:         r.Throughput * cores,
 			ReinjectionsPerCycle:    r.CirculationRate * r.Throughput * cores,
@@ -50,6 +38,17 @@ func Fig12(load float64, opts Options) (ta, tb *stats.Table, err error) {
 		tb.AddRow(s.PaperName(), fmt.Sprintf("%.2f", model.EnergyPerPacketNJ(bd, act)))
 	}
 	return ta, tb, nil
+}
+
+// fig12Points is every scheme under UR at the given load, in the paper's
+// table order: the global-arbitration group first, then the distributed
+// one.
+func fig12Points(load float64) []Point {
+	var points []Point
+	for _, s := range append(core.GlobalGroup(), core.DistributedGroup()...) {
+		points = append(points, Point{Scheme: s, Pattern: traffic.UniformRandom{}, Rate: load})
+	}
+	return points
 }
 
 // Table1 reproduces Table I: the optical component budget per scheme.

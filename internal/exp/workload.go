@@ -106,29 +106,6 @@ func RunWorkloadSLO(p Point, opts Options) (WorkloadSLO, error) {
 	return slo, nil
 }
 
-// WorkloadSweep runs a workload (preset name or raw spec) under every
-// registered scheme on the given pattern and renders the per-scheme SLO
-// reports as one table. Runs are serial: each holds a live streaming
-// assembler, and scheme order is the report order.
-func WorkloadSweep(nameOrSpec string, pattern traffic.Pattern, opts Options) (*stats.Table, error) {
-	_, spec, err := traffic.PresetWorkload(nameOrSpec)
-	if err != nil {
-		return nil, err
-	}
-	if pattern == nil {
-		pattern = traffic.UniformRandom{}
-	}
-	var slos []WorkloadSLO
-	for _, p := range workloadPoints("", spec, pattern) {
-		slo, err := RunWorkloadSLO(p, opts)
-		if err != nil {
-			return nil, fmt.Errorf("exp: workload %s under %s: %w", spec, p.Scheme, err)
-		}
-		slos = append(slos, slo)
-	}
-	return WorkloadSLOTable(spec, slos), nil
-}
-
 // WorkloadSLOTable renders per-phase SLO reports as one table, one row
 // per (scheme, phase).
 func WorkloadSLOTable(spec string, slos []WorkloadSLO) *stats.Table {
@@ -150,6 +127,32 @@ func WorkloadSLOTable(spec string, slos []WorkloadSLO) *stats.Table {
 		}
 	}
 	return t
+}
+
+// workloadRowPoints are the workload row's points: the -workload preset
+// or raw spec, canonicalised, under every scheme on -pattern.
+func workloadRowPoints(_ Options, p Params) ([]Point, error) {
+	pat, err := traffic.ByName(p.Pattern)
+	var w *traffic.Workload
+	if err == nil {
+		w, _, err = traffic.PresetWorkload(p.Workload)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return workloadPoints("", w.String(), pat), nil
+}
+
+// renderWorkloads renders a workload row's runs: one per-phase SLO table
+// for each workload, which runs under every scheme.
+func renderWorkloads(out *Output, _ Params, points []Point, runs []WorkloadSLO) error {
+	n := len(core.Schemes())
+	for i := 0; i < len(points); i += n {
+		if err := out.Tables(WorkloadSLOTable(points[i].Workload, runs[i:i+n])); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // workloadPoints is one workload under every registered scheme, in

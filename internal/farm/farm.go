@@ -231,9 +231,9 @@ func Run(g Grid, cfg Config) (*GridReport, error) {
 		stopped = false
 		return nil
 	})
-	for _, err := range errs {
+	for k, err := range errs {
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("farm: point %s: %w", rep.Points[pending[k]].Key, err)
 		}
 	}
 	return rep, nil

@@ -121,17 +121,32 @@ func TestNilPatternPointQuarantines(t *testing.T) {
 // TestPostPointPanicStopsRun: a panic in PostPoint is a harness failure.
 // Run returns it, and no point after the one being posted starts.
 func TestPostPointPanicStopsRun(t *testing.T) {
-	g := testGrid(4)
+	g := testGrid(6)
 	var runs atomic.Int32
 	for i := range g.Points {
 		g.Points[i].Mod = func(*core.Config) { runs.Add(1) }
 	}
-	_, err := Run(g, Config{Workers: 1, PostPoint: func(PointState) { panic("observer bug") }})
-	if err == nil || !strings.Contains(err.Error(), "observer bug") {
-		t.Fatalf("Run: %v, want the PostPoint panic", err)
+	path := t.TempDir() + "/manifest.jsonl"
+	// The first run journals points 0-2 and panics in PostPoint on the
+	// third; the resumed run panics on its first pending point, index 3.
+	calls := 0
+	_, err := Run(g, Config{Workers: 1, Manifest: path, PostPoint: func(PointState) {
+		if calls++; calls == 3 {
+			panic("observer bug")
+		}
+	}})
+	if err == nil || !strings.Contains(err.Error(), "observer bug") || !strings.Contains(err.Error(), "farm: point "+g.Key(2)+":") {
+		t.Fatalf("Run: %v, want the PostPoint panic naming point %s", err, g.Key(2))
 	}
-	if n := runs.Load(); n != 1 {
-		t.Fatalf("%d points ran, want 1: the panic must stop the run", n)
+	if n := runs.Load(); n != 3 {
+		t.Fatalf("%d points ran, want 3: the panic must stop the run", n)
+	}
+	_, err = Run(g, Config{Workers: 1, Manifest: path, Resume: true, PostPoint: func(PointState) { panic("observer bug") }})
+	if err == nil || !strings.Contains(err.Error(), "farm: point "+g.Key(3)+":") {
+		t.Fatalf("resumed Run: %v, want the PostPoint panic naming point %s", err, g.Key(3))
+	}
+	if n := runs.Load(); n != 4 {
+		t.Fatalf("%d points ran in all, want 4: the resumed run must stop after one", n)
 	}
 }
 

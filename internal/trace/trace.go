@@ -63,6 +63,9 @@ func (t *Trace) Validate() error {
 	if t.Cores < 1 || t.Nodes < 1 {
 		return fmt.Errorf("trace: bad shape %d cores / %d nodes", t.Cores, t.Nodes)
 	}
+	if t.Cycles < 1 {
+		return fmt.Errorf("trace: span of %d cycles, want at least 1", t.Cycles)
+	}
 	var prev int64 = -1
 	for i, r := range t.Records {
 		if r.Cycle < prev {
@@ -90,8 +93,12 @@ const maxRecordPrealloc = 1 << 16
 
 // WriteBinary serialises the trace in the compact varint format:
 // magic, app name, shape, then per record the cycle delta, source core,
-// destination node and class as unsigned varints.
+// destination node and class as unsigned varints. An invalid trace is
+// refused before a byte is written.
 func (t *Trace) WriteBinary(w io.Writer) error {
+	if err := t.Validate(); err != nil {
+		return err
+	}
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(binaryMagic); err != nil {
 		return err

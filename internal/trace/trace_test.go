@@ -106,6 +106,35 @@ func encodeWithCount(t *testing.T, tr *Trace, count uint64) []byte {
 	return append(out, body.Bytes()[at+1:]...)
 }
 
+// TestBinaryRejectsBadSpan: a trace spans at least one cycle. A header
+// claiming none, or a span past 2^63 that the int64 cast turns negative,
+// is refused on read, and WriteBinary writes no byte of such a trace.
+func TestBinaryRejectsBadSpan(t *testing.T) {
+	tr := sampleTrace()
+	tr.Records = nil
+	var body bytes.Buffer
+	if err := tr.WriteBinary(&body); err != nil {
+		t.Fatal(err)
+	}
+	// Header: magic, name length, name, cores, nodes — single-byte
+	// varints for sampleTrace — then the one-byte span.
+	at := len(binaryMagic) + 1 + len(tr.App) + 2
+	for _, span := range []uint64{0, 1 << 63, math.MaxUint64} {
+		file := binary.AppendUvarint(append([]byte(nil), body.Bytes()[:at]...), span)
+		file = append(file, body.Bytes()[at+1:]...)
+		if _, err := ReadBinary(bytes.NewReader(file)); err == nil || !strings.Contains(err.Error(), "trace: span of ") {
+			t.Errorf("span %d: err = %v, want the span error", span, err)
+		}
+	}
+	for _, cycles := range []int64{0, -5} {
+		tr.Cycles = cycles
+		var out bytes.Buffer
+		if err := tr.WriteBinary(&out); err == nil || out.Len() != 0 {
+			t.Errorf("WriteBinary of a %d-cycle span: err = %v, %d bytes written", cycles, err, out.Len())
+		}
+	}
+}
+
 func TestValidateCatchesBadTraces(t *testing.T) {
 	cases := map[string]*Trace{
 		"out-of-order": {App: "x", Cores: 4, Nodes: 4, Cycles: 10,
@@ -116,7 +145,9 @@ func TestValidateCatchesBadTraces(t *testing.T) {
 			Records: []Record{{Cycle: 1, SrcCore: 4}}},
 		"bad-node": {App: "x", Cores: 4, Nodes: 4, Cycles: 10,
 			Records: []Record{{Cycle: 1, DstNode: 4}}},
-		"bad-shape": {App: "x", Cores: 0, Nodes: 4, Cycles: 10},
+		"bad-shape":     {App: "x", Cores: 0, Nodes: 4, Cycles: 10},
+		"no-span":       {App: "x", Cores: 4, Nodes: 4, Cycles: 0},
+		"negative-span": {App: "x", Cores: 4, Nodes: 4, Cycles: -5},
 	}
 	for name, tr := range cases {
 		if err := tr.Validate(); err == nil {

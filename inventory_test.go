@@ -5,6 +5,7 @@ import (
 	"encoding/csv"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -92,15 +93,17 @@ func TestCatalogIsTheInventory(t *testing.T) {
 		}
 	}
 
-	// The farm: a name builds exactly when it is a grid-backed row, or
-	// their union.
+	// The farm: a name builds exactly when it is a row with Points that
+	// reads no -workload (the one parameter without a default), or
+	// "figures".
 	opts := exp.QuickOptions()
 	for _, s := range studies {
 		g, err := farm.Build(s.Name, opts)
+		grid := s.Points != nil && !slices.Contains(s.Params, "workload")
 		switch {
-		case s.Grid == nil && err == nil:
-			t.Errorf("farm.Build accepts %s, which is not grid-backed", s.Name)
-		case s.Grid != nil && (err != nil || len(g.Points) == 0):
+		case !grid && err == nil:
+			t.Errorf("farm.Build accepts %s, which is no grid", s.Name)
+		case grid && (err != nil || len(g.Points) == 0):
 			t.Errorf("farm.Build(%s): %d points, %v", s.Name, len(g.Points), err)
 		}
 	}

@@ -1,6 +1,9 @@
 package arbiter
 
-import "errors"
+import (
+	"errors"
+	"math"
+)
 
 // Fairness implements the "well served nodes sit on their hands for a
 // while" policy of Fair Token Channel / Fair Slot (Vantrease et al.,
@@ -125,6 +128,33 @@ func (f *Fairness) BeginCycle(now int64) bool {
 		f.dirty = false
 	}
 	return true
+}
+
+// NextRoll returns the first cycle of the next window: BeginCycle does
+// nothing before it. A disabled policy never rolls (math.MaxInt64). The
+// engine keeps a copy beside each channel's other per-cycle state, so the
+// in-window test of a cycle does not reach into the policy at all.
+func (f *Fairness) NextRoll() int64 {
+	if f == nil || !f.enabled {
+		return math.MaxInt64
+	}
+	return f.nextRoll
+}
+
+// Idle advances the clock to cycle to exactly as a BeginCycle call at
+// every cycle up to it would, given that no requester is registered, no
+// allowance asked and no capture made in between — a channel nobody
+// wants. It costs O(1) however many windows pass: a window that passed
+// wholly idle registered no requester, so it leaves the previous-window
+// verdict at zero.
+func (f *Fairness) Idle(to int64) {
+	if f == nil || !f.enabled || to < f.nextRoll {
+		return
+	}
+	if to >= f.nextRoll+f.window {
+		f.reqCount = 0
+	}
+	f.BeginCycle(to)
 }
 
 // OnRequest notes that a node wants this channel; the first note per

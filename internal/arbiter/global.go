@@ -144,6 +144,30 @@ func (t *GlobalToken) AdvanceSweep(sweep SweepFunc, onHome func()) {
 	t.pos = (t.pos + t.perCycle) % t.nodes
 }
 
+// Idle moves a free token k cycles down the loop when no node can capture
+// it — what k calls of AdvanceSweep(nil, onHome) do — in O(1). onHome runs
+// once if the token passed home at least once: Token Channel's
+// reimbursement pays out everything freed since the last pass, so later
+// passes with nothing freed in between pay nothing, and a caller whose
+// onHome is not idempotent in that sense must not use Idle. A held or lost
+// token does not move.
+func (t *GlobalToken) Idle(k int64, onHome func()) {
+	if t.holder >= 0 || t.lost || k <= 0 {
+		return
+	}
+	// A cycle's sweep passes home iff pos+perCycle reaches nodes, so k
+	// cycles pass it floor((pos + k*perCycle) / nodes) times.
+	d := int64(t.pos) + k*int64(t.perCycle)
+	passes := d / int64(t.nodes)
+	t.pos = int(d % int64(t.nodes))
+	if passes > 0 {
+		t.homePasses += passes
+		if onHome != nil {
+			onHome()
+		}
+	}
+}
+
 // park latches the token at a capturing offset mid-sweep.
 func (t *GlobalToken) park(off int) {
 	t.holder = off

@@ -130,3 +130,64 @@ func (s *SlotEmitter) Emit(now int64, emitGate func() bool) {
 		s.emitted++
 	}
 }
+
+// Idle runs cycles from..to (the next cycle not yet opened, through to)
+// with no capture, exactly as BeginCycle and Emit at each of them would,
+// in O(roundTrip) however long the span. Only the first loop (roundTrip+1
+// cycles) is run; after it every ring position has been visited once with
+// no capture, so a live token expires and re-emits at each later visit and
+// a dead position stays dead — for a gate that is stationary in that
+// sense, and the rest of the span is counting. Token Slot's credit gate
+// is: an expiring token's credit comes home just before the gate asks, so
+// a live position always re-emits, and once the gate has refused a
+// position the home holds no free credit and gets none back beyond what
+// the next emission takes. An always-open gate trivially is. A gate with
+// other inputs (fault draws, circulation's suppression) must not be
+// idled.
+func (s *SlotEmitter) Idle(from, to int64, onExpire func(), gate func() bool) {
+	if from > to {
+		return
+	}
+	loop := int64(len(s.live))
+	now, idx := from, int(from%loop)
+	for ; now <= to && now < from+loop; now++ {
+		// BeginCycle's expiry, then Emit: the position was just freed, so
+		// it cannot collide.
+		if s.live[idx] {
+			s.live[idx] = false
+			s.expired++
+			if onExpire != nil {
+				onExpire()
+			}
+		}
+		if gate == nil || gate() {
+			s.live[idx] = true
+			s.emitted++
+		}
+		if idx++; idx == len(s.live) {
+			idx = 0
+		}
+	}
+	s.lastEmitCheck = now - 1
+	s.curIdx = int(s.lastEmitCheck % loop)
+	if now > to {
+		return
+	}
+	live := int64(0)
+	for _, l := range s.live {
+		if l {
+			live++
+		}
+	}
+	rest := to - now + 1
+	visits := rest / loop * live
+	for c := to - rest%loop + 1; c <= to; c++ {
+		if s.live[c%loop] {
+			visits++
+		}
+	}
+	s.emitted += visits
+	s.expired += visits
+	s.lastEmitCheck = to
+	s.curIdx = int(to % loop)
+}

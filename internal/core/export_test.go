@@ -23,8 +23,18 @@ func SetPoisonPackets(on bool) (was bool) {
 	return was
 }
 
-// DisableSkipAhead turns off the idle fast path: RunCycles then steps
-// every cycle, the reference side of the skip-ahead equivalence battery.
+// EagerSteps makes n's Step visit every channel in every phase and run
+// every arbiter every cycle, and its RunCycles step every idle cycle: the
+// reference the sparse phases are checked against. Call it before the
+// first Step.
+func (n *Network) EagerSteps() {
+	n.skipOK = false
+	n.visitAll, n.ejectAll = n.every, n.every
+}
+
+// DisableSkipAhead turns off the idle fast path and deferred arbiters:
+// RunCycles then steps every cycle and Step runs every arbiter, the
+// reference side of the skip-ahead equivalence battery.
 func (n *Network) DisableSkipAhead() { n.skipOK = false }
 
 // LeakHolder takes a holder of p that nothing will ever release — what a

@@ -42,6 +42,22 @@ import (
 //  6. electrical injection pipeline delivers new packets to output queues
 //  7. invariant checks
 //
+// A cycle costs its events, not its channels. Phase 1 visits the channels
+// the arrival calendar has a flit due at, phase 2 those the pulse calendar
+// has a pulse due at, phase 3 those with a non-empty input buffer, and
+// phase 5's held-token sends those whose global token is held — each in
+// ascending id, the order a visit of every channel makes, so every emit,
+// callback and tap keeps its place. A visit skipped that way would have
+// found nothing and drawn nothing: the data-loss and pulse-loss fault
+// draws are made per arrival and per pulse. An ejection stall draws even
+// over an empty buffer, so with EjectStallProb > 0 phase 3 visits every
+// channel. Phase 4 visits, in rotated order, the channels somebody wants,
+// holds, or has a circulation suppression pending at; the others' arbiters
+// are deferred and caught up exactly when next needed (catchUp) — on
+// fault-free runs without recovery only (skipOK), and every channel runs
+// its arbiter every cycle otherwise. Invariants (phase 7) are checked on
+// every channel every cycle.
+//
 // Identical Config (including Seed) and identical injection sequences give
 // bit-identical results.
 type Network struct {
@@ -72,6 +88,26 @@ type Network struct {
 	wantWords int
 	wantNodes []int32
 
+	// Channel sets, one bit per home, laid out like a wantMask row: wanted
+	// (wantNodes[h] > 0), held (h's global token is held), suppressed (a
+	// circulation reinjection vetoes h's next token) and buffered (h's
+	// input buffer is non-empty). arrCal and pulseCal are the event
+	// calendars: calRows rows of such a set, row (cycle mod calRows)
+	// marking the channels with a data flit, or a handshake pulse, due that
+	// cycle. calRows covers the lines' horizon, so rows never alias, and
+	// calIdx is the current cycle's row. every is the set of all channels;
+	// visitAll and ejectAll are either every or all zeroes, and are or-ed
+	// into what phases 1, 2 and 5 and phase 3 walk.
+	wanted, held, suppressed, buffered chanSet
+	arrCal, pulseCal                   []uint64
+	calRows, calIdx                    int
+	every, visitAll, ejectAll          chanSet
+
+	// arbTo is the cycle deferred arbiters are caught up to when touched:
+	// the previous cycle until this cycle's token phase has run, this one
+	// after it.
+	arbTo int64
+
 	grants []grant
 
 	stats *Stats
@@ -99,12 +135,13 @@ type Network struct {
 	watchdog   int64 // global-token silence window (cycles)
 	onTimeout  func(*router.Packet)
 
-	// skipOK precomputes the static half of the idle skip-ahead gate: the
-	// fast path is sound only when no per-cycle randomness is drawn
+	// skipOK is the static gate of the idle skip-ahead and of deferred
+	// arbiters: both are sound only when no per-cycle randomness is drawn
 	// outside the injector (EjectStallProb == 0 — a stalled eject draws
-	// its RNG even over an empty buffer) and no fault process needs its
-	// per-cycle Bernoulli stream (faults == nil). The dynamic half of the
-	// gate is Outstanding() == 0; see RunCycles.
+	// its RNG even over an empty buffer), no fault process needs its
+	// per-cycle Bernoulli stream (faults == nil), and no recovery watchdog
+	// observes token silence. The dynamic half of the idle gate is
+	// holders == 0; see RunCycles.
 	skipOK bool
 
 	// orphans counts logical packets whose only live copy was destroyed
@@ -164,9 +201,12 @@ type channel struct {
 	in   *router.InPort
 	fair *arbiter.Fairness
 
-	// suppress blocks this cycle's token emission after a reinjection
-	// (DHS with circulation: the home "virtually consumes" the token).
-	suppress bool
+	// fairRoll is fair.NextRoll(): the cycle the fairness window next
+	// rolls at, kept here so the in-window test touches no other line.
+	// arbAt is the last cycle the channel's arbiter has run for; it lags
+	// the clock while the arbiter is deferred.
+	fairRoll int64
+	arbAt    int64
 
 	// Fault-injection state. lastActivity is the last cycle the home node
 	// observed arbitration life on a global channel (a token pass or a
@@ -183,6 +223,7 @@ type channel struct {
 	// Pre-bound protocol hooks (see ProtocolSpec.wire in protocol.go). A
 	// nil hook means the scheme has no behaviour in that phase.
 	advance     func(now int64)                     // phase 4: token motion + capture
+	idle        func(from, to int64)                // phase 4 of cycles from..to, nobody wanting
 	launchHeld  func(now int64)                     // phase 5: held global token sends
 	arrive      func(now int64, pkt *router.Packet) // phase 1: packet at home
 	handshake   func(now int64)                     // phase 2: ACK/NACK delivery
@@ -236,7 +277,7 @@ func NewNetwork(cfg Config, window sim.Window) (*Network, error) {
 		}
 		n.faults = fault.NewInjector(fcfg, cfg.Nodes)
 	}
-	n.skipOK = n.faults == nil && cfg.EjectStallProb == 0
+	n.skipOK = n.faults == nil && cfg.EjectStallProb == 0 && !cfg.Recovery.Enabled
 	if cfg.Recovery.Enabled {
 		n.recoveryOn = true
 		n.retxBase = int64(2 * (cfg.RoundTrip + 2)) // see RecoveryConfig
@@ -261,6 +302,19 @@ func NewNetwork(cfg Config, window sim.Window) (*Network, error) {
 	n.wantNodes = make([]int32, cfg.Nodes)
 	n.wantWords = (cfg.Nodes + 63) / 64
 	n.wantMask = make([]uint64, cfg.Nodes*n.wantWords)
+	w := n.wantWords
+	n.wanted, n.held, n.suppressed, n.buffered = make(chanSet, w), make(chanSet, w), make(chanSet, w), make(chanSet, w)
+	n.calRows = 2*cfg.RoundTrip + 5 // the data and handshake lines' horizon, 2R+4, plus the current cycle
+	n.arrCal, n.pulseCal = make([]uint64, n.calRows*w), make([]uint64, n.calRows*w)
+	n.every = make(chanSet, w)
+	for h := 0; h < cfg.Nodes; h++ {
+		n.every.set(h)
+	}
+	n.visitAll, n.ejectAll = make(chanSet, w), make(chanSet, w)
+	if cfg.EjectStallProb > 0 {
+		n.ejectAll = n.every
+	}
+	n.arbTo = -1
 	// At most one grant per node per cycle (the granted flag), so the
 	// grant queue never outgrows this and phaseLaunch never reallocates.
 	n.grants = make([]grant, 0, cfg.Nodes)
@@ -269,11 +323,13 @@ func NewNetwork(cfg Config, window sim.Window) (*Network, error) {
 	for h := range n.chans {
 		c := &n.chans[h]
 		*c = channel{
-			home: h,
-			data: ring.NewDataChannel[*router.Packet](geom),
-			in:   router.NewInPort(cfg.BufferDepth, cfg.EjectRate, cfg.EjectStallProb, n.rng.Fork(uint64(h)+1000)),
-			fair: arbiter.NewFairness(cfg.Nodes, cfg.Fairness),
+			home:  h,
+			data:  ring.NewDataChannel[*router.Packet](geom),
+			in:    router.NewInPort(cfg.BufferDepth, cfg.EjectRate, cfg.EjectStallProb, n.rng.Fork(uint64(h)+1000)),
+			fair:  arbiter.NewFairness(cfg.Nodes, cfg.Fairness),
+			arbAt: -1,
 		}
+		c.fairRoll = c.fair.NextRoll()
 		spec.wire(n, c)
 	}
 	return n, nil
@@ -294,6 +350,24 @@ func (n *Network) wantRow(h int) []uint64 {
 // wants reports whether node id is in channel h's requester set.
 func (n *Network) wants(h, id int) bool {
 	return n.wantMask[h*n.wantWords+id>>6]>>uint(id&63)&1 != 0
+}
+
+// chanSet is a set of channel (home) ids, one bit each, bit h&63 of word
+// h>>6.
+type chanSet []uint64
+
+func (s chanSet) set(h int)      { s[h>>6] |= 1 << uint(h&63) }
+func (s chanSet) clear(h int)    { s[h>>6] &^= 1 << uint(h&63) }
+func (s chanSet) has(h int) bool { return s[h>>6]>>uint(h&63)&1 != 0 }
+
+// calRow returns cal's row for cycle due, which must lie within the lines'
+// horizon from the current cycle (their Schedule has already checked it).
+func (n *Network) calRow(cal []uint64, due int64) chanSet {
+	r := n.calIdx + int(due-n.now)
+	if r >= n.calRows {
+		r -= n.calRows
+	}
+	return cal[r*n.wantWords : (r+1)*n.wantWords]
 }
 
 // faultSeedStream is the DeriveSeed stream id reserved for the fault
@@ -354,7 +428,7 @@ func (n *Network) Inject(srcCore, dstNode int, class router.Class, tag uint64) *
 	pkt.Tag = tag | uint64(srcCore)<<40 // keep the core for local queue routing
 	n.stats.onInjected(pkt)
 	n.emit(EvInject, pkt)
-	n.injPipe.Schedule(n.now+int64(n.cfg.RouterPipeline), pkt)
+	n.injPipe.Schedule(n.now, n.now+int64(n.cfg.RouterPipeline), pkt)
 	return pkt
 }
 
@@ -395,56 +469,61 @@ func (n *Network) queueOf(pkt *router.Packet) (*nodeState, *queueState) {
 // Step advances the network by one cycle, executing the seven phases.
 func (n *Network) Step() {
 	now := n.now
+	n.arbTo = now - 1
 	if n.faults != nil {
 		n.faults.BeginCycle(now, func(node int) {
 			n.stats.FaultsInjected++
 			n.emitMeta(EvFault, faultAux(fault.NodeStall, node))
 		})
 	}
-	for i := range n.chans {
-		n.phaseArrive(&n.chans[i], now)
+	w := n.wantWords
+	row := n.arrCal[n.calIdx*w : (n.calIdx+1)*w]
+	for wi, word := range row {
+		row[wi] = 0
+		for b := word | n.visitAll[wi]; b != 0; b &= b - 1 {
+			n.phaseArrive(&n.chans[wi<<6|bits.TrailingZeros64(b)], now)
+		}
 	}
-	for i := range n.chans {
-		if c := &n.chans[i]; c.handshake != nil {
-			c.handshake(now)
+	row = n.pulseCal[n.calIdx*w : (n.calIdx+1)*w]
+	for wi, word := range row {
+		row[wi] = 0
+		for b := word | n.visitAll[wi]; b != 0; b &= b - 1 {
+			if c := &n.chans[wi<<6|bits.TrailingZeros64(b)]; c.handshake != nil {
+				c.handshake(now)
+			}
 		}
 	}
 	if n.recoveryOn {
 		n.phaseTimeouts(now)
 	}
-	for i := range n.chans {
-		n.phaseEject(&n.chans[i], now)
+	for wi, word := range n.buffered {
+		for b := word | n.ejectAll[wi]; b != 0; b &= b - 1 {
+			n.phaseEject(&n.chans[wi<<6|bits.TrailingZeros64(b)], now)
+		}
 	}
-	// Rotate channel order so cross-channel capture priority (an artefact
-	// of sequential simulation, not physics) carries no systematic bias.
-	start := int(now) % len(n.chans)
-	for i := range n.chans {
-		n.phaseTokens(&n.chans[(start+i)%len(n.chans)], now)
-	}
+	n.tokenPhase(now)
+	n.arbTo = now
 	n.phaseLaunch(now)
 	n.phasePipeline(now)
 	if n.cfg.CheckInvariants {
 		n.checkInvariants()
 	}
 	n.now++
+	if n.calIdx++; n.calIdx == n.calRows {
+		n.calIdx = 0
+	}
 }
 
 // RunCycles advances the network by k cycles. It is bit-identical to k
 // consecutive Step calls, but when the network goes quiescent mid-span —
-// nothing queued, in flight, pending, or buffered anywhere — it switches
-// to the idle fast path, which executes only the stateful slice of each
-// cycle (see idleRun). Drivers with gaps between injections (tape replay,
-// drain tails) route them through here to collect the speedup.
+// nothing queued, in flight, pending, or buffered anywhere — it skips the
+// rest of the span outright (see idleRun). Drivers with gaps between
+// injections (tape replay, drain tails) route them through here to collect
+// the speedup.
 func (n *Network) RunCycles(k int64) {
 	end := n.now + k
-	if !n.skipOK {
-		for n.now < end {
-			n.Step()
-		}
-		return
-	}
 	for n.now < end {
-		if n.Outstanding() == 0 {
+		if n.skipOK && n.holders == 0 {
 			n.idleRun(end)
 			return
 		}
@@ -452,49 +531,23 @@ func (n *Network) RunCycles(k int64) {
 	}
 }
 
-// idleRun advances a quiescent network to cycle end, executing per cycle
-// only the phases that carry state when nothing is outstanding, in the
-// exact order Step would:
-//
-//   - arrivals, handshake delivery, timeouts, ejection, held-token
-//     launches, pipeline pop and invariants are provably no-ops: every
-//     delay line, buffer and queue is empty, no retransmit timer is armed
-//     (Outstanding counts un-ACKed retention copies), and no global token
-//     is held (a holder releases in the send cycle once its queue empties);
-//   - the token phase is NOT a no-op — fairness windows roll, slot tokens
-//     expire and re-emit, credits ride tokens home, global tokens
-//     circulate, watchdogs observe silence — so it runs in full, in the
-//     same rotated channel order as Step;
-//   - quiescence is absorbing: with no requesters (empty queues mean an
-//     empty requester set) no capture, grant or launch can occur, so
-//     eligibility never needs re-checking inside the loop.
-//
-// Afterwards the skipped clocks (injection pipeline, per-channel data and
-// handshake lines — all empty) are fast-forwarded so later Schedule and
-// PopDue calls see a current horizon. No digest event can be emitted in an
-// idle cycle on either path, so digests are bit-identical by construction;
-// the skip-ahead equivalence battery asserts it.
+// idleRun advances a quiescent network to cycle end by moving the clock.
+// holders == 0 is Outstanding() == 0 (the two are equal at every cycle
+// boundary), and then every phase but the token phase is a no-op: every
+// delay line, calendar, buffer and queue is empty, no retransmit timer is
+// armed, and no global token is held (a holder releases in the send cycle
+// once its queue empties). Quiescence is absorbing — with no requesters no
+// capture, grant or launch can occur — so every channel's token phase is
+// deferred, exactly as Step defers an unwanted channel's, and catchUp
+// replays it in O(R) when next needed. The lines accept bookings counted
+// from the current cycle after pops they skipped, so nothing else needs
+// fast-forwarding. No digest event can be emitted in an idle cycle, so
+// digests are bit-identical by construction; the skip-ahead equivalence
+// battery asserts it.
 func (n *Network) idleRun(end int64) {
-	for n.now < end {
-		now := n.now
-		start := int(now) % len(n.chans)
-		for i := range n.chans {
-			c := &n.chans[(start+i)%len(n.chans)]
-			if c.fair.BeginCycle(now) && n.wantNodes[c.home] > 0 {
-				panic("core: idle skip-ahead with live requesters")
-			}
-			c.advance(now)
-		}
-		n.now++
-	}
-	n.injPipe.SkipTo(n.now)
-	for i := range n.chans {
-		c := &n.chans[i]
-		c.data.SkipTo(n.now)
-		if c.hs != nil {
-			c.hs.SkipTo(n.now)
-		}
-	}
+	n.now = end
+	n.arbTo = end - 1
+	n.calIdx = int(end % int64(n.calRows))
 }
 
 // phaseArrive processes the at-most-one packet landing at channel c's home.
@@ -513,6 +566,9 @@ func (n *Network) phaseArrive(c *channel, now int64) {
 		return
 	}
 	c.arrive(now, pkt)
+	if c.in.Occupied() > 0 {
+		n.buffered.set(c.home)
+	}
 }
 
 // dataFault applies a data-loss fault to an arriving flit: the home cannot
@@ -549,8 +605,13 @@ func (n *Network) phaseTimeouts(now int64) {
 	}
 }
 
-// phaseEject drains the home buffer to the cores and frees credits.
+// phaseEject drains the home buffer to the cores and frees credits. A
+// credit goes back to the arbiter's ledger, so a deferred arbiter is
+// caught up first.
 func (n *Network) phaseEject(c *channel, now int64) {
+	if c.onEject != nil && c.arbAt < n.arbTo {
+		n.catchUp(c, n.arbTo)
+	}
 	for _, pkt := range c.in.Eject() {
 		if c.onEject != nil {
 			c.onEject()
@@ -563,23 +624,99 @@ func (n *Network) phaseEject(c *channel, now int64) {
 		}
 		n.release(pkt) // the home buffer's
 	}
+	if c.in.Occupied() == 0 {
+		n.buffered.clear(c.home)
+	}
+}
+
+// tokenPhase is phase 4: the channels' arbiters in rotated order. Under
+// skipOK it visits only the channels some node wants, whose global token
+// is held, or whose next token a reinjection suppresses — any other
+// channel's token phase can capture nothing and emit nothing, so it is
+// deferred — catching each visited channel up through the previous cycle
+// first. A deferred channel captures nothing, so the visited ones keep
+// the order and the outcome of a visit of all of them.
+func (n *Network) tokenPhase(now int64) {
+	// Rotate channel order so cross-channel capture priority (an artefact
+	// of sequential simulation, not physics) carries no systematic bias.
+	start := int(now) % len(n.chans)
+	w := n.wantWords
+	sw, sb := start>>6, uint(start&63)
+	for k := 0; k <= w; k++ {
+		wi := sw + k
+		if wi >= w {
+			wi -= w
+		}
+		b := n.every[wi]
+		if n.skipOK {
+			b = n.wanted[wi] | n.held[wi] | n.suppressed[wi]
+		}
+		if k == 0 {
+			b &= ^uint64(0) << sb // ids from start up
+		} else if k == w {
+			b &= 1<<sb - 1 // the wrapped ids below start
+		}
+		for ; b != 0; b &= b - 1 {
+			c := &n.chans[wi<<6|bits.TrailingZeros64(b)]
+			if c.arbAt < now-1 {
+				n.catchUp(c, now-1)
+			}
+			n.phaseTokens(c, now)
+			c.arbAt = now
+		}
+	}
 }
 
 // phaseTokens advances channel c's arbitration by one cycle: the
 // scheme-independent fairness window accounting, then the protocol's bound
 // token-motion closure.
 func (n *Network) phaseTokens(c *channel, now int64) {
-	if c.fair.BeginCycle(now) && n.wantNodes[c.home] > 0 {
-		// A new fairness window opened: re-register the still-backlogged
-		// requesters (in ascending id) so sustained contention is counted,
-		// not just newly arriving heads.
-		for wi, w := range n.wantRow(c.home) {
-			for ; w != 0; w &= w - 1 {
-				c.fair.OnRequest(wi<<6 | bits.TrailingZeros64(w))
+	if now >= c.fairRoll {
+		rolled := c.fair.BeginCycle(now)
+		c.fairRoll = c.fair.NextRoll()
+		if rolled && n.wantNodes[c.home] > 0 {
+			// A new fairness window opened: re-register the still-backlogged
+			// requesters (in ascending id) so sustained contention is
+			// counted, not just newly arriving heads.
+			for wi, w := range n.wantRow(c.home) {
+				for ; w != 0; w &= w - 1 {
+					c.fair.OnRequest(wi<<6 | bits.TrailingZeros64(w))
+				}
 			}
 		}
 	}
 	c.advance(now)
+}
+
+// catchUp runs deferred channel c's arbiter through cycle to: the token
+// phases of cycles arbAt+1..to, in each of which nobody wanted c, its
+// global token was not held and no reinjection suppressed its token. The
+// fairness window rolls with no requester to re-register, a free global
+// token moves on, and a slot emitter expires and emits — each in O(R) or
+// less, however long the span (Fairness.Idle, GlobalToken.Idle,
+// SlotEmitter.Idle). It is called before anything reads or changes what
+// those cycles would have changed: before the channel's next token phase,
+// an ejection's credit return, a new requester's OnRequest, and any read
+// of the arbiter counters (Result, Diagnostics).
+func (n *Network) catchUp(c *channel, to int64) {
+	from := c.arbAt + 1
+	if from > to {
+		return
+	}
+	c.arbAt = to
+	if to >= c.fairRoll {
+		c.fair.Idle(to)
+		c.fairRoll = c.fair.NextRoll()
+	}
+	c.idle(from, to)
+}
+
+// catchUpAll brings every deferred arbiter up to date, before a read of
+// their counters.
+func (n *Network) catchUpAll() {
+	for i := range n.chans {
+		n.catchUp(&n.chans[i], n.arbTo)
+	}
 }
 
 // phaseLaunch fires this cycle's granted and held sends.
@@ -595,10 +732,12 @@ func (n *Network) phaseLaunch(now int64) {
 	}
 	n.grants = n.grants[:0]
 
-	// Global token holders (schemes with a launchHeld hook).
-	for i := range n.chans {
-		if c := &n.chans[i]; c.launchHeld != nil {
-			c.launchHeld(now)
+	// Global token holders, in ascending channel id.
+	for wi, word := range n.held {
+		for b := word | n.visitAll[wi]; b != 0; b &= b - 1 {
+			if c := &n.chans[wi<<6|bits.TrailingZeros64(b)]; c.launchHeld != nil {
+				c.launchHeld(now)
+			}
 		}
 	}
 }
@@ -607,9 +746,12 @@ func (n *Network) phaseLaunch(now int64) {
 // next-ready packet is bound for home h.
 func (n *Network) pickQueue(nd *nodeState, h int) (*nodeState, *queueState, *router.Packet) {
 	qs := n.nodeQueues(nd.id)
-	k := len(qs)
-	for i := 0; i < k; i++ {
-		q := &qs[(nd.rr+i)%k]
+	i := nd.rr
+	for range qs {
+		q := &qs[i]
+		if i++; i == len(qs) {
+			i = 0
+		}
 		if q.want != h {
 			continue
 		}
@@ -617,7 +759,7 @@ func (n *Network) pickQueue(nd *nodeState, h int) (*nodeState, *queueState, *rou
 		if pkt == nil || pkt.Dst != h {
 			panic("core: queue want out of sync with its ready packet")
 		}
-		nd.rr = (nd.rr + i + 1) % k
+		nd.rr = i
 		return nd, q, pkt
 	}
 	return nd, nil, nil
@@ -628,15 +770,17 @@ func (n *Network) launch(nd *nodeState, q *queueState, c *channel, pkt *router.P
 	retx := pkt.FirstSentAt >= 0
 	off := n.geom.Offset(c.home, nd.id)
 	q.out.MarkSent(pkt, n.now)
+	var due int64
 	var err error
 	if c.glob != nil {
-		_, err = c.data.LaunchStream(n.now, off, pkt)
+		due, err = c.data.LaunchStream(n.now, off, pkt)
 	} else {
-		_, err = c.data.Launch(n.now, off, pkt)
+		due, err = c.data.Launch(n.now, off, pkt)
 	}
 	if err != nil {
 		panic(err)
 	}
+	n.calRow(n.arrCal, due).set(c.home)
 	n.stats.Launches++
 	if retx {
 		n.stats.Retransmits++
@@ -716,12 +860,20 @@ func (n *Network) updateQueueWant(nd *nodeState, q *queueState) {
 	q.want = want
 	word, bit := nd.id>>6, uint64(1)<<uint(nd.id&63)
 	if old >= 0 && !n.nodeWants(nd.id, old) {
-		n.wantNodes[old]--
+		if n.wantNodes[old]--; n.wantNodes[old] == 0 {
+			n.wanted.clear(old)
+		}
 		n.wantMask[old*n.wantWords+word] &^= bit
 	}
 	if want >= 0 && !n.wants(want, nd.id) {
-		n.chans[want].fair.OnRequest(nd.id)
-		n.wantNodes[want]++
+		c := &n.chans[want]
+		if c.arbAt < n.arbTo {
+			n.catchUp(c, n.arbTo)
+		}
+		c.fair.OnRequest(nd.id)
+		if n.wantNodes[want]++; n.wantNodes[want] == 1 {
+			n.wanted.set(want)
+		}
 		n.wantMask[want*n.wantWords+word] |= bit
 	}
 }
@@ -827,7 +979,7 @@ func (e *DrainError) Is(target error) bool { return target == ErrDrainStalled }
 // or limit cycles elapse. It returns the remaining outstanding count,
 // together with a *DrainError when that count is non-zero.
 func (n *Network) Drain(limit int64) (int, error) {
-	for i := int64(0); i < limit && n.Outstanding() > 0; i++ {
+	for i := int64(0); i < limit && n.holders > 0; i++ { // holders == Outstanding()
 		n.Step()
 	}
 	if left := n.Outstanding(); left > 0 {
@@ -838,6 +990,7 @@ func (n *Network) Drain(limit int64) (int, error) {
 
 // Result finalises and returns the run's measurements.
 func (n *Network) Result() Result {
+	n.catchUpAll()
 	n.stats.TokensYielded = 0
 	for i := range n.chans {
 		n.stats.TokensYielded += n.chans[i].fair.Yields()
@@ -863,6 +1016,7 @@ type ChannelDiagnostics struct {
 
 // Diagnostics returns per-channel low-level counters.
 func (n *Network) Diagnostics() []ChannelDiagnostics {
+	n.catchUpAll()
 	out := make([]ChannelDiagnostics, len(n.chans))
 	for i := range n.chans {
 		c := &n.chans[i]

@@ -71,6 +71,7 @@ func clearTokenPhaseEffects(n *Network) {
 		}
 		if off, held := c.glob.Held(); held {
 			n.nodes[n.geom.NodeAt(c.home, off)].holding = -1
+			n.held.clear(c.home)
 			c.glob.Release()
 		}
 	}

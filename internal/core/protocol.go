@@ -229,6 +229,7 @@ func (n *Network) captureGlobal(c *channel, id int, rc *flow.RelayedCredits) boo
 	}
 	c.fair.OnCapture(id)
 	nd.holding = c.home
+	n.held.set(c.home)
 	n.emitTapMeta(EvTokenCapture, tokenAux(id, c.home))
 	return true
 }
@@ -318,15 +319,19 @@ func (n *Network) captureSlot(c *channel, id int, sc *flow.SlotCredits) bool {
 	return true
 }
 
-// bindGlobalArbitrate builds the token-phase closure for global schemes:
-// free-token death (fault injection), the silence watchdog (recovery),
-// and token motion with capture. onHome, when non-nil, runs each time the
-// token passes its home node (Token Channel: credit reimbursement).
+// bindGlobalArbitrate binds the token-phase closures for global schemes:
+// advance is free-token death (fault injection), the silence watchdog
+// (recovery), and token motion with capture; idle is token motion over
+// deferred cycles, which skipOK confines to runs with neither faults nor
+// recovery. onHome, when non-nil, runs each time the token passes its
+// home node (Token Channel: credit reimbursement, which pays out once
+// however many passes go by with nothing freed — see GlobalToken.Idle).
 // Bound once per channel at construction; never inline (see bindGlobalSweep).
 //
 //go:noinline
-func bindGlobalArbitrate(n *Network, c *channel, sweep arbiter.SweepFunc, onHome func()) func(now int64) {
-	return func(now int64) {
+func bindGlobalArbitrate(n *Network, c *channel, sweep arbiter.SweepFunc, onHome func()) {
+	c.idle = func(from, to int64) { c.glob.Idle(to-from+1, onHome) }
+	c.advance = func(now int64) {
 		if n.faults != nil && !c.glob.Lost() {
 			if _, held := c.glob.Held(); !held && n.faults.KillToken(c.home, now) {
 				// The free circulating token dies in the waveguide.
@@ -363,16 +368,21 @@ func bindGlobalArbitrate(n *Network, c *channel, sweep arbiter.SweepFunc, onHome
 	}
 }
 
-// bindSlotArbitrate builds the token-phase closure for distributed
-// schemes: reclaim credits stranded aboard dead tokens (recovery, Token
-// Slot only), then drive the slot emitter through one cycle — expiry,
-// requester-driven capture scan (slotScan), emission. sc, when non-nil,
-// moves the home credit aboard each captured token (Token Slot).
+// bindSlotArbitrate binds the token-phase closures for distributed
+// schemes: advance reclaims credits stranded aboard dead tokens (recovery,
+// Token Slot only), then drives the slot emitter through one cycle —
+// expiry, requester-driven capture scan (slotScan), emission; idle runs
+// expiry and emission over deferred cycles (SlotEmitter.Idle). The gate
+// is stationary there: without faults it is Token Slot's credit gate or
+// always open, and a channel is never deferred with a circulation
+// suppression pending. sc, when non-nil, moves the home credit aboard
+// each captured token (Token Slot).
 // Bound once per channel at construction; never inline (see bindGlobalSweep).
 //
 //go:noinline
-func bindSlotArbitrate(n *Network, c *channel, gate func() bool, sc *flow.SlotCredits, expire func()) func(now int64) {
-	return func(now int64) {
+func bindSlotArbitrate(n *Network, c *channel, gate func() bool, sc *flow.SlotCredits, expire func()) {
+	c.idle = func(from, to int64) { c.slot.Idle(from, to, expire, gate) }
+	c.advance = func(now int64) {
 		if c.regen != nil {
 			// Credits stranded aboard dead slot tokens come back at the
 			// token's nominal expiry window.
@@ -410,9 +420,7 @@ func bindHeldLaunch(n *Network, c *channel, rc *flow.RelayedCredits) func(now in
 		if n.faults != nil && n.faults.Stalled(nd.id) {
 			// Resonator drift hit the holder mid-grab: it cannot modulate,
 			// so it releases the token rather than sit on it silently.
-			c.glob.Release()
-			nd.holding = -1
-			n.emitTapMeta(EvTokenRelease, tokenAux(nd.id, c.home))
+			n.releaseToken(c, nd)
 			return
 		}
 		_, q, pkt := n.pickQueue(nd, c.home)
@@ -425,16 +433,21 @@ func bindHeldLaunch(n *Network, c *channel, rc *flow.RelayedCredits) func(now in
 			// channel's wave-pipelined capacity.
 			keep := n.wants(c.home, nd.id) && (rc == nil || rc.OnToken() > 0)
 			if !keep {
-				c.glob.Release()
-				nd.holding = -1
-				n.emitTapMeta(EvTokenRelease, tokenAux(nd.id, c.home))
+				n.releaseToken(c, nd)
 			}
 		} else {
-			c.glob.Release()
-			nd.holding = -1
-			n.emitTapMeta(EvTokenRelease, tokenAux(nd.id, c.home))
+			n.releaseToken(c, nd)
 		}
 	}
+}
+
+// releaseToken puts channel c's global token, held by node nd, back onto
+// the loop.
+func (n *Network) releaseToken(c *channel, nd *nodeState) {
+	c.glob.Release()
+	nd.holding = -1
+	n.held.clear(c.home)
+	n.emitTapMeta(EvTokenRelease, tokenAux(nd.id, c.home))
 }
 
 // tokenFault accounts a distributed-token (slot) death and, with recovery
@@ -445,7 +458,7 @@ func (n *Network) tokenFault(c *channel) {
 	n.stats.FaultsInjected++
 	n.emitMeta(EvFault, faultAux(fault.TokenLoss, c.home))
 	if n.recoveryOn && c.regen != nil {
-		c.regen.Schedule(n.now+int64(n.cfg.RoundTrip)+1, n.now)
+		c.regen.Schedule(n.now, n.now+int64(n.cfg.RoundTrip)+1, n.now)
 	}
 }
 

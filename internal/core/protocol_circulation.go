@@ -14,8 +14,8 @@ func wireCirculation(n *Network, c *channel) {
 	c.slot = arbiter.NewSlotEmitter(n.cfg.Nodes, n.cfg.RoundTrip, n.geom.NodesPerCycle())
 	// Reinjection suppresses this cycle's token emission.
 	gate := func() bool {
-		if c.suppress {
-			c.suppress = false
+		if n.suppressed.has(c.home) {
+			n.suppressed.clear(c.home)
 			return false
 		}
 		if n.faults != nil && n.faults.KillToken(c.home, n.now) {
@@ -24,7 +24,7 @@ func wireCirculation(n *Network, c *channel) {
 		}
 		return true
 	}
-	c.advance = bindSlotArbitrate(n, c, gate, nil, nil)
+	bindSlotArbitrate(n, c, gate, nil, nil)
 	c.arrive = func(now int64, pkt *router.Packet) {
 		if c.in.Accept(pkt) {
 			pkt.AcceptedAt = now
@@ -32,10 +32,12 @@ func wireCirculation(n *Network, c *channel) {
 		} else {
 			pkt.Circulations++
 			n.stats.Circulations++
-			if _, err := c.data.Reinject(now, pkt); err != nil {
+			due, err := c.data.Reinject(now, pkt)
+			if err != nil {
 				panic(err)
 			}
-			c.suppress = true
+			n.calRow(n.arrCal, due).set(c.home)
+			n.suppressed.set(c.home)
 			n.emit(EvReinject, pkt)
 		}
 	}

@@ -60,7 +60,7 @@ func bindCreditArrive(n *Network, c *channel, claim func() error, label string) 
 func wireCreditGlobal(n *Network, c *channel) {
 	c.glob = arbiter.NewGlobalToken(n.cfg.Nodes, n.geom.NodesPerCycle())
 	rc := flow.NewRelayedCredits(n.cfg.BufferDepth)
-	c.advance = bindGlobalArbitrate(n, c, bindGlobalSweep(n, c, rc), rc.PassHome)
+	bindGlobalArbitrate(n, c, bindGlobalSweep(n, c, rc), rc.PassHome)
 	c.launchHeld = bindHeldLaunch(n, c, rc)
 	wireCredits(n, c, rc, "token channel")
 }
@@ -92,6 +92,6 @@ func wireCreditSlot(n *Network, c *channel) {
 		}
 		return true
 	}
-	c.advance = bindSlotArbitrate(n, c, gate, sc, sc.Expire)
+	bindSlotArbitrate(n, c, gate, sc, sc.Expire)
 	wireCredits(n, c, sc, "token slot")
 }

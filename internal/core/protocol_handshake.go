@@ -69,7 +69,8 @@ func bindHandshakeArrive(n *Network, c *channel) func(now int64, pkt *router.Pac
 			c.dupsDiscarded++
 			n.stats.DupsDiscarded++
 			n.emit(EvDupDrop, pkt)
-			c.hs.Send(now, off, ring.Ack{To: pkt.Src, PacketID: pkt.ID, Queue: queue, Positive: true})
+			due := c.hs.Send(now, off, ring.Ack{To: pkt.Src, PacketID: pkt.ID, Queue: queue, Positive: true})
+			n.calRow(n.pulseCal, due).set(c.home)
 			n.release(pkt) // the discarded copy
 			return
 		}
@@ -82,7 +83,8 @@ func bindHandshakeArrive(n *Network, c *channel) func(now int64, pkt *router.Pac
 			n.orphans++
 			n.emit(EvDrop, pkt)
 		}
-		c.hs.Send(now, off, ring.Ack{To: pkt.Src, PacketID: pkt.ID, Queue: queue, Positive: accepted})
+		due := c.hs.Send(now, off, ring.Ack{To: pkt.Src, PacketID: pkt.ID, Queue: queue, Positive: accepted})
+		n.calRow(n.pulseCal, due).set(c.home)
 		if !accepted {
 			n.release(pkt) // the dropped copy; the sender still holds its own
 		}
@@ -132,7 +134,7 @@ func bindHandshakeDelivery(n *Network, c *channel) func(now int64) {
 // token grants the channel; the receiver answers every flit.
 func wireHandshakeGlobal(n *Network, c *channel) {
 	c.glob = arbiter.NewGlobalToken(n.cfg.Nodes, n.geom.NodesPerCycle())
-	c.advance = bindGlobalArbitrate(n, c, bindGlobalSweep(n, c, nil), nil)
+	bindGlobalArbitrate(n, c, bindGlobalSweep(n, c, nil), nil)
 	c.launchHeld = bindHeldLaunch(n, c, nil)
 	wireHandshake(n, c)
 }
@@ -143,13 +145,16 @@ func wireHandshakeGlobal(n *Network, c *channel) {
 // flit.
 func wireHandshakeSlot(n *Network, c *channel) {
 	c.slot = arbiter.NewSlotEmitter(n.cfg.Nodes, n.cfg.RoundTrip, n.geom.NodesPerCycle())
-	gate := func() bool {
-		if n.faults != nil && n.faults.KillToken(c.home, n.now) {
-			n.tokenFault(c)
-			return false
+	var gate func() bool // always open on a fault-free run
+	if n.faults != nil {
+		gate = func() bool {
+			if n.faults.KillToken(c.home, n.now) {
+				n.tokenFault(c)
+				return false
+			}
+			return true
 		}
-		return true
 	}
-	c.advance = bindSlotArbitrate(n, c, gate, nil, nil)
+	bindSlotArbitrate(n, c, gate, nil, nil)
 	wireHandshake(n, c)
 }

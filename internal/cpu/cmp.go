@@ -101,8 +101,15 @@ func (p Params) Validate() error {
 type CMP struct {
 	params Params
 	net    *core.Network
+	// nodes and coresPerNode are the network's geometry, read once: the
+	// network hands out its Config by value.
+	nodes, coresPerNode int
 
 	cores []coreState
+	// issuedAt[c*seqs+seq] records when core c's in-flight transaction seq
+	// was issued; it lives apart from coreState so the per-cycle walk over
+	// the cores strides a few words per core, not a kilobyte.
+	issuedAt []int64
 	// bank replies in flight (bank access latency).
 	bankPipe *sim.DelayLine[pendingReply]
 
@@ -125,12 +132,14 @@ type coreState struct {
 	// synced cores follow the CMP's global phase; the rest run their own.
 	synced bool
 	phase  phaseState
-	// seq numbers this core's transactions (mod 128) so replies can be
-	// matched to their issue time for round-trip statistics.
+	// seq numbers this core's transactions (mod seqs) so replies can be
+	// matched to their issue time (CMP.issuedAt) for round-trip statistics.
 	seq uint64
-	// issuedAt[seq] records when each in-flight transaction was issued.
-	issuedAt [128]int64
 }
+
+// seqs is how many transaction numbers a core cycles through: the tag
+// carries seven bits of it.
+const seqs = 128
 
 // phaseState is a two-state (memory/compute) phase process.
 type phaseState struct {
@@ -194,11 +203,14 @@ func New(params Params, net *core.Network) (*CMP, error) {
 	cfg := net.Config()
 	root := sim.NewRNG(params.Seed)
 	m := &CMP{
-		params:     params,
-		net:        net,
-		cores:      make([]coreState, cfg.Cores()),
-		bankPipe:   sim.NewDelayLine[pendingReply](params.BankLatency + 2),
-		roundTrips: &welford{},
+		params:       params,
+		net:          net,
+		nodes:        cfg.Nodes,
+		coresPerNode: cfg.CoresPerNode,
+		cores:        make([]coreState, cfg.Cores()),
+		issuedAt:     make([]int64, cfg.Cores()*seqs),
+		bankPipe:     sim.NewDelayLine[pendingReply](params.BankLatency + 2),
+		roundTrips:   &welford{},
 	}
 	m.duty = 1 / params.Burstiness
 	m.meanOff = params.MeanBurst * (1 - m.duty) / maxf(m.duty, 1e-9)
@@ -239,14 +251,13 @@ func (m *CMP) onDeliver(p *router.Packet) {
 		// The bank serves the access, then a reply is injected from the
 		// bank's node back to the requesting core's node.
 		reqCore := tagCore(p.Tag)
-		cfg := m.net.Config()
 		reply := pendingReply{
 			bankNode: p.Dst,
-			bankCore: p.Dst*cfg.CoresPerNode + int(p.ID)%cfg.CoresPerNode,
-			dstNode:  reqCore / cfg.CoresPerNode,
+			bankCore: p.Dst*m.coresPerNode + int(p.ID)%m.coresPerNode,
+			dstNode:  reqCore / m.coresPerNode,
 			tag:      txnTag(reqCore, true, tagSeq(p.Tag)),
 		}
-		m.bankPipe.Schedule(m.net.Now()+int64(m.params.BankLatency), reply)
+		m.bankPipe.Schedule(m.net.Now(), m.net.Now()+int64(m.params.BankLatency), reply)
 	case router.ClassReply:
 		reqCore := tagCore(p.Tag)
 		if !tagReply(p.Tag) {
@@ -258,7 +269,7 @@ func (m *CMP) onDeliver(p *router.Packet) {
 		}
 		st.outstanding--
 		m.replies++
-		m.roundTrips.add(float64(p.DeliveredAt - st.issuedAt[tagSeq(p.Tag)]))
+		m.roundTrips.add(float64(p.DeliveredAt - m.issuedAt[reqCore*seqs+int(tagSeq(p.Tag))]))
 	}
 }
 
@@ -270,7 +281,6 @@ func (m *CMP) Step() {
 		m.net.Inject(r.bankCore, r.dstNode, router.ClassReply, r.tag)
 	}
 
-	cfg := m.net.Config()
 	m.globalPhase.advance(m.params.MeanBurst, m.meanOff)
 	for c := range m.cores {
 		st := &m.cores[c]
@@ -298,11 +308,11 @@ func (m *CMP) Step() {
 			st.missCredit--
 			st.outstanding++
 			m.misses++
-			bank := st.rng.Intn(cfg.Nodes * m.params.BanksPerNode)
+			bank := st.rng.Intn(m.nodes * m.params.BanksPerNode)
 			bankNode := bank / m.params.BanksPerNode
-			seq := st.seq % 128
+			seq := st.seq % seqs
 			st.seq++
-			st.issuedAt[seq] = now
+			m.issuedAt[c*seqs+int(seq)] = now
 			m.net.Inject(c, bankNode, router.ClassRequest, txnTag(c, false, seq))
 		}
 	}

@@ -38,7 +38,7 @@ func NewDataChannel[T any](geom *Geometry) *DataChannel[T] {
 // the caller's arbitration double-booked the waveguide.
 func (c *DataChannel[T]) Launch(now int64, p int, flit T) (int64, error) {
 	due := now + int64(c.geom.FlightToHome(p))
-	if err := c.inFlit.Schedule(due, flit); err != nil {
+	if err := c.inFlit.Schedule(now, due, flit); err != nil {
 		return 0, fmt.Errorf("ring: data channel collision launching from offset %d at cycle %d: %w", p, now, err)
 	}
 	c.sends++
@@ -63,7 +63,7 @@ func (c *DataChannel[T]) LaunchStream(now int64, p int, flit T) (int64, error) {
 	if due <= c.lastDue {
 		due = c.lastDue + 1
 	}
-	if err := c.inFlit.Schedule(due, flit); err != nil {
+	if err := c.inFlit.Schedule(now, due, flit); err != nil {
 		return 0, fmt.Errorf("ring: data channel stream collision from offset %d at cycle %d: %w", p, now, err)
 	}
 	c.sends++
@@ -80,7 +80,7 @@ func (c *DataChannel[T]) LaunchStream(now int64, p int, flit T) (int64, error) {
 // that token's arrival slot: now + R + 1.
 func (c *DataChannel[T]) Reinject(now int64, flit T) (int64, error) {
 	due := now + int64(c.geom.RoundTrip()) + 1
-	if err := c.inFlit.Schedule(due, flit); err != nil {
+	if err := c.inFlit.Schedule(now, due, flit); err != nil {
 		return 0, fmt.Errorf("ring: data channel collision reinjecting at cycle %d: %w", now, err)
 	}
 	c.reinjs++
@@ -91,16 +91,11 @@ func (c *DataChannel[T]) Reinject(now int64, flit T) (int64, error) {
 }
 
 // Arrival returns the flit (if any) landing at the home node this cycle.
+// The caller need not ask in cycles with nothing due: every booking
+// returns its due cycle, and the engine keeps those in a calendar.
 func (c *DataChannel[T]) Arrival(now int64) (T, bool) {
 	return c.inFlit.PopDue(now)
 }
-
-// SkipTo fast-forwards an *empty* channel's clock to cycle now — the
-// engine's idle skip-ahead uses it after proving nothing is in flight.
-// lastDue needs no adjustment: it is an absolute cycle in the past, and
-// every post-skip launch computes a later due cycle. Panics via the slot
-// line if a flit is still travelling.
-func (c *DataChannel[T]) SkipTo(now int64) { c.inFlit.SkipTo(now) }
 
 // InFlight reports how many flits are currently on the channel.
 func (c *DataChannel[T]) InFlight() int { return c.inFlit.Len() }

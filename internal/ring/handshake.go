@@ -50,15 +50,18 @@ func NewHandshakeChannel(geom *Geometry) *HandshakeChannel {
 }
 
 // Send launches the answer for a packet that arrived at the home node at
-// cycle arrivedAt from downstream offset p; the sender observes it at
-// Geometry.HandshakeReturn(arrivedAt, p).
-func (h *HandshakeChannel) Send(arrivedAt int64, p int, ack Ack) {
+// cycle arrivedAt from downstream offset p; the sender observes it at the
+// returned cycle, Geometry.HandshakeReturn(arrivedAt, p). Deliver need
+// only be called in cycles some Send returned.
+func (h *HandshakeChannel) Send(arrivedAt int64, p int, ack Ack) int64 {
 	if ack.Positive {
 		h.acks++
 	} else {
 		h.nacks++
 	}
-	h.line.Schedule(h.geom.HandshakeReturn(arrivedAt, p), ack)
+	due := h.geom.HandshakeReturn(arrivedAt, p)
+	h.line.Schedule(arrivedAt, due, ack)
+	return due
 }
 
 // SetLoss installs a fault filter consulted for every delivered pulse.
@@ -93,11 +96,6 @@ func (h *HandshakeChannel) Deliver(now int64) []Ack {
 	}
 	return kept
 }
-
-// SkipTo fast-forwards the channel's clock to cycle now when no pulse is
-// in flight (the engine's idle skip-ahead). Panics via the delay line if a
-// pulse is still travelling.
-func (h *HandshakeChannel) SkipTo(now int64) { h.line.SkipTo(now) }
 
 // Sent reports cumulative (ACK, NACK) counts.
 func (h *HandshakeChannel) Sent() (acksSent, nacksSent int64) { return h.acks, h.nacks }

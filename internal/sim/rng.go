@@ -9,7 +9,10 @@
 // inside one network, so none of these types carry locks.
 package sim
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // RNG is a fast deterministic pseudo-random number generator built on
 // xorshift64* with splitmix64 seeding. Identical seeds always produce
@@ -58,13 +61,20 @@ func (r *RNG) Fork(stream uint64) *RNG {
 
 // Uint64 returns the next 64 uniformly distributed bits.
 func (r *RNG) Uint64() uint64 {
-	x := r.state
+	r.state = xorshift(r.state)
+	return r.state * xorshiftMul
+}
+
+// xorshift is one step of the xorshift64 state sequence; xorshiftMul is
+// the xorshift64* output multiplier.
+func xorshift(x uint64) uint64 {
 	x ^= x >> 12
 	x ^= x << 25
 	x ^= x >> 27
-	r.state = x
-	return x * 0x2545F4914F6CDD1D
+	return x
 }
+
+const xorshiftMul = 0x2545F4914F6CDD1D
 
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
 func (r *RNG) Intn(n int) int {
@@ -76,23 +86,11 @@ func (r *RNG) Intn(n int) int {
 	bound := uint64(n)
 	for {
 		x := r.Uint64()
-		hi, lo := mul64(x, bound)
+		hi, lo := bits.Mul64(x, bound)
 		if lo >= bound || lo >= (-bound)%bound {
 			return int(hi)
 		}
 	}
-}
-
-// mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask = 0xFFFFFFFF
-	a0, a1 := a&mask, a>>32
-	b0, b1 := b&mask, b>>32
-	t := a1*b0 + (a0*b0)>>32
-	w1 := t&mask + a0*b1
-	hi = a1*b1 + t>>32 + w1>>32
-	lo = a * b
-	return
 }
 
 // Float64 returns a uniform float64 in [0, 1).
@@ -138,4 +136,46 @@ func (r *RNG) Perm(n int) []int {
 		p[j] = i
 	}
 	return p
+}
+
+// BernoulliLanes runs n Bernoulli(p) trials on each of the four generators
+// of r side by side, for 0 < p < 1, and calls hit(lane, i) for every
+// success, at trial i of generator r[lane], in ascending (i, lane) order.
+// Each generator makes exactly the draws n consecutive Bernoulli(p) calls
+// would — one Uint64 per trial — and hit may draw from r[lane] itself (a
+// destination, say): the lane's state is stored before the call and
+// reloaded after, so every stream is consumed in the order a
+// one-generator-at-a-time loop would consume it. The four xorshift chains
+// are independent, so advancing them together overlaps their serial
+// dependencies; that is the whole point of the kernel.
+func BernoulliLanes(r *[4]RNG, p float64, n int, hit func(lane, i int)) {
+	// Bernoulli's test Float64() < p is k/2^53 < p for the top 53 bits k;
+	// both sides are exact, so it is the integer test k < ceil(p*2^53).
+	below := uint64(math.Ceil(p * (1 << 53)))
+	s0, s1, s2, s3 := r[0].state, r[1].state, r[2].state, r[3].state
+	for i := 0; i < n; i++ {
+		s0, s1, s2, s3 = xorshift(s0), xorshift(s1), xorshift(s2), xorshift(s3)
+		h0 := (s0*xorshiftMul)>>11 < below
+		h1 := (s1*xorshiftMul)>>11 < below
+		h2 := (s2*xorshiftMul)>>11 < below
+		h3 := (s3*xorshiftMul)>>11 < below
+		if !(h0 || h1 || h2 || h3) {
+			continue
+		}
+		r[0].state, r[1].state, r[2].state, r[3].state = s0, s1, s2, s3
+		if h0 {
+			hit(0, i)
+		}
+		if h1 {
+			hit(1, i)
+		}
+		if h2 {
+			hit(2, i)
+		}
+		if h3 {
+			hit(3, i)
+		}
+		s0, s1, s2, s3 = r[0].state, r[1].state, r[2].state, r[3].state
+	}
+	r[0].state, r[1].state, r[2].state, r[3].state = s0, s1, s2, s3
 }

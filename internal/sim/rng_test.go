@@ -2,6 +2,8 @@ package sim
 
 import (
 	"math"
+	"math/bits"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -186,21 +188,99 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
+// longMul64 is the 32-bit long multiplication Intn used before it called
+// bits.Mul64: the reference the intrinsic is pinned against.
+func longMul64(a, b uint64) (hi, lo uint64) {
+	a0, a1 := a&0xFFFFFFFF, a>>32
+	b0, b1 := b&0xFFFFFFFF, b>>32
+	carryLo := a0 * b0
+	mid1 := a1*b0 + carryLo>>32
+	mid2 := a0*b1 + mid1&0xFFFFFFFF
+	return a1*b1 + mid1>>32 + mid2>>32, a * b
+}
+
 func TestMul64MatchesBig(t *testing.T) {
-	// Cross-check the 128-bit multiply against the straightforward
-	// decomposition on random inputs.
-	if err := quick.Check(func(a, b uint64) bool {
-		hi, lo := mul64(a, b)
-		// Verify via 32-bit long multiplication.
-		a0, a1 := a&0xFFFFFFFF, a>>32
-		b0, b1 := b&0xFFFFFFFF, b>>32
-		carryLo := a0 * b0
-		mid1 := a1*b0 + carryLo>>32
-		mid2 := a0*b1 + mid1&0xFFFFFFFF
-		wantHi := a1*b1 + mid1>>32 + mid2>>32
-		wantLo := a * b
+	// Intn's 128-bit multiply is the bits.Mul64 intrinsic; it must return
+	// the same (hi, lo) as long multiplication on random and edge inputs.
+	same := func(a, b uint64) bool {
+		hi, lo := bits.Mul64(a, b)
+		wantHi, wantLo := longMul64(a, b)
 		return hi == wantHi && lo == wantLo
-	}, nil); err != nil {
+	}
+	if err := quick.Check(same, nil); err != nil {
 		t.Fatal(err)
+	}
+	edges := []uint64{0, 1, 2, 1<<32 - 1, 1 << 32, 1<<63 - 1, 1 << 63, ^uint64(0)}
+	for _, a := range edges {
+		for _, b := range edges {
+			if !same(a, b) {
+				t.Fatalf("bits.Mul64(%#x, %#x) differs from long multiplication", a, b)
+			}
+		}
+	}
+}
+
+// TestIntnMatchesLongMultiplication replays Lemire's method with the
+// long-multiplication product and requires Intn to draw the same values,
+// for random bounds and the edge bounds (1, powers of two and their
+// neighbours, the largest int).
+func TestIntnMatchesLongMultiplication(t *testing.T) {
+	ref := func(r *RNG, n int) int {
+		bound := uint64(n)
+		for {
+			hi, lo := longMul64(r.Uint64(), bound)
+			if lo >= bound || lo >= (-bound)%bound {
+				return int(hi)
+			}
+		}
+	}
+	bounds := []int{1, 2, 3, 63, 64, 65, 255, 256, 1000, 1<<31 - 1, int(^uint(0) >> 1)}
+	pick := NewRNG(5)
+	for i := 0; i < 64; i++ {
+		bounds = append(bounds, 1+int(pick.Uint64()>>40))
+	}
+	for _, n := range bounds {
+		a, b := NewRNG(uint64(n)), NewRNG(uint64(n))
+		for i := 0; i < 200; i++ {
+			if got, want := a.Intn(n), ref(b, n); got != want {
+				t.Fatalf("Intn(%d) draw %d = %d, long multiplication gives %d", n, i, got, want)
+			}
+		}
+	}
+}
+
+// TestBernoulliLanesMatchesSerial: the four-lane kernel must make, on each
+// generator, the draws consecutive Bernoulli calls make, interleaved with
+// whatever a hit draws from its lane, and report hits in (trial, lane)
+// order.
+func TestBernoulliLanesMatchesSerial(t *testing.T) {
+	type hit struct{ lane, i, extra int }
+	for _, p := range []float64{1e-9, 0.01, 0.05, 0.3, 0.5, 0.97, 1 - 1e-12} {
+		for seed := uint64(1); seed <= 4; seed++ {
+			const n = 500
+			var lanes, serial [4]RNG
+			for l := range lanes {
+				lanes[l] = *NewRNG(seed*10 + uint64(l))
+				serial[l] = lanes[l]
+			}
+			var got []hit
+			BernoulliLanes(&lanes, p, n, func(lane, i int) {
+				got = append(got, hit{lane, i, lanes[lane].Intn(1 + lane*7)})
+			})
+			var want []hit
+			for i := 0; i < n; i++ {
+				for l := range serial {
+					if serial[l].Bernoulli(p) {
+						want = append(want, hit{l, i, serial[l].Intn(1 + l*7)})
+					}
+				}
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("p %g seed %d: %d hits, serial loop %d (first lane hits %v vs %v)", p, seed, len(got), len(want), got[:min(len(got), 4)], want[:min(len(want), 4)])
+			}
+			if lanes != serial {
+				t.Fatalf("p %g seed %d: generator states differ after the kernel", p, seed)
+			}
+		}
 	}
 }

@@ -162,7 +162,7 @@ func (n *Network) Inject(srcCore, dstNode int, class router.Class, tag uint64) *
 		pkt.Measured = true
 		n.stats.InjectedMeasured++
 	}
-	n.injPipe.Schedule(n.now+routerPipeline, pkt)
+	n.injPipe.Schedule(n.now, n.now+routerPipeline, pkt)
 	return pkt
 }
 
@@ -232,7 +232,7 @@ func (n *Network) phaseArrivals(now int64) {
 					}
 				}
 				back := int64(n.geom.Segment(n.geom.Offset(pkt.Dst, pkt.Src)))
-				rx.acks.Schedule(now+back, ring.Ack{To: pkt.Src, PacketID: pkt.ID, Positive: ok})
+				rx.acks.Schedule(now, now+back, ring.Ack{To: pkt.Src, PacketID: pkt.ID, Positive: ok})
 			}
 		}
 	}
@@ -382,7 +382,7 @@ func (n *Network) phaseLaunch(now int64) {
 					nd.reqIssuedAt = now
 					dst := pkt.Dst
 					reach := int64(n.geom.Segment(n.geom.Offset(nd.id, dst)))
-					n.rxs[dst].requests.Schedule(now+reach, requestMsg{sender: nd.id, queue: qi, issuedAt: now})
+					n.rxs[dst].requests.Schedule(now, now+reach, requestMsg{sender: nd.id, queue: qi, issuedAt: now})
 					break
 				}
 			}
@@ -410,7 +410,7 @@ func (n *Network) phaseLaunch(now int64) {
 func (n *Network) launch(nd *nodeState, q *router.OutPort, pkt *router.Packet, now int64) {
 	retx := pkt.FirstSentAt >= 0
 	q.MarkSent(pkt, now)
-	n.rxs[pkt.Dst].arrivals.Schedule(now+int64(n.flightTo(nd.id, pkt.Dst)), pkt)
+	n.rxs[pkt.Dst].arrivals.Schedule(now, now+int64(n.flightTo(nd.id, pkt.Dst)), pkt)
 	n.stats.Launches++
 	if retx {
 		n.stats.Retransmits++

@@ -211,8 +211,9 @@ func (in *Injector) generate(emit func(core, dst int)) {
 	in.cursor++
 }
 
-// refill draws the next block of cycles, core by core: each core runs its
-// own stream through the whole block — arrival draws, and on each hit the
+// refill draws the next block of cycles, core by core (or four cores at a
+// time, for an unskewed Bernoulli segment): each core runs its own stream
+// through the whole block — arrival draws, and on each hit the
 // destination draws, in the order the cycle-by-cycle loop would make them
 // — dropping its injections into the per-cycle buckets, which therefore
 // fill in ascending core order. A block never crosses a schedule-segment
@@ -234,7 +235,22 @@ func (in *Injector) refill() {
 	}
 	a := in.arrivals[in.seg]
 	t := in.cursor - in.segStart[in.seg]
-	for c := range in.rngs {
+	c := 0
+	if b, ok := a.(bernoulliArrival); ok && in.weights == nil && b.rate > 0 && b.rate < 1 {
+		// The paper's source, unskewed: four cores' streams advance side by
+		// side (sim.BernoulliLanes), each hit drawing its destination from
+		// its own lane, so each cycle's bucket still fills in ascending core
+		// order. The cores past the last multiple of four take the loop
+		// below.
+		for ; c+4 <= len(in.rngs); c += 4 {
+			lanes := (*[4]sim.RNG)(in.rngs[c : c+4])
+			sim.BernoulliLanes(lanes, b.rate, n, func(lane, i int) {
+				dst := in.pattern.Dest((c+lane)/in.coresPerNode, in.nodes, &lanes[lane])
+				buckets[i] = append(buckets[i], arrival{int32(c + lane), int32(dst)})
+			})
+		}
+	}
+	for ; c < len(in.rngs); c++ {
 		rng := &in.rngs[c]
 		w := 1.0
 		if in.weights != nil {

@@ -168,6 +168,10 @@ func TestBlockGeneratorMatchesCycleLoop(t *testing.T) {
 		{name: "hotspot", w: Bernoulli(0.2), pattern: Hotspot{Hot: 3, Fraction: 0.3}, nodes: 16, coresPerNode: 2, cycles: 700},
 		{name: "two-nodes", w: Bernoulli(0.4), pattern: UniformRandom{}, nodes: 2, coresPerNode: 1, cycles: 500},
 		{name: "1024-cores", w: Bernoulli(0.03), pattern: UniformRandom{}, nodes: 256, coresPerNode: 4, cycles: 200},
+		// 30 cores: seven groups of four through the lane kernel, then two
+		// through the per-core loop; the hotspot draws its destination
+		// with a Bernoulli and an Intn on the hitting lane's stream.
+		{name: "lanes-and-tail", w: Bernoulli(0.2), pattern: Hotspot{Hot: 2, Fraction: 0.25}, nodes: 10, coresPerNode: 3, cycles: 700},
 		{name: "short-of-a-block", w: MustParseWorkload("burst(rate=0.5,on=8,off=8)"), pattern: Tornado{}, nodes: 16, coresPerNode: 2, cycles: 37},
 		// Segment ends at 100, 101 (a one-cycle segment), 164 (a whole
 		// block exactly), 165+f: none but one on a block boundary, several

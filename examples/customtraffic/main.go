@@ -1,7 +1,7 @@
 // Customtraffic: define a workload-specific traffic pattern against the
 // public Pattern interface — a "shuffle" permutation modelling an FFT
-// butterfly exchange — and sweep it across all seven schemes to find the
-// saturation point of each.
+// butterfly exchange — and sweep it, beside the built-in hotspot pattern,
+// across all seven schemes to find the saturation point of each.
 //
 // This is the extension path a downstream user takes when their workload
 // is not one of the built-in patterns.
@@ -32,13 +32,21 @@ func (s Shuffle) Dest(src, nodes int, _ *photon.RNG) int {
 
 func main() {
 	const bits = 6 // 64 nodes
-	pattern := Shuffle{Bits: bits}
+	// The permutation spreads load evenly; the hotspot, a contended
+	// directory that draws 5% of all traffic to node 0, saturates at
+	// that node's ejection port instead.
+	patterns := []photon.Pattern{Shuffle{Bits: bits}, photon.Hotspot{Hot: 0, Fraction: 0.05}}
 
-	fmt.Println("saturation load of the shuffle permutation (latency <= 3x zero-load):")
-	for _, scheme := range photon.Schemes() {
-		sat, zero := saturate(scheme, pattern)
-		fmt.Printf("  %-20s zero-load %5.1f cycles   saturates near %.2f pkt/cycle/core\n",
-			scheme.PaperName(), zero, sat)
+	for i, pattern := range patterns {
+		if i > 0 {
+			fmt.Println()
+		}
+		fmt.Printf("saturation load of %s (latency <= 3x zero-load):\n", pattern.Name())
+		for _, scheme := range photon.Schemes() {
+			sat, zero := saturate(scheme, pattern)
+			fmt.Printf("  %-20s zero-load %5.1f cycles   saturates near %.2f pkt/cycle/core\n",
+				scheme.PaperName(), zero, sat)
+		}
 	}
 }
 

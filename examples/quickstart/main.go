@@ -31,4 +31,28 @@ func main() {
 
 	fmt.Println("\nDHS generates a token every cycle instead of gating tokens on credits,")
 	fmt.Println("so senders never wait on the credit round trip (paper §III).")
+
+	// Driving the network by hand instead of through Run: a burst of
+	// injection, then Stop the injector and keep stepping until the
+	// network owns no packet.
+	const burst = 1000
+	cfg := photon.DefaultConfig(photon.DHSSetaside)
+	net, err := photon.NewNetwork(cfg, photon.DefaultWindow())
+	if err != nil {
+		log.Fatal(err)
+	}
+	inj, err := photon.NewInjector(photon.UniformRandom{}, rate, cfg.Nodes, cfg.CoresPerNode, 1)
+	if err != nil {
+		log.Fatal(err)
+	}
+	cycle := 0
+	for ; cycle < burst || net.Outstanding() > 0; cycle++ {
+		if cycle == burst {
+			inj.Stop()
+		}
+		inj.Tick(net)
+		net.Step()
+	}
+	fmt.Printf("\na %d-cycle burst under %s drains %d cycles after the injector stops (%d packets delivered)\n",
+		burst, photon.DHSSetaside.PaperName(), cycle-burst, net.Stats().Delivered)
 }

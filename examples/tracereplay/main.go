@@ -9,11 +9,19 @@ import (
 	"bytes"
 	"fmt"
 	"log"
+	"strings"
 
 	"photon"
 )
 
 func main() {
+	apps := photon.Apps()
+	names := make([]string, len(apps))
+	for i, a := range apps {
+		names[i] = a.Name
+	}
+	fmt.Printf("%d benchmark models (Figure 10): %s\n", len(apps), strings.Join(names, " "))
+
 	app, err := photon.AppByName("nas-cg")
 	if err != nil {
 		log.Fatal(err)

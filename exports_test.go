@@ -13,25 +13,9 @@ import (
 )
 
 // exportedWithoutConsumer is the allowlist of TestInternalExportsHaveConsumers:
-// exported internal/* identifiers no non-test code refers to, each with
-// the reason it stays.
-var exportedWithoutConsumer = map[string]string{
-	// Oracles and evidence: what tests and documents compare against.
-	"farm.SerialGridDigest": "reference implementation: the farm tests compare the supervised grid digest against this serial fold",
-	"check.AuditSpans":      "the span-algebra oracle of TestSpanInvariantBattery, CI's span battery",
-	"exp.Replicate":         "EXPERIMENTS.md's seed-robustness statement (cross-seed latency spread < 10%) is measured through it (TestReplicateStability)",
-
-	// Facade API: reachable through photon.Injector, driven by hand.
-	"traffic.Injector.Stop": "halts injection before a hand-driven drain of a photon.Injector; TestStopMidBlock pins the tape prefix a mid-block stop keeps",
-}
-
-// stdInterfaceMethods are methods the standard library calls through its
-// own interfaces (fmt.Stringer, error, errors.Unwrap, sort.Interface,
-// flag.Value, json.Marshaler), so no selector in this tree names them.
-var stdInterfaceMethods = map[string]bool{
-	"String": true, "Error": true, "Unwrap": true, "Len": true, "Less": true, "Swap": true,
-	"Set": true, "MarshalJSON": true, "UnmarshalJSON": true,
-}
+// exported internal/* types, variables and constants no non-test code
+// refers to, each with the reason it stays.
+var exportedWithoutConsumer = map[string]string{}
 
 // parseTree parses every non-test Go file of the module (testdata and
 // dot-directories skipped) and returns the files with each one's package
@@ -69,20 +53,20 @@ func parseTree(t *testing.T) ([]*ast.File, map[*ast.File]string) {
 }
 
 // TestInternalExportsHaveConsumers parses the tree and fails when an
-// exported internal/* function, method, type, variable or constant is
-// named by no non-test code outside its own declaration: such a symbol is
-// API surface only its own tests keep alive. The match is by name
-// (go/parser, no type information), so it errs towards silence: a method
-// counts as used when any selector, or any interface declared in the
-// tree, carries its name. Struct fields are not checked here;
-// TestOptionFieldsHaveSetters covers those of the option structs.
+// exported internal/* type, variable or constant is named by no non-test
+// code outside its own declaration: such a symbol is API surface only its
+// own tests keep alive. Functions and methods are the linker's to judge
+// (TestProductionIsLinked, behind the linkcensus tag); what is left here
+// has no symbol of its own, so it is matched by identifier (go/parser, no
+// type information) and errs towards silence: any identifier of the same
+// name outside the declaration counts as a use. Struct fields are not
+// checked here; TestOptionFieldsHaveSetters covers those of the option
+// structs.
 func TestInternalExportsHaveConsumers(t *testing.T) {
 	files, filePkg := parseTree(t)
 	type decl struct {
-		key      string // pkg.Name or pkg.Type.Method
+		key      string // pkg.Name
 		name     string
-		pkg      string
-		method   bool
 		from, to token.Pos
 	}
 	var decls []decl
@@ -92,66 +76,35 @@ func TestInternalExportsHaveConsumers(t *testing.T) {
 			continue
 		}
 		pkg := strings.TrimPrefix(dir, "internal/")
-		add := func(key string, id *ast.Ident, method bool, n ast.Node) {
+		add := func(id *ast.Ident) {
 			if id.IsExported() {
-				decls = append(decls, decl{pkg + "." + key, id.Name, dir, method, n.Pos(), n.End()})
+				decls = append(decls, decl{pkg + "." + id.Name, id.Name, id.Pos(), id.End()})
 			}
 		}
 		for _, d := range f.Decls {
-			switch d := d.(type) {
-			case *ast.FuncDecl:
-				if d.Recv == nil {
-					add(d.Name.Name, d.Name, false, d)
-					continue
-				}
-				recv := d.Recv.List[0].Type
-				if s, ok := recv.(*ast.StarExpr); ok {
-					recv = s.X
-				}
-				if ix, ok := recv.(*ast.IndexExpr); ok {
-					recv = ix.X
-				}
-				if id, ok := recv.(*ast.Ident); ok && id.IsExported() {
-					add(id.Name+"."+d.Name.Name, d.Name, true, d)
-				}
-			case *ast.GenDecl:
-				for _, spec := range d.Specs {
-					switch spec := spec.(type) {
-					case *ast.TypeSpec:
-						add(spec.Name.Name, spec.Name, false, spec.Name)
-					case *ast.ValueSpec:
-						for _, id := range spec.Names {
-							add(id.Name, id, false, id)
-						}
+			gd, ok := d.(*ast.GenDecl)
+			if !ok {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				switch spec := spec.(type) {
+				case *ast.TypeSpec:
+					add(spec.Name)
+				case *ast.ValueSpec:
+					for _, id := range spec.Names {
+						add(id)
 					}
 				}
 			}
 		}
 	}
 
-	// Every use of a name: plain identifiers per package directory,
-	// selectors and interface methods tree-wide.
-	type use struct {
-		pos token.Pos
-		dir string
-	}
-	idents := map[string][]use{}
-	selectors := map[string][]use{}
-	ifaceMethods := map[string]bool{}
+	// Every identifier, selector names included, by name.
+	idents := map[string][]token.Pos{}
 	for _, f := range files {
-		dir := filePkg[f]
 		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				selectors[n.Sel.Name] = append(selectors[n.Sel.Name], use{n.Sel.Pos(), dir})
-			case *ast.InterfaceType:
-				for _, m := range n.Methods.List {
-					for _, id := range m.Names {
-						ifaceMethods[id.Name] = true
-					}
-				}
-			case *ast.Ident:
-				idents[n.Name] = append(idents[n.Name], use{n.Pos(), dir})
+			if id, ok := n.(*ast.Ident); ok {
+				idents[id.Name] = append(idents[id.Name], id.Pos())
 			}
 			return true
 		})
@@ -160,20 +113,7 @@ func TestInternalExportsHaveConsumers(t *testing.T) {
 	var dead []string
 	seen := map[string]bool{}
 	for _, d := range decls {
-		outside := func(uses []use, samePkgOnly bool) bool {
-			for _, u := range uses {
-				if (u.pos < d.from || u.pos >= d.to) && (!samePkgOnly || u.dir == d.pkg) {
-					return true
-				}
-			}
-			return false
-		}
-		used := outside(selectors[d.name], false)
-		if d.method {
-			used = used || ifaceMethods[d.name] || stdInterfaceMethods[d.name]
-		} else {
-			used = used || outside(idents[d.name], true)
-		}
+		used := slices.ContainsFunc(idents[d.name], func(p token.Pos) bool { return p < d.from || p >= d.to })
 		seen[d.key] = true
 		if _, allowed := exportedWithoutConsumer[d.key]; used && allowed {
 			t.Errorf("%s is allowlisted but has a non-test consumer: drop its allowlist entry", d.key)
@@ -183,7 +123,7 @@ func TestInternalExportsHaveConsumers(t *testing.T) {
 	}
 	for key := range exportedWithoutConsumer {
 		if !seen[key] {
-			t.Errorf("allowlist entry %s names no exported internal identifier", key)
+			t.Errorf("allowlist entry %s names no exported internal type, variable or constant", key)
 		}
 	}
 	sort.Strings(dead)

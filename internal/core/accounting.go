@@ -41,11 +41,14 @@ type Accounting struct {
 	NacksLost          int64 // NACK pulses destroyed in flight
 
 	// Instantaneous occupancy, broken down by where packets sit. Backlog
-	// locates every undelivered packet exactly once (see Network.Backlog):
-	// Backlog = Pipeline + Queued + (InFlight - DupsInFlight) + Buffered +
-	// Orphans. On fault-free runs Orphans == Drops - Retransmits and
-	// DupsInFlight == 0, reducing to the seed formula. Unacked counts
-	// sender retention copies, which overlap with
+	// locates every undelivered packet exactly once: in an injection
+	// pipeline, an output queue, on a waveguide, in a home input buffer,
+	// or orphaned (its only live copy destroyed, the retransmission still
+	// owed): Backlog = Pipeline + Queued + (InFlight - DupsInFlight) +
+	// Buffered + Orphans. Duplicates launched by timeout recovery are
+	// subtracted so each packet counts once; on fault-free runs Orphans ==
+	// Drops - Retransmits and DupsInFlight == 0, reducing to the seed
+	// formula. Unacked counts sender retention copies, which overlap with
 	// InFlight/Buffered/Delivered and are therefore not part of the
 	// Backlog sum; Outstanding = Pipeline + Queued + Unacked + InFlight +
 	// Buffered is the quiescence measure Drain stops on.

@@ -20,10 +20,10 @@ import (
 // The window is all warmup so no packet is marked measured: the latency
 // histograms never record during the guard, removing their amortised bin
 // growth — the only legitimate allocation a cycle could otherwise perform.
-// The offered rate is 0.10 where the scheme sustains it; basic GHS saturates
-// near 0.065, beyond which its backlog — and with it the population of live
-// packets — grows every cycle and no free list can cover it, so it is
-// guarded at 0.06. The 128-node ring covers the multi-word requester set.
+// The offered rate is guardRate's: below saturation, where the population
+// of live packets stops growing. The warm-up lasts until a 1000-cycle block
+// allocates nothing (warmUntilSteady). The 128-node ring covers the
+// multi-word requester set.
 func TestStepZeroAlloc(t *testing.T) {
 	defer core.SetPoisonPackets(core.SetPoisonPackets(false)) // measure recycling, not poison
 	guard := func(t *testing.T, cfg core.Config, rate float64) {
@@ -40,25 +40,52 @@ func TestStepZeroAlloc(t *testing.T) {
 			inj.Tick(net)
 			net.Step()
 		}
-		for i := 0; i < 2000; i++ {
-			cycle()
-		}
+		warmUntilSteady(t, cycle)
 		if avg := testing.AllocsPerRun(200, cycle); avg != 0 {
 			t.Errorf("Tick+Step allocates %.2f times per cycle on the warmed hot path; want 0", avg)
 		}
 	}
 	for _, s := range core.Schemes() {
-		rate := 0.10
-		if s == core.GHS {
-			rate = 0.06
-		}
-		t.Run(s.String(), func(t *testing.T) { guard(t, core.DefaultConfig(s), rate) })
+		t.Run(s.String(), func(t *testing.T) { guard(t, core.DefaultConfig(s), guardRate(s)) })
 	}
 	t.Run("128-node ring", func(t *testing.T) {
 		cfg := core.DefaultConfig(core.DHSSetaside)
 		cfg.Nodes = 128
 		guard(t, cfg, 0.10)
 	})
+}
+
+// guardRate is the offered rate of the zero-alloc guards: 0.10 where the
+// scheme sustains it. Basic GHS saturates near 0.065, beyond which its
+// backlog — and with it the population of live packets — grows every cycle
+// and no free list can cover it, so it is guarded at 0.06.
+func guardRate(s core.Scheme) float64 {
+	if s == core.GHS {
+		return 0.06
+	}
+	return 0.10
+}
+
+// warmUntilSteady runs cycle in 1000-cycle blocks until one block
+// allocates nothing, so the zero-alloc assertion that follows measures the
+// steady state, not whether a fixed warm-up outlasted the growth of every
+// bucket and free list. A network still allocating after 50 blocks fails.
+func warmUntilSteady(t *testing.T, cycle func()) {
+	t.Helper()
+	const block, maxBlocks = 1000, 50
+	var ms runtime.MemStats
+	for b := 0; b < maxBlocks; b++ {
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		for i := 0; i < block; i++ {
+			cycle()
+		}
+		runtime.ReadMemStats(&ms)
+		if ms.Mallocs == before {
+			return
+		}
+	}
+	t.Fatalf("every one of %d warm-up blocks of %d cycles allocated: no steady state to measure", maxBlocks, block)
 }
 
 // TestFairnessStateFitsInAKiB: a channel's fairness state on the 256-node
@@ -80,8 +107,11 @@ func TestFairnessStateFitsInAKiB(t *testing.T) {
 }
 
 // TestRunCyclesZeroAlloc extends the guard to the idle fast path: once the
-// network drains, skip-ahead cycles must be allocation-free too.
+// network drains, skip-ahead cycles must be allocation-free too. The
+// network is warmed to the same steady state as TestStepZeroAlloc's first,
+// so a container that only grows under load is grown before the drain.
 func TestRunCyclesZeroAlloc(t *testing.T) {
+	defer core.SetPoisonPackets(core.SetPoisonPackets(false)) // warm up on recycled packets
 	for _, s := range core.Schemes() {
 		t.Run(s.String(), func(t *testing.T) {
 			cfg := core.DefaultConfig(s)
@@ -90,14 +120,14 @@ func TestRunCyclesZeroAlloc(t *testing.T) {
 			if err != nil {
 				t.Fatalf("NewNetwork: %v", err)
 			}
-			inj, err := traffic.NewInjector(traffic.UniformRandom{}, 0.10, cfg.Nodes, cfg.CoresPerNode, cfg.Seed)
+			inj, err := traffic.NewInjector(traffic.UniformRandom{}, guardRate(s), cfg.Nodes, cfg.CoresPerNode, cfg.Seed)
 			if err != nil {
 				t.Fatalf("NewInjector: %v", err)
 			}
-			for i := 0; i < 500; i++ {
+			warmUntilSteady(t, func() {
 				inj.Tick(net)
 				net.Step()
-			}
+			})
 			net.RunCycles(4096) // drain into quiescence
 			if out := net.Outstanding(); out != 0 {
 				t.Fatalf("network not quiescent after drain: %d outstanding", out)

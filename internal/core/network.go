@@ -380,9 +380,6 @@ func faultAux(cl fault.Class, element int) uint64 {
 	return uint64(cl)<<32 | uint64(uint32(element))
 }
 
-// Geometry exposes the loop timing model (read-only).
-func (n *Network) Geometry() *ring.Geometry { return n.geom }
-
 // Config returns the network's configuration.
 func (n *Network) Config() Config { return n.cfg }
 
@@ -908,37 +905,12 @@ func (n *Network) checkInvariants() {
 	}
 }
 
-// Backlog reports the exact number of injected-but-undelivered packets
-// the network currently holds, locating each packet exactly once: in an
-// injection pipeline, in an output queue, on a waveguide, in a home input
-// buffer, or orphaned — its only live copy destroyed (NACK-dropped with
-// the retransmission still owed, or fault-discarded with the sender's
-// retention copy awaiting its timeout). Duplicate copies launched by
-// timeout recovery are subtracted from the in-flight count so each packet
-// is still counted once; on fault-free runs orphans == Drops - Retransmits
-// and the duplicate count is zero, reducing to the seed formula.
-// Sent-but-unACKed retention copies are deliberately *not* counted — the
-// real packet is already located downstream (or delivered, with its ACK
-// still in flight) — so the conservation identity
-// Injected == Delivered + Backlog + QueueRejected + Lost holds at every
-// cycle; internal/check audits it.
-func (n *Network) Backlog() int {
-	total := n.injPipe.Len() + n.orphans - n.dupsInFlight
-	for i := range n.queues {
-		total += n.queues[i].out.QueueLen()
-	}
-	for i := range n.chans {
-		total += n.chans[i].data.InFlight() + n.chans[i].in.Occupied()
-	}
-	return total
-}
-
 // Outstanding reports everything the network still *owns*, retention
 // copies included: queued, sent-but-unACKed, in flight, buffered at homes,
-// or in injection pipelines. It over-counts packets relative to Backlog
-// (a HoldHead/Setaside sender keeps a copy while the packet flies) but is
-// the correct quiescence predicate: zero means no node holds any protocol
-// state, so Drain stops on it.
+// or in injection pipelines. It over-counts packets relative to
+// Accounting().Backlog (a HoldHead/Setaside sender keeps a copy while the
+// packet flies) but is the correct quiescence predicate: zero means no
+// node holds any protocol state, so Drain stops on it.
 func (n *Network) Outstanding() int {
 	total := n.injPipe.Len()
 	for i := range n.queues {

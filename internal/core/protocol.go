@@ -20,7 +20,6 @@ type ProtocolSpec struct {
 	Scheme    Scheme
 	Name      string // CLI name; Scheme.String() returns this
 	PaperName string // label used in the paper's figures
-	Family    string // protocol family implementing the scheme
 
 	Global      bool // global (relayed token) vs distributed arbitration
 	Handshake   bool // ACK/NACK flow control over a handshake waveguide
@@ -63,7 +62,6 @@ var protocols = [...]ProtocolSpec{
 		Scheme:      TokenChannel,
 		Name:        "token-channel",
 		PaperName:   "Token Channel",
-		Family:      "credit-global",
 		Global:      true,
 		CreditBased: true,
 		SendPolicy:  router.FireAndForget,
@@ -74,7 +72,6 @@ var protocols = [...]ProtocolSpec{
 		Scheme:      TokenSlot,
 		Name:        "token-slot",
 		PaperName:   "Token Slot",
-		Family:      "credit-slot",
 		CreditBased: true,
 		SendPolicy:  router.FireAndForget,
 		Hardware:    phys.SchemeHardware{Name: "Token Slot", Arbitration: phys.DistributedArbitration},
@@ -84,7 +81,6 @@ var protocols = [...]ProtocolSpec{
 		Scheme:     GHS,
 		Name:       "ghs",
 		PaperName:  "GHS",
-		Family:     "handshake-global",
 		Global:     true,
 		Handshake:  true,
 		SendPolicy: router.HoldHead,
@@ -95,7 +91,6 @@ var protocols = [...]ProtocolSpec{
 		Scheme:     GHSSetaside,
 		Name:       "ghs-setaside",
 		PaperName:  "GHS w/ Setaside",
-		Family:     "handshake-global",
 		Global:     true,
 		Handshake:  true,
 		SendPolicy: router.Setaside,
@@ -106,7 +101,6 @@ var protocols = [...]ProtocolSpec{
 		Scheme:     DHS,
 		Name:       "dhs",
 		PaperName:  "DHS",
-		Family:     "handshake-slot",
 		Handshake:  true,
 		SendPolicy: router.HoldHead,
 		Hardware:   phys.SchemeHardware{Name: "DHS", Arbitration: phys.DistributedArbitration, Handshake: true},
@@ -116,7 +110,6 @@ var protocols = [...]ProtocolSpec{
 		Scheme:     DHSSetaside,
 		Name:       "dhs-setaside",
 		PaperName:  "DHS w/ Setaside",
-		Family:     "handshake-slot",
 		Handshake:  true,
 		SendPolicy: router.Setaside,
 		Hardware:   phys.SchemeHardware{Name: "DHS_SetBuf", Arbitration: phys.DistributedArbitration, Handshake: true},
@@ -126,7 +119,6 @@ var protocols = [...]ProtocolSpec{
 		Scheme:      DHSCirculation,
 		Name:        "dhs-circulation",
 		PaperName:   "DHS w/ Circulation",
-		Family:      "circulation",
 		Circulating: true,
 		SendPolicy:  router.FireAndForget,
 		Hardware:    phys.SchemeHardware{Name: "DHS_Cir", Arbitration: phys.DistributedArbitration, Circulation: true},

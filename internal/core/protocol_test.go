@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"photon/internal/core"
+	"photon/internal/ring"
 	"photon/internal/router"
 	"photon/internal/sim"
 	"photon/internal/traffic"
@@ -56,14 +57,15 @@ func TestPacketConservation(t *testing.T) {
 			}
 			// Backlog locates every undelivered packet exactly once, so
 			// conservation is an equality at every cycle boundary.
-			if int64(net.Backlog()) != st.Injected-st.Delivered {
+			backlog := net.Accounting().Backlog
+			if int64(backlog) != st.Injected-st.Delivered {
 				t.Fatalf("%v cycle %d: backlog %d != %d undelivered packets",
-					s, cyc, net.Backlog(), st.Injected-st.Delivered)
+					s, cyc, backlog, st.Injected-st.Delivered)
 			}
 			// Outstanding (retention copies included) can only over-count.
-			if net.Outstanding() < net.Backlog() {
+			if net.Outstanding() < backlog {
 				t.Fatalf("%v cycle %d: outstanding %d under-counts backlog %d",
-					s, cyc, net.Outstanding(), net.Backlog())
+					s, cyc, net.Outstanding(), backlog)
 			}
 		}
 		// Everything must drain once injection stops.
@@ -221,6 +223,10 @@ func TestFig2aPathology(t *testing.T) {
 func TestZeroLoadLatencyFormula(t *testing.T) {
 	cfg := core.DefaultConfig(core.DHS)
 	cfg.Fairness.Enabled = false
+	geom, err := ring.NewGeometry(cfg.Nodes, cfg.RoundTrip)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, src := range []int{1, 8, 9, 32, 63} {
 		net, err := core.NewNetwork(cfg, sim.Window{Warmup: 0, Measure: 1 << 20, Drain: 0})
 		if err != nil {
@@ -238,8 +244,8 @@ func TestZeroLoadLatencyFormula(t *testing.T) {
 		if !ok {
 			t.Fatalf("src %d: never delivered", src)
 		}
-		off := net.Geometry().Offset(0, src)
-		want := int64(cfg.RouterPipeline) + 1 + int64(net.Geometry().FlightToHome(off)) + int64(cfg.EjectLatency)
+		off := geom.Offset(0, src)
+		want := int64(cfg.RouterPipeline) + 1 + int64(geom.FlightToHome(off)) + int64(cfg.EjectLatency)
 		if pkt.Latency() != want {
 			t.Errorf("src %d: latency %d, want %d", src, pkt.Latency(), want)
 		}

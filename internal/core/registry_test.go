@@ -59,9 +59,6 @@ func TestRegistryCompleteness(t *testing.T) {
 		}
 		paperNames[sp.PaperName] = s
 
-		if sp.Family == "" {
-			t.Errorf("%v: empty Family", s)
-		}
 		if sp.Hardware.Name == "" {
 			t.Errorf("%v: empty Hardware.Name", s)
 		}

@@ -139,14 +139,6 @@ func (s Scheme) SendPolicy() router.SendPolicy {
 	return sp.SendPolicy
 }
 
-// Family returns the scheme's registry family label (credit-global,
-// credit-slot, handshake-global, handshake-slot, circulation) — the
-// grouping the protocol files and the analytical twin dispatch on.
-func (s Scheme) Family() string {
-	sp, _ := LookupProtocol(s)
-	return sp.Family
-}
-
 // Hardware returns the scheme's hardware profile for Table I and the power
 // model. The setaside variants share their base scheme's optical hardware
 // (setaside buffers are electrical).

@@ -70,7 +70,7 @@ func driveBursty(t testing.TB, cfg core.Config, seed uint64, rounds int, disable
 		digest:      net.Digest(),
 		now:         net.Now(),
 		outstanding: net.Outstanding(),
-		backlog:     net.Backlog(),
+		backlog:     net.Accounting().Backlog,
 		delivered:   net.Stats().Delivered,
 		launches:    net.Stats().Launches,
 		retx:        net.Stats().Retransmits,
@@ -224,7 +224,7 @@ func FuzzSkipAheadEquivalence(f *testing.F) {
 				digest:      net.Digest(),
 				now:         net.Now(),
 				outstanding: net.Outstanding(),
-				backlog:     net.Backlog(),
+				backlog:     net.Accounting().Backlog,
 				delivered:   net.Stats().Delivered,
 				launches:    net.Stats().Launches,
 				retx:        net.Stats().Retransmits,

@@ -5,8 +5,59 @@ import (
 	"testing"
 
 	"photon/internal/core"
+	"photon/internal/sim"
+	"photon/internal/stats"
 	"photon/internal/traffic"
 )
+
+// Replication is the aggregate of independent-seed repetitions of one
+// point — simulation confidence intervals for results quoted in
+// EXPERIMENTS.md.
+type Replication struct {
+	N          int
+	Latency    stats.MeanVar
+	Throughput stats.MeanVar
+	DropRate   stats.MeanVar
+	// Runs records each replication's seed and full result (digest
+	// included), so any quoted confidence interval can cite the exact
+	// reproducible runs behind it.
+	Runs []ReplicateRun
+}
+
+// ReplicateRun identifies one replication: rerunning the point with Seed
+// must reproduce Result bit-for-bit (same Digest).
+type ReplicateRun struct {
+	Seed   uint64
+	Digest uint64
+	Result core.Result
+}
+
+// ReplicateSeed returns the seed of replication i for a base seed. The
+// derivation is injective in i (see sim.DeriveSeed): no two replications
+// of one base ever share a seed, which TestReplicateSeedDerivation pins.
+func ReplicateSeed(base uint64, i int) uint64 {
+	return sim.DeriveSeed(base, uint64(i))
+}
+
+// Replicate runs a point n times with derived seeds and aggregates. It
+// runs serially — replication is an offline confidence-interval tool.
+func Replicate(p Point, n int, opts Options) (Replication, error) {
+	var rep Replication
+	for i := 0; i < n; i++ {
+		o := opts
+		o.Seed = ReplicateSeed(opts.Seed, i)
+		res, err := RunPoint(p, o)
+		if err != nil {
+			return rep, err
+		}
+		rep.N++
+		rep.Latency.Add(res.AvgLatency)
+		rep.Throughput.Add(res.Throughput)
+		rep.DropRate.Add(res.DropRate)
+		rep.Runs = append(rep.Runs, ReplicateRun{Seed: o.Seed, Digest: res.Digest, Result: res})
+	}
+	return rep, nil
+}
 
 // TestReplicateStability: independent seeds must agree closely at a
 // sub-saturation operating point — the repeatability-of-conclusions check

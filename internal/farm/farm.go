@@ -139,9 +139,9 @@ func (r *GridReport) Quarantined() []PointState {
 }
 
 // GridDigest merges the done points' digests in grid index order. For a
-// Complete report it is byte-identical to SerialGridDigest of the same
-// grid, however many workers ran it and however often it was interrupted
-// and resumed.
+// Complete report it is byte-identical to the digest of a serial run of
+// the same grid (the farm tests' SerialGridDigest), however many workers
+// ran it and however often it was interrupted and resumed.
 func (r *GridReport) GridDigest() uint64 {
 	var ds []uint64
 	for i := range r.Points {
@@ -237,21 +237,4 @@ func Run(g Grid, cfg Config) (*GridReport, error) {
 		}
 	}
 	return rep, nil
-}
-
-// SerialGridDigest runs the grid serially in a single process and merges
-// the per-point digests — the reference value every farm execution of
-// the same grid must reproduce.
-func SerialGridDigest(g Grid) (uint64, error) {
-	o := g.Opts
-	o.Parallel = 1
-	results, err := exp.RunPoints(g.Points, o)
-	if err != nil {
-		return 0, err
-	}
-	ds := make([]uint64, len(results))
-	for i, r := range results {
-		ds[i] = r.Digest
-	}
-	return MergeDigests(ds), nil
 }

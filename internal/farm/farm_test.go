@@ -12,6 +12,23 @@ import (
 	"photon/internal/traffic"
 )
 
+// SerialGridDigest runs the grid serially in a single process and merges
+// the per-point digests — the reference value every farm execution of
+// the same grid must reproduce.
+func SerialGridDigest(g Grid) (uint64, error) {
+	o := g.Opts
+	o.Parallel = 1
+	results, err := exp.RunPoints(g.Points, o)
+	if err != nil {
+		return 0, err
+	}
+	ds := make([]uint64, len(results))
+	for i, r := range results {
+		ds[i] = r.Digest
+	}
+	return MergeDigests(ds), nil
+}
+
 // testWindow keeps per-point runs in the low-millisecond range.
 var testWindow = sim.Window{Warmup: 50, Measure: 200, Drain: 100}
 

@@ -1,7 +1,5 @@
 package phys
 
-import "fmt"
-
 // ArbitrationKind distinguishes the two optical arbitration styles of the
 // paper: a single relayed token (global) versus a stream of per-cycle token
 // slots (distributed).
@@ -16,17 +14,6 @@ const (
 	// Slot, DHS).
 	DistributedArbitration
 )
-
-func (k ArbitrationKind) String() string {
-	switch k {
-	case GlobalArbitration:
-		return "global"
-	case DistributedArbitration:
-		return "distributed"
-	default:
-		return fmt.Sprintf("ArbitrationKind(%d)", int(k))
-	}
-}
 
 // SchemeHardware captures the hardware-relevant properties of an
 // arbitration/flow-control scheme — exactly the information needed to fill

@@ -93,15 +93,6 @@ func TestComponentBudgetScalesQuadratically(t *testing.T) {
 	}
 }
 
-func TestArbitrationKindString(t *testing.T) {
-	if GlobalArbitration.String() != "global" || DistributedArbitration.String() != "distributed" {
-		t.Fatal("ArbitrationKind labels wrong")
-	}
-	if ArbitrationKind(9).String() == "" {
-		t.Fatal("unknown kind should still render")
-	}
-}
-
 func TestPathLossComposition(t *testing.T) {
 	l := DefaultLossBudget()
 	base := l.PathLossDB(0, 0)

@@ -149,13 +149,6 @@ func NewStream(cfg StreamConfig) *Stream {
 	}
 }
 
-// Err returns the first error the stream hit (malformed input or a
-// callback failure); once set, further input is ignored.
-func (s *Stream) Err() error {
-	s.drain()
-	return s.err
-}
-
 // Flushed returns how many spans have been handed to OnSpan so far.
 func (s *Stream) Flushed() int64 {
 	s.drain()

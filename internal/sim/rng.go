@@ -46,8 +46,9 @@ func NewRNG(seed uint64) *RNG {
 // For a fixed base the map stream -> seed is injective: streams are spread
 // by an odd multiplier (a bijection mod 2^64) before conditioning through
 // splitmix64 (also a bijection), so no two streams of one base ever share
-// a seed. exp.Replicate uses this to guarantee that replications quoted in
-// EXPERIMENTS.md cite genuinely independent, reproducible seeds.
+// a seed. The fault injector's per-element streams derive through it, as
+// do the replications behind EXPERIMENTS.md's seed-robustness statement
+// (exp's TestReplicateStability).
 func DeriveSeed(base, stream uint64) uint64 {
 	return splitmix64(splitmix64(base) + stream*0x9E3779B97F4A7C15)
 }

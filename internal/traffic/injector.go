@@ -127,9 +127,6 @@ func (in *Injector) Rate() float64 {
 	return in.workload.MeanRate(span)
 }
 
-// Pattern returns the destination pattern.
-func (in *Injector) Pattern() Pattern { return in.pattern }
-
 // Stop halts further injection (used during the drain phase).
 func (in *Injector) Stop() { in.stopped = true }
 

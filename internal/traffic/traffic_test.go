@@ -187,7 +187,7 @@ func TestInjectorAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if inj.Rate() != 0.07 || inj.Pattern().Name() != "TOR" {
+	if inj.Rate() != 0.07 || inj.pattern.Name() != "TOR" {
 		t.Fatal("accessors wrong")
 	}
 }

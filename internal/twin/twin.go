@@ -247,9 +247,6 @@ func classify(spec core.ProtocolSpec) (family, error) {
 	}
 }
 
-// Scheme returns the modelled scheme.
-func (m *Model) Scheme() core.Scheme { return m.scheme }
-
 // Family returns the analytical family name used for the scheme.
 func (m *Model) Family() string { return m.fam.String() }
 

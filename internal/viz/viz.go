@@ -119,10 +119,3 @@ func (c *Chart) Render(w io.Writer) error {
 	_, err := io.WriteString(w, b.String())
 	return err
 }
-
-// String renders to a string.
-func (c *Chart) String() string {
-	var b strings.Builder
-	_ = c.Render(&b)
-	return b.String()
-}

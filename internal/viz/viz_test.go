@@ -5,11 +5,21 @@ import (
 	"testing"
 )
 
+// render renders c to a string.
+func render(t *testing.T, c *Chart) string {
+	t.Helper()
+	var b strings.Builder
+	if err := c.Render(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
 func TestRenderBasic(t *testing.T) {
 	c := &Chart{Title: "demo", XLabel: "load", YLabel: "latency", YCap: 100}
 	c.Add("a", []float64{0.01, 0.05, 0.1}, []float64{10, 20, 500})
 	c.Add("b", []float64{0.01, 0.05, 0.1}, []float64{12, 14, 16})
-	out := c.String()
+	out := render(t, c)
 	if !strings.Contains(out, "demo") {
 		t.Fatal("missing title")
 	}
@@ -39,7 +49,7 @@ func TestRenderEmptyErrors(t *testing.T) {
 func TestRenderAutoScale(t *testing.T) {
 	c := &Chart{Height: 5, Width: 20}
 	c.Add("a", []float64{0, 1}, []float64{0, 50})
-	out := c.String()
+	out := render(t, c)
 	if !strings.Contains(out, "50.0") {
 		t.Fatalf("auto-scaled max missing:\n%s", out)
 	}
@@ -55,7 +65,7 @@ func TestManySeriesCycleMarks(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		c.Add("s", []float64{0, 1}, []float64{1, 2})
 	}
-	out := c.String()
+	out := render(t, c)
 	if !strings.Contains(out, "* s") {
 		t.Fatal("legend glyphs should cycle")
 	}

@@ -24,16 +24,15 @@
 // internal/core (the network and schemes), internal/ring (optical
 // timing), internal/arbiter, internal/flow, internal/router (substrates),
 // internal/traffic and internal/trace (workloads), internal/cpu (the
-// closed-loop CMP model), internal/phys and internal/power (hardware
-// budgets and power), and internal/exp (the per-figure experiment
-// drivers). Everything is stdlib-only and deterministic: identical seeds
-// give identical results.
+// closed-loop CMP model), and internal/phys and internal/power (hardware
+// budgets and power). The per-figure experiment drivers (internal/exp)
+// are reached through cmd/sweep, not the facade. Everything is
+// stdlib-only and deterministic: identical seeds give identical results.
 package photon
 
 import (
 	"photon/internal/core"
 	"photon/internal/cpu"
-	"photon/internal/exp"
 	"photon/internal/phys"
 	"photon/internal/power"
 	"photon/internal/router"
@@ -233,12 +232,3 @@ func NewSWMRNetwork(cfg SWMRConfig, w Window) (*SWMRNetwork, error) {
 
 // Table renders experiment output as text or CSV.
 type Table = stats.Table
-
-// ExperimentOptions tunes experiment fidelity.
-type ExperimentOptions = exp.Options
-
-// FullExperiments returns full-fidelity experiment options.
-func FullExperiments() ExperimentOptions { return exp.DefaultOptions() }
-
-// QuickExperiments returns reduced-fidelity options for smoke runs.
-func QuickExperiments() ExperimentOptions { return exp.QuickOptions() }

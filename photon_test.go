@@ -117,16 +117,6 @@ func TestFacadeSWMR(t *testing.T) {
 	}
 }
 
-func TestFacadeExperimentOptions(t *testing.T) {
-	full, quick := photon.FullExperiments(), photon.QuickExperiments()
-	if full.Window.Total() <= quick.Window.Total() {
-		t.Fatal("full experiments should simulate longer than quick")
-	}
-	if !quick.Quick {
-		t.Fatal("quick options not marked quick")
-	}
-}
-
 func TestFacadePatterns(t *testing.T) {
 	rng := photon.NewRNG(1)
 	for _, name := range []string{"UR", "BC", "TOR", "TP", "NBR"} {

@@ -30,7 +30,7 @@ func BenchmarkNetworkStep(b *testing.B) {
 }
 
 // BenchmarkInvariantOverhead quantifies the cost of per-cycle invariant
-// checking (on by default in tests, off in production sweeps).
+// checking, which DefaultConfig turns on for every run.
 func BenchmarkInvariantOverhead(b *testing.B) {
 	for _, on := range []bool{false, true} {
 		b.Run(onOff(on), func(b *testing.B) {

@@ -148,7 +148,6 @@ var fieldWithoutSetter = map[string]string{
 	// Knobs a test or battery turns.
 	"core.Config.QueueCap":               "the conservation audit's QueueRejected term: TestConservationBoundedQueues and TestBoundedQueueThrottles bound the output queues through it",
 	"core.RecoveryConfig.WatchdogWindow": "TestWatchdogDuplicateGuard drives the duplicate-token guard through a short window",
-	"ptrace.StreamConfig.RetireAfter":    "TestStreamMatchesBatch, TestStreamMaxLiveExact and FuzzAssemble retire aggressively to exercise the tombstone queue; every run keeps the 1024-cycle default",
 	"swmr.Config.RxPorts":                "TestRxPortContentionThrottles and TestRxPortsScaleThroughput: receiver-port contention is the SWMR model's one free dimension",
 
 	// Constants of the paper's configuration: DefaultConfig/DefaultParams

@@ -26,20 +26,16 @@ type SweepFunc func(start, end int) int
 // cycle — until a sender captures it; the holder parks the token while it
 // transmits and releases it back onto the loop when done.
 //
-// For Token Channel the token also carries the home node's credit count
-// (Credits); for GHS the field stays unused, which is exactly the paper's
-// point: arbitration without flow-control state.
+// The token itself carries no flow-control state: Token Channel's credit
+// count, piggybacked on the token in hardware, is kept by
+// flow.RelayedCredits, and GHS uses the same token without one — which is
+// exactly the paper's point: arbitration without flow-control state.
 type GlobalToken struct {
 	nodes    int
 	perCycle int
 
 	pos    int // last offset swept (0 = home position)
 	holder int // offset of current holder, -1 when the token is free
-
-	// Credits is the credit count piggybacked on the token (Token Channel
-	// only). The network core decrements it on each send; PassHome adds
-	// reimbursements via the onHome callback.
-	Credits int
 
 	// lost marks the token destroyed in the waveguide (fault injection):
 	// it no longer circulates and can never be captured until the home

@@ -14,8 +14,8 @@ var benchWindow = sim.Window{Warmup: 0, Measure: 1 << 40, Drain: 0}
 
 // benchNetwork builds a default paper-configuration network plus a live
 // uniform-random injector at a moderate sub-saturation load, the standard
-// shape for hot-loop measurements (invariant checks off, as a production
-// sweep would run).
+// shape for hot-loop measurements. Invariant checks are off, to time the
+// protocol alone: DefaultConfig, and so every sweep, runs with them on.
 func benchNetwork(b *testing.B, s core.Scheme) (*core.Network, *traffic.Injector) {
 	b.Helper()
 	cfg := core.DefaultConfig(s)

@@ -76,6 +76,13 @@ const (
 	// A NACKed packet stays in its slot awaiting retransmission and exits
 	// only when a later copy is finally ACKed.
 	EvSetasideExit
+	// EvRetire: the engine's last holder of the packet let go of it, just
+	// before the packet is recycled. It fires once per packet, after every
+	// other event of that id — a duplicate in flight and a sender's
+	// retained copy are holders too — so a tracer can drop its per-packet
+	// state here instead of guessing when no more events can come.
+	// Packets still held when a run ends never retire.
+	EvRetire
 )
 
 // firstTapOnly is the first tap-only event type: everything below it is
@@ -120,6 +127,8 @@ func (e EventType) String() string {
 		return "setaside-enter"
 	case EvSetasideExit:
 		return "setaside-exit"
+	case EvRetire:
+		return "retire"
 	default:
 		return "event?"
 	}

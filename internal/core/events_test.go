@@ -110,7 +110,7 @@ func TestEventReinjectCirculation(t *testing.T) {
 }
 
 func TestEventTypeStrings(t *testing.T) {
-	for e := core.EvEnqueue; e <= core.EvInject; e++ {
+	for e := core.EvEnqueue; e <= core.EvRetire; e++ {
 		if e.String() == "event?" {
 			t.Fatalf("event %d lacks a label", int(e))
 		}

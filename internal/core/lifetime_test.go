@@ -10,6 +10,7 @@ import (
 	"photon/internal/check"
 	"photon/internal/core"
 	"photon/internal/fault"
+	"photon/internal/ptrace"
 	"photon/internal/router"
 	"photon/internal/sim"
 	"photon/internal/traffic"
@@ -137,6 +138,88 @@ func TestLeakedHolderIsReported(t *testing.T) {
 	for _, want := range []string{"ghs-setaside", "holders 1 != outstanding 0", "1 live packets"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("audit error %q lacks %q", err, want)
+		}
+	}
+}
+
+// TestRetireIsLastEvent holds EvRetire to the packet lifetime it reports.
+// Per scheme — fault-free, under pulse loss with recovery on (lost ACKs
+// leave duplicates in flight past delivery), and with stalling receivers
+// (NACKs and retransmissions) — every injected id retires exactly once,
+// no record of the id follows its retirement, and once the network has
+// drained every id has retired.
+func TestRetireIsLastEvent(t *testing.T) {
+	pulse := fault.Config{Enabled: true, Warmup: chaosWindow.Warmup}.
+		SetClass(fault.PulseLoss, fault.ClassConfig{Rate: 0.02, Burst: 2})
+	legs := []struct {
+		name string
+		mod  func(*core.Config)
+	}{
+		{"fault-free", func(*core.Config) {}},
+		{"pulse-loss", func(c *core.Config) { c.Fault, c.Recovery.Enabled = pulse, true }},
+		{"eject-stall", func(c *core.Config) { c.BufferDepth, c.EjectStallProb = 2, 0.5 }},
+	}
+	for _, s := range core.Schemes() {
+		for _, leg := range legs {
+			t.Run(s.String()+"/"+leg.name, func(t *testing.T) {
+				cfg := core.DefaultConfig(s)
+				cfg.Seed = 29
+				leg.mod(&cfg)
+				net, err := core.NewNetwork(cfg, chaosWindow)
+				if err != nil {
+					t.Fatal(err)
+				}
+				inj, err := traffic.NewInjector(traffic.UniformRandom{}, 0.10, cfg.Nodes, cfg.CoresPerNode, 29)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tap := &ptrace.Tap{}
+				net.SetTracer(tap)
+				inj.Run(net)
+				if left, err := net.Drain(60_000); err != nil {
+					t.Fatalf("drain left %d: %v", left, err)
+				}
+
+				injected := make(map[uint64]bool)
+				retired := make(map[uint64]bool)
+				var late int // records of a packet after its last holder let go
+				var timeouts int
+				for _, r := range tap.Records {
+					if r.Meta {
+						continue
+					}
+					if r.Type == core.EvTimeout {
+						timeouts++
+					}
+					switch {
+					case retired[r.ID]:
+						if late++; late == 1 {
+							t.Errorf("packet %d: %s at cycle %d after its retirement", r.ID, r.Type, r.Cycle)
+						}
+					case r.Type == core.EvInject:
+						injected[r.ID] = true
+					case r.Type == core.EvRetire:
+						retired[r.ID] = true
+					}
+				}
+				if late > 0 {
+					t.Errorf("%d records followed their packet's retirement", late)
+				}
+				if len(injected) == 0 {
+					t.Fatal("nothing injected; test is vacuous")
+				}
+				if spec, _ := core.LookupProtocol(s); spec.Handshake && leg.name == "pulse-loss" && timeouts == 0 {
+					t.Fatal("no retransmit timer fired; the duplicate paths went unexercised")
+				}
+				for id := range injected {
+					if !retired[id] {
+						t.Fatalf("packet %d never retired after the drain", id)
+					}
+				}
+				if len(retired) != len(injected) {
+					t.Fatalf("%d packets retired, %d injected", len(retired), len(injected))
+				}
+			})
 		}
 	}
 }

@@ -439,14 +439,16 @@ func (n *Network) Digest() uint64 { return n.stats.digest.value() }
 var poisonPackets bool
 
 // release records that one engine-side holder of pkt let go; the last one
-// to do so recycles the packet. Every call site sits after the last emit
-// and callback of its phase that is handed the packet.
+// to do so retires the packet toward the tap and recycles it. Every call
+// site sits after the last emit and callback of its phase that is handed
+// the packet, so EvRetire is the packet's last event.
 func (n *Network) release(pkt *router.Packet) {
 	n.holders--
 	if !pkt.Drop() {
 		return
 	}
 	n.live--
+	n.emitTap(EvRetire, pkt)
 	if poisonPackets {
 		const never = -1 << 62
 		*pkt = router.Packet{ID: ^uint64(0), Src: -1, Dst: -1,

@@ -2,9 +2,10 @@ package ptrace
 
 // spanBuf is the part of a packet's assembly state the consumer sees: the
 // span and its first inlinePhases phases. A Stream takes one from the
-// table's free list when the packet is injected and returns it the moment
-// OnSpan returns; Assemble allocates one per packet and never returns it,
-// because its TraceResult owns the spans.
+// table's free list at the packet's first record past EvEnqueue — while it
+// waits in its output queue the header carries it — and returns it the
+// moment OnSpan returns; Assemble takes one per packet at EvInject and
+// never returns it, because its TraceResult owns the spans.
 type spanBuf struct {
 	span   PacketSpan
 	inline [inlinePhases]Phase
@@ -159,7 +160,8 @@ func (t *cursorTable) delete(id uint64) {
 	}
 }
 
-// each calls fn on every cursor, in no particular order.
+// each calls fn on every cursor, in no particular order: Stream.Close
+// sorts what it collects.
 func (t *cursorTable) each(fn func(*pktAsm)) {
 	for off := uint64(0); off < t.width; off++ {
 		if a := t.slot(off); a.state != stFree {

@@ -3,7 +3,6 @@ package ptrace
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -130,13 +129,130 @@ func TestCorpusFilesMatchSeeds(t *testing.T) {
 	}
 }
 
+// retireSeeds are the f.Add seeds of the retirement paths, beside
+// corpusSeeds: each ends in, or turns on, a packet's EvRetire.
+// TestRetireSeedsReachTheirPaths holds each to the path it is named for.
+func retireSeeds() [][]Record {
+	clean := func(id uint64) []Record {
+		return []Record{
+			pkt(10, core.EvInject, id),
+			pkt(12, core.EvEnqueue, id),
+			pkt(15, core.EvHeadReady, id),
+			pkt(20, core.EvLaunch, id),
+			pkt(28, core.EvAccept, id),
+			deliver(30, id, 31),
+			pkt(36, core.EvAck, id),
+		}
+	}
+	return [][]Record{
+		// Retire before delivery: a packet still queued, and one in flight.
+		{
+			pkt(0, core.EvInject, 3),
+			pkt(1, core.EvInject, 4),
+			pkt(2, core.EvEnqueue, 3),
+			pkt(3, core.EvEnqueue, 4),
+			pkt(4, core.EvHeadReady, 4),
+			pkt(6, core.EvLaunch, 4),
+			pkt(7, core.EvRetire, 3),
+			pkt(9, core.EvRetire, 4),
+		},
+		// Retire of a flushed cursor.
+		append(clean(1), pkt(36, core.EvRetire, 1)),
+		// Retire of an absorbing cursor: the ACK was lost, the timer fired.
+		append(clean(1)[:6],
+			pkt(48, core.EvTimeout, 1),
+			pkt(50, core.EvLaunch, 1),
+			pkt(58, core.EvDupDrop, 1),
+			pkt(66, core.EvAck, 1),
+			pkt(66, core.EvRetire, 1)),
+		// A record after retirement, which both assemblers reject: of a
+		// flushed packet the stream has forgotten, and of one it holds.
+		append(clean(1)[:6],
+			pkt(31, core.EvRetire, 1),
+			pkt(36, core.EvAck, 1)),
+		{
+			pkt(0, core.EvInject, 5),
+			pkt(2, core.EvRetire, 5),
+			pkt(3, core.EvEnqueue, 5),
+		},
+	}
+}
+
+// TestRetireSeedsReachTheirPaths holds each retireSeeds entry to the path
+// it seeds: a retirement before delivery holds the cursor to Close, which
+// builds the same spans as batch; a flushed or absorbing cursor is deleted
+// at its retirement; a record after retirement fails both assemblers.
+func TestRetireSeedsReachTheirPaths(t *testing.T) {
+	withPoison(t)
+	seeds := retireSeeds()
+	// push feeds a seed to a fresh stream and returns it with the spans it
+	// flushed and the first error.
+	push := func(records []Record) (*Stream, *[]*PacketSpan, error) {
+		var spans []*PacketSpan
+		st := NewStream(StreamConfig{OnSpan: func(sp *PacketSpan) error {
+			spans = append(spans, cloneSpan(sp))
+			return nil
+		}})
+		for _, r := range records {
+			if err := st.Push(r); err != nil {
+				return st, &spans, err
+			}
+		}
+		return st, &spans, nil
+	}
+
+	st, spans, err := push(seeds[0])
+	if err != nil || st.cursors.count() != 2 || len(*spans) != 0 {
+		t.Fatalf("retired before delivery: err %v, %d cursors, %d spans; want both held", err, st.cursors.count(), len(*spans))
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	batch := mustAssemble(t, seeds[0])
+	if len(*spans) != 2 || !reflect.DeepEqual((*spans)[0], batch.Spans[0]) || !reflect.DeepEqual((*spans)[1], batch.Spans[1]) {
+		t.Fatalf("Close flushed %+v, batch assembled %+v", *spans, batch.Spans)
+	}
+	if ph := (*spans)[0].Phases; len(ph) != 1 || ph[0] != (Phase{PhasePipeline, 0, 2}) {
+		t.Fatalf("queued packet's span has phases %v; want its pipeline phase [0,2)", ph)
+	}
+
+	for i, name := range map[int]string{1: "flushed", 2: "absorbing"} {
+		records := seeds[i]
+		st, spans, err := push(records[:len(records)-1])
+		a := st.cursors.get(1)
+		switch {
+		case err != nil:
+			t.Fatalf("%s: %v", name, err)
+		case a == nil || !a.flushed || len(*spans) != 1:
+			t.Fatalf("%s: cursor %+v, %d spans before the retirement", name, a, len(*spans))
+		case (a.state == stAbsorbing) != (name == "absorbing"):
+			t.Fatalf("%s: cursor in state %s before the retirement", name, stateName(a.state))
+		}
+		if err := st.Push(records[len(records)-1]); err != nil || st.cursors.count() != 0 {
+			t.Fatalf("%s: retirement left %d cursors (err %v); want the cursor deleted", name, st.cursors.count(), err)
+		}
+	}
+
+	for _, records := range seeds[3:] {
+		_, _, streamErr := push(records)
+		_, batchErr := Assemble(records)
+		if streamErr == nil || batchErr == nil {
+			t.Fatalf("a record after retirement: stream error %v, batch error %v; want both to reject", streamErr, batchErr)
+		}
+		if !strings.Contains(batchErr.Error(), "after its retirement") {
+			t.Fatalf("batch rejected the record after retirement for another reason: %v", batchErr)
+		}
+	}
+}
+
 // FuzzAssemble fuzzes the decode→assemble pipeline: arbitrary bytes must
 // either fail to decode, fail to assemble with an error, or produce
 // spans that pass Validate. Panics (and invariant-violating spans) are
 // the failure mode being hunted. Every decodable input also goes through
-// the streaming assembler, differentially against the batch one.
+// the streaming assembler, differentially against the batch one; the
+// fuzzer puts EvRetire records (event type 18) wherever it likes.
 func FuzzAssemble(f *testing.F) {
-	for _, seed := range corpusSeeds() {
+	for _, seed := range append(corpusSeeds(), retireSeeds()...) {
 		f.Add(encodeRecords(seed))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -161,52 +277,43 @@ func FuzzAssemble(f *testing.F) {
 	})
 }
 
-// fuzzStream pushes the records through two streams and holds them to the
-// batch outcome (tr, batchErr). With retirement disabled the stream is
-// the batch assembler record for record: same verdict, same meta count,
-// DeepEqual spans — except a packet a recovery event reached after its
-// delivery, which the stream has already flushed clean (see Stream). With
-// an 8-cycle window the stream may reject what the batch accepts (an ACK
-// after its tombstone retired) but still flushes each packet at most once.
+// fuzzStream pushes the records through a stream and holds it to the
+// batch outcome (tr, batchErr): record for record the batch assembler —
+// same verdict, same meta count, DeepEqual spans — except a packet a
+// recovery event reached after its delivery, which the stream has already
+// flushed clean, and an id injected again after its retirement, which the
+// stream has forgotten (see Stream). Whatever the input, it flushes a
+// packet at most once per injection.
 func fuzzStream(t *testing.T, records []Record, tr *TraceResult, batchErr error) {
-	run := func(retireAfter int64) (map[uint64]*PacketSpan, int, error) {
-		spans := make(map[uint64]*PacketSpan)
-		var calls, metas int
-		st := NewStream(StreamConfig{
-			RetireAfter: retireAfter,
-			OnSpan: func(sp *PacketSpan) error {
-				calls++
-				// A batch-valid stream injects each ID once, so a second
-				// flush of an ID is the stream's own doing.
-				if spans[sp.ID] != nil && batchErr == nil {
-					t.Fatalf("RetireAfter %d: packet %d flushed twice", retireAfter, sp.ID)
-				}
-				spans[sp.ID] = cloneSpan(sp)
-				return nil
-			},
-			OnMeta: func(Record) error { metas++; return nil },
-		})
-		for _, r := range records {
-			if st.Push(r) != nil {
-				break
+	spans := make(map[uint64]*PacketSpan)
+	var calls, metas int
+	st := NewStream(StreamConfig{
+		OnSpan: func(sp *PacketSpan) error {
+			calls++
+			// A batch-valid stream injects each ID once, so a second
+			// flush of an ID is the stream's own doing.
+			if spans[sp.ID] != nil && batchErr == nil {
+				t.Fatalf("packet %d flushed twice", sp.ID)
 			}
+			spans[sp.ID] = cloneSpan(sp)
+			return nil
+		},
+		OnMeta: func(Record) error { metas++; return nil },
+	})
+	for _, r := range records {
+		if st.Push(r) != nil {
+			break
 		}
-		err := st.Close()
-		if st.Flushed() != int64(calls) {
-			t.Fatalf("RetireAfter %d: Flushed() = %d, OnSpan ran %d times", retireAfter, st.Flushed(), calls)
-		}
-		return spans, metas, err
+	}
+	err := st.Close()
+	if st.Flushed() != int64(calls) {
+		t.Fatalf("Flushed() = %d, OnSpan ran %d times", st.Flushed(), calls)
 	}
 
-	run(8)
-
-	// MaxInt64 disables retirement on every stream but one that itself
-	// spans MaxInt64 cycles.
-	if n := len(records); n > 0 && records[n-1].Cycle == math.MaxInt64 {
-		return
-	}
-	spans, metas, err := run(math.MaxInt64)
 	if (err == nil) != (batchErr == nil) {
+		if err == nil && reinjectsRetired(records) {
+			return
+		}
 		t.Fatalf("stream verdict %v, batch verdict %v", err, batchErr)
 	}
 	if err != nil {
@@ -230,6 +337,22 @@ func fuzzStream(t *testing.T, records []Record, tr *TraceResult, batchErr error)
 			t.Fatalf("span flushed before a late recovery event violates invariants: %v", err)
 		}
 	}
+}
+
+// reinjectsRetired reports whether a packet record injects an id after a
+// record retired it.
+func reinjectsRetired(records []Record) bool {
+	retired := make(map[uint64]bool)
+	for _, r := range records {
+		switch {
+		case r.Meta:
+		case r.Type == core.EvRetire:
+			retired[r.ID] = true
+		case r.Type == core.EvInject && retired[r.ID]:
+			return true
+		}
+	}
+	return false
 }
 
 func equalBytes(a, b []byte) bool {

@@ -358,7 +358,7 @@ func BenchmarkStreamObserve(b *testing.B) {
 					}
 				}
 			}
-			warm := int64(defaultRetireAfter)
+			const warm = steadyWarm
 			for k := int64(0); k < warm; k++ {
 				step(k)
 			}

@@ -216,21 +216,38 @@ func stateName(st uint8) string {
 // (NACK retries, circulation loops) spill to the heap through append.
 const inlinePhases = 5
 
-// pktAsm is the per-packet assembly cursor: the 48 bytes every record of
-// the packet touches. It lives by value in the cursor table; the span
-// being assembled sits behind buf until a Stream hands it to its consumer,
-// after which the cursor is a tombstone of header only — a trailing ACK, a
-// late recovery event and the impossible-transition messages need just
-// state, last and id.
+// pktAsm is the per-packet assembly cursor: the 56-byte header every
+// record of the packet touches. It lives by value in the cursor table and
+// carries what a span needs before it has a buffer: identity, endpoints,
+// and — until the buffer is taken — the injection cycle in mark and the
+// enqueue cycle in last. The span being assembled sits behind buf. A
+// Stream takes the buffer at the packet's first record past EvEnqueue
+// (see take), so a packet waiting in its output queue costs the header
+// alone, and gives it back when the span goes to the consumer; from then
+// on the cursor is header only until its EvRetire — a trailing ACK, a late
+// recovery event and the impossible-transition messages need just state,
+// last and id.
 type pktAsm struct {
 	id         uint64
-	buf        *spanBuf // nil once flushed
+	buf        *spanBuf // nil before take and once flushed
 	mark       int64    // cycle anchoring the currently open phase
 	last       int64    // cycle of the packet's previous event
 	setasideAt int64    // open setaside residency start, or -1
+	src, dst   int32
 	state      uint8
+	measured   bool
+	retired    bool // EvRetire seen: no record of the packet may follow
 	flushed    bool // Stream only: the span has been handed to OnSpan
 	faulted    bool // buf.span.Faulted, without the dereference
+}
+
+// injected returns the packet's creation cycle: mark holds it until the
+// span buffer is taken.
+func (a *pktAsm) injected() int64 {
+	if a.buf != nil {
+		return a.buf.span.Injected
+	}
+	return a.mark
 }
 
 // intake is the record-admission prologue Assemble and Stream share: the
@@ -245,7 +262,8 @@ type intake struct {
 // admit checks r against the stream so far — cycle non-negative and not
 // before its predecessor's, event type matching its kind, its packet's
 // history — and returns the packet's cursor: nil for a meta record, a
-// freshly opened one for EvInject. The caller advances a.last.
+// freshly opened one for EvInject, one marked retired for EvRetire. The
+// caller advances a.last.
 func (in *intake) admit(r *Record) (*pktAsm, error) {
 	i := in.seen
 	if r.Cycle < 0 {
@@ -278,30 +296,49 @@ func (in *intake) admit(r *Record) (*pktAsm, error) {
 	if a == nil {
 		return nil, fmt.Errorf("ptrace: record %d: %s for packet %d before its injection", i, r.Type, r.ID)
 	}
+	if a.retired {
+		return nil, fmt.Errorf("ptrace: record %d: %s for packet %d after its retirement", i, r.Type, r.ID)
+	}
 	if r.Cycle < a.last {
 		return nil, fmt.Errorf("ptrace: record %d: packet %d time runs backwards (%d after %d)",
 			i, r.ID, r.Cycle, a.last)
 	}
+	if r.Type == core.EvRetire {
+		a.retired = true
+	}
 	return a, nil
 }
 
-// open opens the cursor of the packet an EvInject record announces.
+// open opens the cursor of the packet an EvInject record announces. The
+// span buffer comes later, from take.
 func (in *intake) open(r *Record) *pktAsm {
 	a := in.cursors.open(r.ID)
-	a.buf = in.cursors.newBuf()
-	a.buf.span = PacketSpan{
-		ID: r.ID, Src: int(r.Src), Dst: int(r.Dst),
-		Measured: r.Measured,
-		Injected: r.Cycle, Delivered: -1,
-	}
+	a.src, a.dst, a.measured = r.Src, r.Dst, r.Measured
 	a.mark, a.last, a.setasideAt = r.Cycle, r.Cycle, -1
 	return a
 }
 
+// take gives a its span buffer and writes the span its header describes:
+// identity, creation cycle and, for a packet already in its output queue,
+// the pipeline phase up to its enqueue cycle.
+func (in *intake) take(a *pktAsm) {
+	b := in.cursors.newBuf()
+	b.span = PacketSpan{
+		ID: a.id, Src: int(a.src), Dst: int(a.dst),
+		Measured: a.measured,
+		Injected: a.mark, Delivered: -1,
+	}
+	a.buf = b
+	if a.state == stEnqueued {
+		a.phase(PhasePipeline, a.last)
+	}
+}
+
 // Assemble folds an event stream into per-packet spans. The stream must
 // be chronologically ordered (as a Tap records it); a malformed or
-// truncated stream — an event before its packet's injection, an
-// impossible state transition, time running backwards — returns an
+// truncated stream — an event before its packet's injection or after its
+// EvRetire, an impossible state transition, time running backwards —
+// returns an
 // error and never panics, so the assembler is safe on untrusted input
 // (it is fuzzed on exactly that contract). Packets touched by fault
 // injection are marked Faulted and kept with exact counters but without
@@ -323,7 +360,10 @@ func Assemble(records []Record) (*TraceResult, error) {
 				tr.Tokens = append(tr.Tokens, *r)
 			}
 		case r.Type == core.EvInject:
+			in.take(a)
 			tr.Spans = append(tr.Spans, &a.buf.span)
+		case r.Type == core.EvRetire:
+			// Nothing of the packet may follow; admit has marked it.
 		default:
 			a.last = r.Cycle
 			if a.faulted {
@@ -354,16 +394,20 @@ func (a *pktAsm) badState(t core.EventType) error {
 }
 
 // apply advances the packet's state machine by one event (strict,
-// fault-free grammar). A flushed cursor has no span buffer: every case
-// checks the state before it reaches for a.buf, and no event is legal for
-// a flushed cursor but the ACK, which writes nothing.
+// fault-free grammar). A cursor without a span buffer — a Stream's before
+// the packet leaves its queue, and once flushed — meets only the cases
+// that check the state before they reach for a.buf: EvEnqueue, which then
+// leaves the pipeline phase for take to close, and on a flushed cursor,
+// where no event is legal but the ACK, which writes nothing.
 func (a *pktAsm) apply(r *Record) error {
 	switch r.Type {
 	case core.EvEnqueue:
 		if a.state != stInjected {
 			return a.badState(r.Type)
 		}
-		a.phase(PhasePipeline, r.Cycle)
+		if a.buf != nil {
+			a.phase(PhasePipeline, r.Cycle)
+		}
 		a.state = stEnqueued
 
 	case core.EvHeadReady:

@@ -7,16 +7,18 @@ import (
 	"sync"
 
 	"photon/internal/core"
-	"photon/internal/sim"
 )
 
 // Stream is the windowed counterpart of Tap + Assemble: a core.Tracer
 // that assembles spans while the simulation runs and hands each span to
 // a callback the moment the packet completes, instead of retaining the
 // whole event stream and the whole span set in memory. Resident state is
-// bounded by the number of packets simultaneously in flight (plus a
-// short tombstone window for post-delivery ACKs), so tracing a long run
-// costs O(live packets), not O(total packets).
+// exactly the engine's live packets: a cursor opens at EvInject and is
+// deleted at the packet's EvRetire (the engine's last release of it) once
+// its span has been handed over, so tracing a long run costs O(live
+// packets), not O(total packets). A cursor whose span has not been handed
+// over at its retirement — a rejected, lost or faulted packet, or one
+// whose setaside slot was never released — is held until Close.
 //
 // The assembly grammar is byte-for-byte the one Assemble applies — both
 // admit records through the same intake and drive the same per-packet
@@ -28,19 +30,22 @@ import (
 // setaside residency is open: at delivery on most schemes, and on the
 // setaside schemes at the EvSetasideExit that trails it (the sender frees
 // the slot when the ACK returns). The *PacketSpan given to OnSpan is valid
-// for the duration of the call — its buffer goes to the next injected
-// packet — so a consumer that keeps a span copies it, Phases included.
+// for the duration of the call — its buffer goes to the next packet to
+// leave its queue — so a consumer that keeps a span copies it, Phases
+// included.
 //
-// One case therefore differs from batch, because the stream cannot take a
+// Two cases therefore differ from batch. First, the stream cannot take a
 // span back. A recovery event (timeout, duplicate discard, packet fault)
 // that reaches a packet after its delivery — the lost-ACK path: accept,
 // deliver, then the sender's timer fires — makes Assemble, which sees the
 // whole stream before anyone sees a span, mark the packet Faulted and
 // drop its phases. If the stream still holds the span (its setaside slot
 // not yet released) it does exactly the same; if it has already handed
-// the span out as clean, it leaves the span as flushed, swallows the
-// packet's remaining events, and holds the cursor until Close (as it
-// holds every faulted cursor) without flushing it again.
+// the span out as clean, it leaves the span as flushed and swallows the
+// packet's remaining events without flushing it again. Second, the stream
+// forgets a flushed packet at its retirement, so an EvInject that reuses
+// its id opens a new packet where Assemble rejects the id as injected
+// twice. The engine never reuses an id.
 //
 // Attached as a tracer, the stream is a pipeline of two goroutines.
 // Observe only copies the record into a batch; a full batch goes to an
@@ -64,10 +69,6 @@ type Stream struct {
 	cfg StreamConfig
 
 	intake
-
-	// tombs queues flushed cursors for retirement. Entries are pushed
-	// under the current cycle, so at never decreases from head to tail.
-	tombs *sim.Queue[tombstone]
 
 	flushed int64 // spans handed to OnSpan
 	maxLive int   // peak resident cursor count
@@ -116,36 +117,14 @@ type feed struct {
 type StreamConfig struct {
 	OnSpan func(*PacketSpan) error
 	OnMeta func(Record) error
-
-	// RetireAfter is how many cycles after its last event a delivered
-	// packet's cursor lingers as a tombstone, so post-delivery ACKs still
-	// find it. Zero means the default (1024) — an order of magnitude
-	// beyond a loop trip on the default 64-node ring, yet small enough
-	// that tombstones retire long before a run ends.
-	RetireAfter int64
-}
-
-const defaultRetireAfter = 1024
-
-// tombstone queues a flushed cursor for retirement, by id because the
-// table moves cursors when it grows; at is the cursor's last-event cycle
-// when it was queued. An entry whose cursor has moved on since (last > at)
-// is stale: a later entry carries the cursor.
-type tombstone struct {
-	id uint64
-	at int64
 }
 
 // NewStream returns a streaming assembler ready to attach with
 // core.Network.SetTracer or to feed via Push.
 func NewStream(cfg StreamConfig) *Stream {
-	if cfg.RetireAfter <= 0 {
-		cfg.RetireAfter = defaultRetireAfter
-	}
 	return &Stream{
-		cfg:   cfg,
-		tombs: sim.NewQueue[tombstone](0),
-		feed:  feed{done: make(chan struct{}, 1)},
+		cfg:  cfg,
+		feed: feed{done: make(chan struct{}, 1)},
 	}
 }
 
@@ -156,7 +135,8 @@ func (s *Stream) Flushed() int64 {
 }
 
 // MaxLive returns the peak number of resident packet cursors — the
-// memory high-water mark the windowed mode exists to bound.
+// memory high-water mark: the engine's live packets plus those retired
+// before their span could go to the consumer.
 func (s *Stream) MaxLive() int {
 	s.drain()
 	return s.maxLive
@@ -298,19 +278,6 @@ func (s *Stream) ready() bool {
 }
 
 func (s *Stream) push(r *Record) error {
-	// Retire every tombstone whose last event is RetireAfter cycles old.
-	// The queue is in last-event order, so only its head can be due.
-	for {
-		t, ok := s.tombs.Peek()
-		if !ok || r.Cycle-t.at < s.cfg.RetireAfter {
-			break
-		}
-		s.tombs.PopFront()
-		if a := s.cursors.get(t.id); a != nil && a.state == stDone && a.last == t.at {
-			s.cursors.delete(t.id)
-		}
-	}
-
 	a, err := s.admit(r)
 	switch {
 	case err != nil:
@@ -325,8 +292,17 @@ func (s *Stream) push(r *Record) error {
 			s.maxLive = n
 		}
 		return nil
+	case r.Type == core.EvRetire:
+		// The packet is gone from the engine. A span already with the
+		// consumer needs nothing more; any other waits for Close.
+		if a.flushed {
+			s.cursors.delete(a.id)
+		}
+		return nil
 	}
-	touched := r.Cycle > a.last
+	if a.buf == nil && !a.flushed && r.Type != core.EvEnqueue {
+		s.take(a)
+	}
 	a.last = r.Cycle
 
 	switch {
@@ -338,27 +314,21 @@ func (s *Stream) push(r *Record) error {
 	case a.state == stAbsorbing:
 		return nil
 	case a.flushed:
-		// A tombstone: the span is with the consumer.
+		// The span is with the consumer.
 		switch r.Type {
 		case core.EvFault, core.EvTimeout, core.EvDupDrop:
 			a.state = stAbsorbing
 			return nil
-		}
-		if touched {
-			// Re-queue under the later cycle; the entry already queued
-			// goes stale and is skipped when it reaches the head.
-			s.tombs.PushBack(tombstone{a.id, r.Cycle})
 		}
 	}
 	if err := a.apply(r); err != nil {
 		return fmt.Errorf("ptrace: record %d: %w", s.seen-1, err)
 	}
 	// Delivered, not faulted, setaside slot released: the span is complete.
-	// The cursor stays behind as a tombstone so the packet's later ACK is
-	// still legal, and retires RetireAfter cycles after its last event.
+	// The header stays behind so the packet's later ACK is still legal,
+	// until the packet retires.
 	if a.state == stDone && !a.flushed && a.setasideAt < 0 && !a.faulted {
 		a.flushed = true
-		s.tombs.PushBack(tombstone{a.id, r.Cycle})
 		return s.flush(a)
 	}
 	return nil
@@ -394,19 +364,24 @@ func (s *Stream) Close() error {
 		}
 	})
 	sort.Slice(rest, func(i, j int) bool {
-		si, sj := &rest[i].buf.span, &rest[j].buf.span
-		if si.Injected != sj.Injected {
-			return si.Injected < sj.Injected
+		ai, aj := rest[i].injected(), rest[j].injected()
+		if ai != aj {
+			return ai < aj
 		}
-		return si.ID < sj.ID
+		return rest[i].id < rest[j].id
 	})
+	// A cursor still in its queue builds its span now, in the buffer the
+	// previous flush gave back.
 	for _, a := range rest {
+		if a.buf == nil {
+			s.take(a)
+		}
 		if err := s.flush(a); err != nil {
 			s.err = err
 			return err
 		}
 	}
-	s.cursors, s.tombs = cursorTable{}, nil
+	s.cursors = cursorTable{}
 	return nil
 }
 

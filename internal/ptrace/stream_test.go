@@ -108,10 +108,7 @@ func TestStreamMatchesBatch(t *testing.T) {
 			}
 			// The attribution a consumer can fold inside OnSpan.
 			var inc Attribution
-			// Aggressive retirement exercises the tombstone queue; 256
-			// cycles still dwarfs a loop trip, so trailing ACKs are safe.
 			spans, meta, st := streamAll(t, records, StreamConfig{
-				RetireAfter: 256,
 				OnSpan: func(sp *PacketSpan) error {
 					inc.AddSpan(sp, true)
 					return sp.Validate()
@@ -444,7 +441,7 @@ func TestStreamChaosFlushesOnce(t *testing.T) {
 			if scheme == core.GHSSetaside && (late != 0 || held == 0) {
 				t.Fatalf("setaside: %d spans flushed before their slot's recovery, %d held and marked; want 0 and some", late, held)
 			}
-			if want := oracleMaxLive(tap.Records, defaultRetireAfter); st.MaxLive() != want {
+			if want := oracleMaxLive(tap.Records); st.MaxLive() != want {
 				t.Fatalf("MaxLive %d, oracle %d", st.MaxLive(), want)
 			}
 			t.Logf("%d packets, %d flushed before a recovery event, %d held through one", len(flushes), late, held)
@@ -452,89 +449,84 @@ func TestStreamChaosFlushesOnce(t *testing.T) {
 	}
 }
 
-// liveOracle counts, the slow way, the packets a stream has to keep:
-// every injected packet except those delivered, untouched by recovery, and
-// silent for retireAfter cycles. It rescans the whole live set at every
-// new cycle, sharing nothing with the stream's queue or its table.
+// liveOracle counts the packets a stream has to keep, from the record
+// grammar alone: every injected packet except those whose span went to the
+// consumer before they retired. A span goes when its packet has delivered
+// with no setaside residency open and no recovery event before; a packet
+// that retires without that is held to the end. It shares nothing with the
+// stream's table.
 type liveOracle struct {
-	retireAfter int64
-	byID        map[uint64]*oraclePkt
-	live        []*oraclePkt
-	peak        int
-	now         int64
+	byID map[uint64]*oraclePkt
+	live int
+	peak int
 }
 
 type oraclePkt struct {
-	id                   uint64
-	last                 int64
-	delivered, recovered bool
+	delivered, setaside, recovered, flushed bool
 }
 
-func newLiveOracle(retireAfter int64) *liveOracle {
-	return &liveOracle{retireAfter: retireAfter, byID: make(map[uint64]*oraclePkt), now: -1}
+func newLiveOracle() *liveOracle {
+	return &liveOracle{byID: make(map[uint64]*oraclePkt)}
 }
 
 func (o *liveOracle) observe(r Record) {
 	if r.Meta {
 		return
 	}
-	if r.Cycle != o.now {
-		o.now = r.Cycle
-		kept := o.live[:0]
-		for _, p := range o.live {
-			if p.delivered && !p.recovered && o.now-p.last >= o.retireAfter {
-				delete(o.byID, p.id)
-				continue
-			}
-			kept = append(kept, p)
-		}
-		o.live = kept
-	}
 	p := o.byID[r.ID]
 	switch r.Type {
 	case core.EvInject:
-		p = &oraclePkt{id: r.ID}
+		p = &oraclePkt{}
 		o.byID[r.ID] = p
-		o.live = append(o.live, p)
-		o.peak = max(o.peak, len(o.live))
+		o.live++
+		o.peak = max(o.peak, o.live)
 	case core.EvDeliver:
 		p.delivered = true
+	case core.EvSetasideEnter:
+		p.setaside = true
+	case core.EvSetasideExit:
+		p.setaside = false
 	case core.EvFault, core.EvTimeout, core.EvDupDrop:
-		p.recovered = true
+		p.recovered = p.recovered || !p.flushed
+	case core.EvRetire:
+		delete(o.byID, r.ID)
+		if p.flushed {
+			o.live--
+		}
+		return
 	}
-	p.last = r.Cycle
+	p.flushed = p.flushed || (p.delivered && !p.setaside && !p.recovered)
 }
 
 // oracleMaxLive replays a recorded stream through a liveOracle and returns
 // the peak.
-func oracleMaxLive(records []Record, retireAfter int64) int {
-	o := newLiveOracle(retireAfter)
+func oracleMaxLive(records []Record) int {
+	o := newLiveOracle()
 	for _, r := range records {
 		o.observe(r)
 	}
 	return o.peak
 }
 
-// TestStreamMaxLiveExact pins that retirement is exact, not sampled: the
-// stream's residency high-water mark equals the oracle's, below and past
-// saturation, at every retirement window.
+// TestStreamMaxLiveExact pins that retirement is exact: the stream's
+// residency high-water mark equals the oracle's, below and past
+// saturation — where most of the live packets wait in their queues.
 func TestStreamMaxLiveExact(t *testing.T) {
 	window := sim.Window{Warmup: 100, Measure: 500, Drain: 400}
 	for _, s := range core.Schemes() {
 		for _, load := range []float64{0.04, 0.25} {
 			_, records := tapRunWindow(t, s, load, window)
-			for _, retireAfter := range []int64{64, 256, 1024} {
-				_, _, st := streamAll(t, records, StreamConfig{RetireAfter: retireAfter})
-				if want := oracleMaxLive(records, retireAfter); st.MaxLive() != want {
-					t.Errorf("%s load %.2f RetireAfter %d: MaxLive %d, oracle %d", s, load, retireAfter, st.MaxLive(), want)
-				}
+			_, _, st := streamAll(t, records, StreamConfig{})
+			if want := oracleMaxLive(records); st.MaxLive() != want {
+				t.Errorf("%s load %.2f: MaxLive %d, oracle %d", s, load, st.MaxLive(), want)
 			}
 		}
 	}
 }
 
 // chain pushes the records of packet id's life after injection — the
-// common 5-phase chain plus its trailing ACK — starting at cycle.
+// common 5-phase chain plus its trailing ACK and retirement — starting at
+// cycle.
 func chain(tb testing.TB, st *Stream, id uint64, cycle int64) {
 	for _, r := range [...]Record{
 		pkt(cycle+2, core.EvEnqueue, id),
@@ -543,6 +535,7 @@ func chain(tb testing.TB, st *Stream, id uint64, cycle int64) {
 		pkt(cycle+9, core.EvAccept, id),
 		deliver(cycle+10, id, cycle+11),
 		pkt(cycle+14, core.EvAck, id),
+		pkt(cycle+14, core.EvRetire, id),
 	} {
 		if err := st.Push(r); err != nil {
 			tb.Fatal(err)
@@ -555,8 +548,8 @@ func chain(tb testing.TB, st *Stream, id uint64, cycle int64) {
 // the table's ring and its span buffer comes off the free list — and
 // neither does any record after its injection.
 func TestStreamPushAllocs(t *testing.T) {
-	if size := unsafe.Sizeof(pktAsm{}); size != 48 {
-		t.Errorf("a cursor header is %d bytes; DESIGN.md and the tombstone cost it quotes say 48", size)
+	if size := unsafe.Sizeof(pktAsm{}); size != 56 {
+		t.Errorf("a cursor header is %d bytes; DESIGN.md and the queued-packet cost it quotes say 56", size)
 	}
 	st := NewStream(StreamConfig{OnSpan: func(sp *PacketSpan) error { return sp.Validate() }})
 	var id uint64
@@ -569,9 +562,8 @@ func TestStreamPushAllocs(t *testing.T) {
 		}
 		chain(t, st, id, cycle)
 	}
-	// Warm up past the retirement window so the cursor table and the
-	// tombstone queue have reached their steady size.
-	for cycle < 4*defaultRetireAfter {
+	// Warm up so the cursor table and the free list reach their steady size.
+	for id < steadyWarm {
 		packet()
 	}
 	if avg := testing.AllocsPerRun(500, packet); avg != 0 {
@@ -600,11 +592,17 @@ func TestStreamPushAllocs(t *testing.T) {
 	}
 }
 
-// steadyStep returns step k of a steady inject→deliver→ACK record mix: a
-// packet is born every 2 cycles and lives 16, so a step holds one record
-// of each kind, for seven different packets. The first packets' early
-// records predate the run: the caller skips records with an ID below base.
-func steadyStep(base uint64, k int64) [7]Record {
+// steadyWarm is how many steps of steadyStep, or packets of chain, bring
+// a stream's cursor table and free list to their steady size.
+const steadyWarm = 1024
+
+// steadyStep returns step k of a steady inject→deliver→ACK→retire record
+// mix: a packet is born every 2 cycles and lives 16, so a step holds one
+// record of each kind, for seven different packets (the ACKed one retires
+// in the same cycle). The first packets'
+// early records predate the run: the caller skips records with an ID below
+// base.
+func steadyStep(base uint64, k int64) [8]Record {
 	id, c := base+uint64(k), 2*k
 	return [...]Record{
 		pkt(c, core.EvInject, id),
@@ -614,6 +612,7 @@ func steadyStep(base uint64, k int64) [7]Record {
 		pkt(c, core.EvAccept, id-5),
 		deliver(c, id-6, c+1),
 		pkt(c, core.EvAck, id-8),
+		pkt(c, core.EvRetire, id-8),
 	}
 }
 
@@ -623,9 +622,9 @@ func steadyStep(base uint64, k int64) [7]Record {
 // gap — its slot count stays within a constant of the resident cursor
 // count — and MaxLive must still count the stragglers it moved aside.
 func TestStreamResidentBoundedByLive(t *testing.T) {
-	const stragglers, packets, retireAfter = 1_000, 1_000_000, 64
-	st := NewStream(StreamConfig{RetireAfter: retireAfter})
-	oracle := newLiveOracle(retireAfter)
+	const stragglers, packets = 1_000, 1_000_000
+	st := NewStream(StreamConfig{})
+	oracle := newLiveOracle()
 	push := func(r Record) {
 		oracle.observe(r)
 		if err := st.Push(r); err != nil {
@@ -684,8 +683,7 @@ func BenchmarkStreamPush(b *testing.B) {
 					}
 				}
 			}
-			// Fill the retirement window before timing.
-			warm := int64(defaultRetireAfter)
+			const warm = steadyWarm
 			for k := int64(0); k < warm; k++ {
 				step(k)
 			}

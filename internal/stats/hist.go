@@ -6,12 +6,10 @@ package stats
 
 // Histogram counts occurrences of non-negative integer values (packet
 // latencies in cycles, queue depths, ...). Values are binned exactly up to
-// a cap; anything above the cap lands in a single overflow bin that still
-// contributes to Count/Sum/Max so means stay exact even when the tail is
-// clipped.
+// a cap; anything above the cap gets no bin but still contributes to
+// Count/Sum/Max, so means stay exact even when the tail is clipped.
 type Histogram struct {
 	bins     []int64
-	overflow int64
 	count    int64
 	sum      int64
 	max      int64
@@ -41,7 +39,6 @@ func (h *Histogram) Add(v int64) {
 		h.max = v
 	}
 	if v > h.capValue {
-		h.overflow++
 		return
 	}
 	if int64(len(h.bins)) <= v {
@@ -67,8 +64,8 @@ func (h *Histogram) Mean() float64 {
 }
 
 // Quantile returns the smallest value v such that at least q of the
-// observations are <= v. Observations pooled in the overflow bin are
-// treated as capValue+1, so quantiles that fall into the clipped tail are
+// observations are <= v. Observations above the cap are treated as
+// capValue+1, so quantiles that fall into the clipped tail are
 // reported as capValue+1 (a lower bound). q outside (0,1] is clamped.
 func (h *Histogram) Quantile(q float64) int64 {
 	if h.count == 0 {

@@ -2,6 +2,7 @@ package traffic
 
 import (
 	"fmt"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -155,12 +156,22 @@ func take(params map[string]float64, key string, def float64, missing *error) fl
 	return def
 }
 
-// leftover flags unknown parameters after all known ones were taken.
+// leftover flags the unknown parameters left after all known ones were
+// taken, every one of them and in sorted order, so a spec fails with the
+// same error on every run.
 func leftover(name string, params map[string]float64) error {
-	for k := range params {
-		return fmt.Errorf("unknown parameter %q for %s", k, name)
+	if len(params) == 0 {
+		return nil
 	}
-	return nil
+	keys := make([]string, 0, len(params))
+	for k := range params {
+		keys = append(keys, strconv.Quote(k))
+	}
+	sort.Strings(keys)
+	if len(keys) == 1 {
+		return fmt.Errorf("unknown parameter %s for %s", keys[0], name)
+	}
+	return fmt.Errorf("unknown parameters %s for %s", strings.Join(keys, ", "), name)
 }
 
 var required = func() float64 { var nan float64; nan /= nan; return nan }() // NaN sentinel

@@ -101,6 +101,20 @@ func TestWorkloadSpecErrors(t *testing.T) {
 	}
 }
 
+// TestUnknownParametersNamedInOrder pins the unknown-parameter error to
+// the spec, not to map iteration order: every unknown key is named, sorted,
+// and parsing the same spec again gives the same error.
+func TestUnknownParametersNamedInOrder(t *testing.T) {
+	const spec = "bernoulli(rate=0.1,foo=1,bar=2,baz=3)"
+	const want = `unknown parameters "bar", "baz", "foo" for bernoulli`
+	for i := 0; i < 2; i++ {
+		_, err := traffic.ParseWorkload(spec)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("parse %d of %q: %v, want an error containing %q", i+1, spec, err, want)
+		}
+	}
+}
+
 // TestPresetWorkloadsParse pins that every named preset is valid and
 // already written in canonical form — the preset table doubles as
 // documentation of the grammar, so it must not drift from it.

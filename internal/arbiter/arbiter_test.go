@@ -21,8 +21,10 @@ func (t *GlobalToken) Advance(capture func(off int) bool, onHome func()) {
 	t.AdvanceSweep(perOffset(capture), onHome)
 }
 
+// Advance drives the paper's loop, the one every SlotEmitter test builds:
+// 64 nodes, R = 8, so 8 nodes per cycle.
 func (s *SlotEmitter) Advance(now int64, emitGate func() bool, capture func(off int) bool, onExpire func()) {
-	s.AdvanceSweep(now, emitGate, perOffset(capture), onExpire)
+	s.AdvanceSweep(now, 64, 8, emitGate, perOffset(capture), onExpire)
 }
 
 // AdvanceSweep is the composed form of one cycle of token motion, the
@@ -32,21 +34,21 @@ func (s *SlotEmitter) Advance(now int64, emitGate func() bool, capture func(off 
 // the token; a nil sweep skips the scan), then emit iff emitGate allows.
 // The engine makes exactly the same stateful calls in the same order, but
 // drives the capture scan from its requester set instead of iterating
-// every live token.
-func (s *SlotEmitter) AdvanceSweep(now int64, emitGate func() bool, sweep SweepFunc, onExpire func()) {
+// every live token. The loop has nodes nodes, perCycle per segment.
+func (s *SlotEmitter) AdvanceSweep(now int64, nodes, perCycle int, emitGate func() bool, sweep SweepFunc, onExpire func()) {
 	s.BeginCycle(now, onExpire)
 	if sweep != nil {
-		for age := 1; age <= s.roundTrip; age++ {
+		for age := 1; age < len(s.live); age++ {
 			if now-int64(age) < 0 {
 				break
 			}
 			if !s.LiveAt(now, age) {
 				continue
 			}
-			start := (age-1)*s.perCycle + 1
-			end := start + s.perCycle
-			if end > s.nodes {
-				end = s.nodes
+			start := (age-1)*perCycle + 1
+			end := start + perCycle
+			if end > nodes {
+				end = nodes
 			}
 			if start >= end {
 				continue
@@ -166,7 +168,7 @@ func TestGlobalTokenCaptureStopsSweep(t *testing.T) {
 }
 
 func TestSlotEmitterTimeline(t *testing.T) {
-	s := NewSlotEmitter(64, 8, 8)
+	s := NewSlotEmitter(8)
 	// The token emitted at cycle 0 must poll offset 12 (segment 2) at
 	// cycle 2.
 	polledAt := map[int64][]int{}
@@ -186,7 +188,7 @@ func TestSlotEmitterTimeline(t *testing.T) {
 }
 
 func TestSlotEmitterExpiry(t *testing.T) {
-	s := NewSlotEmitter(64, 8, 8)
+	s := NewSlotEmitter(8)
 	expired := 0
 	for now := int64(0); now < 20; now++ {
 		gate := func() bool { return now == 0 }
@@ -205,7 +207,7 @@ func TestSlotEmitterExpiry(t *testing.T) {
 }
 
 func TestSlotEmitterCaptureConsumes(t *testing.T) {
-	s := NewSlotEmitter(64, 8, 8)
+	s := NewSlotEmitter(8)
 	captures := 0
 	for now := int64(0); now < 20; now++ {
 		gate := func() bool { return now == 0 }
@@ -230,7 +232,7 @@ func TestSlotEmitterCaptureConsumes(t *testing.T) {
 }
 
 func TestSlotEmitterContinuousEmission(t *testing.T) {
-	s := NewSlotEmitter(64, 8, 8)
+	s := NewSlotEmitter(8)
 	for now := int64(0); now < 100; now++ {
 		s.Advance(now, nil, func(int) bool { return false }, nil)
 		if s.Live() > 9 {
@@ -249,7 +251,7 @@ func TestSlotEmitterContinuousEmission(t *testing.T) {
 }
 
 func TestSlotEmitterGateBlocksEmission(t *testing.T) {
-	s := NewSlotEmitter(64, 8, 8)
+	s := NewSlotEmitter(8)
 	for now := int64(0); now < 50; now++ {
 		s.Advance(now, func() bool { return false }, func(int) bool { return false }, nil)
 	}
@@ -262,7 +264,7 @@ func TestSlotEmitterGateBlocksEmission(t *testing.T) {
 // TestSlotEmitterDoubleBeginCyclePanics: opening one cycle twice is a caller
 // bug, and the panic names the method the caller actually called.
 func TestSlotEmitterDoubleBeginCyclePanics(t *testing.T) {
-	s := NewSlotEmitter(64, 8, 8)
+	s := NewSlotEmitter(8)
 	for now := int64(0); now < 3; now++ {
 		s.Advance(now, func() bool { return true }, func(int) bool { return false }, nil)
 	}

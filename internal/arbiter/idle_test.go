@@ -117,8 +117,8 @@ func TestGlobalTokenIdleMatchesAdvance(t *testing.T) {
 func TestSlotEmitterIdleMatchesPerCycle(t *testing.T) {
 	rng := sim.NewRNG(46)
 	for trial := 0; trial < 400; trial++ {
-		nodes, roundTrip, per := loopGeometry(rng)
-		s := NewSlotEmitter(nodes, roundTrip, per)
+		_, roundTrip, _ := loopGeometry(rng)
+		s := NewSlotEmitter(roundTrip)
 		// Token Slot's credit gate, or DHS's open one.
 		credits := trial%2 == 0
 		sc := flow.NewSlotCredits(1 + rng.Intn(2*roundTrip+2))

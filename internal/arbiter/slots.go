@@ -24,10 +24,6 @@ import "fmt"
 // its requester set (core's slotScan), so a cycle with no requesters costs
 // O(1).
 type SlotEmitter struct {
-	nodes     int
-	roundTrip int
-	perCycle  int
-
 	// live[emitCycle % len(live)] is true when the token emitted that
 	// cycle is still travelling.
 	live []bool
@@ -45,14 +41,9 @@ type SlotEmitter struct {
 }
 
 // NewSlotEmitter builds the token-slot machinery for one channel of a loop
-// with the given geometry numbers.
-func NewSlotEmitter(nodes, roundTrip, perCycle int) *SlotEmitter {
-	return &SlotEmitter{
-		nodes:     nodes,
-		roundTrip: roundTrip,
-		perCycle:  perCycle,
-		live:      make([]bool, roundTrip+1),
-	}
+// whose tokens take roundTrip cycles to come home.
+func NewSlotEmitter(roundTrip int) *SlotEmitter {
+	return &SlotEmitter{live: make([]bool, roundTrip+1)}
 }
 
 // Stats reports cumulative (emitted, captured, expired) token counts.

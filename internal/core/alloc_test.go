@@ -15,7 +15,9 @@ import (
 // per-cycle container (grant queue, delay-line buckets, eject scratch,
 // setaside slots) is preallocated or bucket-reused, and a packet released by
 // its last holder is the next injection's packet, so a warmed network lives
-// off its own free list (invariants off, as production sweeps drive it).
+// off its own free list. The guard turns invariants off; production sweeps
+// run with them on (DefaultConfig sets CheckInvariants), so it prices the
+// engine without the per-cycle ledger check.
 //
 // The window is all warmup so no packet is marked measured: the latency
 // histograms never record during the guard, removing their amortised bin

@@ -965,10 +965,6 @@ func (n *Network) Drain(limit int64) (int, error) {
 // Result finalises and returns the run's measurements.
 func (n *Network) Result() Result {
 	n.catchUpAll()
-	n.stats.TokensYielded = 0
-	for i := range n.chans {
-		n.stats.TokensYielded += n.chans[i].fair.Yields()
-	}
 	return n.stats.Finish(n.cfg.Scheme)
 }
 

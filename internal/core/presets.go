@@ -5,8 +5,6 @@ package core
 type Preset struct {
 	// Name is the CLI label.
 	Name string
-	// Description explains the design point.
-	Description string
 	// Config is the full configuration (Scheme set to the preset's
 	// subject; override freely).
 	Config Config
@@ -30,26 +28,17 @@ func Presets() []Preset {
 	smallCmp.CoresPerNode = 2
 
 	return []Preset{
-		{
-			Name:        "paper",
-			Description: "the paper's evaluation platform: 64 nodes x 4 cores, R=8, 8 credits, 4 setaside slots",
-			Config:      paper,
-		},
-		{
-			Name:        "corona",
-			Description: "Corona-like token-arbitrated MWSR crossbar (the Token Channel baseline's home design)",
-			Config:      corona,
-		},
-		{
-			Name:        "bigring",
-			Description: "a 16-cycle round-trip loop (larger die / slower clock): the regime where credit flow control collapses",
-			Config:      bigRing,
-		},
-		{
-			Name:        "smallcmp",
-			Description: "a 32-core part: 16 nodes x 2 cores, R=4",
-			Config:      smallCmp,
-		},
+		// The paper's evaluation platform: 64 nodes x 4 cores, R=8, 8
+		// credits, 4 setaside slots.
+		{Name: "paper", Config: paper},
+		// Corona-like token-arbitrated MWSR crossbar (the Token Channel
+		// baseline's home design).
+		{Name: "corona", Config: corona},
+		// A 16-cycle round-trip loop (larger die / slower clock): the
+		// regime where credit flow control collapses.
+		{Name: "bigring", Config: bigRing},
+		// A 32-core part: 16 nodes x 2 cores, R=4.
+		{Name: "smallcmp", Config: smallCmp},
 	}
 }
 

@@ -19,9 +19,6 @@ func TestPresetsAllValidAndRunnable(t *testing.T) {
 				t.Fatal(err)
 			}
 			net.RunCycles(100) // must tick without panicking
-			if p.Description == "" {
-				t.Error("preset lacks a description")
-			}
 		})
 	}
 }

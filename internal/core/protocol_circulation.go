@@ -11,7 +11,7 @@ import (
 // home "virtually consumes" its own next token to make room. Senders fire
 // and forget, and no handshake waveguide exists.
 func wireCirculation(n *Network, c *channel) {
-	c.slot = arbiter.NewSlotEmitter(n.cfg.Nodes, n.cfg.RoundTrip, n.geom.NodesPerCycle())
+	c.slot = arbiter.NewSlotEmitter(n.cfg.RoundTrip)
 	// Reinjection suppresses this cycle's token emission.
 	gate := func() bool {
 		if n.suppressed.has(c.home) {
@@ -30,7 +30,6 @@ func wireCirculation(n *Network, c *channel) {
 			pkt.AcceptedAt = now
 			n.emit(EvAccept, pkt)
 		} else {
-			pkt.Circulations++
 			n.stats.Circulations++
 			due, err := c.data.Reinject(now, pkt)
 			if err != nil {

@@ -69,7 +69,7 @@ func wireCreditGlobal(n *Network, c *channel) {
 // while it has credits; a captured token is both grant and buffer
 // reservation.
 func wireCreditSlot(n *Network, c *channel) {
-	c.slot = arbiter.NewSlotEmitter(n.cfg.Nodes, n.cfg.RoundTrip, n.geom.NodesPerCycle())
+	c.slot = arbiter.NewSlotEmitter(n.cfg.RoundTrip)
 	sc := flow.NewSlotCredits(n.cfg.BufferDepth)
 	if n.faults != nil {
 		// Recovery state: a credit that left home aboard a token that died

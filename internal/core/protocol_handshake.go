@@ -144,7 +144,7 @@ func wireHandshakeGlobal(n *Network, c *channel) {
 // injection); one packet per captured token; the receiver answers every
 // flit.
 func wireHandshakeSlot(n *Network, c *channel) {
-	c.slot = arbiter.NewSlotEmitter(n.cfg.Nodes, n.cfg.RoundTrip, n.geom.NodesPerCycle())
+	c.slot = arbiter.NewSlotEmitter(n.cfg.RoundTrip)
 	var gate func() bool // always open on a fault-free run
 	if n.faults != nil {
 		gate = func() bool {

@@ -30,7 +30,6 @@ type Stats struct {
 	Drops         int64 // receiver-side drops (NACKed launches)
 	Retransmits   int64
 	Circulations  int64
-	TokensYielded int64 // fairness quota yields (aggregated at Finish)
 	QueueRejected int64 // bounded output queue refusals
 
 	// Fault-injection and recovery counters (all zero on fault-free runs).

@@ -178,7 +178,6 @@ func maxf(a, b float64) float64 {
 }
 
 type pendingReply struct {
-	bankNode int
 	bankCore int // core slot at the bank node used to inject the reply
 	dstNode  int
 	tag      uint64
@@ -252,7 +251,6 @@ func (m *CMP) onDeliver(p *router.Packet) {
 		// bank's node back to the requesting core's node.
 		reqCore := tagCore(p.Tag)
 		reply := pendingReply{
-			bankNode: p.Dst,
 			bankCore: p.Dst*m.coresPerNode + int(p.ID)%m.coresPerNode,
 			dstNode:  reqCore / m.coresPerNode,
 			tag:      txnTag(reqCore, true, tagSeq(p.Tag)),

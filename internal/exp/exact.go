@@ -52,7 +52,6 @@ func RunStreamedPoint(p Point, opts Options, tee ptrace.StreamConfig) (core.Resu
 // add up to Total by construction (the span algebra guarantees it per
 // packet).
 type ExactBreakdownRow struct {
-	Scheme core.Scheme
 	// Phases holds mean cycles per measured delivered packet, by phase.
 	Phases [ptrace.NumPhases]float64
 	// Setaside is mean setaside-slot residency (overlaps the flight and
@@ -76,7 +75,7 @@ func ExactBreakdownPoint(s core.Scheme, load float64, opts Options) (ExactBreakd
 	if err != nil {
 		return ExactBreakdownRow{}, err
 	}
-	row := ExactBreakdownRow{Scheme: s, Attr: attr, Result: res, Total: attr.AvgTotal()}
+	row := ExactBreakdownRow{Attr: attr, Result: res, Total: attr.AvgTotal()}
 	if attr.Spans > 0 {
 		for k := 0; k < ptrace.NumPhases; k++ {
 			row.Phases[k] = attr.AvgPhase(ptrace.PhaseKind(k))

@@ -39,13 +39,13 @@ func TestExactBreakdownInternalConsistency(t *testing.T) {
 			phaseSum += c
 		}
 		if phaseSum != r.Attr.Total {
-			t.Errorf("%v: phase cycles sum to %d, total latency is %d", r.Scheme, phaseSum, r.Attr.Total)
+			t.Errorf("%v: phase cycles sum to %d, total latency is %d", r.Result.Scheme, phaseSum, r.Attr.Total)
 		}
 		if r.Attr.Spans != r.Result.Delivered {
-			t.Errorf("%v: %d aggregated spans vs %d measured deliveries", r.Scheme, r.Attr.Spans, r.Result.Delivered)
+			t.Errorf("%v: %d aggregated spans vs %d measured deliveries", r.Result.Scheme, r.Attr.Spans, r.Result.Delivered)
 		}
 		if r.Total != r.Result.AvgLatency {
-			t.Errorf("%v: exact mean %v != measured AvgLatency %v", r.Scheme, r.Total, r.Result.AvgLatency)
+			t.Errorf("%v: exact mean %v != measured AvgLatency %v", r.Result.Scheme, r.Total, r.Result.AvgLatency)
 		}
 	}
 }
@@ -67,8 +67,8 @@ func TestExactBreakdownDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, ex := range exact {
-		if ex.Scheme != core.Schemes()[i] || ex.Result.Scheme != ex.Scheme {
-			t.Fatalf("row %d: scheme mismatch %v vs %v", i, ex.Scheme, ex.Result.Scheme)
+		if ex.Result.Scheme != core.Schemes()[i] {
+			t.Fatalf("row %d: scheme %v, want %v", i, ex.Result.Scheme, core.Schemes()[i])
 		}
 		// The average-based decomposition of the same run.
 		r := ex.Result
@@ -80,22 +80,22 @@ func TestExactBreakdownDifferential(t *testing.T) {
 		n, l := attr.Spans, attr.Local
 		m := n - l // spans that crossed the ring
 		if n == 0 || m == 0 {
-			t.Fatalf("%v: degenerate population n=%d m=%d", ex.Scheme, n, m)
+			t.Fatalf("%v: degenerate population n=%d m=%d", r.Scheme, n, m)
 		}
 
 		// Exact where the averages are exact: total latency…
 		if ex.Total != r.AvgLatency {
-			t.Errorf("%v: total %v != AvgLatency %v", ex.Scheme, ex.Total, r.AvgLatency)
+			t.Errorf("%v: total %v != AvgLatency %v", r.Scheme, ex.Total, r.AvgLatency)
 		}
 		// …the arbitration term (token wait over launched packets)…
 		arb := float64(attr.Phases[ptrace.PhaseTokenWait]) / float64(m)
 		if arb != avgArb {
-			t.Errorf("%v: token-wait %v != AvgArbWait %v", ex.Scheme, arb, avgArb)
+			t.Errorf("%v: token-wait %v != AvgArbWait %v", r.Scheme, arb, avgArb)
 		}
 		// …and the queueing term (enqueue to head-eligibility).
 		queue := float64(attr.Phases[ptrace.PhaseQueue]) / float64(m)
 		if math.Abs(queue-avgQueue) > 1e-9 {
-			t.Errorf("%v: queue %v != average-based queueing %v", ex.Scheme, queue, avgQueue)
+			t.Errorf("%v: queue %v != average-based queueing %v", r.Scheme, queue, avgQueue)
 		}
 
 		// Bounded where the averages are approximate: the flight+eject
@@ -106,7 +106,7 @@ func TestExactBreakdownDifferential(t *testing.T) {
 		bound := float64(sumQW) * float64(l) / (float64(n) * float64(m))
 		if diff := math.Abs(avgRest - exactRest); diff > bound+1e-9 {
 			t.Errorf("%v: average-based flight+eject %v vs exact %v: |diff| %v exceeds population bound %v",
-				ex.Scheme, avgRest, exactRest, diff, bound)
+				r.Scheme, avgRest, exactRest, diff, bound)
 		}
 	}
 }

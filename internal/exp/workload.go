@@ -40,7 +40,6 @@ type PhaseSLO struct {
 // WorkloadSLO is the per-phase SLO report of one (scheme, workload) run.
 type WorkloadSLO struct {
 	Scheme core.Scheme
-	Spec   string // canonical workload spec
 	Result core.Result
 	Phases []PhaseSLO
 }
@@ -89,7 +88,7 @@ func RunWorkloadSLO(p Point, opts Options) (WorkloadSLO, error) {
 	if err := st.Close(); err != nil {
 		return WorkloadSLO{}, fmt.Errorf("exp: streaming spans for %s: %w", p.Scheme, err)
 	}
-	slo := WorkloadSLO{Scheme: p.Scheme, Spec: w.String(), Result: res}
+	slo := WorkloadSLO{Scheme: p.Scheme, Result: res}
 	from := int64(0)
 	for i, to := range bounds {
 		h := hists[i]

@@ -108,7 +108,6 @@ type Config struct {
 
 // GridReport is the outcome of one farm run over a grid.
 type GridReport struct {
-	Grid string
 	// Points holds every point's final state, in grid index order.
 	Points []PointState
 	// Ran counts points executed by this run; Resumed counts points whose
@@ -159,7 +158,7 @@ func (r *GridReport) GridDigest() uint64 {
 // per-point failure, panics included, is contained and reported as a
 // quarantined point in the GridReport.
 func Run(g Grid, cfg Config) (*GridReport, error) {
-	rep := &GridReport{Grid: g.Name, Points: make([]PointState, len(g.Points))}
+	rep := &GridReport{Points: make([]PointState, len(g.Points))}
 	for i := range g.Points {
 		rep.Points[i] = PointState{Key: g.Key(i), Index: i, Status: StatusPending}
 	}

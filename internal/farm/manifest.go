@@ -218,7 +218,6 @@ func LoadManifest(path string) (*ManifestData, error) {
 
 // Manifest is an open, appendable journal bound to one farm run.
 type Manifest struct {
-	Header Header
 	// TornTail reports a discarded mid-append crash remnant from load.
 	TornTail bool
 
@@ -258,7 +257,7 @@ func OpenManifest(path string, h Header, resume bool) (*Manifest, error) {
 				f.Close()
 				return nil, err
 			}
-			return &Manifest{Header: md.Header, TornTail: md.TornTail, states: md.States, f: f}, nil
+			return &Manifest{TornTail: md.TornTail, states: md.States, f: f}, nil
 		} else if !errors.Is(err, os.ErrNotExist) {
 			return nil, err
 		}
@@ -267,7 +266,7 @@ func OpenManifest(path string, h Header, resume bool) (*Manifest, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &Manifest{Header: h, states: make(map[string]PointState), f: f}
+	m := &Manifest{states: make(map[string]PointState), f: f}
 	if err := m.append(manifestRec{Kind: "header", Header: &h}); err != nil {
 		f.Close()
 		return nil, err

@@ -169,8 +169,7 @@ func (c Config) SetClass(cl Class, cc ClassConfig) Config {
 // Not safe for concurrent use; like every simulator substrate it belongs
 // to a single network goroutine.
 type Injector struct {
-	cfg   Config
-	nodes int
+	cfg Config
 
 	// Per-element RNG streams and burst countdowns, one per channel for
 	// the in-flight classes and one per node for stalls.
@@ -196,7 +195,6 @@ func NewInjector(cfg Config, nodes int) *Injector {
 	}
 	in := &Injector{
 		cfg:        cfg,
-		nodes:      nodes,
 		tokenRNG:   make([]*sim.RNG, nodes),
 		pulseRNG:   make([]*sim.RNG, nodes),
 		dataRNG:    make([]*sim.RNG, nodes),

@@ -99,12 +99,11 @@ func (c *RelayedCredits) Invariant() error {
 // credit; tokens that complete the loop uncaptured return their credit;
 // captured tokens convert the credit into an in-flight packet reservation.
 type SlotCredits struct {
-	depth     int
-	free      int // credits held by home, available to mint tokens
-	onTokens  int // credits riding live tokens
-	inFlight  int // credits attached to in-flight packets
-	occupied  int // home buffer slots in use
-	starvedAt int64
+	depth    int
+	free     int // credits held by home, available to mint tokens
+	onTokens int // credits riding live tokens
+	inFlight int // credits attached to in-flight packets
+	occupied int // home buffer slots in use
 }
 
 // NewSlotCredits starts with all credits free at home.

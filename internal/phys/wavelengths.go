@@ -32,18 +32,11 @@ type WavelengthAssignment struct {
 	Waveguide  int
 	Wavelength int // 0..WavelengthsPerWaveguide-1 within the waveguide
 	Use        WavelengthUse
-	// Channel is the owning home node (data: the reader; token/handshake:
-	// the home that emits/answers on it).
-	Channel int
-	// Bit is the data bit position within the flit (data use only).
-	Bit int
 }
 
 // AllocationPlan is the complete DWDM layout for a scheme on a shape: the
 // physical design document Table I's waveguide counts summarise.
 type AllocationPlan struct {
-	Shape       NetworkShape
-	Scheme      string
 	Assignments []WavelengthAssignment
 	// Waveguides is the total number of waveguides used.
 	Waveguides int
@@ -59,7 +52,7 @@ func PlanWavelengths(shape NetworkShape, hw SchemeHardware) (*AllocationPlan, er
 	if err := shape.Validate(); err != nil {
 		return nil, err
 	}
-	plan := &AllocationPlan{Shape: shape, Scheme: hw.Name}
+	plan := &AllocationPlan{}
 
 	// Data: channel h occupies FlitBits consecutive wavelength slots.
 	wg := 0
@@ -67,7 +60,7 @@ func PlanWavelengths(shape NetworkShape, hw SchemeHardware) (*AllocationPlan, er
 	for h := 0; h < shape.Nodes; h++ {
 		for bit := 0; bit < shape.FlitBits; bit++ {
 			plan.Assignments = append(plan.Assignments, WavelengthAssignment{
-				Waveguide: wg, Wavelength: slot, Use: UseData, Channel: h, Bit: bit,
+				Waveguide: wg, Wavelength: slot, Use: UseData,
 			})
 			slot++
 			if slot == WavelengthsPerWaveguide {
@@ -95,8 +88,6 @@ func PlanWavelengths(shape NetworkShape, hw SchemeHardware) (*AllocationPlan, er
 				Waveguide:  wg + idx/WavelengthsPerWaveguide,
 				Wavelength: idx % WavelengthsPerWaveguide,
 				Use:        UseToken,
-				Channel:    h,
-				Bit:        k,
 			})
 		}
 	}
@@ -109,7 +100,7 @@ func PlanWavelengths(shape NetworkShape, hw SchemeHardware) (*AllocationPlan, er
 		}
 		for h := 0; h < shape.Nodes; h++ {
 			plan.Assignments = append(plan.Assignments, WavelengthAssignment{
-				Waveguide: wg, Wavelength: h, Use: UseHandshake, Channel: h,
+				Waveguide: wg, Wavelength: h, Use: UseHandshake,
 			})
 		}
 		wg++

@@ -87,7 +87,6 @@ type Activity struct {
 
 // Breakdown is one bar of Figure 12(a).
 type Breakdown struct {
-	Scheme  string
 	LaserW  float64
 	HeatW   float64
 	EOW     float64
@@ -166,7 +165,6 @@ func (m Model) Evaluate(hw phys.SchemeHardware, act Activity) (Breakdown, error)
 		act.PacketsPerCycle*m.ClockHz*m.Router.PerFlitJ()
 
 	return Breakdown{
-		Scheme:  hw.Name,
 		LaserW:  laserMW / 1000,
 		HeatW:   heatW,
 		EOW:     eoW,

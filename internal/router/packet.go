@@ -67,9 +67,6 @@ type Packet struct {
 
 	// Retransmissions counts NACK-triggered re-sends (handshake schemes).
 	Retransmissions int
-	// Circulations counts extra loop trips taken at the receiver
-	// (DHS with circulation).
-	Circulations int
 
 	// Measured marks packets injected inside the measurement window.
 	Measured bool

@@ -54,9 +54,8 @@ type nodeState struct {
 	// round trip per packet is exactly the inefficiency the handshake
 	// disciplines remove.
 	reqOutstanding bool
-	reqQueue       int   // queue whose head the request covers
-	reqIssuedAt    int64 // for reservation-wait statistics
-	granted        bool  // a grant arrived; launch this cycle
+	reqQueue       int  // queue whose head the request covers
+	granted        bool // a grant arrived; launch this cycle
 }
 
 // rxState is the receiver side of one node.
@@ -379,7 +378,6 @@ func (n *Network) phaseLaunch(now int64) {
 					nd.rr = (qi + 1) % k
 					nd.reqOutstanding = true
 					nd.reqQueue = qi
-					nd.reqIssuedAt = now
 					dst := pkt.Dst
 					reach := int64(n.geom.Segment(n.geom.Offset(nd.id, dst)))
 					n.rxs[dst].requests.Schedule(now, now+reach, requestMsg{sender: nd.id, queue: qi, issuedAt: now})

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"fmt"
-	"sort"
 
 	"photon/internal/stats"
 )
@@ -12,7 +11,6 @@ import (
 type Analysis struct {
 	App     string
 	Records int
-	Cycles  int64
 	// Rate is packets/cycle/core.
 	Rate float64
 	// VMR is the variance-to-mean ratio of per-cycle injection counts:
@@ -20,22 +18,16 @@ type Analysis struct {
 	VMR float64
 	// PeakPerCycle is the largest single-cycle injection count.
 	PeakPerCycle int64
-	// HotNodes lists destinations receiving at least twice the uniform
-	// share, hottest first.
-	HotNodes []HotNode
+	// HotNodes counts destinations receiving at least twice the uniform
+	// share.
+	HotNodes int
 	// SourceImbalance is max/mean per-source injection (1 = uniform).
 	SourceImbalance float64
 }
 
-// HotNode is one over-loaded destination.
-type HotNode struct {
-	Node  int
-	Share float64 // fraction of all packets
-}
-
 // Analyze computes a trace's workload summary.
 func Analyze(t *Trace) Analysis {
-	a := Analysis{App: t.App, Records: len(t.Records), Cycles: t.Cycles, Rate: t.Rate()}
+	a := Analysis{App: t.App, Records: len(t.Records), Rate: t.Rate()}
 	if t.Cycles == 0 || len(t.Records) == 0 {
 		return a
 	}
@@ -58,12 +50,11 @@ func Analyze(t *Trace) Analysis {
 		a.VMR = mv.Var() / mv.Mean()
 	}
 	uniform := float64(len(t.Records)) / float64(t.Nodes)
-	for nd, c := range perDst {
+	for _, c := range perDst {
 		if float64(c) >= 2*uniform {
-			a.HotNodes = append(a.HotNodes, HotNode{Node: nd, Share: float64(c) / float64(len(t.Records))})
+			a.HotNodes++
 		}
 	}
-	sort.Slice(a.HotNodes, func(i, j int) bool { return a.HotNodes[i].Share > a.HotNodes[j].Share })
 	var maxSrc int64
 	for _, c := range perSrc {
 		if c > maxSrc {
@@ -83,7 +74,7 @@ func AnalysisTable(analyses []Analysis) *stats.Table {
 		"app", "records", "rate(pkt/cyc/core)", "VMR", "peak/cycle", "hot nodes", "src imbalance")
 	for _, a := range analyses {
 		t.AddRow(a.App, a.Records, fmt.Sprintf("%.5f", a.Rate), fmt.Sprintf("%.1f", a.VMR),
-			a.PeakPerCycle, len(a.HotNodes), fmt.Sprintf("%.2f", a.SourceImbalance))
+			a.PeakPerCycle, a.HotNodes, fmt.Sprintf("%.2f", a.SourceImbalance))
 	}
 	return t
 }

@@ -24,15 +24,8 @@ import (
 // record exactly the same way: the tape captures the realized draw
 // sequence, so replay needs no workload state at all.
 type Tape struct {
-	// Pattern/Rate/Seed identify the generator the tape was recorded from.
-	Pattern string
-	Rate    float64
-	Seed    uint64
-
-	// Workload is the canonical workload spec the tape was recorded from
-	// (a single bernoulli(rate=...) phase for legacy tapes).
-	// Informational: replay never re-evaluates it.
-	Workload string
+	// Seed is the seed of the generator the tape was recorded from.
+	Seed uint64
 
 	// Nodes/CoresPerNode fix the geometry the entries are valid for.
 	Nodes        int
@@ -80,13 +73,10 @@ func record(in *Injector, seed uint64, cycles int64) (*Tape, error) {
 		return nil, fmt.Errorf("traffic: negative tape length %d", cycles)
 	}
 	t := &Tape{
-		Pattern:      in.pattern.Name(),
-		Rate:         in.Rate(),
 		Seed:         seed,
 		Nodes:        in.nodes,
 		CoresPerNode: in.coresPerNode,
 		Cycles:       cycles,
-		Workload:     in.workload.String(),
 	}
 	in.Prepare(cycles)
 	// Size the entries for the expected count plus four standard

@@ -164,9 +164,8 @@ const (
 // Model is the analytical twin of one (scheme, configuration) pair under
 // uniform-random Bernoulli traffic.
 type Model struct {
-	scheme core.Scheme
-	fam    family
-	cfg    core.Config
+	fam family
+	cfg core.Config
 
 	n, m, r, per int
 	credits      int // BufferDepth: credit count / accept threshold
@@ -195,7 +194,6 @@ func New(scheme core.Scheme, cfg core.Config) (*Model, error) {
 		return nil, err
 	}
 	m := &Model{
-		scheme:   scheme,
 		fam:      fam,
 		cfg:      cfg,
 		n:        cfg.Nodes,
@@ -262,7 +260,6 @@ func (m *Model) ZeroLoadLatency() float64 {
 
 // Prediction is the twin's closed-form estimate at one offered load.
 type Prediction struct {
-	Scheme core.Scheme
 	// Rate is the offered load in packets/cycle/core.
 	Rate float64
 	// Utilization is Rate over the twin's saturation-rate estimate.
@@ -297,7 +294,6 @@ func (m *Model) Predict(rate float64) Prediction {
 		rate = 0
 	}
 	p := Prediction{
-		Scheme:      m.scheme,
 		Rate:        rate,
 		ChannelLoad: rate * float64(m.m),
 		Utilization: rate / m.sat,

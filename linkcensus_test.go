@@ -35,15 +35,11 @@ var unlinkedProduction = map[string]string{
 // type keeps nothing alive.
 //
 // It needs the go tool and a build of every binary (~12 s cold, ~3 s
-// warm), so it sits behind the linkcensus build tag:
+// warm), so it sits behind the linkcensus build tag, with
+// TestProductionIsTyped, whose load it reads the declarations from:
 //
-//	go test -tags linkcensus -run TestProductionIsLinked -count=1 .
+//	go test -tags linkcensus -run 'TestProductionIs(Linked|Typed)' -count=1 .
 func TestProductionIsLinked(t *testing.T) {
-	out, err := exec.Command("go", "list", "-m").Output()
-	if err != nil {
-		t.Fatalf("go list -m: %v", err)
-	}
-	mod := strings.TrimSpace(string(out))
 	bin := t.TempDir()
 	build := exec.Command("go", "build", "-gcflags=all=-l", "-o", bin+string(filepath.Separator),
 		"./cmd/...", "./bench", "./examples/...")
@@ -67,36 +63,33 @@ func TestProductionIsLinked(t *testing.T) {
 		}
 	}
 
-	files, filePkg := parseTree(t)
 	seen := map[string]bool{}
 	var unlinked []string
-	for _, f := range files {
-		dir := filePkg[f]
-		if dir != "." && !strings.HasPrefix(dir, "internal/") {
+	for _, p := range loadCensus(t).pkgs {
+		if !p.production() {
 			continue
 		}
-		importPath, short := mod, f.Name.Name
-		if dir != "." {
-			importPath, short = mod+"/"+dir, strings.TrimPrefix(dir, "internal/")
-		}
-		for _, d := range f.Decls {
-			fn, ok := d.(*ast.FuncDecl)
-			if !ok || fn.Name.Name == "_" || (fn.Recv == nil && fn.Name.Name == "init") {
-				continue
-			}
-			name := fn.Name.Name
-			key, sym, ptrSym := short+"."+name, importPath+"."+name, ""
-			if fn.Recv != nil {
-				recv := receiverName(fn.Recv.List[0].Type)
-				key = short + "." + recv + "." + name
-				sym, ptrSym = importPath+"."+recv+"."+name, importPath+".(*"+recv+")."+name
-			}
-			seen[key] = true
-			isLinked := linked[sym] || linked[ptrSym]
-			if _, allowed := unlinkedProduction[key]; isLinked && allowed {
-				t.Errorf("%s is allowlisted but a binary links it: drop its allowlist entry", key)
-			} else if !isLinked && !allowed {
-				unlinked = append(unlinked, key)
+		importPath := p.types.Path()
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				fn, ok := d.(*ast.FuncDecl)
+				if !ok || fn.Name.Name == "_" || (fn.Recv == nil && fn.Name.Name == "init") {
+					continue
+				}
+				name := fn.Name.Name
+				key, sym, ptrSym := p.short+"."+name, importPath+"."+name, ""
+				if fn.Recv != nil {
+					recv := receiverName(fn.Recv.List[0].Type)
+					key = p.short + "." + recv + "." + name
+					sym, ptrSym = importPath+"."+recv+"."+name, importPath+".(*"+recv+")."+name
+				}
+				seen[key] = true
+				isLinked := linked[sym] || linked[ptrSym]
+				if _, allowed := unlinkedProduction[key]; isLinked && allowed {
+					t.Errorf("%s is allowlisted but a binary links it: drop its allowlist entry", key)
+				} else if !isLinked && !allowed {
+					unlinked = append(unlinked, key)
+				}
 			}
 		}
 	}

@@ -232,8 +232,9 @@ func runFarm(out *exp.Output, stderr io.Writer, gridName string, opts exp.Option
 	if err := out.Table(t); err != nil {
 		return err
 	}
-	out.Printf("\nfarm: %d ran, %d resumed in %.1fs; grid digest %016x\n",
-		rep.Ran, rep.Resumed, elapsed.Seconds(), rep.GridDigest())
+	out.Printf("\nfarm: %d ran, %d resumed; grid digest %016x\n",
+		rep.Ran, rep.Resumed, rep.GridDigest())
+	fmt.Fprintf(stderr, "sweep: farm took %.1fs\n", elapsed.Seconds())
 	if q := rep.Quarantined(); len(q) > 0 {
 		for _, p := range q {
 			fmt.Fprintf(stderr, "sweep: quarantined %s: %s\n", p.Key, p.LastError)

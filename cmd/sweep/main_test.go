@@ -285,3 +285,25 @@ func TestProfileFlags(t *testing.T) {
 		}
 	}
 }
+
+// TestFarmStdoutIsSameBytes: a farm run's stdout is a function of the grid
+// and the seed, so two runs cmp equal; the wall-clock time goes to stderr.
+func TestFarmStdoutIsSameBytes(t *testing.T) {
+	var outs [2]string
+	for i := range outs {
+		status, stdout, stderr := sweep("-farm", "fig12", "-quick")
+		if status != 0 {
+			t.Fatalf("exit %d\n%s", status, stderr)
+		}
+		if !strings.Contains(stderr, "sweep: farm took ") {
+			t.Errorf("stderr %q does not report the farm's wall time", stderr)
+		}
+		outs[i] = stdout
+	}
+	if outs[0] != outs[1] {
+		t.Fatalf("two farm runs printed different stdout:\n%s\n---\n%s", outs[0], outs[1])
+	}
+	if !strings.Contains(outs[0], "\nfarm: 7 ran, 0 resumed; grid digest ") {
+		t.Fatalf("stdout lacks the farm summary line:\n%s", outs[0])
+	}
+}

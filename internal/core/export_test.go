@@ -2,8 +2,6 @@ package core
 
 // Test-only exports for the core_test files.
 
-import "photon/internal/router"
-
 // CanonicalFunc adapts a func to a Tracer that sees only the canonical
 // (digest-folded) events; the tap-only attribution events are dropped.
 type CanonicalFunc func(Event)
@@ -37,9 +35,16 @@ func (n *Network) EagerSteps() {
 // reference side of the skip-ahead equivalence battery.
 func (n *Network) DisableSkipAhead() { n.skipOK = false }
 
-// LeakHolder takes a holder of p that nothing will ever release — what a
-// transition that forgot its release leaves behind.
-func (n *Network) LeakHolder(p *router.Packet) {
-	p.Hold()
-	n.holders++
+// LeakHolder takes a holder of packet id, which must be at the head of its
+// output queue, that nothing will ever release — what a transition that
+// forgot its release leaves behind.
+func (n *Network) LeakHolder(id uint64) {
+	for i := range n.queues {
+		if p := n.queues[i].out.NextReady(); p != nil && p.ID == id {
+			p.Hold()
+			n.holders++
+			return
+		}
+	}
+	panic("core: LeakHolder: no queue head has that id")
 }

@@ -127,7 +127,9 @@ func TestLeakedHolderIsReported(t *testing.T) {
 		t.Fatal(err)
 	}
 	net.Inject(4, 9, router.ClassData, 0)
-	net.LeakHolder(net.Inject(8, 9, router.ClassData, 0))
+	id := net.Inject(8, 9, router.ClassData, 0)
+	net.RunCycles(int64(cfg.RouterPipeline) + 1) // into its output queue
+	net.LeakHolder(id)
 	if left, err := net.Drain(1000); err != nil {
 		t.Fatalf("drain left %d: %v", left, err)
 	}
@@ -221,5 +223,51 @@ func TestRetireIsLastEvent(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// packetObjects is a tracer that counts the distinct Packet objects the
+// engine hands it. It keeps each pointer only as a map key and never reads
+// through it after the call.
+type packetObjects map[*router.Packet]struct{}
+
+func (s packetObjects) Observe(e core.Event) {
+	if e.Packet != nil {
+		s[e.Packet] = struct{}{}
+	}
+}
+
+// TestQueuedPacketsAreDescriptors: past its knee, a GHS network's output
+// queues hold many times more packets than it ever builds. A queued packet
+// behind its queue's head is a descriptor, so the Packet objects the run
+// uses are bounded by the injection pipelines, one head and the retained
+// copies per queue, the flits in flight and the home buffers, however deep
+// the backlog grows. Recycled packets are reused, not counted twice.
+func TestQueuedPacketsAreDescriptors(t *testing.T) {
+	defer core.SetPoisonPackets(core.SetPoisonPackets(false)) // count recycled objects once
+	cfg := core.DefaultConfig(core.GHS)
+	cfg.Seed = 29
+	net, err := core.NewNetwork(cfg, sim.Window{Warmup: 1 << 40, Measure: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj, err := traffic.NewInjector(traffic.UniformRandom{}, 0.30, cfg.Nodes, cfg.CoresPerNode, 29)
+	if err != nil {
+		t.Fatal(err)
+	}
+	objects := packetObjects{}
+	net.SetTracer(objects)
+	for range 3000 {
+		inj.Tick(net)
+		net.Step()
+	}
+	bound := cfg.Cores()*(cfg.RouterPipeline+1+1+max(1, cfg.SetasideSize)) +
+		cfg.Nodes*(cfg.RoundTrip+2+cfg.BufferDepth)
+	queued := net.Accounting().Queued
+	if queued < 10*bound {
+		t.Fatalf("only %d packets queued, want a backlog of at least %d: the run is not past the knee", queued, 10*bound)
+	}
+	if len(objects) > bound {
+		t.Errorf("%d Packet objects for a backlog of %d queued packets, want at most %d", len(objects), queued, bound)
 	}
 }

@@ -156,10 +156,11 @@ type Network struct {
 	// Packet lifetime (DESIGN.md, "Packet lifetime"). holders sums the live
 	// packets' holder counts, one per term of Outstanding(), so the two are
 	// equal at every cycle boundary; live counts packets injected and not
-	// yet released; free is where release puts them and Inject looks first.
+	// yet released. pool is where release puts them and Inject looks
+	// first, and holds the output queues' descriptor segments.
 	holders int
 	live    int
-	free    []*router.Packet
+	pool    *router.Pool
 
 	// spec is the scheme's registry row; its wire function built the
 	// channel hooks. (Kept at the tail: these are cold after construction,
@@ -269,6 +270,7 @@ func NewNetwork(cfg Config, window sim.Window) (*Network, error) {
 		stats:   NewStats(window, cfg.Nodes, cfg.Cores()),
 		rng:     sim.NewRNG(cfg.Seed),
 		injPipe: sim.NewDelayLine[*router.Packet](cfg.RouterPipeline + 2),
+		pool:    router.NewPool(poisonPackets),
 	}
 	if cfg.Fault.Enabled {
 		fcfg := cfg.Fault
@@ -295,7 +297,7 @@ func NewNetwork(cfg Config, window sim.Window) (*Network, error) {
 	}
 	for qi := range n.queues {
 		n.queues[qi] = queueState{
-			out:  router.NewOutPort(n.policy, cfg.QueueCap, cfg.SetasideSize),
+			out:  router.NewOutPort(n.policy, cfg.QueueCap, cfg.SetasideSize, n.pool),
 			want: -1,
 		}
 	}
@@ -400,10 +402,11 @@ func (n *Network) Stats() *Stats { return n.stats }
 // locally after the router latency, as in the paper's concentrated S-NUCA
 // layout.
 //
-// The returned packet is valid until it is delivered (OnDeliver has
-// returned), rejected by a bounded queue, or lost to a fault; after that it
-// is recycled into a later injection. Copy it in OnDeliver or a Tracer.
-func (n *Network) Inject(srcCore, dstNode int, class router.Class, tag uint64) *router.Packet {
+// Inject returns the packet's id, the key of its events (Tracer) and of
+// its delivery (OnDeliver). The packet itself is the engine's: a queued
+// one is kept as a descriptor and rebuilt at the queue head, so no pointer
+// to it is stable outside those two calls.
+func (n *Network) Inject(srcCore, dstNode int, class router.Class, tag uint64) uint64 {
 	if srcCore < 0 || srcCore >= n.cfg.Cores() {
 		panic(fmt.Sprintf("core: Inject from invalid core %d", srcCore))
 	}
@@ -411,13 +414,7 @@ func (n *Network) Inject(srcCore, dstNode int, class router.Class, tag uint64) *
 		panic(fmt.Sprintf("core: Inject to invalid node %d", dstNode))
 	}
 	srcNode := srcCore / n.cfg.CoresPerNode
-	var pkt *router.Packet
-	if k := len(n.free) - 1; k >= 0 {
-		pkt, n.free = n.free[k], n.free[:k]
-		pkt.Reset(n.nextID, srcNode, dstNode, n.now)
-	} else {
-		pkt = router.NewPacket(n.nextID, srcNode, dstNode, n.now)
-	}
+	pkt := n.pool.Get(n.nextID, srcNode, dstNode, n.now)
 	n.nextID++ // always a fresh id: digests, ptrace cursors and OutPort.Ack key on it
 	n.holders++
 	n.live++
@@ -426,16 +423,17 @@ func (n *Network) Inject(srcCore, dstNode int, class router.Class, tag uint64) *
 	n.stats.onInjected(pkt)
 	n.emit(EvInject, pkt)
 	n.injPipe.Schedule(n.now, n.now+int64(n.cfg.RouterPipeline), pkt)
-	return pkt
+	return pkt.ID
 }
 
 // Digest returns the current value of the run's protocol-event
 // fingerprint (finalised into Result.Digest at the end of the run).
 func (n *Network) Digest() uint64 { return n.stats.digest.value() }
 
-// poisonPackets, set only by tests, makes release overwrite a finished
-// packet instead of recycling it, so anything that reads a packet after the
-// engine is done with it fails loudly.
+// poisonPackets, set only by tests, makes the pool of each network built
+// while it is on overwrite a finished or compacted packet instead of
+// recycling it, so anything that reads a packet after the engine is done
+// with it fails loudly.
 var poisonPackets bool
 
 // release records that one engine-side holder of pkt let go; the last one
@@ -449,14 +447,7 @@ func (n *Network) release(pkt *router.Packet) {
 	}
 	n.live--
 	n.emitTap(EvRetire, pkt)
-	if poisonPackets {
-		const never = -1 << 62
-		*pkt = router.Packet{ID: ^uint64(0), Src: -1, Dst: -1,
-			CreatedAt: never, EnqueuedAt: never, ReadyAt: never, FirstSentAt: never,
-			SentAt: never, DeliveredAt: never, AcceptedAt: never}
-		return
-	}
-	n.free = append(n.free, pkt)
+	n.pool.Put(pkt)
 }
 
 // queueOf returns the per-core output queue a packet belongs to.
@@ -829,13 +820,14 @@ func (n *Network) phasePipeline(now int64) {
 			continue
 		}
 		nd, q := n.queueOf(pkt)
-		if !q.out.Enqueue(pkt) {
+		if q.out.Full() {
 			n.stats.QueueRejected++
 			n.release(pkt)
 			continue
 		}
 		pkt.EnqueuedAt = now
 		n.emit(EvEnqueue, pkt)
+		q.out.Enqueue(pkt) // the engine's last read of pkt, unless it is the head
 		n.updateQueueWant(nd, q)
 	}
 }

@@ -196,7 +196,7 @@ func TestFig2aPathology(t *testing.T) {
 		probe := ^uint64(0)
 		for cyc := 0; cyc < 400; cyc++ {
 			if cyc == 6 {
-				probe = net.Inject(2, 0, router.ClassData, 0).ID
+				probe = net.Inject(2, 0, router.ClassData, 0)
 			}
 			net.Step()
 			if p, ok := launched.byID[probe]; ok {
@@ -236,7 +236,7 @@ func TestZeroLoadLatencyFormula(t *testing.T) {
 		// token of every age is in flight in steady state).
 		net.RunCycles(int64(cfg.RoundTrip))
 		delivered := snapshotOn(net, core.EvDeliver)
-		id := net.Inject(src*cfg.CoresPerNode, 0, router.ClassData, 0).ID
+		id := net.Inject(src*cfg.CoresPerNode, 0, router.ClassData, 0)
 		for i := 0; i < 50 && len(delivered.byID) == 0; i++ {
 			net.Step()
 		}
@@ -261,7 +261,7 @@ func TestLocalTrafficBypassesRing(t *testing.T) {
 		t.Fatal(err)
 	}
 	delivered := snapshotOn(net, core.EvDeliver)
-	id := net.Inject(12, 3, router.ClassData, 0).ID // core 12 is on node 3
+	id := net.Inject(12, 3, router.ClassData, 0) // core 12 is on node 3
 	for i := 0; i < 10 && len(delivered.byID) == 0; i++ {
 		net.Step()
 	}
@@ -334,7 +334,7 @@ func TestFairnessPolicyPreventsStarvation(t *testing.T) {
 				net.Inject(1*cfg.CoresPerNode+q, 0, router.ClassData, 0)
 			}
 			if cyc == 100 {
-				probe = net.Inject(2*cfg.CoresPerNode, 0, router.ClassData, 0).ID
+				probe = net.Inject(2*cfg.CoresPerNode, 0, router.ClassData, 0)
 			}
 			net.Step()
 			if p, ok := launched.byID[probe]; ok {
@@ -427,7 +427,7 @@ func TestGHSBurstBoundedBySetaside(t *testing.T) {
 	launched := snapshotOn(net, core.EvLaunch)
 	var ids []uint64
 	for i := 0; i < 6; i++ {
-		ids = append(ids, net.Inject(1, 0, router.ClassData, 0).ID)
+		ids = append(ids, net.Inject(1, 0, router.ClassData, 0))
 	}
 	// The token marches one node per cycle on this 8-node loop and comes
 	// back to node 1 after a full revolution; run long enough to see the

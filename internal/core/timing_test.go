@@ -28,8 +28,8 @@ func TestAckTimingExactlyRPlus1(t *testing.T) {
 		// first's ACK arrives (HoldHead), so the launch gap measures the
 		// handshake delay. The second must already be queued.
 		launched := snapshotOn(net, core.EvLaunch)
-		id1 := net.Inject(src*cfg.CoresPerNode, 0, router.ClassData, 0).ID
-		id2 := net.Inject(src*cfg.CoresPerNode, 0, router.ClassData, 0).ID
+		id1 := net.Inject(src*cfg.CoresPerNode, 0, router.ClassData, 0)
+		id2 := net.Inject(src*cfg.CoresPerNode, 0, router.ClassData, 0)
 		for i := 0; i < 80 && len(launched.byID) < 2; i++ {
 			net.Step()
 		}
@@ -66,8 +66,8 @@ func TestTokenChannelReimburseOnlyAtHome(t *testing.T) {
 	// and (b) the token has passed home to collect the credit and come
 	// back around to node 1.
 	launched := snapshotOn(net, core.EvLaunch)
-	id1 := net.Inject(1, 0, router.ClassData, 0).ID
-	id2 := net.Inject(1, 0, router.ClassData, 0).ID
+	id1 := net.Inject(1, 0, router.ClassData, 0)
+	id2 := net.Inject(1, 0, router.ClassData, 0)
 	for i := 0; i < 200 && len(launched.byID) < 2; i++ {
 		net.Step()
 	}

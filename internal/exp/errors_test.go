@@ -3,6 +3,8 @@ package exp
 import (
 	"errors"
 	"io"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -44,12 +46,13 @@ func TestSweepPropagatesPointErrors(t *testing.T) {
 // TestRunPointsContainsPanic pins the supervision contract of the worker
 // pool: a panicking point surfaces as a *PointPanic carrying the point's
 // identity and stack instead of crashing the pool, and the error message
-// names which point died.
+// names which point died and where.
 func TestRunPointsContainsPanic(t *testing.T) {
+	var line int
 	points := []Point{
 		{Scheme: core.TokenSlot, Pattern: traffic.UniformRandom{}, Rate: 0.01},
 		{Scheme: core.DHS, Pattern: traffic.UniformRandom{}, Rate: 0.01,
-			Mod: func(*core.Config) { panic("wired to explode") }},
+			Mod: func(*core.Config) { _, _, line, _ = runtime.Caller(0); panic("wired to explode") }},
 		{Scheme: core.GHS, Pattern: traffic.UniformRandom{}, Rate: 0.01},
 	}
 	opts := QuickOptions()
@@ -70,6 +73,28 @@ func TestRunPointsContainsPanic(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "point 1") {
 		t.Fatalf("error does not name the point: %v", err)
+	}
+	if want := " at exp/errors_test.go:" + strconv.Itoa(line); !strings.HasSuffix(err.Error(), want) {
+		t.Fatalf("error does not end with the panic site %q: %v", want, err)
+	}
+}
+
+// TestPanicSiteSkipsRuntime: the site a PointPanic names is the line that
+// panicked, also when the panic is raised inside package runtime (a nil
+// map write, an index out of range).
+func TestPanicSiteSkipsRuntime(t *testing.T) {
+	var m map[int]int
+	var s []int
+	i, line := 3, 0
+	for name, f := range map[string]func(){
+		"explicit": func() { _, _, line, _ = runtime.Caller(0); panic("boom") },
+		"nil map":  func() { _, _, line, _ = runtime.Caller(0); m[1] = 1 },
+		"index":    func() { _, _, line, _ = runtime.Caller(0); _ = s[i] },
+	} {
+		_, err := safely(Point{Rate: 0.05}, func() (int, error) { f(); return 0, nil })
+		if want := " at exp/errors_test.go:" + strconv.Itoa(line); err == nil || !strings.HasSuffix(err.Error(), want) {
+			t.Errorf("%s: error %v does not end with %q", name, err, want)
+		}
 	}
 }
 

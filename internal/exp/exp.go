@@ -12,8 +12,10 @@ package exp
 
 import (
 	"fmt"
+	"path"
 	"runtime/debug"
 	"strconv"
+	"strings"
 
 	"photon/internal/core"
 	"photon/internal/sim"
@@ -97,8 +99,39 @@ type PointPanic struct {
 	Stack []byte // stack of the panicking goroutine
 }
 
+// Error names the point and the panic value, and ends with the panic site
+// when the stack shows one, so a quarantined point's LastError says where
+// it broke.
 func (e *PointPanic) Error() string {
-	return fmt.Sprintf("exp: panic in point %s: %v", e.Point, e.Value)
+	msg := fmt.Sprintf("exp: panic in point %s: %v", e.Point, e.Value)
+	if site := panicSite(e.Stack); site != "" {
+		msg += " at " + site
+	}
+	return msg
+}
+
+// panicSite returns where the goroutine whose stack (debug.Stack's text)
+// is given panicked: the first frame outside package runtime below
+// runtime/panic.go, as its file's directory and name and the line, or ""
+// when the stack shows no panic. The directory keeps same-named files of
+// two packages apart; the rest of the path is the build machine's.
+func panicSite(stack []byte) string {
+	// A frame is a function line followed by a tab-indented "file:line +0x.." line.
+	panicked, fn := false, ""
+	for _, l := range strings.Split(string(stack), "\n") {
+		if !strings.HasPrefix(l, "\t") {
+			fn = l
+			continue
+		}
+		loc, _, _ := strings.Cut(strings.TrimSpace(l), " +0x")
+		switch {
+		case !panicked:
+			panicked = strings.Contains(loc, "runtime/panic.go:")
+		case !strings.HasPrefix(fn, "runtime."):
+			return path.Base(path.Dir(loc)) + "/" + path.Base(loc)
+		}
+	}
+	return ""
 }
 
 // SafeRunPoint is RunPoint with panic containment: a panic anywhere in

@@ -1,10 +1,6 @@
 package router
 
-import (
-	"fmt"
-
-	"photon/internal/sim"
-)
+import "fmt"
 
 // SendPolicy selects what happens to a packet at the moment it is launched
 // onto the optical channel — the axis along which the paper's schemes
@@ -61,25 +57,38 @@ type pendingEntry struct {
 // Arbitration interacts with the port through NextReady (which packet wants
 // the channel — retransmissions first, then the queue head if the policy
 // permits) and MarkSent (the packet was launched this cycle).
+//
+// Only the queue's head is a built Packet. Every packet behind it is kept
+// as a descriptor in a chain of fixed segments from the network's Pool,
+// and is built when it reaches the head: past a scheme's knee almost every
+// packet the network owns waits in a queue, and a descriptor takes 32
+// bytes where a Packet takes 104.
 type OutPort struct {
 	policy      SendPolicy
-	queue       *sim.Queue[*Packet]
+	head        *Packet        // the queue's head, nil when the queue is empty
+	first, last *segment       // the descriptors behind head, oldest first
+	lo, hi      int            // first's oldest descriptor; one past last's newest
+	behind      int            // descriptors behind head
+	queueCap    int            // bound on head plus descriptors; 0 = unbounded
+	pool        *Pool          // where compacted packets and emptied segments go
 	setaside    []pendingEntry // used by Setaside policy, cap setasideCap
 	setasideCap int
 	pending     pendingEntry // used by HoldHead policy, valid iff hasPending
 	hasPending  bool
 }
 
-// NewOutPort builds an output port. queueCap bounds the output queue (0 =
-// unbounded, the open-loop evaluation default); setasideCap is the number
-// of setaside slots and only meaningful under the Setaside policy.
-func NewOutPort(policy SendPolicy, queueCap, setasideCap int) *OutPort {
+// NewOutPort builds an output port drawing on pool. queueCap bounds the
+// output queue (0 = unbounded, the open-loop evaluation default);
+// setasideCap is the number of setaside slots and only meaningful under
+// the Setaside policy.
+func NewOutPort(policy SendPolicy, queueCap, setasideCap int, pool *Pool) *OutPort {
 	if policy == Setaside && setasideCap < 1 {
 		panic("router: setaside policy needs at least one setaside slot")
 	}
 	o := &OutPort{
 		policy:      policy,
-		queue:       sim.NewQueue[*Packet](queueCap),
+		queueCap:    queueCap,
+		pool:        pool,
 		setasideCap: setasideCap,
 	}
 	if policy == Setaside {
@@ -91,14 +100,62 @@ func NewOutPort(policy SendPolicy, queueCap, setasideCap int) *OutPort {
 // Policy returns the port's send policy.
 func (o *OutPort) Policy() SendPolicy { return o.policy }
 
-// Enqueue admits a packet into the output queue; false means the queue is
-// full (only possible with a bounded queue).
-func (o *OutPort) Enqueue(p *Packet) bool {
-	return o.queue.PushBack(p)
+// Full reports whether a bounded output queue has no room left.
+func (o *OutPort) Full() bool { return o.queueCap > 0 && o.QueueLen() >= o.queueCap }
+
+// Enqueue admits p, stamped EnqueuedAt and held once, into the output
+// queue, which must not be Full. Behind a head, p is compacted into a
+// descriptor and given back to the pool with the queue's hold kept by the
+// descriptor, so the caller must be done with the pointer: p is the
+// caller's to read again only if it became the head (NextReady).
+func (o *OutPort) Enqueue(p *Packet) {
+	if o.Full() {
+		panic("router: enqueue into a full output queue")
+	}
+	if o.head == nil {
+		o.head = p
+		return
+	}
+	if o.last == nil || o.hi == segLen {
+		s := o.pool.seg()
+		if o.last == nil {
+			o.first, o.lo = s, 0
+		} else {
+			o.last.next = s
+		}
+		o.last, o.hi = s, 0
+	}
+	o.last.d[o.hi] = o.pool.compact(p)
+	o.hi++
+	o.behind++
+}
+
+// advance replaces the launched head with the packet built from the
+// oldest descriptor, and gives emptied segments back to the pool.
+func (o *OutPort) advance() {
+	if o.behind == 0 {
+		o.head = nil
+		return
+	}
+	o.head = o.pool.build(&o.first.d[o.lo])
+	o.lo++
+	if o.behind--; o.behind == 0 {
+		o.pool.putSeg(o.first)
+		o.first, o.last = nil, nil
+	} else if o.lo == segLen {
+		s := o.first
+		o.first, o.lo = s.next, 0
+		o.pool.putSeg(s)
+	}
 }
 
 // QueueLen reports output queue occupancy (excluding pending/setaside).
-func (o *OutPort) QueueLen() int { return o.queue.Len() }
+func (o *OutPort) QueueLen() int {
+	if o.head == nil {
+		return 0
+	}
+	return 1 + o.behind
+}
 
 // Unacked reports the number of sent packets awaiting handshake.
 func (o *OutPort) Unacked() int {
@@ -110,7 +167,7 @@ func (o *OutPort) Unacked() int {
 }
 
 // Backlog reports every packet still owned by the port (for drain checks).
-func (o *OutPort) Backlog() int { return o.queue.Len() + o.Unacked() }
+func (o *OutPort) Backlog() int { return o.QueueLen() + o.Unacked() }
 
 // NextReady returns the packet that should compete for channel arbitration
 // this cycle, or nil. Priority order:
@@ -138,10 +195,7 @@ func (o *OutPort) NextReady() *Packet {
 	if o.policy == Setaside && len(o.setaside) >= o.setasideCap {
 		return nil
 	}
-	if head, ok := o.queue.Peek(); ok {
-		return head
-	}
-	return nil
+	return o.head
 }
 
 // MarkSent records that pkt — which must be the current NextReady — was
@@ -174,11 +228,10 @@ func (o *OutPort) MarkSent(pkt *Packet, now int64) {
 	}
 
 	// First launch: must be the queue head.
-	head, ok := o.queue.Peek()
-	if !ok || head != pkt {
+	if o.head != pkt {
 		panic("router: MarkSent for a packet that is not ready")
 	}
-	o.queue.PopFront()
+	o.advance()
 	switch o.policy {
 	case FireAndForget:
 		// Sender forgets the packet; delivery is the receiver's problem

@@ -6,9 +6,7 @@ import "testing"
 func launchHeld(t *testing.T, o *OutPort, id uint64, now int64) *Packet {
 	t.Helper()
 	p := pkt(id, 1)
-	if !o.Enqueue(p) {
-		t.Fatal("enqueue refused")
-	}
+	o.Enqueue(p)
 	if got := o.NextReady(); got != p {
 		t.Fatalf("NextReady = %v, want the enqueued packet", got)
 	}
@@ -17,7 +15,7 @@ func launchHeld(t *testing.T, o *OutPort, id uint64, now int64) *Packet {
 }
 
 func TestArmAndFireAtDeadline(t *testing.T) {
-	o := NewOutPort(HoldHead, 0, 0)
+	o := port(HoldHead, 0, 0)
 	p := launchHeld(t, o, 1, 100)
 	deadline := o.Arm(p, 100, 20, 4)
 	if deadline != 120 {
@@ -49,7 +47,7 @@ func TestArmAndFireAtDeadline(t *testing.T) {
 // phase, so an ACK processed at the deadline cycle removes the entry and
 // the timer has nothing left to fire on.
 func TestAckAtDeadlineBoundary(t *testing.T) {
-	o := NewOutPort(HoldHead, 0, 0)
+	o := port(HoldHead, 0, 0)
 	p := launchHeld(t, o, 1, 0)
 	o.Arm(p, 0, 20, 4)
 	if _, err := o.Ack(p.ID); err != nil {
@@ -66,7 +64,7 @@ func TestAckAtDeadlineBoundary(t *testing.T) {
 // TestBackoffDoublingAndCap: consecutive unanswered launches double the
 // timeout up to base<<cap.
 func TestBackoffDoublingAndCap(t *testing.T) {
-	o := NewOutPort(HoldHead, 0, 0)
+	o := port(HoldHead, 0, 0)
 	p := launchHeld(t, o, 1, 0)
 	now := int64(0)
 	wantShift := []int64{20, 40, 80, 160, 320, 320, 320} // base 20, cap 4
@@ -91,7 +89,7 @@ func TestBackoffDoublingAndCap(t *testing.T) {
 // timer and resets the backoff level (backoff compensates for silence, not
 // congestion).
 func TestNackResetsBackoff(t *testing.T) {
-	o := NewOutPort(HoldHead, 0, 0)
+	o := port(HoldHead, 0, 0)
 	p := launchHeld(t, o, 1, 0)
 	// Two unanswered launches escalate the backoff to 2.
 	o.Arm(p, 0, 20, 4)
@@ -121,7 +119,7 @@ func TestNackResetsBackoff(t *testing.T) {
 // remains retransmission-ready and a later ACK of a retx-marked entry is
 // rejected.
 func TestNackWhileAwaitingRetx(t *testing.T) {
-	o := NewOutPort(Setaside, 0, 2)
+	o := port(Setaside, 0, 2)
 	p := pkt(1, 1)
 	o.Enqueue(p)
 	o.MarkSent(p, 0)
@@ -146,7 +144,7 @@ func TestNackWhileAwaitingRetx(t *testing.T) {
 // TestExpireSkipsUnarmedAndPending: unarmed entries (deadline 0) never
 // fire, and a fired entry stays silent until re-armed by its relaunch.
 func TestExpireSkipsUnarmedAndPending(t *testing.T) {
-	o := NewOutPort(Setaside, 0, 4)
+	o := port(Setaside, 0, 4)
 	armed := pkt(1, 1)
 	unarmed := pkt(2, 1)
 	for _, p := range []*Packet{armed, unarmed} {
@@ -168,6 +166,6 @@ func TestArmUnknownPacketPanics(t *testing.T) {
 			t.Fatal("Arm of an un-held packet did not panic")
 		}
 	}()
-	o := NewOutPort(HoldHead, 0, 0)
+	o := port(HoldHead, 0, 0)
 	o.Arm(pkt(9, 1), 0, 20, 4)
 }

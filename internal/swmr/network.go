@@ -33,6 +33,9 @@ type Network struct {
 	rng   *sim.RNG
 
 	injPipe *sim.DelayLine[*router.Packet]
+	// pool builds injected packets and holds the output queues'
+	// descriptors; delivered packets are never recycled.
+	pool *router.Pool
 
 	// pendingGrants are reservation grants in flight back to senders.
 	pendingGrants []pendingGrant
@@ -102,6 +105,7 @@ func NewNetwork(cfg Config, window sim.Window) (*Network, error) {
 		stats:   newStats(window, cfg.Cores()),
 		rng:     sim.NewRNG(cfg.Seed),
 		injPipe: sim.NewDelayLine[*router.Packet](routerPipeline + 2),
+		pool:    router.NewPool(false),
 	}
 	horizon := 2*cfg.RoundTrip + 6
 	n.nodes = make([]*nodeState, cfg.Nodes)
@@ -109,7 +113,7 @@ func NewNetwork(cfg Config, window sim.Window) (*Network, error) {
 	for i := 0; i < cfg.Nodes; i++ {
 		nd := &nodeState{id: i, queues: make([]*router.OutPort, cfg.CoresPerNode)}
 		for q := range nd.queues {
-			nd.queues[q] = router.NewOutPort(cfg.Scheme.sendPolicy(), 0, cfg.SetasideSize)
+			nd.queues[q] = router.NewOutPort(cfg.Scheme.sendPolicy(), 0, cfg.SetasideSize, n.pool)
 		}
 		n.nodes[i] = nd
 		n.rxs[i] = &rxState{
@@ -143,8 +147,10 @@ func (n *Network) flightTo(src, dst int) int {
 }
 
 // Inject hands a packet from srcCore to the router, as in the MWSR
-// network; node-local packets bypass the optics.
-func (n *Network) Inject(srcCore, dstNode int, class router.Class, tag uint64) *router.Packet {
+// network; node-local packets bypass the optics. It returns the packet's
+// id: a queued packet is kept as a descriptor, so the delivered one is
+// read through OnDeliver.
+func (n *Network) Inject(srcCore, dstNode int, class router.Class, tag uint64) uint64 {
 	if srcCore < 0 || srcCore >= n.cfg.Cores() {
 		panic(fmt.Sprintf("swmr: Inject from invalid core %d", srcCore))
 	}
@@ -152,7 +158,7 @@ func (n *Network) Inject(srcCore, dstNode int, class router.Class, tag uint64) *
 		panic(fmt.Sprintf("swmr: Inject to invalid node %d", dstNode))
 	}
 	src := srcCore / n.cfg.CoresPerNode
-	pkt := router.NewPacket(n.nextID, src, dstNode, n.now)
+	pkt := n.pool.Get(n.nextID, src, dstNode, n.now)
 	n.nextID++
 	pkt.Class = class
 	pkt.Tag = tag | uint64(srcCore)<<40
@@ -162,7 +168,7 @@ func (n *Network) Inject(srcCore, dstNode int, class router.Class, tag uint64) *
 		n.stats.InjectedMeasured++
 	}
 	n.injPipe.Schedule(n.now, n.now+routerPipeline, pkt)
-	return pkt
+	return pkt.ID
 }
 
 // Step advances the network one cycle.
@@ -426,8 +432,8 @@ func (n *Network) phasePipeline(now int64) {
 		}
 		nd := n.nodes[pkt.Src]
 		core := int(pkt.Tag>>40) % n.cfg.CoresPerNode
-		nd.queues[core].Enqueue(pkt) // unbounded: never refuses
 		pkt.EnqueuedAt = now
+		nd.queues[core].Enqueue(pkt) // unbounded: never full
 	}
 }
 

@@ -169,11 +169,8 @@ func TestSenderNeverArbitrates(t *testing.T) {
 		t.Fatal(err)
 	}
 	net.RunCycles(10)
-	pkt := net.Inject(4, 9, router.ClassData, 0)
-	for i := 0; i < 40 && pkt.DeliveredAt < 0; i++ {
-		net.Step()
-	}
-	if pkt.DeliveredAt < 0 {
+	pkt := deliveryOf(net, net.Inject(4, 9, router.ClassData, 0), 40)
+	if pkt == nil {
 		t.Fatal("never delivered")
 	}
 	if wait := pkt.ArbitrationWait(); wait != 0 {
@@ -227,9 +224,9 @@ func TestLocalBypass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkt := net.Inject(12, 3, router.ClassData, 0)
-	for i := 0; i < 10 && pkt.DeliveredAt < 0; i++ {
-		net.Step()
+	pkt := deliveryOf(net, net.Inject(12, 3, router.ClassData, 0), 10)
+	if pkt == nil {
+		t.Fatal("never delivered")
 	}
 	if pkt.Latency() != routerPipeline+ejectLatency {
 		t.Fatalf("local latency %d", pkt.Latency())
@@ -237,4 +234,19 @@ func TestLocalBypass(t *testing.T) {
 	if net.Stats().Launches != 0 {
 		t.Fatal("local packet launched optically")
 	}
+}
+
+// deliveryOf steps net up to limit cycles until packet id is delivered and
+// returns the delivered packet, read through OnDeliver, or nil.
+func deliveryOf(net *Network, id uint64, limit int) *router.Packet {
+	var got *router.Packet
+	net.OnDeliver = func(p *router.Packet) {
+		if p.ID == id {
+			got = p
+		}
+	}
+	for i := 0; i < limit && got == nil; i++ {
+		net.Step()
+	}
+	return got
 }

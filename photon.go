@@ -81,10 +81,12 @@ type Result = core.Result
 
 // Packet is the single-flit transfer unit; delivered packets carry their
 // full timestamp history. A *Packet belongs to the network that injected
-// it: the pointer Inject returns is valid until the packet is delivered,
-// rejected or lost, and the one handed to OnDeliver or a Tracer is valid for
-// the duration of that call — after that the network recycles it for a
-// later injection, so copy the struct (or the fields you need) to keep it.
+// it. Inject returns the packet's id, not a pointer: while the packet waits
+// behind its output queue's head the network keeps it as a compact
+// descriptor and builds a Packet again when it reaches the head. The
+// pointer handed to OnDeliver or a Tracer is valid for the duration of
+// that call — after that the network recycles it for a later injection,
+// so copy the struct (or the fields you need) to keep it, keyed by id.
 // Reset, Hold and Drop are the engine's side of that contract, not the
 // caller's.
 type Packet = router.Packet

@@ -639,7 +639,6 @@ var unreadField = map[string]string{
 	"cpu.Outcome.Misses":                      "TestSelfThrottlingCapsLoad bounds the per-core miss rate by it",
 	"exp.ExactBreakdownRow.Attr":              "TestExactBreakdownInternalConsistency and TestExactBreakdownDifferential check the integer sums behind the means",
 	"exp.PhaseSLO.Attr":                       "TestWorkloadSLODeterminism checks each phase's attribution covers its spans",
-	"exp.PointPanic.Stack":                    "TestRunPointsContainsPanic checks the panicking goroutine's stack is kept for a caller that unwraps the error",
 	"farm.Manifest.TornTail":                  "TestManifestTornTail checks a torn final line is reported on resume",
 	"router.Packet.Retransmissions":           "TestHoldHeadNackRetransmits and TestBackoffDoublingAndCap count re-sends through it",
 	"router.Packet.SentAt":                    "TestPacketTimestamps, TestFireAndForget and TestHoldHeadNackRetransmits check the last-send stamp",

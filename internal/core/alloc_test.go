@@ -74,10 +74,11 @@ func guardRate(s core.Scheme) float64 {
 // bucket and free list. A network still allocating after 30 blocks fails.
 // TestStepZeroAlloc's networks (token-channel, token-slot, ghs,
 // ghs-setaside, dhs, dhs-setaside, dhs-circulation, 128-node) need
-// 4/4/25/11/23/21/4/25 blocks: a queued packet is a descriptor from a
+// 4/4/25/8/23/21/4/25 blocks: a queued packet is a descriptor from a
 // recycled segment, so only the heads, retained copies and flights set
 // new highs of built packets. When every queued packet was a full Packet
-// they needed 46/5/37/31/37/21/4/25.
+// they needed 46/5/37/31/37/21/4/25, and ghs-setaside needed 11 while the
+// pool made every segment on its own.
 func warmUntilSteady(t *testing.T, cycle func()) {
 	t.Helper()
 	const block, maxBlocks = 1000, 30

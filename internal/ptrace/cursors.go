@@ -30,48 +30,95 @@ func (b *spanBuf) poison() {
 //
 // A core.Network numbers packets with nextID++ and emits EvInject in that
 // order, so the resident ids of a stream are a window sliding up the id
-// space. The table keeps that window in a power-of-two ring of cursors by
-// value — slot (id - base) from the ring head, base advancing past freed
-// slots at the head — and finds a cursor with a subtraction and a mask
-// where a map hashes, probes and chases a pointer. It is one store behind
-// one accessor, not a fast path beside a map: which of its two places an
-// id lands in follows from a property the table observes in its input (ids
+// space. The table keeps that window in fixed pages of cursors by value:
+// a page holds pageLen consecutive ids, page number id>>pageBits, and a
+// power-of-two ring of page pointers covers the window — slot (page -
+// base) from the ring head, base advancing past empty slots at the head.
+// A lookup is a shift, a subtraction, a mask and one pointer hop, where a
+// map hashes, probes and chases a pointer. It is one store behind one
+// accessor, not a fast path beside a map: which of its two places an id
+// lands in follows from a property the table observes in its input (ids
 // arrive in sequence), which every simulated stream has.
 //
-// Ids the window cannot cover — hand-built, decoded or fuzzed streams: an
-// id below base, a jump far past the ring — live in the overflow map,
-// consulted only when it is non-empty. So do stragglers: when the window
-// would have to grow while it is mostly holes (a few old cursors pin base
-// while ids run ahead), the head cursors move to the overflow and the
-// window slides instead. Resident memory therefore stays O(live cursors):
-// the ring doubles only while at least half full.
+// A page is taken when the first of its ids opens, from the table's spare
+// list when it has one, and goes back there, zeroed, when its last cursor
+// is deleted. Growing the window doubles only the pointer ring: no cursor
+// is ever copied to make room.
 //
-// Growing the ring moves cursors, so a *pktAsm from get or open is valid
-// only until the next open.
+// Ids the window cannot cover — hand-built, decoded or fuzzed streams: an
+// id below the window, a jump far past the ring — live in the overflow
+// map, consulted only when it is non-empty. So do stragglers: when the
+// ring would have to grow while its slots are mostly empty (a few old
+// cursors pin base while ids run ahead) or its pages are (old cursors
+// spread out, one pinning each page), the head page's cursors move to the
+// overflow, the page goes to the spare list and the window slides
+// instead. Resident memory therefore stays O(live cursors), not O(id
+// span): the ring doubles only while at least half its slots hold a page
+// and those pages hold pageLen/fillDiv live cursors each on average, so
+// it never passes max(minRing, 4·fillDiv·peak/pageLen) slots for a peak
+// of peak live cursors; a page is
+// held only while one of its cursors is live, and the pages made, held
+// or spare, are never more than the ring once had slots. That is at most
+// 4·fillDiv cursors' bytes of pages per live cursor, past minRing pages.
+//
+// Eviction moves cursors, so a *pktAsm from get or open is valid only
+// until the next open.
 type cursorTable struct {
-	ring  []pktAsm // len is zero or a power of two
-	head  int      // ring index of id base
-	base  uint64   // lowest id the window covers
-	width uint64   // the window covers ids [base, base+width); width > 0 ⇒ ring[head] is in use
-	live  int      // cursors in the ring
+	ring  []pageRef // len is zero or a power of two
+	head  int       // ring index of page base
+	base  uint64    // lowest page the window covers
+	width uint64    // the window covers pages [base, base+width); width > 0 ⇒ ring[head].p != nil
+	held  int       // pages in the ring
+	live  int       // cursors in those pages
 
-	over map[uint64]*pktAsm // cursors outside the window
-	free []*spanBuf         // recycled span buffers
+	spare []*page            // emptied pages, all zero
+	over  map[uint64]*pktAsm // cursors outside the window
+	free  []*spanBuf         // recycled span buffers
 }
 
-const minRing = 64
+// pageBits sets a page's length: 1,024 cursors of 56 bytes are 57,344
+// bytes, exactly seven of the runtime's 8 KiB pages, so a page wastes
+// nothing. No shorter power of two fills its size class: the allocator
+// puts an 8-byte header in front of an object with pointers past 512
+// bytes, so 256 cursors (14,336 + 8 bytes) would take the 16,384-byte
+// class and waste an eighth.
+const (
+	pageBits = 10
+	pageLen  = 1 << pageBits
+	pageMask = pageLen - 1
+)
 
-// slot returns the ring slot of the id off places above base.
-func (t *cursorTable) slot(off uint64) *pktAsm {
+// page holds the cursors of pageLen consecutive ids, id&pageMask each.
+type page [pageLen]pktAsm
+
+// pageRef is a slot of the pointer ring: its page, if any, and how many
+// of that page's cursors are live. The count sits here rather than in the
+// page so that the page fills its size class exactly.
+type pageRef struct {
+	p    *page
+	live int
+}
+
+// minRing is the pointer ring's first length, in pages.
+const minRing = 4
+
+// fillDiv bounds how sparse the window may be when the ring doubles: its
+// pages must hold at least pageLen/fillDiv live cursors each on average.
+const fillDiv = 8
+
+// ref returns the ring slot of the page off places above base.
+func (t *cursorTable) ref(off uint64) *pageRef {
 	return &t.ring[(t.head+int(off))&(len(t.ring)-1)]
 }
 
 // get returns id's cursor, or nil.
 func (t *cursorTable) get(id uint64) *pktAsm {
-	// Unsigned: an id below base wraps to an offset past any width.
-	if off := id - t.base; off < t.width {
-		if a := t.slot(off); a.state != stFree {
-			return a
+	// Unsigned: a page below base wraps to an offset past any width.
+	if off := id>>pageBits - t.base; off < t.width {
+		if p := t.ref(off).p; p != nil {
+			if a := &p[id&pageMask]; a.state != stFree {
+				return a
+			}
 		}
 	}
 	if len(t.over) == 0 {
@@ -84,43 +131,60 @@ func (t *cursorTable) get(id uint64) *pktAsm {
 // and state (stInjected) set, everything else zero.
 func (t *cursorTable) open(id uint64) *pktAsm {
 	if t.ring == nil {
-		t.ring = make([]pktAsm, minRing)
+		t.ring = make([]pageRef, minRing)
 	}
+	pg := id >> pageBits
 	var off uint64
 	for {
-		if t.live == 0 {
-			t.base, t.head = id, 0 // an empty window starts at the next id
+		if t.width == 0 {
+			t.base, t.head = pg, 0 // an empty window starts at the next id's page
 		}
-		if off = id - t.base; off < uint64(len(t.ring)) {
+		if off = pg - t.base; off < uint64(len(t.ring)) {
 			break
 		}
 		switch {
 		case off >= 2*uint64(len(t.ring)):
 			// Out of the window's reach (or below it).
 			return t.park(pktAsm{id: id, state: stInjected})
-		case 2*t.live >= len(t.ring):
+		case 2*t.held >= len(t.ring) && t.held*pageLen <= fillDiv*t.live:
 			t.grow()
 		default:
-			// Mostly holes: move the straggler at the head aside and slide.
-			t.park(t.ring[t.head])
-			t.vacate(&t.ring[t.head])
+			// Mostly empty slots or pages: move the stragglers at the
+			// head aside and slide.
+			t.evict()
 		}
 	}
 	if off >= t.width {
 		t.width = off + 1
 	}
+	r := t.ref(off)
+	if r.p == nil {
+		r.p = t.newPage()
+		t.held++
+	}
+	r.live++
 	t.live++
-	a := t.slot(off)
+	a := &r.p[id&pageMask]
 	a.id, a.state = id, stInjected
 	return a
 }
 
-// grow doubles the ring, re-seating base at index 0.
+// grow doubles the pointer ring, re-seating base at index 0.
 func (t *cursorTable) grow() {
-	ring := make([]pktAsm, 2*len(t.ring))
+	ring := make([]pageRef, 2*len(t.ring))
 	n := copy(ring, t.ring[t.head:])
 	copy(ring[n:], t.ring[:t.head])
 	t.ring, t.head = ring, 0
+}
+
+// newPage hands out an all-zero page, off the spare list when it has one.
+func (t *cursorTable) newPage() *page {
+	if n := len(t.spare); n > 0 {
+		p := t.spare[n-1]
+		t.spare = t.spare[:n-1]
+		return p
+	}
+	return new(page)
 }
 
 // park puts a cursor in the overflow map.
@@ -132,13 +196,29 @@ func (t *cursorTable) park(a pktAsm) *pktAsm {
 	return &a
 }
 
-// vacate frees a ring slot and advances base past the free slots at the
-// head. Each step of that walk retires one id the window once opened, so
-// it is O(1) amortised per open.
-func (t *cursorTable) vacate(a *pktAsm) {
-	*a = pktAsm{}
-	t.live--
-	for t.width > 0 && t.ring[t.head].state == stFree {
+// evict moves the cursors of the page at the head to the overflow map
+// and drops the page.
+func (t *cursorTable) evict() {
+	r := &t.ring[t.head]
+	for i := range r.p {
+		if a := &r.p[i]; a.state != stFree {
+			t.park(*a)
+			*a = pktAsm{}
+		}
+	}
+	t.live -= r.live
+	r.live = 0
+	t.drop(r)
+}
+
+// drop returns an emptied page to the spare list and advances base past
+// the empty slots at the head. Each step of that walk retires a page the
+// window once covered, so it is O(1) amortised per page opened.
+func (t *cursorTable) drop(r *pageRef) {
+	t.spare = append(t.spare, r.p)
+	r.p = nil
+	t.held--
+	for t.width > 0 && t.ring[t.head].p == nil {
 		t.head = (t.head + 1) & (len(t.ring) - 1)
 		t.base++
 		t.width--
@@ -147,11 +227,17 @@ func (t *cursorTable) vacate(a *pktAsm) {
 
 // delete removes id's cursor, recycling a span buffer it still holds.
 func (t *cursorTable) delete(id uint64) {
-	if off := id - t.base; off < t.width {
-		if a := t.slot(off); a.state != stFree {
-			t.recycle(a)
-			t.vacate(a)
-			return
+	if off := id>>pageBits - t.base; off < t.width {
+		if r := t.ref(off); r.p != nil {
+			if a := &r.p[id&pageMask]; a.state != stFree {
+				t.recycle(a)
+				*a = pktAsm{}
+				t.live--
+				if r.live--; r.live == 0 {
+					t.drop(r)
+				}
+				return
+			}
 		}
 	}
 	if a := t.over[id]; a != nil {
@@ -164,8 +250,14 @@ func (t *cursorTable) delete(id uint64) {
 // sorts what it collects.
 func (t *cursorTable) each(fn func(*pktAsm)) {
 	for off := uint64(0); off < t.width; off++ {
-		if a := t.slot(off); a.state != stFree {
-			fn(a)
+		p := t.ref(off).p
+		if p == nil {
+			continue
+		}
+		for i := range p {
+			if a := &p[i]; a.state != stFree {
+				fn(a)
+			}
 		}
 	}
 	for _, a := range t.over {

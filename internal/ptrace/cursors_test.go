@@ -1,7 +1,9 @@
 package ptrace
 
 import (
+	"runtime"
 	"testing"
+	"unsafe"
 )
 
 // tableRig drives a cursorTable beside a map oracle. Each cursor carries
@@ -17,7 +19,8 @@ type tableRig struct {
 	next    uint64           // the next sequential id
 	tags    int64
 	deleted uint64 // the id deleted last
-	peak    int
+	pages   int    // pages the table had made at the last check
+	peak    int    // the most live ids so far
 }
 
 func (r *tableRig) open(id uint64) {
@@ -89,7 +92,8 @@ func (r *tableRig) check() {
 		t.Fatalf("each visited %d cursors, oracle has %d", len(seen), len(r.want))
 	}
 	// Ids at every edge of the window that are not live must read absent.
-	for _, id := range []uint64{r.deleted, r.next, tab.base - 1, tab.base + tab.width, tab.base + uint64(len(tab.ring))} {
+	lo, hi, reach := tab.base<<pageBits, (tab.base+tab.width)<<pageBits, (tab.base+uint64(len(tab.ring)))<<pageBits
+	for _, id := range []uint64{r.deleted, r.next, lo - 1, lo, hi - 1, hi, reach} {
 		if _, live := r.want[id]; !live && tab.get(id) != nil {
 			t.Fatalf("get(%d) = %+v for an id that is not live", id, *tab.get(id))
 		}
@@ -97,23 +101,68 @@ func (r *tableRig) check() {
 
 	n := len(tab.ring)
 	if n&(n-1) != 0 || tab.width > uint64(n) {
-		t.Fatalf("ring of %d slots, window %d wide", n, tab.width)
+		t.Fatalf("ring of %d pages, window %d pages wide", n, tab.width)
 	}
-	inRing := 0
-	for i := range tab.ring {
-		if tab.ring[i].state != stFree {
-			inRing++
+	// Every page is in the window, counts its own live cursors and holds
+	// at least one.
+	held, live := 0, 0
+	for off := uint64(0); off < uint64(n); off++ {
+		ref := tab.ref(off)
+		if ref.p == nil {
+			if ref.live != 0 {
+				t.Fatalf("empty slot %d counts %d live cursors", off, ref.live)
+			}
+			continue
+		}
+		if off >= tab.width {
+			t.Fatalf("page in slot %d, past the window's %d", off, tab.width)
+		}
+		inPage := 0
+		for i := range ref.p {
+			if a := &ref.p[i]; a.state != stFree {
+				if a.id != (tab.base+off)<<pageBits|uint64(i) {
+					t.Fatalf("cursor %+v sits in page %d, slot %d", *a, tab.base+off, i)
+				}
+				inPage++
+			}
+		}
+		if inPage == 0 || inPage != ref.live {
+			t.Fatalf("page %d holds %d cursors and counts %d; a held page holds at least one", tab.base+off, inPage, ref.live)
+		}
+		held++
+		live += inPage
+	}
+	if held != tab.held || live != tab.live || (tab.width == 0) != (held == 0) {
+		t.Fatalf("held = %d, live = %d, width = %d; the ring holds %d pages and %d cursors", tab.held, tab.live, tab.width, held, live)
+	}
+	if tab.width > 0 && tab.ring[tab.head].p == nil {
+		t.Fatalf("window [%d,+%d) does not start at a held page", tab.base, tab.width)
+	}
+	// A dropped page goes to the spare list, zeroed, and nothing is lost.
+	made := held + len(tab.spare)
+	if made < r.pages {
+		t.Fatalf("%d pages held and %d spare; the table had made %d", held, len(tab.spare), r.pages)
+	}
+	r.pages = made
+	for _, p := range tab.spare {
+		if *p != (page{}) {
+			t.Fatalf("a spare page is not zero")
 		}
 	}
-	if inRing != tab.live || (tab.width == 0) != (tab.live == 0) {
-		t.Fatalf("live = %d, width = %d, ring holds %d cursors", tab.live, tab.width, inRing)
+	// Resident memory follows the live cursors. A page is made only when
+	// none is spare, so the pages made are the most ever held at once, and
+	// a held page holds a live cursor. The ring doubles only while at
+	// least half its slots hold a page and those pages hold pageLen/fillDiv
+	// live cursors each on average, so it stays within 4 slots per page
+	// made and within 4·fillDiv/pageLen slots per live cursor.
+	if made > r.peak {
+		t.Fatalf("%d pages made for at most %d live ids", made, r.peak)
 	}
-	if tab.width > 0 && (tab.ring[tab.head].state == stFree || tab.ring[tab.head].id != tab.base) {
-		t.Fatalf("window [%d,+%d) does not start at a live cursor: %+v", tab.base, tab.width, tab.ring[tab.head])
+	if n > minRing && n > 4*made {
+		t.Fatalf("ring of %d slots for %d pages made", n, made)
 	}
-	// The ring doubles only while at least half full.
-	if n > minRing && n > 4*r.peak {
-		t.Fatalf("ring of %d slots for a peak of %d cursors", n, r.peak)
+	if n > minRing && n*pageLen > 4*fillDiv*r.peak {
+		t.Fatalf("ring of %d slots for at most %d live ids", n, r.peak)
 	}
 }
 
@@ -124,7 +173,8 @@ func (r *tableRig) check() {
 //	O n  open n+1 sequential ids
 //	w n  slide a window of 8 live ids over 16(n+1) sequential ids
 //	d n  delete the n-th oldest live id      D n  the n-th newest
-//	b n  open the id n+1 below the window    j n  jump the sequence by 2^n
+//	b n  open the id n+1 below the window's first page
+//	j n  jump the sequence by 2^n
 //	a n  open the id n+1 ahead of the sequence, which then runs into it
 //	r    re-open the id deleted last
 //
@@ -169,7 +219,7 @@ func FuzzCursorTable(f *testing.F) {
 					r.delete(r.order[len(r.order)-1-n%len(r.order)])
 				}
 			case 'b':
-				r.open(r.tab.base - 1 - uint64(operand(&i)))
+				r.open(r.tab.base<<pageBits - 1 - uint64(operand(&i)))
 			case 'a':
 				r.open(r.next + 1 + uint64(operand(&i)))
 			case 'j':
@@ -182,4 +232,35 @@ func FuzzCursorTable(f *testing.F) {
 			r.check()
 		}
 	})
+}
+
+// pageBytes is the size of one page of cursors.
+const pageBytes = int(unsafe.Sizeof(page{}))
+
+// residentBytes returns the bytes the cursor table holds in pages — in
+// the ring and spare — and in its pointer ring; the overflow map aside.
+func (t *cursorTable) residentBytes() int {
+	return (t.held+len(t.spare))*pageBytes + len(t.ring)*int(unsafe.Sizeof(pageRef{}))
+}
+
+// TestPageFillsItsSizeClass pins a page of cursors to its allocation on
+// 64-bit platforms: what the allocator charges for a page is exactly its
+// size, with no padding and no header.
+func TestPageFillsItsSizeClass(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the size classes pinned here are those of 64-bit platforms")
+	}
+	const n = 64
+	keep := make([]*page, n)
+	var tab cursorTable
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range keep {
+		keep[i] = tab.newPage()
+	}
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(keep)
+	if got := (after.TotalAlloc - before.TotalAlloc) / n; got != uint64(pageBytes) {
+		t.Errorf("a page of %d bytes costs %d bytes", pageBytes, got)
+	}
 }

@@ -357,7 +357,7 @@ func (s *Stream) Close() error {
 	if s.err != nil || closed {
 		return s.err
 	}
-	var rest []*pktAsm
+	rest := make([]*pktAsm, 0, s.cursors.count())
 	s.cursors.each(func(a *pktAsm) {
 		if !a.flushed {
 			rest = append(rest, a)

@@ -616,46 +616,79 @@ func steadyStep(base uint64, k int64) [8]Record {
 	}
 }
 
-// TestStreamResidentBoundedByLive pins the straggler rule: 1,000 packets
-// that never deliver pin the low end of the id space while a million ids
-// pass above them. The cursor table must not stretch its window over the
-// gap — its slot count stays within a constant of the resident cursor
-// count — and MaxLive must still count the stragglers it moved aside.
+// TestStreamResidentBoundedByLive pins the straggler rule: packets that
+// never deliver stay resident while a million ids pass, either 1,000 of
+// them pinning the low end of the id space or one in every page's worth
+// of ids, spread over the whole run. The cursor table must not stretch
+// its window over the gap or keep a page per spread-out straggler — the
+// bytes of its pages and pointer ring stay within a constant of the
+// resident cursors' 56 bytes each — and MaxLive must still count the
+// stragglers it moved aside.
 func TestStreamResidentBoundedByLive(t *testing.T) {
-	const stragglers, packets = 1_000, 1_000_000
-	st := NewStream(StreamConfig{})
-	oracle := newLiveOracle()
-	push := func(r Record) {
-		oracle.observe(r)
-		if err := st.Push(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for id := uint64(0); id < stragglers; id++ {
-		push(pkt(0, core.EvInject, id))
-	}
-	base := uint64(stragglers) + 8
-	for k := int64(0); k < packets; k++ {
-		for _, r := range steadyStep(base, k) {
-			if r.ID >= base {
-				push(r)
+	const packets = 1_000_000
+	for _, tc := range []struct {
+		name   string
+		before int   // stragglers injected below the run
+		every  int64 // and one in every `every` packets of the run, if > 0
+		// most bounds the bytes of pages and pointer ring for maxLive
+		// resident cursors.
+		most func(maxLive int) int
+	}{
+		// Two pages of slack: a run of live ids straddles up to two partly
+		// filled pages.
+		{"contiguous", 1_000, 0, func(maxLive int) int { return 2*maxLive*56 + 2*pageBytes }},
+		// The ring doubles only while its pages average pageLen/fillDiv
+		// live cursors, so it has at most max(minRing, 4·fillDiv·maxLive /
+		// pageLen) slots, and the pages made are never more than its slots.
+		{"spread", 0, pageLen, func(maxLive int) int {
+			slots := max(minRing, 4*fillDiv*maxLive/pageLen)
+			return slots * (pageBytes + int(unsafe.Sizeof(pageRef{})))
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := NewStream(StreamConfig{})
+			oracle := newLiveOracle()
+			push := func(r Record) {
+				oracle.observe(r)
+				if err := st.Push(r); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-		if slots := len(st.cursors.ring); slots > 8*st.MaxLive() {
-			t.Fatalf("step %d: %d ring slots for at most %d resident cursors", k, slots, st.MaxLive())
-		}
-	}
-	if st.MaxLive() != oracle.peak {
-		t.Fatalf("MaxLive %d, oracle %d", st.MaxLive(), oracle.peak)
-	}
-	if got := st.cursors.count(); got < stragglers || got > oracle.peak {
-		t.Fatalf("%d cursors resident at the end; want the %d stragglers and at most the peak %d", got, stragglers, oracle.peak)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if undelivered := st.Flushed() - (packets - 6); undelivered != stragglers+6 {
-		t.Fatalf("Close flushed %d undelivered spans; want the %d stragglers and the 6 packets in flight", undelivered, stragglers)
+			for id := uint64(0); id < uint64(tc.before); id++ {
+				push(pkt(0, core.EvInject, id))
+			}
+			base := uint64(tc.before) + 8
+			stragglers := tc.before
+			for k := int64(0); k < packets; k++ {
+				for _, r := range steadyStep(base, k) {
+					// A spread-out straggler is injected and heard of no more.
+					if r.ID >= base && (tc.every == 0 || int64(r.ID-base)%tc.every != 0 || r.Type == core.EvInject) {
+						push(r)
+					}
+				}
+				if tc.every > 0 && k%tc.every == 0 {
+					stragglers++
+				}
+				if held, most := st.cursors.residentBytes(), tc.most(st.MaxLive()); held > most {
+					t.Fatalf("step %d: %d bytes of pages and ring for at most %d resident cursors; want at most %d",
+						k, held, st.MaxLive(), most)
+				}
+			}
+			if st.MaxLive() != oracle.peak {
+				t.Fatalf("MaxLive %d, oracle %d", st.MaxLive(), oracle.peak)
+			}
+			if got := st.cursors.count(); got < stragglers || got > oracle.peak {
+				t.Fatalf("%d cursors resident at the end; want the %d stragglers and at most the peak %d", got, stragglers, oracle.peak)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			// Every packet of the run is flushed once, delivered or at Close;
+			// the stragglers below it are flushed at Close.
+			if got, want := st.Flushed(), int64(packets+tc.before); got != want {
+				t.Fatalf("flushed %d spans; want the %d packets and the %d stragglers below them", got, packets, tc.before)
+			}
+		})
 	}
 }
 

@@ -43,8 +43,9 @@ type segment struct {
 // (build); a packet put back is one the engine let go or one a queue
 // compacted into a descriptor.
 type Pool struct {
-	free []*Packet
-	segs *segment
+	free    []*Packet
+	segs    *segment
+	singles int // segments made one at a time, at most slabLen
 	// poison makes Put overwrite a packet instead of recycling it, so
 	// whatever reads a packet after it was let go or compacted reads
 	// garbage rather than the packet's next life. Tests set it.
@@ -129,12 +130,27 @@ func (pl *Pool) build(d *desc) *Packet {
 	return p
 }
 
-// seg returns an empty segment.
+// slabLen is how many segments a slab holds. A 264-byte segment on its
+// own takes the 288-byte size class; 31 of them and the 8-byte header the
+// allocator puts in front of an object with pointers past 512 bytes are
+// 8,192 bytes, a size class exactly.
+const slabLen = 31
+
+// seg returns an empty segment. The pool makes its first slabLen segments
+// one at a time, so a network whose queues stay short holds no more than
+// it used, and every later one in a slab.
 func (pl *Pool) seg() *segment {
-	s := pl.segs
-	if s == nil {
-		return new(segment)
+	if pl.segs == nil {
+		if pl.singles < slabLen {
+			pl.singles++
+			return new(segment)
+		}
+		slab := new([slabLen]segment)
+		for i := range slab {
+			pl.putSeg(&slab[i])
+		}
 	}
+	s := pl.segs
 	pl.segs, s.next = s.next, nil
 	return s
 }

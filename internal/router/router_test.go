@@ -2,6 +2,7 @@ package router
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"unsafe"
 
@@ -306,16 +307,17 @@ func TestInPortValidation(t *testing.T) {
 }
 
 // TestOutPortQueue drives each send policy's queue through depths that
-// end short of, on and past segment edges, and checks that the head is
-// built back field for field from its descriptor, in FIFO order, that a
-// bounded queue counts head plus descriptors against its bound, and that
-// an emptied queue gives every segment back to the pool.
+// end short of, on and past segment edges, and past the pool's single
+// segments into its slabs, and checks that the head is built back field
+// for field from its descriptor, in FIFO order, that a bounded queue
+// counts head plus descriptors against its bound, and that an emptied
+// queue gives every segment back to the pool.
 func TestOutPortQueue(t *testing.T) {
 	if got := unsafe.Sizeof(desc{}); got != 32 {
 		t.Errorf("a queue descriptor takes %d bytes, want 32", got)
 	}
 	for _, policy := range []SendPolicy{FireAndForget, HoldHead, Setaside} {
-		for _, depth := range []int{0, 1, 7, 8, 9, 17, 100} {
+		for _, depth := range []int{0, 1, 7, 8, 9, 17, 100, slabLen*segLen + 1, 3 * slabLen * segLen} {
 			for _, bounded := range []bool{false, true} {
 				name := fmt.Sprintf("%v/%d/bounded=%v", policy, depth, bounded)
 				t.Run(name, func(t *testing.T) { checkQueue(t, policy, depth, bounded) })
@@ -418,10 +420,45 @@ func checkQueue(t *testing.T, policy SendPolicy, depth int, bounded bool) {
 	for s := pool.segs; s != nil; s = s.next {
 		segs++
 	}
-	if segs != peak {
-		t.Fatalf("pool holds %d segments after the queue emptied, the queue linked up to %d", segs, peak)
+	// The pool made singles up to slabLen, then whole slabs.
+	made := peak
+	if peak > slabLen {
+		made = slabLen + (peak-1)/slabLen*slabLen
+	}
+	if segs != made {
+		t.Fatalf("pool holds %d segments after the queue emptied; the queue linked up to %d, so the pool made %d", segs, peak, made)
 	}
 	if most := (depth + segLen - 2) / segLen; peak < most || peak > most+1 {
 		t.Fatalf("%d descriptors behind a head took %d segments", depth-1, peak)
+	}
+}
+
+// TestSegmentSlabFillsItsSizeClass pins what the pool pays per segment on
+// 64-bit platforms: a slab of slabLen segments costs exactly its size and
+// the allocator's 8-byte header, 8,192 bytes, where a lone segment would
+// take the 288-byte class.
+func TestSegmentSlabFillsItsSizeClass(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the size classes pinned here are those of 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(segment{}); got != 264 {
+		t.Errorf("a segment takes %d bytes, want 264", got)
+	}
+	const slabs = 16
+	pool := NewPool(false)
+	keep := make([]*segment, (slabs+1)*slabLen) // the singles, then the slabs
+	for i := range slabLen {
+		keep[i] = pool.seg()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := slabLen; i < len(keep); i++ {
+		keep[i] = pool.seg()
+	}
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(keep)
+	const want = slabLen*unsafe.Sizeof(segment{}) + 8
+	if got := (after.TotalAlloc - before.TotalAlloc) / slabs; got != uint64(want) || want != 8192 {
+		t.Errorf("a slab of %d segments costs %d bytes, want %d = 8,192", slabLen, got, want)
 	}
 }

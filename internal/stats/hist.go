@@ -9,12 +9,27 @@ package stats
 // a cap; anything above the cap gets no bin but still contributes to
 // Count/Sum/Max, so means stay exact even when the tail is clipped.
 type Histogram struct {
-	bins     []int64
+	// chunks holds the exact bins, value v at chunks[v>>chunkBits][v&chunkMask].
+	// A chunk is made the first time a value lands in it and is never
+	// copied; a nil chunk counts nothing.
+	chunks   []*chunk
 	count    int64
 	sum      int64
 	max      int64
 	capValue int64
 }
+
+// chunkBits sets a chunk's length: 64 bins of 8 bytes are 512 bytes, one
+// of the runtime's size classes (a chunk holds no pointers, so it carries
+// no allocation header). Longer chunks cost the many short-tailed
+// histograms more than they save the long-tailed ones.
+const (
+	chunkBits = 6
+	chunkLen  = 1 << chunkBits
+	chunkMask = chunkLen - 1
+)
+
+type chunk [chunkLen]int64
 
 // NewHistogram returns a histogram with exact bins for values in
 // [0, capValue]; larger values are pooled. capValue <= 0 selects a default
@@ -41,12 +56,25 @@ func (h *Histogram) Add(v int64) {
 	if v > h.capValue {
 		return
 	}
-	if int64(len(h.bins)) <= v {
-		nb := make([]int64, v+v/2+16)
-		copy(nb, h.bins)
-		h.bins = nb
+	if c := v >> chunkBits; c < int64(len(h.chunks)) && h.chunks[c] != nil {
+		h.chunks[c][v&chunkMask]++
+		return
 	}
-	h.bins[v]++
+	h.grow(v)
+}
+
+// grow makes the chunk v lands in, then counts v. Kept out of Add, so the
+// common case — a value in a chunk already made — stays a load, a test and
+// an increment.
+func (h *Histogram) grow(v int64) {
+	c := int(v >> chunkBits)
+	for len(h.chunks) <= c {
+		h.chunks = append(h.chunks, nil)
+	}
+	if h.chunks[c] == nil {
+		h.chunks[c] = new(chunk)
+	}
+	h.chunks[c][v&chunkMask]++
 }
 
 // Count returns the number of observations.
@@ -85,10 +113,15 @@ func (h *Histogram) Quantile(q float64) int64 {
 		target = 1
 	}
 	var seen int64
-	for v, c := range h.bins {
-		seen += c
-		if seen >= target {
-			return int64(v)
+	for c, bins := range h.chunks {
+		if bins == nil {
+			continue
+		}
+		for i, n := range bins {
+			seen += n
+			if seen >= target {
+				return int64(c)<<chunkBits | int64(i)
+			}
 		}
 	}
 	return h.capValue + 1
